@@ -1075,8 +1075,10 @@ def experiment_forensics(
     Arbitrator; a dropped receipt must be attributed to
     ``message-loss``; an amnesia crash to ``amnesia-rollback``.
 
-    Campaign sweep: ``n_plans`` seeded fault plans run with forensics
-    and anomaly detection on.  The facts assert total attribution —
+    Campaign sweep: ``n_plans`` seeded fault plans run with forensics,
+    the rate-shift detectors, and the standard campaign SLOs on (the
+    one path for budget and latency alerts).  The facts assert total
+    attribution —
     every session that did not complete-and-verify carries at least one
     classified finding, the no-op plan carries none — plus the
     per-detector alert counts and the seed-stable report signature.
@@ -1156,10 +1158,10 @@ def experiment_forensics(
     facts["amnesia/categories"] = categories(amnesia_findings)
     rows.append(["amnesia", ",".join(facts["amnesia/categories"]), "-", "-"])
 
-    # Campaign sweep: forensics + anomaly detection over seeded plans.
+    # Campaign sweep: forensics + rate-shift detectors + SLO burn alerts.
     plans = [FaultPlan(name="ob2-noop")] + generate_plans(seed, n_plans - 1)
     runner = CampaignRunner(seed=seed, scenario="session", observe=True,
-                            forensics=True, anomaly=True)
+                            forensics=True, anomaly=True, slo=True)
     report = runner.run(plans)
     unattributed = sum(
         1 for o in report.outcomes
@@ -1171,6 +1173,8 @@ def experiment_forensics(
     facts["campaign/unattributed"] = unattributed
     facts["campaign/noop_findings"] = len(report.outcomes[0].findings)
     facts["campaign/alert_counts"] = _alert_counts(report.alerts)
+    facts["campaign/slo_budget_remaining"] = {
+        s.name: round(s.budget_remaining, 4) for s in report.slo.statuses}
     facts["campaign/signature"] = report.signature()
     facts["all_attributed"] = unattributed == 0
     facts["no_false_positives"] = (

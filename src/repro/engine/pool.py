@@ -46,12 +46,8 @@ from ..net.events import Simulator
 from ..net.network import Network
 from ..obs import NULL_OBS, Observability
 from ..obs.profiler import NULL_PROFILER, RegionProfiler
-from ..obs.anomaly import (
-    AnomalyMonitor,
-    BurnRateDetector,
-    QuantileThresholdDetector,
-    RateShiftDetector,
-)
+from ..obs.anomaly import AnomalyMonitor, RateShiftDetector
+from ..obs.sketch import QuantileSketch
 from ..obs.slo import SLOManager, standard_engine_slos
 
 __all__ = [
@@ -61,39 +57,45 @@ __all__ = [
     "PoolResult",
     "SessionPool",
     "attach_engine_detectors",
+    "latency_quantiles",
 ]
+
+#: The per-session latency series: the one distribution the pool
+#: reports p50/p99 from and the ``session-latency`` SLO reads.
+LATENCY_SKETCH = "engine.session_latency"
 
 
 def attach_engine_detectors(
     monitor: AnomalyMonitor, metrics, retransmit_reader
 ) -> AnomalyMonitor:
-    """Subscribe the standard pool detectors to the engine metrics.
+    """Subscribe the pool's retransmit rate-shift detector.
 
     One poll window is one ``sample_interval`` slice of the driving
-    loop: retransmission storms, tail-latency blowups, and session SLO
-    burn all fire while the pool is still running — the live complement
-    to the post-mortem forensics layer.
+    loop, so a retransmission storm fires while the pool is still
+    running — the live complement to the post-mortem forensics layer.
+    Session success and latency are error-budget questions, answered by
+    :func:`~repro.obs.slo.standard_engine_slos` (``EngineConfig.slo``).
     """
-    latency = metrics.histogram("engine.session_latency_seconds")
-    sessions_ok = metrics.counter("engine.sessions_finished", outcome="ok")
-    sessions_bad = metrics.counter("engine.sessions_finished", outcome="failed")
     monitor.add(RateShiftDetector(
         "retransmit-rate", retransmit_reader,
         subject="engine.retransmits",
         window=10, factor=4.0, min_events=4,
     ))
-    monitor.add(QuantileThresholdDetector(
-        "latency-p99", lambda: latency,
-        subject="engine.session_latency_seconds",
-        q=0.99, threshold=5.0, window=10, min_count=5,
-    ))
-    monitor.add(BurnRateDetector(
-        "session-slo",
-        lambda: sessions_ok.value, lambda: sessions_bad.value,
-        subject="engine.sessions_finished",
-        slo=0.95, threshold=2.0, window=10, min_events=5,
-    ))
     return monitor
+
+
+def latency_quantiles(sketches: list[QuantileSketch]) -> tuple[float, float]:
+    """``(p50, p99)`` of the exact merge of per-world latency sketches.
+
+    The one quantile path for pool results: an unsharded pool passes
+    its own sketch, :func:`~repro.engine.sharding.merge_pool_results`
+    passes one per shard, and the merge is exact, so both report the
+    same numbers.  ``(0.0, 0.0)`` when nothing was observed.
+    """
+    if not sketches:
+        return 0.0, 0.0
+    merged = QuantileSketch.merged(LATENCY_SKETCH, sketches)
+    return merged.quantile(0.50), merged.quantile(0.99)
 
 
 def _seed_bytes(seed: bytes | str) -> bytes:
@@ -280,7 +282,7 @@ class PoolResult:
     p99_latency: float
     cache_stats: dict[str, dict[str, float]] | None = None
     obs: Observability = NULL_OBS
-    # Anomaly alerts from the sampling loop; telemetry only, excluded
+    # Rate-shift alerts from the sampling loop; telemetry only, excluded
     # from signature() like the wall-clock timings.
     alerts: list = dataclass_field(default_factory=list)
     # End-of-run SLOReport (config.slo); telemetry only, excluded from
@@ -595,11 +597,7 @@ class SessionPool:
             ).inc()
             latency = session.latency
             if latency is not None:
-                obs.metrics.histogram("engine.session_latency_seconds").observe(latency)
-                # The sketch twin of the latency histogram: mergeable
-                # per-shard once the engine shards, and the series the
-                # session-latency SLO reads.
-                obs.metrics.sketch("engine.session_latency").observe(latency)
+                obs.metrics.sketch(LATENCY_SKETCH).observe(latency)
 
     # -- driving -------------------------------------------------------------
 
@@ -671,11 +669,8 @@ class SessionPool:
         assert self.provider is not None and self.ttp is not None
         sends = self.network.trace.sends("tpnr.")
         obs = self._obs
-        if obs.enabled:
-            latency_hist = obs.metrics.histogram("engine.session_latency_seconds")
-            p50, p99 = latency_hist.quantile(0.50), latency_hist.quantile(0.99)
-        else:
-            p50 = p99 = 0.0
+        p50, p99 = latency_quantiles(
+            [obs.metrics.sketch(LATENCY_SKETCH)] if obs.enabled else [])
         return PoolResult(
             config=self.config,
             sessions=sorted(self._sessions.values(), key=lambda s: s.transaction_id),

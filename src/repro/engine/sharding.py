@@ -33,11 +33,12 @@ interact with each other, only with the provider/TTP, and
 * provider/TTP tallies are sums of per-event counters, so key-wise
   addition reconstructs them.
 
-Latency quantiles are the one *approximate* surface: the merged result
-reads them from the exact integer merge of the per-shard
+Latency quantiles come from the exact integer merge of the per-shard
 ``engine.session_latency`` sketches (shard-merge == global-build is an
-identity on the sketch, see :mod:`repro.obs.sketch`), but they are
-telemetry, excluded from ``signature()``.
+identity on the sketch, see :mod:`repro.obs.sketch`) through
+:func:`~repro.engine.pool.latency_quantiles`, the same path the
+unsharded pool uses — so p50/p99 are bit-identical at every shard
+count too.  They are telemetry, excluded from ``signature()``.
 
 Shards run as sequential loop-based workers in one process: the
 workload is pure-Python compute (GIL-bound), so process fan-out would
@@ -57,7 +58,15 @@ from ..net.channel import PERFECT, ChannelSpec
 from ..obs import NULL_OBS
 from ..obs.profiler import RegionProfiler
 from ..obs.sketch import QuantileSketch
-from .pool import EngineConfig, PoolResult, SessionPool, TenantDirectory, _seed_bytes
+from .pool import (
+    LATENCY_SKETCH,
+    EngineConfig,
+    PoolResult,
+    SessionPool,
+    TenantDirectory,
+    _seed_bytes,
+    latency_quantiles,
+)
 
 __all__ = [
     "SHARD_DOMAIN",
@@ -126,7 +135,7 @@ def merge_pool_results(
             ttp_stats[key] = ttp_stats.get(key, 0) + value
         alerts.extend(result.alerts)
         if result.obs.enabled:
-            sketches.append(result.obs.metrics.sketch("engine.session_latency"))
+            sketches.append(result.obs.metrics.sketch(LATENCY_SKETCH))
         if result.cache_stats is not None:
             if cache_totals is None:
                 cache_totals = {}
@@ -160,11 +169,7 @@ def merge_pool_results(
         for bucket in cache_totals.values():
             asked = bucket["hits"] + bucket["misses"]
             bucket["hit_rate"] = round(bucket["hits"] / asked, 6) if asked else 0.0
-    if sketches:
-        merged = QuantileSketch.merged("engine.session_latency", sketches)
-        p50, p99 = merged.quantile(0.50), merged.quantile(0.99)
-    else:
-        p50 = p99 = 0.0
+    p50, p99 = latency_quantiles(sketches)
     return PoolResult(
         config=config,
         sessions=sorted(sessions, key=lambda s: s.transaction_id),

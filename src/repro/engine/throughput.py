@@ -16,8 +16,9 @@ in the same process:
 
 Transactions/sec is **wall-clock** (real CPU cost of the simulation
 process — the quantity the caches improve); latency percentiles are
-**simulated** seconds from the engine's obs histograms (deterministic
-per seed).  The two are reported side by side and never mixed.
+**simulated** seconds from the engine's ``engine.session_latency``
+quantile sketch (deterministic per seed).  The two are reported side
+by side and never mixed.
 """
 
 from __future__ import annotations

@@ -613,8 +613,9 @@ class CampaignReport:
     seed: str
     scenario: str
     outcomes: list[CampaignOutcome] = field(default_factory=list)
-    # Anomaly alerts emitted during the run (anomaly=True); excluded
-    # from signature() like all telemetry-only surfaces.
+    # Alerts emitted during the run: rate shifts (anomaly=True) and SLO
+    # burn (slo=True); excluded from signature() like all
+    # telemetry-only surfaces.
     alerts: list = field(default_factory=list)
     # End-of-run SLOReport (slo=True); telemetry-only, excluded from
     # signature() like alerts.
@@ -803,9 +804,8 @@ class CampaignRunner:
                     findings=findings,
                 )
             )
-            if monitor is not None or slos is not None:
-                self._feed_anomaly_metrics(dep, report.outcomes[-1])
             if monitor is not None:
+                self._feed_anomaly_metrics(dep, report.outcomes[-1])
                 report.alerts.extend(monitor.poll(dep.sim.now))
             if slos is not None:
                 self._feed_slo_metrics(dep, report.outcomes[-1])
@@ -825,16 +825,11 @@ class CampaignRunner:
     @staticmethod
     def _feed_anomaly_metrics(dep: "Deployment", outcome: CampaignOutcome) -> None:
         """Mirror one plan's outcome into the live campaign counters
-        the anomaly detectors window over."""
+        the rate-shift detectors window over."""
         metrics = dep.obs.metrics
         metrics.counter("campaign.live.retransmits").inc(outcome.retransmits)
         if outcome.ttp_involved:
             metrics.counter("campaign.live.escalations").inc()
-        ok = not outcome.hung and outcome.status != "failed"
-        metrics.counter(
-            "campaign.live.sessions", outcome="ok" if ok else "failed"
-        ).inc()
-        metrics.histogram("campaign.live.latency_seconds").observe(outcome.elapsed)
 
     @staticmethod
     def _feed_slo_metrics(dep: "Deployment", outcome: CampaignOutcome) -> None:

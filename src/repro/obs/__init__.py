@@ -4,7 +4,8 @@ One :class:`Observability` object per observed deployment bundles the
 three telemetry surfaces:
 
 * ``obs.metrics`` — a :class:`~repro.obs.metrics.MetricsRegistry`
-  (counters, gauges, fixed-bucket histograms; sim-clock-stamped);
+  (counters, gauges, quantile sketches, export-only bucket
+  histograms; sim-clock-stamped);
 * ``obs.tracer`` — a :class:`~repro.obs.span.Tracer` recording
   parent-linked span trees per TPNR transaction (trace id = txn id,
   span events carry envelope ``msg_id`` for correlation with the
@@ -59,7 +60,6 @@ from .anomaly import (
     Alert,
     AnomalyMonitor,
     BurnRateDetector,
-    QuantileThresholdDetector,
     RateShiftDetector,
     alerts_table,
 )
@@ -116,7 +116,6 @@ from .sketch import QuantileSketch, SketchAggregator, WindowSnapshot
 from .slo import (
     BurnWindow,
     CounterRatioSLI,
-    HistogramThresholdSLI,
     SketchThresholdSLI,
     SLOManager,
     SLOReport,
@@ -146,7 +145,6 @@ __all__ = [
     "Alert",
     "AnomalyMonitor",
     "RateShiftDetector",
-    "QuantileThresholdDetector",
     "BurnRateDetector",
     "alerts_table",
     "AuditFinding",
@@ -184,7 +182,6 @@ __all__ = [
     "SLOReport",
     "SLOManager",
     "CounterRatioSLI",
-    "HistogramThresholdSLI",
     "SketchThresholdSLI",
     "slo_jsonl",
     "standard_campaign_slos",

@@ -2,23 +2,25 @@
 
 Post-mortem forensics (:mod:`repro.obs.forensics`) answers "what
 happened to transaction X?"; this module answers "is the deployment
-misbehaving *right now*?".  Three bounded-memory sliding-window
+misbehaving *right now*?".  Two bounded-memory sliding-window
 detectors cover the shapes of trouble the fault campaigns inject:
 
 * :class:`RateShiftDetector` — a counter's per-poll delta jumps well
   above its recent baseline (retransmission storms, escalation bursts);
-* :class:`QuantileThresholdDetector` — a windowed quantile of a
-  histogram (the delta between the oldest and newest snapshot in the
-  window) crosses a threshold (latency regressions);
+  no error-budget SLO can express a rate shift, so the session pool
+  and campaign runner attach these directly;
 * :class:`BurnRateDetector` — the windowed failure fraction, expressed
   as a multiple of an SLO error budget, exceeds a burn-rate threshold
-  (the Google-SRE alerting shape, over campaign windows).
+  (the Google-SRE alerting shape).  Nothing attaches these directly:
+  :class:`~repro.obs.slo.SLOManager` builds one per declared
+  SLO window, so every budget and latency alert traces back to one
+  stated objective.
 
-All state is O(window): deques of numbers or bucket-count snapshots,
-never raw samples.  The windowed detectors are edge-triggered by
-default — one alert on the transition into violation, re-armed once a
-poll comes back healthy — so a single bad sample does not page on
-every poll it spends sliding through the window.  Detectors read their instruments through plain
+All state is O(window): deques of numbers, never raw samples.  The
+windowed detectors are edge-triggered by default — one alert on the
+transition into violation, re-armed once a poll comes back healthy —
+so a single bad sample does not page on every poll it spends sliding
+through the window.  Detectors read their instruments through plain
 callables, so they can subscribe to a :class:`~repro.obs.metrics.
 MetricsRegistry` instrument, a party attribute, or any derived sum.
 Alerts are stamped with the *simulated* clock, so two same-seed runs
@@ -31,12 +33,11 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
-from .metrics import Histogram, MetricsRegistry
+from .metrics import MetricsRegistry
 
 __all__ = [
     "Alert",
     "RateShiftDetector",
-    "QuantileThresholdDetector",
     "BurnRateDetector",
     "AnomalyMonitor",
     "alerts_table",
@@ -144,63 +145,6 @@ class RateShiftDetector(Detector):
         return []
 
 
-class QuantileThresholdDetector(Detector):
-    """Fire when a windowed histogram quantile crosses a threshold.
-
-    The window is the delta between the oldest retained bucket-count
-    snapshot and the live histogram, so the quantile reflects only the
-    last ``window`` polls — a latency regression fires even after hours
-    of healthy history have filled the cumulative buckets.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        reader: Callable[[], Histogram],
-        subject: str = "",
-        q: float = 0.99,
-        threshold: float = 5.0,
-        window: int = 8,
-        min_count: int = 5,
-        edge: bool = True,
-    ) -> None:
-        super().__init__(name, subject or name)
-        self._reader = reader
-        self.q = q
-        self.threshold = threshold
-        self.min_count = min_count
-        self.edge = edge
-        self._snaps: deque[tuple[int, list[int]]] = deque(maxlen=window)
-
-    def sample(self, now: float) -> list[Alert]:
-        hist = self._reader()
-        out: list[Alert] = []
-        violated = False
-        value = 0.0
-        window_count = 0
-        if self._snaps:
-            base_count, base_buckets = self._snaps[0]
-            window_count = hist.count - base_count
-            if window_count >= self.min_count:
-                delta = Histogram(
-                    f"{self.name}.window",
-                    tuple(hist.buckets),
-                    (),
-                    [a - b for a, b in zip(hist.bucket_counts, base_buckets)],
-                    window_count,
-                    0.0,
-                )
-                value = delta.quantile(self.q)
-                violated = value > self.threshold
-        if self._gate(violated, self.edge):
-            out.append(self._alert(
-                now, value, self.threshold,
-                f"p{self.q * 100:g} over {window_count} obs",
-            ))
-        self._snaps.append((hist.count, list(hist.bucket_counts)))
-        return out
-
-
 class BurnRateDetector(Detector):
     """Fire when the windowed error rate burns the SLO budget too fast.
 
@@ -233,25 +177,38 @@ class BurnRateDetector(Detector):
         self.edge = edge
         self._snaps: deque[tuple[float, float]] = deque(maxlen=window)
 
+    def burn(self, counts: tuple[float, float] | None = None
+             ) -> tuple[float, float, float]:
+        """``(burn, failed, total)`` over the window.
+
+        *counts* (default: a fresh ``(good, bad)`` read) is compared
+        against the oldest retained snapshot; ``burn`` is 0.0 before
+        the first poll and while the window saw no traffic.  The one
+        burn computation: :meth:`sample` alerts on it and
+        :class:`~repro.obs.slo.SLOManager` reports it.
+        """
+        if counts is None:
+            counts = (float(self._good()), float(self._bad()))
+        if not self._snaps:
+            return 0.0, 0.0, 0.0
+        good0, bad0 = self._snaps[0]
+        good, bad = counts
+        delta_bad = bad - bad0
+        total = (good - good0) + delta_bad
+        burn = (delta_bad / total) / self.budget if total > 0 else 0.0
+        return burn, delta_bad, total
+
     def sample(self, now: float) -> list[Alert]:
-        good, bad = float(self._good()), float(self._bad())
+        counts = (float(self._good()), float(self._bad()))
+        burn, delta_bad, total = self.burn(counts)
+        violated = total >= self.min_events and burn >= self.threshold
         out: list[Alert] = []
-        violated = False
-        burn = 0.0
-        delta_bad = total = 0.0
-        if self._snaps:
-            good0, bad0 = self._snaps[0]
-            delta_bad = bad - bad0
-            total = (good - good0) + delta_bad
-            if total >= self.min_events:
-                burn = (delta_bad / total) / self.budget
-                violated = burn >= self.threshold
         if self._gate(violated, self.edge):
             out.append(self._alert(
                 now, burn, self.threshold,
                 f"{delta_bad:g}/{total:g} failed vs slo {self.slo:g}",
             ))
-        self._snaps.append((good, bad))
+        self._snaps.append(counts)
         return out
 
 

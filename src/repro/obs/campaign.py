@@ -9,20 +9,16 @@ fault, derived from the plan itself — so a campaign summary can answer
 * retry (retransmission) counts,
 * escalation rates (fraction of sessions that needed the TTP),
 * WAL replay lengths across recoveries,
-* sim-clock latency histograms per class.
+* sim-clock latency sketches per class.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .anomaly import (
-    AnomalyMonitor,
-    BurnRateDetector,
-    QuantileThresholdDetector,
-    RateShiftDetector,
-)
-from .metrics import DEFAULT_LATENCY_BUCKETS, Histogram, MetricsRegistry
+from .anomaly import AnomalyMonitor, RateShiftDetector
+from .metrics import MetricsRegistry
+from .sketch import QuantileSketch
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..net.faults import CampaignReport, FaultPlan
@@ -65,7 +61,7 @@ def class_breakdown(report: "CampaignReport") -> list[dict]:
 
     Rows are sorted by class name; each carries plan/violation counts,
     the status mix, retry and escalation aggregates, WAL replay totals,
-    and a sim-latency histogram of the per-plan elapsed times.
+    and a sim-latency sketch of the per-plan elapsed times.
     """
     groups: dict[str, list] = {}
     for outcome in report.outcomes:
@@ -77,7 +73,7 @@ def class_breakdown(report: "CampaignReport") -> list[dict]:
         statuses: dict[str, int] = {}
         for o in outcomes:
             statuses[o.status] = statuses.get(o.status, 0) + 1
-        latency = Histogram(f"campaign.latency.{name}", DEFAULT_LATENCY_BUCKETS)
+        latency = QuantileSketch(f"campaign.latency.{name}")
         for o in outcomes:
             latency.observe(o.elapsed)
         escalated = sum(1 for o in outcomes if o.ttp_involved)
@@ -123,19 +119,18 @@ def breakdown_table(report: "CampaignReport") -> str:
 def attach_campaign_detectors(
     monitor: AnomalyMonitor, metrics: MetricsRegistry
 ) -> AnomalyMonitor:
-    """Subscribe the standard campaign detectors to the live counters.
+    """Subscribe the campaign rate-shift detectors to the live counters.
 
     The :class:`~repro.net.faults.CampaignRunner` mirrors each plan's
-    outcome into ``campaign.live.*`` instruments and polls the monitor
+    outcome into ``campaign.live.*`` counters and polls the monitor
     once per plan, so one poll window is one plan — the detectors see
-    retransmission storms, escalation bursts, latency blowups, and SLO
-    burn across the sliding last-N-plans window.
+    retransmission storms and escalation bursts across the sliding
+    last-N-plans window.  Session success and terminal latency are
+    error-budget questions, answered by the standard campaign SLOs
+    (:func:`~repro.obs.slo.standard_campaign_slos`, ``slo=True``).
     """
     retransmits = metrics.counter("campaign.live.retransmits")
     escalations = metrics.counter("campaign.live.escalations")
-    sessions_ok = metrics.counter("campaign.live.sessions", outcome="ok")
-    sessions_bad = metrics.counter("campaign.live.sessions", outcome="failed")
-    latency = metrics.histogram("campaign.live.latency_seconds")
     monitor.add(RateShiftDetector(
         "retransmit-rate", lambda: retransmits.value,
         subject="campaign.live.retransmits",
@@ -145,17 +140,6 @@ def attach_campaign_detectors(
         "escalation-rate", lambda: escalations.value,
         subject="campaign.live.escalations",
         window=10, factor=4.0, min_events=2,
-    ))
-    monitor.add(QuantileThresholdDetector(
-        "latency-p99", lambda: latency,
-        subject="campaign.live.latency_seconds",
-        q=0.99, threshold=12.0, window=10, min_count=5,
-    ))
-    monitor.add(BurnRateDetector(
-        "session-slo",
-        lambda: sessions_ok.value, lambda: sessions_bad.value,
-        subject="campaign.live.sessions",
-        slo=0.9, threshold=2.0, window=10, min_events=5,
     ))
     return monitor
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 
-from .metrics import Histogram, MetricsRegistry
+from .metrics import MetricsRegistry
 from .sketch import QuantileSketch
 from .span import Span, Tracer
 
@@ -161,15 +161,6 @@ def summary_table(registry: MetricsRegistry, title: str = "Metrics summary") -> 
             rows.append([row["name"], _labels_str(row["labels"]), row["kind"],
                          _prom_num(row["value"])])
     return render_table(["metric", "labels", "kind", "value"], rows, title=title)
-
-
-def histogram_line(hist: Histogram) -> str:
-    """One-line sparkline-ish rendering of a histogram's buckets."""
-    parts = []
-    for bound, n in zip(list(hist.buckets) + ["+Inf"], hist.bucket_counts):
-        if n:
-            parts.append(f"<={bound}:{n}")
-    return " ".join(parts) or "(empty)"
 
 
 def span_tree_text(tracer: Tracer, trace_id: str) -> str:

@@ -1,4 +1,5 @@
-"""The metrics registry: counters, gauges, fixed-bucket histograms.
+"""The metrics registry: counters, gauges, quantile sketches, and
+export-only fixed-bucket histograms.
 
 Zero-dependency and deterministic: instruments are identified by
 ``(name, sorted labels)``, values are plain Python numbers, and every
@@ -33,7 +34,6 @@ __all__ = [
     "NULL_METRICS",
     "CardinalityError",
     "DEFAULT_LATENCY_BUCKETS",
-    "DEFAULT_SIZE_BUCKETS",
 ]
 
 # Upper bounds in simulated seconds — spans the sub-millisecond LAN
@@ -41,8 +41,6 @@ __all__ = [
 DEFAULT_LATENCY_BUCKETS = (
     0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0,
 )
-# Upper bounds in bytes — header-only messages up to bulk payloads.
-DEFAULT_SIZE_BUCKETS = (128, 256, 512, 1024, 4096, 16384, 65536, 262144)
 
 
 def _label_key(labels: dict[str, str]) -> tuple[tuple[str, str], ...]:
@@ -84,11 +82,15 @@ class Gauge:
 
 @dataclass
 class Histogram:
-    """A fixed-bucket histogram (cumulative, Prometheus-style).
+    """A fixed-bucket counter set, exported as Prometheus ``_bucket`` series.
 
     ``bucket_counts[i]`` counts observations ``<= buckets[i]``; the
     implicit final bucket is ``+Inf``.  Buckets are fixed at creation —
     no rebinning, so merged/compared snapshots always line up.
+
+    Export only: nothing reads a quantile off the buckets.  Every
+    reported or alerted-on quantile comes from a
+    :class:`~repro.obs.sketch.QuantileSketch`.
 
     The observed ``min``/``max`` are tracked alongside the buckets
     (``None`` until the first observation).  Snapshot rows gained
@@ -123,51 +125,6 @@ class Histogram:
     @property
     def mean(self) -> float:
         return self.sum / self.count if self.count else 0.0
-
-    def cumulative_counts(self) -> list[int]:
-        """Cumulative per-bucket counts, ending with the total."""
-        out, running = [], 0
-        for n in self.bucket_counts:
-            running += n
-            out.append(running)
-        return out
-
-    def _overflow_estimate(self) -> float:
-        # A rank in the +Inf bucket reports the observed max — the
-        # best upper estimate available without raw samples.  (Before
-        # min/max tracking this clamped to the last finite bound,
-        # which under-reported tail quantiles; positionally-built
-        # histograms with no recorded max keep the old clamp.)
-        if self.max is not None:
-            return self.max
-        return float(self.buckets[-1]) if self.buckets else 0.0
-
-    def quantile(self, q: float) -> float:
-        """Estimate the *q*-quantile (Prometheus ``histogram_quantile``).
-
-        Linear interpolation inside the bucket holding the target rank;
-        a rank landing in the implicit ``+Inf`` bucket reports the
-        observed ``max`` (falling back to the last finite bound only
-        when no max was recorded).  Returns 0.0 with no observations.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        if self.count == 0:
-            return 0.0
-        rank = q * self.count
-        cumulative = self.cumulative_counts()
-        for i, running in enumerate(cumulative):
-            if running >= rank:
-                if i >= len(self.buckets):  # +Inf bucket
-                    return self._overflow_estimate()
-                lower = float(self.buckets[i - 1]) if i > 0 else 0.0
-                upper = float(self.buckets[i])
-                in_bucket = self.bucket_counts[i]
-                if in_bucket == 0:
-                    return upper
-                below = running - in_bucket
-                return lower + (upper - lower) * ((rank - below) / in_bucket)
-        return self._overflow_estimate()
 
 
 class CardinalityError(ValueError):

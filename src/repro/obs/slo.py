@@ -7,9 +7,8 @@ seconds", "95% of replica forks are detected within 5 s" — and
 accounts for them continuously:
 
 * an :class:`SLOSpec` binds an objective to an **SLI**, a good/bad
-  event classifier read from the live registry (counter ratios,
-  histogram latency thresholds, or sketch thresholds — no raw
-  samples retained);
+  event classifier read from the live registry (counter ratios or
+  sketch latency thresholds — no raw samples retained);
 * an **error budget** (``1 - objective``) is burned by bad events;
   :class:`SLOStatus` reports consumption and remaining budget;
 * alerting is the Google-SRE multi-window multi-burn-rate shape,
@@ -38,7 +37,6 @@ __all__ = [
     "DEFAULT_BURN_WINDOWS",
     "SLOSpec",
     "CounterRatioSLI",
-    "HistogramThresholdSLI",
     "SketchThresholdSLI",
     "SLOStatus",
     "SLOReport",
@@ -93,47 +91,6 @@ class CounterRatioSLI:
         return f"counter-ratio {self._good[0]} vs {self._bad[0]}"
 
 
-class HistogramThresholdSLI:
-    """Good = observations at or under *threshold* of one histogram.
-
-    *threshold* must equal one of the histogram's bucket bounds so the
-    good count is exact (cumulative count at that bound), never
-    interpolated.
-    """
-
-    def __init__(self, metrics: MetricsRegistry, name: str, threshold: float,
-                 buckets: tuple[float, ...] | None = None, **labels: str) -> None:
-        self.metrics = metrics
-        self.name = name
-        self.threshold = threshold
-        self.labels = labels
-        self._buckets = buckets
-
-    def _hist(self):
-        if self._buckets is not None:
-            return self.metrics.histogram(self.name, self._buckets, **self.labels)
-        return self.metrics.histogram(self.name, **self.labels)
-
-    def _good_bad(self) -> tuple[float, float]:
-        hist = self._hist()
-        if self.threshold not in hist.buckets:
-            raise ValueError(
-                f"threshold {self.threshold} is not a bucket bound of "
-                f"{self.name!r} ({hist.buckets})")
-        edge = hist.buckets.index(self.threshold)
-        good = float(sum(hist.bucket_counts[: edge + 1]))
-        return good, float(hist.count) - good
-
-    def good(self) -> float:
-        return self._good_bad()[0]
-
-    def bad(self) -> float:
-        return self._good_bad()[1]
-
-    def describe(self) -> str:
-        return f"{self.name} <= {self.threshold:g}s"
-
-
 class SketchThresholdSLI:
     """Good = sketch observations at or under *threshold* (within the
     sketch's relative-error bound)."""
@@ -165,7 +122,7 @@ class SLOSpec:
 
     name: str
     objective: float
-    sli: object  # CounterRatioSLI | HistogramThresholdSLI | SketchThresholdSLI
+    sli: object  # CounterRatioSLI | SketchThresholdSLI
     description: str = ""
     burn_windows: tuple[BurnWindow, ...] = DEFAULT_BURN_WINDOWS
     min_events: float = 4.0
@@ -331,18 +288,9 @@ class SLOManager:
 
     def _burn_rates(self, tracker: _Tracker) -> dict[str, float]:
         """Current burn per window, from each detector's own snapshots
-        (the same numbers the alerts are computed from)."""
-        rates: dict[str, float] = {}
-        for bw, det in zip(tracker.spec.burn_windows, tracker.detectors):
-            burn = 0.0
-            if det._snaps:
-                good0, bad0 = det._snaps[0]
-                delta_bad = det._bad() - bad0
-                total = (det._good() - good0) + delta_bad
-                if total > 0:
-                    burn = (delta_bad / total) / det.budget
-            rates[bw.label] = burn
-        return rates
+        (the same computation the alerts fire on)."""
+        return {bw.label: det.burn()[0]
+                for bw, det in zip(tracker.spec.burn_windows, tracker.detectors)}
 
     def _status(self, tracker: _Tracker) -> SLOStatus:
         spec = tracker.spec
@@ -420,7 +368,7 @@ def standard_campaign_slos(manager: SLOManager) -> SLOManager:
         description="TPNR sessions reach a good terminal verdict"))
     manager.add(SLOSpec(
         "terminal-latency", objective=0.8,
-        sli=HistogramThresholdSLI(m, "campaign.live.latency_seconds", 10.0),
+        sli=SketchThresholdSLI(m, "campaign.live.latency", 10.0),
         description="terminal verdict within 10 sim-seconds"))
     manager.add(SLOSpec(
         "evidence-verified", objective=0.9,

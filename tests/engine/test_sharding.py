@@ -10,12 +10,14 @@ import pytest
 
 from repro.engine import (
     EngineConfig,
+    SessionPool,
     ShardedSessionPool,
     TenantDirectory,
     run_pool,
     shard_of,
     shard_plan,
 )
+from repro.net.channel import PERFECT, ChannelSpec
 
 SEED = b"test/sharding"
 N = 10
@@ -123,20 +125,37 @@ class TestMergedAccounting:
 
     def test_latency_percentiles_survive_the_sketch_merge(self, merged,
                                                           global_batched):
-        # The merged result reads quantiles from the exact sketch
-        # merge; compare against the *sketch* of the global build, not
-        # its histogram-derived fields (the histogram rounds zeros up
-        # to its first bucket edge — sketch and histogram are two
-        # estimators of the same series).
-        twin = global_batched.obs.metrics.sketch("engine.session_latency")
-        assert merged.p50_latency == twin.quantile(0.50)
-        assert merged.p99_latency == twin.quantile(0.99)
+        # Both pools read p50/p99 from the engine.session_latency
+        # sketch (the merged result from the exact merge of the shard
+        # sketches), so the reported fields equal the global build's
+        # own sketch quantiles.
+        sketch = global_batched.obs.metrics.sketch("engine.session_latency")
+        assert merged.p50_latency == global_batched.p50_latency == sketch.quantile(0.50)
+        assert merged.p99_latency == global_batched.p99_latency == sketch.quantile(0.99)
 
     def test_cache_totals_recombined(self, merged):
         verify = (merged.cache_stats or {}).get("verify", {})
         asked = verify.get("hits", 0) + verify.get("misses", 0)
         assert asked > 0
         assert verify["hit_rate"] == pytest.approx(verify["hits"] / asked)
+
+
+class TestLatencyQuantileParity:
+    """Differential check: the unsharded and sharded pools report the
+    same p50/p99, bit for bit, not only the same signature()."""
+
+    @pytest.mark.parametrize("channel", [PERFECT, ChannelSpec(base_latency=0.02)],
+                             ids=["perfect", "fixed-delay"])
+    def test_p50_p99_bit_identical_at_1_2_4_8_shards(self, channel, directory):
+        config = EngineConfig(n_tenants=N)
+        unsharded = SessionPool(config, seed=SEED, directory=directory,
+                                channel=channel).run()
+        expected = (unsharded.p50_latency, unsharded.p99_latency)
+        for shards in (1, 2, 4, 8):
+            sharded = ShardedSessionPool(config, seed=SEED, shards=shards,
+                                         directory=directory, channel=channel).run()
+            assert sharded.signature() == unsharded.signature()
+            assert (sharded.p50_latency, sharded.p99_latency) == expected, shards
 
 
 class TestConstruction:

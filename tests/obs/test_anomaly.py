@@ -1,11 +1,10 @@
-"""Anomaly detectors: rate shifts, windowed quantiles, SLO burn rate."""
+"""Anomaly detectors: rate shifts and SLO burn rate."""
 
 import pytest
 
 from repro.obs.anomaly import (
     AnomalyMonitor,
     BurnRateDetector,
-    QuantileThresholdDetector,
     RateShiftDetector,
     alerts_table,
 )
@@ -73,89 +72,6 @@ class TestRateShiftDetector:
         assert len(det._deltas) == 4
 
 
-class TestQuantileThresholdDetector:
-    def make(self, hist, **kwargs):
-        kwargs.setdefault("q", 0.99)
-        kwargs.setdefault("threshold", 5.0)
-        kwargs.setdefault("window", 4)
-        kwargs.setdefault("min_count", 2)
-        return QuantileThresholdDetector("p99", lambda: hist, **kwargs)
-
-    def test_fast_observations_never_fire(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("lat")
-        det = self.make(h)
-        for t in range(10):
-            h.observe(0.01)
-            h.observe(0.02)
-            assert det.sample(float(t)) == []
-
-    def test_slow_window_fires_once_then_rearms(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("lat")
-        det = self.make(h)
-        for t in range(4):
-            h.observe(0.01)
-            h.observe(0.01)
-            det.sample(float(t))
-        h.observe(20.0)  # lands above the 5s threshold
-        h.observe(20.0)
-        alerts = det.sample(4.0)
-        assert len(alerts) == 1
-        assert alerts[0].value > 5.0
-        # Edge-triggered: the same bad samples still inside the window
-        # must not re-fire on subsequent polls.
-        assert det.sample(5.0) == []
-        assert det.sample(6.0) == []
-        # The window slides past the spike, the detector re-arms, and a
-        # fresh spike fires again.
-        for t in range(7, 12):
-            h.observe(0.01)
-            h.observe(0.01)
-            det.sample(float(t))
-        h.observe(20.0)
-        h.observe(20.0)
-        assert len(det.sample(12.0)) == 1
-        assert det.fired == 2
-
-    def test_level_mode_fires_every_poll(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("lat")
-        det = self.make(h, edge=False)
-        for t in range(4):
-            h.observe(0.01)
-            h.observe(0.01)
-            det.sample(float(t))
-        h.observe(20.0)
-        h.observe(20.0)
-        assert len(det.sample(4.0)) == 1
-        assert len(det.sample(5.0)) == 1  # still in window, fires again
-
-    def test_quantile_reflects_window_not_history(self):
-        # Hours of healthy cumulative history must not mask a fresh
-        # regression: the detector quantiles the windowed delta.
-        reg = MetricsRegistry()
-        h = reg.histogram("lat")
-        for _ in range(1000):
-            h.observe(0.01)
-        det = self.make(h, window=3, min_count=2)
-        for t in range(3):
-            det.sample(float(t))
-        for _ in range(5):
-            h.observe(20.0)  # every *new* observation is slow
-        alerts = det.sample(3.0)
-        assert len(alerts) == 1
-
-    def test_bounded_memory(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("mem")
-        det = self.make(h, window=4)
-        for t in range(500):
-            h.observe(0.01)
-            det.sample(float(t))
-        assert len(det._snaps) == 4
-
-
 class TestBurnRateDetector:
     def make(self, good, bad, **kwargs):
         kwargs.setdefault("slo", 0.9)
@@ -218,6 +134,28 @@ class TestBurnRateDetector:
         det.sample(0.0)
         bad.inc(2)  # 100% failures but only 2 events
         assert det.sample(1.0) == []
+
+    def test_burn_is_the_number_the_alert_carries(self):
+        reg = MetricsRegistry()
+        good, bad = reg.counter("ok"), reg.counter("fail")
+        det = self.make(good, bad, window=4)
+        assert det.burn() == (0.0, 0.0, 0.0)  # no snapshot yet
+        det.sample(0.0)
+        good.inc(5)
+        bad.inc(5)
+        expected = det.burn()
+        # 5 failed of 10 against a 10% budget: burn 5x.
+        assert expected == (pytest.approx(5.0), 5.0, 10.0)
+        alerts = det.sample(1.0)
+        assert len(alerts) == 1 and alerts[0].value == expected[0]
+
+    def test_burn_reads_zero_with_no_traffic_in_window(self):
+        reg = MetricsRegistry()
+        good, bad = reg.counter("ok"), reg.counter("fail")
+        det = self.make(good, bad)
+        bad.inc(3)
+        det.sample(0.0)
+        assert det.burn() == (0.0, 0.0, 0.0)
 
 
 class TestAnomalyMonitor:

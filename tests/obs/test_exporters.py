@@ -37,15 +37,15 @@ class TestJsonl:
 
     def test_metrics_jsonl_and_deterministic_filter(self):
         reg = seeded_registry()
-        reg.counter("crypto.wall_seconds").inc(0.01)
-        reg.mark_nondeterministic("crypto.wall_seconds")
+        reg.counter("wall.seconds").inc(0.01)
+        reg.mark_nondeterministic("wall.seconds")
         all_names = {json.loads(l)["name"] for l in metrics_jsonl(reg).splitlines()}
         det_names = {
             json.loads(l)["name"]
             for l in metrics_jsonl(reg, deterministic_only=True).splitlines()
         }
-        assert "crypto.wall_seconds" in all_names
-        assert "crypto.wall_seconds" not in det_names
+        assert "wall.seconds" in all_names
+        assert "wall.seconds" not in det_names
         assert {"msgs.sent", "journal.pending", "latency.seconds"} <= det_names
 
 

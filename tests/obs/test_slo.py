@@ -1,7 +1,7 @@
 """SLOs: SLIs, error budgets, multi-window burn alerts, reports.
 
-Acceptance bar (ISSUE 8 tentpole): declarative SLOSpecs bound to
-counter/histogram/sketch SLIs, error-budget accounting, Google-SRE
+Acceptance bar: declarative SLOSpecs bound to counter-ratio or
+sketch-threshold SLIs, error-budget accounting, Google-SRE
 multi-window multi-burn-rate alerting on the existing BurnRateDetector,
 and RunStamp-stamped reports exported via JSONL / summary table /
 mirrored ``slo.*`` gauges.
@@ -16,7 +16,6 @@ from repro.obs.slo import (
     DEFAULT_BURN_WINDOWS,
     BurnWindow,
     CounterRatioSLI,
-    HistogramThresholdSLI,
     SketchThresholdSLI,
     SLOManager,
     SLOSpec,
@@ -58,21 +57,6 @@ class TestSLIs:
         sli = CounterRatioSLI(reg, "hits", "misses")
         reg.counter("hits").inc(2)
         assert sli.good() == 2.0 and sli.bad() == 0.0
-
-    def test_histogram_threshold_counts_cumulative_at_bound(self):
-        reg = MetricsRegistry()
-        hist = reg.histogram("lat", buckets=(1.0, 5.0))
-        for v in (0.5, 0.9, 3.0, 30.0):
-            hist.observe(v)
-        sli = HistogramThresholdSLI(reg, "lat", 1.0)
-        assert sli.good() == 2.0
-        assert sli.bad() == 2.0
-
-    def test_histogram_threshold_must_be_a_bucket_bound(self):
-        reg = MetricsRegistry()
-        reg.histogram("lat", buckets=(1.0, 5.0)).observe(0.5)
-        with pytest.raises(ValueError):
-            HistogramThresholdSLI(reg, "lat", 2.5).good()
 
     def test_sketch_threshold_uses_count_le(self):
         reg = MetricsRegistry()
@@ -196,6 +180,24 @@ class TestStatusAccounting:
         names = {r["name"] for r in reg.snapshot()}
         assert "slo.burn_rate" in names
 
+    def test_burn_gauges_are_the_detectors_burn(self):
+        mgr = manager()
+        ratio_spec(mgr)  # objective 0.9 => budget 0.1
+        ok = mgr.metrics.counter("requests", outcome="ok")
+        bad = mgr.metrics.counter("requests", outcome="bad")
+        for _ in range(3):
+            ok.inc(4)
+            bad.inc(1)
+            mgr.poll()
+        # Oldest snapshot (4, 1) vs live (12, 3): 2 failed of 10 => 2x.
+        for window in ("fast", "slow"):
+            gauge = mgr.metrics.gauge("slo.burn_rate", slo="availability",
+                                      window=window)
+            assert gauge.value == pytest.approx(2.0)
+        detectors = mgr._trackers[0].detectors
+        assert mgr.statuses()[0].burn_rates == {
+            "fast": detectors[0].burn()[0], "slow": detectors[1].burn()[0]}
+
 
 class TestReport:
     def storm_report(self):
@@ -259,6 +261,14 @@ class TestStandardSets:
         replication = standard_replication_slos(manager())
         assert [s.name for s in replication.specs] == [
             "read-integrity", "fork-detection-latency"]
+
+    def test_terminal_latency_reads_the_live_campaign_sketch(self):
+        mgr = standard_campaign_slos(manager())
+        sketch = mgr.metrics.sketch("campaign.live.latency")
+        for v in (0.5, 9.0, 30.0):
+            sketch.observe(v)
+        status = next(s for s in mgr.statuses() if s.name == "terminal-latency")
+        assert (status.good, status.bad) == (2.0, 1.0)
 
     def test_bundles_poll_cleanly_on_an_empty_registry(self):
         for build in (standard_campaign_slos, standard_engine_slos,

@@ -1,7 +1,9 @@
-"""Package-level hygiene: exports, docstrings, error hierarchy."""
+"""Package-level hygiene: exports, docstrings, error hierarchy, metadata."""
 
 import importlib
 import inspect
+import re
+from pathlib import Path
 
 import pytest
 
@@ -120,3 +122,28 @@ class TestPublicDocstrings:
         module_name, attr = obj_path.rsplit(".", 1)
         obj = getattr(importlib.import_module(module_name), attr)
         assert obj.__doc__ and len(obj.__doc__.strip()) > 10
+
+
+class TestPackaging:
+    """pyproject.toml declares what the package imports and takes its
+    version from ``repro.__version__`` (run keys fold the version in,
+    so two sources could drift into an identity bug)."""
+
+    @pytest.fixture(scope="class")
+    def pyproject(self):
+        tomllib = pytest.importorskip("tomllib")  # stdlib from Python 3.11
+        path = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        return tomllib.loads(path.read_text(encoding="utf-8"))
+
+    def test_version_is_dynamic_from_the_package(self, pyproject):
+        project = pyproject["project"]
+        assert "version" not in project
+        assert "version" in project["dynamic"]
+        dynamic = pyproject["tool"]["setuptools"]["dynamic"]
+        assert dynamic["version"] == {"attr": "repro.__version__"}
+
+    def test_numpy_is_declared(self, pyproject):
+        # repro.crypto.aead imports numpy unconditionally.
+        names = {re.split(r"[\s<>=!~;\[]", dep, maxsplit=1)[0].lower()
+                 for dep in pyproject["project"]["dependencies"]}
+        assert "numpy" in names
