@@ -17,6 +17,10 @@ RNG = HmacDrbg(b"crypto-bench")
 KEY_512 = rsa.generate_keypair(512, HmacDrbg(b"bench-512"))
 KEY_1024 = rsa.generate_keypair(1024, HmacDrbg(b"bench-1024"))
 BLOB_4K = RNG.generate(4096)
+#: One sealed TPNR evidence box: 3 ChaCha20 blocks, the size every
+#: protocol message encrypts.
+BLOB_192 = BLOB_4K[:192]
+CHACHA20_INPUTS = pytest.mark.parametrize("blob", [BLOB_192, BLOB_4K], ids=["192B", "4KiB"])
 
 
 @pytest.mark.parametrize("name", ["md5", "sha256"])
@@ -33,8 +37,9 @@ def test_bench_hmac(benchmark):
     benchmark(hmac_digest, b"key" * 8, BLOB_4K)
 
 
-def test_bench_chacha20(benchmark):
-    benchmark(chacha20.chacha20_xor, b"k" * 32, b"n" * 12, BLOB_4K)
+@CHACHA20_INPUTS
+def test_bench_chacha20(benchmark, blob):
+    benchmark(chacha20.chacha20_xor, b"k" * 32, b"n" * 12, blob)
 
 
 def test_bench_aead_seal(benchmark):
@@ -86,8 +91,9 @@ def test_bench_drbg(benchmark):
     benchmark(RNG.generate, 1024)
 
 
-def test_bench_chacha20_numpy(benchmark):
-    """The vectorized fast path (compare against test_bench_chacha20)."""
+@CHACHA20_INPUTS
+def test_bench_chacha20_lanes(benchmark, blob):
+    """The lane-parallel fast path (compare against test_bench_chacha20)."""
     from repro.crypto import chacha20_np
 
-    benchmark(chacha20_np.chacha20_xor, b"k" * 32, b"n" * 12, BLOB_4K)
+    benchmark(chacha20_np.chacha20_xor, b"k" * 32, b"n" * 12, blob)

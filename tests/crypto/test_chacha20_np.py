@@ -1,4 +1,4 @@
-"""The vectorized ChaCha20 against the reference implementation."""
+"""The lane-parallel ChaCha20 against the reference implementation."""
 
 import pytest
 from hypothesis import given, settings
@@ -26,13 +26,36 @@ class TestRfcVectors:
             )
 
 
+@st.composite
+def _xor_inputs(draw):
+    """Key, nonce, data up to 4 KiB and any counter the data leaves legal."""
+    data = draw(st.binary(max_size=4096))
+    n_blocks = max(1, (len(data) + 63) // 64)
+    counter = draw(st.integers(min_value=0, max_value=0xFFFFFFFF - n_blocks + 1))
+    key = draw(st.binary(min_size=32, max_size=32))
+    nonce = draw(st.binary(min_size=12, max_size=12))
+    return key, nonce, data, counter
+
+
 class TestEquivalence:
-    @given(st.binary(max_size=4096), st.integers(min_value=0, max_value=1000))
+    @given(_xor_inputs())
     @settings(max_examples=40, deadline=None)
-    def test_xor_matches_reference(self, data, counter):
-        assert chacha20_np.chacha20_xor(KEY, NONCE, data, counter) == chacha20.chacha20_xor(
-            KEY, NONCE, data, counter
+    def test_xor_matches_reference(self, inputs):
+        key, nonce, data, counter = inputs
+        assert chacha20_np.chacha20_xor(key, nonce, data, counter) == chacha20.chacha20_xor(
+            key, nonce, data, counter
         )
+
+    def test_all_ones_state_carries_into_guard_bits(self):
+        key, nonce, data = b"\xff" * 32, b"\xff" * 12, bytes(range(256)) * 4
+        for counter in (0, 0xFFFFFFFF - 15):
+            assert chacha20_np.chacha20_xor(key, nonce, data, counter) == chacha20.chacha20_xor(
+                key, nonce, data, counter
+            )
+
+    def test_64k_matches_reference(self):
+        data = bytes(range(256)) * 256
+        assert chacha20_np.chacha20_xor(KEY, NONCE, data) == chacha20.chacha20_xor(KEY, NONCE, data)
 
     def test_involution(self):
         data = b"involutive" * 100

@@ -1,8 +1,10 @@
 """Package-level hygiene: exports, docstrings, error hierarchy, metadata."""
 
+import ast
 import importlib
 import inspect
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -142,8 +144,16 @@ class TestPackaging:
         dynamic = pyproject["tool"]["setuptools"]["dynamic"]
         assert dynamic["version"] == {"attr": "repro.__version__"}
 
-    def test_numpy_is_declared(self, pyproject):
-        # repro.crypto.aead imports numpy unconditionally.
-        names = {re.split(r"[\s<>=!~;\[]", dep, maxsplit=1)[0].lower()
-                 for dep in pyproject["project"]["dependencies"]}
-        assert "numpy" in names
+    def test_declared_dependencies_match_imports(self, pyproject):
+        declared = {re.split(r"[\s<>=!~;\[]", dep, maxsplit=1)[0].lower()
+                    for dep in pyproject["project"]["dependencies"]}
+        imported = set()
+        for path in Path(repro.__file__).parent.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    imported.update(alias.name.split(".")[0] for alias in node.names)
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    imported.add(node.module.split(".")[0])
+        third_party = imported - set(sys.stdlib_module_names) - {"repro"}
+        # Every dependency's distribution name is also its import name.
+        assert third_party == declared
