@@ -1,15 +1,12 @@
-"""OB1 — extension: observability span trees, metrics, and the
-disabled-overhead bound.
+"""OB1 — extension: the observability disabled-overhead bound.
 
-Two jobs: regenerate the OB1 artifact (complete span trees + non-empty
-metrics on every TPNR path), and prove the off-by-default promise —
-running the TPNR hot path with the no-op observability seat costs at
-most a few percent over what an uninstrumented build would, because
-every hook is one attribute load plus one branch.
+Proves the off-by-default promise — running the TPNR hot path with the
+no-op observability seat costs at most a few percent over what an
+uninstrumented build would, because every hook is one attribute load
+plus one branch.  The OB1 artifact itself comes from
+``bench_scenarios.py``.
 
-Both halves run under the OB1 scenario spec: the artifact is
-``SCENARIOS.run("OB1")`` (root seed, identity-stamped), and the
-overhead probe runs inside the spec's ``overhead`` stage context so its
+The probe runs inside the OB1 spec's ``overhead`` stage context, so its
 seed is the PT-002 stage derivation and its result carries the run key.
 
 The overhead measurement compares many disabled-seat sessions against
@@ -44,16 +41,6 @@ def _time_sessions(observe: bool, seed_tag: bytes) -> float:
     for dep in deps:
         run_session(dep, PAYLOAD)
     return time.perf_counter() - started
-
-
-def test_bench_observability(benchmark, emit):
-    result = benchmark.pedantic(lambda: OB1.run(), rounds=1, iterations=1)
-    assert result.facts["all_trees_complete"]
-    assert result.facts["metrics_nonempty"]
-    assert result.facts["crypto_observed"]
-    assert result.facts["crash-resume/recovery_spans"] >= 1
-    assert result.meta["run_key"] == OB1.run_key()
-    emit(result)
 
 
 def test_bench_observability_disabled_overhead(emit):

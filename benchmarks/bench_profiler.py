@@ -1,10 +1,8 @@
 """OB4 — extension: deterministic profiler, critical path, and the
 perf-regression sentinel.
 
-Three jobs:
+Two jobs (the OB4 artifact itself comes from ``bench_scenarios.py``):
 
-* regenerate the OB4 artifact (``SCENARIOS.run("OB4")``: shard-invariant
-  profile artifacts, critical-path reconciliation, sentinel demo);
 * prove the off-by-default promise — driving the engine with the NULL
   profiler seat must cost at most 3% over the fully-profiled run (the
   hooks are one attribute load plus one branch when disabled);
@@ -44,20 +42,6 @@ def _time_pool(profile: bool, seed: bytes, directory: TenantDirectory) -> float:
     started = time.perf_counter()
     run_pool(seed, TENANTS, directory=directory, profile=profile)
     return time.perf_counter() - started
-
-
-def test_bench_profiler(benchmark, emit):
-    """The correctness/determinism half of OB4 (see EXPERIMENTS.md)."""
-    result = benchmark.pedantic(lambda: OB4.run(), rounds=1, iterations=1)
-    assert result.facts["profile_artifacts_shard_invariant_1_2_4_8"]
-    assert result.facts["profile_artifacts_repeatable"]
-    assert result.facts["signature_unchanged_by_profiling"]
-    assert result.facts["critical_path_reconciles"]
-    assert result.facts["critical_path_within_tree_total"]
-    assert result.facts["sentinel_rejects_20pct_drop"]
-    assert result.facts["sentinel_accepts_5pct_drop"]
-    assert result.meta["run_key"] == OB4.run_key()
-    emit(result)
 
 
 def test_bench_profiler_disabled_overhead(emit, perf_trajectory):

@@ -98,19 +98,6 @@ def test_bench_sharded_throughput(benchmark, emit, perf_trajectory):
     ))
 
 
-def test_experiment_tp2(benchmark, emit):
-    """The correctness/determinism half of TP2 (see EXPERIMENTS.md)."""
-    result = benchmark.pedantic(lambda: TP2.run(), rounds=1, iterations=1)
-    assert result.facts["all_sessions_completed_and_verified"]
-    assert result.facts["ttp_untouched"]
-    assert result.facts["shard_signature_invariant_1_2_4_8"]
-    assert result.facts["batch_size_signature_invariant"]
-    assert result.facts["batched_evidence_settled_every_item"]
-    assert result.facts["batched_wire_bytes_below_classic"]
-    assert result.meta["run_key"] == TP2.run_key()
-    emit(result)
-
-
 @pytest.mark.slow
 def test_bench_sharded_throughput_10k_tenants(perf_trajectory):
     """The 10,000-tenant sweep endpoint (keygen-heavy; opt in with -m slow).

@@ -92,18 +92,6 @@ def test_bench_throughput(benchmark, emit, perf_trajectory):
     ))
 
 
-def test_experiment_tp1(benchmark, emit):
-    """The correctness/determinism half of TP1 (see EXPERIMENTS.md)."""
-    result = benchmark.pedantic(lambda: TP1.run(), rounds=1, iterations=1)
-    assert result.facts["all_sessions_completed_and_verified"]
-    assert result.facts["ttp_untouched"]
-    assert result.facts["verify_cache_hits_positive"]
-    assert result.facts["same_seed_signature_identical"]
-    assert result.facts["cache_toggle_signature_identical"]
-    assert result.meta["run_key"] == TP1.run_key()
-    emit(result)
-
-
 @pytest.mark.slow
 def test_bench_throughput_1000_tenants(perf_trajectory):
     """The full 1 -> 1000 sweep endpoint (keygen-heavy; opt in with -m slow)."""

@@ -1,19 +1,20 @@
 """Shared helpers for the benchmark harness.
 
-Every bench regenerates one paper artifact (table or figure), times the
-runner with pytest-benchmark, writes the rendered artifact to
-``benchmarks/results/<id>.txt`` (so ``EXPERIMENTS.md`` can reference
-stable outputs), and asserts the reproduction facts hold.
+``bench_scenarios.py`` runs every registered scenario's experiment
+stage, checks it against the spec's ``expect`` contract, and writes the
+rendered artifact to ``benchmarks/results/<id>.txt`` (so
+``EXPERIMENTS.md`` can reference stable outputs) next to its canonical
+``<id>.json``.  The other benches measure perf and overhead stages.
 """
 
 from __future__ import annotations
 
-import json
 import pathlib
 
 import pytest
 
 from repro.analysis.report import render_table
+from repro.scenarios import canonical_result_json
 from repro.scenarios.gate import promote
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
@@ -27,10 +28,13 @@ def results_dir() -> pathlib.Path:
 
 @pytest.fixture
 def emit(results_dir):
-    """Render an ExperimentResult, save it (.txt for humans, .json with
-    run metadata for machines), and echo it to stdout."""
+    """Render an ExperimentResult, save it (.txt for humans, canonical
+    .json for machines), and echo it to stdout.  With the scenario's
+    *spec*, the JSON drops the meta keys the spec declares
+    nondeterministic, so an experiment-stage artifact regenerates
+    byte-identically."""
 
-    def _emit(result, extra: str = "") -> str:
+    def _emit(result, spec=None, extra: str = "") -> str:
         text = render_table(result.headers, result.rows,
                             title=f"[{result.experiment_id}] {result.title}")
         if result.notes:
@@ -38,7 +42,8 @@ def emit(results_dir):
         if extra:
             text += "\n" + extra
         (results_dir / f"{result.experiment_id}.txt").write_text(text + "\n")
-        write_json(results_dir, result)
+        (results_dir / f"{result.experiment_id}.json").write_text(
+            canonical_result_json(result, spec) + "\n")
         print("\n" + text)
         return text
 
@@ -63,30 +68,3 @@ def perf_trajectory(results_dir):
         return promote(results_dir / "BENCH_PERF.json", entry)
 
     return _record
-
-
-def write_json(results_dir: pathlib.Path, result) -> None:
-    """Machine-readable twin of the .txt artifact.  Every record carries
-    the run metadata (seed, repo version, sim-clock duration when one
-    simulation drove the experiment) so a result file is traceable to
-    the exact run that produced it."""
-    record = {
-        "experiment_id": result.experiment_id,
-        "title": result.title,
-        "headers": result.headers,
-        "rows": [[repr(c) if not isinstance(c, (str, int, float, bool, type(None))) else c
-                  for c in row] for row in result.rows],
-        "facts": {k: _jsonable(v) for k, v in result.facts.items()},
-        "meta": result.meta,
-    }
-    (results_dir / f"{result.experiment_id}.json").write_text(
-        json.dumps(record, indent=2, sort_keys=True, default=repr) + "\n"
-    )
-
-
-def _jsonable(value):
-    try:
-        json.dumps(value)
-        return value
-    except TypeError:
-        return repr(value)

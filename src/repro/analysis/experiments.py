@@ -46,6 +46,7 @@ from ..storage.shipping import (
     StorageDevice,
 )
 from ..storage.tamper import TamperMode
+from .diagram import sequence_diagram
 from .metrics import measure
 from .stats import format_rate
 from .workload import WorkloadSpec, resilience_sweep, run_workload
@@ -154,6 +155,8 @@ def experiment_table1(seed: bytes = b"exp/t1") -> ExperimentResult:
         ["GET", get_request.path, get_response.header("Content-MD5"), get_response.status],
         ["GET(forged auth)", forged.path, "-", forged_response.status],
     ]
+    put_rendered = format_request(put_request)
+    get_rendered = format_request(get_request)
     return ExperimentResult(
         experiment_id="T1",
         title="Table 1 — REST PUT/GET with SharedKey HMAC-SHA256 authorization",
@@ -165,9 +168,11 @@ def experiment_table1(seed: bytes = b"exp/t1") -> ExperimentResult:
             "forged_rejected": forged_response.status == 403,
             "md5_round_tripped": commit_response.header("Content-MD5")
             == get_response.header("Content-MD5"),
-            "put_rendered": format_request(put_request),
-            "get_rendered": format_request(get_request),
+            "put_rendered": put_rendered,
+            "get_rendered": get_rendered,
         },
+        notes=f"rendered PUT request (Table 1 layout):\n{put_rendered}\n\n"
+        f"rendered GET request:\n{get_rendered}",
         meta=run_meta(seed),
     )
 
@@ -475,12 +480,22 @@ def experiment_fig6(seed: bytes = b"exp/f6") -> ExperimentResult:
     rows.append(["Disputation (6d)", "evidence(alice) + evidence(bob) -> arbitrator",
                  ruling.verdict.value])
     facts["dispute_verdict"] = ruling.verdict.value
+    # Sequence charts of the traced flows, mirroring Fig. 6(b) and 6(c).
+    diagrams = "\n\n".join(
+        f"{label}:\n" + sequence_diagram(d.network.trace, "tpnr.",
+                                         participants=["alice", "bob", "ttp"],
+                                         show_time=False)
+        for label, d in (("Fig. 6(b) Normal mode (off-line TTP)", dep),
+                         ("Fig. 6(b) Abort mode (off-line TTP)", dep_a),
+                         ("Fig. 6(c) Resolve mode (in-line TTP)", dep_r))
+    )
     return ExperimentResult(
         experiment_id="F6",
         title="Fig. 6 — TPNR work flows: Normal / Abort / Resolve / Disputation",
         headers=["flow", "message sequence", "outcome"],
         rows=rows,
         facts=facts,
+        notes="the traced flows as sequence charts:\n\n" + diagrams,
         meta=run_meta(seed),
     )
 
@@ -570,6 +585,9 @@ def experiment_step_counts(
     facts["tpnr_always_fewer_steps"] = all(
         facts[f"{s}/tpnr_steps"] < facts[f"{s}/zg_steps"] for s in payload_sizes
     )
+    facts["tpnr_always_faster"] = all(
+        facts[f"{s}/tpnr_latency"] < facts[f"{s}/zg_latency"] for s in payload_sizes
+    )
     return ExperimentResult(
         experiment_id="S4",
         title="§4.4 — TPNR vs traditional four-step NR: steps, bytes, latency",
@@ -646,6 +664,7 @@ def experiment_shipping(
             "protocol_seconds": protocol_seconds,
             "max_fraction": max(fractions),
             "protocol_is_trivial": max(fractions) < 1e-3,
+            "protocol_time_positive": protocol_seconds > 0,
         },
         meta=run_meta(seed, dep.sim.now),
     )
@@ -771,6 +790,7 @@ def experiment_evidence_ablation(seed: bytes = b"exp/a1") -> ExperimentResult:
         facts[f"{label}/exposed"] = evidence_exposed
     overhead = facts["encrypted evidence/bytes"] - facts["plain evidence/bytes"]
     facts["encryption_overhead_bytes"] = overhead
+    facts["encryption_costs_bytes"] = overhead > 0
     return ExperimentResult(
         experiment_id="A1",
         title="Ablation — outer encryption of evidence: cost vs exposure",
@@ -913,6 +933,10 @@ def experiment_crash_recovery(
         "evidence_intact": evidence_intact,
         "signature": report.signature(),
         "all_settled": report.hung_sessions == 0,
+        "every_plan_crashed": all(o.crashes >= 1 for o in report.outcomes),
+        "every_crash_recovered": (
+            sum(o.recoveries for o in report.outcomes)
+            == sum(o.crashes for o in report.outcomes)),
         "no_evidence_lost": not any(
             "lost" in v for o in report.outcomes for v in o.violations
         ),
@@ -1029,6 +1053,7 @@ def experiment_observability(seed: bytes = b"exp/ob1") -> ExperimentResult:
         if s.name.startswith("recovery.")
     ]
     facts["crash-resume/recovery_spans"] = len(recovery_spans)
+    facts["crash-resume/recovery_traced"] = bool(recovery_spans)
     facts["crash-resume/status"] = outcome_c.upload_status.value
 
     facts["all_trees_complete"] = all(
@@ -1172,6 +1197,7 @@ def experiment_forensics(
     facts["campaign/finding_categories"] = report.finding_categories()
     facts["campaign/unattributed"] = unattributed
     facts["campaign/noop_findings"] = len(report.outcomes[0].findings)
+    facts["campaign/hung"] = report.hung_sessions
     facts["campaign/alert_counts"] = _alert_counts(report.alerts)
     facts["campaign/slo_budget_remaining"] = {
         s.name: round(s.budget_remaining, 4) for s in report.slo.statuses}
@@ -1707,6 +1733,7 @@ def experiment_replication(
         "all_faults_masked_or_detected": (
             report.silent_faults == 0 and report.violation_count == 0
         ),
+        "faults_injected": report.injected_faults > 0,
         "zero_false_positives": report.clean_plan_findings() == 0,
         # Per-replica-fault-class telemetry (retransmits = hedged
         # reads, recoveries = read-repairs).

@@ -1,83 +1,19 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Commands
---------
-
-``list``
-    Show every reproducible experiment with its paper artifact.
-``experiment <id> [--seed S]``
-    Run one experiment (T1, F1..F6, S3..S6, W1, R1, A1) and print the
-    regenerated table.
-``gauntlet [--seed S]``
-    Run the §5 attack gauntlet and print the success matrix.
-``demo [--seed S]``
-    One TPNR session with a tampering provider, through arbitration.
-``workload [--clients N] [--transactions M] [--drop P] [--seed S]``
-    Drive a multi-client workload and print the outcome summary.
-``obs [--seed S] [--dump-dir DIR]``
-    Run one observed TPNR session and print (or dump) its telemetry:
-    the span tree, the metrics summary, and — with ``--dump-dir`` —
-    ``spans.jsonl`` / ``metrics.jsonl`` / ``metrics.prom`` files.
-``throughput [--tenants N...] [--baseline M] [--no-caches] [--seed S]``
-    Sweep the multi-tenant session engine over tenant counts, print
-    wall tx/sec and sim-time latency percentiles per point, and compare
-    against the uncached one-deployment-per-transaction baseline.
-``scenario list | describe <id> | run <id> [--rep N] [--json] | gate``
-    The scenario control plane.  ``list`` shows every registered
-    scenario with its content-addressed run key; ``describe`` prints a
-    spec's canonical form, run key, and derived seeds; ``run``
-    executes a registered scenario (identity-stamped, derived seed);
-    ``gate`` re-derives every run key and replays the fail-closed
-    eligibility gate over ``BENCH_PERF.json``, exiting non-zero on any
-    mismatch.
-``forensics [--tamper] [--selftest] [--plans N] [--seed S]``
-    Reconstruct one observed session's cross-surface timeline and
-    print its dispute dossier (reconstructed verdict cross-checked
-    against the Arbitrator); with ``--selftest``, sweep a seeded fault
-    sub-campaign and require every failure to be attributed to a
-    classified violation with zero false positives.
-``slo [--watch] [--profile P] [--plans N] [--seed S]``
-    Run a fault campaign with the standard SLOs attached (session
-    success, terminal-verdict latency, evidence verification) and
-    print the error-budget table plus any multi-window burn-rate
-    alerts.  ``--profile`` picks the plan mix (``clean`` or one of the
-    ``blackout``/``delay``/``corrupt``/``mixed`` storms); ``--watch``
-    renders the live dashboard (per-SLO budget bars, burn rates, top
-    offending fault classes) after every plan.  Exit status checks the
-    alerting contract: clean runs must stay silent, storms must page.
-``replication [--campaign|--migrate] [--plans N] [--replica R] [--seed S]``
-    One TPNR session over the replicated three-backend store: a
-    replica is tampered mid-session, the read hedges past it, and the
-    fork-consistency audit names the culprit.  ``--campaign`` sweeps
-    the seeded RP1 replica-fault campaign (every fault masked or
-    detected, never silent); ``--migrate`` runs the RP2 live
-    s3like→azurelike migration with evidence continuity; ``--profile
-    --profile-dir DIR`` profiles the demo session and writes
-    ``flamegraph.txt`` / ``profile.jsonl``.
-``profile [--flamegraph] [--critical-path] [--check-regression] [...]``
-    The deterministic profiler.  Default mode runs the (sharded)
-    engine with the region profiler attached and prints the hot
-    regions plus shard utilization; ``--flamegraph`` prints the
-    collapsed-stack flamegraph instead (``--dump-dir`` writes
-    ``flamegraph.txt`` / ``profile.jsonl`` — byte-identical across
-    same-seed runs and shard counts with per-message evidence);
-    ``--critical-path`` extracts a live observed session's dominant
-    stage chain and checks it reconciles with the measured elapsed;
-    ``--check-regression`` replays the perf-regression sentinel over
-    the committed ``BENCH_PERF.json`` trajectory, exiting non-zero on
-    any tx/s drop beyond ``--tolerance``.
+``repro --help`` lists the commands and ``repro <command> --help`` their
+options.  Every registered experiment runs through ``repro scenario
+run <id>``, which exits 1 when the run breaks its spec's ``expect``
+contract; bad input exits 2 with a one-line message.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable
 
 from .analysis.diagram import sequence_diagram
 from .analysis.report import render_kv, render_table
 from .analysis.workload import WorkloadSpec, run_workload
-from .attacks import run_gauntlet, tpnr_defense_holds
 from .core import (
     ProviderBehavior,
     Verdict,
@@ -87,56 +23,12 @@ from .core import (
     run_session,
     run_upload,
 )
+from .errors import ReproError
 from .net.channel import ChannelSpec
 from .scenarios import SCENARIOS
 from .storage.tamper import TamperMode
 
-__all__ = ["main", "EXPERIMENTS"]
-
-# The scenario registry is the single source of truth; the flat
-# id -> (runner, title) view survives for ad-hoc `repro experiment`
-# runs with a caller-chosen seed (unregistered, hence unstamped).
-EXPERIMENTS: dict[str, tuple[Callable, str]] = {
-    scenario.spec.scenario_id: (scenario.runner, scenario.spec.title)
-    for scenario in SCENARIOS
-}
-
-
-def _cmd_list(_args: argparse.Namespace) -> int:
-    print(render_table(
-        ["id", "reproduces"],
-        [[key, title] for key, (_, title) in EXPERIMENTS.items()],
-        title="Experiments (run with: python -m repro experiment <id>)",
-    ))
-    return 0
-
-
-def _cmd_experiment(args: argparse.Namespace) -> int:
-    key = args.id.upper()
-    if key not in EXPERIMENTS:
-        print(f"unknown experiment {args.id!r}; try 'python -m repro list'",
-              file=sys.stderr)
-        return 2
-    runner, _ = EXPERIMENTS[key]
-    result = runner(seed=args.seed.encode())
-    print(render_table(result.headers, result.rows,
-                       title=f"[{result.experiment_id}] {result.title}"))
-    if result.notes:
-        print(f"Note: {result.notes}")
-    return 0
-
-
-def _cmd_gauntlet(args: argparse.Namespace) -> int:
-    results = run_gauntlet(seed=args.seed.encode())
-    print(render_table(
-        ["attack", "target", "outcome", "detail"],
-        [[r.attack, r.target, "SUCCEEDED" if r.succeeded else "defeated", r.detail[:60]]
-         for r in results],
-        title="§5 attack gauntlet",
-    ))
-    holds = tpnr_defense_holds(results)
-    print(f"\nTPNR defense holds: {holds}")
-    return 0 if holds else 1
+__all__ = ["main"]
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
@@ -231,46 +123,11 @@ def _cmd_obs(args: argparse.Namespace) -> int:
 
 def _cmd_forensics(args: argparse.Namespace) -> int:
     """Reconstruct one observed session's cross-surface timeline and
-    print the dossier; with ``--selftest``, sweep a seeded fault
-    sub-campaign and require total attribution plus verdict agreement."""
-    from .net.faults import CampaignRunner, FaultPlan, generate_plans
-    from .obs.anomaly import alerts_table
-
-    seed = args.seed.encode()
-    if args.selftest:
-        plans = [FaultPlan(name="selftest-noop")] + generate_plans(seed, args.plans - 1)
-        runner = CampaignRunner(seed=seed, scenario="session", observe=True,
-                                forensics=True, anomaly=True, slo=True)
-        report = runner.run(plans)
-        unattributed = sum(
-            1 for o in report.outcomes
-            if not (o.status in ("completed", "resolved") and o.download_ok)
-            and not o.findings
-        )
-        noop_findings = len(report.outcomes[0].findings)
-        ok = unattributed == 0 and noop_findings == 0 and report.hung_sessions == 0
-        print(render_kv(
-            [
-                ("plans", len(report.outcomes)),
-                ("statuses", str(report.status_counts())),
-                ("finding classes", str(report.finding_categories())),
-                ("unattributed failures", unattributed),
-                ("no-op plan findings", noop_findings),
-                ("alerts", len(report.alerts)),
-                ("signature", report.signature()[:16] + "..."),
-                ("selftest ok", ok),
-            ],
-            title=f"Forensics selftest (seed={args.seed!r}, {args.plans} plans)",
-        ))
-        if report.alerts:
-            print()
-            print(alerts_table(report.alerts, title="Alerts"))
-        return 0 if ok else 1
-
-    dep = make_deployment(seed=seed, observe=True, durable=True)
-    behavior = ProviderBehavior(tamper_mode=TamperMode.FIXUP_MD5) if args.tamper else None
-    if behavior is not None:
-        dep = make_deployment(seed=seed, observe=True, durable=True, behavior=behavior)
+    print its dispute dossier, cross-checked against the Arbitrator."""
+    behavior = ProviderBehavior(
+        tamper_mode=TamperMode.FIXUP_MD5 if args.tamper else TamperMode.NONE)
+    dep = make_deployment(seed=args.seed.encode(), observe=True, durable=True,
+                          behavior=behavior)
     outcome = run_upload(dep, b"forensic session payload " * 8)
     run_download(dep, outcome.transaction_id)
     dossier = dep.dossier(outcome.transaction_id)
@@ -279,41 +136,13 @@ def _cmd_forensics(args: argparse.Namespace) -> int:
 
 
 def _cmd_replication(args: argparse.Namespace) -> int:
-    """Replicated-store demo, RP1 campaign, or RP2 migration."""
-    from .net.faults import generate_replica_plans
-    from .replication import ReplicatedStore, ReplicationCampaignRunner, attach_replication
+    """One replicated TPNR session with a tampered replica."""
+    from .replication import ReplicatedStore, attach_replication
 
     if args.profile and not args.profile_dir:
-        print("repro replication: --profile requires --profile-dir "
-              "(nowhere to write flamegraph.txt / profile.jsonl)",
-              file=sys.stderr)
-        return 2
-    if args.profile and (args.campaign or args.migrate):
-        print("repro replication: --profile applies to the demo session only "
-              "(drop --campaign/--migrate)", file=sys.stderr)
-        return 2
+        raise ReproError("--profile requires --profile-dir "
+                         "(nowhere to write flamegraph.txt / profile.jsonl)")
     seed = args.seed.encode()
-    if args.campaign:
-        plans = generate_replica_plans(seed, args.plans)
-        report = ReplicationCampaignRunner(seed=seed).run(plans)
-        print(report.render())
-        ok = (report.silent_faults == 0 and report.violation_count == 0
-              and report.clean_plan_findings() == 0)
-        print(f"\n{report.injected_faults} faults: {report.masked_faults} masked, "
-              f"{report.detected_faults} detected, {report.silent_faults} silent; "
-              f"campaign {'ok' if ok else 'FAILED'}")
-        return 0 if ok else 1
-
-    if args.migrate:
-        from .analysis.experiments import experiment_migration
-
-        result = experiment_migration(seed)
-        print(render_table(result.headers, result.rows,
-                           title=f"[{result.experiment_id}] {result.title}"))
-        ok = bool(result.facts["evidence_chain_survives_migration"])
-        print(f"\nevidence chain survives migration: {'yes' if ok else 'NO'}")
-        return 0 if ok else 1
-
     dep = make_deployment(seed=seed, observe=True)
     if args.profile:
         # Before attach: the store picks up the deployment's profiler.
@@ -406,7 +235,13 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
     import json
     import pathlib
 
-    from .scenarios import PromotionError, audit_file, canonical_result_json
+    from .scenarios import (
+        PromotionError,
+        RegressionError,
+        audit_file,
+        audit_trajectory,
+        canonical_result_json,
+    )
 
     if args.action == "list":
         print(render_table(
@@ -425,7 +260,10 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
 
     if args.action == "run":
         scenario = SCENARIOS.get(args.id)
+        if args.seed is not None:
+            scenario = scenario.reseeded(args.seed)
         result = scenario.run(repetition=args.rep)
+        mismatches = scenario.check(result)
         if args.json:
             print(canonical_result_json(result, scenario.spec))
         else:
@@ -439,116 +277,80 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
                     ("seed", result.meta["seed"]),
                     ("repetition", result.meta["repetition"]),
                     ("seed scheme", result.meta["seed_scheme"]),
+                    ("contract", f"{len(scenario.spec.expect)} facts expected, "
+                                 f"{len(mismatches)} broken"),
                 ],
                 title="Run identity",
             ))
-        return 0
+        for mismatch in mismatches:
+            print(f"contract broken: {mismatch}", file=sys.stderr)
+        return 1 if mismatches else 0
 
-    # gate: re-derive every run key, then replay eligibility over the
-    # recorded trajectory.  Fail-closed — any mismatch is exit 1.
+    # gate: re-derive every run key, then replay eligibility and the
+    # perf-regression sentinel over the recorded trajectory.
+    # Fail-closed — any mismatch is exit 1.
     path = pathlib.Path(args.results) / "BENCH_PERF.json"
+    if not path.exists():
+        raise ReproError(f"no trajectory file at {path}")
     derived = [[s.spec.scenario_id, s.run_key()[:16] + "...",
                 s.seed("experiment", 0).decode("latin-1")]
                for s in SCENARIOS]
     print(render_table(["scenario", "run_key (re-derived)", "rep-0 seed"],
                        derived, title="Run-key derivation sweep"))
+    failures = []
     try:
         reports = audit_file(path)
     except PromotionError as exc:
-        print(f"\nGATE FAILED: {exc}", file=sys.stderr)
+        failures.append(f"GATE FAILED: {exc}")
+        reports = []
+    try:
+        series = audit_trajectory(path)
+    except RegressionError as exc:
+        failures.append(f"REGRESSION: {exc}")
+        series = []
+    if reports:
+        print()
+        print(render_table(
+            ["point", "status", "checks replayed"],
+            [[r["experiment_id"], r["status"], ", ".join(r.get("checked", [])) or "-"]
+             for r in reports],
+            title=f"Eligibility replay over {path}"))
+    if series:
+        print()
+        print(render_table(
+            ["series", "status", "tx/sec", "best prior"],
+            [[f"{r['series'][0]}/{r['series'][1]}/{r['series'][2]} "
+              f"{dict(r['series'][3])}" if "series" in r
+              else str(r.get("experiment_id", "-")),
+              r["status"], r.get("tx_per_sec", "-"), r.get("best_prior", "-")]
+             for r in series],
+            title="Perf-regression sentinel replay"))
+    for failure in failures:
+        print(f"\n{failure}", file=sys.stderr)
+    if failures:
         return 1
-    rows = [[r["experiment_id"], r["status"],
-             ", ".join(r.get("checked", [])) or "-"] for r in reports]
-    print()
-    print(render_table(["point", "status", "checks replayed"], rows,
-                       title=f"Eligibility replay over {path}"))
     accepted = sum(1 for r in reports if r["status"] == "accepted")
     legacy = sum(1 for r in reports if r["status"] == "legacy-pre-gate")
     print(f"\n{len(reports)} points: {accepted} accepted, {legacy} legacy-pre-gate; "
-          "gate holds")
+          f"{len(series)} sentinel series checked; gate holds")
     return 0
 
 
-def _write_profile_artifacts(profile, dump_dir: str, suffix: str = "") -> None:
-    """Write ``flamegraph{suffix}.txt`` / ``profile{suffix}.jsonl``."""
+def _write_profile_artifacts(profile, dump_dir: str) -> None:
+    """Write ``flamegraph.txt`` / ``profile.jsonl``."""
     import pathlib
 
     from .obs.profiler import flamegraph_text, profile_jsonl
 
     out = pathlib.Path(dump_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / f"flamegraph{suffix}.txt").write_text(flamegraph_text(profile))
-    (out / f"profile{suffix}.jsonl").write_text(profile_jsonl(profile))
-    print(f"wrote flamegraph{suffix}.txt, profile{suffix}.jsonl to {out}/")
-
-
-def _cmd_throughput(args: argparse.Namespace) -> int:
-    """Sweep the session engine and compare against the baseline."""
-    from .engine import TenantDirectory, run_baseline, run_pool
-
-    shards = args.shards
-    batch_size = args.batch_size
-    if shards < 1:
-        print(f"repro throughput: --shards must be >= 1 (got {shards})",
-              file=sys.stderr)
-        return 2
-    if batch_size is not None and batch_size < 1:
-        print(f"repro throughput: --batch-size must be >= 1 (got {batch_size})",
-              file=sys.stderr)
-        return 2
-    if args.profile and not args.profile_dir:
-        print("repro throughput: --profile requires --profile-dir "
-              "(nowhere to write flamegraph.txt / profile.jsonl)",
-              file=sys.stderr)
-        return 2
-    seed = args.seed.encode()
-    tenant_counts = tuple(args.tenants)
-    use_caches = not args.no_caches
-    directory = TenantDirectory(seed)
-    directory.warm(["bob", "ttp", *[f"tenant-{i:04d}" for i in range(max(tenant_counts))]])
-    rows = []
-    all_ok = True
-    for n in tenant_counts:
-        result = run_pool(seed, n, directory=directory, use_caches=use_caches,
-                          shards=shards, batch_size=batch_size,
-                          profile=args.profile)
-        if args.profile and result.profile is not None:
-            _write_profile_artifacts(result.profile, args.profile_dir,
-                                     suffix=f"-{n:04d}")
-        stats = result.cache_stats or {}
-        verify = stats.get("verify", {})
-        all_ok = all_ok and result.completed == result.verified == len(result.sessions)
-        batches = (result.batch_stats or {}).get("batches", 0)
-        rows.append([
-            n, result.completed, result.verified,
-            f"{result.tx_per_sec:.1f}",
-            f"{result.p50_latency:.4f}", f"{result.p99_latency:.4f}",
-            f"{float(verify.get('hit_rate', 0.0)):.3f}",
-            batches,
-        ])
-    print(render_table(
-        ["tenants", "completed", "verified", "tx/sec (wall)",
-         "p50 (sim s)", "p99 (sim s)", "verify-cache hit rate", "batches"],
-        rows,
-        title=f"Throughput sweep (caches {'on' if use_caches else 'off'}, "
-        f"shards={shards}, batch={batch_size if batch_size else 'off'}, "
-        f"seed={args.seed!r})",
-    ))
-    if args.baseline > 0:
-        baseline = run_baseline(seed, args.baseline)
-        print(render_kv(
-            [
-                ("baseline transactions", baseline.transactions),
-                ("baseline tx/sec (wall)", f"{baseline.tx_per_sec:.2f}"),
-                ("note", "one fresh uncached deployment per transaction"),
-            ],
-            title="Sequential baseline",
-        ))
-    return 0 if all_ok else 1
+    (out / "flamegraph.txt").write_text(flamegraph_text(profile))
+    (out / "profile.jsonl").write_text(profile_jsonl(profile))
+    print(f"wrote flamegraph.txt, profile.jsonl to {out}/")
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    """Deterministic profiler: flamegraph / critical path / sentinel."""
+    """Deterministic profiler: hot regions / flamegraph / critical path."""
     from .obs.profiler import (
         critical_path,
         flamegraph_text,
@@ -557,48 +359,10 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     )
 
     if args.shards < 1:
-        print(f"repro profile: --shards must be >= 1 (got {args.shards})",
-              file=sys.stderr)
-        return 2
+        raise ReproError(f"--shards must be >= 1 (got {args.shards})")
     if args.batch_size is not None and args.batch_size < 1:
-        print(f"repro profile: --batch-size must be >= 1 (got {args.batch_size})",
-              file=sys.stderr)
-        return 2
-    if not 0.0 <= args.tolerance < 1.0:
-        print(f"repro profile: --tolerance must be in [0, 1) (got {args.tolerance})",
-              file=sys.stderr)
-        return 2
+        raise ReproError(f"--batch-size must be >= 1 (got {args.batch_size})")
     seed = args.seed.encode()
-
-    if args.check_regression:
-        import pathlib
-
-        from .scenarios import RegressionError, audit_trajectory
-
-        path = pathlib.Path(args.results) / "BENCH_PERF.json"
-        if not path.exists():
-            print(f"repro profile: no trajectory file at {path}", file=sys.stderr)
-            return 2
-        try:
-            reports = audit_trajectory(path, tolerance=args.tolerance)
-        except RegressionError as exc:
-            print(f"REGRESSION: {exc}", file=sys.stderr)
-            return 1
-        rows = []
-        for r in reports:
-            if "series" in r:
-                exp, stage, kind, coords = r["series"]
-                label = f"{exp}/{stage}/{kind} {dict(coords)}"
-            else:
-                label = str(r.get("experiment_id", "-"))
-            rows.append([label, r["status"],
-                         r.get("tx_per_sec", "-"), r.get("best_prior", "-")])
-        print(render_table(
-            ["series", "status", "tx/sec", "best prior"], rows,
-            title=f"Sentinel replay over {path} (tolerance {args.tolerance:.0%})",
-        ))
-        print(f"\n{len(rows)} series checked; no regression beyond tolerance")
-        return 0
 
     if args.critical_path:
         from .net.channel import WAN
@@ -665,19 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("list", help="list the reproducible experiments").set_defaults(
-        func=_cmd_list
-    )
-
-    p_exp = sub.add_parser("experiment", help="run one experiment by id")
-    p_exp.add_argument("id", help="experiment id, e.g. F5 or S4")
-    p_exp.add_argument("--seed", default="cli", help="determinism seed")
-    p_exp.set_defaults(func=_cmd_experiment)
-
-    p_g = sub.add_parser("gauntlet", help="run the §5 attack gauntlet")
-    p_g.add_argument("--seed", default="cli", help="determinism seed")
-    p_g.set_defaults(func=_cmd_gauntlet)
-
     p_d = sub.add_parser("demo", help="tamper-detect-arbitrate demo")
     p_d.add_argument("--seed", default="cli", help="determinism seed")
     p_d.set_defaults(func=_cmd_demo)
@@ -696,28 +447,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_o.set_defaults(func=_cmd_obs)
 
     p_f = sub.add_parser("forensics",
-                         help="reconstruct a session timeline / audit a campaign")
+                         help="reconstruct one session's timeline and dossier")
     p_f.add_argument("--seed", default="cli", help="determinism seed")
     p_f.add_argument("--tamper", action="store_true",
                      help="use a covertly tampering provider")
     p_f.add_argument("--max-rows", type=int, default=40,
                      help="timeline rows to print in the dossier")
-    p_f.add_argument("--selftest", action="store_true",
-                     help="run a seeded fault sub-campaign and require "
-                     "total attribution with zero false positives")
-    p_f.add_argument("--plans", type=int, default=25,
-                     help="sub-campaign size for --selftest")
     p_f.set_defaults(func=_cmd_forensics)
 
     p_r = sub.add_parser("replication",
-                         help="replicated-store session / RP1 campaign / RP2 migration")
+                         help="one replicated-store session, tampered replica")
     p_r.add_argument("--seed", default="cli", help="determinism seed")
-    p_r.add_argument("--campaign", action="store_true",
-                     help="sweep the seeded replica-fault campaign (RP1)")
-    p_r.add_argument("--plans", type=int, default=30,
-                     help="campaign size for --campaign")
-    p_r.add_argument("--migrate", action="store_true",
-                     help="run the live-migration evidence-continuity demo (RP2)")
     p_r.add_argument("--replica", default="s3like",
                      choices=["s3like", "azurelike", "gaelike"],
                      help="replica to tamper in the demo")
@@ -739,31 +479,9 @@ def build_parser() -> argparse.ArgumentParser:
                       help="render the live dashboard after every plan")
     p_sl.set_defaults(func=_cmd_slo)
 
-    p_t = sub.add_parser("throughput", help="sweep the multi-tenant session engine")
-    p_t.add_argument("--tenants", type=int, nargs="+", default=[1, 10, 50],
-                     help="tenant counts to sweep")
-    p_t.add_argument("--baseline", type=int, default=5,
-                     help="sequential-baseline transaction count (0 to skip)")
-    p_t.add_argument("--no-caches", action="store_true",
-                     help="disable the crypto caches (signature/KEM)")
-    p_t.add_argument("--shards", type=int, default=1,
-                     help="engine worker shards (>= 1; merged result is "
-                     "signature-identical at any count)")
-    p_t.add_argument("--batch-size", type=int, default=None,
-                     help="Merkle-batch evidence: leaves per RSA signature "
-                     "(>= 1; omit for classic per-message signatures)")
-    p_t.add_argument("--profile", action="store_true",
-                     help="attach the region profiler to every sweep point "
-                     "(requires --profile-dir)")
-    p_t.add_argument("--profile-dir", default="",
-                     help="directory for per-point flamegraph-<n>.txt / "
-                     "profile-<n>.jsonl")
-    p_t.add_argument("--seed", default="cli", help="determinism seed")
-    p_t.set_defaults(func=_cmd_throughput)
-
     p_p = sub.add_parser("profile",
-                         help="deterministic profiler: flamegraph / "
-                         "critical path / regression sentinel")
+                         help="deterministic profiler: hot regions / "
+                         "flamegraph / critical path")
     p_p.add_argument("--seed", default="cli", help="determinism seed")
     p_p.add_argument("--tenants", type=int, default=8,
                      help="engine tenants for the profiled run")
@@ -781,15 +499,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_p.add_argument("--critical-path", action="store_true",
                      help="extract one observed session's critical path "
                      "and check the self-time accounting reconciles")
-    p_p.add_argument("--check-regression", action="store_true",
-                     help="replay the perf-regression sentinel over the "
-                     "committed BENCH_PERF.json trajectory")
-    p_p.add_argument("--results", default="benchmarks/results",
-                     help="directory holding BENCH_PERF.json "
-                     "(--check-regression)")
-    p_p.add_argument("--tolerance", type=float, default=0.15,
-                     help="max fractional tx/s drop vs the best prior "
-                     "point (--check-regression)")
     p_p.add_argument("--dump-dir", default="",
                      help="write flamegraph.txt / profile.jsonl here")
     p_p.set_defaults(func=_cmd_profile)
@@ -804,10 +513,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_sr.add_argument("id", help="scenario id, e.g. FC1")
     p_sr.add_argument("--rep", type=int, default=0,
                       help="repetition index (PT-002 derived seed)")
+    p_sr.add_argument("--seed", default=None,
+                      help="root-seed override (a new run key); default: "
+                      "the spec's root seed")
     p_sr.add_argument("--json", action="store_true",
                       help="print the canonical result JSON instead of the table")
     p_sg = s_sub.add_parser("gate",
-                            help="re-derive run keys + replay the promotion gate")
+                            help="re-derive run keys + replay the promotion "
+                            "gate and the perf-regression sentinel")
     p_sg.add_argument("--results", default="benchmarks/results",
                       help="directory holding BENCH_PERF.json")
     p_s.set_defaults(func=_cmd_scenario)
@@ -816,7 +529,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ReproError as exc:
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -22,8 +22,8 @@ append path.  Points recorded before the gate existed (repo version <
 provenance is explicit, and no new legacy point can ever be added.
 
 :func:`audit_file` replays the whole gate over an existing trajectory
-file — the CI job runs it on every build, so a hand-edited or drifted
-point fails the build, not a later reader.
+file — ``repro scenario gate`` and the tier-1 suite run it, so a
+hand-edited or drifted point fails the build, not a later reader.
 """
 
 from __future__ import annotations

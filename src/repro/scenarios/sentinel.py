@@ -161,8 +161,9 @@ def audit_trajectory(
     it, exactly as if the points had been promoted chronologically.
 
     The committed ``benchmarks/results/BENCH_PERF.json`` must pass this
-    (the CI profiling job runs it); a hand-edited degraded point fails
-    the build here rather than confusing a later reader.
+    (``repro scenario gate`` replays it at the default tolerance, as do
+    the tier-1 tests); a hand-edited degraded point fails the build
+    here rather than confusing a later reader.
     """
     path = pathlib.Path(path)
     entries = json.loads(path.read_text())

@@ -20,7 +20,8 @@ the gate relies on:
   invariance contract, the seed scheme, or the code version changes
   the run key.
 
-Cosmetic fields (``title``) are deliberately outside the hash.
+Two fields are deliberately outside the hash: ``title`` (cosmetic)
+and ``expect`` (a verdict on a run's output, not an input to it).
 """
 
 from __future__ import annotations
@@ -59,6 +60,9 @@ class ScenarioSpec:
     stage name to the check names a promoted point must carry as
     ``true``.  ``nondeterministic_meta`` lists meta keys excluded from
     the canonical result serialization (wall-clock rates and the like).
+    ``expect`` maps fact names to the values every experiment-stage run
+    must report — the scenario's contract, checked by
+    :meth:`~repro.scenarios.registry.RegisteredScenario.check`.
     """
 
     scenario_id: str
@@ -70,6 +74,7 @@ class ScenarioSpec:
     stages: tuple[str, ...] = ()
     invariance: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
     nondeterministic_meta: tuple[str, ...] = ()
+    expect: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not self.scenario_id:

@@ -49,6 +49,18 @@ class TamperMode(enum.Enum):
         return self is TamperMode.FIXUP_MD5
 
 
+def _replacement(original: bytes, rng: HmacDrbg) -> bytes:
+    """Random bytes as long as *original* that are never equal to it.
+
+    A redraw can repeat a short object byte for byte (1 in 256 for one
+    byte), which would be a "tampering" that alters nothing.
+    """
+    replacement = rng.generate(len(original))
+    if replacement == original:
+        replacement = bytes([replacement[0] ^ 0xFF]) + replacement[1:]
+    return replacement
+
+
 def apply_tamper(
     store: BlobStore,
     container: str,
@@ -69,13 +81,13 @@ def apply_tamper(
         mutated[index] ^= bit
         return store.overwrite_raw(container, key, data=bytes(mutated))
     if mode is TamperMode.REPLACE:
-        replacement = rng.generate(len(obj.data))
-        return store.overwrite_raw(container, key, data=replacement)
+        return store.overwrite_raw(container, key,
+                                   data=_replacement(obj.data, rng))
     if mode is TamperMode.TRUNCATE:
         keep = max(1, len(obj.data) // 2)
         return store.overwrite_raw(container, key, data=obj.data[:keep])
     if mode is TamperMode.FIXUP_MD5:
-        replacement = rng.generate(len(obj.data))
+        replacement = _replacement(obj.data, rng)
         return store.overwrite_raw(
             container, key, data=replacement, content_md5=digest("md5", replacement)
         )

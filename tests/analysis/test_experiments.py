@@ -1,150 +1,123 @@
-"""Every experiment runner reproduces its paper artifact's shape."""
+"""Every registered scenario shows what its spec's ``expect`` declares.
+
+The required values live once, in the registry
+(``ScenarioSpec.expect``).  ``test_scenario_contract`` checks every
+scenario's whole contract; the per-artifact classes name which slice
+of a contract each paper claim is, so a failure reads as the claim it
+breaks.  All of them share one run per scenario.
+"""
 
 import pytest
 
-from repro.analysis.experiments import (
-    experiment_attacks,
-    experiment_bridging,
-    experiment_fig1,
-    experiment_fig2,
-    experiment_fig3,
-    experiment_fig4,
-    experiment_fig5,
-    experiment_fig6,
-    experiment_shipping,
-    experiment_step_counts,
-    experiment_table1,
-)
+from repro.scenarios import SCENARIOS
+
+
+@pytest.mark.parametrize("scenario_id", SCENARIOS.ids())
+def test_scenario_contract(scenario_id, scenario_result):
+    scenario = SCENARIOS.get(scenario_id)
+    assert scenario.check(scenario_result(scenario_id)) == []
+
+
+@pytest.fixture
+def claim(scenario_result):
+    """Check the facts of one contract whose names start with a prefix."""
+
+    def _claim(scenario_id: str, *prefixes: str) -> None:
+        scenario = SCENARIOS.get(scenario_id)
+        names = [n for n in scenario.spec.expect if n.startswith(prefixes)]
+        assert names, f"{scenario_id} declares no fact under {prefixes}"
+        broken = scenario.check(scenario_result(scenario_id))
+        assert [m for m in broken if m.partition(": ")[0] in names] == []
+
+    return _claim
 
 
 class TestTable1:
-    @pytest.fixture(scope="class")
-    def result(self):
-        return experiment_table1()
+    def test_put_and_get_succeed(self, claim):
+        claim("T1", "put_ok", "get_ok")
 
-    def test_put_and_get_succeed(self, result):
-        assert result.facts["put_ok"] and result.facts["get_ok"]
+    def test_forged_auth_rejected(self, claim):
+        claim("T1", "forged_rejected")
 
-    def test_forged_auth_rejected(self, result):
-        assert result.facts["forged_rejected"]
+    def test_md5_round_trips(self, claim):
+        claim("T1", "md5_round_tripped")
 
-    def test_md5_round_trips(self, result):
-        assert result.facts["md5_round_tripped"]
-
-    def test_rendered_requests_match_table1_layout(self, result):
-        put = result.facts["put_rendered"]
+    def test_rendered_requests_match_table1_layout(self, scenario_result):
+        facts = scenario_result("T1").facts
+        put = facts["put_rendered"]
         assert put.startswith("PUT http://")
         assert "Content-MD5: " in put
         assert "Authorization: SharedKey jerry:" in put
         assert "x-ms-date: " in put
-        get = result.facts["get_rendered"]
+        get = facts["get_rendered"]
         assert get.startswith("GET http://")
         assert "Authorization: SharedKey jerry:" in get
 
 
 class TestFig1:
-    def test_all_requests_answered(self):
-        result = experiment_fig1(n_clients=4, n_services=2, requests_per_client=3)
-        assert result.facts["all_answered"]
-        assert result.facts["total_requests"] == 12
+    def test_all_requests_answered(self, claim):
+        claim("F1", "all_answered", "total_")
 
 
 class TestFig2:
-    def test_import_jobs_verified(self):
-        result = experiment_fig2(file_sizes=(1 << 12, 1 << 14))
-        assert result.facts["all_jobs_completed"]
-        assert result.facts["jobs"] == 2
+    def test_import_jobs_verified(self, claim):
+        claim("F2", "all_jobs_completed", "jobs")
 
 
 class TestFig3:
-    def test_azure_flow(self):
-        facts = experiment_fig3().facts
-        assert facts["round_trip_ok"]
-        assert facts["wrong_key_rejected"]
-        assert facts["secret_key_bits"] == 256
+    def test_azure_flow(self, claim):
+        claim("F3", "round_trip_ok", "wrong_key_rejected", "secret_key_bits")
 
 
 class TestFig4:
-    def test_sdc_pipeline(self):
-        facts = experiment_fig4().facts
-        assert facts["authorized_allowed"]
-        assert facts["rule_enforced"]
-        assert facts["tunnel_enforced"]
-        assert facts["replay_blocked"]
+    def test_sdc_pipeline(self, claim):
+        claim("F4", "authorized_allowed", "rule_enforced", "tunnel_enforced",
+              "replay_blocked")
 
 
 class TestFig5:
-    @pytest.fixture(scope="class")
-    def facts(self):
-        return experiment_fig5(trials=3).facts
+    def test_azure_detects_naive_only(self, claim):
+        claim("F5", "stored/")
 
-    def test_azure_detects_naive_only(self, facts):
-        assert facts["stored/bit-flip/detection"] == 1.0
-        assert facts["stored/replace/detection"] == 1.0
-        assert facts["stored/fixup-md5/detection"] == 0.0
+    def test_aws_detects_nothing(self, claim):
+        claim("F5", "recomputed/")
 
-    def test_aws_detects_nothing(self, facts):
-        for mode in ("bit-flip", "replace", "fixup-md5"):
-            assert facts[f"recomputed/{mode}/detection"] == 0.0
-
-    def test_tpnr_detects_and_attributes_everything(self, facts):
-        for mode in ("bit-flip", "replace", "fixup-md5"):
-            assert facts[f"tpnr/{mode}/detection"] == 1.0
-            assert facts[f"tpnr/{mode}/attribution"] == 1.0
+    def test_tpnr_detects_and_attributes_everything(self, claim):
+        claim("F5", "tpnr/")
 
 
 class TestFig6:
-    @pytest.fixture(scope="class")
-    def facts(self):
-        return experiment_fig6().facts
+    def test_normal_two_steps_offline_ttp(self, claim):
+        claim("F6", "normal_")
 
-    def test_normal_two_steps_offline_ttp(self, facts):
-        assert facts["normal_steps"] == 2
-        assert facts["normal_offline_ttp"]
+    def test_abort_without_ttp(self, claim):
+        claim("F6", "abort_")
 
-    def test_abort_without_ttp(self, facts):
-        assert facts["abort_status"] == "aborted"
-        assert facts["abort_offline_ttp"]
+    def test_resolve_inline_ttp(self, claim):
+        claim("F6", "resolve_")
 
-    def test_resolve_inline_ttp(self, facts):
-        assert facts["resolve_status"] == "resolved"
-        assert facts["resolve_inline_ttp"]
-
-    def test_dispute_convicts_tamperer(self, facts):
-        assert facts["dispute_verdict"] == "provider-at-fault"
+    def test_dispute_convicts_tamperer(self, claim):
+        claim("F6", "dispute_verdict")
 
 
 class TestBridging:
-    def test_scheme_matrix(self):
-        facts = experiment_bridging().facts
-        assert facts["plain/tamper_verdict"] == "undetected"
-        for scheme in ("nn", "sks", "tac", "both"):
-            assert facts[f"{scheme}/tamper_verdict"] == "provider-at-fault"
-            assert facts[f"{scheme}/blackmail_verdict"] == "claim-rejected"
+    def test_scheme_matrix(self, claim):
+        claim("S3", "plain/", "nn/", "sks/", "tac/", "both/")
 
 
 class TestStepCounts:
-    def test_two_vs_five(self):
-        result = experiment_step_counts(payload_sizes=(1024,))
-        assert result.facts["1024/tpnr_steps"] == 2
-        assert result.facts["1024/zg_steps"] == 5
-        assert result.facts["tpnr_always_fewer_steps"]
+    def test_two_vs_five(self, claim):
+        claim("S4", "tpnr_always_fewer_steps", "1024/", "16384/", "262144/")
 
-    def test_latency_advantage(self):
-        facts = experiment_step_counts(payload_sizes=(1024,)).facts
-        assert facts["1024/tpnr_latency"] < facts["1024/zg_latency"]
+    def test_latency_advantage(self, claim):
+        claim("S4", "tpnr_always_faster")
 
 
 class TestAttacks:
-    def test_matrix(self):
-        facts = experiment_attacks().facts
-        assert facts["tpnr_defense_holds"]
-        assert facts["weakened_all_fall"]
+    def test_matrix(self, claim):
+        claim("S5", "tpnr_defense_holds", "weakened_all_fall")
 
 
 class TestShipping:
-    def test_protocol_is_trivial(self):
-        facts = experiment_shipping(data_sizes_tb=(1.0,)).facts
-        assert facts["protocol_is_trivial"]
-        assert facts["max_fraction"] < 1e-3
-        assert facts["protocol_seconds"] > 0
+    def test_protocol_is_trivial(self, claim):
+        claim("S6", "protocol_")

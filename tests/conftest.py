@@ -38,3 +38,18 @@ def pki(session_rng):
     for identity in identities.values():
         registry.enroll(identity)
     return ca, registry, identities
+
+
+@pytest.fixture(scope="session")
+def scenario_result():
+    """The rep-0 result of a registered scenario, run once per session.
+
+    The contract tests and the determinism tests read the same runs, so
+    each registered experiment executes once however many tests look
+    at it; the results are shared, so tests must not mutate them.
+    """
+    from functools import cache
+
+    from repro.scenarios import SCENARIOS
+
+    return cache(lambda scenario_id: SCENARIOS.get(scenario_id).run())

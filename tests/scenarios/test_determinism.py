@@ -14,9 +14,9 @@ CAMPAIGN_SCENARIOS = ["FC1", "CR1", "OB1", "OB2", "TP1"]
 
 
 @pytest.mark.parametrize("scenario_id", CAMPAIGN_SCENARIOS)
-def test_same_root_seed_is_byte_identical(scenario_id):
+def test_same_root_seed_is_byte_identical(scenario_id, scenario_result):
     scenario = SCENARIOS.get(scenario_id)
-    first = canonical_result_json(scenario.run(), scenario.spec)
+    first = canonical_result_json(scenario_result(scenario_id), scenario.spec)
     second = canonical_result_json(scenario.run(), scenario.spec)
     assert first == second
     assert f'"{scenario.run_key()}"' in first  # stamped into the meta block
@@ -24,12 +24,8 @@ def test_same_root_seed_is_byte_identical(scenario_id):
 
 @pytest.mark.parametrize("scenario_id", CAMPAIGN_SCENARIOS)
 def test_different_root_seed_changes_the_run_key(scenario_id):
-    from repro.scenarios.registry import RegisteredScenario
-
     scenario = SCENARIOS.get(scenario_id)
-    reseeded = RegisteredScenario(
-        scenario.spec.with_overrides(root_seed=scenario.spec.root_seed + "-alt"),
-        scenario.runner)
+    reseeded = scenario.reseeded(scenario.spec.root_seed + "-alt")
     assert reseeded.run_key() != scenario.run_key()
     assert reseeded.seed() != scenario.seed()
     for stage in scenario.spec.stages:

@@ -18,11 +18,47 @@ from repro.scenarios import (
 # -- default registry covers every experiment ---------------------------------
 
 
-def test_all_cli_experiments_are_registered():
-    from repro.cli import EXPERIMENTS
-
-    assert set(EXPERIMENTS) == set(SCENARIOS.ids())
+def test_every_spec_declares_an_expect_contract():
     assert len(SCENARIOS) == 24
+    assert [s.spec.scenario_id for s in SCENARIOS if not s.spec.expect] == []
+
+
+#: Run keys at code version 1.5.0.  ``expect`` (like ``title``) is a
+#: verdict on a run, not an input to it, so declaring or editing a
+#: contract must leave every key — and every gated BENCH_PERF.json
+#: point — where it was.
+PINNED_VERSION = "1.5.0"
+PINNED_RUN_KEYS = {
+    "A1": "5c9768fe0ca8a11cf039cdb18057994836cdfd3da7ae5371e7ebf4bcfe989cd9",
+    "CR1": "5cbc5e6e6aca658c1dcbbd50de5eef9e2d27bde74b7d204dee0f450f0147296d",
+    "F1": "5aeca78839f5ca07c1bc3a50645e2472229229aca1ce549c45d4626d132c187d",
+    "F2": "7e267498a4fec1ac26ec8baefb382333d8487898e297426050a4ef8a105d89fc",
+    "F3": "78ef54d36aaf0416a7f83c08f3ff03c6d8f9a1acf01b4d15c5e25ea26f7650d4",
+    "F4": "4daddca567ec274b33bea2e709e4d34f89a946869c746d6cab270eb7e8009485",
+    "F5": "872d4c3b66b672fd273b61ed6ad9226fcb190e749e0d4691cf43538fad9d5c7a",
+    "F6": "94b59bc98a0a219bb54a946d5693b6dce042f40f8d62fc017d6ed6478261df6c",
+    "FC1": "7d22c549f5452329d2a0370cb42ab38430717b1ab650286e3a28711f626f3301",
+    "OB1": "3ffe2a25a607552de4f38d1cece6161e55a87d298f462d9dbb20822e3d4c4119",
+    "OB2": "40ea3bc948822769bb3b55af9eb89473eb00404ae8cf38e8188967f5e96ac2c4",
+    "OB3": "25c9d288193bd90af95a2fba6cca2d9af856db533fbbab98442c2800f4166baa",
+    "OB4": "c8133fb2b250421185e4c1e9f8bb775c0cc5763939739dd820304d75cd2cb9bf",
+    "R1": "df978bc00690e3ccd1d25cd223f3dd62d7bd9f271259f49e2ebd76de4bd1064c",
+    "RP1": "49b1e2e8a1c5c3aa23448e512110f4b1264fca51663ac391f2b7106bbe030498",
+    "RP2": "6708a2d9e8e53dc37f135b96d3c811c420d61bf12937c3b2af4d520837cf209b",
+    "S3": "6a7542cd54c85858692569c1da7e00b40bdd97760929343044f752f8e92df7b3",
+    "S4": "cb6ba8db97d951d9d51e6d94a7f322b557b3c5b8845b76b59707e79ef42981d8",
+    "S5": "bc0f462fe23b1de61a9036f3348cb1e7cf23c6b27c7339219ab22e12e53413ea",
+    "S6": "bbac45f5f30c36278130a7d20d0024af71a5f1afa92852088bbb7468959eef3a",
+    "T1": "b1575b6f509ff4103f90e17bbecfafc5ce0865764d0ce0f5a0b4beb4dbabf815",
+    "TP1": "11af8f8e5b0cbb19df728f83b9de21388b6ae94b61c1784d615103c55436bac3",
+    "TP2": "84c193f5b7143c1d1bff3d00954855470a9e9826cb97a7b6182bffec5da89908",
+    "W1": "0e24ed8ebd5099082b122f107e08294630452ebcab3df54d4a877df486d05dab",
+}
+
+
+def test_run_keys_are_pinned():
+    assert {s.spec.scenario_id: s.run_key(PINNED_VERSION)
+            for s in SCENARIOS} == PINNED_RUN_KEYS
 
 
 @pytest.mark.parametrize("scenario_id,root,workload,stages", [
@@ -200,3 +236,38 @@ def test_stamped_context_is_reentrant_and_scoped():
             assert current_stamp() is inner
         assert current_stamp() is stamp
     assert current_stamp() is None
+
+
+# -- the expect contract ------------------------------------------------------
+
+
+def test_check_is_fail_closed():
+    registry = ScenarioRegistry()
+    spec = ScenarioSpec("PRC", "probe", "_probe_runner", "exp/prc",
+                        workload={"knob": 1}, expect={"knob": 1})
+    result = registry.register(spec, runner=_probe_runner).run()
+    for expect, broken in (
+        ({"knob": 1}, []),
+        ({"knob": 2}, ["knob: got 1, expected 2"]),
+        ({"knob": True}, ["knob: got 1, expected True"]),  # bool is not 1
+        ({"absent": 0}, ["absent: missing (expected 0)"]),
+    ):
+        scenario = ScenarioRegistry().register(
+            spec.with_overrides(expect=expect), runner=_probe_runner)
+        assert scenario.check(result) == broken
+
+
+def test_expect_stays_out_of_the_run_key():
+    scenario = SCENARIOS.get("F5")
+    edited = scenario.spec.with_overrides(expect={"anything": 1})
+    registry = ScenarioRegistry()
+    assert registry.register(edited, runner=scenario.runner).run_key() \
+        == scenario.run_key()
+
+
+def test_ids_match_case_insensitively():
+    assert SCENARIOS.get("tp1") is SCENARIOS.get("TP1")
+    registry = ScenarioRegistry()
+    registry.register(ScenarioSpec("X1", "x", "experiment_table1", "exp/x"))
+    with pytest.raises(ReproError):
+        registry.register(ScenarioSpec("x1", "x", "experiment_table1", "exp/x"))

@@ -98,6 +98,16 @@ class TestTamper:
         assert tampered.size == original_len
         assert not tampered.is_consistent()
 
+    @pytest.mark.parametrize("mode", [TamperMode.REPLACE, TamperMode.FIXUP_MD5])
+    def test_redraw_never_stores_the_original(self, mode):
+        # A one-byte object equal to the generator's next byte: a plain
+        # redraw would write the same data back.
+        original = HmacDrbg(b"t").generate(1)
+        store = BlobStore("t")
+        store.put("c", "k", original)
+        tampered = apply_tamper(store, "c", "k", mode, HmacDrbg(b"t"))
+        assert tampered.data != original
+
     def test_truncate_halves(self):
         store = self._store()
         original_len = store.get("c", "k").size

@@ -1,8 +1,14 @@
 """The command-line interface."""
 
+import pathlib
+import shutil
+
 import pytest
 
-from repro.cli import EXPERIMENTS, build_parser, main
+from repro.cli import build_parser, main
+from repro.scenarios import SCENARIOS
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 class TestParser:
@@ -12,31 +18,39 @@ class TestParser:
 
     def test_all_commands_parse(self):
         parser = build_parser()
-        for argv in (["list"], ["experiment", "F5"], ["gauntlet"], ["demo"],
+        for argv in (["scenario", "list"], ["scenario", "run", "F5"],
+                     ["scenario", "run", "F5", "--seed", "s", "--rep", "0"],
+                     ["scenario", "gate"], ["demo"],
                      ["workload", "--clients", "2"], ["obs"],
-                     ["obs", "--seed", "s", "--dump-dir", "/tmp/x"]):
+                     ["obs", "--seed", "s", "--dump-dir", "/tmp/x"],
+                     ["forensics", "--tamper"], ["replication"], ["slo"],
+                     ["profile", "--flamegraph"]):
             args = parser.parse_args(argv)
             assert callable(args.func)
 
 
 class TestCommands:
     def test_list(self, capsys):
-        assert main(["list"]) == 0
+        assert main(["scenario", "list"]) == 0
         out = capsys.readouterr().out
-        for key in EXPERIMENTS:
-            assert key in out
+        for scenario in SCENARIOS:
+            assert scenario.spec.scenario_id in out
+            assert scenario.run_key()[:16] in out
 
     def test_unknown_experiment(self, capsys):
-        assert main(["experiment", "Z9"]) == 2
-        assert "unknown experiment" in capsys.readouterr().err
+        assert main(["scenario", "run", "Z9"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown scenario" in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_experiment_t1(self, capsys):
-        assert main(["experiment", "T1", "--seed", "cli-test"]) == 0
+        assert main(["scenario", "run", "T1", "--seed", "cli-test"]) == 0
         out = capsys.readouterr().out
         assert "[T1]" in out and "PUT" in out
+        assert "4 facts expected, 0 broken" in out
 
     def test_experiment_case_insensitive(self, capsys):
-        assert main(["experiment", "t1", "--seed", "cli-test"]) == 0
+        assert main(["scenario", "run", "t1", "--seed", "cli-test"]) == 0
 
     def test_demo(self, capsys):
         assert main(["demo", "--seed", "cli-demo"]) == 0
@@ -52,15 +66,18 @@ class TestCommands:
         assert "all terminated" in out and ": yes" in out
 
     def test_gauntlet(self, capsys):
-        assert main(["gauntlet", "--seed", "cli-g"]) == 0
+        """The §5 attack matrix runs as scenario S5; its contract is the
+        defended column holding and every weakened target falling."""
+        assert main(["scenario", "run", "S5", "--seed", "cli-g"]) == 0
         out = capsys.readouterr().out
-        assert "TPNR defense holds: True" in out
+        assert "robustness gauntlet" in out
+        assert "2 facts expected, 0 broken" in out
 
     def test_experiment_registry_complete(self):
         """Every experiment id documented in DESIGN.md §4 is runnable."""
         for expected in ("T1", "F1", "F2", "F3", "F4", "F5", "F6",
                          "S3", "S4", "S5", "S6", "W1", "R1", "A1", "OB1"):
-            assert expected in EXPERIMENTS
+            assert expected in SCENARIOS
 
     def test_obs(self, capsys):
         assert main(["obs", "--seed", "cli-obs"]) == 0
@@ -79,26 +96,73 @@ class TestCommands:
         assert "# TYPE" in (tmp_path / "metrics.prom").read_text()
 
 
+class TestScenarioRun:
+    def test_broken_expect_exits_1_and_names_the_fact(self, capsys, monkeypatch):
+        scenario = SCENARIOS.get("T1")
+        monkeypatch.setattr(scenario, "spec", scenario.spec.with_overrides(
+            expect={**scenario.spec.expect, "forged_rejected": False}))
+        assert main(["scenario", "run", "T1"]) == 1
+        err = capsys.readouterr().err
+        assert "forged_rejected" in err
+        assert "put_ok" not in err
+
+    def test_rep_outside_the_spec_exits_2(self, capsys):
+        assert main(["scenario", "run", "T1", "--rep", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro scenario: ")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_json_is_the_canonical_result(self, capsys):
+        assert main(["scenario", "run", "T1", "--json"]) == 0
+        out = capsys.readouterr().out
+        assert f'"{SCENARIOS.get("T1").run_key()}"' in out
+
+    def test_seed_override_changes_the_run_key(self, capsys):
+        assert main(["scenario", "run", "T1", "--seed", "other"]) == 0
+        out = capsys.readouterr().out
+        assert SCENARIOS.get("T1").run_key() not in out
+        assert SCENARIOS.get("T1").reseeded("other").run_key() in out
+
+
+class TestScenarioGate:
+    def test_committed_trajectory_passes(self, capsys):
+        results = REPO_ROOT / "benchmarks" / "results"
+        assert main(["scenario", "gate", "--results", str(results)]) == 0
+        assert "gate holds" in capsys.readouterr().out
+
+    def test_regressed_fixture_fails(self, capsys, tmp_path):
+        shutil.copy(REPO_ROOT / "tests" / "scenarios" / "fixtures"
+                    / "bench_perf_regressed.json", tmp_path / "BENCH_PERF.json")
+        assert main(["scenario", "gate", "--results", str(tmp_path)]) == 1
+        assert "REGRESSION" in capsys.readouterr().err
+
+    def test_missing_trajectory_exits_2(self, capsys, tmp_path):
+        assert main(["scenario", "gate", "--results", str(tmp_path)]) == 2
+
+
 class TestThroughputFlags:
-    """ISSUE 9 satellite: `repro throughput --shards/--batch-size` —
+    """The engine's `--shards/--batch-size` flags (on `repro profile`):
     invalid values exit 2 with a message, never a traceback."""
 
     def test_shards_below_one_exits_2(self, capsys):
-        assert main(["throughput", "--shards", "0"]) == 2
+        assert main(["profile", "--shards", "0"]) == 2
         assert "--shards must be >= 1" in capsys.readouterr().err
 
     def test_negative_shards_exits_2(self, capsys):
-        assert main(["throughput", "--shards", "-3"]) == 2
+        assert main(["profile", "--shards", "-3"]) == 2
         assert "--shards must be >= 1" in capsys.readouterr().err
 
     def test_batch_size_below_one_exits_2(self, capsys):
-        assert main(["throughput", "--batch-size", "0"]) == 2
+        assert main(["profile", "--batch-size", "0"]) == 2
         assert "--batch-size must be >= 1" in capsys.readouterr().err
 
     def test_sharded_batched_sweep_runs(self, capsys):
-        assert main(["throughput", "--tenants", "1", "2", "--baseline", "0",
-                     "--shards", "2", "--batch-size", "4",
-                     "--seed", "cli-test"]) == 0
+        assert main(["profile", "--tenants", "2", "--shards", "2",
+                     "--batch-size", "4", "--seed", "cli-test"]) == 0
         out = capsys.readouterr().out
-        assert "shards=2" in out
-        assert "batches" in out
+        assert "2 shard(s)" in out
+        assert "batch=4" in out
+
+    def test_replication_profile_needs_a_directory(self, capsys):
+        assert main(["replication", "--profile"]) == 2
+        assert "--profile requires --profile-dir" in capsys.readouterr().err
