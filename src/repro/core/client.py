@@ -153,11 +153,13 @@ class TpnrClient(TpnrParty):
         # anything — a crash after this point can re-send the upload.
         self.journal_txn(record)
         if self.journal is not None:
+            # The NRO's H(data) names the payload in the blob segment.
+            self.journal.blobs.note_digest(handle.data, data_hash)
             self.journal.log(
                 "client.upload",
                 txn=transaction_id,
                 provider=provider,
-                data=bytes(data),
+                data=handle.data,
                 data_hash=data_hash,
                 data_size=len(data),
                 auto_resolve=auto_resolve,
@@ -532,7 +534,7 @@ class TpnrClient(TpnrParty):
             result.detail = "stored data differs from uploaded data (evidence retained)"
         # The verdict must be durable before Bob learns we have the
         # bytes — the ack is what stops his serve retransmits.
-        self._journal_download_result(result)
+        self._journal_download_result(result, served_hash)
         # Acknowledge receipt so Bob also ends with download evidence.
         ack_header = self.make_header(
             Flag.DOWNLOAD_ACK, handle.provider, transaction_id, served_hash
@@ -545,8 +547,13 @@ class TpnrClient(TpnrParty):
         if self.on_download_complete is not None:
             self.on_download_complete(result)
 
-    def _journal_download_result(self, result: DownloadResult) -> None:
+    def _journal_download_result(
+        self, result: DownloadResult, served_hash: bytes | None = None
+    ) -> None:
         if self.journal is not None:
+            if served_hash is not None:
+                # The provider signed H(served bytes); it names the blob.
+                self.journal.blobs.note_digest(result.data, served_hash)
             self.journal.log(
                 "client.download.result",
                 txn=result.transaction_id,

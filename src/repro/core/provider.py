@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from ..crypto.drbg import HmacDrbg
 from ..crypto.hashes import digest
 from ..crypto.pki import Identity, KeyRegistry
+from ..errors import NoSuchObjectError
 from ..net.network import Envelope
 from ..storage.auditlog import AuditLog
 from ..storage.blobstore import BlobStore
@@ -294,8 +295,13 @@ class TpnrProvider(TpnrParty):
         )
 
     def _build_download_response(self, transaction_id: str, requester: str) -> TpnrMessage:
-        obj = self.store.get(_CONTAINER, transaction_id)
-        served = obj.data
+        try:
+            served = self.store.get(_CONTAINER, transaction_id).data
+        except NoSuchObjectError:
+            # The blob did not survive (its durable copy was damaged
+            # before a crash): serve nothing, signed as such, so the
+            # requester's check fails and the loss is ours to answer for.
+            served = b""
         self._audit("get", transaction_id, served)
         # Bob signs the hash of *exactly what he serves* — an honest
         # signature over possibly-tampered bytes, which is precisely

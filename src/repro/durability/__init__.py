@@ -5,8 +5,10 @@ it survive *process* faults.  The pieces, bottom-up:
 
 * :mod:`repro.durability.wal` — a simulated :class:`StableStore`
   (write buffer + fsync + crash with seeded torn-write/partial-fsync
-  faults) and a length+CRC-framed append-only :class:`WriteAheadLog`
-  whose reader truncates at the first damaged frame instead of raising;
+  faults), a length+CRC-framed append-only :class:`WriteAheadLog`
+  whose reader truncates at the first damaged frame instead of raising,
+  and the :class:`BlobSegment` beside it that holds each payload once,
+  named by its SHA-256;
 * :mod:`repro.durability.checkpoint` — :class:`PartyState`, the
   snapshot+replay representation of one party's protocol state
   (transactions, anti-replay counters, evidence, role handles), with
@@ -29,9 +31,10 @@ conflicting evidence.
 from .checkpoint import PartyState, apply_state, capture_state
 from .journal import PartyJournal
 from .recovery import RecoveryReport, recover
-from .wal import CrashFaultPolicy, StableStore, WalScan, WriteAheadLog
+from .wal import BlobSegment, CrashFaultPolicy, StableStore, WalScan, WriteAheadLog
 
 __all__ = [
+    "BlobSegment",
     "CrashFaultPolicy",
     "StableStore",
     "WalScan",

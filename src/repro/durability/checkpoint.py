@@ -424,9 +424,12 @@ def _apply_client(party: "TpnrClient", state: PartyState) -> None:
 def _apply_provider(party: "TpnrParty", state: PartyState) -> None:
     party.store = BlobStore(f"{party.name}/store")
     for blob in state.role_state.get("blobs", {}).values():
-        party.store.put(
-            blob["container"], blob["key"], blob["data"], at_time=party.now
-        )
+        # A blob whose segment frame did not survive stays lost: the
+        # next download of it fails verification and convicts us.
+        if blob["data"] is not None:
+            party.store.put(
+                blob["container"], blob["key"], blob["data"], at_time=party.now
+            )
     party.grants = {
         txn: set(names) for txn, names in state.role_state.get("grants", {}).items()
     }

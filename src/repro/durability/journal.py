@@ -5,12 +5,15 @@ holds (``party.journal``) and writes every evidence-bearing transition
 through **before** acting on it — the WAL discipline.  It owns:
 
 * the party's file in a shared :class:`~repro.durability.wal.StableStore`
-  (``<name>.wal``),
+  (``<name>.wal``) and its payload segment beside it
+  (``<name>.wal.blobs``, a :class:`~repro.durability.wal.BlobSegment`):
+  every payload field of a record or snapshot is written there once and
+  the log carries its SHA-256 instead,
 * the snapshot cadence (every ``snapshot_interval`` records a full
   :class:`~repro.durability.checkpoint.PartyState` snapshot is written
   *before* the triggering record, bounding replay work),
-* the crash fault policy applied to this party's file when the process
-  dies (:meth:`crash`).
+* the crash fault policy applied to both files when the process dies
+  (:meth:`crash`).
 
 The convenience loggers (:meth:`log_send` … :meth:`log_txn`) define the
 record vocabulary :meth:`PartyState.apply_record` understands; roles
@@ -29,7 +32,14 @@ from .checkpoint import (
     rebuild,
     txn_to_dict,
 )
-from .wal import HONEST_DISK, CrashFaultPolicy, StableStore, WalScan, WriteAheadLog
+from .wal import (
+    HONEST_DISK,
+    BlobSegment,
+    CrashFaultPolicy,
+    StableStore,
+    WalScan,
+    WriteAheadLog,
+)
 
 __all__ = ["PartyJournal"]
 
@@ -47,6 +57,7 @@ class PartyJournal:
         fault_rng: HmacDrbg | None = None,
     ) -> None:
         self.wal = WriteAheadLog(store, filename)
+        self.blobs = BlobSegment(store, f"{filename}.blobs")
         self.role = role
         self.snapshot_interval = max(1, snapshot_interval)
         self.crash_policy = crash_policy
@@ -96,7 +107,7 @@ class PartyJournal:
         at = self._now()
         if at is not None and "at" not in fields:
             fields["at"] = at
-        self.wal.append({"type": record_type, **fields})
+        self.wal.append({"type": record_type, **fields}, blobs=self.blobs.ref)
         self.records_logged += 1
         self._since_snapshot += 1
         party = self._party
@@ -109,7 +120,9 @@ class PartyJournal:
 
     def write_snapshot(self) -> None:
         state = capture_state(self._party, self.role)
-        self.wal.append({"type": "snapshot", "state": state.to_dict()})
+        self.wal.append(
+            {"type": "snapshot", "state": state.to_dict()}, blobs=self.blobs.ref
+        )
         self.snapshots_written += 1
         self._since_snapshot = 0
         party = self._party
@@ -149,20 +162,28 @@ class PartyJournal:
     # -- crashing and reading back ------------------------------------------
 
     def crash(self) -> None:
-        """The process died: lose this file's write buffer (per the
-        journal's fault policy)."""
+        """The process died: lose both files' write buffers (per the
+        journal's fault policy), then restart the segment from what
+        survived of it."""
         self.wal.store.crash(
-            self.crash_policy, rng=self.fault_rng, filenames=[self.wal.filename]
+            self.crash_policy,
+            rng=self.fault_rng,
+            filenames=[self.wal.filename, self.blobs.filename],
         )
+        self.blobs.restart()
         self.crashes += 1
 
     def durable_scan(self) -> WalScan:
-        return self.wal.durable_scan()
+        """The durable records, payload references resolved against the
+        segment's intact blobs (``None`` where none is intact)."""
+        return self.wal.durable_scan(self.blobs.durable_blobs())
 
     def durable_state(self) -> tuple[PartyState, WalScan, int]:
         """Rebuild the state the durable prefix describes.
 
-        Returns ``(state, scan, snapshots_seen)``.
+        Returns ``(state, scan, snapshots_seen)``.  A payload whose blob
+        did not survive intact comes back as ``None``; later records are
+        unaffected.
         """
         scan = self.durable_scan()
         state, snapshots = rebuild(scan.records, self.role)

@@ -17,20 +17,31 @@ On top of that sits :class:`WriteAheadLog`: length+CRC-framed records
 hex-tagged byte strings.  The reader (:meth:`WriteAheadLog.scan`)
 **truncates at the first damaged frame** instead of raising — a torn
 tail must cost at most the un-synced suffix, never the whole log.
+
+Stored payloads do not go through the log.  A :class:`BlobSegment`
+beside it holds each payload once, named by its SHA-256 — the H(data)
+every TPNR NRO/NRR signs — and the log records refer to it as
+``{"__blob__": <hex digest>}`` (Venus, arXiv:1502.04496, likewise keeps
+objects named by hash apart from their integrity metadata).  A
+reference resolves only to a blob whose bytes re-hash to it; one with
+no intact blob behind it resolves to ``None``, never to other bytes.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 from ..crypto.drbg import HmacDrbg
 from ..errors import StorageError
 
 __all__ = [
+    "BLOB_TAG",
+    "BlobSegment",
     "CrashFaultPolicy",
     "StableStore",
     "WalScan",
@@ -42,6 +53,13 @@ __all__ = [
 _FRAME_HEADER = struct.Struct(">II")  # (payload length, crc32(payload))
 _MAX_RECORD = 16 * 1024 * 1024
 _BYTES_TAG = "__bytes__"
+BLOB_TAG = "__blob__"
+#: The field that carries a payload wherever it appears in a record
+#: (``client.upload``, ``client.download.result``, ``provider.blob`` and
+#: the same entries inside snapshots); no other field is named so.
+_PAYLOAD_FIELD = "data"
+_BLOB_HEADER = struct.Struct(">I")  # payload length; the SHA-256 follows
+_DIGEST_SIZE = 32
 
 
 # ---------------------------------------------------------------------------
@@ -49,37 +67,55 @@ _BYTES_TAG = "__bytes__"
 # ---------------------------------------------------------------------------
 
 
-def _to_jsonable(value: Any) -> Any:
+def _to_jsonable(value: Any, blobs: Callable[[bytes], str] | None = None) -> Any:
     if isinstance(value, (bytes, bytearray)):
         return {_BYTES_TAG: bytes(value).hex()}
     if isinstance(value, dict):
-        return {str(k): _to_jsonable(v) for k, v in value.items()}
+        return {
+            str(k): {BLOB_TAG: blobs(v)}
+            if k == _PAYLOAD_FIELD and blobs is not None and isinstance(v, bytes)
+            else _to_jsonable(v, blobs)
+            for k, v in value.items()
+        }
     if isinstance(value, (list, tuple)):
-        return [_to_jsonable(v) for v in value]
+        return [_to_jsonable(v, blobs) for v in value]
     if isinstance(value, (str, int, float, bool)) or value is None:
         return value
     raise StorageError(f"cannot journal a {type(value).__name__}")
 
 
-def _from_jsonable(value: Any) -> Any:
+def _from_jsonable(value: Any, blobs: dict[str, bytes] | None = None) -> Any:
     if isinstance(value, dict):
-        if set(value) == {_BYTES_TAG}:
-            return bytes.fromhex(value[_BYTES_TAG])
-        return {k: _from_jsonable(v) for k, v in value.items()}
+        if len(value) == 1:
+            tag, body = next(iter(value.items()))
+            if tag == _BYTES_TAG:
+                return bytes.fromhex(body)
+            if tag == BLOB_TAG and blobs is not None:
+                return blobs.get(body)
+        return {k: _from_jsonable(v, blobs) for k, v in value.items()}
     if isinstance(value, list):
-        return [_from_jsonable(v) for v in value]
+        return [_from_jsonable(v, blobs) for v in value]
     return value
 
 
-def encode_record(record: dict) -> bytes:
-    """Canonical (sorted-key, compact) encoding of one WAL record."""
+def encode_record(record: dict, blobs: Callable[[bytes], str] | None = None) -> bytes:
+    """Canonical (sorted-key, compact) encoding of one WAL record.
+
+    With *blobs* (a :meth:`BlobSegment.ref`), every bytes payload field
+    is written to the segment and encoded as a reference to it, in the
+    same pass that hex-tags the remaining byte strings.
+    """
     return json.dumps(
-        _to_jsonable(record), sort_keys=True, separators=(",", ":")
+        _to_jsonable(record, blobs), sort_keys=True, separators=(",", ":")
     ).encode()
 
 
-def decode_record(payload: bytes) -> dict:
-    return _from_jsonable(json.loads(payload.decode()))
+def decode_record(payload: bytes, blobs: dict[str, bytes] | None = None) -> dict:
+    """Inverse of :func:`encode_record`.  With *blobs* (hex digest ->
+    intact bytes) references resolve to their bytes, or to ``None`` when
+    no intact blob carries that digest; without it they stay
+    ``{"__blob__": <hex digest>}``."""
+    return _from_jsonable(json.loads(payload.decode()), blobs)
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +195,11 @@ class StableStore:
     def pending_bytes(self, filename: str) -> int:
         return len(self._file(filename).pending)
 
+    def truncate_durable(self, filename: str, size: int) -> None:
+        """Cut *filename*'s durable region to *size* bytes (a restarted
+        process trimming an unparseable tail before appending again)."""
+        del self._file(filename).durable[size:]
+
     def filenames(self) -> list[str]:
         return sorted(self._files)
 
@@ -228,11 +269,16 @@ class WriteAheadLog:
         self.filename = filename
         self.appends = 0
 
-    def append(self, record: dict, sync: bool = True) -> None:
+    def append(
+        self,
+        record: dict,
+        sync: bool = True,
+        blobs: Callable[[bytes], str] | None = None,
+    ) -> None:
         """Frame and append one record; fsync by default (the WAL
         discipline: the record must be durable before its effect is
-        acted on)."""
-        payload = encode_record(record)
+        acted on).  *blobs* is passed to :func:`encode_record`."""
+        payload = encode_record(record, blobs)
         if len(payload) > _MAX_RECORD:
             raise StorageError(f"WAL record too large ({len(payload)} bytes)")
         frame = _FRAME_HEADER.pack(len(payload), zlib.crc32(payload)) + payload
@@ -245,13 +291,14 @@ class WriteAheadLog:
         self.store.fsync(self.filename)
 
     @staticmethod
-    def scan(image: bytes) -> WalScan:
+    def scan(image: bytes, blobs: dict[str, bytes] | None = None) -> WalScan:
         """Parse a log image, truncating at the first damaged frame.
 
         A short header, an absurd length, a CRC mismatch, or an
         undecodable payload all end the scan *cleanly*: every record
         before the damage is returned, the damage itself is reported
-        via :attr:`WalScan.truncated` — never an exception.
+        via :attr:`WalScan.truncated` — never an exception.  Blob
+        references resolve through *blobs* (see :func:`decode_record`).
         """
         scan = WalScan(total_bytes=len(image))
         offset = 0
@@ -265,7 +312,7 @@ class WriteAheadLog:
             if zlib.crc32(payload) != crc:
                 break
             try:
-                record = decode_record(payload)
+                record = decode_record(payload, blobs)
             except Exception:
                 break
             scan.records.append(record)
@@ -273,10 +320,94 @@ class WriteAheadLog:
             scan.valid_bytes = offset
         return scan
 
-    def durable_scan(self) -> WalScan:
+    def durable_scan(self, blobs: dict[str, bytes] | None = None) -> WalScan:
         """Records that would survive a crash right now."""
-        return self.scan(self.store.durable_bytes(self.filename))
+        return self.scan(self.store.durable_bytes(self.filename), blobs)
 
     def records(self) -> Iterator[dict]:
         """All records visible to the running process."""
         return iter(self.scan(self.store.volatile_view(self.filename)).records)
+
+
+# ---------------------------------------------------------------------------
+# The blob segment
+# ---------------------------------------------------------------------------
+
+
+class BlobSegment:
+    """Write-once, content-addressed payload frames beside a WAL.
+
+    Each frame is ``>I length, 32-byte SHA-256, raw bytes``.  The frame
+    is fsynced before :meth:`ref` returns, so it is durable before the
+    log record that refers to it.  A payload already written is not
+    written again: a verified download of an uploaded payload, or a
+    snapshot re-listing stored blobs, costs a reference only.
+    """
+
+    def __init__(self, store: StableStore, filename: str) -> None:
+        self.store = store
+        self.filename = filename
+        # Hex digests of the frames in the segment as this process
+        # knows it: appended since start-up, or intact after a crash.
+        self._written: set[str] = set()
+        # payload -> hex SHA-256, so a payload named once is not
+        # re-hashed by every snapshot that lists it again.  It keeps
+        # each payload alive until the next crash, as the segment does.
+        self._digests: dict[bytes, str] = {}
+
+    def note_digest(self, data: bytes, digest: bytes) -> None:
+        """Record that *digest* is the SHA-256 of *data* (a hash the
+        caller just computed over exactly these bytes)."""
+        self._digests[data] = digest.hex()
+
+    def ref(self, data: bytes) -> str:
+        """The hex SHA-256 naming *data*, its frame made durable first."""
+        digest = self._digests.get(data)
+        if digest is None:
+            digest = hashlib.sha256(data).hexdigest()
+            self._digests[data] = digest
+        if digest not in self._written:
+            self.store.append(
+                self.filename,
+                _BLOB_HEADER.pack(len(data)) + bytes.fromhex(digest) + data,
+            )
+            self.store.fsync(self.filename)
+            self._written.add(digest)
+        return digest
+
+    @staticmethod
+    def scan(image: bytes) -> tuple[dict[str, bytes], int]:
+        """Every intact blob of a segment image, and where framing ends.
+
+        Each frame's bytes are re-hashed; one that does not match its
+        digest is skipped, never returned.  The scan stops at a frame
+        that overruns the image (a torn or chopped tail).
+        """
+        blobs: dict[str, bytes] = {}
+        offset = 0
+        head = _BLOB_HEADER.size + _DIGEST_SIZE
+        while offset + head <= len(image):
+            (length,) = _BLOB_HEADER.unpack_from(image, offset)
+            start = offset + head
+            end = start + length
+            if end > len(image):
+                break
+            digest = image[offset + _BLOB_HEADER.size : start].hex()
+            data = image[start:end]
+            if hashlib.sha256(data).hexdigest() == digest:
+                blobs.setdefault(digest, data)
+            offset = end
+        return blobs, offset
+
+    def durable_blobs(self) -> dict[str, bytes]:
+        """Intact blobs that would survive a crash right now."""
+        return self.scan(self.store.durable_bytes(self.filename))[0]
+
+    def restart(self) -> None:
+        """Start over from the durable image after a crash: trim a torn
+        tail so the next frame is parseable, and forget every digest
+        whose frame did not survive intact."""
+        blobs, end = self.scan(self.store.durable_bytes(self.filename))
+        self.store.truncate_durable(self.filename, end)
+        self._written = set(blobs)
+        self._digests = {}

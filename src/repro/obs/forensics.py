@@ -345,7 +345,18 @@ class TimelineReconstructor:
         if rtype == "txn":
             return f"status={record.get('status')}"
         keys = sorted(k for k in record if k not in ("type", "at"))
-        return " ".join(f"{k}={record[k]!r}"[:32] for k in keys[:3])
+        return " ".join(_wal_field(k, record[k]) for k in keys[:3])
+
+
+def _wal_field(key: str, value) -> str:
+    """One record field, short: a blob-segment reference shows as the
+    payload's digest prefix, anything else as a truncated repr."""
+    # Imported here: repro.durability imports core, which imports obs.
+    from ..durability.wal import BLOB_TAG
+
+    if isinstance(value, dict) and set(value) == {BLOB_TAG}:
+        return f"{key}=sha256:{value[BLOB_TAG][:12]}"
+    return f"{key}={value!r}"[:32]
 
 
 # ---------------------------------------------------------------------------

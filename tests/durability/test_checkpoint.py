@@ -1,5 +1,9 @@
 """Snapshot + replay: PartyState and the live-party codecs."""
 
+import hashlib
+import random
+import struct
+
 from repro.core.protocol import make_deployment, run_session
 from repro.core.transaction import TxStatus
 from repro.durability.checkpoint import (
@@ -8,6 +12,7 @@ from repro.durability.checkpoint import (
     capture_state,
     rebuild,
 )
+from repro.durability.wal import BlobSegment
 
 
 def evidence_record(signer="bob", seq=0, nonce=b"\x01" * 8):
@@ -146,3 +151,48 @@ class TestLivePartyRoundTrip:
         apply_state(dep.provider, state)
         objs = dep.provider.store.objects()
         assert [o.data for o in objs] == [b"the stored object"]
+
+
+def byte_values(value):
+    """Every bytes value anywhere inside a decoded WAL record."""
+    if isinstance(value, bytes):
+        yield value
+    elif isinstance(value, dict):
+        for v in value.values():
+            yield from byte_values(v)
+    elif isinstance(value, list):
+        for v in value:
+            yield from byte_values(v)
+
+
+class TestSnapshotsReferToPayloads:
+    """Payloads are journaled once, in the blob segment: snapshots and
+    payload records carry their SHA-256, so WAL frames stay small no
+    matter how much the party stores."""
+
+    PAYLOAD = 64 * 1024
+
+    def test_wal_frames_stay_below_one_payload(self):
+        dep = make_deployment(seed=b"ckpt-blob-segment", durable=True,
+                              snapshot_interval=4)
+        rng = random.Random("ckpt-blob-segment")
+        payloads = [rng.randbytes(self.PAYLOAD) for _ in range(20)]
+        for payload in payloads:
+            assert run_session(dep, payload).download.verified
+        expected = {hashlib.sha256(p).hexdigest(): p for p in payloads}
+        for party in (dep.client, dep.provider):
+            journal = party.journal
+            assert journal.snapshots_written >= 20
+            image = dep.stable.durable_bytes(journal.wal.filename)
+            frames, offset = [], 0
+            while offset < len(image):
+                (length,) = struct.unpack_from(">I", image, offset)
+                frames.append(length)
+                offset += 8 + length
+            assert max(frames) < self.PAYLOAD
+            for record in journal.wal.records():
+                assert all(len(v) < self.PAYLOAD for v in byte_values(record))
+            segment = dep.stable.durable_bytes(journal.blobs.filename)
+            assert BlobSegment.scan(segment) == (expected, len(segment))
+            # Each distinct payload exactly once: one frame apiece.
+            assert len(segment) == sum(4 + 32 + len(p) for p in payloads)

@@ -6,9 +6,19 @@ WAL tail, a lying disk — and checks recovery lands the session in a
 consistent terminal state without exceptions.
 """
 
+import hashlib
+
 import pytest
 
-from repro.core.protocol import make_deployment, run_session, run_upload
+from repro.core.arbitrator import Verdict
+from repro.core.messages import Flag
+from repro.core.protocol import (
+    dispute_tampering,
+    make_deployment,
+    run_download,
+    run_session,
+    run_upload,
+)
 from repro.core.transaction import TxStatus
 from repro.crypto.drbg import HmacDrbg
 from repro.durability.checkpoint import capture_state
@@ -161,6 +171,93 @@ class TestDamagedWalTail:
         )
         lost = journal.acked_evidence - journal.durable_evidence_keys()
         assert lost  # acknowledged, then silently un-persisted: caught
+
+
+#: The storage faults a damaged payload frame can take.
+BLOB_DAMAGE = {
+    "flipped-byte": CrashFaultPolicy(corrupt_tail_prob=1.0),
+    # The disk acknowledged the frame's fsync but only a prefix of the
+    # write buffer reached the platter.
+    "torn-tail": CrashFaultPolicy(keep_pending_prob=1.0, torn_write_prob=1.0),
+    "lost-durable-tail": CrashFaultPolicy(lose_durable_tail_prob=1.0),
+}
+
+
+def damage_segment(dep, party, mode, monkeypatch, write):
+    """Run *write* (which journals one new payload, the segment's last
+    frame), then damage that frame with one storage fault."""
+    segment = party.journal.blobs.filename
+    if mode == "torn-tail":
+        fsync = dep.stable.fsync
+        monkeypatch.setattr(
+            dep.stable, "fsync", lambda f: None if f == segment else fsync(f)
+        )
+    result = write()
+    monkeypatch.undo()
+    dep.stable.crash(
+        BLOB_DAMAGE[mode], rng=HmacDrbg(mode.encode()), filenames=[segment]
+    )
+    return result
+
+
+class TestDamagedBlobFailsClosed:
+    """Payloads live in the journal's blob segment; damaging a frame
+    must cost that payload only, never substitute other bytes, and
+    never the WAL records logged after it."""
+
+    @pytest.mark.parametrize("mode", sorted(BLOB_DAMAGE))
+    def test_client_payload_lost_escalates(self, mode, monkeypatch):
+        dep = make_deployment(seed=b"rec-blob-" + mode.encode(), durable=True)
+        settled_payload = b"settled payload " * 8
+        settled = run_upload(dep, settled_payload).transaction_id
+        arm(dep, drop_first("tpnr.upload", count=99))
+        journal = dep.client.journal
+        lost = damage_segment(
+            dep, dep.client, mode, monkeypatch,
+            lambda: dep.client.upload(dep.provider.name, b"in flight " * 12),
+        )
+        # Evidence acked after the damaged frame: the provider's NRR
+        # over the bytes it serves for the settled upload.
+        dep.client.download(settled)
+        # Long enough for the download, well short of the stuck
+        # upload's response timeout.
+        dep.run(until=dep.sim.now + 1.0)
+        assert dep.client.downloads[settled].verified
+        served = dep.client.evidence_store.latest(settled, Flag.DOWNLOAD_RESPONSE)
+        assert served is not None
+        dep.client.begin_crash(amnesia=True)
+        report = recover(dep.client)
+        assert f"upload escalated to resolve: {lost}" in report.actions
+        assert dep.client.uploads[lost].data is None
+        for handle in dep.client.uploads.values():
+            if handle.data is not None:
+                assert hashlib.sha256(handle.data).digest() == handle.data_hash
+        assert dep.client.downloads[settled].data == settled_payload
+        assert journal.acked_evidence <= dep.client.evidence_store.seen_keys()
+        assert dep.client.evidence_store.holds(served)
+        dep.run()
+        assert dep.client.transactions[lost].status in (
+            TxStatus.RESOLVED, TxStatus.FAILED,
+        )
+
+    @pytest.mark.parametrize("mode", sorted(BLOB_DAMAGE))
+    def test_provider_blob_lost_convicts_provider(self, mode, monkeypatch):
+        dep = make_deployment(seed=b"rec-pblob-" + mode.encode(), durable=True)
+        payload = b"stored then damaged " * 8
+        txn = damage_segment(
+            dep, dep.provider, mode, monkeypatch,
+            lambda: run_upload(dep, payload).transaction_id,
+        )
+        assert dep.client.transactions[txn].status is TxStatus.COMPLETED
+        dep.provider.begin_crash(amnesia=True)
+        recover(dep.provider)
+        assert not dep.provider.store.exists("tpnr-data", txn)
+        assert dep.provider.journal.acked_evidence <= (
+            dep.provider.evidence_store.seen_keys())
+        result = run_download(dep, txn)
+        assert not result.verified and result.tampering_detected
+        assert result.data != payload
+        assert dispute_tampering(dep, txn).verdict is Verdict.PROVIDER_FAULT
 
 
 class TestRecoveryWithoutJournal:

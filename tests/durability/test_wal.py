@@ -1,5 +1,6 @@
 """Stable storage, crash fault policies, and the framed WAL reader."""
 
+import hashlib
 import struct
 import zlib
 
@@ -7,6 +8,8 @@ import pytest
 
 from repro.crypto.drbg import HmacDrbg
 from repro.durability.wal import (
+    BLOB_TAG,
+    BlobSegment,
     CrashFaultPolicy,
     StableStore,
     WriteAheadLog,
@@ -189,3 +192,68 @@ class TestWalScan:
         wal = WriteAheadLog(store, "w")
         with pytest.raises(StorageError, match="too large"):
             wal.append({"blob": b"x" * (17 * 1024 * 1024)})
+
+
+class TestBlobSegment:
+    PAYLOAD = b"stored payload " * 4
+
+    def make(self):
+        store = StableStore()
+        return store, WriteAheadLog(store, "w"), BlobSegment(store, "w.blobs")
+
+    def test_payload_field_becomes_a_reference(self):
+        store, wal, segment = self.make()
+        wal.append({"type": "client.upload", "data": self.PAYLOAD, "sig": b"\x01"},
+                   blobs=segment.ref)
+        digest = hashlib.sha256(self.PAYLOAD).hexdigest()
+        [record] = wal.records()
+        assert record == {"type": "client.upload", "data": {BLOB_TAG: digest},
+                          "sig": b"\x01"}
+        assert self.PAYLOAD not in store.durable_bytes("w")
+        [resolved] = wal.durable_scan(segment.durable_blobs()).records
+        assert resolved["data"] == self.PAYLOAD
+
+    def test_each_payload_written_once(self):
+        store, wal, segment = self.make()
+        for _ in range(3):
+            wal.append({"type": "r", "data": self.PAYLOAD}, blobs=segment.ref)
+        wal.append({"type": "snapshot", "state": {"blobs": {"k": {"data": self.PAYLOAD}}}},
+                   blobs=segment.ref)
+        assert len(store.durable_bytes("w.blobs")) == 4 + 32 + len(self.PAYLOAD)
+
+    def test_frame_durable_before_the_record(self):
+        store, wal, segment = self.make()
+        wal.append({"type": "r", "data": self.PAYLOAD}, sync=False, blobs=segment.ref)
+        assert store.pending_bytes("w.blobs") == 0
+        assert segment.durable_blobs() == {
+            hashlib.sha256(self.PAYLOAD).hexdigest(): self.PAYLOAD}
+
+    def test_missing_or_damaged_blob_resolves_to_none(self):
+        store, wal, segment = self.make()
+        wal.append({"type": "r", "data": self.PAYLOAD}, blobs=segment.ref)
+        image = bytearray(store.durable_bytes("w.blobs"))
+        image[-1] ^= 0xFF
+        blobs, end = BlobSegment.scan(bytes(image))
+        assert blobs == {} and end == len(image)
+        [record] = wal.durable_scan(blobs).records
+        assert record["data"] is None
+
+    def test_damaged_frame_skipped_later_frames_kept(self):
+        store, _, segment = self.make()
+        first, second = b"first payload", b"second payload"
+        segment.ref(first)
+        segment.ref(second)
+        image = bytearray(store.durable_bytes("w.blobs"))
+        image[4 + 32] ^= 0xFF  # first byte of the first payload
+        blobs, _ = BlobSegment.scan(bytes(image))
+        assert blobs == {hashlib.sha256(second).hexdigest(): second}
+
+    def test_restart_trims_torn_tail_and_rewrites_lost_blob(self):
+        store, _, segment = self.make()
+        segment.ref(self.PAYLOAD)
+        store.crash(CrashFaultPolicy(lose_durable_tail_prob=1.0), rng=HmacDrbg(b"chop"))
+        segment.restart()
+        assert store.durable_bytes("w.blobs") == b""  # the torn frame is cut
+        segment.ref(self.PAYLOAD)  # no longer known written: appended again
+        assert segment.durable_blobs() == {
+            hashlib.sha256(self.PAYLOAD).hexdigest(): self.PAYLOAD}

@@ -91,6 +91,17 @@ class TestTimelineReconstruction:
             renders.append(dep.timeline(txn).render().replace(txn, "TXN"))
         assert renders[0] == renders[1]
 
+    def test_wal_payloads_render_as_digest_prefix(self, clean):
+        # Payload fields live in the blob segment; the WAL row names
+        # the payload by its SHA-256, which is the signed H(data).
+        dep, txn = clean
+        prefix = dep.client.transactions[txn].data_hash.hex()[:12]
+        details = {e.kind: e.detail for e in dep.timeline(txn).entries
+                   if e.source == "wal"}
+        for kind in ("wal:client.upload", "wal:client.download.result",
+                     "wal:provider.blob"):
+            assert f"data=sha256:{prefix}" in details[kind].split()
+
     def test_render_truncates_to_max_rows(self, clean):
         dep, txn = clean
         timeline = dep.timeline(txn)
