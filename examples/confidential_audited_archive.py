@@ -1,21 +1,17 @@
 #!/usr/bin/env python3
-"""The full enterprise stack: confidentiality + audit trail + archives.
+"""Confidentiality + evidence archives on top of TPNR.
 
-Combines every layer the library provides on top of the paper's core
-protocol, in the paper's own scenario:
+The paper's own cross-user scenario (§2.4), with client-side
+encryption and archived evidence added:
 
 1. Alice (CFO) seals the ledger so only she and the chairman can read
    it — the provider stores ciphertext only (§2.4 concern 1).
-2. The provider runs a hash-chained, checkpoint-signed **audit log**,
-   committing to what it stores and serves over time.
-3. The provider is compromised and the stored ciphertext is replaced
+2. The provider is compromised and the stored ciphertext is replaced
    (with the stored digest fixed up — the stealthiest tamper).
-4. The chairman's download detects the substitution (TPNR closes the
+3. The chairman's download detects the substitution (TPNR closes the
    upload-to-download link across users).
-5. Both parties export their evidence to **JSON archives**; the
+4. Both parties export their evidence to **JSON archives**; the
    arbitrator re-verifies the rehydrated bundles and convicts.
-6. The audit log narrows *when* the tampering happened — between the
-   last clean serve and the first tampered one.
 
 Run:  python examples/confidential_audited_archive.py
 """
@@ -23,14 +19,12 @@ Run:  python examples/confidential_audited_archive.py
 from repro import (
     Verdict,
     make_deployment,
-    run_download,
     run_shared_download,
     run_upload,
 )
 from repro.core.archive import export_store, verify_bundle
-from repro.core.confidential import open_payload, recipients_of, seal_payload
-from repro.crypto.hashes import digest
-from repro.storage import AuditLog, TamperMode, apply_tamper, verify_chain
+from repro.core.confidential import recipients_of, seal_payload
+from repro.storage import TamperMode, apply_tamper
 
 LEDGER = b"FY2010 consolidated ledger, board copy. " * 32
 
@@ -38,7 +32,6 @@ LEDGER = b"FY2010 consolidated ledger, board copy. " * 32
 def main() -> None:
     dep = make_deployment(seed=b"enterprise-example",
                           provider_name="eve", extra_client_names=("chairman",))
-    dep.provider.audit_log = AuditLog(dep.provider.identity, checkpoint_interval=2)
 
     # 1. Seal for the two authorized readers; upload the ciphertext.
     ciphertext = seal_payload(LEDGER, ["alice", "chairman"], dep.registry, dep.rng)
@@ -49,19 +42,16 @@ def main() -> None:
     stored = dep.provider.store.get("tpnr-data", outcome.transaction_id)
     print(f"provider can read the plaintext: {LEDGER[:20] in stored.data}")
 
-    # 2. One clean download by Alice (lands in the audit log).
-    run_download(dep, outcome.transaction_id)
-
-    # 3. Compromise: stealthiest possible in-storage substitution.
+    # 2. Compromise: stealthiest possible in-storage substitution.
     apply_tamper(dep.provider.store, "tpnr-data", outcome.transaction_id,
                  TamperMode.FIXUP_MD5, dep.rng)
     print("\n[provider storage compromised: contents replaced, digest fixed up]\n")
 
-    # 4. The chairman downloads and TPNR catches it.
+    # 3. The chairman downloads and TPNR catches it.
     result = run_shared_download(dep, outcome.transaction_id, "chairman")
     print(f"chairman's download: tampering detected = {result.tampering_detected}")
 
-    # 5. Evidence to JSON archives; arbitration from the files alone.
+    # 4. Evidence to JSON archives; arbitration from the files alone.
     chairman = dep.extra_clients["chairman"]
     claim = export_store(chairman.evidence_store, outcome.transaction_id)
     rebuttal = export_store(dep.provider.evidence_store, outcome.transaction_id)
@@ -74,21 +64,8 @@ def main() -> None:
     )
     print(f"arbitrator (from archives): {ruling.verdict.value}")
     assert ruling.verdict is Verdict.PROVIDER_FAULT
-
-    # 6. Forensics: when did it happen?
-    log = dep.provider.audit_log
-    covered = verify_chain(log.entries, log.checkpoints, dep.registry, "eve")
-    expected_digest = digest("sha256", ciphertext)
-    last_ok, first_bad = log.last_change_between_checkpoints(
-        "tpnr-data", outcome.transaction_id, expected_digest
-    )
-    print(f"\naudit chain verified ({len(log.entries)} entries, "
-          f"signed through entry {covered})")
-    print(f"tamper window: after log entry {last_ok} "
-          f"(t={log.entries[last_ok].at_time:.2f}) and by entry {first_bad} "
-          f"(t={log.entries[first_bad].at_time:.2f})")
-    print("\nEve is convicted; the plaintext was never exposed; the incident is")
-    print("time-bounded — confidentiality, non-repudiation, and auditability compose.")
+    print("\nEve is convicted and the plaintext was never exposed:")
+    print("confidentiality and non-repudiation compose.")
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ Subpackages
 
 ``repro.crypto``
     From-scratch crypto substrate: MD5/SHA-256, HMAC, ChaCha20+AEAD,
-    RSA, DH, RSA-KEM hybrid encryption, DSA, Shamir secret sharing, a
+    RSA, DH, RSA-KEM hybrid encryption, Shamir secret sharing, a
     deterministic DRBG, and a miniature PKI.
 ``repro.net``
     Deterministic discrete-event network simulation with adversary

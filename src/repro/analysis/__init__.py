@@ -25,7 +25,7 @@ from .experiments import (
 )
 from .diagram import sequence_diagram
 from .metrics import ProtocolCost, compare, measure
-from .stats import format_rate, mean_ci, wilson_interval
+from .stats import format_rate, wilson_interval
 from .workload import WorkloadReport, WorkloadSpec, resilience_sweep, run_workload
 from .report import render_kv, render_table, section
 
@@ -34,7 +34,6 @@ __all__ = [
     "stats",
     "sequence_diagram",
     "format_rate",
-    "mean_ci",
     "wilson_interval",
     "experiments",
     "metrics",

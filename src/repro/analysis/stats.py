@@ -3,19 +3,17 @@
 Detection/attribution rates in the F5 experiment are binomial
 proportions estimated from a finite number of trials; reporting them
 bare invites over-reading.  This module provides Wilson score intervals
-(well-behaved at p = 0 and p = 1, unlike the normal approximation) and
-simple mean/confidence summaries for latency samples.
+(well-behaved at p = 0 and p = 1, unlike the normal approximation).
 """
 
 from __future__ import annotations
 
 import math
-
-from scipy import stats as sps
+from statistics import NormalDist
 
 from ..errors import ReproError
 
-__all__ = ["wilson_interval", "format_rate", "mean_ci"]
+__all__ = ["wilson_interval", "format_rate"]
 
 
 def wilson_interval(successes: int, trials: int, confidence: float = 0.95) -> tuple[float, float]:
@@ -26,7 +24,7 @@ def wilson_interval(successes: int, trials: int, confidence: float = 0.95) -> tu
         raise ReproError(f"successes {successes} out of range for {trials} trials")
     if not 0 < confidence < 1:
         raise ReproError("confidence must be in (0, 1)")
-    z = float(sps.norm.ppf(0.5 + confidence / 2))
+    z = NormalDist().inv_cdf(0.5 + confidence / 2)
     p = successes / trials
     denom = 1 + z * z / trials
     centre = (p + z * z / (2 * trials)) / denom
@@ -47,19 +45,3 @@ def format_rate(successes: int, trials: int, confidence: float = 0.95) -> str:
     low, high = wilson_interval(successes, trials, confidence)
     return f"{successes / trials:.2f} [{low:.2f}, {high:.2f}]"
 
-
-def mean_ci(samples: list[float], confidence: float = 0.95) -> tuple[float, float, float]:
-    """(mean, low, high) using the t-distribution.
-
-    A single sample gets a degenerate interval at its own value.
-    """
-    if not samples:
-        raise ReproError("no samples")
-    n = len(samples)
-    mean = sum(samples) / n
-    if n == 1:
-        return mean, mean, mean
-    variance = sum((x - mean) ** 2 for x in samples) / (n - 1)
-    sem = math.sqrt(variance / n)
-    t = float(sps.t.ppf(0.5 + confidence / 2, df=n - 1))
-    return mean, mean - t * sem, mean + t * sem

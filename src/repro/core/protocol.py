@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 from ..crypto.drbg import HmacDrbg
 from ..crypto.pki import CertificateAuthority, Identity, KeyRegistry
+from ..errors import EvidenceError
 from ..net.channel import PERFECT, ChannelSpec
 from ..net.events import Simulator
 from ..net.network import Network
@@ -28,6 +29,7 @@ from .ttp import TrustedThirdParty
 __all__ = [
     "Deployment",
     "make_deployment",
+    "settle_batches",
     "run_upload",
     "run_download",
     "run_abort",
@@ -69,42 +71,11 @@ class Deployment:
         return (self.client, self.provider, self.ttp, *self.extra_clients.values())
 
     def settle_batches(self, strict: bool = True) -> dict:
-        """End-of-run batched-evidence settlement.
-
-        Seals every emitter's partial batch, then resolves each party's
-        pending batched evidence against the ledger.  Returns
-        ``{"resolved": n, "failed": n, "batches": n}``.  With *strict*
-        (the default) any failure — an item whose covering batch never
-        sealed or whose inclusion proof does not verify — raises
-        :class:`~repro.errors.EvidenceError`: unsettled evidence must
-        never pass silently.  ``strict=False`` is for dispute flows
-        that want to convict from the failures instead.
-        """
+        """End-of-run batched-evidence settlement of every party (see
+        :func:`settle_batches`); all zeros when evidence is classic."""
         if self.ledger is None:
-            return {"resolved": 0, "failed": 0, "batches": 0}
-        from ..errors import EvidenceError
-
-        for party in self.parties():
-            if party.batcher is not None:
-                party.batcher.seal()
-        resolved = failed = 0
-        for party in self.parties():
-            got, bad = party.settle_batched_evidence()
-            resolved += got
-            failed += bad
-        if strict and failed:
-            losers = [
-                (p.name, e.header.transaction_id)
-                for p in self.parties() for e in p.batched_failures
-            ]
-            raise EvidenceError(
-                f"{failed} batched evidence item(s) failed settlement: {losers}"
-            )
-        return {
-            "resolved": resolved,
-            "failed": failed,
-            "batches": len(self.ledger.batches),
-        }
+            return {"batches": 0, "leaves": 0, "resolved": 0, "failed": 0}
+        return settle_batches(self.parties(), self.ledger, strict)
 
     # -- forensics -----------------------------------------------------------
     # Imported lazily: repro.obs.forensics reaches back into core for
@@ -154,6 +125,43 @@ class SessionOutcome:
     provider_evidence: int = 0
 
 
+def settle_batches(parties, ledger, strict: bool = True) -> dict:
+    """End-of-run batched-evidence settlement over *parties*.
+
+    Seals every emitter's partial batch, then resolves each party's
+    pending batched evidence against *ledger*.  Returns
+    ``{"batches": n, "leaves": n, "resolved": n, "failed": n}``.  With
+    *strict* (the default) any failure — an item whose covering batch
+    never sealed or whose inclusion proof does not verify — raises
+    :class:`~repro.errors.EvidenceError`: unsettled evidence must never
+    pass silently.  ``strict=False`` is for dispute flows that want to
+    convict from the failures instead.
+    """
+    parties = tuple(parties)
+    for party in parties:
+        if party.batcher is not None:
+            party.batcher.seal()
+    resolved = failed = 0
+    for party in parties:
+        got, bad = party.settle_batched_evidence()
+        resolved += got
+        failed += bad
+    if strict and failed:
+        losers = [
+            (p.name, e.header.transaction_id)
+            for p in parties for e in p.batched_failures
+        ]
+        raise EvidenceError(
+            f"{failed} batched evidence item(s) failed settlement: {losers[:8]}"
+        )
+    return {
+        "batches": len(ledger.batches),
+        "leaves": ledger.leaves_published,
+        "resolved": resolved,
+        "failed": failed,
+    }
+
+
 def make_deployment(
     seed: bytes | str = b"tpnr-deployment",
     channel: ChannelSpec = PERFECT,
@@ -164,7 +172,6 @@ def make_deployment(
     provider_name: str = "bob",
     ttp_name: str = "ttp",
     extra_client_names: tuple[str, ...] = (),
-    topology=None,
     durable: bool = False,
     snapshot_interval: int = 48,
     observe: bool = False,
@@ -174,10 +181,8 @@ def make_deployment(
     """Build a client + provider + TTP + arbitrator world.
 
     *extra_client_names* adds further user roles (for the cross-user
-    sharing scenarios).  When a :class:`repro.net.topology.Topology` is
-    given, its compiled per-pair channels override *channel* for every
-    host pair it covers (all role names must be hosts of the topology).
-    All keys derive from *seed*; identical seeds give bit-identical runs.
+    sharing scenarios).  All keys derive from *seed*; identical seeds
+    give bit-identical runs.
 
     *identities* supplies pre-generated :class:`Identity` objects by
     name; any role found there skips key generation (the dominant cost
@@ -243,8 +248,6 @@ def make_deployment(
             )
     for node in (client, provider, ttp, *extra_clients.values()):
         network.add_node(node)
-    if topology is not None:
-        topology.install(network)
     stable = None
     if durable:
         # Imported lazily: repro.durability imports core modules, so a

@@ -21,7 +21,6 @@ from ..crypto.hashes import digest
 from ..crypto.pki import Identity, KeyRegistry
 from ..errors import NoSuchObjectError
 from ..net.network import Envelope
-from ..storage.auditlog import AuditLog
 from ..storage.blobstore import BlobStore
 from ..storage.tamper import TamperMode, apply_tamper
 from .messages import Flag, ResolveAction, TpnrMessage
@@ -70,7 +69,6 @@ class TpnrProvider(TpnrParty):
         ttp_name: str = "ttp",
         policy: TpnrPolicy = DEFAULT_POLICY,
         behavior: ProviderBehavior = HONEST,
-        audit_log: "AuditLog | None" = None,
     ) -> None:
         super().__init__(identity, registry, rng, ttp_name, policy)
         self.behavior = behavior
@@ -79,17 +77,6 @@ class TpnrProvider(TpnrParty):
         self.grants: dict[str, set[str]] = {}  # txn -> authorized downloaders
         self.duplicate_requests = 0  # retransmitted uploads answered idempotently
         self._download_acked: set[tuple[str, str]] = set()  # (txn, requester)
-        # Optional hash-chained audit trail.  Note what it can and
-        # cannot witness: the *service path* (uploads stored, bytes
-        # served) is logged; raw in-storage tampering bypasses the
-        # service and is only caught when the tampered bytes are next
-        # served — which is exactly the forensic narrowing the audit
-        # log exists for.
-        self.audit_log = audit_log
-
-    def _audit(self, operation: str, key: str, data: bytes) -> None:
-        if self.audit_log is not None:
-            self.audit_log.append(operation, _CONTAINER, key, data, at_time=self.now)
 
     def stats(self) -> dict[str, int]:
         """Deterministic service-side tallies for engine/experiment reports."""
@@ -107,8 +94,6 @@ class TpnrProvider(TpnrParty):
 
     def _wipe_role_state(self) -> None:
         # withheld_receipts / duplicate_requests survive: observability.
-        # The audit log also survives — it models the storage layer's
-        # own persistent trail, not this process's memory.
         self.store = BlobStore(f"{self.name}/store")
         self.grants = {}
         self._download_acked = set()
@@ -194,7 +179,6 @@ class TpnrProvider(TpnrParty):
             return
         self.archive_evidence(opened)  # Alice's NRO
         self.store.put(_CONTAINER, transaction_id, data, at_time=self.now)
-        self._audit("put", transaction_id, data)
         record = TransactionRecord(
             transaction_id=transaction_id,
             role="provider",
@@ -302,7 +286,6 @@ class TpnrProvider(TpnrParty):
             # before a crash): serve nothing, signed as such, so the
             # requester's check fails and the loss is ours to answer for.
             served = b""
-        self._audit("get", transaction_id, served)
         # Bob signs the hash of *exactly what he serves* — an honest
         # signature over possibly-tampered bytes, which is precisely
         # what lets the Arbitrator attribute fault later.

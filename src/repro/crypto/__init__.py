@@ -12,7 +12,7 @@ standard library / RFC test vectors in the test suite; hot paths
 dispatch to ``hashlib`` where an equivalent exists.
 """
 
-from . import aead, batch, cache, chacha20, chacha20_np, dh, drbg, dsa, hashes, hmac_, kem, merkle, numbers, pki, primes, rsa, shamir
+from . import aead, batch, cache, chacha20, chacha20_np, dh, drbg, hashes, hmac_, kem, merkle, numbers, pki, primes, rsa, shamir
 from .batch import BatchLedger, BatchProof, EvidenceBatcher, SealedBatch, verify_batch_proof
 from .cache import CryptoCaches, LruCache, crypto_caches
 from .drbg import HmacDrbg
@@ -40,7 +40,6 @@ __all__ = [
     "chacha20_np",
     "dh",
     "drbg",
-    "dsa",
     "hashes",
     "hmac_",
     "kem",

@@ -17,8 +17,6 @@ __all__ = [
     "int_to_bytes",
     "bytes_to_int",
     "bit_length_bytes",
-    "iroot",
-    "is_perfect_square",
 ]
 
 
@@ -85,27 +83,3 @@ def bit_length_bytes(n: int) -> int:
     """Number of bytes needed to hold ``n`` (at least 1)."""
     return max(1, (n.bit_length() + 7) // 8)
 
-
-def iroot(n: int, k: int) -> int:
-    """Integer k-th root: the largest ``r`` with ``r**k <= n``."""
-    if n < 0:
-        raise CryptoError("iroot of negative number")
-    if n < 2:
-        return n
-    hi = 1 << ((n.bit_length() + k - 1) // k + 1)
-    lo = 0
-    while lo < hi - 1:
-        mid = (lo + hi) // 2
-        if mid**k <= n:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
-def is_perfect_square(n: int) -> bool:
-    """True if *n* is a perfect square (used by primality sanity checks)."""
-    if n < 0:
-        return False
-    r = iroot(n, 2)
-    return r * r == n

@@ -67,6 +67,9 @@ class PartyJournal:
         self.records_logged = 0
         self.snapshots_written = 0
         self.crashes = 0
+        # Whether the last crash cut a damaged WAL tail (recovery
+        # reports it; the cut itself leaves no trace in the file).
+        self.tail_cut = False
         # Incremental record of every evidence key fsynced so far; with
         # an honest disk this equals the scan-derived
         # :meth:`durable_evidence_keys` (a lying disk makes them differ
@@ -163,14 +166,19 @@ class PartyJournal:
 
     def crash(self) -> None:
         """The process died: lose both files' write buffers (per the
-        journal's fault policy), then restart the segment from what
-        survived of it."""
-        self.wal.store.crash(
+        journal's fault policy), then restart both files from what
+        survived of them.  The WAL is cut to its last intact frame, so
+        a torn tail never hides the records appended after recovery."""
+        wal = self.wal
+        wal.store.crash(
             self.crash_policy,
             rng=self.fault_rng,
-            filenames=[self.wal.filename, self.blobs.filename],
+            filenames=[wal.filename, self.blobs.filename],
         )
         self.blobs.restart()
+        scan = wal.durable_scan()
+        wal.store.truncate_durable(wal.filename, scan.valid_bytes)
+        self.tail_cut = scan.truncated
         self.crashes += 1
 
     def durable_scan(self) -> WalScan:

@@ -86,7 +86,7 @@ def recover(party: "TpnrParty", resume: bool = True) -> RecoveryReport:
     state, scan, snapshots = journal.durable_state()
     report.records_replayed = len(scan.records)
     report.snapshots_seen = snapshots
-    report.tail_truncated = scan.truncated
+    report.tail_truncated = scan.truncated or journal.tail_cut
     apply_state(party, state)
     report.transactions = len(party.transactions)
     report.evidence_restored = len(party.evidence_store)

@@ -31,7 +31,7 @@ from time import perf_counter
 
 from ..core.client import DownloadResult, TpnrClient
 from ..core.policy import DEFAULT_POLICY, TpnrPolicy
-from ..core.protocol import DEFAULT_KEY_BITS
+from ..core.protocol import DEFAULT_KEY_BITS, settle_batches
 from ..core.provider import HONEST, ProviderBehavior, TpnrProvider
 from ..core.transaction import TransactionRecord, TxStatus
 from ..core.ttp import TrustedThirdParty
@@ -40,7 +40,6 @@ from ..crypto.batch import BatchLedger, EvidenceBatcher
 from ..crypto.drbg import HmacDrbg
 from ..crypto.pki import CertificateAuthority, Identity, KeyRegistry
 from ..determinism import canon_float
-from ..errors import EvidenceError
 from ..net.channel import PERFECT, ChannelSpec
 from ..net.events import Simulator
 from ..net.network import Network
@@ -480,39 +479,6 @@ class SessionPool:
         assert self.provider is not None and self.ttp is not None
         return (self.provider, self.ttp, *self.clients.values())
 
-    def _settle_batches(self) -> dict | None:
-        """End-of-run batched-evidence settlement (fail-closed).
-
-        Seals every party's partial batch, resolves all pending items,
-        and raises :class:`~repro.errors.EvidenceError` if anything
-        fails — a pool run must never report success while holding
-        evidence that cannot be proven.
-        """
-        if self.ledger is None:
-            return None
-        for party in self._parties():
-            if party.batcher is not None:
-                party.batcher.seal()
-        resolved = failed = 0
-        for party in self._parties():
-            got, bad = party.settle_batched_evidence()
-            resolved += got
-            failed += bad
-        if failed:
-            losers = [
-                (p.name, e.header.transaction_id)
-                for p in self._parties() for e in p.batched_failures
-            ]
-            raise EvidenceError(
-                f"{failed} batched evidence item(s) failed settlement: {losers[:8]}"
-            )
-        return {
-            "batches": len(self.ledger.batches),
-            "leaves": self.ledger.leaves_published,
-            "resolved": resolved,
-            "failed": failed,
-        }
-
     def _total_retransmits(self) -> int:
         assert self.provider is not None and self.ttp is not None
         return (
@@ -659,7 +625,10 @@ class SessionPool:
             with profiler.region("engine/drive", invariant=False, scope=drive_scope):
                 self._drive()
             with profiler.region("engine/settle", invariant=False, scope=False):
-                batch_stats = self._settle_batches()
+                # Strict: a pool run must never report success while
+                # holding evidence that cannot be proven.
+                batch_stats = (None if self.ledger is None
+                               else settle_batches(self._parties(), self.ledger))
             drive_seconds = perf_counter() - drive_started
         finally:
             if self._crypto_scope is not None:

@@ -6,7 +6,7 @@ adversary interception hooks, and a miniature TLS (the paper's SSL
 stand-in).
 """
 
-from . import adversary, channel, events, faults, network, node, securechannel, simclock, topology, trace
+from . import adversary, channel, events, faults, network, node, securechannel, simclock, trace
 from .adversary import Adversary, PassiveEavesdropper
 from .channel import LOSSY, PERFECT, WAN, ChannelSpec, Delivery
 from .events import ScheduledEvent, Simulator
@@ -34,7 +34,6 @@ from .securechannel import (
     establish_session,
 )
 from .simclock import SimClock
-from .topology import LinkSpec, Topology, dumbbell_topology
 from .trace import TraceEvent, TraceRecorder
 
 __all__ = [
@@ -46,11 +45,7 @@ __all__ = [
     "node",
     "securechannel",
     "simclock",
-    "topology",
     "trace",
-    "LinkSpec",
-    "Topology",
-    "dumbbell_topology",
     "Adversary",
     "PassiveEavesdropper",
     "LOSSY",

@@ -30,9 +30,9 @@ Exporters (:mod:`repro.obs.exporters`) turn either surface into JSONL,
 Prometheus text, or human-readable tables;
 :mod:`repro.obs.campaign` folds FC1/CR1 campaign reports into
 per-fault-class retry/escalation/latency breakdowns;
-:mod:`repro.obs.sketch` adds mergeable quantile sketches with
-tumbling-window aggregation; :mod:`repro.obs.slo` declares service
-objectives with error budgets and multi-window burn-rate alerting;
+:mod:`repro.obs.sketch` adds mergeable quantile sketches;
+:mod:`repro.obs.slo` declares service objectives with error budgets
+and multi-window burn-rate alerting;
 :mod:`repro.obs.dashboard` renders the live ``repro slo --watch``
 view of a running campaign; :mod:`repro.obs.profiler` attributes cost
 to hierarchical regions on both clocks (sim + wall), extracts
@@ -112,7 +112,7 @@ from .profiler import (
     shard_utilization,
     top_regions,
 )
-from .sketch import QuantileSketch, SketchAggregator, WindowSnapshot
+from .sketch import QuantileSketch
 from .slo import (
     BurnWindow,
     CounterRatioSLI,
@@ -162,8 +162,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "QuantileSketch",
-    "SketchAggregator",
-    "WindowSnapshot",
     "RegionProfiler",
     "RegionStat",
     "NullRegionProfiler",

@@ -1,4 +1,4 @@
-"""Mergeable quantile sketches and bounded streaming aggregation.
+"""Mergeable quantile sketches.
 
 The sharded-engine telemetry substrate: a DDSketch-style quantile
 sketch with **fixed** gamma (no collapsing, no rebinning) so that
@@ -14,11 +14,6 @@ Accuracy contract: for any value ``v > 0`` observed into the sketch,
 the representative value of its bucket is within ``alpha`` *relative*
 error of ``v``; hence any quantile estimate is within ``alpha``
 relative error of some sample at a neighbouring rank.
-
-:class:`SketchAggregator` adds the streaming layer: tumbling windows
-over **sim time** with a bounded retention and a label-cardinality
-budget, so high-cardinality per-tenant/per-replica series roll up
-centrally without retaining raw samples.
 """
 
 from __future__ import annotations
@@ -29,8 +24,6 @@ from dataclasses import dataclass, field
 __all__ = [
     "DEFAULT_ALPHA",
     "QuantileSketch",
-    "SketchAggregator",
-    "WindowSnapshot",
 ]
 
 # Default relative-error bound: 1% — p99 of a 10 s latency is known
@@ -206,115 +199,3 @@ class QuantileSketch:
         out.max = row.get("max")
         return out
 
-
-@dataclass
-class WindowSnapshot:
-    """One closed tumbling window: ``[start, start + width)`` sim
-    seconds, one merged sketch per (name, labels) series."""
-
-    start: float
-    width: float
-    sketches: dict[tuple[str, tuple[tuple[str, str], ...]], QuantileSketch]
-
-    @property
-    def end(self) -> float:
-        return self.start + self.width
-
-
-class SketchAggregator:
-    """Tumbling-window sketch aggregation with bounded memory.
-
-    Samples are observed into per-series sketches inside the current
-    window ``[k*width, (k+1)*width)``; when sim time crosses a window
-    boundary the window closes and is retained (at most *retain*
-    closed windows, oldest dropped).  Each metric name gets a
-    label-cardinality *budget*: once a name has ``budget`` distinct
-    label sets, further label sets fold into a shared
-    ``("overflow", "true")`` series and ``dropped_labels`` counts the
-    folded observations — cardinality explosions degrade resolution,
-    never memory.
-
-    Everything is keyed to sim time passed by the caller, so two
-    same-seed runs aggregate identically.
-    """
-
-    def __init__(self, width: float = 5.0, retain: int = 12,
-                 alpha: float = DEFAULT_ALPHA, budget: int = 64) -> None:
-        if width <= 0:
-            raise ValueError(f"window width must be positive, got {width}")
-        if retain < 1:
-            raise ValueError(f"retain must be >= 1, got {retain}")
-        if budget < 1:
-            raise ValueError(f"label budget must be >= 1, got {budget}")
-        self.width = width
-        self.retain = retain
-        self.alpha = alpha
-        self.budget = budget
-        self.dropped_labels = 0
-        self._window_start = 0.0
-        self._live: dict[tuple[str, tuple[tuple[str, str], ...]], QuantileSketch] = {}
-        self._closed: list[WindowSnapshot] = []
-        self._label_sets: dict[str, set[tuple[tuple[str, str], ...]]] = {}
-
-    OVERFLOW = (("overflow", "true"),)
-
-    def observe(self, now: float, name: str, value: float, **labels: str) -> None:
-        self._roll(now)
-        key = (name, self._admit(name, tuple(sorted((k, str(v)) for k, v in labels.items()))))
-        sketch = self._live.get(key)
-        if sketch is None:
-            sketch = self._live[key] = QuantileSketch(name, alpha=self.alpha, labels=key[1])
-        sketch.observe(value)
-
-    def _admit(self, name: str, labels: tuple[tuple[str, str], ...]) -> tuple:
-        seen = self._label_sets.setdefault(name, set())
-        if labels in seen or len(seen) < self.budget:
-            seen.add(labels)
-            return labels
-        self.dropped_labels += 1
-        return self.OVERFLOW
-
-    def _roll(self, now: float) -> None:
-        if now < self._window_start + self.width:
-            return
-        if self._live:
-            self._closed.append(WindowSnapshot(
-                self._window_start, self.width, self._live))
-            self._live = {}
-            if len(self._closed) > self.retain:
-                del self._closed[: len(self._closed) - self.retain]
-        # Jump straight to the window containing `now` — skipped
-        # intermediate windows were empty and are never materialized.
-        self._window_start = self.width * math.floor(now / self.width)
-
-    def flush(self, now: float) -> None:
-        """Force-close the live window (end of run)."""
-        if self._live:
-            self._closed.append(WindowSnapshot(
-                self._window_start, self.width, self._live))
-            self._live = {}
-            if len(self._closed) > self.retain:
-                del self._closed[: len(self._closed) - self.retain]
-        self._window_start = self.width * math.floor(now / self.width)
-
-    @property
-    def windows(self) -> list[WindowSnapshot]:
-        return list(self._closed)
-
-    def rollup(self, name: str, window_start: float | None = None) -> QuantileSketch:
-        """Merge every retained series of *name* (all label sets, all
-        retained windows — or one window) into a single sketch."""
-        shards = []
-        for window in self._closed:
-            if window_start is not None and window.start != window_start:
-                continue
-            for (n, _labels), sketch in window.sketches.items():
-                if n == name:
-                    shards.append(sketch)
-        for (n, _labels), sketch in self._live.items():
-            if window_start is None and n == name:
-                shards.append(sketch)
-        return QuantileSketch.merged(name, shards, alpha=self.alpha)
-
-    def series_count(self, name: str) -> int:
-        return len(self._label_sets.get(name, ()))

@@ -30,7 +30,6 @@ from .gate import (
     PromotionError,
     audit_file,
     entry_class,
-    migrate_file,
     promote,
     validate_entry,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "PromotionError",
     "audit_file",
     "entry_class",
-    "migrate_file",
     "promote",
     "validate_entry",
     "DEFAULT_REGISTRY",

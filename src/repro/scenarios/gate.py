@@ -18,8 +18,8 @@ a point is *promoted* (written to the file) only when
 Anything else **raises** :class:`PromotionError`; there is no warn-and-
 append path.  Points recorded before the gate existed (repo version <
 1.1.0, no ``run_key``) are *legacy*: they stay on the trajectory,
-:func:`migrate_file` stamps them ``"gate": "legacy-pre-gate"`` so their
-provenance is explicit, and no new legacy point can ever be added.
+stamped ``"gate": "legacy-pre-gate"`` so their provenance is explicit,
+and no new legacy point can ever be added.
 
 :func:`audit_file` replays the whole gate over an existing trajectory
 file — ``repro scenario gate`` and the tier-1 suite run it, so a
@@ -43,7 +43,6 @@ __all__ = [
     "validate_entry",
     "promote",
     "audit_file",
-    "migrate_file",
 ]
 
 
@@ -229,27 +228,3 @@ def audit_file(path: pathlib.Path,
                             "status": "rejected", "reason": str(exc)})
     return reports
 
-
-def migrate_file(path: pathlib.Path,
-                 registry: ScenarioRegistry = DEFAULT_REGISTRY) -> int:
-    """Stamp legacy pre-gate points so their provenance is explicit.
-
-    Every legacy entry gains ``"gate": "legacy-pre-gate"``; every gated
-    entry is validated (fail-closed) and gains ``"gate": "accepted"``.
-    Returns the number of entries stamped as legacy.  This is the
-    migration path for trajectories recorded before the gate existed:
-    old points remain comparable *as history*, clearly marked as never
-    having passed eligibility.
-    """
-    path = pathlib.Path(path)
-    entries = _load(path)
-    legacy = 0
-    for entry in entries:
-        if entry_class(entry) == "legacy":
-            entry["gate"] = "legacy-pre-gate"
-            legacy += 1
-        else:
-            validate_entry(entry, registry)
-            entry["gate"] = "accepted"
-    _dump(path, entries)
-    return legacy

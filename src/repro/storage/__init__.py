@@ -12,9 +12,8 @@ Plus the shared machinery: the blob store, accounts, the REST model,
 surface-mail shipping, and the tampering behaviours of Fig. 5.
 """
 
-from . import account, auditlog, azurelike, blobstore, gaelike, rest, s3like, shipping, tamper
+from . import account, azurelike, blobstore, gaelike, rest, s3like, shipping, tamper
 from .account import Account, AccountDirectory
-from .auditlog import AuditEntry, AuditLog, Checkpoint, verify_chain
 from .azurelike import MAX_BLOB_SIZE, MAX_QUEUE_MESSAGE, AzureLikeClient, AzureLikeService
 from .blobstore import BlobStore, ObjectStat, StoredObject
 from .gaelike import (
@@ -54,11 +53,6 @@ from .tamper import TamperMode, apply_tamper
 
 __all__ = [
     "account",
-    "auditlog",
-    "AuditEntry",
-    "AuditLog",
-    "Checkpoint",
-    "verify_chain",
     "azurelike",
     "blobstore",
     "gaelike",

@@ -1,10 +1,10 @@
-"""Wilson intervals and mean confidence intervals."""
+"""Wilson score intervals."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.stats import format_rate, mean_ci, wilson_interval
+from repro.analysis.stats import format_rate, wilson_interval
 from repro.errors import ReproError
 
 
@@ -14,6 +14,13 @@ class TestWilson:
         low, high = wilson_interval(8, 10)
         assert low == pytest.approx(0.49, abs=0.01)
         assert high == pytest.approx(0.94, abs=0.015)
+
+    def test_z_is_the_standard_normal_quantile(self):
+        """z = Phi^-1(0.975) = 1.959964...; the interval agrees with a
+        closed-form evaluation to within float rounding."""
+        low, high = wilson_interval(8, 10)
+        assert low == pytest.approx(0.4901624715366418, rel=1e-14)
+        assert high == pytest.approx(0.9433178485456248, rel=1e-14)
 
     def test_zero_successes_not_degenerate(self):
         low, high = wilson_interval(0, 10)
@@ -55,20 +62,3 @@ class TestWilson:
         assert text.startswith("0.80 [")
         assert text.endswith("]")
 
-
-class TestMeanCi:
-    def test_single_sample_degenerate(self):
-        assert mean_ci([3.0]) == (3.0, 3.0, 3.0)
-
-    def test_constant_samples(self):
-        mean, low, high = mean_ci([2.0, 2.0, 2.0])
-        assert mean == low == high == 2.0
-
-    def test_contains_mean(self):
-        samples = [1.0, 2.0, 3.0, 4.0, 5.0]
-        mean, low, high = mean_ci(samples)
-        assert low < mean == 3.0 < high
-
-    def test_empty_rejected(self):
-        with pytest.raises(ReproError):
-            mean_ci([])

@@ -12,8 +12,6 @@ from repro.crypto.numbers import (
     crt_pair,
     egcd,
     int_to_bytes,
-    iroot,
-    is_perfect_square,
     modinv,
 )
 from repro.errors import CryptoError
@@ -102,37 +100,3 @@ class TestByteCodec:
     def test_bit_length_bytes_consistent(self, n):
         assert len(int_to_bytes(n)) == bit_length_bytes(n)
 
-
-class TestIroot:
-    def test_exact_squares(self):
-        assert iroot(49, 2) == 7
-        assert iroot(50, 2) == 7
-
-    def test_cubes(self):
-        assert iroot(27, 3) == 3
-        assert iroot(26, 3) == 2
-
-    def test_small(self):
-        assert iroot(0, 2) == 0
-        assert iroot(1, 5) == 1
-
-    def test_negative_rejected(self):
-        with pytest.raises(CryptoError):
-            iroot(-4, 2)
-
-    @given(st.integers(min_value=0, max_value=2**128), st.integers(min_value=2, max_value=6))
-    def test_definition(self, n, k):
-        r = iroot(n, k)
-        assert r**k <= n < (r + 1) ** k
-
-
-class TestPerfectSquare:
-    def test_known(self):
-        assert is_perfect_square(144)
-        assert not is_perfect_square(145)
-        assert not is_perfect_square(-4)
-        assert is_perfect_square(0)
-
-    @given(st.integers(min_value=0, max_value=2**64))
-    def test_squares_detected(self, n):
-        assert is_perfect_square(n * n)

