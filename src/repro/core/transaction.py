@@ -108,12 +108,15 @@ class EvidenceStore:
 
     This is what a party brings to the Arbitrator.  Multiple pieces per
     transaction are normal (upload NRO/NRR, download NRR, abort NRR,
-    TTP statements...).
+    TTP statements...).  The store also keeps the order it archived
+    pieces in, so a journal holding a position in it can ask for just
+    the pieces archived since (:meth:`archived_since`).
     """
 
     def __init__(self, owner: str) -> None:
         self.owner = owner
         self._by_txn: dict[str, list[OpenedEvidence]] = {}
+        self._archive: list[OpenedEvidence] = []
         self._seen: set[tuple[str, bytes]] = set()
         self.duplicates_suppressed = 0
 
@@ -128,6 +131,7 @@ class EvidenceStore:
             return False
         self._seen.add(key)
         self._by_txn.setdefault(evidence.header.transaction_id, []).append(evidence)
+        self._archive.append(evidence)
         return True
 
     def holds(self, evidence: OpenedEvidence) -> bool:
@@ -141,9 +145,12 @@ class EvidenceStore:
         return set(self._seen)
 
     def all_entries(self):
-        """Every archived piece, grouped by transaction."""
-        for entries in self._by_txn.values():
-            yield from entries
+        """Every archived piece, in archive order."""
+        yield from self._archive
+
+    def archived_since(self, position: int) -> list[OpenedEvidence]:
+        """The pieces archived after the first *position* ones."""
+        return self._archive[position:]
 
     def for_transaction(self, transaction_id: str) -> list[OpenedEvidence]:
         return list(self._by_txn.get(transaction_id, []))
@@ -159,4 +166,4 @@ class EvidenceStore:
         return sorted(self._by_txn)
 
     def __len__(self) -> int:
-        return sum(len(v) for v in self._by_txn.values())
+        return len(self._archive)

@@ -47,13 +47,15 @@ def modinv(a: int, m: int) -> int:
     return x % m
 
 
-def crt_pair(r_p: int, p: int, r_q: int, q: int) -> int:
+def crt_pair(r_p: int, p: int, r_q: int, q: int, q_inv: int | None = None) -> int:
     """Chinese Remainder Theorem for two coprime moduli.
 
     Returns the unique ``x`` in ``[0, p*q)`` with ``x % p == r_p`` and
-    ``x % q == r_q``.  Used for the RSA-CRT private operation.
+    ``x % q == r_q``.  Used for the RSA-CRT private operation, which
+    passes its precomputed ``q_inv = q^-1 mod p``.
     """
-    q_inv = modinv(q, p)
+    if q_inv is None:
+        q_inv = modinv(q, p)
     h = (q_inv * (r_p - r_q)) % p
     return (r_q + h * q) % (p * q)
 

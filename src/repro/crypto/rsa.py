@@ -19,6 +19,7 @@ this changes nothing about protocol semantics (see DESIGN.md §2).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from time import perf_counter
 
 from ..errors import CryptoError, DecryptionError, InvalidKeyError, SignatureError
@@ -93,13 +94,24 @@ class RsaPrivateKey:
     def public_key(self) -> RsaPublicKey:
         return RsaPublicKey(self.n, self.e)
 
+    @cached_property
+    def _crt(self) -> tuple[int, int, int]:
+        """``(d mod p-1, d mod q-1, q^-1 mod p)``, derived once per key.
+        Cached outside the dataclass fields, so equality, repr and the
+        pickled state never see it."""
+        return self.d % (self.p - 1), self.d % (self.q - 1), modinv(self.q, self.p)
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_crt", None)
+        return state
+
     def _private_op(self, c: int) -> int:
         """``c**d mod n`` via CRT (≈4x faster than the naive pow)."""
-        d_p = self.d % (self.p - 1)
-        d_q = self.d % (self.q - 1)
+        d_p, d_q, q_inv = self._crt
         m_p = pow(c % self.p, d_p, self.p)
         m_q = pow(c % self.q, d_q, self.q)
-        return crt_pair(m_p, self.p, m_q, self.q)
+        return crt_pair(m_p, self.p, m_q, self.q, q_inv)
 
 
 def generate_keypair(bits: int, rng: HmacDrbg, e: int = 65537) -> RsaPrivateKey:

@@ -7,6 +7,15 @@ record carries :meth:`PartyState.to_dict`), the *replay accumulator*
 the *restore source* (:func:`apply_state` rebuilds a live
 :class:`~repro.core.party.TpnrParty` from it).
 
+Snapshots are **deltas**: ``to_dict(base)`` carries only what changed
+since *base*, the state the journal's previous snapshot recorded —
+changed or removed keys of each keyed map (a removed key maps to
+``None``), additions and removals of each set, and the evidence
+archived since.  A full snapshot is the delta against the empty state
+(``to_dict()``), and :meth:`PartyState.apply_snapshot` folds either
+kind in, so one codec serves both.  :func:`rebuild` restarts at each
+full snapshot and folds every later delta and record onto it.
+
 Record application is **idempotent** — sequence counters are folded
 with ``max``, nonces and evidence with set union, statuses by
 overwrite — so a record that is both reflected in a snapshot and
@@ -16,8 +25,9 @@ journal write snapshots at any record boundary without coordination.
 What is deliberately *not* captured: armed timers and retransmission
 loops (a restarted process has none — :mod:`repro.durability.recovery`
 re-arms or escalates them), the DRBG position (nonce uniqueness is a
-harness property), and observability counters (they model the test
-harness, not the process, and survive crashes on the live object).
+harness property), batch inclusion proofs (the ledger supplies them
+again), and observability counters (they model the test harness, not
+the process, and survive crashes on the live object).
 """
 
 from __future__ import annotations
@@ -25,7 +35,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any
 
 from ..core.client import DownloadResult, TpnrClient, UploadHandle
-from ..core.evidence import OpenedEvidence
+from ..core.evidence import BatchedEvidence, OpenedEvidence
 from ..core.messages import Flag, Header
 from ..core.transaction import (
     EvidenceStore,
@@ -86,21 +96,29 @@ def header_from_dict(d: dict) -> Header:
 
 
 def evidence_to_dict(evidence: OpenedEvidence) -> dict:
-    return {
+    """Batched evidence also carries its ``leaf``; its proof is left to
+    the ledger, which holds every sealed batch."""
+    d = {
         "signer": evidence.signer,
         "header": header_to_dict(evidence.header),
         "sig_data": evidence.signature_over_data_hash,
         "sig_header": evidence.signature_over_header,
     }
+    if isinstance(evidence, BatchedEvidence):
+        d["leaf"] = evidence.leaf
+    return d
 
 
 def evidence_from_dict(d: dict) -> OpenedEvidence:
-    return OpenedEvidence(
+    fields = dict(
         header=header_from_dict(d["header"]),
         signature_over_data_hash=d["sig_data"],
         signature_over_header=d["sig_header"],
         signer=d["signer"],
     )
+    if "leaf" in d:
+        return BatchedEvidence(leaf=d["leaf"], **fields)
+    return OpenedEvidence(**fields)
 
 
 def txn_to_dict(record: TransactionRecord) -> dict:
@@ -136,6 +154,38 @@ def _evidence_key(ev_dict: dict) -> tuple[str, bytes]:
     return (ev_dict["signer"], header_from_dict(ev_dict["header"]).to_signed_bytes())
 
 
+_EVIDENCE_FIELDS = ("signer", "header", "sig_data", "sig_header", "leaf")
+
+
+# ---------------------------------------------------------------------------
+# Delta helpers
+# ---------------------------------------------------------------------------
+
+
+def _map_delta(now: dict, before: dict) -> dict:
+    """The entries of *now* that differ from *before*, plus ``None``
+    for every key *before* has and *now* has not."""
+    delta = {k: v for k, v in now.items() if before.get(k) != v}
+    delta.update((k, None) for k in before if k not in now)
+    return delta
+
+
+def _apply_map_delta(target: dict, delta: dict) -> None:
+    for k, v in delta.items():
+        if v is None:
+            target.pop(k, None)
+        else:
+            target[k] = v.copy()  # replay mutates entries in place
+
+
+#: The one set-valued role-state entry: the provider's
+#: (transaction, requester) pairs whose download was acknowledged.
+#: A snapshot lists the pairs added under this name and the pairs
+#: removed under ``"unacked"``.
+_ACKED = "acked"
+_UNACKED = "unacked"
+
+
 # ---------------------------------------------------------------------------
 # The state object
 # ---------------------------------------------------------------------------
@@ -151,6 +201,12 @@ class PartyState:
         self.evidence: list[dict] = []
         self._evidence_keys: set[tuple[str, bytes]] = set()
         self.role_state: dict[str, Any] = {}
+        # Set by capture_state and never serialized: how many pieces of
+        # the live evidence archive this state reflects, and the store
+        # mark of each provider blob — what lets the next capture take
+        # this state as its base and skip what did not change.
+        self.evidence_cursor = 0
+        self.blob_marks: dict[tuple[str, str], Any] = {}
 
     # -- peers ---------------------------------------------------------------
 
@@ -181,16 +237,12 @@ class PartyState:
             peer["nonces"].add(record["nonce"])
         elif rtype == "evidence":
             self._add_evidence(
-                {
-                    "signer": record["signer"],
-                    "header": record["header"],
-                    "sig_data": record["sig_data"],
-                    "sig_header": record["sig_header"],
-                }
+                {k: record[k] for k in _EVIDENCE_FIELDS if k in record}
             )
         elif rtype == "txn":
             fields = dict(record)
             fields.pop("type")
+            fields.pop("at", None)  # the journal's time stamp, not a field
             self.transactions[record["transaction_id"]] = fields
         elif rtype == "client.upload":
             uploads = self.role_state.setdefault("uploads", {})
@@ -248,50 +300,92 @@ class PartyState:
             self.role_state.setdefault("pending", {}).pop(record["txn"], None)
         # else: forward-compatible no-op
 
+    def apply_snapshot(self, snap: dict) -> None:
+        """Fold one snapshot in — a full one onto an empty state, a
+        delta onto the state its base snapshot left."""
+        _apply_map_delta(self.transactions, snap["transactions"])
+        for name, p in snap["peers"].items():
+            if p is None:
+                self.peers.pop(name, None)
+                continue
+            peer = self._peer(name)
+            peer["send"] = p["send"]
+            peer["recv"] = p["recv"]
+            peer["nonces"].update(p["nonces"])
+            peer["nonces"].difference_update(p.get("dropped", ()))
+        for ev in snap["evidence"]:
+            self._add_evidence(dict(ev))
+        role_state = snap["role_state"]
+        for name, value in role_state.items():
+            if name == _ACKED:
+                acked = {tuple(pair) for pair in self.role_state.get(_ACKED, [])}
+                acked |= {tuple(pair) for pair in value}
+                acked -= {tuple(pair) for pair in role_state.get(_UNACKED, [])}
+                self.role_state[_ACKED] = sorted(list(pair) for pair in acked)
+            elif name != _UNACKED:
+                _apply_map_delta(self.role_state.setdefault(name, {}), value)
+
     # -- serialization -------------------------------------------------------
 
-    def to_dict(self) -> dict:
+    def to_dict(self, base: "PartyState | None" = None) -> dict:
+        """This state as a snapshot: everything, or with *base* only what
+        changed since it.  Evidence is written as this state holds it —
+        a capture against *base* holds just what was archived since."""
+        if base is None:
+            base = PartyState(self.role)
+        peers = {}
+        for name, p in self.peers.items():
+            before = base.peers.get(name)
+            if before == p:
+                continue
+            known = before["nonces"] if before else set()
+            peers[name] = {
+                "send": p["send"],
+                "recv": p["recv"],
+                "nonces": sorted(p["nonces"] - known),
+            }
+            if known - p["nonces"]:
+                peers[name]["dropped"] = sorted(known - p["nonces"])
+        peers.update((name, None) for name in base.peers if name not in self.peers)
+        role_state: dict[str, Any] = {}
+        for name, value in self.role_state.items():
+            if name == _ACKED:
+                now = {tuple(pair) for pair in value}
+                before = {tuple(pair) for pair in base.role_state.get(_ACKED, [])}
+                role_state[_ACKED] = sorted(list(pair) for pair in now - before)
+                if before - now:
+                    role_state[_UNACKED] = sorted(list(pair) for pair in before - now)
+            else:
+                role_state[name] = _map_delta(value, base.role_state.get(name, {}))
         return {
             "role": self.role,
-            "transactions": {k: dict(v) for k, v in sorted(self.transactions.items())},
-            "peers": {
-                name: {
-                    "send": p["send"],
-                    "recv": p["recv"],
-                    "nonces": sorted(p["nonces"]),
-                }
-                for name, p in sorted(self.peers.items())
-            },
+            "transactions": _map_delta(self.transactions, base.transactions),
+            "peers": peers,
             "evidence": [dict(e) for e in self.evidence],
-            "role_state": self.role_state,
+            "role_state": role_state,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "PartyState":
         state = cls(d["role"])
-        state.transactions = {k: dict(v) for k, v in d["transactions"].items()}
-        state.peers = {
-            name: {"send": p["send"], "recv": p["recv"], "nonces": set(p["nonces"])}
-            for name, p in d["peers"].items()
-        }
-        for ev in d["evidence"]:
-            state._add_evidence(dict(ev))
-        state.role_state = {k: v for k, v in d["role_state"].items()}
+        state.apply_snapshot(d)
         return state
 
 
 def rebuild(records: list[dict], role: str) -> tuple[PartyState, int]:
     """Fold a WAL record sequence into the state it describes.
 
-    Returns ``(state, snapshots_seen)``.  Replay restarts from the most
-    recent snapshot and folds every record after it.
+    Returns ``(state, snapshots_seen)``.  Replay restarts from every
+    full snapshot, and folds each later delta snapshot and record onto
+    it.
     """
     state = PartyState(role)
     snapshots = 0
     for record in records:
         if record.get("type") == "snapshot":
-            state = PartyState.from_dict(record["state"])
-            state.role = role
+            if not record.get("delta"):
+                state = PartyState(role)
+            state.apply_snapshot(record["state"])
             snapshots += 1
         else:
             state.apply_record(record)
@@ -303,8 +397,16 @@ def rebuild(records: list[dict], role: str) -> tuple[PartyState, int]:
 # ---------------------------------------------------------------------------
 
 
-def capture_state(party: "TpnrParty", role: str) -> PartyState:
-    """Photograph a live party's durable-relevant state."""
+def capture_state(
+    party: "TpnrParty", role: str, base: PartyState | None = None
+) -> PartyState:
+    """Photograph a live party's durable-relevant state.
+
+    *base*, when given, is an earlier capture of the same live party
+    (the journal's previous snapshot).  The new capture then holds only
+    the evidence archived since *base*, and takes each stored object
+    whose store mark is unchanged from *base* instead of reading it.
+    """
     state = PartyState(role)
     for txn, record in party.transactions.items():
         state.transactions[txn] = txn_to_dict(record)
@@ -314,8 +416,10 @@ def capture_state(party: "TpnrParty", role: str) -> PartyState:
             "recv": peer.highest_recv_seq,
             "nonces": set(peer.seen_nonces),
         }
-    for evidence in party.evidence_store.all_entries():
+    archive = party.evidence_store
+    for evidence in archive.archived_since(base.evidence_cursor if base else 0):
         state._add_evidence(evidence_to_dict(evidence))
+    state.evidence_cursor = len(archive)
     if role == "client":
         uploads = {}
         for txn, handle in party.uploads.items():
@@ -338,17 +442,24 @@ def capture_state(party: "TpnrParty", role: str) -> PartyState:
             }
         state.role_state = {"uploads": uploads, "downloads": downloads}
     elif role == "provider":
+        store = party.store
+        known = base.role_state.get("blobs", {}) if base else {}
+        known_marks = base.blob_marks if base else {}
         blobs = {}
-        for obj in party.store.objects():
-            blobs[obj.key] = {
-                "container": obj.container,
-                "key": obj.key,
-                "data": obj.data,
-            }
+        state.blob_marks = store.object_marks()
+        for (container, key), mark in state.blob_marks.items():
+            blob = known.get(key)
+            if blob is None or known_marks.get((container, key)) != mark:
+                blob = {
+                    "container": container,
+                    "key": key,
+                    "data": store.get(container, key).data,
+                }
+            blobs[key] = blob
         state.role_state = {
             "blobs": blobs,
             "grants": {txn: sorted(names) for txn, names in party.grants.items()},
-            "acked": sorted(list(pair) for pair in party._download_acked),
+            _ACKED: sorted(list(pair) for pair in party._download_acked),
         }
     elif role == "ttp":
         pending = {}
@@ -385,7 +496,15 @@ def apply_state(party: "TpnrParty", state: PartyState) -> None:
     store = EvidenceStore(party.name)
     store.duplicates_suppressed = duplicates
     for ev_dict in state.evidence:
-        store.add(evidence_from_dict(ev_dict))
+        evidence = evidence_from_dict(ev_dict)
+        store.add(evidence)
+        if (
+            isinstance(evidence, BatchedEvidence)
+            and party._resolve_batched(evidence) != "verified"
+        ):
+            # No sealed batch proves it yet: settlement resolves it, or
+            # flags it, as it would have before the crash.
+            party._pending_batched.append(evidence)
     party.evidence_store = store
     if state.role == "client":
         _apply_client(party, state)
@@ -434,5 +553,5 @@ def _apply_provider(party: "TpnrParty", state: PartyState) -> None:
         txn: set(names) for txn, names in state.role_state.get("grants", {}).items()
     }
     party._download_acked = {
-        tuple(pair) for pair in state.role_state.get("acked", [])
+        tuple(pair) for pair in state.role_state.get(_ACKED, [])
     }

@@ -9,9 +9,14 @@ through **before** acting on it — the WAL discipline.  It owns:
   (``<name>.wal.blobs``, a :class:`~repro.durability.wal.BlobSegment`):
   every payload field of a record or snapshot is written there once and
   the log carries its SHA-256 instead,
-* the snapshot cadence (every ``snapshot_interval`` records a full
+* the snapshot cadence (every ``snapshot_interval`` records a
   :class:`~repro.durability.checkpoint.PartyState` snapshot is written
-  *before* the triggering record, bounding replay work),
+  *before* the triggering record, bounding replay work).  A snapshot
+  carries only what changed since the journal's previous one (its
+  *base*): evidence after the archive position the base reached, and
+  no stored object whose store mark is unchanged.  With no base — the
+  first snapshot, and the first after every :meth:`crash` — it is
+  full, the delta against the empty state,
 * the crash fault policy applied to both files when the process dies
   (:meth:`crash`).
 
@@ -64,6 +69,11 @@ class PartyJournal:
         self.fault_rng = fault_rng
         self._party = None
         self._since_snapshot = 0
+        # The state the previous snapshot recorded, and the evidence
+        # archive it was captured from; the next snapshot is the delta
+        # against it (None: the next one is full).
+        self._base = None
+        self._base_archive = None
         self.records_logged = 0
         self.snapshots_written = 0
         self.crashes = 0
@@ -122,17 +132,21 @@ class PartyJournal:
                 ).inc()
 
     def write_snapshot(self) -> None:
-        state = capture_state(self._party, self.role)
-        self.wal.append(
-            {"type": "snapshot", "state": state.to_dict()}, blobs=self.blobs.ref
-        )
+        party = self._party
+        base = self._base
+        if self._base_archive is not party.evidence_store:
+            base = None  # a restored archive: start a new chain
+        state = capture_state(party, self.role, base)
+        record = {"type": "snapshot", "state": state.to_dict(base)}
+        if base is not None:
+            record["delta"] = True
+        self.wal.append(record, blobs=self.blobs.ref)
+        self._base, self._base_archive = state, party.evidence_store
         self.snapshots_written += 1
         self._since_snapshot = 0
-        party = self._party
-        if party is not None:
-            obs = party.obs
-            if obs.enabled:
-                obs.metrics.counter("wal.snapshots", party=party.name).inc()
+        obs = party.obs
+        if obs.enabled:
+            obs.metrics.counter("wal.snapshots", party=party.name).inc()
 
     # -- the record vocabulary ----------------------------------------------
 
@@ -176,6 +190,7 @@ class PartyJournal:
             filenames=[wal.filename, self.blobs.filename],
         )
         self.blobs.restart()
+        self._base = self._base_archive = None
         scan = wal.durable_scan()
         wal.store.truncate_durable(wal.filename, scan.valid_bytes)
         self.tail_cut = scan.truncated

@@ -535,6 +535,16 @@ class ReplicatedStore:
     def objects(self) -> list[StoredObject]:
         return [self.get(c, k) for c, k in self.verifier.live_keys()]
 
+    def object_marks(self) -> dict[tuple[str, str], tuple[int, str]]:
+        """(container, key) -> the trusted log's (version, digest).  A
+        committed write and :meth:`overwrite_raw` both change it, and
+        reading it touches no replica."""
+        marks = {}
+        for container, key in self.verifier.live_keys():
+            latest = self.verifier.latest(container, key)
+            marks[(container, key)] = (latest.version, latest.digest)
+        return marks
+
     def total_bytes(self) -> int:
         total = 0
         for container, key in self.verifier.live_keys():

@@ -136,6 +136,12 @@ class BlobStore:
         """Every stored object, in (container, key) order."""
         return [self._objects[k] for k in sorted(self._objects)]
 
+    def object_marks(self) -> dict[tuple[str, str], StoredObject]:
+        """(container, key) -> a mark that changes whenever the object's
+        bytes may have.  Every write replaces the immutable stored
+        object, tampering included, so an object is its own mark."""
+        return dict(self._objects)
+
     def total_bytes(self) -> int:
         return sum(o.size for o in self._objects.values())
 

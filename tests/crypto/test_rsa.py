@@ -1,5 +1,7 @@
 """RSA keygen, signatures, and encryption."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -54,6 +56,18 @@ class TestKeygen:
     def test_fingerprint_stable_and_distinct(self, key, other_key):
         assert key.public_key().fingerprint() == key.public_key().fingerprint()
         assert key.public_key().fingerprint() != other_key.public_key().fingerprint()
+
+    def test_crt_constants_stay_out_of_the_key(self):
+        """The cached CRT constants change no signature, and equality,
+        repr and the pickled state see only (n, e, d, p, q)."""
+        used = rsa.generate_keypair(512, HmacDrbg(b"crt"))
+        fresh = rsa.generate_keypair(512, HmacDrbg(b"crt"))
+        signature = rsa.sign(used, b"crt")
+        assert rsa.sign(used, b"crt") == signature
+        assert used == fresh and repr(used) == repr(fresh)
+        assert used.__getstate__() == fresh.__getstate__()
+        restored = pickle.loads(pickle.dumps(used))
+        assert restored == used and rsa.sign(restored, b"crt") == signature
 
     @pytest.mark.slow
     def test_large_key(self):

@@ -11,6 +11,7 @@ import hashlib
 import pytest
 
 from repro.core.arbitrator import Verdict
+from repro.core.evidence import BatchedEvidence, verify_opened_evidence
 from repro.core.messages import Flag
 from repro.core.protocol import (
     dispute_tampering,
@@ -275,6 +276,35 @@ class TestDamagedBlobFailsClosed:
         assert not result.verified and result.tampering_detected
         assert result.data != payload
         assert dispute_tampering(dep, txn).verdict is Verdict.PROVIDER_FAULT
+
+
+class TestBatchedEvidenceRecovery:
+    def test_batched_evidence_verifies_after_recovery(self):
+        """Batched evidence carries a leaf, not signatures: the journal
+        must keep the leaf, or a recovered client holds evidence no
+        arbitrator accepts."""
+        dep = make_deployment(seed=b"rec-batched", durable=True, batch_size=4)
+        for n in range(6):
+            assert run_session(dep, bytes([n]) * 64).download.verified
+        dep.settle_batches(strict=True)
+
+        def verified():
+            entries = list(dep.client.evidence_store.all_entries())
+            return entries, [
+                verify_opened_evidence(e, dep.registry, dep.ledger) for e in entries
+            ]
+
+        before, ok_before = verified()
+        assert len(before) == 12 and all(ok_before)
+        dep.client.begin_crash(amnesia=True)
+        recover(dep.client)
+        after, ok_after = verified()
+        assert len(after) == 12 and all(ok_after)
+        assert all(isinstance(e, BatchedEvidence) for e in after)
+        assert [e.leaf for e in after] == [e.leaf for e in before]
+        # Settlement attaches each restored item's proof from the ledger.
+        dep.settle_batches(strict=True)
+        assert all(not e.pending for e in dep.client.evidence_store.all_entries())
 
 
 class TestRecoveryWithoutJournal:
