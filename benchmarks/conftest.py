@@ -4,7 +4,9 @@
 stage, checks it against the spec's ``expect`` contract, and writes the
 rendered artifact to ``benchmarks/results/<id>.txt`` (so
 ``EXPERIMENTS.md`` can reference stable outputs) next to its canonical
-``<id>.json``.  The other benches measure perf and overhead stages.
+``<id>.json``.  Wall clock is the repository benchmark's to measure
+(``python3 -m bench``); the exceptions here are the crypto
+micro-benchmarks and OB3's SLO cost bound (``bench_slo.py``).
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import pytest
 
 from repro.analysis.report import render_table
 from repro.scenarios import canonical_result_json
-from repro.scenarios.gate import promote
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -48,23 +49,3 @@ def emit(results_dir):
         return text
 
     return _emit
-
-
-@pytest.fixture
-def perf_trajectory(results_dir):
-    """Promote one performance-trajectory point into BENCH_PERF.json.
-
-    Promotion is **gated** (``repro.scenarios.gate``): the entry's
-    run_key must match the registered spec, its seed must be the
-    PT-002 derivation for its stage, and every invariance check the
-    spec declares must be recorded as passing — otherwise the fixture
-    raises and nothing is written.  The file keeps one point per
-    ``(experiment_id, repo_version)``; re-running a bench at the same
-    version replaces its point, so the list reads as one point per
-    version — the repo's perf history over releases.
-    """
-
-    def _record(entry: dict) -> pathlib.Path:
-        return promote(results_dir / "BENCH_PERF.json", entry)
-
-    return _record

@@ -30,8 +30,8 @@ Subpackages
     Experiment runners for every table/figure and report rendering.
 ``repro.scenarios``
     The scenario control plane: declarative specs, PT-002 seed
-    derivation, content-addressed run keys, and the fail-closed
-    benchmark promotion gate.
+    derivation, content-addressed run keys, and each scenario's
+    ``expect`` contract.
 
 Quickstart
 ----------

@@ -231,23 +231,16 @@ def _cmd_slo(args: argparse.Namespace) -> int:
 
 
 def _cmd_scenario(args: argparse.Namespace) -> int:
-    """The scenario control plane: list/describe/run/gate."""
+    """The scenario control plane: list/describe/run."""
     import json
-    import pathlib
 
-    from .scenarios import (
-        PromotionError,
-        RegressionError,
-        audit_file,
-        audit_trajectory,
-        canonical_result_json,
-    )
+    from .scenarios import canonical_result_json
 
     if args.action == "list":
         print(render_table(
-            ["id", "root seed", "reps", "stages", "run_key"],
+            ["id", "root seed", "reps", "run_key"],
             [[s.spec.scenario_id, s.spec.root_seed, s.spec.repetitions,
-              ",".join(s.spec.stages) or "-", s.run_key()[:16] + "..."]
+              s.run_key()[:16] + "..."]
              for s in SCENARIOS],
             title="Registered scenarios (run with: python -m repro scenario run <id>)",
         ))
@@ -258,82 +251,33 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         print(json.dumps(scenario.describe(), indent=2, sort_keys=True))
         return 0
 
-    if args.action == "run":
-        scenario = SCENARIOS.get(args.id)
-        if args.seed is not None:
-            scenario = scenario.reseeded(args.seed)
-        result = scenario.run(repetition=args.rep)
-        mismatches = scenario.check(result)
-        if args.json:
-            print(canonical_result_json(result, scenario.spec))
-        else:
-            print(render_table(result.headers, result.rows,
-                               title=f"[{result.experiment_id}] {result.title}"))
-            if result.notes:
-                print(f"Note: {result.notes}")
-            print(render_kv(
-                [
-                    ("run_key", result.meta["run_key"]),
-                    ("seed", result.meta["seed"]),
-                    ("repetition", result.meta["repetition"]),
-                    ("seed scheme", result.meta["seed_scheme"]),
-                    ("contract", f"{len(scenario.spec.expect)} facts expected, "
-                                 f"{len(mismatches)} broken"),
-                ],
-                title="Run identity",
-            ))
-        for mismatch in mismatches:
-            print(f"contract broken: {mismatch}", file=sys.stderr)
-        return 1 if mismatches else 0
-
-    # gate: re-derive every run key, then replay eligibility and the
-    # perf-regression sentinel over the recorded trajectory.
-    # Fail-closed — any mismatch is exit 1.
-    path = pathlib.Path(args.results) / "BENCH_PERF.json"
-    if not path.exists():
-        raise ReproError(f"no trajectory file at {path}")
-    derived = [[s.spec.scenario_id, s.run_key()[:16] + "...",
-                s.seed("experiment", 0).decode("latin-1")]
-               for s in SCENARIOS]
-    print(render_table(["scenario", "run_key (re-derived)", "rep-0 seed"],
-                       derived, title="Run-key derivation sweep"))
-    failures = []
-    try:
-        reports = audit_file(path)
-    except PromotionError as exc:
-        failures.append(f"GATE FAILED: {exc}")
-        reports = []
-    try:
-        series = audit_trajectory(path)
-    except RegressionError as exc:
-        failures.append(f"REGRESSION: {exc}")
-        series = []
-    if reports:
-        print()
-        print(render_table(
-            ["point", "status", "checks replayed"],
-            [[r["experiment_id"], r["status"], ", ".join(r.get("checked", [])) or "-"]
-             for r in reports],
-            title=f"Eligibility replay over {path}"))
-    if series:
-        print()
-        print(render_table(
-            ["series", "status", "tx/sec", "best prior"],
-            [[f"{r['series'][0]}/{r['series'][1]}/{r['series'][2]} "
-              f"{dict(r['series'][3])}" if "series" in r
-              else str(r.get("experiment_id", "-")),
-              r["status"], r.get("tx_per_sec", "-"), r.get("best_prior", "-")]
-             for r in series],
-            title="Perf-regression sentinel replay"))
-    for failure in failures:
-        print(f"\n{failure}", file=sys.stderr)
-    if failures:
-        return 1
-    accepted = sum(1 for r in reports if r["status"] == "accepted")
-    legacy = sum(1 for r in reports if r["status"] == "legacy-pre-gate")
-    print(f"\n{len(reports)} points: {accepted} accepted, {legacy} legacy-pre-gate; "
-          f"{len(series)} sentinel series checked; gate holds")
-    return 0
+    # run
+    scenario = SCENARIOS.get(args.id)
+    if args.seed is not None:
+        scenario = scenario.reseeded(args.seed)
+    result = scenario.run(repetition=args.rep)
+    mismatches = scenario.check(result)
+    if args.json:
+        print(canonical_result_json(result, scenario.spec))
+    else:
+        print(render_table(result.headers, result.rows,
+                           title=f"[{result.experiment_id}] {result.title}"))
+        if result.notes:
+            print(f"Note: {result.notes}")
+        print(render_kv(
+            [
+                ("run_key", result.meta["run_key"]),
+                ("seed", result.meta["seed"]),
+                ("repetition", result.meta["repetition"]),
+                ("seed scheme", result.meta["seed_scheme"]),
+                ("contract", f"{len(scenario.spec.expect)} facts expected, "
+                             f"{len(mismatches)} broken"),
+            ],
+            title="Run identity",
+        ))
+    for mismatch in mismatches:
+        print(f"contract broken: {mismatch}", file=sys.stderr)
+    return 1 if mismatches else 0
 
 
 def _write_profile_artifacts(profile, dump_dir: str) -> None:
@@ -504,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_p.set_defaults(func=_cmd_profile)
 
     p_s = sub.add_parser("scenario",
-                         help="scenario control plane: list/describe/run/gate")
+                         help="scenario control plane: list/describe/run")
     s_sub = p_s.add_subparsers(dest="action", required=True)
     s_sub.add_parser("list", help="list registered scenarios with run keys")
     p_sd = s_sub.add_parser("describe", help="canonical spec + derived seeds")
@@ -518,11 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
                       "the spec's root seed")
     p_sr.add_argument("--json", action="store_true",
                       help="print the canonical result JSON instead of the table")
-    p_sg = s_sub.add_parser("gate",
-                            help="re-derive run keys + replay the promotion "
-                            "gate and the perf-regression sentinel")
-    p_sg.add_argument("--results", default="benchmarks/results",
-                      help="directory holding BENCH_PERF.json")
     p_s.set_defaults(func=_cmd_scenario)
     return parser
 

@@ -186,10 +186,9 @@ def make_deployment(
 
     *identities* supplies pre-generated :class:`Identity` objects by
     name; any role found there skips key generation (the dominant cost
-    of building a world).  The throughput harness uses this to amortize
-    keygen across sweep points — note that skipping generation advances
-    the deployment RNG differently, so runs with and without a given
-    identity are not bit-comparable.
+    of building a world).  Skipping generation advances the deployment
+    RNG differently, so runs with and without a given identity are not
+    bit-comparable.
 
     With ``durable=True`` every party gets a
     :class:`~repro.durability.journal.PartyJournal` over a shared

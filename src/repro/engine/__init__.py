@@ -1,4 +1,4 @@
-"""repro.engine — the multi-tenant TPNR throughput engine.
+"""repro.engine — the multi-tenant TPNR session engine.
 
 The paper's §6 leaves performance evaluation open; this package closes
 the measurement gap.  :class:`~repro.engine.pool.SessionPool` drives N
@@ -10,22 +10,18 @@ repeated modular exponentiation from the hot path.
 tenant population across N worker shards by seed-keyed HMAC and merges
 the per-shard results back into one :class:`~repro.engine.pool.PoolResult`
 whose ``signature()`` is bit-identical at any shard count;
-:mod:`repro.engine.throughput` sweeps tenant and shard counts and
-compares against the uncached one-world-per-transaction baseline.
+:func:`~repro.engine.sharding.run_pool` runs either at one tenant count.
+Wall-clock throughput is measured outside the package, by the
+repository benchmark (``python3 -m bench``).
 """
 
 from .pool import EngineConfig, PoolResult, SessionPool, SessionRecord, TenantDirectory
-from .sharding import ShardedSessionPool, merge_pool_results, shard_of, shard_plan
-from .throughput import (
-    BaselineSample,
-    ShardedReport,
-    ShardedSample,
-    ThroughputReport,
-    ThroughputSample,
-    run_baseline,
+from .sharding import (
+    ShardedSessionPool,
+    merge_pool_results,
     run_pool,
-    run_sharded_throughput,
-    run_throughput,
+    shard_of,
+    shard_plan,
 )
 
 __all__ = [
@@ -36,15 +32,7 @@ __all__ = [
     "TenantDirectory",
     "ShardedSessionPool",
     "merge_pool_results",
+    "run_pool",
     "shard_of",
     "shard_plan",
-    "BaselineSample",
-    "ShardedReport",
-    "ShardedSample",
-    "ThroughputReport",
-    "ThroughputSample",
-    "run_baseline",
-    "run_pool",
-    "run_sharded_throughput",
-    "run_throughput",
 ]

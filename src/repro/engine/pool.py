@@ -313,12 +313,15 @@ class PoolResult:
         return len(self.sessions) - self.completed
 
     @property
-    def wall_seconds(self) -> float:
-        return self.build_seconds + self.drive_seconds
-
-    @property
-    def tx_per_sec(self) -> float:
-        return self.completed / self.wall_seconds if self.wall_seconds > 0 else 0.0
+    def rsa_private_ops(self) -> int | None:
+        """RSA private-key operations the run paid: signatures plus KEM
+        unwraps.  Both go through the crypto caches, and a miss is
+        exactly one private-key operation, so the count is deterministic
+        per seed.  ``None`` when the run had no cache bundle to count."""
+        if self.cache_stats is None:
+            return None
+        return int(self.cache_stats["sign"]["misses"]
+                   + self.cache_stats["kem_unwrap"]["misses"])
 
     def signature(self) -> str:
         h = hashlib.sha256()

@@ -40,10 +40,12 @@ identity on the sketch, see :mod:`repro.obs.sketch`) through
 unsharded pool uses — so p50/p99 are bit-identical at every shard
 count too.  They are telemetry, excluded from ``signature()``.
 
-Shards run as sequential loop-based workers in one process: the
-workload is pure-Python compute (GIL-bound), so process fan-out would
-pay serialization for no wall-clock win — the throughput gain comes
-from batched evidence amortizing RSA, not from parallelism.
+Shards run as sequential loop-based workers in one process.  Whether
+process fan-out would pay for its serialization on this GIL-bound,
+pure-Python workload is unmeasured; what batching saves is counted
+instead — RSA private-key operations (:attr:`PoolResult.rsa_private_ops`).
+
+:func:`run_pool` is the one-call entry point over both engines.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ from dataclasses import replace
 from time import perf_counter
 
 from ..core.policy import DEFAULT_POLICY, TpnrPolicy
+from ..core.protocol import DEFAULT_KEY_BITS
 from ..core.provider import HONEST, ProviderBehavior
 from ..crypto.hmac_ import hmac_digest
 from ..net.channel import PERFECT, ChannelSpec
@@ -72,6 +75,7 @@ __all__ = [
     "SHARD_DOMAIN",
     "ShardedSessionPool",
     "merge_pool_results",
+    "run_pool",
     "shard_of",
     "shard_plan",
 ]
@@ -270,3 +274,39 @@ class ShardedSessionPool:
             merged.profile.record_leaf(
                 "engine/merge", max(0.0, merge_overhead), invariant=False)
         return merged
+
+
+def run_pool(
+    seed: bytes | str,
+    n_tenants: int,
+    directory: TenantDirectory | None = None,
+    use_caches: bool = True,
+    transactions_per_tenant: int = 1,
+    observe: bool = True,
+    shards: int = 1,
+    batch_size: int | None = None,
+    key_bits: int = DEFAULT_KEY_BITS,
+    profile: bool = False,
+) -> PoolResult:
+    """One engine run at one tenant count; the low-level entry point.
+
+    ``shards > 1`` routes through :class:`ShardedSessionPool` (merged
+    result, signature-identical to ``shards=1``); *batch_size* switches
+    on Merkle-batched evidence; *profile* attaches a
+    :class:`~repro.obs.profiler.RegionProfiler` per shard and merges
+    them exactly into ``result.profile``.
+    """
+    config = EngineConfig(
+        n_tenants=n_tenants,
+        transactions_per_tenant=transactions_per_tenant,
+        use_caches=use_caches,
+        observe=observe,
+        batch_size=batch_size,
+        key_bits=key_bits,
+        profile=profile,
+    )
+    if shards > 1:
+        return ShardedSessionPool(
+            config, seed=seed, shards=shards, directory=directory
+        ).run()
+    return SessionPool(config, seed=seed, directory=directory).run()

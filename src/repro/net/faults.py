@@ -723,6 +723,7 @@ class CampaignRunner:
         # self.deployment mid-run.
         self.on_plan = on_plan
         self.slos = None  # the SLOManager, exposed once run() starts
+        self.auditor = None  # the ConsistencyAuditor, likewise (forensics only)
         self.deployment = None  # the shared deployment, exposed after run()
         self._rng = HmacDrbg(seed, personalization=b"fault-campaign")
 
@@ -747,6 +748,7 @@ class CampaignRunner:
             # exclusive_trace: the runner clears the trace per plan, so
             # every wire event belongs to the plan under audit.
             auditor = ConsistencyAuditor.for_deployment(dep, exclusive_trace=True)
+        self.auditor = auditor
         monitor = None
         if self.anomaly:
             from ..obs.campaign import attach_campaign_detectors  # lazy: see render()

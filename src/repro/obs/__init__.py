@@ -23,8 +23,8 @@ tracer are shared no-ops — instrumented code guards with::
     if obs.enabled:
         obs.metrics.counter("...").inc()
 
-so the disabled cost is one attribute load and one branch
-(``benchmarks/bench_observability.py`` proves the bound).
+so the disabled cost is one attribute load and one branch, and the
+disabled path records nothing (an OB1 ``expect`` fact).
 
 Exporters (:mod:`repro.obs.exporters`) turn either surface into JSONL,
 Prometheus text, or human-readable tables;

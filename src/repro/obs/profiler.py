@@ -42,8 +42,8 @@ the OB4 experiment asserts.
 Disabled cost follows the repo's observability idiom: the pool seats
 :data:`NULL_PROFILER` (shared no-op, reentrant null context manager)
 unless ``EngineConfig.profile`` is set, so the off path is one
-attribute load and a no-op ``with`` (``benchmarks/bench_profiler.py``
-proves the <= 3% bound).
+attribute load and a no-op ``with``, and an unprofiled run records no
+region (an OB4 ``expect`` fact).
 """
 
 from __future__ import annotations

@@ -1,14 +1,16 @@
 """Run-identity context shared between the registry and the writers.
 
 A :class:`RunStamp` names one concrete run of a registered scenario:
-the content-addressed ``run_key`` of the spec it executed, which stage
-and repetition it was, and the seed that repetition derived.  The
-registry installs the active stamp in a :class:`contextvars.ContextVar`
-around the runner call, and every metadata writer —
-:func:`repro.analysis.experiments.run_meta`, the benchmark JSON
-emitters — folds the active stamp into its output.  That is what makes
-*every* result file carry the same ``run_key``/``seed``/``repo_version``
-block without each writer knowing about the registry.
+the content-addressed ``run_key`` of the spec it executed, which
+repetition it was, and the seed that repetition derived (``stage`` is
+always ``"experiment"``; it stays in the block so every artifact keeps
+one layout).  The registry installs the active stamp in a
+:class:`contextvars.ContextVar` around the runner call, and every
+metadata writer — :func:`repro.analysis.experiments.run_meta`, the
+profile and SLO exporters — folds the active stamp into its output.  That is
+what makes *every* result file carry the same
+``run_key``/``seed``/``repo_version`` block without each writer knowing
+about the registry.
 
 This module is deliberately a leaf (no repro imports) so that
 ``analysis.experiments`` can read the stamp without creating an import

@@ -10,9 +10,6 @@ The registry is what turns a spec into a run:
 * :meth:`RegisteredScenario.run` derives the repetition seed, installs
   the :class:`~repro.scenarios.context.RunStamp` so every metadata
   writer emits the run identity, and calls the runner;
-* :meth:`RegisteredScenario.stage_context` does the same for auxiliary
-  benchmark stages (the TP1 perf sweep, the OB2 cost probe), which is
-  how every ``BENCH_PERF.json`` point is born already stamped;
 * :meth:`RegisteredScenario.check` compares a result's facts with the
   spec's ``expect`` contract — the one statement of what each run must
   show, read by the tier-1 tests, ``repro scenario run`` and
@@ -22,18 +19,15 @@ The registry is what turns a spec into a run:
   (sorted keys, nondeterministic meta stripped) — the form the
   cross-seed determinism tests compare and the committed artifacts use.
 
-``DEFAULT_REGISTRY`` registers all twenty-four experiments; the ten
-campaign/engine scenarios (FC1, CR1, OB1, OB2, OB3, OB4, TP1, TP2, RP1, RP2)
-carry the richer specs (workload knobs, stages, invariance contracts).
+``DEFAULT_REGISTRY`` registers all twenty-four experiments.
 """
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import inspect
 import json
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Callable, Iterator
 
 from ..errors import ReproError
 from .context import RunStamp, stamped
@@ -78,21 +72,21 @@ class RegisteredScenario:
         """Content address of this scenario at *version* (default: current)."""
         return compute_run_key(self.spec, self.defaults, version)
 
-    def seed(self, stage: str = "experiment", repetition: int = 0) -> bytes:
-        return self.spec.seed(stage, repetition)
+    def seed(self, repetition: int = 0) -> bytes:
+        return self.spec.seed(repetition)
 
     def reseeded(self, root_seed: str) -> "RegisteredScenario":
         """The same scenario under another root seed (a new run key)."""
         return RegisteredScenario(self.spec.with_overrides(root_seed=root_seed),
                                   self.runner)
 
-    def stamp(self, stage: str = "experiment", repetition: int = 0) -> RunStamp:
+    def stamp(self, repetition: int = 0) -> RunStamp:
         return RunStamp(
             run_key=self.run_key(),
             scenario=self.spec.scenario_id,
-            stage=stage,
+            stage="experiment",
             repetition=repetition,
-            seed=self.seed(stage, repetition).decode("latin-1"),
+            seed=self.seed(repetition).decode("latin-1"),
             seed_scheme=SEED_SCHEME,
         )
 
@@ -106,16 +100,9 @@ class RegisteredScenario:
             "run_key": self.run_key(),
             "seed_scheme": SEED_SCHEME,
             "seeds": {
-                "experiment": {
-                    f"rep{r}": self.seed("experiment", r).decode("latin-1")
-                    for r in range(self.spec.repetitions)
-                },
-                **{
-                    stage: {"rep0": self.seed(stage, 0).decode("latin-1")}
-                    for stage in self.spec.stages
-                },
+                f"rep{r}": self.seed(r).decode("latin-1")
+                for r in range(self.spec.repetitions)
             },
-            "invariance": {s: list(c) for s, c in sorted(self.spec.invariance.items())},
             "expect": dict(sorted(self.spec.expect.items())),
         }
 
@@ -139,51 +126,15 @@ class RegisteredScenario:
     # -- execution ---------------------------------------------------------
 
     def run(self, repetition: int = 0):
-        """Run the experiment stage at *repetition*, identity-stamped."""
+        """Run the experiment at *repetition*, identity-stamped."""
         if repetition >= self.spec.repetitions:
             raise ReproError(
                 f"scenario {self.spec.scenario_id!r} declares "
                 f"{self.spec.repetitions} repetition(s); rep {repetition} "
                 "is outside the registered spec")
-        stamp = self.stamp("experiment", repetition)
-        with stamped(stamp):
-            return self.runner(seed=self.seed("experiment", repetition),
+        with stamped(self.stamp(repetition)):
+            return self.runner(seed=self.seed(repetition),
                                **dict(self.spec.workload))
-
-    @contextlib.contextmanager
-    def stage_context(self, stage: str, repetition: int = 0) -> Iterator[bytes]:
-        """Install the stage's run identity; yields the derived stage seed.
-
-        Benchmark stages wrap their measurement in this so any
-        ``run_meta``-built result and any promoted perf entry carries
-        the scenario's run key and the stage-derived seed.
-        """
-        seed = self.seed(stage, repetition)
-        with stamped(self.stamp(stage, repetition)):
-            yield seed
-
-    def perf_entry(self, stage: str, *, experiment_id: str | None = None,
-                   repetition: int = 0,
-                   invariance: Mapping[str, bool] | None = None,
-                   **payload: Any) -> dict[str, Any]:
-        """A ``BENCH_PERF.json`` entry skeleton the gate will accept —
-        provided the invariance results really pass; the gate, not this
-        helper, is the authority."""
-        from .. import __version__
-
-        entry: dict[str, Any] = {
-            "experiment_id": experiment_id or self.spec.scenario_id,
-            "scenario": self.spec.scenario_id,
-            "stage": stage,
-            "repetition": repetition,
-            "run_key": self.run_key(),
-            "seed": self.seed(stage, repetition).decode("latin-1"),
-            "seed_scheme": SEED_SCHEME,
-            "repo_version": __version__,
-        }
-        entry["invariance"] = dict(invariance or {})
-        entry.update(payload)
-        return entry
 
 
 class ScenarioRegistry:
@@ -352,24 +303,20 @@ def _default_specs() -> list[ScenarioSpec]:
                              "every_crash_recovered": True}),
         ScenarioSpec("OB1", "extension — observability span trees + metrics",
                      "experiment_observability", "exp/ob1",
-                     stages=("overhead",),
                      expect=_all_true("all_trees_complete", "metrics_nonempty",
                                       "crypto_observed", "prometheus_nonempty",
-                                      "crash-resume/recovery_traced")),
+                                      "crash-resume/recovery_traced",
+                                      "disabled_path_records_nothing")),
         ScenarioSpec("OB2", "extension — forensic timelines + consistency audit",
                      "experiment_forensics", "exp/ob2",
                      workload={"n_plans": 100},
-                     stages=("cost", "overhead"),
-                     invariance={"cost": ("clean_reconstruction_zero_findings",)},
                      expect={"all_attributed": True, "no_false_positives": True,
                              "verdicts_agree": True, "campaign/unattributed": 0,
-                             "campaign/noop_findings": 0, "campaign/hung": 0}),
+                             "campaign/noop_findings": 0, "campaign/hung": 0,
+                             "forensics_off_builds_no_auditor": True}),
         ScenarioSpec("OB3", "extension — SLO error budgets + burn-rate alerting",
                      "experiment_slo", "exp/ob3",
                      workload={"n_plans": 24},
-                     stages=("perf",),
-                     invariance={"perf": (
-                         "sketch_merge_equivalent_and_alerts_deterministic",)},
                      expect={**_all_true("clean_run_silent",
                                          "storms_fire_burn_alerts",
                                          "sketch_merge_exact",
@@ -378,47 +325,40 @@ def _default_specs() -> list[ScenarioSpec]:
                              "delay/hung": 0}),
         ScenarioSpec("TP1", "extension — multi-tenant throughput engine",
                      "experiment_throughput", "exp/tp1",
-                     stages=("perf", "perf-1000"),
-                     invariance={"perf": ("cache_toggle_signature_identical",)},
-                     nondeterministic_meta=("wall_tx_per_sec",),
-                     expect=_all_true("all_sessions_completed_and_verified",
-                                      "ttp_untouched",
-                                      "verify_cache_hits_positive",
-                                      "same_seed_signature_identical",
-                                      "cache_toggle_signature_identical")),
+                     # Keys are paid per identity (8 tenants + provider +
+                     # TTP), never per transaction, and never twice.
+                     expect={**_all_true("all_sessions_completed_and_verified",
+                                         "ttp_untouched",
+                                         "verify_cache_hits_positive",
+                                         "same_seed_signature_identical",
+                                         "cache_toggle_signature_identical"),
+                             "cold_run_keygens": 10, "warm_run_keygens": 0}),
         ScenarioSpec("TP2", "extension — sharded engine + Merkle-batched evidence",
                      "experiment_sharded_throughput", "exp/tp2",
-                     stages=("perf", "perf-10k"),
-                     invariance={"perf": ("shard_signature_invariant_1_2_4_8",)},
-                     nondeterministic_meta=("wall_tx_per_sec",),
-                     expect=_all_true("all_sessions_completed_and_verified",
-                                      "ttp_untouched",
-                                      "shard_signature_invariant_1_2_4_8",
-                                      "batch_size_signature_invariant",
-                                      "batched_evidence_settled_every_item",
-                                      "batched_wire_bytes_below_classic")),
-        ScenarioSpec("OB4", "extension — deterministic profiler + critical path "
-                     "+ regression sentinel",
+                     # RSA private-key operations: classic pays 130
+                     # signatures + 32 KEM unwraps for 16 sessions; a
+                     # batched shard world signs once per sealed batch.
+                     expect={**_all_true("all_sessions_completed_and_verified",
+                                         "ttp_untouched",
+                                         "shard_signature_invariant_1_2_4_8",
+                                         "batch_size_signature_invariant",
+                                         "batched_evidence_settled_every_item",
+                                         "batched_wire_bytes_below_classic"),
+                             "classic/rsa_private_ops": 162,
+                             "1/rsa_private_ops": 36, "2/rsa_private_ops": 39,
+                             "4/rsa_private_ops": 44, "8/rsa_private_ops": 56}),
+        ScenarioSpec("OB4", "extension — deterministic profiler + critical path",
                      "experiment_profiler", "exp/ob4",
-                     stages=("overhead",),
-                     invariance={"overhead": (
-                         "profile_artifacts_shard_invariant_1_2_4_8",
-                         "critical_path_reconciles",
-                     )},
-                     nondeterministic_meta=("shard_utilization",
-                                            "wall_tx_per_sec"),
+                     nondeterministic_meta=("shard_utilization",),
                      expect=_all_true("profile_artifacts_shard_invariant_1_2_4_8",
                                       "profile_artifacts_repeatable",
                                       "signature_unchanged_by_profiling",
                                       "critical_path_reconciles",
                                       "critical_path_within_tree_total",
-                                      "sentinel_rejects_20pct_drop",
-                                      "sentinel_accepts_5pct_drop")),
+                                      "unprofiled_run_records_no_regions")),
         ScenarioSpec("RP1", "extension — replicated-store divergence campaign",
                      "experiment_replication", "exp/rp1",
                      workload={"n_plans": 60},
-                     stages=("perf",),
-                     invariance={"perf": ("all_faults_masked_or_detected",)},
                      expect={"all_faults_masked_or_detected": True,
                              "zero_false_positives": True,
                              "faults_injected": True, "silent_faults": 0,

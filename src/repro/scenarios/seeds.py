@@ -1,9 +1,8 @@
 """Seed derivation for scenario runs (Proteus PT-002 style).
 
-One scenario owns one *root seed*; every run of it — repetition ``r``
-of the experiment proper, or an auxiliary benchmark *stage* such as the
-TP1 perf sweep — draws its seed deterministically from that root
-through a versioned HMAC derivation.  The rules:
+One scenario owns one *root seed*; every repetition ``r`` of it draws
+its seed deterministically from that root through a versioned HMAC
+derivation.  The rules:
 
 * **Repetition 0 is the canonical run and uses the root seed itself.**
   This keeps every pre-registry artifact (``results/FC1.txt`` and
@@ -12,14 +11,10 @@ through a versioned HMAC derivation.  The rules:
 * **Repetitions ``r >= 1`` derive** ``HMAC(root, "rep/<r>")`` —
   independent streams for replication sweeps, recoverable from the
   root alone.
-* **Stages always derive** ``HMAC(root, "stage/<name>/rep/<r>")`` so a
-  benchmark never silently reuses the experiment's stream.
 
 Derived seeds are the lowercase-hex digest *as ASCII bytes*: printable
-in JSON result files, byte-exact as a DRBG seed, and checkable by the
-promotion gate, which recomputes the expected seed from the registered
-root and refuses any benchmark point whose seed does not match
-(:mod:`repro.scenarios.gate`).
+in JSON result files, byte-exact as a DRBG seed, and recomputable from
+the registered root.
 """
 
 from __future__ import annotations
@@ -31,12 +26,10 @@ __all__ = [
     "SEED_SCHEME",
     "derive_seed",
     "repetition_seed",
-    "stage_seed",
-    "seed_matches",
 ]
 
 #: Version tag of the derivation scheme; hashed into every run_key so a
-#: change to the derivation invalidates previously promoted points.
+#: change to the derivation can never collide with an old key.
 SEED_SCHEME = "pt002-hmac-sha256/v1"
 
 _DOMAIN = b"repro.scenarios.seed/v1|"
@@ -54,24 +47,9 @@ def derive_seed(root: bytes | str, label: str) -> bytes:
 
 
 def repetition_seed(root: bytes | str, repetition: int = 0) -> bytes:
-    """Seed for repetition *repetition* of a scenario's experiment stage."""
+    """Seed for repetition *repetition* of a scenario."""
     if repetition < 0:
         raise ReproError(f"repetition index must be >= 0, got {repetition}")
     if repetition == 0:
         return _as_bytes(root)
     return derive_seed(root, f"rep/{repetition}")
-
-
-def stage_seed(root: bytes | str, stage: str, repetition: int = 0) -> bytes:
-    """Seed for an auxiliary stage (a benchmark sweep, a cost probe)."""
-    if repetition < 0:
-        raise ReproError(f"repetition index must be >= 0, got {repetition}")
-    return derive_seed(root, f"stage/{stage}/rep/{repetition}")
-
-
-def seed_matches(root: bytes | str, seed: str, stage: str = "experiment",
-                 repetition: int = 0) -> bool:
-    """Does *seed* (as recorded in a result file) equal the derivation?"""
-    expected = (repetition_seed(root, repetition) if stage == "experiment"
-                else stage_seed(root, stage, repetition))
-    return expected.decode("latin-1") == seed

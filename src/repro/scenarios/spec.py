@@ -2,13 +2,12 @@
 
 A :class:`ScenarioSpec` is the complete, serializable description of
 one experiment the repo can run: which runner, which root seed, which
-workload knobs, how many repetitions, which auxiliary benchmark stages
-exist, and which invariance checks a promoted point must pass.
+workload knobs, how many repetitions, and which facts every run must
+show.
 
 The **run key** is the content address of a spec: a SHA-256 over the
 *canonical* spec serialization, the seed-derivation scheme version, and
-the repo code version.  Canonicalization guarantees the two properties
-the gate relies on:
+the repo code version.  Canonicalization guarantees two properties:
 
 * **representation never matters** — dict key order is erased by
   sorted-key JSON, tuples and lists collapse to the same form, and a
@@ -16,9 +15,8 @@ the gate relies on:
   to the same knob omitted (defaults come from the runner's own
   signature, so the spec cannot drift from the code);
 * **semantics always matter** — changing the runner, the root seed,
-  any effective knob value, the repetition count, the stage list, the
-  invariance contract, the seed scheme, or the code version changes
-  the run key.
+  any effective knob value, the repetition count, the seed scheme, or
+  the code version changes the run key.
 
 Two fields are deliberately outside the hash: ``title`` (cosmetic)
 and ``expect`` (a verdict on a run's output, not an input to it).
@@ -33,7 +31,7 @@ from typing import Any, Mapping
 from ..crypto.hashes import digest
 from ..determinism import canon_float
 from ..errors import ReproError
-from .seeds import SEED_SCHEME, repetition_seed, stage_seed
+from .seeds import SEED_SCHEME, repetition_seed
 
 __all__ = [
     "CANON_SCHEME",
@@ -45,7 +43,7 @@ __all__ = [
 
 #: Version tag of the canonicalization itself, hashed into every run
 #: key so a change in these rules can never collide with old keys.
-CANON_SCHEME = "repro.scenarios.run_key/v1"
+CANON_SCHEME = "repro.scenarios.run_key/v2"
 
 
 @dataclass(frozen=True)
@@ -55,13 +53,10 @@ class ScenarioSpec:
     ``runner`` names a callable in :mod:`repro.analysis.experiments`
     (e.g. ``"experiment_fault_campaign"``); ``workload`` holds keyword
     knobs for it (everything except ``seed``, which the registry
-    derives).  ``stages`` are the auxiliary benchmark measurements that
-    may promote points to ``BENCH_PERF.json``; ``invariance`` maps a
-    stage name to the check names a promoted point must carry as
-    ``true``.  ``nondeterministic_meta`` lists meta keys excluded from
-    the canonical result serialization (wall-clock rates and the like).
-    ``expect`` maps fact names to the values every experiment-stage run
-    must report — the scenario's contract, checked by
+    derives).  ``nondeterministic_meta`` lists meta keys excluded from
+    the canonical result serialization (wall-clock telemetry and the
+    like).  ``expect`` maps fact names to the values every run must
+    report — the scenario's contract, checked by
     :meth:`~repro.scenarios.registry.RegisteredScenario.check`.
     """
 
@@ -71,8 +66,6 @@ class ScenarioSpec:
     root_seed: str
     workload: Mapping[str, Any] = field(default_factory=dict)
     repetitions: int = 1
-    stages: tuple[str, ...] = ()
-    invariance: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
     nondeterministic_meta: tuple[str, ...] = ()
     expect: Mapping[str, Any] = field(default_factory=dict)
 
@@ -84,30 +77,10 @@ class ScenarioSpec:
         if self.repetitions < 1:
             raise ReproError(
                 f"scenario {self.scenario_id!r} needs >= 1 repetition")
-        if "experiment" in self.stages:
-            raise ReproError("'experiment' is the implicit primary stage; "
-                             "declare only auxiliary stages")
-        for stage in self.invariance:
-            if stage != "experiment" and stage not in self.stages:
-                raise ReproError(
-                    f"scenario {self.scenario_id!r} declares invariance for "
-                    f"undeclared stage {stage!r}")
 
-    # -- seed derivation (PT-002) -----------------------------------------
-
-    def seed(self, stage: str = "experiment", repetition: int = 0) -> bytes:
-        """The derived seed for one run of this scenario."""
-        if stage == "experiment":
-            return repetition_seed(self.root_seed, repetition)
-        if stage not in self.stages:
-            raise ReproError(
-                f"scenario {self.scenario_id!r} has no stage {stage!r} "
-                f"(declared: {list(self.stages) or 'none'})")
-        return stage_seed(self.root_seed, stage, repetition)
-
-    def checks_for(self, stage: str) -> tuple[str, ...]:
-        """Invariance check names a promoted point for *stage* must pass."""
-        return tuple(self.invariance.get(stage, ()))
+    def seed(self, repetition: int = 0) -> bytes:
+        """The derived (PT-002) seed for one repetition of this scenario."""
+        return repetition_seed(self.root_seed, repetition)
 
     def with_overrides(self, **changes: Any) -> "ScenarioSpec":
         """A derived spec (different seed, knobs, ...) — new run key."""
@@ -160,8 +133,6 @@ def canonical_spec(spec: ScenarioSpec,
         "root_seed": spec.root_seed,
         "workload": workload,
         "repetitions": spec.repetitions,
-        "stages": list(spec.stages),
-        "invariance": {s: list(c) for s, c in sorted(spec.invariance.items())},
         "nondeterministic_meta": sorted(spec.nondeterministic_meta),
     }
 

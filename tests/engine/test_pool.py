@@ -246,3 +246,28 @@ class TestBatchedPool:
 
     def test_classic_run_has_no_batch_stats(self, result):
         assert result.batch_stats is None
+
+
+class TestRsaPrivateOps:
+    """``PoolResult.rsa_private_ops``, the count TP2 pins per run: every
+    RSA private-key operation, signatures and KEM unwraps alike."""
+
+    @pytest.mark.parametrize("batch_size", [None, 2])
+    def test_counts_every_private_key_operation(self, directory, monkeypatch,
+                                                batch_size):
+        from repro.crypto.rsa import RsaPrivateKey
+
+        calls = []
+        private_op = RsaPrivateKey._private_op
+
+        def counted(key, c):
+            calls.append(c)
+            return private_op(key, c)
+
+        monkeypatch.setattr(RsaPrivateKey, "_private_op", counted)
+        result = run_pool(SEED, 4, directory=directory, batch_size=batch_size)
+        assert result.rsa_private_ops == len(calls) > 0
+
+    def test_no_cache_bundle_no_count(self, directory):
+        assert run_pool(SEED, 2, directory=directory,
+                        use_caches=False).rsa_private_ops is None

@@ -190,6 +190,20 @@ class TestForensicCampaigns:
                                   forensics=True, anomaly=True).run(plans)
         assert plain.signature() == forensic.signature()
 
+    def test_forensics_off_builds_no_auditor(self):
+        # OB2's disabled-path fact: off means no auditor and no finding
+        # on the same faulted plans the forensic twin attributes.
+        plans = generate_plans(b"fr-off", 6)
+        twins = {}
+        for forensics in (False, True):
+            runner = CampaignRunner(seed=b"fr-off", observe=True,
+                                    forensics=forensics)
+            report = runner.run(plans)
+            twins[forensics] = (runner.auditor is None,
+                                sum(len(o.findings) for o in report.outcomes))
+        assert twins[False] == (True, 0)
+        assert twins[True][0] is False and twins[True][1] > 0
+
     def test_anomaly_requires_observation(self):
         import pytest
 

@@ -32,6 +32,23 @@ class TestSeat:
         assert seat.observer is None
 
 
+    @pytest.mark.parametrize("handed_a_live_bundle", [False, True])
+    def test_unobserved_session_records_nothing(self, handed_a_live_bundle):
+        # OB1's disabled-path fact, and the mutation it must catch: a
+        # live registry and tracer handed to an observe=False deployment.
+        from repro.core.protocol import make_deployment, run_session
+        from repro.obs import Observability
+
+        dep = make_deployment(seed=b"obs-dark", observe=False)
+        if handed_a_live_bundle:
+            dep.network.obs = Observability(clock=lambda: dep.sim.now)
+        run_session(dep, b"unobserved payload")
+        bundle = dep.network.obs
+        silent = (seat.observer is None and not bundle.metrics.snapshot()
+                  and not bundle.tracer.spans)
+        assert silent is not handed_a_live_bundle
+
+
 class TestAccounting:
     def test_rsa_sign_verify_counted_with_wall_time(self, key):
         reg = MetricsRegistry()

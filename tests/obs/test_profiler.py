@@ -213,10 +213,10 @@ class TestExporters:
         assert all("wall_total" in r for r in full[1:])
 
     def test_profile_jsonl_carries_stamp_under_scenario(self):
-        from repro.scenarios import SCENARIOS
+        from repro.scenarios import SCENARIOS, stamped
 
         ob4 = SCENARIOS.get("OB4")
-        with ob4.stage_context("overhead"):
+        with stamped(ob4.stamp()):
             header = json.loads(profile_jsonl(self.profiler()).splitlines()[0])
         assert header["run_key"] == ob4.run_key()
 

@@ -1,1 +1,1 @@
-"""Tests for the scenario control plane (specs, seeds, run keys, gate)."""
+"""Tests for the scenario control plane (specs, seeds, run keys, contracts)."""

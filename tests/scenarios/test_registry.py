@@ -23,36 +23,36 @@ def test_every_spec_declares_an_expect_contract():
     assert [s.spec.scenario_id for s in SCENARIOS if not s.spec.expect] == []
 
 
-#: Run keys at code version 1.5.0.  ``expect`` (like ``title``) is a
-#: verdict on a run, not an input to it, so declaring or editing a
-#: contract must leave every key — and every gated BENCH_PERF.json
-#: point — where it was.
+#: Run keys at code version 1.5.0 under canonicalization scheme v2.
+#: ``expect`` (like ``title``) is a verdict on a run, not an input to
+#: it, so declaring or editing a contract must leave every key — and
+#: the ``run_key`` stamped into every committed artifact — where it was.
 PINNED_VERSION = "1.5.0"
 PINNED_RUN_KEYS = {
-    "A1": "5c9768fe0ca8a11cf039cdb18057994836cdfd3da7ae5371e7ebf4bcfe989cd9",
-    "CR1": "5cbc5e6e6aca658c1dcbbd50de5eef9e2d27bde74b7d204dee0f450f0147296d",
-    "F1": "5aeca78839f5ca07c1bc3a50645e2472229229aca1ce549c45d4626d132c187d",
-    "F2": "7e267498a4fec1ac26ec8baefb382333d8487898e297426050a4ef8a105d89fc",
-    "F3": "78ef54d36aaf0416a7f83c08f3ff03c6d8f9a1acf01b4d15c5e25ea26f7650d4",
-    "F4": "4daddca567ec274b33bea2e709e4d34f89a946869c746d6cab270eb7e8009485",
-    "F5": "872d4c3b66b672fd273b61ed6ad9226fcb190e749e0d4691cf43538fad9d5c7a",
-    "F6": "94b59bc98a0a219bb54a946d5693b6dce042f40f8d62fc017d6ed6478261df6c",
-    "FC1": "7d22c549f5452329d2a0370cb42ab38430717b1ab650286e3a28711f626f3301",
-    "OB1": "3ffe2a25a607552de4f38d1cece6161e55a87d298f462d9dbb20822e3d4c4119",
-    "OB2": "40ea3bc948822769bb3b55af9eb89473eb00404ae8cf38e8188967f5e96ac2c4",
-    "OB3": "25c9d288193bd90af95a2fba6cca2d9af856db533fbbab98442c2800f4166baa",
-    "OB4": "c8133fb2b250421185e4c1e9f8bb775c0cc5763939739dd820304d75cd2cb9bf",
-    "R1": "df978bc00690e3ccd1d25cd223f3dd62d7bd9f271259f49e2ebd76de4bd1064c",
-    "RP1": "49b1e2e8a1c5c3aa23448e512110f4b1264fca51663ac391f2b7106bbe030498",
-    "RP2": "6708a2d9e8e53dc37f135b96d3c811c420d61bf12937c3b2af4d520837cf209b",
-    "S3": "6a7542cd54c85858692569c1da7e00b40bdd97760929343044f752f8e92df7b3",
-    "S4": "cb6ba8db97d951d9d51e6d94a7f322b557b3c5b8845b76b59707e79ef42981d8",
-    "S5": "bc0f462fe23b1de61a9036f3348cb1e7cf23c6b27c7339219ab22e12e53413ea",
-    "S6": "bbac45f5f30c36278130a7d20d0024af71a5f1afa92852088bbb7468959eef3a",
-    "T1": "b1575b6f509ff4103f90e17bbecfafc5ce0865764d0ce0f5a0b4beb4dbabf815",
-    "TP1": "11af8f8e5b0cbb19df728f83b9de21388b6ae94b61c1784d615103c55436bac3",
-    "TP2": "84c193f5b7143c1d1bff3d00954855470a9e9826cb97a7b6182bffec5da89908",
-    "W1": "0e24ed8ebd5099082b122f107e08294630452ebcab3df54d4a877df486d05dab",
+    "A1": "1d1386a8765a1a986da6a3a7ccdfe737ef346be48a3cd8350844c86b7029f6d3",
+    "CR1": "0bf1f75a9784a510a4b269316b7a16162249114750d4142d81d43ea5790ec280",
+    "F1": "4162b5d3ba6b91f92de46503cd71331e4b9493468113186451ccca36101da936",
+    "F2": "078f036727f5de8f2c4223668f101a4e5aee3587a0b2a689aa412f2fe19a063e",
+    "F3": "41325a56ecae3b1841c855a3addbf9d23e6f19651a8550ef9e696040e79779d4",
+    "F4": "2631636bdc02dd308eed4cca34daf1ba226fca1b22f52953bccc6b23f580d8df",
+    "F5": "ffe0ee3468459b4637191b5adac4e55f6b67c61e69b802c223d72bd79e8d0a11",
+    "F6": "fcc0d823549b6b51aba46ec2b72409db4b22ac07e15b50ec1776ba9f0f49134d",
+    "FC1": "89cb3c5271bd764752f2f936ec07211589e972bcb193cb198a3874210d002cb6",
+    "OB1": "ddd5707412068e27fab5e88b3ed413af3b6d542df80faa394193f3ff4b48415c",
+    "OB2": "47baed106da638986bc5ee4dfb398ae335066dcdaccf6ba35f8746eb23a0bbd4",
+    "OB3": "3fef82f8112cecf9bbf3b6e766261f30b032d7153827219d6feccdfbdb7f3180",
+    "OB4": "93a01aefb998effe4e426fa4d6513de66477ad15ec278d6082874cb428d99276",
+    "R1": "eb74e4eaad1a42efa2b6b43592717dfaa0f11dd055c22330069fc9f4521e0b93",
+    "RP1": "acd750f68d108250ed03965661cb2bcab6f7dc4f8e4ae1cd53c8c1bbd46f87f7",
+    "RP2": "8ce7ad811cca7c1372a083b8da680091ae051972a5edcb454363df7aec8b9e64",
+    "S3": "573f35cc0bffeea56755bab72ce40bf1711518395ea20c63789de746be9c0cfa",
+    "S4": "3e95f1384e4fcb7eb2feda21538b77382df56b2951191d4c5dd056185f3fd08c",
+    "S5": "43771fa71719e88ddfb3c58adda62f75098a2c417db3035083f1f768b5774edc",
+    "S6": "66abcf72a175d129302e1703c2daea661f7083600be98c8e053eb7976cf77561",
+    "T1": "adedb52a8b4c681ac5f6db96bb18ab5c8463f34378e7ee3866a7f6d979441003",
+    "TP1": "7a4eb48d2b1255482a9af173faa69bf55196ec7c766f7d23cb98d14843578fb2",
+    "TP2": "db572a4526fcf07ebf13a44da64effec6cc2563f229bd8da4f06857e9235d21d",
+    "W1": "3eb06b6aaaa97ffda4942343090b674757177598126a51e5b3fc9ec5b9d0f4bb",
 }
 
 
@@ -61,37 +61,35 @@ def test_run_keys_are_pinned():
             for s in SCENARIOS} == PINNED_RUN_KEYS
 
 
-@pytest.mark.parametrize("scenario_id,root,workload,stages", [
-    ("FC1", "exp/fc1", {"n_plans": 50}, ()),
-    ("CR1", "exp/cr1", {"n_plans": 100}, ()),
-    ("OB1", "exp/ob1", {}, ("overhead",)),
-    ("OB2", "exp/ob2", {"n_plans": 100}, ("cost", "overhead")),
-    ("OB3", "exp/ob3", {"n_plans": 24}, ("perf",)),
-    ("TP1", "exp/tp1", {}, ("perf", "perf-1000")),
-    ("TP2", "exp/tp2", {}, ("perf", "perf-10k")),
-    ("RP1", "exp/rp1", {"n_plans": 60}, ("perf",)),
-    ("RP2", "exp/rp2", {}, ()),
+@pytest.mark.parametrize("scenario_id,root,workload", [
+    ("FC1", "exp/fc1", {"n_plans": 50}),
+    ("CR1", "exp/cr1", {"n_plans": 100}),
+    ("OB1", "exp/ob1", {}),
+    ("OB2", "exp/ob2", {"n_plans": 100}),
+    ("OB3", "exp/ob3", {"n_plans": 24}),
+    ("TP1", "exp/tp1", {}),
+    ("TP2", "exp/tp2", {}),
+    ("RP1", "exp/rp1", {"n_plans": 60}),
+    ("RP2", "exp/rp2", {}),
 ])
-def test_campaign_scenarios_carry_their_specs(scenario_id, root, workload, stages):
+def test_campaign_scenarios_carry_their_specs(scenario_id, root, workload):
     spec = SCENARIOS.get(scenario_id).spec
     assert spec.root_seed == root
     assert dict(spec.workload) == workload
-    assert spec.stages == stages
 
 
 def test_invariance_contracts_are_declared():
-    assert SCENARIOS.get("TP1").spec.checks_for("perf") == (
-        "cache_toggle_signature_identical",)
-    assert SCENARIOS.get("OB2").spec.checks_for("cost") == (
-        "clean_reconstruction_zero_findings",)
-    assert SCENARIOS.get("RP1").spec.checks_for("perf") == (
-        "all_faults_masked_or_detected",)
-    assert SCENARIOS.get("OB3").spec.checks_for("perf") == (
-        "sketch_merge_equivalent_and_alerts_deterministic",)
-    assert SCENARIOS.get("TP1").spec.checks_for("perf-1000") == ()
-    assert SCENARIOS.get("TP2").spec.checks_for("perf") == (
-        "shard_signature_invariant_1_2_4_8",)
-    assert SCENARIOS.get("TP2").spec.checks_for("perf-10k") == ()
+    # Each scenario's core invariance is a fact of its one contract.
+    for scenario_id, fact in (
+        ("TP1", "cache_toggle_signature_identical"),
+        ("TP2", "shard_signature_invariant_1_2_4_8"),
+        ("OB3", "sketch_merge_exact"),
+        ("OB4", "profile_artifacts_shard_invariant_1_2_4_8"),
+        ("OB4", "critical_path_reconciles"),
+        ("RP1", "all_faults_masked_or_detected"),
+        ("OB2", "no_false_positives"),
+    ):
+        assert SCENARIOS.get(scenario_id).spec.expect[fact] is True
 
 
 def test_run_keys_are_distinct_across_scenarios():
@@ -147,8 +145,7 @@ def probe_registry():
     registry = ScenarioRegistry()
     registry.register(
         ScenarioSpec("PRB", "probe scenario", "_probe_runner", "exp/prb",
-                     repetitions=3, stages=("perf",),
-                     nondeterministic_meta=("wall_ms",)),
+                     repetitions=3, nondeterministic_meta=("wall_ms",)),
         runner=_probe_runner)
     return registry
 
@@ -171,41 +168,17 @@ def test_repetitions_derive_their_own_seeds(probe_registry):
     scenario = probe_registry.get("PRB")
     rep1 = scenario.run(repetition=1)
     assert rep1.meta["repetition"] == 1
-    assert rep1.meta["seed"] == scenario.seed("experiment", 1).decode()
+    assert rep1.meta["seed"] == scenario.seed(1).decode()
     assert rep1.meta["seed"] != "exp/prb"
     with pytest.raises(ReproError):
         scenario.run(repetition=3)  # outside the registered spec
 
 
-def test_stage_context_installs_stage_identity(probe_registry):
-    scenario = probe_registry.get("PRB")
-    with scenario.stage_context("perf") as seed:
-        assert seed == scenario.seed("perf")
-        meta = run_meta(seed)
-        assert meta["run_key"] == scenario.run_key()
-        assert meta["stage"] == "perf"
-        assert meta["seed"] == seed.decode()
-    assert current_stamp() is None
-
-
-def test_perf_entry_shape(probe_registry):
-    scenario = probe_registry.get("PRB")
-    entry = scenario.perf_entry("perf", invariance={"sig_ok": True}, ms=1.5)
-    assert entry["experiment_id"] == entry["scenario"] == "PRB"
-    assert entry["stage"] == "perf"
-    assert entry["run_key"] == scenario.run_key()
-    assert entry["seed"] == scenario.seed("perf").decode()
-    assert entry["invariance"] == {"sig_ok": True}
-    assert entry["ms"] == 1.5
-    sub = scenario.perf_entry("perf", experiment_id="PRB-extra")
-    assert sub["experiment_id"] == "PRB-extra" and sub["scenario"] == "PRB"
-
-
 def test_describe_exposes_derived_seeds(probe_registry):
     described = probe_registry.get("PRB").describe()
-    assert described["seeds"]["experiment"]["rep0"] == "exp/prb"
-    assert len(described["seeds"]["experiment"]) == 3
-    assert described["seeds"]["perf"]["rep0"] != "exp/prb"
+    assert described["seeds"]["rep0"] == "exp/prb"
+    assert len(described["seeds"]) == 3
+    assert described["seeds"]["rep1"] != "exp/prb"
     assert described["run_key"] == probe_registry.get("PRB").run_key()
     assert "title" not in described["spec"]  # cosmetic, outside the hash
 
@@ -271,3 +244,77 @@ def test_ids_match_case_insensitively():
     registry.register(ScenarioSpec("X1", "x", "experiment_table1", "exp/x"))
     with pytest.raises(ReproError):
         registry.register(ScenarioSpec("x1", "x", "experiment_table1", "exp/x"))
+
+
+# -- counted facts flip when the property they guard breaks -------------------
+
+
+def _unbatched(monkeypatch):
+    import repro.engine
+
+    run_pool = repro.engine.run_pool
+    monkeypatch.setattr(repro.engine, "run_pool",
+                        lambda *a, **kw: run_pool(*a, **{**kw, "batch_size": None}))
+
+
+def _always_profiled(monkeypatch):
+    import repro.engine
+
+    run_pool = repro.engine.run_pool
+    monkeypatch.setattr(repro.engine, "run_pool",
+                        lambda *a, **kw: run_pool(*a, **{**kw, "profile": True}))
+
+
+def _forgetful_directory(monkeypatch):
+    import repro.engine
+
+    class Forgetful(repro.engine.TenantDirectory):
+        def identity(self, name):
+            self._identities.pop(name, None)
+            return super().identity(name)
+
+    monkeypatch.setattr(repro.engine, "TenantDirectory", Forgetful)
+
+
+def _live_bundle_when_unobserved(monkeypatch):
+    from repro.analysis import experiments
+    from repro.obs import Observability
+
+    make_deployment = experiments.make_deployment
+
+    def leaky(*a, **kw):
+        dep = make_deployment(*a, **kw)
+        if not kw.get("observe"):
+            dep.network.obs = Observability(clock=lambda: dep.sim.now)
+        return dep
+
+    monkeypatch.setattr(experiments, "make_deployment", leaky)
+
+
+def _forensics_always_on(monkeypatch):
+    import repro.net.faults
+
+    class Forensic(repro.net.faults.CampaignRunner):
+        def __init__(self, *a, **kw):
+            super().__init__(*a, **{**kw, "forensics": True})
+
+    monkeypatch.setattr(repro.net.faults, "CampaignRunner", Forensic)
+
+
+@pytest.mark.parametrize("scenario_id,mutate,broken", [
+    # Batching off: every shard count pays the classic 162.
+    ("TP2", _unbatched, "1/rsa_private_ops: got 162, expected 36"),
+    ("TP1", _forgetful_directory, "warm_run_keygens: got 10, expected 0"),
+    ("OB1", _live_bundle_when_unobserved,
+     "disabled_path_records_nothing: got False, expected True"),
+    ("OB2", _forensics_always_on,
+     "forensics_off_builds_no_auditor: got False, expected True"),
+    ("OB4", _always_profiled,
+     "unprofiled_run_records_no_regions: got False, expected True"),
+], ids=["TP2-batching-off", "TP1-keys-not-amortized", "OB1-live-registry",
+        "OB2-forensics-on", "OB4-profiler-on"])
+def test_counted_fact_breaks_with_its_property(monkeypatch, scenario_id,
+                                               mutate, broken):
+    scenario = SCENARIOS.get(scenario_id)
+    mutate(monkeypatch)
+    assert broken in scenario.check(scenario.run())

@@ -3,13 +3,7 @@
 import pytest
 
 from repro.errors import ReproError
-from repro.scenarios.seeds import (
-    SEED_SCHEME,
-    derive_seed,
-    repetition_seed,
-    seed_matches,
-    stage_seed,
-)
+from repro.scenarios.seeds import SEED_SCHEME, derive_seed, repetition_seed
 
 
 def test_repetition_zero_is_the_root_seed():
@@ -32,33 +26,12 @@ def test_higher_repetitions_derive_distinct_streams():
 
 def test_derivation_is_deterministic_and_str_bytes_agnostic():
     assert repetition_seed("exp/tp1", 3) == repetition_seed(b"exp/tp1", 3)
-    assert stage_seed("exp/tp1", "perf") == stage_seed(b"exp/tp1", "perf")
-
-
-def test_stage_seeds_always_derive():
-    # A benchmark stage never silently reuses the experiment's stream.
-    root = "exp/ob2"
-    cost = stage_seed(root, "cost")
-    overhead = stage_seed(root, "overhead")
-    assert cost != root.encode() != overhead
-    assert cost != overhead
-    assert stage_seed(root, "cost", 1) != cost
+    assert derive_seed("exp/tp1", "x") == derive_seed(b"exp/tp1", "x")
 
 
 def test_distinct_roots_distinct_streams():
-    assert derive_seed("exp/a", "stage/perf/rep/0") != derive_seed("exp/b", "stage/perf/rep/0")
+    assert derive_seed("exp/a", "rep/1") != derive_seed("exp/b", "rep/1")
     assert derive_seed("exp/a", "x") != derive_seed("exp/a", "y")
-
-
-def test_seed_matches_accepts_only_the_derivation():
-    root = "exp/tp1"
-    assert seed_matches(root, "exp/tp1")  # rep 0 == root
-    assert seed_matches(root, repetition_seed(root, 2).decode(), repetition=2)
-    assert seed_matches(root, stage_seed(root, "perf").decode(), stage="perf")
-    assert not seed_matches(root, "exp/tp1", stage="perf")  # root is not a stage seed
-    assert not seed_matches(root, stage_seed(root, "perf").decode(), stage="cost")
-    assert not seed_matches(root, "bench/tp1")  # the pre-registry ad-hoc seed
-    assert not seed_matches(root, stage_seed(root, "perf", 1).decode(), stage="perf")
 
 
 def test_invalid_derivations_raise():
@@ -66,8 +39,6 @@ def test_invalid_derivations_raise():
         derive_seed("root", "")
     with pytest.raises(ReproError):
         repetition_seed("root", -1)
-    with pytest.raises(ReproError):
-        stage_seed("root", "perf", -1)
 
 
 def test_scheme_tag_is_versioned():

@@ -1,6 +1,6 @@
 """Property tests for run_key canonicalization.
 
-The two contracts the gate stands on:
+The two contracts every run key stands on:
 
 * representation never matters — dict key order, tuple-vs-list,
   explicit-default-vs-omitted all hash identically;
@@ -105,7 +105,7 @@ def test_changing_any_effective_knob_changes_the_key(workload, name, new_value):
     {"root_seed": "exp/other"},
     {"runner": "experiment_other"},
     {"repetitions": 2},
-    {"stages": ("perf",)},
+    {"nondeterministic_meta": ("wall_ms",)},
     {"workload": {"n_plans": 51}},
 ])
 def test_semantic_field_changes_change_the_key(change):
@@ -113,13 +113,6 @@ def test_semantic_field_changes_change_the_key(change):
     derived = base.with_overrides(**change)
     assert compute_run_key(base, version=VERSION) != \
         compute_run_key(derived, version=VERSION)
-
-
-def test_invariance_contract_is_hashed():
-    base = spec_with({}, stages=("perf",))
-    contracted = base.with_overrides(invariance={"perf": ("sig_ok",)})
-    assert compute_run_key(base, version=VERSION) != \
-        compute_run_key(contracted, version=VERSION)
 
 
 def test_code_version_is_hashed():
@@ -154,16 +147,7 @@ def test_spec_validation():
         spec_with({}, runner="")
     with pytest.raises(ReproError):
         spec_with({}, repetitions=0)
-    with pytest.raises(ReproError):
-        spec_with({}, stages=("experiment",))
-    with pytest.raises(ReproError):
-        spec_with({}, invariance={"perf": ("x",)})  # undeclared stage
-
-
-def test_seed_accessor_rejects_unknown_stage():
-    with pytest.raises(ReproError):
-        spec_with({}).seed("perf")
 
 
 def test_canon_scheme_is_versioned():
-    assert CANON_SCHEME == "repro.scenarios.run_key/v1"
+    assert CANON_SCHEME == "repro.scenarios.run_key/v2"

@@ -1,14 +1,9 @@
 """The command-line interface."""
 
-import pathlib
-import shutil
-
 import pytest
 
 from repro.cli import build_parser, main
 from repro.scenarios import SCENARIOS
-
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 class TestParser:
@@ -20,7 +15,7 @@ class TestParser:
         parser = build_parser()
         for argv in (["scenario", "list"], ["scenario", "run", "F5"],
                      ["scenario", "run", "F5", "--seed", "s", "--rep", "0"],
-                     ["scenario", "gate"], ["demo"],
+                     ["scenario", "describe", "F5"], ["demo"],
                      ["workload", "--clients", "2"], ["obs"],
                      ["obs", "--seed", "s", "--dump-dir", "/tmp/x"],
                      ["forensics", "--tamper"], ["replication"], ["slo"],
@@ -122,22 +117,6 @@ class TestScenarioRun:
         out = capsys.readouterr().out
         assert SCENARIOS.get("T1").run_key() not in out
         assert SCENARIOS.get("T1").reseeded("other").run_key() in out
-
-
-class TestScenarioGate:
-    def test_committed_trajectory_passes(self, capsys):
-        results = REPO_ROOT / "benchmarks" / "results"
-        assert main(["scenario", "gate", "--results", str(results)]) == 0
-        assert "gate holds" in capsys.readouterr().out
-
-    def test_regressed_fixture_fails(self, capsys, tmp_path):
-        shutil.copy(REPO_ROOT / "tests" / "scenarios" / "fixtures"
-                    / "bench_perf_regressed.json", tmp_path / "BENCH_PERF.json")
-        assert main(["scenario", "gate", "--results", str(tmp_path)]) == 1
-        assert "REGRESSION" in capsys.readouterr().err
-
-    def test_missing_trajectory_exits_2(self, capsys, tmp_path):
-        assert main(["scenario", "gate", "--results", str(tmp_path)]) == 2
 
 
 class TestThroughputFlags:
