@@ -16,4 +16,4 @@ def test_scenario(benchmark, emit, scenario):
     result = benchmark.pedantic(scenario.run, rounds=1, iterations=1)
     assert result.meta["run_key"] == scenario.run_key()
     assert scenario.check(result) == []
-    emit(result, scenario.spec)
+    emit(result)

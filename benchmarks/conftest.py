@@ -30,21 +30,18 @@ def results_dir() -> pathlib.Path:
 @pytest.fixture
 def emit(results_dir):
     """Render an ExperimentResult, save it (.txt for humans, canonical
-    .json for machines), and echo it to stdout.  With the scenario's
-    *spec*, the JSON drops the meta keys the spec declares
-    nondeterministic, so an experiment-stage artifact regenerates
+    .json for machines), and echo it to stdout.  Every field is a pure
+    function of the seed, so an experiment-stage artifact regenerates
     byte-identically."""
 
-    def _emit(result, spec=None, extra: str = "") -> str:
+    def _emit(result) -> str:
         text = render_table(result.headers, result.rows,
                             title=f"[{result.experiment_id}] {result.title}")
         if result.notes:
             text += f"\nNote: {result.notes}"
-        if extra:
-            text += "\n" + extra
         (results_dir / f"{result.experiment_id}.txt").write_text(text + "\n")
         (results_dir / f"{result.experiment_id}.json").write_text(
-            canonical_result_json(result, spec) + "\n")
+            canonical_result_json(result) + "\n")
         print("\n" + text)
         return text
 

@@ -1008,7 +1008,7 @@ def experiment_observability(seed: bytes = b"exp/ob1") -> ExperimentResult:
         root = tracer.root(txn)
         status = root.status if root is not None else "missing"
         events = sum(len(s.events) for s in spans)
-        snapshot = dep.obs.metrics.deterministic_snapshot()
+        snapshot = dep.obs.metrics.snapshot()
         rows.append([mode, status, len(spans), events, complete, len(snapshot)])
         facts[f"{mode}/tree_complete"] = complete
         facts[f"{mode}/spans"] = len(spans)
@@ -1090,8 +1090,7 @@ def experiment_observability(seed: bytes = b"exp/ob1") -> ExperimentResult:
         notes="Spans live on the network-side tracer (keyed by transaction id, "
         "events carry msg_id for wire-trace correlation), so trees survive "
         "amnesia crashes of party state; metrics are sim-clock-stamped and "
-        "deterministic, with wall-clock crypto timings quarantined as "
-        "nondeterministic.",
+        "deterministic, and crypto hot paths are counted, never timed.",
         meta=run_meta(seed),
     )
 
@@ -1587,9 +1586,9 @@ def experiment_profiler(
       self-times sum to the root span's measured elapsed, and the
       path never exceeds the whole tree's duration.
 
-    Shard utilization (skew, idle fraction) is computed from per-shard
-    drive wall times, so it lands in ``meta`` as telemetry, not as a
-    fact value.
+    * **Shard utilization** — the 4-shard run's populated shard count
+      and session skew (max per-shard sessions over the mean), both
+      counted from the merged per-shard summaries.
     """
     from ..core.protocol import run_session
     from ..engine import TenantDirectory, run_pool
@@ -1608,7 +1607,6 @@ def experiment_profiler(
     facts: dict[str, Any] = {}
     artifacts: dict[int, tuple[str, str]] = {}
     signatures: dict[int, str] = {}
-    utilization: dict[str, Any] = {}
     for shards in shard_counts:
         result = run_pool(
             seed, n_tenants, directory=directory, shards=shards, profile=True
@@ -1619,7 +1617,8 @@ def experiment_profiler(
         artifacts[shards] = (flame, profile_dump)
         signatures[shards] = result.signature()
         if shards == 4:
-            utilization = shard_utilization(result.shard_summaries)
+            for key, value in shard_utilization(result.shard_summaries).items():
+                facts[f"shard_utilization/{key}"] = value
         rows.append([
             shards,
             result.completed,
@@ -1645,13 +1644,6 @@ def experiment_profiler(
     facts["unprofiled_run_records_no_regions"] = (
         unprofiled.profile is None and not unprofiled.obs.profiler.stats()
     )
-    # HMAC placement of 8 tenants over 4 shards may leave a shard empty
-    # (empty shards produce no summary), so >= 2 populated is the bound.
-    facts["shard_utilization_sane"] = (
-        utilization.get("shards", 0) >= 2
-        and utilization.get("skew_ratio", 0.0) >= 1.0
-        and 0.0 <= utilization.get("idle_fraction", 1.0) < 1.0
-    )
 
     # Critical path over a live observed transaction's span tree, on a
     # WAN-ish channel so spans have real simulated extent (PERFECT's
@@ -1668,8 +1660,6 @@ def experiment_profiler(
         dominant.name if dominant is not None else None
     )
 
-    meta = run_meta(seed)
-    meta["shard_utilization"] = utilization  # wall-derived: nondeterministic
     return ExperimentResult(
         experiment_id="OB4",
         title="Extension — deterministic profiler and critical path",
@@ -1682,11 +1672,10 @@ def experiment_profiler(
         "QuantileSketches exactly, so the deterministic artifact surface "
         "(flamegraph weighted by calls, profile.jsonl restricted to sim "
         "fields) is byte-identical at every shard count with per-message "
-        "evidence.  Wall-clock fields are quarantined to the full rows and "
-        "never exported by default.  The critical path telescopes: stage "
-        "self-times are child-max residuals, so their sum equals the root "
-        "span's elapsed.  An unprofiled run records no region at all.",
-        meta=meta,
+        "evidence.  The critical path telescopes: stage self-times are "
+        "child-max residuals, so their sum equals the root span's elapsed.  "
+        "An unprofiled run records no region at all.",
+        meta=run_meta(seed),
     )
 
 

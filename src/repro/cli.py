@@ -186,6 +186,8 @@ def _cmd_slo(args: argparse.Namespace) -> int:
     from .net.faults import CampaignRunner, FaultPlan, generate_storm_plans
     from .obs.dashboard import DashboardFrame, render_frame, top_fault_classes
 
+    if args.plans < 1:
+        raise ReproError(f"--plans must be >= 1 (got {args.plans})")
     seed = args.seed.encode()
     if args.profile == "clean":
         plans = [FaultPlan(name=f"s{i:03d}-clean") for i in range(args.plans)]
@@ -258,7 +260,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
     result = scenario.run(repetition=args.rep)
     mismatches = scenario.check(result)
     if args.json:
-        print(canonical_result_json(result, scenario.spec))
+        print(canonical_result_json(result))
     else:
         print(render_table(result.headers, result.rows,
                            title=f"[{result.experiment_id}] {result.title}"))
@@ -302,8 +304,10 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         top_regions,
     )
 
-    if args.shards < 1:
-        raise ReproError(f"--shards must be >= 1 (got {args.shards})")
+    for flag, value in (("--tenants", args.tenants), ("--shards", args.shards),
+                        ("--top", args.top)):
+        if value < 1:
+            raise ReproError(f"{flag} must be >= 1 (got {value})")
     if args.batch_size is not None and args.batch_size < 1:
         raise ReproError(f"--batch-size must be >= 1 (got {args.batch_size})")
     seed = args.seed.encode()
@@ -357,10 +361,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         ))
         if result.shard_summaries:
             util = shard_utilization(result.shard_summaries)
-            print(render_kv(
-                sorted(util.items()),
-                title="Shard utilization (wall-derived, nondeterministic)",
-            ))
+            print(render_kv(sorted(util.items()), title="Shard utilization"))
     if args.dump_dir:
         _write_profile_artifacts(profile, args.dump_dir)
     return 0

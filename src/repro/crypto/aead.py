@@ -9,7 +9,6 @@ computed over ``aad_len(8) || aad || nonce || ciphertext``.
 from __future__ import annotations
 
 import struct
-from time import perf_counter
 
 from ..errors import CryptoError, DecryptionError
 from . import instrument as _instrument
@@ -43,15 +42,14 @@ def seal(master: bytes, nonce: bytes, plaintext: bytes, aad: bytes = b"") -> byt
     Returns ``nonce || ciphertext || tag``.  The caller must never reuse
     a nonce under the same key; protocol code draws nonces from a DRBG.
     """
-    observer = _instrument.observer
-    started = perf_counter() if observer is not None else 0.0
     if len(nonce) != NONCE_SIZE:
         raise CryptoError(f"nonce must be {NONCE_SIZE} bytes, got {len(nonce)}")
     enc_key, mac_key = derive_keys(master)
     ciphertext = chacha20_xor(enc_key, nonce, plaintext)
     tag = hmac_digest(mac_key, _tag_input(aad, nonce, ciphertext))
+    observer = _instrument.observer
     if observer is not None:
-        observer.crypto_call("aead.seal", perf_counter() - started)
+        observer.crypto_call("aead.seal")
     return nonce + ciphertext + tag
 
 
@@ -62,16 +60,8 @@ def open_(master: bytes, sealed: bytes, aad: bytes = b"") -> bytes:
     ciphertext, the nonce, or the associated data.
     """
     observer = _instrument.observer
-    if observer is None:
-        return _open(master, sealed, aad)
-    started = perf_counter()
-    try:
-        return _open(master, sealed, aad)
-    finally:
-        observer.crypto_call("aead.open", perf_counter() - started)
-
-
-def _open(master: bytes, sealed: bytes, aad: bytes) -> bytes:
+    if observer is not None:
+        observer.crypto_call("aead.open")
     if len(sealed) < OVERHEAD:
         raise DecryptionError("sealed box too short")
     nonce = sealed[:NONCE_SIZE]

@@ -27,7 +27,6 @@ header) is defined by :func:`repro.core.evidence.evidence_leaf`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from time import perf_counter
 
 from . import instrument as _instrument
 from . import rsa
@@ -155,26 +154,22 @@ class EvidenceBatcher:
     def seal(self) -> SealedBatch | None:
         """Seal whatever is pending (the end-of-run flush); None if empty.
 
-        The ``batch.seal`` wall time reported to the crypto observer
-        covers the whole seal — it *includes* the inner ``merkle.build``
-        and ``rsa.sign`` calls, which also report individually.
+        The crypto observer counts one ``batch.seal`` per seal; the
+        inner ``merkle.build`` and ``rsa.sign`` calls count individually.
         """
         if not self._pending:
             return None
         observer = _instrument.observer
-        started = perf_counter() if observer is not None else 0.0
-        try:
-            tree = MerkleTree(self._pending)
-            batch = SealedBatch(
-                signer=self.identity.name,
-                root=tree.root,
-                signature=sign_batch_root(self.identity.private_key, tree.root),
-                size=len(tree),
-            )
-            self.ledger.publish(tree, batch)
-            self._pending = []
-            self.batches_sealed += 1
-            return batch
-        finally:
-            if observer is not None:
-                observer.crypto_call("batch.seal", perf_counter() - started)
+        if observer is not None:
+            observer.crypto_call("batch.seal")
+        tree = MerkleTree(self._pending)
+        batch = SealedBatch(
+            signer=self.identity.name,
+            root=tree.root,
+            signature=sign_batch_root(self.identity.private_key, tree.root),
+            size=len(tree),
+        )
+        self.ledger.publish(tree, batch)
+        self._pending = []
+        self.batches_sealed += 1
+        return batch

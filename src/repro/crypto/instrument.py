@@ -3,7 +3,8 @@
 A deliberately tiny leaf module (no repro imports) so ``rsa`` and
 ``aead`` can consult it without any risk of import cycles.  The
 observability layer (:mod:`repro.obs.instrument`) installs an object
-exposing ``crypto_call(op: str, wall_seconds: float)`` here; when
+exposing ``crypto_call(op: str)`` here, which the hot paths call once
+per operation: calls are counted, never timed.  When
 ``observer`` is ``None`` — the default — the hot paths pay exactly one
 attribute load and one ``is None`` test per call.
 """

@@ -25,8 +25,6 @@ the proof.
 
 from __future__ import annotations
 
-from time import perf_counter
-
 from ..errors import CryptoError
 from . import instrument as _instrument
 from .hashes import digest
@@ -51,8 +49,6 @@ class MerkleTree:
     def __init__(self, leaves: list[bytes] | tuple[bytes, ...]) -> None:
         if not leaves:
             raise CryptoError("a Merkle tree needs at least one leaf")
-        observer = _instrument.observer
-        started = perf_counter() if observer is not None else 0.0
         self._leaves = [bytes(leaf) for leaf in leaves]
         levels = [[_leaf_node(leaf) for leaf in self._leaves]]
         while len(levels[-1]) > 1:
@@ -65,8 +61,9 @@ class MerkleTree:
                 nxt.append(prev[-1])  # promote, never duplicate
             levels.append(nxt)
         self._levels = levels
+        observer = _instrument.observer
         if observer is not None:
-            observer.crypto_call("merkle.build", perf_counter() - started)
+            observer.crypto_call("merkle.build")
 
     def __len__(self) -> int:
         return len(self._leaves)
@@ -87,8 +84,6 @@ class MerkleTree:
         if not 0 <= index < len(self._leaves):
             raise CryptoError(
                 f"leaf index {index} out of range for {len(self._leaves)} leaves")
-        observer = _instrument.observer
-        started = perf_counter() if observer is not None else 0.0
         path: list[tuple[str, bytes]] = []
         i = index
         for level in self._levels[:-1]:
@@ -97,8 +92,9 @@ class MerkleTree:
                 side = "L" if sibling < i else "R"
                 path.append((side, level[sibling]))
             i //= 2
+        observer = _instrument.observer
         if observer is not None:
-            observer.crypto_call("merkle.prove", perf_counter() - started)
+            observer.crypto_call("merkle.prove")
         return tuple(path)
 
 
@@ -112,17 +108,14 @@ def verify_inclusion(
     root alone.
     """
     observer = _instrument.observer
-    started = perf_counter() if observer is not None else 0.0
-    try:
-        node = _leaf_node(leaf)
-        for side, sibling in proof:
-            if side == "L":
-                node = _interior_node(sibling, node)
-            elif side == "R":
-                node = _interior_node(node, sibling)
-            else:
-                return False
-        return node == root
-    finally:
-        if observer is not None:
-            observer.crypto_call("merkle.verify", perf_counter() - started)
+    if observer is not None:
+        observer.crypto_call("merkle.verify")
+    node = _leaf_node(leaf)
+    for side, sibling in proof:
+        if side == "L":
+            node = _interior_node(sibling, node)
+        elif side == "R":
+            node = _interior_node(node, sibling)
+        else:
+            return False
+    return node == root

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from time import perf_counter
 
 from ..errors import CryptoError, DecryptionError, InvalidKeyError, SignatureError
 from . import cache as _cache
@@ -160,8 +159,6 @@ def sign(key: RsaPrivateKey, message: bytes, hash_name: str = "sha256") -> bytes
     a hit skips the CRT private-key operation and returns the identical
     blob.  The observer still counts every call either way.
     """
-    observer = _instrument.observer
-    started = perf_counter() if observer is not None else 0.0
     if hash_name not in DIGEST_SIZES:
         raise CryptoError(f"unknown hash algorithm: {hash_name!r}")
     data_digest = digest(hash_name, message)
@@ -175,24 +172,17 @@ def sign(key: RsaPrivateKey, message: bytes, hash_name: str = "sha256") -> bytes
         signature = int_to_bytes(s, key.size_bytes)
         if caches is not None:
             caches.sign.put(cache_key, signature)
+    observer = _instrument.observer
     if observer is not None:
-        observer.crypto_call("rsa.sign", perf_counter() - started)
+        observer.crypto_call("rsa.sign")
     return signature
 
 
 def verify(key: RsaPublicKey, message: bytes, signature: bytes, hash_name: str = "sha256") -> bool:
     """True iff *signature* is a valid signature of *message* under *key*."""
     observer = _instrument.observer
-    if observer is None:
-        return _verify(key, message, signature, hash_name)
-    started = perf_counter()
-    try:
-        return _verify(key, message, signature, hash_name)
-    finally:
-        observer.crypto_call("rsa.verify", perf_counter() - started)
-
-
-def _verify(key: RsaPublicKey, message: bytes, signature: bytes, hash_name: str) -> bool:
+    if observer is not None:
+        observer.crypto_call("rsa.verify")
     if hash_name not in DIGEST_SIZES:
         raise CryptoError(f"unknown hash algorithm: {hash_name!r}")
     caches = _cache.caches

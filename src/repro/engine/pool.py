@@ -27,7 +27,6 @@ from __future__ import annotations
 import hashlib
 import threading
 from dataclasses import dataclass, field as dataclass_field
-from time import perf_counter
 
 from ..core.client import DownloadResult, TpnrClient
 from ..core.policy import DEFAULT_POLICY, TpnrPolicy
@@ -260,19 +259,16 @@ class SessionRecord:
 class PoolResult:
     """Everything one pool run produced.
 
-    :meth:`signature` hashes only the deterministic simulation outputs
-    (session rows, wire accounting, party tallies) — wall-clock timings
-    and cache statistics are deliberately excluded, so the signature
-    must be byte-identical across same-seed runs *and* across runs with
-    the crypto caches on or off (the caches change CPU time, never
-    simulated behavior).
+    :meth:`signature` hashes only the simulation outputs (session rows,
+    wire accounting, party tallies) — telemetry and cache statistics
+    are deliberately excluded, so the signature must be byte-identical
+    across same-seed runs *and* across runs with the crypto caches on
+    or off (the caches change CPU time, never simulated behavior).
     """
 
     config: EngineConfig
     sessions: list[SessionRecord]
     sim_duration: float
-    build_seconds: float
-    drive_seconds: float
     messages_sent: int
     bytes_on_wire: int
     provider_stats: dict[str, int]
@@ -282,7 +278,7 @@ class PoolResult:
     cache_stats: dict[str, dict[str, float]] | None = None
     obs: Observability = NULL_OBS
     # Rate-shift alerts from the sampling loop; telemetry only, excluded
-    # from signature() like the wall-clock timings.
+    # from signature() like the cache statistics.
     alerts: list = dataclass_field(default_factory=list)
     # End-of-run SLOReport (config.slo); telemetry only, excluded from
     # signature() like alerts.
@@ -297,7 +293,7 @@ class PoolResult:
     shard_summaries: list = dataclass_field(default_factory=list)
     # The run's RegionProfiler (config.profile); telemetry only,
     # excluded from signature() like obs/cache_stats — profiles carry
-    # wall-clock data and shard-dependent harness regions.
+    # shard-dependent harness regions.
     profile: object | None = None
 
     @property
@@ -409,13 +405,8 @@ class SessionPool:
     # -- world construction --------------------------------------------------
 
     def _stream(self, label: str) -> HmacDrbg:
-        profiler = self.profiler
-        if not profiler.enabled:
-            return HmacDrbg(self._seed, personalization=label.encode("utf-8"))
-        started = perf_counter()
-        drbg = HmacDrbg(self._seed, personalization=label.encode("utf-8"))
-        profiler.record_leaf("engine/stream", perf_counter() - started)
-        return drbg
+        self.profiler.record_leaf("engine/stream")
+        return HmacDrbg(self._seed, personalization=label.encode("utf-8"))
 
     def build(self) -> None:
         """Wire the world: PKI, network, provider, TTP, tenant clients."""
@@ -610,7 +601,6 @@ class SessionPool:
                 clock=lambda: self.sim.now if self.sim is not None else 0.0)
         self.profiler = profiler
         try:
-            build_started = perf_counter()
             # Harness regions are never shard-invariant (one entry per
             # shard world).  build/settle poison their leaf scope too:
             # enrollment signatures repeat per shard world and batch
@@ -623,8 +613,6 @@ class SessionPool:
                 self.build()
             with profiler.region("engine/schedule", invariant=False, scope=True):
                 self._schedule_workload()
-            build_seconds = perf_counter() - build_started
-            drive_started = perf_counter()
             with profiler.region("engine/drive", invariant=False, scope=drive_scope):
                 self._drive()
             with profiler.region("engine/settle", invariant=False, scope=False):
@@ -632,7 +620,6 @@ class SessionPool:
                 # holding evidence that cannot be proven.
                 batch_stats = (None if self.ledger is None
                                else settle_batches(self._parties(), self.ledger))
-            drive_seconds = perf_counter() - drive_started
         finally:
             if self._crypto_scope is not None:
                 self._crypto_scope.__exit__(None, None, None)
@@ -647,8 +634,6 @@ class SessionPool:
             config=self.config,
             sessions=sorted(self._sessions.values(), key=lambda s: s.transaction_id),
             sim_duration=self.sim.now,
-            build_seconds=build_seconds,
-            drive_seconds=drive_seconds,
             messages_sent=len(sends),
             bytes_on_wire=sum(e.size_bytes for e in sends),
             provider_stats=self.provider.stats(),

@@ -51,7 +51,6 @@ instead — RSA private-key operations (:attr:`PoolResult.rsa_private_ops`).
 from __future__ import annotations
 
 from dataclasses import replace
-from time import perf_counter
 
 from ..core.policy import DEFAULT_POLICY, TpnrPolicy
 from ..core.protocol import DEFAULT_KEY_BITS
@@ -117,7 +116,6 @@ def merge_pool_results(
     sessions = []
     messages_sent = bytes_on_wire = 0
     sim_duration = 0.0
-    build_seconds = drive_seconds = 0.0
     provider_stats: dict[str, int] = {}
     ttp_stats: dict[str, int] = {}
     alerts: list = []
@@ -131,8 +129,6 @@ def merge_pool_results(
         messages_sent += result.messages_sent
         bytes_on_wire += result.bytes_on_wire
         sim_duration = max(sim_duration, result.sim_duration)
-        build_seconds += result.build_seconds
-        drive_seconds += result.drive_seconds
         for key, value in result.provider_stats.items():
             provider_stats[key] = provider_stats.get(key, 0) + value
         for key, value in result.ttp_stats.items():
@@ -163,11 +159,6 @@ def merge_pool_results(
             "completed": result.completed,
             "messages_sent": result.messages_sent,
             "sim_duration": result.sim_duration,
-            # Per-shard wall-clock accounting: drive AND build, so
-            # utilization/imbalance (skew ratio, idle fraction) is
-            # computable from the merged result without re-running.
-            "drive_seconds": result.drive_seconds,
-            "build_seconds": result.build_seconds,
         })
     if cache_totals is not None:
         for bucket in cache_totals.values():
@@ -178,8 +169,6 @@ def merge_pool_results(
         config=config,
         sessions=sorted(sessions, key=lambda s: s.transaction_id),
         sim_duration=sim_duration,
-        build_seconds=build_seconds,
-        drive_seconds=drive_seconds,
         messages_sent=messages_sent,
         bytes_on_wire=bytes_on_wire,
         provider_stats=provider_stats,
@@ -242,7 +231,6 @@ class ShardedSessionPool:
 
     def run(self) -> PoolResult:
         """Run every (non-empty) shard and merge."""
-        merge_started = perf_counter()
         self.shard_results = []
         for shard_index, roster in enumerate(self.plan):
             if not roster:
@@ -259,21 +247,7 @@ class ShardedSessionPool:
                 roster=roster,
             )
             self.shard_results.append((shard_index, pool.run()))
-        merged = merge_pool_results(self.config, self.shard_results)
-        # The per-shard build/drive stopwatches already sum into the
-        # merged result; the merge step itself is accounted to build
-        # (it is setup/teardown, not protocol driving).
-        merge_overhead = (
-            perf_counter() - merge_started
-            - sum(r.build_seconds + r.drive_seconds for _, r in self.shard_results)
-        )
-        merged.build_seconds += merge_overhead
-        if merged.profile is not None:
-            # The merge step exists only in sharded runs, so it can
-            # never be part of the shard-invariant artifact surface.
-            merged.profile.record_leaf(
-                "engine/merge", max(0.0, merge_overhead), invariant=False)
-        return merged
+        return merge_pool_results(self.config, self.shard_results)
 
 
 def run_pool(

@@ -3,8 +3,8 @@
 A tiny mutable clock owned by the discrete-event :class:`Simulator`.
 All timestamps in the library (message sent-at times, certificate
 validity, protocol time limits, shipping transit) are expressed in
-simulated seconds read from one of these, never from ``time.time()``,
-so runs are deterministic.
+simulated seconds read from one of these, never from the host clock
+(no module imports ``time``), so runs are deterministic.
 """
 
 from __future__ import annotations

@@ -11,7 +11,12 @@ three telemetry surfaces:
   span events carry envelope ``msg_id`` for correlation with the
   wire-level :class:`~repro.net.trace.TraceRecorder`);
 * crypto hooks — :func:`~repro.obs.instrument.observe_crypto` scopes
-  RSA/AEAD call-count + wall-time accounting to a block.
+  RSA/AEAD/Merkle call counting to a block.
+
+Every number these surfaces report is a pure function of the seed: the
+clock is the simulation's, and the package never reads a real one.
+Wall-clock cost is measured only by the repository benchmark
+(``python3 -m bench``; ``--trace 1`` gives per-op self time).
 
 Everything hangs off the network: ``make_deployment(observe=True)``
 seats a live Observability on ``Network.obs`` and every node reaches it
@@ -34,8 +39,8 @@ per-fault-class retry/escalation/latency breakdowns;
 :mod:`repro.obs.slo` declares service objectives with error budgets
 and multi-window burn-rate alerting;
 :mod:`repro.obs.dashboard` renders the live ``repro slo --watch``
-view of a running campaign; :mod:`repro.obs.profiler` attributes cost
-to hierarchical regions on both clocks (sim + wall), extracts
+view of a running campaign; :mod:`repro.obs.profiler` attributes call
+counts and sim time to hierarchical regions, extracts
 critical paths from span trees, and exports flamegraphs/profile
 JSONL (``obs.enable_profiler()`` seats it — the seat is
 :data:`~repro.obs.profiler.NULL_PROFILER` until then).
@@ -91,7 +96,6 @@ from .dashboard import DashboardFrame, budget_bar, render_frame, top_fault_class
 from .instrument import CryptoObserver, observe_crypto
 from .metrics import (
     NULL_METRICS,
-    CardinalityError,
     Counter,
     Gauge,
     Histogram,
@@ -157,7 +161,6 @@ __all__ = [
     "MetricsRegistry",
     "NullMetricsRegistry",
     "NULL_METRICS",
-    "CardinalityError",
     "Counter",
     "Gauge",
     "Histogram",
@@ -247,8 +250,8 @@ class Observability:
     def spans_jsonl(self) -> str:
         return spans_jsonl(self.tracer)
 
-    def metrics_jsonl(self, deterministic_only: bool = False) -> str:
-        return metrics_jsonl(self.metrics, deterministic_only)
+    def metrics_jsonl(self) -> str:
+        return metrics_jsonl(self.metrics)
 
     def prometheus_text(self) -> str:
         return prometheus_text(self.metrics)

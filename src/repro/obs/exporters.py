@@ -37,13 +37,11 @@ def spans_jsonl(tracer: Tracer) -> str:
     )
 
 
-def metrics_jsonl(registry: MetricsRegistry, deterministic_only: bool = False) -> str:
+def metrics_jsonl(registry: MetricsRegistry) -> str:
     """The metrics snapshot, one JSON object per line."""
-    rows = (registry.deterministic_snapshot() if deterministic_only
-            else registry.snapshot())
     return "".join(
         json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n"
-        for row in rows
+        for row in registry.snapshot()
     )
 
 

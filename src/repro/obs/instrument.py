@@ -1,16 +1,10 @@
 """Crypto hot-path instrumentation.
 
 :class:`CryptoObserver` counts RSA sign/verify, AEAD seal/open, Merkle
-build/prove/verify, and batch-seal calls and accumulates their *real*
-wall time (``time.perf_counter``) into a metrics registry.  Call counts
-are deterministic per seed; wall times are not — the wall-time series
-are registered as non-deterministic so
-:meth:`MetricsRegistry.deterministic_snapshot` stays seed-stable.
-
-Wall time lands in one series, ``crypto.op_wall_seconds``: a per-op
-:class:`~repro.obs.sketch.QuantileSketch`, so crypto cost
-*distributions* merge exactly across shards, and the per-op total is
-the sketch's ``sum``.
+build/prove/verify, and batch-seal calls into one metrics series,
+``crypto.calls`` (labelled by op).  Counts are deterministic per seed;
+the package measures no wall time — per-op CPU cost comes from the
+repository benchmark (``python3 -m bench --trace 1``).
 
 When a :class:`~repro.obs.profiler.RegionProfiler` is attached, each
 call is also recorded as a ``crypto/<op>`` leaf under whatever region
@@ -44,39 +38,28 @@ CRYPTO_OPS = (
     "batch.seal",
 )
 
-#: Ops whose reported wall time *contains* other instrumented ops
-#: (``batch.seal`` wraps ``merkle.build``/``merkle.prove``/``rsa.sign``).
-#: They keep their metric series but are not forwarded as profiler
-#: leaves — the inner ops already are, and forwarding both would count
-#: the same wall time twice in the region tree.
+#: Ops that *contain* other instrumented ops (``batch.seal`` wraps
+#: ``merkle.build``/``merkle.prove``/``rsa.sign``).  They keep their
+#: metric series but are not forwarded as profiler leaves — the inner
+#: ops already are, and forwarding both would attribute the same work
+#: twice in the region tree.
 COMPOSITE_OPS = frozenset({"batch.seal"})
 
 
 class CryptoObserver:
-    """Accumulates crypto call counts + wall time into a registry."""
+    """Accumulates crypto call counts into a registry."""
 
     def __init__(self, metrics: MetricsRegistry, profiler=None) -> None:
         self.metrics = metrics
         self.profiler = profiler
-        metrics.mark_nondeterministic("crypto.op_wall_seconds")
 
-    def crypto_call(self, op: str, wall_seconds: float) -> None:
+    def crypto_call(self, op: str) -> None:
         self.metrics.counter("crypto.calls", op=op).inc()
-        self.metrics.sketch("crypto.op_wall_seconds", op=op).observe(
-            max(0.0, wall_seconds))
         if self.profiler is not None and op not in COMPOSITE_OPS:
-            self.profiler.record_leaf("crypto/" + op, wall_seconds)
+            self.profiler.record_leaf("crypto/" + op)
 
     def calls(self, op: str) -> float:
         return self.metrics.counter("crypto.calls", op=op).value
-
-    def wall_seconds(self, op: str) -> float:
-        """Total wall time spent in *op* (the sketch's exact sum)."""
-        return self.wall_sketch(op).sum
-
-    def wall_sketch(self, op: str):
-        """The per-op wall-time distribution (a QuantileSketch)."""
-        return self.metrics.sketch("crypto.op_wall_seconds", op=op)
 
 
 @contextlib.contextmanager

@@ -5,10 +5,9 @@ Zero-dependency and deterministic: instruments are identified by
 ``(name, sorted labels)``, values are plain Python numbers, and every
 snapshot is stamped with the **simulated** clock (the registry is given
 a ``clock`` callable, normally ``lambda: sim.now``), so two runs with
-the same seed produce byte-identical snapshots.  The only deliberately
-non-deterministic metrics are the crypto wall-time series (real compute
-is real); they are flagged ``deterministic=False`` and excluded from
-:meth:`MetricsRegistry.deterministic_snapshot`.
+the same seed produce byte-identical snapshots.  No series holds wall
+time: the package never reads a real clock (the repository benchmark,
+``python3 -m bench``, is where CPU cost is measured).
 
 Off-by-default-cheap: code that *might* be observed holds a registry
 reference that is either a live :class:`MetricsRegistry` or the shared
@@ -32,7 +31,6 @@ __all__ = [
     "MetricsRegistry",
     "NullMetricsRegistry",
     "NULL_METRICS",
-    "CardinalityError",
     "DEFAULT_LATENCY_BUCKETS",
 ]
 
@@ -50,7 +48,7 @@ def _label_key(labels: dict[str, str]) -> tuple[tuple[str, str], ...]:
 @dataclass
 class Counter:
     """A monotonically increasing number (float so it can carry bytes
-    and wall-clock seconds alike)."""
+    and simulated seconds alike)."""
 
     name: str
     labels: tuple[tuple[str, str], ...] = ()
@@ -127,42 +125,15 @@ class Histogram:
         return self.sum / self.count if self.count else 0.0
 
 
-class CardinalityError(ValueError):
-    """A metric name exceeded the registry's label-cardinality budget
-    (raised only in ``budget_mode="raise"``)."""
-
-
-# The per-(name, kind) series that absorbs observations once a name's
-# label budget is spent (budget_mode="drop").
-_OVERFLOW_LABELS = (("overflow", "true"),)
-
-
 class MetricsRegistry:
-    """Get-or-create home for every instrument of one observed world.
-
-    ``label_budget`` caps the distinct label sets per metric name
-    (default ``None`` — unlimited).  Exceeding the cap either raises
-    :class:`CardinalityError` (``budget_mode="raise"``, the default —
-    what tests want) or, in production mode (``budget_mode="drop"``),
-    folds the overflowing series into one shared
-    ``{overflow="true"}`` instrument per (name, kind) and increments
-    the unlabeled ``metrics_dropped_labels`` counter, so cardinality
-    explosions degrade resolution instead of memory.
-    """
+    """Get-or-create home for every instrument of one observed world."""
 
     enabled = True
 
-    def __init__(self, clock=None, label_budget: int | None = None,
-                 budget_mode: str = "raise") -> None:
+    def __init__(self, clock=None) -> None:
         # clock: () -> float, normally the simulation clock.  Snapshots
         # are stamped with it so they are deterministic per seed.
-        if budget_mode not in ("raise", "drop"):
-            raise ValueError(f"budget_mode must be 'raise' or 'drop', got {budget_mode!r}")
-        if label_budget is not None and label_budget < 1:
-            raise ValueError(f"label_budget must be >= 1, got {label_budget}")
         self._clock = clock or (lambda: 0.0)
-        self.label_budget = label_budget
-        self.budget_mode = budget_mode
         self._counters: dict[tuple, Counter] = {}
         self._gauges: dict[tuple, Gauge] = {}
         self._histograms: dict[tuple, Histogram] = {}
@@ -171,10 +142,6 @@ class MetricsRegistry:
         # one call site and a gauge in another would export two
         # conflicting series under one identifier.
         self._kind_of: dict[str, str] = {}
-        # Metric names whose *values* depend on real wall time (crypto
-        # timings); excluded from the deterministic snapshot.
-        self._nondeterministic: set[str] = set()
-        self._label_sets: dict[str, set[tuple]] = {}
 
     @property
     def now(self) -> float:
@@ -187,38 +154,12 @@ class MetricsRegistry:
         if claimed != kind:
             raise TypeError(f"metric {name!r} is a {claimed}, not a {kind}")
 
-    def _admit(self, name: str, labels: tuple) -> tuple:
-        """Apply the label-cardinality budget; returns the label set to
-        use (the requested one, or the overflow set in drop mode)."""
-        if self.label_budget is None:
-            return labels
-        seen = self._label_sets.setdefault(name, set())
-        if labels in seen or len(seen) < self.label_budget:
-            seen.add(labels)
-            return labels
-        if self.budget_mode == "raise":
-            raise CardinalityError(
-                f"metric {name!r} exceeded label budget "
-                f"{self.label_budget} with labels {labels}")
-        # Production mode: count the drop and fold into the shared
-        # overflow series.  The counter bypasses _admit (no labels).
-        key = ("metrics_dropped_labels", ())
-        dropped = self._counters.get(key)
-        if dropped is None:
-            self._claim_kind("metrics_dropped_labels", "counter")
-            dropped = self._counters[key] = Counter("metrics_dropped_labels")
-        dropped.inc()
-        return _OVERFLOW_LABELS
-
     def counter(self, name: str, **labels: str) -> Counter:
         key = (name, _label_key(labels))
         found = self._counters.get(key)
         if found is None:
             self._claim_kind(name, "counter")
-            key = (name, self._admit(name, key[1]))
-            found = self._counters.get(key)
-            if found is None:
-                found = self._counters[key] = Counter(name, key[1])
+            found = self._counters[key] = Counter(name, key[1])
         return found
 
     def gauge(self, name: str, **labels: str) -> Gauge:
@@ -226,10 +167,7 @@ class MetricsRegistry:
         found = self._gauges.get(key)
         if found is None:
             self._claim_kind(name, "gauge")
-            key = (name, self._admit(name, key[1]))
-            found = self._gauges.get(key)
-            if found is None:
-                found = self._gauges[key] = Gauge(name, key[1])
+            found = self._gauges[key] = Gauge(name, key[1])
         return found
 
     def histogram(
@@ -242,10 +180,7 @@ class MetricsRegistry:
         found = self._histograms.get(key)
         if found is None:
             self._claim_kind(name, "histogram")
-            key = (name, self._admit(name, key[1]))
-            found = self._histograms.get(key)
-            if found is None:
-                found = self._histograms[key] = Histogram(name, buckets, key[1])
+            found = self._histograms[key] = Histogram(name, buckets, key[1])
         return found
 
     def sketch(self, name: str, alpha: float = DEFAULT_ALPHA,
@@ -255,15 +190,9 @@ class MetricsRegistry:
         found = self._sketches.get(key)
         if found is None:
             self._claim_kind(name, "sketch")
-            key = (name, self._admit(name, key[1]))
-            found = self._sketches.get(key)
-            if found is None:
-                found = self._sketches[key] = QuantileSketch(
-                    name, alpha=alpha, labels=key[1])
+            found = self._sketches[key] = QuantileSketch(
+                name, alpha=alpha, labels=key[1])
         return found
-
-    def mark_nondeterministic(self, name: str) -> None:
-        self._nondeterministic.add(name)
 
     # -- reading back --------------------------------------------------------
 
@@ -294,11 +223,6 @@ class MetricsRegistry:
             rows.append(row)
         rows.sort(key=lambda r: (r["kind"], r["name"], sorted(r["labels"].items())))
         return rows
-
-    def deterministic_snapshot(self) -> list[dict]:
-        """The snapshot minus wall-clock-valued series — the part that
-        must be byte-identical across same-seed runs."""
-        return [r for r in self.snapshot() if r["name"] not in self._nondeterministic]
 
     def __len__(self) -> int:
         return (len(self._counters) + len(self._gauges)

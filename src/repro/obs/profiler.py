@@ -1,21 +1,18 @@
-"""Deterministic dual-clock region profiler + critical-path analysis.
+"""Deterministic region profiler + critical-path analysis.
 
 The observe→attribute→protect gap this module closes: spans record
 *what happened* per transaction and the crypto observer records *flat*
-call/wall sums, but nothing attributes cost to a place in the code.
-:class:`RegionProfiler` does, on two clocks at once:
-
-* **sim time** — the deterministic simulation clock.  Per-region sim
-  elapsed is a pure function of the seed, so sim-side profiles are
-  byte-reproducible and comparable across machines;
-* **wall time** — ``time.perf_counter``.  The real CPU cost, which is
-  what a human optimizes; inherently nondeterministic and therefore
-  quarantined out of every deterministic artifact.
+call counts, but nothing attributes cost to a place in the code.
+:class:`RegionProfiler` does, on the deterministic simulation clock:
+per-region call counts and sim elapsed are pure functions of the seed,
+so every profile is byte-reproducible and comparable across machines.
+Real CPU cost is measured outside the package — ``python3 -m bench
+--trace 1`` exports per-operation self time.
 
 Regions nest (``with profiler.region("engine/drive"): ...``) and each
-region keeps call counts, total/self elapsed on both clocks, and a
-:class:`~repro.obs.sketch.QuantileSketch` per clock — the sketch merge
-is an exact integer operation, so merging per-shard profilers
+region keeps its call count, total/self sim elapsed, and a
+:class:`~repro.obs.sketch.QuantileSketch` of sim elapsed — the sketch
+merge is an exact integer operation, so merging per-shard profilers
 reconstructs the unsharded profile bit-for-bit
 (:meth:`RegionProfiler.merged`).
 
@@ -23,14 +20,14 @@ reconstructs the unsharded profile bit-for-bit
 harness region entered once per shard (``engine/drive``) has a
 shard-dependent call count; the crypto leaves recorded *under* it are
 session-driven and sum exactly across shards.  Each region therefore
-carries an ``invariant`` flag and the deterministic exporters
-(:func:`flamegraph_text`, :func:`profile_jsonl`) emit only invariant
-regions with deterministic fields — which is what makes the artifacts
-byte-identical across 1/2/4/8 shard counts and across same-seed runs.
-The ``scope`` flag sets the default for descendants, so a non-invariant
-harness frame can still host invariant leaves (``engine/drive`` sets
-``scope=True``) or poison them (``engine/build`` sets ``scope=False``
-because enrollment crypto repeats per shard).
+carries an ``invariant`` flag and the exporters (:func:`flamegraph_text`,
+:func:`profile_jsonl`, :func:`top_regions`) emit only invariant regions
+— which is what makes the artifacts byte-identical across 1/2/4/8
+shard counts and across same-seed runs.  The ``scope`` flag sets the
+default for descendants, so a non-invariant harness frame can still
+host invariant leaves (``engine/drive`` sets ``scope=True``) or poison
+them (``engine/build`` sets ``scope=False`` because enrollment crypto
+repeats per shard).
 
 The critical-path extractor walks an existing span tree (no new
 instrumentation): from the root, repeatedly descend into the child
@@ -82,11 +79,8 @@ class RegionStat:
     invariant: bool = True
     calls: int = 0
     sim_total: float = 0.0
-    wall_total: float = 0.0
     self_sim_total: float = 0.0
-    self_wall_total: float = 0.0
     sim_sketch: QuantileSketch = field(default=None)  # type: ignore[assignment]
-    wall_sketch: QuantileSketch = field(default=None)  # type: ignore[assignment]
 
     @property
     def name(self) -> str:
@@ -96,12 +90,8 @@ class RegionStat:
     def depth(self) -> int:
         return self.path.count(PATH_SEP)
 
-    def deterministic_row(self) -> dict:
-        """The seed-stable projection: calls + sim-clock fields only.
-
-        Wall-clock fields never appear here — they are real CPU time,
-        different on every run and every machine.
-        """
+    def row(self) -> dict:
+        """The exported fields: calls and sim-clock totals/quantiles."""
         return {
             "path": self.path,
             "calls": self.calls,
@@ -111,33 +101,19 @@ class RegionStat:
             "sim_p99": canon_float(self.sim_sketch.quantile(0.99)),
         }
 
-    def full_row(self) -> dict:
-        row = self.deterministic_row()
-        row.update({
-            "invariant": self.invariant,
-            "wall_total": self.wall_total,
-            "self_wall_total": self.self_wall_total,
-            "wall_p50": self.wall_sketch.quantile(0.50),
-            "wall_p99": self.wall_sketch.quantile(0.99),
-        })
-        return row
-
 
 class _Frame:
     """One open region on the stack (internal)."""
 
-    __slots__ = ("path", "invariant", "scope", "start_sim", "start_wall",
-                 "child_sim", "child_wall")
+    __slots__ = ("path", "invariant", "scope", "start_sim", "child_sim")
 
     def __init__(self, path: str, invariant: bool, scope: bool,
-                 start_sim: float, start_wall: float) -> None:
+                 start_sim: float) -> None:
         self.path = path
         self.invariant = invariant
         self.scope = scope
         self.start_sim = start_sim
-        self.start_wall = start_wall
         self.child_sim = 0.0
-        self.child_wall = 0.0
 
 
 class _Region:
@@ -161,13 +137,13 @@ class _Region:
 
 
 class RegionProfiler:
-    """Hierarchical dual-clock region accounting with exact merge."""
+    """Hierarchical sim-clock region accounting with exact merge."""
 
     enabled = True
 
     def __init__(self, clock=None, alpha: float = DEFAULT_ALPHA) -> None:
         # Sim clock: a callable -> current sim seconds (0 when absent,
-        # e.g. a profiler timing pure-compute setup before a Simulator
+        # e.g. a profiler counting pure-compute setup before a Simulator
         # exists).
         self._clock = clock if clock is not None else (lambda: 0.0)
         self.alpha = alpha
@@ -188,76 +164,58 @@ class RegionProfiler:
 
     def _push(self, name: str, invariant: bool | None,
               scope: bool | None) -> None:
-        from time import perf_counter
-
         parent_path = self._stack[-1].path if self._stack else ""
         path = parent_path + PATH_SEP + name if parent_path else name
         inherited = self._current_scope()
         resolved_invariant = inherited if invariant is None else invariant
         resolved_scope = resolved_invariant if scope is None else scope
         self._stack.append(_Frame(
-            path, resolved_invariant, resolved_scope,
-            float(self._clock()), perf_counter(),
-        ))
+            path, resolved_invariant, resolved_scope, float(self._clock())))
 
     def _pop(self) -> None:
-        from time import perf_counter
-
         frame = self._stack.pop()
         sim_elapsed = max(0.0, float(self._clock()) - frame.start_sim)
-        wall_elapsed = max(0.0, perf_counter() - frame.start_wall)
-        self._record(frame.path, frame.invariant, sim_elapsed, wall_elapsed,
-                     max(0.0, sim_elapsed - frame.child_sim),
-                     max(0.0, wall_elapsed - frame.child_wall))
+        self._record(frame.path, frame.invariant, sim_elapsed,
+                     max(0.0, sim_elapsed - frame.child_sim))
         if self._stack:
-            parent = self._stack[-1]
-            parent.child_sim += sim_elapsed
-            parent.child_wall += wall_elapsed
+            self._stack[-1].child_sim += sim_elapsed
 
-    def record_leaf(self, name: str, wall_seconds: float,
-                    sim_seconds: float = 0.0,
+    def record_leaf(self, name: str, sim_seconds: float = 0.0,
                     invariant: bool | None = None) -> None:
         """Record one leaf call under the current region (no nesting):
         the crypto observer's feed.  Invariance follows the enclosing
         scope unless overridden, and the leaf's elapsed counts as
         *child* time of the open frame — so a parent's self time never
-        double-counts the crypto calls made inside it."""
-        wall_seconds = max(0.0, wall_seconds)
+        double-counts the work done inside it."""
         sim_seconds = max(0.0, sim_seconds)
         parent_path = self._stack[-1].path if self._stack else ""
         path = parent_path + PATH_SEP + name if parent_path else name
         if invariant is None:
             invariant = self._current_scope()
-        self._record(path, invariant, sim_seconds, wall_seconds,
-                     sim_seconds, wall_seconds)
+        self._record(path, invariant, sim_seconds, sim_seconds)
         if self._stack:
-            parent = self._stack[-1]
-            parent.child_sim += sim_seconds
-            parent.child_wall += wall_seconds
+            self._stack[-1].child_sim += sim_seconds
 
-    def _record(self, path: str, invariant: bool, sim_elapsed: float,
-                wall_elapsed: float, self_sim: float, self_wall: float) -> None:
+    def _stat(self, path: str, invariant: bool) -> RegionStat:
         stat = self._stats.get(path)
         if stat is None:
-            stat = RegionStat(
+            stat = self._stats[path] = RegionStat(
                 path=path,
                 invariant=invariant,
                 sim_sketch=QuantileSketch(
                     "profile.sim_seconds", alpha=self.alpha,
                     labels=(("region", path),)),
-                wall_sketch=QuantileSketch(
-                    "profile.wall_seconds", alpha=self.alpha,
-                    labels=(("region", path),)),
             )
-            self._stats[path] = stat
+        return stat
+
+    def _record(self, path: str, invariant: bool, sim_elapsed: float,
+                self_sim: float) -> None:
+        stat = self._stat(path, invariant)
         stat.invariant = stat.invariant and invariant
         stat.calls += 1
         stat.sim_total += sim_elapsed
-        stat.wall_total += wall_elapsed
         stat.self_sim_total += self_sim
-        stat.self_wall_total += self_wall
         stat.sim_sketch.observe(sim_elapsed)
-        stat.wall_sketch.observe(wall_elapsed)
 
     # -- reading -------------------------------------------------------------
 
@@ -280,31 +238,16 @@ class RegionProfiler:
         Counts and totals add; sketches merge bucket-wise (the exact
         integer merge — see :mod:`repro.obs.sketch`); invariance ANDs,
         so a path that was shard-dependent anywhere stays excluded from
-        deterministic exports after the merge.
+        the exports after the merge.
         """
         for path in sorted(other._stats):
             theirs = other._stats[path]
-            mine = self._stats.get(path)
-            if mine is None:
-                mine = RegionStat(
-                    path=path,
-                    invariant=theirs.invariant,
-                    sim_sketch=QuantileSketch(
-                        "profile.sim_seconds", alpha=self.alpha,
-                        labels=(("region", path),)),
-                    wall_sketch=QuantileSketch(
-                        "profile.wall_seconds", alpha=self.alpha,
-                        labels=(("region", path),)),
-                )
-                self._stats[path] = mine
+            mine = self._stat(path, theirs.invariant)
             mine.invariant = mine.invariant and theirs.invariant
             mine.calls += theirs.calls
             mine.sim_total += theirs.sim_total
-            mine.wall_total += theirs.wall_total
             mine.self_sim_total += theirs.self_sim_total
-            mine.self_wall_total += theirs.self_wall_total
             mine.sim_sketch.merge(theirs.sim_sketch)
-            mine.wall_sketch.merge(theirs.wall_sketch)
         return self
 
     @classmethod
@@ -351,8 +294,7 @@ class NullRegionProfiler(RegionProfiler):
                scope: bool | None = None) -> _NullRegion:  # type: ignore[override]
         return _NULL_REGION
 
-    def record_leaf(self, name: str, wall_seconds: float,
-                    sim_seconds: float = 0.0,
+    def record_leaf(self, name: str, sim_seconds: float = 0.0,
                     invariant: bool | None = None) -> None:
         return None
 
@@ -509,30 +451,17 @@ def campaign_critical_paths(tracer: Tracer) -> dict:
 
 
 def shard_utilization(shard_summaries) -> dict:
-    """Imbalance metrics from merged per-shard summaries (post-merge,
-    no re-run needed — the satellite contract of PR 10).
-
-    * ``skew_ratio`` — slowest shard's drive wall time over the mean
-      (1.0 = perfectly balanced);
-    * ``idle_fraction`` — fraction of total shard-seconds spent waiting
-      for the straggler (0.0 = perfectly balanced);
-    * ``session_skew`` — max per-shard session count over the mean.
-    """
-    summaries = list(shard_summaries)
-    if not summaries:
-        return {"shards": 0, "skew_ratio": 1.0, "idle_fraction": 0.0,
-                "session_skew": 1.0}
-    drives = [float(s.get("drive_seconds", 0.0)) for s in summaries]
-    sessions = [int(s.get("sessions", 0)) for s in summaries]
-    n = len(summaries)
-    mean_drive = sum(drives) / n
-    peak_drive = max(drives)
-    mean_sessions = sum(sessions) / n
+    """Shard imbalance from merged per-shard summaries (post-merge, no
+    re-run needed): the populated ``shards`` count and ``session_skew``,
+    the max per-shard session count over the mean (1.0 = perfectly
+    balanced).  Both are counts, so they are pure functions of the seed
+    and the shard layout."""
+    sessions = [int(s.get("sessions", 0)) for s in shard_summaries]
+    if not sessions:
+        return {"shards": 0, "session_skew": 1.0}
+    mean_sessions = sum(sessions) / len(sessions)
     return {
-        "shards": n,
-        "skew_ratio": round(peak_drive / mean_drive, 6) if mean_drive > 0 else 1.0,
-        "idle_fraction": round(1.0 - sum(drives) / (n * peak_drive), 6)
-        if peak_drive > 0 else 0.0,
+        "shards": len(sessions),
         "session_skew": round(max(sessions) / mean_sessions, 6)
         if mean_sessions > 0 else 1.0,
     }
@@ -543,73 +472,44 @@ def shard_utilization(shard_summaries) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def flamegraph_text(profiler: RegionProfiler, weight: str = "calls",
-                    deterministic_only: bool = True) -> str:
-    """Collapsed-stack flamegraph text: one ``path value`` line per
-    region, sorted by path.
-
-    The default weight (``calls``) and filter (invariant regions only)
-    make the output byte-identical across same-seed runs *and* across
-    shard counts.  ``weight="wall_us"``/``"sim_us"`` weigh by self time
-    (microseconds) for human flamegraphs; wall weights are inherently
-    nondeterministic, so pair them with ``deterministic_only=False``.
-    """
-    lines = []
-    for stat in profiler.stats():
-        if deterministic_only and not stat.invariant:
-            continue
-        if weight == "calls":
-            value = stat.calls
-        elif weight == "sim_us":
-            value = int(round(stat.self_sim_total * 1e6))
-        elif weight == "wall_us":
-            value = int(round(stat.self_wall_total * 1e6))
-        else:
-            raise ValueError(f"unknown flamegraph weight {weight!r}")
-        lines.append(f"{stat.path} {value}")
+def flamegraph_text(profiler: RegionProfiler) -> str:
+    """Collapsed-stack flamegraph text: one ``path calls`` line per
+    invariant region, sorted by path — byte-identical across same-seed
+    runs *and* across shard counts."""
+    lines = [f"{stat.path} {stat.calls}"
+             for stat in profiler.stats() if stat.invariant]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def profile_jsonl(profiler: RegionProfiler, deterministic_only: bool = True) -> str:
+def profile_jsonl(profiler: RegionProfiler) -> str:
     """The profile as JSONL: a RunStamp header row, then one region row
-    per line (sorted by path, sorted keys, tight separators).
+    per invariant region (sorted by path, sorted keys, tight
+    separators) — the byte-identity surface OB4 gates on.
 
-    With the default ``deterministic_only`` the document carries only
-    invariant regions and sim-clock fields — the byte-identity surface
-    OB4 gates on.  ``deterministic_only=False`` adds wall-clock fields
-    and shard-dependent regions for human analysis.
+    The header's constant ``"deterministic_only": true`` key is part of
+    the document format that pinned digests (OB4's) cover.
     """
     from ..scenarios.context import current_stamp
 
     stamp = current_stamp()
     header: dict = {"kind": "profile", "alpha": profiler.alpha,
-                    "deterministic_only": deterministic_only}
+                    "deterministic_only": True}
     if stamp is not None:
         header.update(stamp.as_meta())
     rows = [header]
-    for stat in profiler.stats():
-        if deterministic_only:
-            if not stat.invariant:
-                continue
-            rows.append(stat.deterministic_row())
-        else:
-            rows.append(stat.full_row())
+    rows.extend(stat.row() for stat in profiler.stats() if stat.invariant)
     return "".join(
         json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n"
         for row in rows
     )
 
 
-def top_regions(profiler: RegionProfiler, k: int = 5,
-                deterministic_only: bool = True) -> list[tuple[str, int, float]]:
-    """The *k* hottest regions as ``(path, calls, self_sim_total)``
-    rows for the dashboard panel — ranked by calls then path, so the
-    ranking is deterministic whenever the inputs are."""
-    stats = [
-        s for s in profiler.stats()
-        if not deterministic_only or s.invariant
-    ]
-    ranked = sorted(stats, key=lambda s: (-s.calls, s.path))
+def top_regions(profiler: RegionProfiler, k: int = 5) -> list[tuple[str, int, float]]:
+    """The *k* hottest invariant regions as ``(path, calls,
+    self_sim_total)`` rows for the dashboard panel — ranked by calls
+    then path, so the ranking is deterministic."""
+    ranked = sorted((s for s in profiler.stats() if s.invariant),
+                    key=lambda s: (-s.calls, s.path))
     return [
         (s.path, s.calls, canon_float(s.self_sim_total))
         for s in ranked[:k]

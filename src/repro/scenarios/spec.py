@@ -43,7 +43,7 @@ __all__ = [
 
 #: Version tag of the canonicalization itself, hashed into every run
 #: key so a change in these rules can never collide with old keys.
-CANON_SCHEME = "repro.scenarios.run_key/v2"
+CANON_SCHEME = "repro.scenarios.run_key/v3"
 
 
 @dataclass(frozen=True)
@@ -53,9 +53,7 @@ class ScenarioSpec:
     ``runner`` names a callable in :mod:`repro.analysis.experiments`
     (e.g. ``"experiment_fault_campaign"``); ``workload`` holds keyword
     knobs for it (everything except ``seed``, which the registry
-    derives).  ``nondeterministic_meta`` lists meta keys excluded from
-    the canonical result serialization (wall-clock telemetry and the
-    like).  ``expect`` maps fact names to the values every run must
+    derives).  ``expect`` maps fact names to the values every run must
     report — the scenario's contract, checked by
     :meth:`~repro.scenarios.registry.RegisteredScenario.check`.
     """
@@ -66,7 +64,6 @@ class ScenarioSpec:
     root_seed: str
     workload: Mapping[str, Any] = field(default_factory=dict)
     repetitions: int = 1
-    nondeterministic_meta: tuple[str, ...] = ()
     expect: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -133,7 +130,6 @@ def canonical_spec(spec: ScenarioSpec,
         "root_seed": spec.root_seed,
         "workload": workload,
         "repetitions": spec.repetitions,
-        "nondeterministic_meta": sorted(spec.nondeterministic_meta),
     }
 
 

@@ -117,9 +117,9 @@ class TestRenderFrame:
         ops = [("b", 0.5), ("a", 0.25), ("a", 0.75), ("c", 0.1)]
         forward, backward = RegionProfiler(), RegionProfiler()
         for name, sim in ops:
-            forward.record_leaf(name, 0.0, sim_seconds=sim)
+            forward.record_leaf(name, sim_seconds=sim)
         for name, sim in reversed(ops):
-            backward.record_leaf(name, 0.0, sim_seconds=sim)
+            backward.record_leaf(name, sim_seconds=sim)
         frames = [
             render_frame(self.frame(hot_regions=top_regions(p)))
             for p in (forward, backward)

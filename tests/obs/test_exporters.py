@@ -35,18 +35,12 @@ class TestJsonl:
         assert [p["span_id"] for p in parsed] == [1, 2]
         assert all(p["trace_id"] == "txn" for p in parsed)
 
-    def test_metrics_jsonl_and_deterministic_filter(self):
+    def test_metrics_jsonl_one_object_per_series(self):
         reg = seeded_registry()
-        reg.counter("wall.seconds").inc(0.01)
-        reg.mark_nondeterministic("wall.seconds")
-        all_names = {json.loads(l)["name"] for l in metrics_jsonl(reg).splitlines()}
-        det_names = {
-            json.loads(l)["name"]
-            for l in metrics_jsonl(reg, deterministic_only=True).splitlines()
-        }
-        assert "wall.seconds" in all_names
-        assert "wall.seconds" not in det_names
-        assert {"msgs.sent", "journal.pending", "latency.seconds"} <= det_names
+        lines = metrics_jsonl(reg).splitlines()
+        assert len(lines) == len(reg)
+        names = {json.loads(line)["name"] for line in lines}
+        assert {"msgs.sent", "journal.pending", "latency.seconds"} <= names
 
 
 class TestPrometheusText:

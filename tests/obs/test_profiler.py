@@ -54,7 +54,7 @@ class TestRegionAccounting:
         p = RegionProfiler(clock)
         with p.region("drive"):
             clock.advance(4.0)
-            p.record_leaf("crypto", 0.5, sim_seconds=1.0)
+            p.record_leaf("crypto", sim_seconds=1.0)
         drive = p.get("drive")
         leaf = p.get("drive;crypto")
         assert leaf.calls == 1 and leaf.sim_total == pytest.approx(1.0)
@@ -72,8 +72,8 @@ class TestRegionAccounting:
 
     def test_stats_sorted_by_path(self):
         p = RegionProfiler()
-        p.record_leaf("z", 0.0)
-        p.record_leaf("a", 0.0)
+        p.record_leaf("z")
+        p.record_leaf("a")
         assert [s.path for s in p.stats()] == ["a", "z"]
 
 
@@ -81,16 +81,16 @@ class TestInvarianceScope:
     def test_root_defaults_invariant(self):
         p = RegionProfiler()
         with p.region("a"):
-            p.record_leaf("leaf", 0.0)
+            p.record_leaf("leaf")
         assert p.get("a").invariant is True
         assert p.get("a;leaf").invariant is True
 
     def test_scope_false_poisons_descendants(self):
         p = RegionProfiler()
         with p.region("build", invariant=False):
-            p.record_leaf("keygen-crypto", 0.0)
+            p.record_leaf("keygen-crypto")
             with p.region("inner"):
-                p.record_leaf("deep", 0.0)
+                p.record_leaf("deep")
         assert p.get("build").invariant is False
         assert p.get("build;keygen-crypto").invariant is False
         assert p.get("build;inner").invariant is False
@@ -102,20 +102,20 @@ class TestInvarianceScope:
         p = RegionProfiler()
         with p.region("schedule", invariant=False, scope=True):
             with p.region("workload", invariant=True):
-                p.record_leaf("stream", 0.0)
+                p.record_leaf("stream")
         assert p.get("schedule").invariant is False
         assert p.get("schedule;workload").invariant is True
         assert p.get("schedule;workload;stream").invariant is True
 
     def test_leaf_invariant_override(self):
         p = RegionProfiler()
-        p.record_leaf("merge", 0.0, invariant=False)
+        p.record_leaf("merge", invariant=False)
         assert p.get("merge").invariant is False
 
     def test_invariance_is_sticky_and_ands(self):
         p = RegionProfiler()
-        p.record_leaf("op", 0.0)
-        p.record_leaf("op", 0.0, invariant=False)
+        p.record_leaf("op")
+        p.record_leaf("op", invariant=False)
         assert p.get("op").invariant is False
 
 
@@ -125,24 +125,24 @@ class TestMerge:
         whole = RegionProfiler()
         parts = [RegionProfiler(), RegionProfiler()]
         for i, v in enumerate(values):
-            whole.record_leaf("op", 0.0, sim_seconds=v)
-            parts[i % 2].record_leaf("op", 0.0, sim_seconds=v)
+            whole.record_leaf("op", sim_seconds=v)
+            parts[i % 2].record_leaf("op", sim_seconds=v)
         merged = RegionProfiler.merged(parts)
-        assert ([s.deterministic_row() for s in merged.stats()]
-                == [s.deterministic_row() for s in whole.stats()])
+        assert ([s.row() for s in merged.stats()]
+                == [s.row() for s in whole.stats()])
         assert profile_jsonl(merged) == profile_jsonl(whole)
         assert flamegraph_text(merged) == flamegraph_text(whole)
 
     def test_merge_ands_invariance(self):
         a, b = RegionProfiler(), RegionProfiler()
-        a.record_leaf("op", 0.0)
-        b.record_leaf("op", 0.0, invariant=False)
+        a.record_leaf("op")
+        b.record_leaf("op", invariant=False)
         assert RegionProfiler.merged([a, b]).get("op").invariant is False
 
     def test_merge_disjoint_paths(self):
         a, b = RegionProfiler(), RegionProfiler()
-        a.record_leaf("x", 0.0)
-        b.record_leaf("y", 0.0)
+        a.record_leaf("x")
+        b.record_leaf("y")
         merged = RegionProfiler.merged([a, b])
         assert [s.path for s in merged.stats()] == ["x", "y"]
 
@@ -154,8 +154,8 @@ class TestMerge:
         whole = RegionProfiler()
         parts = [RegionProfiler() for _ in range(n_parts)]
         for i, v in enumerate(values):
-            whole.record_leaf("op", 0.0, sim_seconds=v)
-            parts[i % n_parts].record_leaf("op", 0.0, sim_seconds=v)
+            whole.record_leaf("op", sim_seconds=v)
+            parts[i % n_parts].record_leaf("op", sim_seconds=v)
         merged = RegionProfiler.merged(parts)
         assert profile_jsonl(merged) == profile_jsonl(whole)
 
@@ -165,7 +165,7 @@ class TestNullProfiler:
         assert NULL_PROFILER.enabled is False
         assert isinstance(NULL_PROFILER, NullRegionProfiler)
         with NULL_PROFILER.region("a"):
-            NULL_PROFILER.record_leaf("leaf", 1.0, sim_seconds=1.0)
+            NULL_PROFILER.record_leaf("leaf", sim_seconds=1.0)
         assert NULL_PROFILER.stats() == []
         assert NULL_PROFILER.open_regions == 0
 
@@ -174,7 +174,7 @@ class TestNullProfiler:
 
     def test_merge_is_identity(self):
         live = RegionProfiler()
-        live.record_leaf("op", 0.0)
+        live.record_leaf("op")
         assert NULL_PROFILER.merge(live) is NULL_PROFILER
         assert NULL_PROFILER.stats() == []
 
@@ -185,20 +185,14 @@ class TestExporters:
         p = RegionProfiler(clock)
         with p.region("drive"):
             clock.advance(2.0)
-            p.record_leaf("rsa", 0.001, sim_seconds=0.0)
-            p.record_leaf("rsa", 0.001, sim_seconds=0.0)
-        p.record_leaf("merge", 0.5, invariant=False)
+            p.record_leaf("rsa")
+            p.record_leaf("rsa")
+        p.record_leaf("merge", invariant=False)
         return p
 
     def test_flamegraph_weights_and_filter(self):
-        p = self.profiler()
-        calls = flamegraph_text(p)
-        assert calls == "drive 1\ndrive;rsa 2\n"  # merge filtered out
-        assert "merge 1" in flamegraph_text(p, deterministic_only=False)
-        sim = flamegraph_text(p, weight="sim_us")
-        assert "drive 2000000" in sim
-        with pytest.raises(ValueError):
-            flamegraph_text(p, weight="bogus")
+        # Weighted by calls; the non-invariant merge leaf is filtered out.
+        assert flamegraph_text(self.profiler()) == "drive 1\ndrive;rsa 2\n"
 
     def test_profile_jsonl_shape(self):
         p = self.profiler()
@@ -206,11 +200,10 @@ class TestExporters:
         assert lines[0]["kind"] == "profile"
         rows = lines[1:]
         assert [r["path"] for r in rows] == ["drive", "drive;rsa"]
-        assert all("wall_total" not in r for r in rows)
-        full = [json.loads(line)
-                for line in profile_jsonl(p, deterministic_only=False).splitlines()]
-        assert any(r.get("path") == "merge" for r in full)
-        assert all("wall_total" in r for r in full[1:])
+        # Calls and sim-clock fields only: the profiler reads no other clock.
+        assert set(rows[0]) == {"path", "calls", "sim_total", "self_sim_total",
+                                "sim_p50", "sim_p99"}
+        assert rows[0]["sim_total"] == 2.0
 
     def test_profile_jsonl_carries_stamp_under_scenario(self):
         from repro.scenarios import SCENARIOS, stamped
@@ -336,29 +329,15 @@ class TestCriticalPath:
 
 class TestShardUtilization:
     def test_empty(self):
-        assert shard_utilization([]) == {
-            "shards": 0, "skew_ratio": 1.0, "idle_fraction": 0.0,
-            "session_skew": 1.0}
+        assert shard_utilization([]) == {"shards": 0, "session_skew": 1.0}
 
     def test_balanced(self):
-        util = shard_utilization([
-            {"drive_seconds": 1.0, "sessions": 4},
-            {"drive_seconds": 1.0, "sessions": 4},
-        ])
-        assert util["skew_ratio"] == pytest.approx(1.0)
-        assert util["idle_fraction"] == pytest.approx(0.0)
-        assert util["session_skew"] == pytest.approx(1.0)
+        util = shard_utilization([{"sessions": 4}, {"sessions": 4}])
+        assert util == {"shards": 2, "session_skew": 1.0}
 
     def test_skewed(self):
-        util = shard_utilization([
-            {"drive_seconds": 3.0, "sessions": 6},
-            {"drive_seconds": 1.0, "sessions": 2},
-        ])
-        assert util["shards"] == 2
-        assert util["skew_ratio"] == pytest.approx(1.5)
-        # 2 shard-slots * 3s peak = 6; 4s busy -> 1/3 idle.
-        assert util["idle_fraction"] == pytest.approx(1 / 3, abs=1e-6)
-        assert util["session_skew"] == pytest.approx(1.5)
+        util = shard_utilization([{"sessions": 6}, {"sessions": 2}])
+        assert util == {"shards": 2, "session_skew": 1.5}
 
 
 class TestEngineIntegration:

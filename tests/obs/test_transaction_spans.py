@@ -44,7 +44,7 @@ class TestNormalMode:
 
     def test_metrics_snapshot_nonempty_and_clock_stamped(self):
         dep, _ = observed_session()
-        snap = dep.obs.metrics.deterministic_snapshot()
+        snap = dep.obs.metrics.snapshot()
         assert snap
         assert all(m["at"] == dep.sim.now for m in snap)
 
@@ -110,5 +110,4 @@ class TestDeterminism:
         spans_a = dep_a.obs.spans_jsonl().replace(out_a.transaction_id, "TXN")
         spans_b = dep_b.obs.spans_jsonl().replace(out_b.transaction_id, "TXN")
         assert spans_a == spans_b
-        assert (dep_a.obs.metrics_jsonl(deterministic_only=True)
-                == dep_b.obs.metrics_jsonl(deterministic_only=True))
+        assert dep_a.obs.metrics_jsonl() == dep_b.obs.metrics_jsonl()

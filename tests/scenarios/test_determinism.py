@@ -1,7 +1,7 @@
 """Cross-seed determinism of every registered campaign scenario.
 
 Two runs with the same root seed must produce byte-identical canonical
-result JSON (sorted keys, wall-clock meta stripped); a different root
+result JSON (sorted keys); a different root
 seed must produce a different run_key (and therefore a different
 identity stamp on every artifact).
 """
@@ -16,8 +16,8 @@ CAMPAIGN_SCENARIOS = ["FC1", "CR1", "OB1", "OB2", "TP1"]
 @pytest.mark.parametrize("scenario_id", CAMPAIGN_SCENARIOS)
 def test_same_root_seed_is_byte_identical(scenario_id, scenario_result):
     scenario = SCENARIOS.get(scenario_id)
-    first = canonical_result_json(scenario_result(scenario_id), scenario.spec)
-    second = canonical_result_json(scenario.run(), scenario.spec)
+    first = canonical_result_json(scenario_result(scenario_id))
+    second = canonical_result_json(scenario.run())
     assert first == second
     assert f'"{scenario.run_key()}"' in first  # stamped into the meta block
 

@@ -1,5 +1,7 @@
 """The registry: specs bound to runners, identity-stamped execution."""
 
+import json
+
 import pytest
 
 from repro.analysis.experiments import ExperimentResult, run_meta
@@ -23,36 +25,36 @@ def test_every_spec_declares_an_expect_contract():
     assert [s.spec.scenario_id for s in SCENARIOS if not s.spec.expect] == []
 
 
-#: Run keys at code version 1.5.0 under canonicalization scheme v2.
+#: Run keys at code version 1.5.0 under canonicalization scheme v3.
 #: ``expect`` (like ``title``) is a verdict on a run, not an input to
 #: it, so declaring or editing a contract must leave every key — and
 #: the ``run_key`` stamped into every committed artifact — where it was.
 PINNED_VERSION = "1.5.0"
 PINNED_RUN_KEYS = {
-    "A1": "1d1386a8765a1a986da6a3a7ccdfe737ef346be48a3cd8350844c86b7029f6d3",
-    "CR1": "0bf1f75a9784a510a4b269316b7a16162249114750d4142d81d43ea5790ec280",
-    "F1": "4162b5d3ba6b91f92de46503cd71331e4b9493468113186451ccca36101da936",
-    "F2": "078f036727f5de8f2c4223668f101a4e5aee3587a0b2a689aa412f2fe19a063e",
-    "F3": "41325a56ecae3b1841c855a3addbf9d23e6f19651a8550ef9e696040e79779d4",
-    "F4": "2631636bdc02dd308eed4cca34daf1ba226fca1b22f52953bccc6b23f580d8df",
-    "F5": "ffe0ee3468459b4637191b5adac4e55f6b67c61e69b802c223d72bd79e8d0a11",
-    "F6": "fcc0d823549b6b51aba46ec2b72409db4b22ac07e15b50ec1776ba9f0f49134d",
-    "FC1": "89cb3c5271bd764752f2f936ec07211589e972bcb193cb198a3874210d002cb6",
-    "OB1": "ddd5707412068e27fab5e88b3ed413af3b6d542df80faa394193f3ff4b48415c",
-    "OB2": "47baed106da638986bc5ee4dfb398ae335066dcdaccf6ba35f8746eb23a0bbd4",
-    "OB3": "3fef82f8112cecf9bbf3b6e766261f30b032d7153827219d6feccdfbdb7f3180",
-    "OB4": "93a01aefb998effe4e426fa4d6513de66477ad15ec278d6082874cb428d99276",
-    "R1": "eb74e4eaad1a42efa2b6b43592717dfaa0f11dd055c22330069fc9f4521e0b93",
-    "RP1": "acd750f68d108250ed03965661cb2bcab6f7dc4f8e4ae1cd53c8c1bbd46f87f7",
-    "RP2": "8ce7ad811cca7c1372a083b8da680091ae051972a5edcb454363df7aec8b9e64",
-    "S3": "573f35cc0bffeea56755bab72ce40bf1711518395ea20c63789de746be9c0cfa",
-    "S4": "3e95f1384e4fcb7eb2feda21538b77382df56b2951191d4c5dd056185f3fd08c",
-    "S5": "43771fa71719e88ddfb3c58adda62f75098a2c417db3035083f1f768b5774edc",
-    "S6": "66abcf72a175d129302e1703c2daea661f7083600be98c8e053eb7976cf77561",
-    "T1": "adedb52a8b4c681ac5f6db96bb18ab5c8463f34378e7ee3866a7f6d979441003",
-    "TP1": "7a4eb48d2b1255482a9af173faa69bf55196ec7c766f7d23cb98d14843578fb2",
-    "TP2": "db572a4526fcf07ebf13a44da64effec6cc2563f229bd8da4f06857e9235d21d",
-    "W1": "3eb06b6aaaa97ffda4942343090b674757177598126a51e5b3fc9ec5b9d0f4bb",
+    "A1": "5b99bde5bb0e33552237f25773e7bfe2171eced56dd78f7c46859f49f734457e",
+    "CR1": "b82103f6df8459b4451eabbe592a31db2eaa4577752f5fcec458b929f591a5d0",
+    "F1": "e4f8f08c5b10f08b31032840d6bcd452efaf3de36ed48f089ac138896258f1f0",
+    "F2": "41c865f5ccb09b781aeb23c6893c5fdea5b0300c59741a9040c0980a2438ede3",
+    "F3": "f2ae25ba3f1a239ffa5b93720bbb224303006ff10ac616124796c231419c7512",
+    "F4": "aedb0bde35de7623f29970b6c821ffb0aa53baa4ae59fa6775d73e1f1e91d054",
+    "F5": "64b00bea83b5e7a8b7c06ac7e4141729a3a06d61e8b077d784bc161a7075c2ce",
+    "F6": "d6c371505b5de089ac8bc0821dd97d4dae0fabf2fc3c62325bad531ab2b52c8e",
+    "FC1": "8c2ee1bf9f7f625184978b2bc660d816a37550bf67351e63352b64572210df77",
+    "OB1": "3cd6af9ec79aaaa36640995a77e8b1c9522bf23f211f7ffcc36245bdad551dd9",
+    "OB2": "207d11d20ea66174ee03472a534716b9c7f80c16396380d7159a4e5de339b0c0",
+    "OB3": "5685125f642d0cd9a04f32fc0f0d05504db7440eb9e3e6c1e2d6e07a047b682d",
+    "OB4": "481bfa7afb1433835649e12a82c8402e1ce2fc28ac339094abca5a127234ea47",
+    "R1": "01e4d9fe7e0f10b431c1275c98b012155f09695020787df88716e4c4d71cbe73",
+    "RP1": "64c339615e63accf3747132d6dff5ae0fb78f0f3e19ae3d1917d3b7d9ef69065",
+    "RP2": "68b01b4ef2ed358f745cfd532418533338dfeeee15e28b980d39a790a989a1ee",
+    "S3": "8bcc6fc568cb4cca08d9111cfe635d16a03298a6297849f912747da4e3714d80",
+    "S4": "61369665ee862780ecafcd5c6991dfc098819286e4e27fc980a7f78767076db2",
+    "S5": "bb2039ba25e4aa7c263d503e97ec1433742ad50a1c39168276b7bf50a46ff516",
+    "S6": "c0722dd4fd0f8b2f80be5b8945ea8c657f65a69bdb65d3e5bddd44dad0f66efb",
+    "T1": "77bfe27622efc4377f424d40b4ee0e68faf71c0bb4015a2fd54a4d2ef49f358c",
+    "TP1": "13d7c400eb3adcc165ddf5b54b8e0e394dc30f8d04e485de1878811ff60475d2",
+    "TP2": "49c00768b81679ee026c166759066c15cc922a2e3fdd1ffa65bc2f7d8ea57090",
+    "W1": "9184c62666180b118ac8a42e0615b35607334f77efc65b456475d7df56d62459",
 }
 
 
@@ -145,7 +147,7 @@ def probe_registry():
     registry = ScenarioRegistry()
     registry.register(
         ScenarioSpec("PRB", "probe scenario", "_probe_runner", "exp/prb",
-                     repetitions=3, nondeterministic_meta=("wall_ms",)),
+                     repetitions=3),
         runner=_probe_runner)
     return registry
 
@@ -187,14 +189,11 @@ def test_runner_defaults_introspection():
     assert runner_defaults(_probe_runner) == {"knob": 7}
 
 
-def test_canonical_result_json_is_stable_and_strips_nondeterminism(probe_registry):
+def test_canonical_result_json_is_stable(probe_registry):
     scenario = probe_registry.get("PRB")
     a, b = scenario.run(), scenario.run()
-    a.meta["wall_ms"] = 12.3
-    b.meta["wall_ms"] = 45.6
-    spec = scenario.spec
-    assert canonical_result_json(a, spec) == canonical_result_json(b, spec)
-    assert "wall_ms" not in canonical_result_json(a, spec)
+    assert canonical_result_json(a) == canonical_result_json(b)
+    assert json.loads(canonical_result_json(a))["meta"] == a.meta
 
 
 def test_stamped_context_is_reentrant_and_scoped():

@@ -105,7 +105,7 @@ def test_changing_any_effective_knob_changes_the_key(workload, name, new_value):
     {"root_seed": "exp/other"},
     {"runner": "experiment_other"},
     {"repetitions": 2},
-    {"nondeterministic_meta": ("wall_ms",)},
+    {"scenario_id": "FC2"},
     {"workload": {"n_plans": 51}},
 ])
 def test_semantic_field_changes_change_the_key(change):
@@ -150,4 +150,4 @@ def test_spec_validation():
 
 
 def test_canon_scheme_is_versioned():
-    assert CANON_SCHEME == "repro.scenarios.run_key/v2"
+    assert CANON_SCHEME == "repro.scenarios.run_key/v3"

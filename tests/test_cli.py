@@ -120,8 +120,21 @@ class TestScenarioRun:
 
 
 class TestThroughputFlags:
-    """The engine's `--shards/--batch-size` flags (on `repro profile`):
-    invalid values exit 2 with a message, never a traceback."""
+    """The engine's `--tenants/--shards/--batch-size/--top` flags (on
+    `repro profile`) and `repro slo --plans`: invalid values exit 2 with
+    one stderr line, never a traceback."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["profile", "--tenants", "0"], "--tenants must be >= 1"),
+        (["profile", "--top", "0"], "--top must be >= 1"),
+        (["profile", "--top", "-1"], "--top must be >= 1"),
+        (["slo", "--plans", "0"], "--plans must be >= 1"),
+    ])
+    def test_counts_below_one_exit_2(self, capsys, argv, message):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_shards_below_one_exits_2(self, capsys):
         assert main(["profile", "--shards", "0"]) == 2

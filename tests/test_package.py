@@ -138,12 +138,11 @@ class TestPackaging:
         dynamic = pyproject["tool"]["setuptools"]["dynamic"]
         assert dynamic["version"] == {"attr": "repro.__version__"}
 
-    def test_stdlib_only(self, pyproject):
-        """The package runs on a bare interpreter: every import in
-        ``src/repro`` is the standard library or ``repro`` itself, and
-        pyproject declares no runtime dependency."""
-        assert pyproject["project"]["dependencies"] == []
-        outside = set()
+    @pytest.fixture(scope="class")
+    def imports(self):
+        """Every ``(file, top-level module)`` imported anywhere under
+        ``src/repro``, function-local imports included."""
+        found = set()
         for path in Path(repro.__file__).parent.rglob("*.py"):
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
                 if isinstance(node, ast.Import):
@@ -152,9 +151,23 @@ class TestPackaging:
                     names = [node.module]
                 else:
                     continue
-                outside.update(
-                    f"{path.name}: {name}" for name in names
-                    if name.split(".")[0] not in sys.stdlib_module_names
-                    and name.split(".")[0] != "repro"
-                )
-        assert not outside, sorted(outside)
+                found.update((path.name, name.split(".")[0]) for name in names)
+        return found
+
+    def test_stdlib_only(self, pyproject, imports):
+        """The package runs on a bare interpreter: every import in
+        ``src/repro`` is the standard library or ``repro`` itself, and
+        pyproject declares no runtime dependency."""
+        assert pyproject["project"]["dependencies"] == []
+        outside = sorted(
+            f"{file}: {name}" for file, name in imports
+            if name not in sys.stdlib_module_names and name != "repro"
+        )
+        assert not outside, outside
+
+    def test_reads_no_clock(self, imports):
+        """Every number the package reports is a pure function of the
+        seed: no module imports ``time``.  Wall clock is measured only
+        by the repository benchmark (``python3 -m bench``)."""
+        clocked = sorted(file for file, name in imports if name == "time")
+        assert not clocked, clocked
