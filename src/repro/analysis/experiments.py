@@ -28,7 +28,7 @@ from ..core.transaction import TxStatus
 from ..crypto.drbg import HmacDrbg
 from ..crypto.hashes import digest
 from ..crypto.pki import CertificateAuthority, Identity, KeyRegistry
-from ..net.channel import ChannelSpec
+from ..net.channel import LOSSY, ChannelSpec
 from ..net.events import Simulator
 from ..net.network import Network
 from ..net.node import Node
@@ -1476,7 +1476,9 @@ def experiment_sharded_throughput(
       bit-identical at 1, 2, 4, and 8 shards (HMAC-placed tenants,
       per-shard named DRBG streams, exact merge), and also invariant
       in the evidence batch size (batch layout is a crypto-amortization
-      choice, never simulated behavior).
+      choice, never simulated behavior).  It holds on the ``LOSSY``
+      channel too: channel dice come from per-link named streams, so
+      drops, duplicates and jitter do not depend on the layout.
     * **Batched-evidence soundness** — every session completes and
       verifies with Merkle-batched evidence (one RSA signature per
       batch, per-item inclusion proofs), and end-of-run settlement
@@ -1531,8 +1533,14 @@ def experiment_sharded_throughput(
         seed, n_tenants, directory=directory, shards=2, batch_size=4
     ).signature()
     classic = run_pool(seed, n_tenants, directory=directory)
+    lossy_signatures = {
+        run_pool(seed, n_tenants, directory=directory, shards=shards,
+                 batch_size=batch_size, channel=LOSSY).signature()
+        for shards in shard_counts
+    }
     batched_bytes = {r[4] for r in rows}
     facts["shard_signature_invariant_1_2_4_8"] = len(set(signatures.values())) == 1
+    facts["lossy/shard_signature_invariant_1_2_4_8"] = len(lossy_signatures) == 1
     facts["batch_size_signature_invariant"] = sig_small_batches == signatures[2]
     facts["all_sessions_completed_and_verified"] = all_ok
     facts["ttp_untouched"] = ttp_quiet
@@ -1553,7 +1561,8 @@ def experiment_sharded_throughput(
         "PT-002 construction applied to placement — and each shard drives its "
         "roster slice as a complete pool world on per-shard named DRBG "
         "streams; the merge reconstructs the global PoolResult exactly, so "
-        "the signature is bit-identical at every shard count.  Evidence is "
+        "the signature is bit-identical at every shard count, on the LOSSY "
+        "channel too (per-link channel dice).  Evidence is "
         "Merkle-batched: one RSA signature per batch of evidence leaves, "
         "per-item inclusion proofs resolved on download or at end-of-run "
         "settlement, accepted by the Arbitrator and forensics surfaces as "

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from ..errors import ProtocolError
 
@@ -82,6 +83,13 @@ class Header:
 
     def to_signed_bytes(self) -> bytes:
         """Canonical encoding covered by the sender's signature."""
+        return self._signed_bytes
+
+    @cached_property
+    def _signed_bytes(self) -> bytes:
+        """The encoding, built once per (frozen) header.  Cached outside
+        the dataclass fields, so equality, repr and the pickled state
+        never see it."""
         return "|".join(
             [
                 "tpnr-header-v1",
@@ -97,8 +105,13 @@ class Header:
             ]
         ).encode()
 
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_signed_bytes", None)
+        return state
+
     def wire_size(self) -> int:
-        return len(self.to_signed_bytes())
+        return len(self._signed_bytes)
 
     def with_flag(self, flag: Flag) -> "Header":
         return replace(self, flag=flag)

@@ -21,6 +21,13 @@ interact with each other, only with the provider/TTP, and
 * every tenant stream is a *named* DRBG keyed by the global tenant
   name and index, never a fork — so tenant 7's payloads, arrival
   offsets, and transaction IDs are the same in any layout;
+* channel dice come from one named stream per directed link
+  (``net/<src>-><dst>``, keyed off the ``engine/net`` stream, which is
+  the same in every shard), and a tenant's links to the provider carry
+  only its own sessions — so its delays, drops, duplicates and
+  corruptions are the same in any layout, on every channel (sessions
+  that escalate to the TTP share the provider-TTP links, so on a lossy
+  channel this assumes a retry budget that keeps the TTP out);
 * per-peer sequence numbers live on the (client, provider) pair, and
   the provider's per-tenant state is independent across tenants, so
   each session transcript is layout-invariant;
@@ -261,6 +268,7 @@ def run_pool(
     batch_size: int | None = None,
     key_bits: int = DEFAULT_KEY_BITS,
     profile: bool = False,
+    channel: ChannelSpec = PERFECT,
 ) -> PoolResult:
     """One engine run at one tenant count; the low-level entry point.
 
@@ -268,7 +276,8 @@ def run_pool(
     result, signature-identical to ``shards=1``); *batch_size* switches
     on Merkle-batched evidence; *profile* attaches a
     :class:`~repro.obs.profiler.RegionProfiler` per shard and merges
-    them exactly into ``result.profile``.
+    them exactly into ``result.profile``; *channel* is every link's
+    :class:`~repro.net.channel.ChannelSpec`.
     """
     config = EngineConfig(
         n_tenants=n_tenants,
@@ -281,6 +290,6 @@ def run_pool(
     )
     if shards > 1:
         return ShardedSessionPool(
-            config, seed=seed, shards=shards, directory=directory
+            config, seed=seed, shards=shards, directory=directory, channel=channel
         ).run()
-    return SessionPool(config, seed=seed, directory=directory).run()
+    return SessionPool(config, seed=seed, directory=directory, channel=channel).run()

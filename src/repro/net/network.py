@@ -10,6 +10,13 @@ Sending is asynchronous: ``network.send(...)`` samples the channel and
 schedules ``dst.on_message(envelope)`` callbacks.  The adversary, when
 present and in position, sees every envelope first and decides what
 actually reaches the wire — this is how MITM/replay/etc. are staged.
+
+Channel dice come from one named stream per directed link,
+``HmacDrbg(link_seed, personalization=b"net/<src>-><dst>")``, created
+on the link's first drawing send (PT-002 rules 4-5: named subsystem
+streams, and draws on one link never perturb another's).  So a
+session's delays, drops and duplicates depend only on its own links'
+send order, never on what other sessions send.
 """
 
 from __future__ import annotations
@@ -73,7 +80,10 @@ class Network:
 
     def __init__(self, sim: Simulator, rng: HmacDrbg, default_channel: ChannelSpec = PERFECT) -> None:
         self.sim = sim
-        self._rng = rng.fork("network")
+        # One block off *rng* (what a fork costs it), however many
+        # links later draw; every per-link stream keys off it.
+        self._link_seed = rng.generate(32)
+        self._link_rngs: dict[tuple[str, str], HmacDrbg] = {}
         self._nodes: dict[str, "Node"] = {}
         self._links: dict[tuple[str, str], ChannelSpec] = {}
         self._default_channel = default_channel
@@ -110,6 +120,15 @@ class Network:
 
     def channel(self, src: str, dst: str) -> ChannelSpec:
         return self._links.get((src, dst), self._default_channel)
+
+    def _link_rng(self, src: str, dst: str) -> HmacDrbg:
+        """The named dice stream of the directed link *src* -> *dst*."""
+        rng = self._link_rngs.get((src, dst))
+        if rng is None:
+            rng = self._link_rngs[(src, dst)] = HmacDrbg(
+                self._link_seed, personalization=f"net/{src}->{dst}".encode("utf-8")
+            )
+        return rng
 
     def install_adversary(self, adversary: "Adversary") -> None:
         self.adversary = adversary
@@ -152,7 +171,8 @@ class Network:
     def _transmit(self, envelope: Envelope) -> None:
         """Run the channel dice and schedule deliveries."""
         spec = self.channel(envelope.src, envelope.dst)
-        deliveries = spec.sample(envelope.size_bytes, self._rng)
+        rng = self._link_rng(envelope.src, envelope.dst) if spec.draws else None
+        deliveries = spec.sample(envelope.size_bytes, rng)
         if not deliveries:
             self.trace.record(
                 TraceEvent(
@@ -166,7 +186,10 @@ class Network:
                 obs.metrics.counter("net.dropped", reason="channel").inc()
             return
         for delivery in deliveries:
-            delivered = replace(envelope, corrupted=envelope.corrupted or delivery.corrupted)
+            # Envelopes are frozen: an intact copy is the sent envelope.
+            delivered = envelope
+            if delivery.corrupted and not envelope.corrupted:
+                delivered = replace(envelope, corrupted=True)
             self.sim.schedule(delivery.delay, lambda env=delivered: self._deliver(env))
 
     def _deliver(self, envelope: Envelope) -> None:

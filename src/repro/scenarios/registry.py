@@ -339,6 +339,7 @@ def _default_specs() -> list[ScenarioSpec]:
                      expect={**_all_true("all_sessions_completed_and_verified",
                                          "ttp_untouched",
                                          "shard_signature_invariant_1_2_4_8",
+                                         "lossy/shard_signature_invariant_1_2_4_8",
                                          "batch_size_signature_invariant",
                                          "batched_evidence_settled_every_item",
                                          "batched_wire_bytes_below_classic"),

@@ -29,8 +29,10 @@ __all__ = [
 ]
 
 #: Version tag of the derivation scheme; hashed into every run_key so a
-#: change to the derivation can never collide with an old key.
-SEED_SCHEME = "pt002-hmac-sha256/v1"
+#: change to the derivation can never collide with an old key.  v2:
+#: channel dice come from per-link streams, so the same seed draws
+#: different channel outcomes (the derivation itself is unchanged).
+SEED_SCHEME = "pt002-hmac-sha256/v2"
 
 _DOMAIN = b"repro.scenarios.seed/v1|"
 

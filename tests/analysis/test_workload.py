@@ -97,11 +97,21 @@ class TestResilienceSweep:
     def test_loss_reduces_success(self, sweep):
         assert sweep[-1][1].success_rate <= sweep[0][1].success_rate
 
-    def test_retransmission_absorbs_moderate_loss(self, sweep):
-        # 30% per-message loss is fully recovered by retransmission
-        # (capped exponential backoff) without involving the TTP.
-        moderate = dict(sweep)[0.3]
-        assert moderate.status_counts == {"completed": 6}
+    def test_retransmission_absorbs_moderate_loss(self):
+        # At 30% per-message loss, retransmission (capped exponential
+        # backoff) completes most transactions without the TTP; the
+        # rest resolve through it or fail with a statement.  Which
+        # transactions need the TTP depends on the draws, so the claim
+        # is checked on a dozen seeds, not pinned to one.
+        seeds = [b"wl-sweep"] + [f"wl-sweep-{i}".encode() for i in range(1, 12)]
+        spec = WorkloadSpec(n_clients=2, transactions_per_client=3)
+        for seed in seeds:
+            (_, moderate), = resilience_sweep(seed, drop_probs=(0.3,), spec=spec)
+            counts = moderate.status_counts
+            assert moderate.all_terminated, seed
+            assert set(counts) <= {"completed", "resolved", "failed"}, seed
+            assert counts["completed"] >= 4, seed
+            assert counts.get("failed", 0) <= 1, seed
 
     def test_lossy_channel_uses_ttp(self, sweep):
         lossy_statuses = sweep[-1][1].status_counts

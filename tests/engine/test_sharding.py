@@ -7,7 +7,10 @@ invisible to the deterministic result.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.policy import DEFAULT_POLICY, TpnrPolicy
 from repro.engine import (
     EngineConfig,
     SessionPool,
@@ -17,10 +20,15 @@ from repro.engine import (
     shard_of,
     shard_plan,
 )
-from repro.net.channel import PERFECT, ChannelSpec
+from repro.net.channel import LOSSY, PERFECT, WAN, ChannelSpec
 
 SEED = b"test/sharding"
 N = 10
+
+#: A retry budget no test channel exhausts: 12 retransmits (capped
+#: backoff, ~27 s) inside a 30 s response timeout.  Sessions then never
+#: escalate to the TTP, whose provider-side links every tenant shares.
+PATIENT = TpnrPolicy(max_retransmits=12, response_timeout=30.0)
 
 
 @pytest.fixture(scope="module")
@@ -144,18 +152,58 @@ class TestLatencyQuantileParity:
     """Differential check: the unsharded and sharded pools report the
     same p50/p99, bit for bit, not only the same signature()."""
 
-    @pytest.mark.parametrize("channel", [PERFECT, ChannelSpec(base_latency=0.02)],
-                             ids=["perfect", "fixed-delay"])
-    def test_p50_p99_bit_identical_at_1_2_4_8_shards(self, channel, directory):
+    @pytest.mark.parametrize("channel,policy", [
+        (PERFECT, DEFAULT_POLICY),
+        (ChannelSpec(base_latency=0.02), DEFAULT_POLICY),
+        (WAN, DEFAULT_POLICY),
+        (LOSSY, PATIENT),
+    ], ids=["perfect", "fixed-delay", "wan", "lossy"])
+    def test_p50_p99_bit_identical_at_1_2_4_8_shards(self, channel, policy, directory):
         config = EngineConfig(n_tenants=N)
         unsharded = SessionPool(config, seed=SEED, directory=directory,
-                                channel=channel).run()
+                                channel=channel, policy=policy).run()
+        assert unsharded.completed == N
         expected = (unsharded.p50_latency, unsharded.p99_latency)
         for shards in (1, 2, 4, 8):
             sharded = ShardedSessionPool(config, seed=SEED, shards=shards,
-                                         directory=directory, channel=channel).run()
-            assert sharded.signature() == unsharded.signature()
+                                         directory=directory, channel=channel,
+                                         policy=policy).run()
+            assert sharded.signature() == unsharded.signature(), shards
             assert (sharded.p50_latency, sharded.p99_latency) == expected, shards
+
+
+class TestDrawingChannelInvariance:
+    """Every channel draws from per-link named streams, so no spec's
+    dice depend on which tenants share a shard."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        jitter=st.floats(0.0, 0.05),
+        drop=st.floats(0.0, 0.2),
+        duplicate=st.floats(0.0, 0.3),
+        corrupt=st.floats(0.0, 0.1),
+    )
+    def test_any_channel_spec_is_shard_invariant(self, directory, jitter, drop,
+                                                 duplicate, corrupt):
+        channel = ChannelSpec(base_latency=0.02, jitter=jitter, drop_prob=drop,
+                              duplicate_prob=duplicate, corrupt_prob=corrupt)
+        config = EngineConfig(n_tenants=6)
+        unsharded = SessionPool(config, seed=SEED, directory=directory,
+                                channel=channel, policy=PATIENT).run()
+        for shards in (2, 4):
+            sharded = ShardedSessionPool(config, seed=SEED, shards=shards,
+                                         directory=directory, channel=channel,
+                                         policy=PATIENT).run()
+            assert sharded.signature() == unsharded.signature(), shards
+
+    def test_run_pool_forwards_the_channel(self, directory):
+        pooled = SessionPool(EngineConfig(n_tenants=N), seed=SEED,
+                             directory=directory, channel=LOSSY).run()
+        for shards in (1, 4):
+            lossy = run_pool(SEED, N, directory=directory, shards=shards,
+                             channel=LOSSY)
+            assert lossy.signature() == pooled.signature(), shards
+        assert pooled.signature() != run_pool(SEED, N, directory=directory).signature()
 
 
 class TestConstruction:

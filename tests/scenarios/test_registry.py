@@ -25,36 +25,37 @@ def test_every_spec_declares_an_expect_contract():
     assert [s.spec.scenario_id for s in SCENARIOS if not s.spec.expect] == []
 
 
-#: Run keys at code version 1.5.0 under canonicalization scheme v3.
+#: Run keys at code version 1.5.0 under canonicalization scheme v3 and
+#: seed scheme ``pt002-hmac-sha256/v2``.
 #: ``expect`` (like ``title``) is a verdict on a run, not an input to
 #: it, so declaring or editing a contract must leave every key — and
 #: the ``run_key`` stamped into every committed artifact — where it was.
 PINNED_VERSION = "1.5.0"
 PINNED_RUN_KEYS = {
-    "A1": "5b99bde5bb0e33552237f25773e7bfe2171eced56dd78f7c46859f49f734457e",
-    "CR1": "b82103f6df8459b4451eabbe592a31db2eaa4577752f5fcec458b929f591a5d0",
-    "F1": "e4f8f08c5b10f08b31032840d6bcd452efaf3de36ed48f089ac138896258f1f0",
-    "F2": "41c865f5ccb09b781aeb23c6893c5fdea5b0300c59741a9040c0980a2438ede3",
-    "F3": "f2ae25ba3f1a239ffa5b93720bbb224303006ff10ac616124796c231419c7512",
-    "F4": "aedb0bde35de7623f29970b6c821ffb0aa53baa4ae59fa6775d73e1f1e91d054",
-    "F5": "64b00bea83b5e7a8b7c06ac7e4141729a3a06d61e8b077d784bc161a7075c2ce",
-    "F6": "d6c371505b5de089ac8bc0821dd97d4dae0fabf2fc3c62325bad531ab2b52c8e",
-    "FC1": "8c2ee1bf9f7f625184978b2bc660d816a37550bf67351e63352b64572210df77",
-    "OB1": "3cd6af9ec79aaaa36640995a77e8b1c9522bf23f211f7ffcc36245bdad551dd9",
-    "OB2": "207d11d20ea66174ee03472a534716b9c7f80c16396380d7159a4e5de339b0c0",
-    "OB3": "5685125f642d0cd9a04f32fc0f0d05504db7440eb9e3e6c1e2d6e07a047b682d",
-    "OB4": "481bfa7afb1433835649e12a82c8402e1ce2fc28ac339094abca5a127234ea47",
-    "R1": "01e4d9fe7e0f10b431c1275c98b012155f09695020787df88716e4c4d71cbe73",
-    "RP1": "64c339615e63accf3747132d6dff5ae0fb78f0f3e19ae3d1917d3b7d9ef69065",
-    "RP2": "68b01b4ef2ed358f745cfd532418533338dfeeee15e28b980d39a790a989a1ee",
-    "S3": "8bcc6fc568cb4cca08d9111cfe635d16a03298a6297849f912747da4e3714d80",
-    "S4": "61369665ee862780ecafcd5c6991dfc098819286e4e27fc980a7f78767076db2",
-    "S5": "bb2039ba25e4aa7c263d503e97ec1433742ad50a1c39168276b7bf50a46ff516",
-    "S6": "c0722dd4fd0f8b2f80be5b8945ea8c657f65a69bdb65d3e5bddd44dad0f66efb",
-    "T1": "77bfe27622efc4377f424d40b4ee0e68faf71c0bb4015a2fd54a4d2ef49f358c",
-    "TP1": "13d7c400eb3adcc165ddf5b54b8e0e394dc30f8d04e485de1878811ff60475d2",
-    "TP2": "49c00768b81679ee026c166759066c15cc922a2e3fdd1ffa65bc2f7d8ea57090",
-    "W1": "9184c62666180b118ac8a42e0615b35607334f77efc65b456475d7df56d62459",
+    "A1": "2f87bd4338f522605570fb7a5cf12c22d97884e221983b010c633f0249e6a72a",
+    "CR1": "2a4b128ef017f9f29b6e22efae415d10cd04a3da7474fe7757790e14256591f6",
+    "F1": "91a2f151eb11925cee31e72519a28be0539dcd95cc5e5fb42f846838306e69bc",
+    "F2": "c9fb01fd7e79635305d4bb052781b3cf727421ff5c17cef5aa4f4f853fd00f68",
+    "F3": "d5ce07968eb52e06cdb062c3dfec39454b0c12490974763c49db27b01122653b",
+    "F4": "8af2791e06dda71325240bb43ff353f185e3bc709eb813e4252eea0c078834f6",
+    "F5": "9218278649397e42284162ff94e6b73c191bcc2c86a73454362f22332b480f8f",
+    "F6": "830e5b0d328a448a74ffc9ee7a1e1a53b49ffa7b6e6620a4ed7396daa62b555f",
+    "FC1": "791ecb7b16165362c8871eab169d6b716d6475b54b801d182e48a46d69323e28",
+    "OB1": "e2a575a56991786fbd252fd75cf8aca2875622e747fc2e22af90dca35cffa5ac",
+    "OB2": "08ed0e91aa3d706ced8e54ec96c7e670079038dfb0d95e91877a29dfdb398dfc",
+    "OB3": "2e45e3c8f9d4a7e0c614b3e5c18561d20400d0876c4bf9f3ef9dd5904a4421dc",
+    "OB4": "7d381a91d1bd55a22c0de510dff753dc9974e5456eabb5990eb3b57fbf9abe5f",
+    "R1": "7f7a6bd1444ab1d93c9bcc3726a95149fba87fb3cffe3240be8f2bb9f7b5ba8f",
+    "RP1": "cb7cc5a900d365d8afdb284e2f48fd759b1ac49ffa81c81b43e98f9e70e7a762",
+    "RP2": "632d49359c2764ca8ce5e86754c4f18a920f13a995050e1c221f4ad90a921246",
+    "S3": "c32a0332a52a962dfd7f9d910ae366e21fd84c25142ee1d1da46c6b5b0dc27ad",
+    "S4": "bc6251b6f6ae0cc813c3e6a0dd5cd9167b4d5489e41af8d9562a6ed7ce328dc0",
+    "S5": "731b6d1ea601e7d6e3775d43971232dea0223df1aa5cc2bcf18d9262706eeef6",
+    "S6": "565b496d030c52a6d7f55d1a111ad951048f1cc4c8725d9842c862eb2433dece",
+    "T1": "4c2dd04b2ffe4e0ac390dd7db11a3f5f832dab9f7600cd065b19a5c61c58c5ba",
+    "TP1": "8644d44d184d9e9ba5173640c7d7ec796c265bbb457c5739cf5f861bab13d73c",
+    "TP2": "8c1e02ad831c63138ec28c4ab5bbf2bec81c3cd79945e776b932f6fab4c58a75",
+    "W1": "99a4cf2190887db4fec4b9987a9d1a615c3eacc86e3d58f3620bb10ad7540492",
 }
 
 
@@ -160,7 +161,7 @@ def test_run_stamps_the_result_meta(probe_registry):
     assert result.meta["stage"] == "experiment"
     assert result.meta["repetition"] == 0
     assert result.meta["seed"] == "exp/prb"
-    assert result.meta["seed_scheme"] == "pt002-hmac-sha256/v1"
+    assert result.meta["seed_scheme"] == "pt002-hmac-sha256/v2"
     # The stamp is scoped to the run: nothing leaks afterwards.
     assert current_stamp() is None
     assert "run_key" not in run_meta(b"exp/bare")

@@ -42,4 +42,4 @@ def test_invalid_derivations_raise():
 
 
 def test_scheme_tag_is_versioned():
-    assert SEED_SCHEME == "pt002-hmac-sha256/v1"
+    assert SEED_SCHEME == "pt002-hmac-sha256/v2"
