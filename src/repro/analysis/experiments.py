@@ -986,7 +986,9 @@ def experiment_observability(seed: bytes = b"exp/ob1") -> ExperimentResult:
     sees the RSA/AEAD traffic the session actually generated.  The
     disabled path does none of that work: an unobserved session keeps
     the network's bundle disabled, the crypto observer seat empty, and
-    the null registry and tracer without a series or a span.
+    the null registry and tracer without a series or a span.  An
+    observed session pool sits between the two: metric series and a
+    latency sketch holding every session, and no span.
     """
     import json
 
@@ -1080,6 +1082,24 @@ def experiment_observability(seed: bytes = b"exp/ob1") -> ExperimentResult:
         and not seat.metrics.snapshot()
         and not seat.tracer.spans
     )
+
+    # An observed pool keeps counters and sketches, not span trees:
+    # nothing reads a pool session's spans, and they were most of the
+    # pool's telemetry cost.
+    from ..engine import run_pool
+    from ..engine.pool import LATENCY_SKETCH
+
+    pool = run_pool(seed + b"/pool", 4, transactions_per_tenant=2)
+    pool_latencies = pool.obs.metrics.sketch(LATENCY_SKETCH).count
+    facts["pool/sessions"] = len(pool.sessions)
+    facts["pool/metrics"] = len(pool.obs.metrics)
+    facts["pool/spans"] = len(pool.obs.tracer.spans)
+    facts["observed_pool_keeps_no_spans"] = (
+        pool.obs.enabled
+        and facts["pool/metrics"] > 0
+        and pool_latencies == len(pool.sessions) > 0
+        and facts["pool/spans"] == 0
+    )
     return ExperimentResult(
         experiment_id="OB1",
         title="Extension — observability: span trees + metrics across TPNR paths",
@@ -1090,7 +1110,8 @@ def experiment_observability(seed: bytes = b"exp/ob1") -> ExperimentResult:
         notes="Spans live on the network-side tracer (keyed by transaction id, "
         "events carry msg_id for wire-trace correlation), so trees survive "
         "amnesia crashes of party state; metrics are sim-clock-stamped and "
-        "deterministic, and crypto hot paths are counted, never timed.",
+        "deterministic, and crypto hot paths are counted, never timed.  "
+        "A session pool keeps counters and sketches but no spans.",
         meta=run_meta(seed),
     )
 

@@ -140,12 +140,12 @@ class TpnrClient(TpnrParty):
             data=bytes(data),
         )
         self.uploads[transaction_id] = handle
-        obs = self.obs
-        if obs.enabled:
+        tracer = self.obs.tracer
+        if tracer.enabled:
             # The root span of the transaction's tree: every later
             # phase span (resolve, abort, download, recovery) and every
             # other party's span parents under it via the trace id.
-            obs.tracer.start(
+            tracer.start(
                 transaction_id, "tpnr.transaction",
                 party=self.name, provider=provider, data_size=len(data),
             )

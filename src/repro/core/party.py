@@ -188,7 +188,7 @@ class TpnrParty(Node):
             self.journal.log_send(payload.header)
         envelope = super().send(dst, kind, payload)
         obs = self.obs
-        if obs.enabled and isinstance(payload, TpnrMessage):
+        if obs.tracer.enabled and isinstance(payload, TpnrMessage):
             # Correlate the span tree with the wire trace: the send
             # event carries the envelope's msg_id, which the
             # TraceRecorder indexes too.
@@ -230,10 +230,11 @@ class TpnrParty(Node):
                 "party.evidence_archived",
                 party=self.name, flag=opened.header.flag.value,
             ).inc()
-            root = obs.tracer.root(opened.header.transaction_id)
-            if root is not None:
-                root.event(self.now, f"evidence:{opened.header.flag.value}",
-                           party=self.name, signer=opened.signer)
+            if obs.tracer.enabled:
+                root = obs.tracer.root(opened.header.transaction_id)
+                if root is not None:
+                    root.event(self.now, f"evidence:{opened.header.flag.value}",
+                               party=self.name, signer=opened.signer)
         return added
 
     def journal_txn(self, record: TransactionRecord) -> None:
@@ -247,7 +248,7 @@ class TpnrParty(Node):
         record.finish(status, self.now, detail)
         self.journal_txn(record)
         obs = self.obs
-        if obs.enabled:
+        if obs.tracer.enabled:
             root = obs.tracer.root(record.transaction_id)
             if root is not None:
                 root.event(self.now, f"status:{status.value}",
@@ -256,6 +257,7 @@ class TpnrParty(Node):
                 # transaction; its root span closes with that status.
                 if record.role == "client":
                     obs.tracer.finish(root, status=status.value)
+        if obs.enabled:
             obs.metrics.counter(
                 "txn.finished", role=record.role, status=status.value
             ).inc()
@@ -312,12 +314,13 @@ class TpnrParty(Node):
     def span_begin(self, key: Hashable, transaction_id: str, name: str, **attrs):
         """Open a phase span under the transaction's root span.
 
-        No-op (returns None) when observation is off.  If a span with
+        No-op (returns None) when the tracer is off: observation off,
+        or a pool world that keeps metrics but no spans.  If a span with
         the same *key* is already open it is kept and a ``retry`` event
         is recorded instead — phases like Abort legitimately restart.
         """
         obs = self.obs
-        if not obs.enabled:
+        if not obs.tracer.enabled:
             return None
         existing = self._obs_spans.get(key)
         if existing is not None and not existing.finished:
@@ -336,7 +339,7 @@ class TpnrParty(Node):
     def span_event(self, transaction_id: str, name: str, **attrs) -> None:
         """Record an event on the transaction's root span, if any."""
         obs = self.obs
-        if obs.enabled:
+        if obs.tracer.enabled:
             root = obs.tracer.root(transaction_id)
             if root is not None:
                 root.event(self.now, name, party=self.name, **attrs)

@@ -93,7 +93,7 @@ def recover(party: "TpnrParty", resume: bool = True) -> RecoveryReport:
     party.recoveries += 1
     obs = party.obs
     spans = {}
-    if obs.enabled:
+    if obs.tracer.enabled:
         # One recovery span per restored in-flight transaction, parented
         # under that transaction's root — the tracer lives on the
         # network, so the tree survived the amnesia wipe that just

@@ -20,6 +20,14 @@ asserts it).
 Transaction IDs are likewise explicit (``TXN-E{tenant}-{k}``) instead
 of the process-global counter, so a pool's IDs do not depend on how
 many transactions ran earlier in the process.
+
+An observed pool keeps the telemetry someone reads: counters, gauges,
+the session-latency sketch, SLOs and anomaly detectors.  It keeps no
+span tree — its bundle's tracer is :data:`~repro.obs.span.NULL_TRACER`,
+so the parties skip every span and root-event call.  Span trees are
+for single deployments (``make_deployment(observe=True)``), which is
+what the ``repro obs``/``forensics``/``profile --critical-path``
+viewers and the OB1/OB2/OB4 experiments read.
 """
 
 from __future__ import annotations
@@ -47,6 +55,7 @@ from ..obs.profiler import NULL_PROFILER, RegionProfiler
 from ..obs.anomaly import AnomalyMonitor, RateShiftDetector
 from ..obs.sketch import QuantileSketch
 from ..obs.slo import SLOManager, standard_engine_slos
+from ..obs.span import NULL_TRACER
 
 __all__ = [
     "EngineConfig",
@@ -112,6 +121,8 @@ class EngineConfig:
     with_download: bool = True
     key_bits: int = DEFAULT_KEY_BITS
     use_caches: bool = True
+    # Telemetry: metrics, the latency sketch, SLOs and detectors; never
+    # spans (a pool session's span tree has no reader).
     observe: bool = True
     sample_interval: float = 0.5  # in-flight gauge sampling period (sim s)
     anomaly: bool = True  # poll anomaly detectors per sample (observe only)
@@ -415,7 +426,12 @@ class SessionPool:
         self.network = Network(self.sim, self._stream("engine/net"), default_channel=self.channel)
         if config.observe:
             sim = self.sim
-            self.network.obs = Observability(clock=lambda: sim.now)
+            obs = Observability(clock=lambda: sim.now)
+            # Counters, gauges, sketches, SLOs and detectors, but no
+            # span tree: nothing reads a pool session's spans, and
+            # keeping them was most of the telemetry cost.
+            obs.tracer = NULL_TRACER
+            self.network.obs = obs
         self._obs = self.network.obs
         if self._obs.enabled and self.profiler.enabled:
             # Seat the pool's profiler on the bundle and install the

@@ -29,7 +29,10 @@ tracer are shared no-ops — instrumented code guards with::
         obs.metrics.counter("...").inc()
 
 so the disabled cost is one attribute load and one branch, and the
-disabled path records nothing (an OB1 ``expect`` fact).
+disabled path records nothing (an OB1 ``expect`` fact).  Span work
+guards on ``obs.tracer.enabled`` instead: a session pool's bundle keeps
+metrics but seats :data:`~repro.obs.span.NULL_TRACER`, and its parties
+then build no span, root lookup or event name (also an OB1 fact).
 
 Exporters (:mod:`repro.obs.exporters`) turn either surface into JSONL,
 Prometheus text, or human-readable tables;

@@ -5,9 +5,11 @@ Zero-dependency and deterministic: instruments are identified by
 ``(name, sorted labels)``, values are plain Python numbers, and every
 snapshot is stamped with the **simulated** clock (the registry is given
 a ``clock`` callable, normally ``lambda: sim.now``), so two runs with
-the same seed produce byte-identical snapshots.  No series holds wall
-time: the package never reads a real clock (the repository benchmark,
-``python3 -m bench``, is where CPU cost is measured).
+the same seed produce byte-identical snapshots.  A lookup first probes
+a call-site memo keyed by the labels *as passed*, so a hot call site
+sorts and stringifies its labels once, not per call.  No series holds
+wall time: the package never reads a real clock (the repository
+benchmark, ``python3 -m bench``, is where CPU cost is measured).
 
 Off-by-default-cheap: code that *might* be observed holds a registry
 reference that is either a live :class:`MetricsRegistry` or the shared
@@ -142,6 +144,9 @@ class MetricsRegistry:
         # one call site and a gauge in another would export two
         # conflicting series under one identifier.
         self._kind_of: dict[str, str] = {}
+        # The call-site memo: (kind, name, *label items as passed) ->
+        # instrument, so a hot call site resolves its series once.
+        self._bound: dict[tuple, object] = {}
 
     @property
     def now(self) -> float:
@@ -154,21 +159,44 @@ class MetricsRegistry:
         if claimed != kind:
             raise TypeError(f"metric {name!r} is a {claimed}, not a {kind}")
 
-    def counter(self, name: str, **labels: str) -> Counter:
-        key = (name, _label_key(labels))
-        found = self._counters.get(key)
+    def _bind(self, key: tuple, table: dict, labels: dict, make):
+        """The canonical lookup behind a call-site memo miss.
+
+        *key* is ``(kind, name, *label items as passed)``.  The
+        instrument itself is found (or created, claiming the name's
+        kind) under its canonical ``(name, sorted str labels)`` key, so
+        every label order and spelling of one series reaches one
+        object.  Only all-``str`` label sets are memoized: ``1``,
+        ``1.0`` and ``True`` compare equal but stringify differently,
+        so a non-str value must take the canonical path every time.
+        """
+        kind, name = key[0], key[1]
+        canon = (name, _label_key(labels))
+        found = table.get(canon)
         if found is None:
-            self._claim_kind(name, "counter")
-            found = self._counters[key] = Counter(name, key[1])
+            self._claim_kind(name, kind)
+            found = table[canon] = make(name, canon[1])
+        if all(type(v) is str for v in labels.values()):
+            self._bound[key] = found
         return found
 
+    # A hit costs one tuple and one dict probe; a miss (first call from
+    # a label order, a non-str label value, an unhashable one) falls
+    # through to _bind.
+
+    def counter(self, name: str, **labels: str) -> Counter:
+        key = ("counter", name, *labels.items())
+        try:
+            return self._bound[key]
+        except (KeyError, TypeError):
+            return self._bind(key, self._counters, labels, Counter)
+
     def gauge(self, name: str, **labels: str) -> Gauge:
-        key = (name, _label_key(labels))
-        found = self._gauges.get(key)
-        if found is None:
-            self._claim_kind(name, "gauge")
-            found = self._gauges[key] = Gauge(name, key[1])
-        return found
+        key = ("gauge", name, *labels.items())
+        try:
+            return self._bound[key]
+        except (KeyError, TypeError):
+            return self._bind(key, self._gauges, labels, Gauge)
 
     def histogram(
         self,
@@ -176,23 +204,24 @@ class MetricsRegistry:
         buckets: tuple[float, ...] = DEFAULT_LATENCY_BUCKETS,
         **labels: str,
     ) -> Histogram:
-        key = (name, _label_key(labels))
-        found = self._histograms.get(key)
-        if found is None:
-            self._claim_kind(name, "histogram")
-            found = self._histograms[key] = Histogram(name, buckets, key[1])
-        return found
+        # Like the canonical table, the memo ignores *buckets* after the
+        # first call: a series keeps the buckets it was created with.
+        key = ("histogram", name, *labels.items())
+        try:
+            return self._bound[key]
+        except (KeyError, TypeError):
+            return self._bind(key, self._histograms, labels,
+                              lambda n, lk: Histogram(n, buckets, lk))
 
     def sketch(self, name: str, alpha: float = DEFAULT_ALPHA,
                **labels: str) -> QuantileSketch:
         """A mergeable quantile sketch (see :mod:`repro.obs.sketch`)."""
-        key = (name, _label_key(labels))
-        found = self._sketches.get(key)
-        if found is None:
-            self._claim_kind(name, "sketch")
-            found = self._sketches[key] = QuantileSketch(
-                name, alpha=alpha, labels=key[1])
-        return found
+        key = ("sketch", name, *labels.items())
+        try:
+            return self._bound[key]
+        except (KeyError, TypeError):
+            return self._bind(key, self._sketches, labels,
+                              lambda n, lk: QuantileSketch(n, alpha=alpha, labels=lk))
 
     # -- reading back --------------------------------------------------------
 

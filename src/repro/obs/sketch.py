@@ -127,15 +127,40 @@ class QuantileSketch:
     def count_le(self, threshold: float) -> int:
         """How many observations were ``<= threshold`` *up to the
         sketch's error bound*: buckets whose representative is within
-        the bound count fully (used by threshold SLIs)."""
+        the bound count fully (used by threshold SLIs).
+
+        The representative grows with the bucket index, so one cutoff
+        index replaces a representative per bucket: an SLO poll costs
+        an integer compare per occupied bucket, not a float power.
+        """
         if threshold < 0.0:
             return 0
-        total = self.zero_count
         limit = threshold * (1.0 + self.alpha)
+        if not limit > 0.0:  # zero (or NaN): every representative is above it
+            return self.zero_count
+        try:
+            cutoff = self._cutoff(limit)
+        except OverflowError:  # above every finite representative
+            return self.zero_count + sum(self.buckets.values())
+        total = self.zero_count
         for index, n in self.buckets.items():
-            if self._representative(index) <= limit:
+            if index <= cutoff:
                 total += n
         return total
+
+    def _cutoff(self, limit: float) -> int:
+        """The largest bucket index whose representative is ``<= limit``
+        (``limit > 0``).  Rounding can put the log estimate one index
+        off either way, so it is settled against
+        :meth:`_representative` itself: the count then equals the
+        per-bucket comparison exactly."""
+        index = math.floor(
+            math.log(limit * (self._gamma + 1.0) / 2.0) / self._log_gamma)
+        while self._representative(index) > limit:
+            index -= 1
+        while self._representative(index + 1) <= limit:
+            index += 1
+        return index
 
     # -- merging -------------------------------------------------------------
 

@@ -304,7 +304,8 @@ def _default_specs() -> list[ScenarioSpec]:
                      expect=_all_true("all_trees_complete", "metrics_nonempty",
                                       "crypto_observed", "prometheus_nonempty",
                                       "crash-resume/recovery_traced",
-                                      "disabled_path_records_nothing")),
+                                      "disabled_path_records_nothing",
+                                      "observed_pool_keeps_no_spans")),
         ScenarioSpec("OB2", "extension — forensic timelines + consistency audit",
                      "experiment_forensics", "exp/ob2",
                      workload={"n_plans": 100},

@@ -7,10 +7,19 @@ byte-identical, and toggling the crypto caches does not move the
 result signature.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import ProtocolError
-from repro.engine import EngineConfig, SessionPool, TenantDirectory, run_pool
+from repro.engine import (
+    EngineConfig,
+    SessionPool,
+    ShardedSessionPool,
+    TenantDirectory,
+    run_pool,
+)
+from repro.net.channel import LOSSY
 
 SEED = b"test/engine"
 
@@ -81,6 +90,42 @@ class TestDeterminism:
     def test_observe_toggle_does_not_move_the_signature(self, directory, result):
         dark = run_pool(SEED, 3, directory=directory, observe=False)
         assert dark.p50_latency == 0.0  # no latency sketch without obs
+        assert dark.signature() == result.signature()
+
+
+class TestPoolTelemetry:
+    """An observed pool keeps counters and sketches but no span tree:
+    nothing reads a pool session's spans (deployments keep theirs)."""
+
+    @staticmethod
+    def finished(obs) -> float:
+        return sum(row["value"] for row in obs.metrics.snapshot()
+                   if row["name"] == "engine.sessions_finished")
+
+    def test_observed_pool_keeps_metrics_and_no_spans(self, directory):
+        config = EngineConfig(n_tenants=4, transactions_per_tenant=2, batch_size=4)
+        pool = SessionPool(config, seed=SEED, directory=directory, channel=LOSSY)
+        result = pool.run()
+        assert result.obs.enabled and not result.obs.tracer.enabled
+        assert result.obs.tracer.spans == []
+        assert all(not party._obs_spans for party in pool._parties())
+        assert self.finished(result.obs) == len(result.sessions) == 8
+        assert result.obs.metrics.sketch("engine.session_latency").count == 8
+        dark = SessionPool(replace(config, observe=False), seed=SEED,
+                           directory=directory, channel=LOSSY).run()
+        assert dark.signature() == result.signature()
+
+    def test_sharded_pool_shards_keep_no_spans(self, directory):
+        config = EngineConfig(n_tenants=4, transactions_per_tenant=2, batch_size=4)
+        sharded = ShardedSessionPool(config, seed=SEED, shards=2,
+                                     directory=directory, channel=LOSSY)
+        result = sharded.run()
+        shard_obs = [shard.obs for _, shard in sharded.shard_results]
+        assert len(shard_obs) == 2
+        assert all(obs.enabled and obs.tracer.spans == [] for obs in shard_obs)
+        assert sum(self.finished(obs) for obs in shard_obs) == len(result.sessions) == 8
+        dark = ShardedSessionPool(replace(config, observe=False), seed=SEED, shards=2,
+                                  directory=directory, channel=LOSSY).run()
         assert dark.signature() == result.signature()
 
 

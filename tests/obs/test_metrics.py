@@ -182,3 +182,77 @@ class TestSketchInstrument:
         a.observe(123.0)
         assert a.count == 0
         assert len(NULL_METRICS) == 0
+
+
+class TestCallSiteMemo:
+    """A lookup probes a memo keyed by the labels as passed; the memo
+    must never change which series a call reaches or what it exports."""
+
+    def test_reordered_labels_reach_one_instrument(self):
+        reg = MetricsRegistry()
+        a = reg.counter("msgs", party="bob", kind="upload")
+        b = reg.counter("msgs", kind="upload", party="bob")
+        assert a is b
+        assert reg.counter("msgs", party="bob", kind="upload") is a
+        assert len(reg) == 1
+        for kind in ("gauge", "histogram", "sketch"):
+            first = getattr(reg, kind)(kind, x="1", y="2")
+            assert getattr(reg, kind)(kind, y="2", x="1") is first
+
+    def test_kind_conflict_still_raises_once_memoized(self):
+        reg = MetricsRegistry()
+        c = reg.counter("x", k="a")
+        assert reg.counter("x", k="a") is c  # now served by the memo
+        with pytest.raises(TypeError):
+            reg.gauge("x", k="a")
+        with pytest.raises(TypeError):
+            reg.gauge("x", k="a")  # a failed claim is not memoized
+        assert reg.counter("x", k="a") is c
+
+    def test_non_str_values_stringify_as_before(self):
+        reg = MetricsRegistry()
+        one = reg.counter("n", v=1)
+        # 1 == 1.0 == True, but their label strings differ.
+        assert reg.counter("n", v=1.0) is not one
+        assert reg.counter("n", v=True) is not one
+        assert reg.counter("n", v="1") is one
+        assert reg.counter("n", v=1) is one
+        assert sorted(r["labels"]["v"] for r in reg.snapshot()) == ["1", "1.0", "True"]
+
+    def test_unhashable_label_value_still_works(self):
+        reg = MetricsRegistry()
+        c = reg.counter("u", tags=["a", "b"])
+        c.inc()
+        assert reg.counter("u", tags=["a", "b"]) is c
+        assert reg.counter("u", tags="['a', 'b']") is c
+        (row,) = reg.snapshot()
+        assert row["labels"] == {"tags": "['a', 'b']"} and row["value"] == 1
+
+    def test_snapshot_independent_of_lookup_order(self):
+        calls = [
+            ("counter", "net.sent", {"kind": "a"}),
+            ("counter", "net.sent", {"kind": "b"}),
+            ("counter", "txn.finished", {"role": "client", "status": "ok"}),
+            ("gauge", "inflight", {}),
+            ("histogram", "lat", {"shard": "0"}),
+            ("sketch", "engine.session_latency", {}),
+        ]
+
+        def drive(order, reverse_labels):
+            reg = MetricsRegistry(clock=lambda: 2.0)
+            for kind, name, labels in order:
+                items = list(labels.items())
+                if reverse_labels:
+                    items.reverse()
+                instrument = getattr(reg, kind)(name, **dict(items))
+                if kind == "gauge":
+                    instrument.set(3)
+                elif kind == "counter":
+                    instrument.inc()
+                else:
+                    instrument.observe(0.25)
+            return reg.snapshot()
+
+        expected = drive(calls * 2, False)
+        assert drive(list(reversed(calls)) * 2, True) == expected
+        assert drive(calls[::2] + calls[1::2] + calls, True) == expected

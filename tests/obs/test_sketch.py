@@ -253,3 +253,46 @@ class TestMergedQuantilePropertyBound:
         assert s.quantile(0.0) == 0.0
         assert s.quantile(0.5) == 0.0
         assert s.quantile(1.0) == 5.0
+
+
+def brute_count_le(sketch: QuantileSketch, threshold: float) -> int:
+    """count_le by its definition: every bucket's representative
+    compared against the bound."""
+    if threshold < 0.0:
+        return 0
+    limit = threshold * (1.0 + sketch.alpha)
+    return sketch.zero_count + sum(
+        n for index, n in sketch.buckets.items()
+        if sketch._representative(index) <= limit)
+
+
+class TestCountLeCutoff:
+    """count_le compares bucket indices against one cutoff instead of
+    computing every bucket's representative; the answer must not move."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        alpha=st.sampled_from([0.001, 0.01, 0.05, 0.2, 0.6]),
+        values=st.lists(st.floats(min_value=0.0, max_value=1e6), max_size=40),
+        thresholds=st.lists(st.floats(min_value=-1.0, max_value=1e7), max_size=8),
+    )
+    def test_equals_brute_force(self, alpha, values, thresholds):
+        s = QuantileSketch("lat", alpha=alpha)
+        for v in values:
+            s.observe(v)
+        # Every bucket edge too: a threshold whose bound lands exactly
+        # on a representative is where an off-by-one would show.
+        edges = [s._representative(i) / (1.0 + alpha) for i in s.buckets]
+        for t in [*thresholds, *edges, 0.0]:
+            assert s.count_le(t) == brute_count_le(s, t)
+
+    def test_extreme_thresholds(self):
+        s = QuantileSketch("lat")
+        for v in (0.0, 1e-6, 0.5, 3.0):
+            s.observe(v)
+        assert s.count_le(-1.0) == 0
+        assert s.count_le(0.0) == 1
+        assert s.count_le(float("nan")) == 1 == brute_count_le(s, float("nan"))
+        assert s.count_le(float("inf")) == 4
+        assert s.count_le(1e308) == 4 == brute_count_le(s, 1e308)
+        assert s.count_le(5e-324) == 1 == brute_count_le(s, 5e-324)
