@@ -8,7 +8,7 @@ key sizes and the hash dispatcher buy.
 
 import pytest
 
-from repro.crypto import aead, chacha20, kem, rsa, shamir
+from repro.crypto import aead, chacha20, kem, merkle, rsa, shamir
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.hashes import digest
 from repro.crypto.hmac_ import hmac_digest
@@ -87,8 +87,15 @@ def test_bench_shamir_recover(benchmark):
     benchmark(shamir.recover_digest, shares[:3], 16)
 
 
-def test_bench_drbg(benchmark):
-    benchmark(RNG.generate, 1024)
+@pytest.mark.parametrize("n_bytes", [16, 32, 1024], ids=["16B", "32B", "1KiB"])
+def test_bench_drbg(benchmark, n_bytes):
+    """16 B is a header nonce, 32 B one block of channel dice."""
+    benchmark(RNG.generate, n_bytes)
+
+
+def test_bench_merkle_node_digest(benchmark):
+    """One interior Merkle node: the node domain plus two 32-byte children."""
+    benchmark(digest, "sha256", merkle._NODE_DOMAIN + BLOB_4K[:32] + BLOB_4K[32:64])
 
 
 @CHACHA20_INPUTS

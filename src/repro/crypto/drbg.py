@@ -5,12 +5,20 @@ network jitter, workload generation — flows through instances of
 :class:`HmacDrbg` so that every experiment is reproducible bit-for-bit
 from its seed.  This is the "deterministic simulation" design decision
 recorded in DESIGN.md §5.
+
+Every header nonce and every channel-dice block is one draw, so each
+block costs one OpenSSL HMAC: the stdlib one-shot ``hmac.digest`` is
+bound once at import and called directly, not through the
+:func:`repro.crypto.hmac_.hmac_digest` dispatcher.  The tests check this
+generator against an SP 800-90A reference built on
+``hmac_digest(..., pure=True)``.
 """
 
 from __future__ import annotations
 
+from hmac import digest as _hmac
+
 from ..errors import CryptoError
-from .hmac_ import hmac_digest
 
 __all__ = ["HmacDrbg"]
 
@@ -26,32 +34,35 @@ class HmacDrbg:
         if isinstance(seed, str):
             seed = seed.encode()
         elif isinstance(seed, int):
+            if seed < 0:
+                raise CryptoError(f"integer seed must be non-negative, got {seed}")
             seed = seed.to_bytes(max(1, (seed.bit_length() + 7) // 8), "big")
         self._key = b"\x00" * 32
         self._value = b"\x01" * 32
         self._update(seed + personalization)
-        self._reseed_counter = 1
 
     def _update(self, provided: bytes = b"") -> None:
-        self._key = hmac_digest(self._key, self._value + b"\x00" + provided)
-        self._value = hmac_digest(self._key, self._value)
+        key = _hmac(self._key, self._value + b"\x00" + provided, "sha256")
+        value = _hmac(key, self._value, "sha256")
         if provided:
-            self._key = hmac_digest(self._key, self._value + b"\x01" + provided)
-            self._value = hmac_digest(self._key, self._value)
+            key = _hmac(key, value + b"\x01" + provided, "sha256")
+            value = _hmac(key, value, "sha256")
+        self._key = key
+        self._value = value
 
     def generate(self, n_bytes: int) -> bytes:
         """Return *n_bytes* pseudo-random bytes."""
         if n_bytes < 0:
             raise CryptoError("cannot generate a negative number of bytes")
-        chunks = []
-        produced = 0
-        while produced < n_bytes:
-            self._value = hmac_digest(self._key, self._value)
-            chunks.append(self._value)
-            produced += len(self._value)
+        key = self._key
+        value = self._value
+        blocks = []
+        for _ in range((n_bytes + 31) // 32):
+            value = _hmac(key, value, "sha256")
+            blocks.append(value)
+        self._value = value
         self._update()
-        self._reseed_counter += 1
-        return b"".join(chunks)[:n_bytes]
+        return b"".join(blocks)[:n_bytes]
 
     # -- convenience draws -------------------------------------------------
 

@@ -239,6 +239,9 @@ class SHA256:
 # --------------------------------------------------------------------------
 
 _PURE = {"md5": MD5, "sha256": SHA256}
+#: The hashlib constructors, called directly: no ``hashlib.new`` by-name
+#: dispatch in Python on every digest.
+_FAST = {"md5": hashlib.md5, "sha256": hashlib.sha256}
 
 
 def digest(name: str, data: bytes, *, pure: bool = False) -> bytes:
@@ -247,11 +250,12 @@ def digest(name: str, data: bytes, *, pure: bool = False) -> bytes:
     Dispatches to :mod:`hashlib` unless ``pure=True``, which forces the
     from-scratch implementation (used by tests and micro-benchmarks).
     """
-    if name not in _PURE:
+    constructor = _FAST.get(name)
+    if constructor is None:
         raise CryptoError(f"unknown hash algorithm: {name!r}")
     if pure:
         return _PURE[name](data).digest()
-    return hashlib.new(name, data).digest()
+    return constructor(data).digest()
 
 
 def hexdigest(name: str, data: bytes, *, pure: bool = False) -> str:

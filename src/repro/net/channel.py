@@ -33,6 +33,7 @@ _BLOCK = struct.Struct(">4Q")
 _BLOCK_BYTES = _BLOCK.size
 #: The top 53 bits of a word, scaled into [0, 1) like ``HmacDrbg.random``.
 _LANE_SCALE = 1.0 / (1 << 53)
+_INF = float("inf")
 
 
 def _lanes(rng: HmacDrbg) -> tuple[float, float, float, float]:
@@ -75,10 +76,11 @@ class ChannelSpec:
     corrupt_prob: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.base_latency < 0 or self.jitter < 0:
-            raise NetworkError("latency parameters must be non-negative")
-        if self.bandwidth_bps <= 0:
-            raise NetworkError("bandwidth must be positive")
+        # Chained comparisons are false for NaN, so NaN is rejected too.
+        if not (0.0 <= self.base_latency < _INF and 0.0 <= self.jitter < _INF):
+            raise NetworkError("latency parameters must be finite and non-negative")
+        if not self.bandwidth_bps > 0:
+            raise NetworkError("bandwidth must be positive (inf: no serialization delay)")
         for name in ("drop_prob", "duplicate_prob", "corrupt_prob"):
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
@@ -97,7 +99,7 @@ class ChannelSpec:
         delay = self.base_latency
         if self.jitter:
             delay += jitter_lane * self.jitter
-        if self.bandwidth_bps != float("inf"):
+        if self.bandwidth_bps != _INF:
             delay += size_bytes / self.bandwidth_bps
         return delay
 

@@ -2,7 +2,9 @@
 
 A classic event-heap simulator: callbacks are scheduled at absolute or
 relative simulated times and executed in timestamp order (FIFO among
-equal timestamps, guaranteed by a monotonic tiebreak counter).  The
+equal timestamps, guaranteed by a monotonic tiebreak counter).  Heap
+entries are ``(time, seq, event)`` tuples, so ordering compares in C;
+``seq`` is unique, so the event itself is never compared.  The
 engine is single-threaded and deterministic — given the same schedule
 of callbacks and the same DRBG seeds, every run is identical.
 
@@ -12,8 +14,8 @@ deliveries and timeouts are just scheduled callbacks.
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Callable
 
 from ..errors import NetworkError
@@ -22,14 +24,14 @@ from .simclock import SimClock
 __all__ = ["Simulator", "ScheduledEvent"]
 
 
-@dataclass(order=True)
+@dataclass(eq=False)
 class ScheduledEvent:
-    """Heap entry: (time, seq) ordering, callback excluded from compare."""
+    """Handle to one scheduled callback; the heap orders by (time, seq)."""
 
     time: float
     seq: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
+    callback: Callable[[], None]
+    cancelled: bool = False
 
     def cancel(self) -> None:
         """Mark the event so the engine skips it (O(1) lazy deletion)."""
@@ -48,7 +50,7 @@ class Simulator:
 
     def __init__(self, start: float = 0.0, max_events: int = 10_000_000) -> None:
         self.clock = SimClock(start)
-        self._heap: list[ScheduledEvent] = []
+        self._heap: list[tuple[float, int, ScheduledEvent]] = []
         self._seq = 0
         self._max_events = max_events
         self._processed = 0
@@ -63,26 +65,29 @@ class Simulator:
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> ScheduledEvent:
         """Schedule *callback* to run *delay* seconds from now."""
-        if delay < 0:
-            raise NetworkError(f"cannot schedule in the past (delay={delay})")
+        if not delay >= 0:  # also rejects NaN
+            raise NetworkError(f"cannot schedule in the past or at NaN (delay={delay})")
         return self.schedule_at(self.now + delay, callback)
 
     def schedule_at(self, t: float, callback: Callable[[], None]) -> ScheduledEvent:
         """Schedule *callback* at absolute simulated time *t*."""
-        if t < self.now:
-            raise NetworkError(f"cannot schedule in the past (t={t} < now={self.now})")
-        event = ScheduledEvent(time=t, seq=self._seq, callback=callback)
-        self._seq += 1
-        heapq.heappush(self._heap, event)
+        now = self.clock.now
+        if not t >= now:  # also rejects NaN
+            raise NetworkError(f"cannot schedule in the past or at NaN (t={t}, now={now})")
+        seq = self._seq
+        event = ScheduledEvent(t, seq, callback)
+        self._seq = seq + 1
+        heappush(self._heap, (t, seq, event))
         return event
 
     def step(self) -> bool:
         """Run the next pending event.  Returns False when idle."""
-        while self._heap:
-            event = heapq.heappop(self._heap)
+        heap = self._heap
+        while heap:
+            t, _, event = heappop(heap)
             if event.cancelled:
                 continue
-            self.clock.advance_to(event.time)
+            self.clock.advance_to(t)
             self._processed += 1
             if self._processed > self._max_events:
                 raise NetworkError(f"event budget exceeded ({self._max_events}); runaway protocol?")
@@ -96,12 +101,13 @@ class Simulator:
         With *until* set, the clock finishes advanced to exactly
         *until* (useful for slicing a simulation into phases).
         """
-        while self._heap:
-            head = self._heap[0]
+        heap = self._heap
+        while heap:
+            t, _, head = heap[0]
             if head.cancelled:
-                heapq.heappop(self._heap)
+                heappop(heap)
                 continue
-            if until is not None and head.time > until:
+            if until is not None and t > until:
                 break
             self.step()
         if until is not None and self.now < until:
@@ -114,14 +120,15 @@ class Simulator:
         polling (the throughput engine's run loop slices time with
         this) stays amortized O(log n).
         """
-        while self._heap:
-            head = self._heap[0]
+        heap = self._heap
+        while heap:
+            t, _, head = heap[0]
             if head.cancelled:
-                heapq.heappop(self._heap)
+                heappop(heap)
                 continue
-            return head.time
+            return t
         return None
 
     def pending(self) -> int:
         """Number of not-yet-cancelled events still queued."""
-        return sum(1 for e in self._heap if not e.cancelled)
+        return sum(1 for _, _, e in self._heap if not e.cancelled)

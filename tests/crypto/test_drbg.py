@@ -1,11 +1,114 @@
 """Determinism and distribution sanity for the HMAC-DRBG."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.drbg import HmacDrbg
+from repro.crypto.hmac_ import hmac_digest
 from repro.errors import CryptoError
+
+
+class ReferenceHmacDrbg:
+    """SP 800-90A HMAC_DRBG with SHA-256 and no reseed, over the pure HMAC.
+
+    Instantiate's seed material is ``seed || personalization``; the
+    generate step takes no additional input.
+    """
+
+    def __init__(self, seed_material: bytes) -> None:
+        self.key = b"\x00" * 32
+        self.v = b"\x01" * 32
+        self.update(seed_material)
+
+    def hmac(self, data: bytes) -> bytes:
+        return hmac_digest(self.key, data, pure=True)
+
+    def update(self, provided: bytes) -> None:
+        self.key = self.hmac(self.v + b"\x00" + provided)
+        self.v = self.hmac(self.v)
+        if provided:
+            self.key = self.hmac(self.v + b"\x01" + provided)
+            self.v = self.hmac(self.v)
+
+    def generate(self, n_bytes: int) -> bytes:
+        temp = b""
+        while len(temp) < n_bytes:
+            self.v = self.hmac(self.v)
+            temp += self.v
+        self.update(b"")
+        return temp[:n_bytes]
+
+    def fork(self, label: bytes) -> "ReferenceHmacDrbg":
+        return ReferenceHmacDrbg(self.generate(32) + label)
+
+
+def seed_bytes(seed: bytes | str | int) -> bytes:
+    """The byte encoding ``HmacDrbg`` documents for each seed type."""
+    if isinstance(seed, str):
+        return seed.encode()
+    if isinstance(seed, int):
+        return seed.to_bytes(max(1, (seed.bit_length() + 7) // 8), "big")
+    return seed
+
+
+REQUEST_SIZES = (0, 1, 16, 31, 32, 33, 64, 1000)
+#: An int step draws that many bytes; a (label, switch) step forks, and
+#: continues on the child when *switch* is set.
+STEPS = st.lists(
+    st.one_of(
+        st.sampled_from(REQUEST_SIZES),
+        st.tuples(st.binary(min_size=1, max_size=8), st.booleans()),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+class TestAgainstReference:
+    @given(
+        seed=st.one_of(
+            st.binary(max_size=40),
+            st.text(max_size=12),
+            st.integers(min_value=0, max_value=2**200),
+        ),
+        personalization=st.one_of(st.none(), st.binary(min_size=1, max_size=16)),
+        steps=STEPS,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_sp800_90a_reference(self, seed, personalization, steps):
+        if personalization is None:
+            drbg = HmacDrbg(seed)
+            ref = ReferenceHmacDrbg(seed_bytes(seed))
+        else:
+            drbg = HmacDrbg(seed, personalization=personalization)
+            ref = ReferenceHmacDrbg(seed_bytes(seed) + personalization)
+        for step in steps:
+            if isinstance(step, int):
+                assert drbg.generate(step) == ref.generate(step)
+                continue
+            label, switch = step
+            child, ref_child = drbg.fork(label), ref.fork(label)
+            assert child.generate(16) == ref_child.generate(16)
+            if switch:
+                drbg, ref = child, ref_child
+        assert drbg.generate(32) == ref.generate(32)
+
+    def test_fixed_draw_sequence_is_pinned(self):
+        """Any change to the output bytes fails here, not only downstream."""
+        g = HmacDrbg(b"pinned-seed", personalization=b"pinned")
+        parts = [g.generate(n) for n in REQUEST_SIZES]
+        parts.append(g.fork("child").generate(48))
+        parts.append(g.generate(16))
+        parts.append(HmacDrbg(2**64 + 1).generate(32))
+        parts.append(HmacDrbg("text-seed").generate(17))
+        parts.append(HmacDrbg(0).generate(5))
+        parts.append(HmacDrbg(b"").generate(40))
+        assert hashlib.sha256(b"".join(parts)).hexdigest() == (
+            "f24a05e87ff350e4c98168868a2f071d53135b3d6cb65628425098c0cfe43162"
+        )
 
 
 class TestDeterminism:
@@ -42,6 +145,11 @@ class TestDeterminism:
     def test_negative_rejected(self):
         with pytest.raises(CryptoError):
             HmacDrbg(b"x").generate(-1)
+
+    @pytest.mark.parametrize("seed", [-1, -5, -(2**70)])
+    def test_negative_int_seed_rejected(self, seed):
+        with pytest.raises(CryptoError):
+            HmacDrbg(seed)
 
 
 class TestFork:

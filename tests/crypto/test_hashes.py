@@ -105,12 +105,15 @@ class TestIncremental:
 
 class TestDispatch:
     def test_unknown_algorithm(self):
-        with pytest.raises(CryptoError):
-            digest("sha1", b"data")
+        for name in ("sha1", "SHA256", "", "sha-256"):
+            for pure in (False, True):
+                with pytest.raises(CryptoError):
+                    digest(name, b"data", pure=pure)
 
-    def test_pure_and_fast_agree(self):
-        for name in ("md5", "sha256"):
-            assert digest(name, b"agree", pure=True) == digest(name, b"agree", pure=False)
+    @given(st.sampled_from(["md5", "sha256"]), st.binary(max_size=300))
+    @settings(max_examples=80)
+    def test_pure_and_fast_agree(self, name, data):
+        assert digest(name, data, pure=True) == digest(name, data, pure=False)
 
     def test_hexdigest(self):
         assert hexdigest("md5", b"abc") == "900150983cd24fb0d6963f7d28e17f72"

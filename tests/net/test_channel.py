@@ -40,6 +40,16 @@ class TestValidation:
         with pytest.raises(NetworkError):
             ChannelSpec(bandwidth_bps=0)
 
+    @pytest.mark.parametrize("field", ["base_latency", "jitter"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_latency_rejected(self, field, value):
+        with pytest.raises(NetworkError):
+            ChannelSpec(**{field: value})
+
+    def test_nan_bandwidth_rejected(self):
+        with pytest.raises(NetworkError):
+            ChannelSpec(bandwidth_bps=float("nan"))
+
     @pytest.mark.parametrize("field", ["drop_prob", "duplicate_prob", "corrupt_prob"])
     def test_probability_bounds(self, field):
         with pytest.raises(NetworkError):

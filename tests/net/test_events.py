@@ -1,10 +1,17 @@
 """The discrete-event engine and simulated clock."""
 
+from dataclasses import dataclass
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import NetworkError
-from repro.net.events import Simulator
+from repro.net.events import ScheduledEvent, Simulator
 from repro.net.simclock import SimClock
+
+NAN = float("nan")
+INF = float("inf")
 
 
 class TestSimClock:
@@ -78,6 +85,32 @@ class TestScheduling:
             sim.schedule(-1.0, lambda: None)
         with pytest.raises(NetworkError):
             sim.schedule_at(5.0, lambda: None)
+
+    def test_nan_delay_rejected(self):
+        with pytest.raises(NetworkError):
+            Simulator().schedule(NAN, lambda: None)
+
+    def test_nan_time_rejected(self):
+        with pytest.raises(NetworkError):
+            Simulator().schedule_at(NAN, lambda: None)
+
+    def test_nan_does_not_disturb_order_or_clock(self):
+        sim = Simulator()
+        order = []
+        sim.schedule(1.0, lambda: order.append("a"))
+        with pytest.raises(NetworkError):
+            sim.schedule(NAN, lambda: order.append("nan"))
+        sim.schedule(0.5, lambda: order.append("b"))
+        sim.run()
+        assert order == ["b", "a"]
+        assert sim.now == 1.0
+
+    def test_infinite_time_still_accepted(self):
+        sim = Simulator()
+        sim.schedule(INF, lambda: None)
+        sim.schedule_at(INF, lambda: None)
+        assert sim.next_event_time() == INF
+        assert sim.pending() == 2
 
     def test_cancel(self):
         sim = Simulator()
@@ -185,3 +218,115 @@ class TestNextEventTime:
         assert sim.next_event_time() == 1.0
         assert sim.next_event_time() == 1.0
         assert sim.pending() == 1
+
+
+# -- property: the heap against a sorted reference ---------------------------
+
+
+@dataclass(frozen=True)
+class PlannedEvent:
+    """One top-level event: when it fires and what its callback does."""
+
+    delay: float
+    child_delay: float | None  # schedule a nested event this far ahead
+    cancel: int | None  # cancel this top-level event from inside the callback
+
+
+@dataclass(frozen=True)
+class Plan:
+    events: tuple[PlannedEvent, ...]
+    cancel_before: tuple[int, ...]
+    slices: tuple[float, ...]  # run(until=...) calls before the final run()
+
+
+# Few distinct, exactly representable times, so equal timestamps are common.
+TIMES = st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0])
+
+
+@st.composite
+def plans(draw):
+    n = draw(st.integers(min_value=1, max_value=12))
+    index = st.integers(min_value=0, max_value=n - 1)
+    events = tuple(
+        PlannedEvent(draw(TIMES), draw(st.none() | TIMES), draw(st.none() | index))
+        for _ in range(n)
+    )
+    cancel_before = tuple(draw(st.lists(index, max_size=3)))
+    slices = tuple(draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.75, 3.0]), max_size=3)))
+    return Plan(events, cancel_before, slices)
+
+
+def run_simulator(plan: Plan):
+    sim = Simulator()
+    log = []
+    handles = {}
+
+    def fire(i):
+        log.append((i, sim.now))
+        spec = plan.events[i]
+        if spec.cancel is not None:
+            handles[spec.cancel].cancel()
+        if spec.child_delay is not None:
+            label = f"{i}/child"
+            handles[label] = sim.schedule(spec.child_delay, lambda: log.append((label, sim.now)))
+
+    for i, spec in enumerate(plan.events):
+        handles[i] = sim.schedule(spec.delay, lambda i=i: fire(i))
+    for i in plan.cancel_before:
+        handles[i].cancel()
+    observed = []
+    for until in (*plan.slices, None):
+        sim.run(until=until)
+        observed.append((sim.now, sim.pending(), sim.next_event_time(), sim.events_processed))
+    stamps = {label: (h.time, h.seq) for label, h in handles.items()}
+    assert all(isinstance(h, ScheduledEvent) for h in handles.values())
+    return log, observed, stamps
+
+
+def run_reference(plan: Plan):
+    """The same plan over a plain list, always taking the (time, seq) minimum."""
+    now, seq, processed = 0.0, 0, 0
+    queue, entries, log = [], {}, []
+
+    def push(t, label):
+        nonlocal seq
+        entry = entries[label] = {"time": t, "seq": seq, "label": label, "cancelled": False}
+        seq += 1
+        queue.append(entry)
+
+    def live():
+        return [e for e in queue if not e["cancelled"]]
+
+    for i, spec in enumerate(plan.events):
+        push(now + spec.delay, i)
+    for i in plan.cancel_before:
+        entries[i]["cancelled"] = True
+    observed = []
+    for until in (*plan.slices, None):
+        while live():
+            head = min(live(), key=lambda e: (e["time"], e["seq"]))
+            if until is not None and head["time"] > until:
+                break
+            queue.remove(head)
+            now = head["time"]
+            processed += 1
+            log.append((head["label"], now))
+            if isinstance(head["label"], int):
+                spec = plan.events[head["label"]]
+                if spec.cancel is not None:
+                    entries[spec.cancel]["cancelled"] = True
+                if spec.child_delay is not None:
+                    push(now + spec.child_delay, f"{head['label']}/child")
+        if until is not None and now < until:
+            now = until
+        times = [e["time"] for e in live()]
+        observed.append((now, len(times), min(times) if times else None, processed))
+    stamps = {label: (e["time"], e["seq"]) for label, e in entries.items()}
+    return log, observed, stamps
+
+
+class TestAgainstSortedReference:
+    @given(plans())
+    @settings(max_examples=150, deadline=None)
+    def test_same_order_clock_and_counters(self, plan):
+        assert run_simulator(plan) == run_reference(plan)
