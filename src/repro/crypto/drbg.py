@@ -6,19 +6,20 @@ network jitter, workload generation — flows through instances of
 from its seed.  This is the "deterministic simulation" design decision
 recorded in DESIGN.md §5.
 
-Every header nonce and every channel-dice block is one draw, so each
-block costs one OpenSSL HMAC: the stdlib one-shot ``hmac.digest`` is
-bound once at import and called directly, not through the
-:func:`repro.crypto.hmac_.hmac_digest` dispatcher.  The tests check this
-generator against an SP 800-90A reference built on
-``hmac_digest(..., pure=True)``.
+Every header nonce and every channel-dice block is one draw, and each
+block costs one HMAC-SHA256: :func:`repro.crypto.hmac_.rfc2104_hmac`
+over ``hashlib.sha256``, bound once at import and called directly, not
+through the :func:`repro.crypto.hmac_.hmac_digest` dispatcher.  The
+tests check this generator against an SP 800-90A reference built on the
+stdlib HMAC.
 """
 
 from __future__ import annotations
 
-from hmac import digest as _hmac
+from hashlib import sha256 as _sha256
 
 from ..errors import CryptoError
+from .hmac_ import rfc2104_hmac as _hmac
 
 __all__ = ["HmacDrbg"]
 
@@ -42,11 +43,11 @@ class HmacDrbg:
         self._update(seed + personalization)
 
     def _update(self, provided: bytes = b"") -> None:
-        key = _hmac(self._key, self._value + b"\x00" + provided, "sha256")
-        value = _hmac(key, self._value, "sha256")
+        key = _hmac(_sha256, self._key, self._value + b"\x00" + provided)
+        value = _hmac(_sha256, key, self._value)
         if provided:
-            key = _hmac(key, value + b"\x01" + provided, "sha256")
-            value = _hmac(key, value, "sha256")
+            key = _hmac(_sha256, key, value + b"\x01" + provided)
+            value = _hmac(_sha256, key, value)
         self._key = key
         self._value = value
 
@@ -58,7 +59,7 @@ class HmacDrbg:
         value = self._value
         blocks = []
         for _ in range((n_bytes + 31) // 32):
-            value = _hmac(key, value, "sha256")
+            value = _hmac(_sha256, key, value)
             blocks.append(value)
         self._value = value
         self._update()

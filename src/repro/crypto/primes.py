@@ -3,6 +3,10 @@
 Implements deterministic trial division for small candidates and
 Miller-Rabin for large ones, plus generators for random primes, safe
 primes, and the fixed field prime used by Shamir secret sharing.
+Between the two, one ``gcd`` against the product of the primes up to
+:data:`SIEVE_BOUND` rejects most composites that trial division lets
+through, at a fraction of the cost of the Miller-Rabin ``pow`` that
+would reject them otherwise.
 
 All randomness is drawn from a caller-supplied DRBG
 (:class:`repro.crypto.drbg.HmacDrbg`) so that key generation is
@@ -11,6 +15,7 @@ reproducible in simulations and tests.
 
 from __future__ import annotations
 
+from math import gcd
 from typing import TYPE_CHECKING
 
 from ..errors import CryptoError
@@ -21,6 +26,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
 __all__ = [
     "SMALL_PRIMES",
     "MERSENNE_521",
+    "SIEVE_BOUND",
     "is_prime",
     "miller_rabin",
     "generate_prime",
@@ -36,6 +42,33 @@ SMALL_PRIMES: tuple[int, ...] = (
     211, 223, 227, 229, 233, 239, 241, 251, 257, 263, 269, 271, 277,
     281, 283, 293,
 )
+
+#: Candidates that pass trial division are sieved by the primes in
+#: ``(293, SIEVE_BOUND]`` before Miller-Rabin.  For the 256-bit primes of
+#: a 512-bit key, one gcd against their 11,235-bit product costs about a
+#: tenth of a Miller-Rabin ``pow`` and spares about 13 of them per key;
+#: 2**12 spares fewer and 2**14 doubles the gcd for 1.5 more.
+SIEVE_BOUND = 1 << 13
+
+
+def _sieve_product(bound: int) -> int:
+    """Product of the primes in ``(SMALL_PRIMES[-1], bound]``.
+
+    Sieve of Eratosthenes: about 2 ms at import, where filtering the
+    range through :func:`is_prime` takes about 28 ms.
+    """
+    composite = bytearray(bound + 1)
+    product = 1
+    for n in range(2, bound + 1):
+        if composite[n]:
+            continue
+        composite[n * n :: n] = b"\x01" * len(range(n * n, bound + 1, n))
+        if n > SMALL_PRIMES[-1]:
+            product *= n
+    return product
+
+
+_SIEVE_PRODUCT = _sieve_product(SIEVE_BOUND)
 
 #: The Mersenne prime 2**521 - 1; field modulus for Shamir secret sharing
 #: of 256-bit digests (any secret up to 520 bits fits).
@@ -79,7 +112,9 @@ def is_prime(n: int, rng: "HmacDrbg | None" = None, rounds: int = 20) -> bool:
 
     Small candidates use trial division; large ones use Miller-Rabin
     with the deterministic witness base plus, when *rng* is given,
-    *rounds* extra random witnesses.
+    *rounds* extra random witnesses.  The witnesses are drawn before the
+    sieve, so a sieved composite consumes the same DRBG bytes as one
+    Miller-Rabin rejects: the sieve moves no key drawn from a seed.
     """
     if n < 2:
         return False
@@ -91,6 +126,8 @@ def is_prime(n: int, rng: "HmacDrbg | None" = None, rounds: int = 20) -> bool:
     witnesses = list(_DETERMINISTIC_WITNESSES)
     if rng is not None:
         witnesses.extend(rng.randint(2, n - 2) for _ in range(rounds))
+    if n > SIEVE_BOUND and gcd(n, _SIEVE_PRODUCT) != 1:
+        return False
     return miller_rabin(n, witnesses)
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from operator import attrgetter
 from typing import Callable
 
 from ..errors import NetworkError
@@ -55,9 +56,9 @@ class Simulator:
         self._max_events = max_events
         self._processed = 0
 
-    @property
-    def now(self) -> float:
-        return self.clock.now
+    #: The clock's time, read by a C getter: no Python frame per read,
+    #: and the clock stays the one place the time is stored.
+    now = property(attrgetter("clock._now"), doc="Current simulated time in seconds.")
 
     @property
     def events_processed(self) -> int:
@@ -71,7 +72,7 @@ class Simulator:
 
     def schedule_at(self, t: float, callback: Callable[[], None]) -> ScheduledEvent:
         """Schedule *callback* at absolute simulated time *t*."""
-        now = self.clock.now
+        now = self.clock._now
         if not t >= now:  # also rejects NaN
             raise NetworkError(f"cannot schedule in the past or at NaN (t={t}, now={now})")
         seq = self._seq
@@ -101,6 +102,8 @@ class Simulator:
         With *until* set, the clock finishes advanced to exactly
         *until* (useful for slicing a simulation into phases).
         """
+        if until is not None and until != until:
+            raise NetworkError("cannot run until NaN")
         heap = self._heap
         while heap:
             t, _, head = heap[0]

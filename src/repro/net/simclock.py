@@ -18,7 +18,10 @@ class SimClock:
     """Monotonically advancing simulated time in seconds."""
 
     def __init__(self, start: float = 0.0) -> None:
-        self._now = float(start)
+        start = float(start)
+        if start != start:
+            raise NetworkError("clock cannot start at NaN")
+        self._now = start
 
     @property
     def now(self) -> float:
@@ -26,8 +29,8 @@ class SimClock:
 
     def advance_to(self, t: float) -> None:
         """Jump forward to absolute time *t* (never backwards)."""
-        if t < self._now:
-            raise NetworkError(f"clock cannot move backwards: {t} < {self._now}")
+        if not t >= self._now:  # also rejects NaN
+            raise NetworkError(f"clock cannot move backwards or to NaN: {t} < {self._now}")
         self._now = t
 
     def advance_by(self, dt: float) -> None:
@@ -38,8 +41,8 @@ class SimClock:
         two must not accumulate float drift against the scheduler's
         absolute ``advance_to`` timestamps.
         """
-        if dt < 0:
-            raise NetworkError(f"negative clock step: {dt}")
+        if not dt >= 0:  # also rejects NaN
+            raise NetworkError(f"negative or NaN clock step: {dt}")
         self.advance_to(self._now + dt)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

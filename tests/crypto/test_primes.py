@@ -1,5 +1,7 @@
 """Unit tests for repro.crypto.primes."""
 
+from math import gcd, prod
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.primes import (
     MERSENNE_521,
+    SIEVE_BOUND,
     SMALL_PRIMES,
     generate_prime,
     generate_safe_prime,
@@ -111,3 +114,115 @@ class TestNextPrime:
     def test_small_primes_table_consistent(self):
         for a, b in zip(SMALL_PRIMES, SMALL_PRIMES[1:]):
             assert next_prime(a) == b
+
+
+# -- the sieve changes no verdict and no DRBG draw --------------------------
+
+
+def oracle_is_prime(n, rng=None, rounds=20):
+    """``is_prime`` as it was before the gcd sieve: trial division by the
+    primes up to 293, then Miller-Rabin on 13 fixed and *rounds* drawn
+    witnesses."""
+    if n < 2:
+        return False
+    for p in SMALL_PRIMES:
+        if n == p:
+            return True
+        if n % p == 0:
+            return False
+    witnesses = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41]
+    if rng is not None:
+        witnesses.extend(rng.randint(2, n - 2) for _ in range(rounds))
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in witnesses:
+        a %= n
+        if a in (0, 1, n - 1):
+            continue
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = (x * x) % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def primes_below(bound):
+    composite = bytearray(bound)
+    found = []
+    for n in range(2, bound):
+        if not composite[n]:
+            found.append(n)
+            composite[n * n :: n] = b"\x01" * len(range(n * n, bound, n))
+    return found
+
+
+_PRIMES = primes_below(2 * SIEVE_BOUND)
+_ABOVE_TRIAL = [p for p in _PRIMES if p > SMALL_PRIMES[-1]][:4]
+_BELOW_BOUND = [p for p in _PRIMES if p <= SIEVE_BOUND][-4:]
+_ABOVE_BOUND = [p for p in _PRIMES if p > SIEVE_BOUND][:4]
+#: Smallest factors of the built composites: just past trial division
+#: and on either side of the sieve bound.
+EDGE_FACTORS = _ABOVE_TRIAL + _BELOW_BOUND + _ABOVE_BOUND
+
+
+def with_smallest_factor(p, start):
+    """``p * m`` for the first odd ``m >= start`` with no prime factor
+    below *p*, so *p* is the smallest factor of the result."""
+    smaller = prod(q for q in _PRIMES if q < p)
+    m = start | 1
+    while gcd(m, smaller) != 1:
+        m += 2
+    return p * m
+
+
+def oracle_next_prime(start):
+    n = start | 1
+    while not oracle_is_prime(n):
+        n += 2
+    return n
+
+
+class TestSieveEquivalence:
+    """Each verdict matches the pre-sieve oracle, and the DRBG is left
+    where the oracle leaves it, so every key drawn from a seed is the
+    same key."""
+
+    def test_edge_factors_straddle_the_bound(self):
+        assert max(_BELOW_BOUND) <= SIEVE_BOUND < min(_ABOVE_BOUND)
+        assert min(_ABOVE_TRIAL) > SMALL_PRIMES[-1]
+
+    def test_every_n_below_2_17(self):
+        rng, oracle_rng = HmacDrbg(b"sieve-exhaustive"), HmacDrbg(b"sieve-exhaustive")
+        for n in range(2**17):
+            assert is_prime(n, rng) == oracle_is_prime(n, oracle_rng), n
+            if n % 4096 == 0:
+                assert rng.generate(32) == oracle_rng.generate(32), n
+        assert rng.generate(32) == oracle_rng.generate(32)
+
+    @given(
+        kind=st.sampled_from(["random", "edge-composite", "prime"]),
+        bits=st.integers(min_value=64, max_value=512),
+        factor=st.sampled_from(EDGE_FACTORS),
+        seed=st.binary(min_size=1, max_size=8),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_large_candidates(self, kind, bits, factor, seed):
+        start = HmacDrbg(seed).randbits(bits) | (1 << (bits - 1))
+        if kind == "edge-composite":
+            n = with_smallest_factor(factor, start >> factor.bit_length())
+        elif kind == "prime":
+            n = oracle_next_prime(start)
+        else:
+            n = start | 1
+        rng, oracle_rng = HmacDrbg(seed), HmacDrbg(seed)
+        assert is_prime(n, rng) == oracle_is_prime(n, oracle_rng)
+        assert rng.generate(32) == oracle_rng.generate(32)
+        if kind == "edge-composite":
+            assert not is_prime(n)

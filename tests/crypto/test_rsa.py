@@ -1,5 +1,6 @@
 """RSA keygen, signatures, and encryption."""
 
+import hashlib
 import pickle
 
 import pytest
@@ -40,6 +41,18 @@ class TestKeygen:
         k1 = rsa.generate_keypair(256, HmacDrbg(b"det"))
         k2 = rsa.generate_keypair(256, HmacDrbg(b"det"))
         assert k1 == k2
+
+    def test_keys_are_pinned(self):
+        """Keys from fixed seeds, hashed at the tree before the prime
+        sieve: any change to what keygen draws or accepts fails here."""
+        keys = [
+            rsa.generate_keypair(bits, HmacDrbg(f"keygen-pin-{bits}-{i}"))
+            for bits, count in ((256, 2), (512, 2), (1024, 1))
+            for i in range(count)
+        ]
+        assert hashlib.sha256("".join(map(repr, keys)).encode()).hexdigest() == (
+            "599b68310bfd1cd1acab356f8e4cb7b5bf9493381b47c54c68b03b90acc3835a"
+        )
 
     def test_too_small_rejected(self):
         with pytest.raises(InvalidKeyError):

@@ -40,6 +40,30 @@ class TestSimClock:
         with pytest.raises(NetworkError):
             SimClock().advance_by(-1.0)
 
+    def test_nan_start_rejected(self):
+        with pytest.raises(NetworkError):
+            SimClock(NAN)
+
+    def test_nan_advance_to_rejected_and_clock_kept(self):
+        clock = SimClock(2.0)
+        with pytest.raises(NetworkError):
+            clock.advance_to(NAN)
+        assert clock.now == 2.0
+        with pytest.raises(NetworkError):
+            clock.advance_to(1.0)  # still monotonic after the refused NaN
+
+    def test_nan_advance_by_rejected_and_clock_kept(self):
+        clock = SimClock(2.0)
+        with pytest.raises(NetworkError):
+            clock.advance_by(NAN)
+        assert clock.now == 2.0
+
+    def test_infinity_still_accepted(self):
+        clock = SimClock()
+        clock.advance_by(INF)
+        assert clock.now == INF
+        assert SimClock(INF).now == INF
+
 
 class TestScheduling:
     def test_events_run_in_time_order(self):
@@ -104,6 +128,31 @@ class TestScheduling:
         sim.run()
         assert order == ["b", "a"]
         assert sim.now == 1.0
+
+    def test_nan_start_rejected(self):
+        with pytest.raises(NetworkError):
+            Simulator(start=NAN)
+
+    def test_run_until_nan_rejected_and_nothing_runs(self):
+        sim = Simulator()
+        hits = []
+        sim.schedule(1.0, lambda: hits.append("a"))
+        with pytest.raises(NetworkError):
+            sim.run(until=NAN)
+        assert hits == [] and sim.now == 0.0 and sim.pending() == 1
+
+    def test_run_until_infinity_runs_everything(self):
+        sim = Simulator()
+        hits = []
+        sim.schedule(1.0, lambda: hits.append("a"))
+        sim.run(until=INF)
+        assert hits == ["a"] and sim.now == INF
+
+    def test_now_reads_the_clock(self):
+        """The simulator keeps no copy of the time: it reads the clock's."""
+        sim = Simulator(start=3.0)
+        sim.clock.advance_to(4.5)
+        assert sim.now == sim.clock.now == 4.5
 
     def test_infinite_time_still_accepted(self):
         sim = Simulator()
