@@ -8,7 +8,7 @@ key sizes and the hash dispatcher buy.
 
 import pytest
 
-from repro.crypto import aead, chacha20, kem, merkle, rsa, shamir
+from repro.crypto import aead, chacha20, kem, merkle, primes, rsa, shamir
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.hashes import digest
 from repro.crypto.hmac_ import hmac_digest
@@ -67,6 +67,15 @@ def test_bench_rsa_keygen_512(benchmark):
         lambda: rsa.generate_keypair(512, HmacDrbg(b"bench-keygen")),
         rounds=5, iterations=1,
     )
+
+
+#: An odd 256-bit composite with no prime factor up to ``SIEVE_BOUND``:
+#: keygen's usual candidate, rejected by one base-2 ``pow`` and no draw.
+SIEVED_COMPOSITE_256 = 0xE9DCB1BD244C20249E8770BF4626AC6EF11003E2A27406628B300188EC893BB9
+
+
+def test_bench_is_prime_sieved_composite(benchmark):
+    assert benchmark(primes.is_prime, SIEVED_COMPOSITE_256, RNG) is False
 
 
 def test_bench_hybrid_encrypt(benchmark):

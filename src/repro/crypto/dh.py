@@ -52,9 +52,11 @@ class DhKeyPair:
 # RFC 3526 group 5 (1536-bit MODP) would be realistic but slow in pure
 # Python.  These safe primes were generated by generate_safe_prime()
 # from the fixed seed HmacDrbg(b"repro/dh/default-group",
-# int_to_bytes(bits)); embedding them avoids a multi-second search at
-# import time while staying reproducible (re-derivable from the seed,
-# asserted in the test suite).
+# int_to_bytes(bits)), under the earlier witness order of is_prime (20
+# witnesses drawn for every candidate that passed trial division).
+# They are kept as found, so no handshake moves; the test suite
+# re-derives them under that order.  Embedding them avoids a
+# multi-second search at import time.
 _PRECOMPUTED_SAFE_PRIMES = {
     192: 0xC4A85E19FB471F3B2F17FAF40874EC422BAF148A1D17BC7B,
     256: 0xF72804CC3C4BEECC4E98F466A2D00F370FE0FC7D1FD12F67CE618866610B5DB7,

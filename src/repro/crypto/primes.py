@@ -3,14 +3,17 @@
 Implements deterministic trial division for small candidates and
 Miller-Rabin for large ones, plus generators for random primes, safe
 primes, and the fixed field prime used by Shamir secret sharing.
-Between the two, one ``gcd`` against the product of the primes up to
-:data:`SIEVE_BOUND` rejects most composites that trial division lets
-through, at a fraction of the cost of the Miller-Rabin ``pow`` that
-would reject them otherwise.
+Each test runs from cheapest to dearest: trial division, one ``gcd``
+against the product of the primes up to :data:`SIEVE_BOUND`, one
+Miller-Rabin round to base 2, and only then the remaining rounds.  A
+random candidate is almost always composite, and almost every
+composite stops at one of the first three steps.
 
 All randomness is drawn from a caller-supplied DRBG
 (:class:`repro.crypto.drbg.HmacDrbg`) so that key generation is
-reproducible in simulations and tests.
+reproducible in simulations and tests.  A candidate draws its random
+witnesses only once base 2 has passed, so the composites keygen
+rejects consume no DRBG output.
 """
 
 from __future__ import annotations
@@ -102,19 +105,26 @@ def miller_rabin(n: int, witnesses: list[int]) -> bool:
     return True
 
 
-# Deterministic witness set: correct for all n < 3.3 * 10**24, and a
-# strong probabilistic test beyond that.
-_DETERMINISTIC_WITNESSES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41]
+# Fixed bases after 2 for the test without a DRBG: with base 2 they
+# decide every n < 3.3 * 10**24, and are a strong probabilistic test
+# beyond that.
+_DETERMINISTIC_WITNESSES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41]
 
 
-def is_prime(n: int, rng: "HmacDrbg | None" = None, rounds: int = 20) -> bool:
+def is_prime(n: int, rng: "HmacDrbg | None" = None, rounds: int = 12) -> bool:
     """Primality test.
 
-    Small candidates use trial division; large ones use Miller-Rabin
-    with the deterministic witness base plus, when *rng* is given,
-    *rounds* extra random witnesses.  The witnesses are drawn before the
-    sieve, so a sieved composite consumes the same DRBG bytes as one
-    Miller-Rabin rejects: the sieve moves no key drawn from a seed.
+    Trial division by :data:`SMALL_PRIMES`, the :data:`SIEVE_BOUND`
+    gcd, then Miller-Rabin to base 2.  A candidate that passes all three
+    meets *rounds* random witnesses drawn from *rng* when one is given,
+    or the fixed bases up to 41 (a proof below 3.3 * 10**24) when not.
+    No witness is drawn before base 2 passes, so a rejected composite
+    leaves *rng* untouched.
+
+    The default of 12 rounds bounds the chance that a random 256-bit
+    candidate (the primes of a 512-bit key) is accepted as prime but
+    composite below 2**-80, by the Damgard-Landrock-Pomerance bound
+    (DESIGN.md §5 item 5).
     """
     if n < 2:
         return False
@@ -123,12 +133,13 @@ def is_prime(n: int, rng: "HmacDrbg | None" = None, rounds: int = 20) -> bool:
             return True
         if n % p == 0:
             return False
-    witnesses = list(_DETERMINISTIC_WITNESSES)
-    if rng is not None:
-        witnesses.extend(rng.randint(2, n - 2) for _ in range(rounds))
     if n > SIEVE_BOUND and gcd(n, _SIEVE_PRODUCT) != 1:
         return False
-    return miller_rabin(n, witnesses)
+    if not miller_rabin(n, [2]):
+        return False
+    if rng is None:
+        return miller_rabin(n, _DETERMINISTIC_WITNESSES)
+    return miller_rabin(n, [rng.randint(2, n - 2) for _ in range(rounds)])
 
 
 def generate_prime(bits: int, rng: "HmacDrbg") -> int:

@@ -114,7 +114,13 @@ class RsaPrivateKey:
 
 
 def generate_keypair(bits: int, rng: HmacDrbg, e: int = 65537) -> RsaPrivateKey:
-    """Generate an RSA keypair with an exactly *bits*-bit modulus."""
+    """Generate an RSA keypair with an exactly *bits*-bit modulus.
+
+    *e* must be an odd integer >= 3: an even one is never coprime with
+    ``phi``, and ``e = 1`` makes every signature the padded message.
+    """
+    if not isinstance(e, int) or e < 3 or e % 2 == 0:
+        raise InvalidKeyError(f"public exponent must be an odd integer >= 3, got {e!r}")
     if bits < MIN_MODULUS_BITS:
         raise InvalidKeyError(f"modulus must be >= {MIN_MODULUS_BITS} bits, got {bits}")
     if bits % 2 != 0:

@@ -1,6 +1,7 @@
 """Unit tests for repro.crypto.primes."""
 
-from math import gcd, prod
+import inspect
+from math import gcd, log2, prod, sqrt
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,8 @@ from repro.crypto.primes import (
     next_prime,
 )
 from repro.errors import CryptoError
+
+from .prime_oracle import oracle_is_prime, strong_probable_prime
 
 KNOWN_PRIMES = [2, 3, 5, 7, 97, 101, 7919, 104729, 2_147_483_647]
 KNOWN_COMPOSITES = [1, 4, 9, 100, 561, 1105, 6601, 8911, 2_147_483_649]
@@ -116,41 +119,7 @@ class TestNextPrime:
             assert next_prime(a) == b
 
 
-# -- the sieve changes no verdict and no DRBG draw --------------------------
-
-
-def oracle_is_prime(n, rng=None, rounds=20):
-    """``is_prime`` as it was before the gcd sieve: trial division by the
-    primes up to 293, then Miller-Rabin on 13 fixed and *rounds* drawn
-    witnesses."""
-    if n < 2:
-        return False
-    for p in SMALL_PRIMES:
-        if n == p:
-            return True
-        if n % p == 0:
-            return False
-    witnesses = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41]
-    if rng is not None:
-        witnesses.extend(rng.randint(2, n - 2) for _ in range(rounds))
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in witnesses:
-        a %= n
-        if a in (0, 1, n - 1):
-            continue
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = (x * x) % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+# -- cheap tests first: the verdict holds and composites draw nothing ------
 
 
 def primes_below(bound):
@@ -164,12 +133,19 @@ def primes_below(bound):
 
 
 _PRIMES = primes_below(2 * SIEVE_BOUND)
+_SIEVE_PRIMES = frozenset(p for p in _PRIMES if p <= SIEVE_BOUND)
+_SIEVE_PRODUCT = prod(_SIEVE_PRIMES)
 _ABOVE_TRIAL = [p for p in _PRIMES if p > SMALL_PRIMES[-1]][:4]
 _BELOW_BOUND = [p for p in _PRIMES if p <= SIEVE_BOUND][-4:]
 _ABOVE_BOUND = [p for p in _PRIMES if p > SIEVE_BOUND][:4]
 #: Smallest factors of the built composites: just past trial division
 #: and on either side of the sieve bound.
 EDGE_FACTORS = _ABOVE_TRIAL + _BELOW_BOUND + _ABOVE_BOUND
+#: Primes p with 2p - 1 prime and p * (2p - 1) a strong pseudoprime to
+#: base 2: composites of 27 to 510 bits that only the drawn witnesses
+#: reject.
+_PSEUDOPRIME_FACTORS = [8209, 0x80000039DD, 0x8000000000000000000000000000A3CD, (1 << 254) | 0x15975]
+BASE_2_PSEUDOPRIMES = [p * (2 * p - 1) for p in _PSEUDOPRIME_FACTORS]
 
 
 def with_smallest_factor(p, start):
@@ -189,40 +165,91 @@ def oracle_next_prime(start):
     return n
 
 
+def expected_draws(n, rounds):
+    """``randint`` calls ``is_prime(n, rng, rounds)`` should make: none
+    when trial division, the sieve or base 2 decides *n*, else *rounds*."""
+    if n < 2 or n in SMALL_PRIMES:
+        return 0
+    if n not in _SIEVE_PRIMES and gcd(n, _SIEVE_PRODUCT) != 1:
+        return 0
+    return rounds if strong_probable_prime(n, 2) else 0
+
+
+DEFAULT_ROUNDS = inspect.signature(is_prime).parameters["rounds"].default
+
+
+def dlp_bound_log2(k, t):
+    """log2 of the Damgard-Landrock-Pomerance bound on the chance that a
+    random odd k-bit integer passing t random-base Miller-Rabin rounds is
+    composite: ``k**1.5 * 2**t * t**-0.5 * 4**(2 - sqrt(t * k))``, valid
+    for k >= 21 and 3 <= t <= k / 9 (HAC Fact 4.48, Table 4.4)."""
+    assert k >= 21 and 3 <= t <= k / 9, (k, t)
+    return 1.5 * log2(k) + t - 0.5 * log2(t) + 2 * (2 - sqrt(t * k))
+
+
+class TestRounds:
+    def test_bound_formula(self):
+        assert dlp_bound_log2(256, 12) == pytest.approx(-84.64, abs=0.01)
+        assert dlp_bound_log2(512, 12) == pytest.approx(-129.06, abs=0.01)
+
+    def test_default_rounds_meet_2_to_minus_80_at_256_bits(self):
+        """The primes of a 512-bit key.  Their top two bits are set, so
+        they are half the k-bit range, which can at most double the
+        chance: the bound must hold with one bit to spare."""
+        assert dlp_bound_log2(256, DEFAULT_ROUNDS) + 1 <= -80
+
+
 class TestSieveEquivalence:
-    """Each verdict matches the pre-sieve oracle, and the DRBG is left
-    where the oracle leaves it, so every key drawn from a seed is the
-    same key."""
+    """Each verdict matches the old ``is_prime`` (witnesses drawn before
+    any test), a candidate that trial division, the sieve or base 2
+    rejects leaves the DRBG untouched, and one that passes base 2 draws
+    exactly ``rounds`` witnesses."""
 
     def test_edge_factors_straddle_the_bound(self):
         assert max(_BELOW_BOUND) <= SIEVE_BOUND < min(_ABOVE_BOUND)
         assert min(_ABOVE_TRIAL) > SMALL_PRIMES[-1]
 
+    def test_pseudoprimes_reach_the_drawn_witnesses(self):
+        for p, n in zip(_PSEUDOPRIME_FACTORS, BASE_2_PSEUDOPRIMES):
+            assert oracle_is_prime(p) and oracle_is_prime(2 * p - 1) and p > SIEVE_BOUND
+            assert strong_probable_prime(n, 2)
+            assert expected_draws(n, DEFAULT_ROUNDS) == DEFAULT_ROUNDS
+
     def test_every_n_below_2_17(self):
-        rng, oracle_rng = HmacDrbg(b"sieve-exhaustive"), HmacDrbg(b"sieve-exhaustive")
+        """Below SIEVE_BOUND**2 every sieve survivor is prime, so this
+        pins trial division and the sieve; the base-2 pseudoprimes of
+        test_large_candidates pin the base-2 step."""
+        rng, twin = HmacDrbg(b"sieve-exhaustive"), HmacDrbg(b"sieve-exhaustive")
         for n in range(2**17):
-            assert is_prime(n, rng) == oracle_is_prime(n, oracle_rng), n
-            if n % 4096 == 0:
-                assert rng.generate(32) == oracle_rng.generate(32), n
-        assert rng.generate(32) == oracle_rng.generate(32)
+            assert is_prime(n, rng) == oracle_is_prime(n), n
+            for _ in range(expected_draws(n, DEFAULT_ROUNDS)):
+                twin.randint(2, n - 2)
+            assert rng.generate(32) == twin.generate(32), n
 
     @given(
-        kind=st.sampled_from(["random", "edge-composite", "prime"]),
+        kind=st.sampled_from(["random", "edge-composite", "prime", "base-2-pseudoprime"]),
         bits=st.integers(min_value=64, max_value=512),
         factor=st.sampled_from(EDGE_FACTORS),
+        pseudoprime=st.sampled_from(BASE_2_PSEUDOPRIMES),
+        # Fewer rounds would let a pseudoprime through often enough to flake.
+        rounds=st.sampled_from([DEFAULT_ROUNDS, 20]),
         seed=st.binary(min_size=1, max_size=8),
     )
-    @settings(max_examples=120, deadline=None)
-    def test_large_candidates(self, kind, bits, factor, seed):
+    @settings(max_examples=150, deadline=None)
+    def test_large_candidates(self, kind, bits, factor, pseudoprime, rounds, seed):
         start = HmacDrbg(seed).randbits(bits) | (1 << (bits - 1))
         if kind == "edge-composite":
             n = with_smallest_factor(factor, start >> factor.bit_length())
         elif kind == "prime":
             n = oracle_next_prime(start)
+        elif kind == "base-2-pseudoprime":
+            n = pseudoprime
         else:
             n = start | 1
-        rng, oracle_rng = HmacDrbg(seed), HmacDrbg(seed)
-        assert is_prime(n, rng) == oracle_is_prime(n, oracle_rng)
-        assert rng.generate(32) == oracle_rng.generate(32)
-        if kind == "edge-composite":
+        rng, twin = HmacDrbg(seed), HmacDrbg(seed)
+        assert is_prime(n, rng, rounds) == oracle_is_prime(n, HmacDrbg(seed))
+        for _ in range(expected_draws(n, rounds)):
+            twin.randint(2, n - 2)
+        assert rng.generate(32) == twin.generate(32)
+        if kind in ("edge-composite", "base-2-pseudoprime"):
             assert not is_prime(n)

@@ -25,6 +25,13 @@ def other_key():
     return rsa.generate_keypair(512, HmacDrbg(b"rsa-tests-other"))
 
 
+class _NoDraws:
+    """A DRBG stand-in that fails the test on any draw."""
+
+    def randbits(self, bits):
+        raise AssertionError("keygen drew before checking e")
+
+
 class TestKeygen:
     def test_modulus_bits_exact(self, key):
         assert key.bits == 512
@@ -43,16 +50,25 @@ class TestKeygen:
         assert k1 == k2
 
     def test_keys_are_pinned(self):
-        """Keys from fixed seeds, hashed at the tree before the prime
-        sieve: any change to what keygen draws or accepts fails here."""
+        """Keys from fixed seeds, hashed when ``is_prime`` came to draw
+        its 12 witnesses only after base 2: any change to what keygen
+        draws or accepts fails here."""
         keys = [
             rsa.generate_keypair(bits, HmacDrbg(f"keygen-pin-{bits}-{i}"))
             for bits, count in ((256, 2), (512, 2), (1024, 1))
             for i in range(count)
         ]
         assert hashlib.sha256("".join(map(repr, keys)).encode()).hexdigest() == (
-            "599b68310bfd1cd1acab356f8e4cb7b5bf9493381b47c54c68b03b90acc3835a"
+            "e0c09775e04152b9934053d28c005e4ae4b3be6fd298fcd6466c166c8d62b8f6"
         )
+
+    @pytest.mark.parametrize("e", [2, 1, -3], ids=["even", "one", "negative"])
+    def test_bad_exponent_rejected(self, e):
+        """An even e is never coprime with phi (keygen retried forever),
+        and e = 1 makes a signature the padded message.  The DRBG fails
+        on any draw, so a regression errors here instead of hanging."""
+        with pytest.raises(InvalidKeyError):
+            rsa.generate_keypair(512, _NoDraws(), e=e)
 
     def test_too_small_rejected(self):
         with pytest.raises(InvalidKeyError):
