@@ -1,9 +1,9 @@
 """C0 — crypto-substrate micro-benchmarks.
 
-Throughput of the primitives every protocol message exercises, pure
-Python vs the hashlib-dispatched fast path.  Not a paper artifact, but
-the ablation DESIGN.md §5 asks for: it quantifies what the scaled-down
-key sizes and the hash dispatcher buy.
+Throughput of the primitives every protocol message exercises.  Not
+a paper artifact, but the ablation DESIGN.md §5 asks for: it
+quantifies what the scaled-down key sizes buy, and the pure-Python
+ChaCha20 against its lane-parallel fast path.
 """
 
 import pytest
@@ -26,11 +26,6 @@ CHACHA20_INPUTS = pytest.mark.parametrize("blob", [BLOB_192, BLOB_4K], ids=["192
 @pytest.mark.parametrize("name", ["md5", "sha256"])
 def test_bench_hash_fast(benchmark, name):
     benchmark(digest, name, BLOB_4K)
-
-
-@pytest.mark.parametrize("name", ["md5", "sha256"])
-def test_bench_hash_pure(benchmark, name):
-    benchmark(digest, name, BLOB_4K, pure=True)
 
 
 @pytest.mark.parametrize("blob", [BLOB_4K[:33], BLOB_4K], ids=["33B", "4KiB"])

@@ -6,9 +6,10 @@ Subpackages
 -----------
 
 ``repro.crypto``
-    From-scratch crypto substrate: MD5/SHA-256, HMAC, ChaCha20+AEAD,
-    RSA, DH, RSA-KEM hybrid encryption, Shamir secret sharing, a
-    deterministic DRBG, and a miniature PKI.
+    Crypto substrate: MD5/SHA-256 over ``hashlib``, RFC 2104 HMAC, and,
+    written from scratch, ChaCha20+AEAD, RSA, DH, RSA-KEM hybrid
+    encryption, Shamir secret sharing, a deterministic DRBG, and a
+    miniature PKI.
 ``repro.net``
     Deterministic discrete-event network simulation with adversary
     interception hooks and a miniature TLS.

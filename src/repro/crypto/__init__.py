@@ -1,4 +1,4 @@
-"""Cryptographic substrate, implemented from scratch.
+"""Cryptographic substrate.
 
 Everything the paper's protocols need: hashing (MD5, SHA-256), HMAC,
 ChaCha20 + AEAD, RSA signatures/encryption, Diffie-Hellman, hybrid
@@ -7,16 +7,17 @@ deterministic DRBG, a miniature PKI, and a Merkle accumulator for
 batched evidence signatures (one RSA signature per batch, per-item
 inclusion proofs).
 
-Pure-Python reference implementations are validated against the
-standard library / RFC test vectors in the test suite; hot paths
-dispatch to ``hashlib`` where an equivalent exists.
+Hashing is ``hashlib``, checked against the RFC 1321 and FIPS 180-2
+vectors; HMAC is RFC 2104 over it.  The rest is written here and
+checked against published test vectors or an independent oracle in the
+test suite.
 """
 
 from . import aead, batch, cache, chacha20, chacha20_np, dh, drbg, hashes, hmac_, kem, merkle, numbers, pki, primes, rsa, shamir
 from .batch import BatchLedger, BatchProof, EvidenceBatcher, SealedBatch, verify_batch_proof
 from .cache import CryptoCaches, LruCache, crypto_caches
 from .drbg import HmacDrbg
-from .hashes import MD5, SHA256, digest, hexdigest
+from .hashes import digest, hexdigest
 from .hmac_ import constant_time_equals, hmac_digest, verify_hmac
 from .kem import hybrid_decrypt, hybrid_encrypt
 from .merkle import MerkleTree, verify_inclusion
@@ -52,8 +53,6 @@ __all__ = [
     "rsa",
     "shamir",
     "HmacDrbg",
-    "MD5",
-    "SHA256",
     "digest",
     "hexdigest",
     "constant_time_equals",

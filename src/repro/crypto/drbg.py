@@ -105,16 +105,6 @@ class HmacDrbg:
             j = self.randint(0, i)
             items[i], items[j] = items[j], items[i]
 
-    def expovariate(self, rate: float) -> float:
-        """Exponentially distributed draw with the given rate (>0)."""
-        import math
-
-        if rate <= 0:
-            raise CryptoError("rate must be positive")
-        u = self.random()
-        # u is in [0, 1); guard the log argument away from zero.
-        return -math.log(1.0 - u) / rate
-
     def fork(self, label: str | bytes) -> "HmacDrbg":
         """Derive an independent child generator.
 

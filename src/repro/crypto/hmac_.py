@@ -9,10 +9,9 @@ constructor whose objects have a ``.digest()`` method, with the key
 pads made by ``bytes.translate``.  Over ``hashlib`` it costs two C
 digests and no per-byte Python work, which is cheaper than the stdlib
 one-shot ``hmac.digest``.  ``hmac_digest`` runs it over the ``hashlib``
-constructors, or over the from-scratch hashes of
-:mod:`repro.crypto.hashes` when ``pure=True``; the DRBG calls it with
-``hashlib.sha256`` directly.  The tests check both against the stdlib
-HMAC.
+constructor for a hash name; the DRBG calls it with ``hashlib.sha256``
+directly.  The tests check it against the RFC 4231 vectors and the
+stdlib HMAC.
 """
 
 from __future__ import annotations
@@ -20,9 +19,9 @@ from __future__ import annotations
 from hmac import compare_digest
 
 from ..errors import CryptoError
-from .hashes import _FAST, _PURE
+from .hashes import _CONSTRUCTORS
 
-__all__ = ["rfc2104_hmac", "hmac_digest", "hmac_hexdigest", "verify_hmac", "constant_time_equals"]
+__all__ = ["rfc2104_hmac", "hmac_digest", "verify_hmac", "constant_time_equals"]
 
 _BLOCK_SIZE = 64  # both MD5 and SHA-256 use 64-byte blocks
 #: ``key.translate(table)`` XORs every byte of a padded key with the
@@ -39,17 +38,12 @@ def rfc2104_hmac(new, key: bytes, message: bytes) -> bytes:
     return new(key.translate(_OPAD) + new(key.translate(_IPAD) + message).digest()).digest()
 
 
-def hmac_digest(key: bytes, message: bytes, name: str = "sha256", *, pure: bool = False) -> bytes:
+def hmac_digest(key: bytes, message: bytes, name: str = "sha256") -> bytes:
     """HMAC of *message* under *key* with the named hash."""
-    new = (_PURE if pure else _FAST).get(name)
+    new = _CONSTRUCTORS.get(name)
     if new is None:
         raise CryptoError(f"unknown hash algorithm: {name!r}")
     return rfc2104_hmac(new, key, message)
-
-
-def hmac_hexdigest(key: bytes, message: bytes, name: str = "sha256", *, pure: bool = False) -> str:
-    """Hex form of :func:`hmac_digest`."""
-    return hmac_digest(key, message, name, pure=pure).hex()
 
 
 def constant_time_equals(a: bytes, b: bytes) -> bool:

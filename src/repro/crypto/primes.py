@@ -34,7 +34,6 @@ __all__ = [
     "miller_rabin",
     "generate_prime",
     "generate_safe_prime",
-    "next_prime",
 ]
 
 # Primes below 300, used for cheap trial division before Miller-Rabin.
@@ -171,15 +170,3 @@ def generate_safe_prime(bits: int, rng: "HmacDrbg", max_tries: int = 100000) -> 
         if is_prime(p, rng):
             return p
     raise CryptoError(f"no safe prime found in {max_tries} tries")
-
-
-def next_prime(n: int) -> int:
-    """Smallest prime strictly greater than *n*."""
-    candidate = n + 1
-    if candidate <= 2:
-        return 2
-    if candidate % 2 == 0:
-        candidate += 1
-    while not is_prime(candidate):
-        candidate += 2
-    return candidate

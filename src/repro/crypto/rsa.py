@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from ..errors import CryptoError, DecryptionError, InvalidKeyError, SignatureError
+from ..errors import CryptoError, DecryptionError, InvalidKeyError
 from . import cache as _cache
 from . import instrument as _instrument
 from .drbg import HmacDrbg
@@ -217,14 +217,6 @@ def _verify_uncached(key: RsaPublicKey, message: bytes, signature: bytes, hash_n
     except InvalidKeyError:
         return False
     return block == expected
-
-
-def require_valid_signature(
-    key: RsaPublicKey, message: bytes, signature: bytes, hash_name: str = "sha256"
-) -> None:
-    """Raise :class:`SignatureError` unless the signature verifies."""
-    if not verify(key, message, signature, hash_name):
-        raise SignatureError("RSA signature verification failed")
 
 
 # --------------------------------------------------------------------------

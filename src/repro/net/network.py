@@ -1,8 +1,8 @@
 """The simulated network: nodes, links, delivery, adversary hooks.
 
 A :class:`Network` owns the :class:`repro.net.events.Simulator`, a
-registry of :class:`repro.net.node.Node` objects, per-direction
-:class:`repro.net.channel.ChannelSpec` links, a
+registry of :class:`repro.net.node.Node` objects, the
+:class:`repro.net.channel.ChannelSpec` every link shares, a
 :class:`repro.net.trace.TraceRecorder`, and at most one
 :class:`repro.net.adversary.Adversary`.
 
@@ -85,8 +85,7 @@ class Network:
         self._link_seed = rng.generate(32)
         self._link_rngs: dict[tuple[str, str], HmacDrbg] = {}
         self._nodes: dict[str, "Node"] = {}
-        self._links: dict[tuple[str, str], ChannelSpec] = {}
-        self._default_channel = default_channel
+        self._channel = default_channel
         self.trace = TraceRecorder()
         self.adversary: "Adversary | None" = None
         self._msg_ids = itertools.count(1)
@@ -113,15 +112,6 @@ class Network:
 
     def node_names(self) -> list[str]:
         return sorted(self._nodes)
-
-    def connect(self, a: str, b: str, spec: ChannelSpec, symmetric: bool = True) -> None:
-        """Override the channel between *a* and *b* (default both ways)."""
-        self._links[(a, b)] = spec
-        if symmetric:
-            self._links[(b, a)] = spec
-
-    def channel(self, src: str, dst: str) -> ChannelSpec:
-        return self._links.get((src, dst), self._default_channel)
 
     def _link_rng(self, src: str, dst: str) -> HmacDrbg:
         """The named dice stream of the directed link *src* -> *dst*."""
@@ -172,7 +162,7 @@ class Network:
 
     def _transmit(self, envelope: Envelope) -> None:
         """Run the channel dice and schedule deliveries."""
-        spec = self.channel(envelope.src, envelope.dst)
+        spec = self._channel
         rng = self._link_rng(envelope.src, envelope.dst) if spec.draws else None
         deliveries = spec.sample(envelope.size_bytes, rng)
         if not deliveries:

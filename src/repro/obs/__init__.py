@@ -84,7 +84,6 @@ from .exporters import (
     span_tree_text,
     spans_jsonl,
     summary_table,
-    trace_jsonl,
 )
 from .forensics import (
     AuditFinding,
@@ -112,7 +111,6 @@ from .profiler import (
     NullRegionProfiler,
     RegionProfiler,
     RegionStat,
-    campaign_critical_paths,
     critical_path,
     flamegraph_text,
     profile_jsonl,
@@ -128,10 +126,8 @@ from .slo import (
     SLOReport,
     SLOSpec,
     SLOStatus,
-    slo_jsonl,
     standard_campaign_slos,
     standard_engine_slos,
-    standard_replication_slos,
 )
 from .span import NULL_TRACER, NullTracer, Span, Tracer
 
@@ -175,7 +171,6 @@ __all__ = [
     "CriticalPath",
     "CriticalStage",
     "critical_path",
-    "campaign_critical_paths",
     "shard_utilization",
     "flamegraph_text",
     "profile_jsonl",
@@ -187,10 +182,8 @@ __all__ = [
     "SLOManager",
     "CounterRatioSLI",
     "SketchThresholdSLI",
-    "slo_jsonl",
     "standard_campaign_slos",
     "standard_engine_slos",
-    "standard_replication_slos",
     "DashboardFrame",
     "budget_bar",
     "render_frame",
@@ -203,7 +196,6 @@ __all__ = [
     "observe_crypto",
     "spans_jsonl",
     "metrics_jsonl",
-    "trace_jsonl",
     "prometheus_text",
     "summary_table",
     "span_tree_text",

@@ -22,7 +22,6 @@ from .span import Span, Tracer
 __all__ = [
     "spans_jsonl",
     "metrics_jsonl",
-    "trace_jsonl",
     "prometheus_text",
     "summary_table",
     "span_tree_text",
@@ -42,34 +41,6 @@ def metrics_jsonl(registry: MetricsRegistry) -> str:
     return "".join(
         json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n"
         for row in registry.snapshot()
-    )
-
-
-def trace_jsonl(recorder) -> str:
-    """The wire-level trace, one JSON object per event, in wire order.
-
-    *recorder* is a :class:`repro.net.trace.TraceRecorder` (typed by
-    duck: anything with ``.events`` of TraceEvent-shaped records).
-    Keys are sorted and ``note`` is omitted when empty, so same-seed
-    runs export byte-identical documents.
-    """
-    rows = []
-    for event in recorder.events:
-        row = {
-            "time": event.time,
-            "action": event.action,
-            "src": event.src,
-            "dst": event.dst,
-            "kind": event.kind,
-            "size_bytes": event.size_bytes,
-            "msg_id": event.msg_id,
-        }
-        if event.note:
-            row["note"] = event.note
-        rows.append(row)
-    return "".join(
-        json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n"
-        for row in rows
     )
 
 

@@ -60,7 +60,6 @@ __all__ = [
     "CriticalStage",
     "CriticalPath",
     "critical_path",
-    "campaign_critical_paths",
     "shard_utilization",
     "flamegraph_text",
     "profile_jsonl",
@@ -409,40 +408,6 @@ def critical_path(tracer: Tracer, trace_id: str) -> CriticalPath | None:
     # ends last; on handoff trees the final child does.
     total = max(0.0, max(_span_end(s) for s in chain) - root.start)
     return CriticalPath(trace_id=trace_id, stages=stages, total=total)
-
-
-def campaign_critical_paths(tracer: Tracer) -> dict:
-    """Per-campaign dominant-stage report over every trace.
-
-    Returns a deterministic summary: per-stage occurrence counts and
-    summed self time (sorted keys), plus how often each stage was the
-    transaction's dominant one.
-    """
-    stage_counts: dict[str, int] = {}
-    stage_self: dict[str, float] = {}
-    dominant_counts: dict[str, int] = {}
-    transactions = 0
-    for trace_id in sorted(tracer.trace_ids()):
-        path = critical_path(tracer, trace_id)
-        if path is None or not path.stages:
-            continue
-        transactions += 1
-        for stage in path.stages:
-            stage_counts[stage.name] = stage_counts.get(stage.name, 0) + 1
-            stage_self[stage.name] = stage_self.get(stage.name, 0.0) + stage.self_seconds
-        top = path.dominant().name
-        dominant_counts[top] = dominant_counts.get(top, 0) + 1
-    return {
-        "transactions": transactions,
-        "stages": {
-            name: {
-                "count": stage_counts[name],
-                "self_seconds": canon_float(stage_self[name]),
-            }
-            for name in sorted(stage_counts)
-        },
-        "dominant": {name: dominant_counts[name] for name in sorted(dominant_counts)},
-    }
 
 
 # ---------------------------------------------------------------------------

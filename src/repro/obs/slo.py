@@ -41,10 +41,8 @@ __all__ = [
     "SLOStatus",
     "SLOReport",
     "SLOManager",
-    "slo_jsonl",
     "standard_campaign_slos",
     "standard_engine_slos",
-    "standard_replication_slos",
 ]
 
 
@@ -223,10 +221,6 @@ class SLOReport:
         return alerts_table(self.alerts, title=title)
 
 
-def slo_jsonl(report: SLOReport) -> str:
-    return report.jsonl()
-
-
 class _Tracker:
     """One SLO's live state: its spec plus one burn detector per window."""
 
@@ -392,20 +386,4 @@ def standard_engine_slos(manager: SLOManager) -> SLOManager:
         "session-latency", objective=0.9,
         sli=SketchThresholdSLI(m, "engine.session_latency", 5.0),
         description="tenant session finishes within 5 sim-seconds"))
-    return manager
-
-
-def standard_replication_slos(manager: SLOManager) -> SLOManager:
-    """SLOs for :class:`~repro.replication.store.ReplicatedStore`."""
-    m = manager.metrics
-    manager.add(SLOSpec(
-        "read-integrity", objective=0.9,
-        sli=CounterRatioSLI(
-            m, ("replication.reads", {"outcome": "clean"}),
-            ("replication.reads", {"outcome": "repaired"})),
-        description="verified reads serve without needing repair"))
-    manager.add(SLOSpec(
-        "fork-detection-latency", objective=0.9,
-        sli=SketchThresholdSLI(m, "replication.fork_detection_seconds", 5.0),
-        description="replica forks detected within 5 sim-seconds"))
     return manager

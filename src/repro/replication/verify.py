@@ -198,10 +198,6 @@ class ForkConsistencyVerifier:
             return None
         return log.latest
 
-    def acked_version(self, container: str, key: str, replica: str) -> int:
-        log = self._log.get((container, key))
-        return log.acked.get(replica, 0) if log is not None else 0
-
     def live_keys(self) -> list[tuple[str, str]]:
         return sorted(k for k, log in self._log.items()
                       if not log.deleted and log.latest is not None)

@@ -1,7 +1,8 @@
 """Cloud-storage substrate: the three platform models of paper §2.
 
-* :mod:`repro.storage.azurelike` — SharedKey HMAC REST blobs/tables/
-  queues (Table 1, Fig. 3); stored-MD5-returned-on-GET semantics.
+* :mod:`repro.storage.azurelike` — SharedKey HMAC REST blobs (Table 1,
+  Fig. 3); stored-MD5-returned-on-GET semantics.  Tables and queues
+  are not modelled: they carry no mechanism the paper analyses.
 * :mod:`repro.storage.s3like` — object API + Import/Export jobs with
   manifest/signature files and device shipping (Fig. 2);
   recomputed-MD5 semantics.
@@ -14,7 +15,7 @@ surface-mail shipping, and the tampering behaviours of Fig. 5.
 
 from . import account, azurelike, blobstore, gaelike, rest, s3like, shipping, tamper
 from .account import Account, AccountDirectory
-from .azurelike import MAX_BLOB_SIZE, MAX_QUEUE_MESSAGE, AzureLikeClient, AzureLikeService
+from .azurelike import MAX_BLOB_SIZE, AzureLikeClient, AzureLikeService
 from .blobstore import BlobStore, ObjectStat, StoredObject
 from .gaelike import (
     GaeLikeService,
@@ -63,7 +64,6 @@ __all__ = [
     "Account",
     "AccountDirectory",
     "MAX_BLOB_SIZE",
-    "MAX_QUEUE_MESSAGE",
     "AzureLikeClient",
     "AzureLikeService",
     "BlobStore",

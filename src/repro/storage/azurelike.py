@@ -10,8 +10,9 @@ Faithful to the behaviours the paper calls out:
 * ``GET`` returns the **stored** ``Content-MD5`` ("the original MD5_1
   will be sent", §2.4) — *not* a recomputation, which is precisely why
   naive tampering is detectable but metadata-fixing tampering is not;
-* the three data items: Blobs (<= 50 GB), Tables, and Queues (< 8 KB
-  messages).
+* Blobs (<= 50 GB), the data item the paper's integrity analysis
+  follows.  Azure's Tables and Queues are not modelled: they carry no
+  integrity mechanism the paper analyses.
 
 The service is deliberately honest about its checks and nothing more —
 the integrity gap it inherits is the paper's subject, not a bug.
@@ -20,7 +21,6 @@ the integrity gap it inherits is the paper's subject, not a bug.
 from __future__ import annotations
 
 import base64
-from dataclasses import dataclass, field
 
 from ..crypto.drbg import HmacDrbg
 from ..crypto.hashes import digest
@@ -30,15 +30,9 @@ from .account import Account, AccountDirectory
 from .blobstore import BlobStore, ObjectStat
 from .rest import RestRequest, RestResponse, authorization_header, shared_key_signature
 
-__all__ = ["AzureLikeService", "AzureLikeClient", "MAX_BLOB_SIZE", "MAX_QUEUE_MESSAGE"]
+__all__ = ["AzureLikeService", "AzureLikeClient", "MAX_BLOB_SIZE"]
 
 MAX_BLOB_SIZE = 50 * 1024**3  # "Blobs (up to 50GB)"
-MAX_QUEUE_MESSAGE = 8 * 1024  # "Queues (<8k)"
-
-
-@dataclass
-class _Queue:
-    messages: list[bytes] = field(default_factory=list)
 
 
 class AzureLikeService:
@@ -48,8 +42,6 @@ class AzureLikeService:
         self.name = name
         self.accounts = AccountDirectory(rng)
         self.blobs = BlobStore(f"{name}/blobs")
-        self._queues: dict[tuple[str, str], _Queue] = {}
-        self._tables: dict[tuple[str, str], dict[str, dict[str, str]]] = {}
         # (account, container, key) -> blockid -> staged bytes
         self._staged_blocks: dict[tuple[str, str, str], dict[str, bytes]] = {}
         self.request_log: list[tuple[str, str, int]] = []  # (method, path, status)
@@ -70,12 +62,7 @@ class AzureLikeService:
         except AuthenticationError as exc:
             return self._log(request, RestResponse(status=403, body=str(exc).encode()))
         try:
-            if request.path.startswith(f"/{account.name}/queue/"):
-                response = self._handle_queue(account, request)
-            elif request.path.startswith(f"/{account.name}/table/"):
-                response = self._handle_table(account, request)
-            else:
-                response = self._handle_blob(account, request, at_time)
+            response = self._handle_blob(account, request, at_time)
         except IntegrityError as exc:
             response = RestResponse(status=400, body=str(exc).encode())
         except NoSuchObjectError as exc:
@@ -195,47 +182,6 @@ class AzureLikeService:
     def content_digest(self, container: str, key: str) -> str:
         """SHA-256 hex of the currently stored bytes."""
         return self.blobs.content_digest(container, key)
-
-    def list_objects(self, container: str) -> list[ObjectStat]:
-        """Stats for every object in *container*, in key order."""
-        return [self.stat(container, k) for k in self.blobs.list_keys(container)]
-
-    # -- queues (<8k messages) ------------------------------------------------
-
-    def _handle_queue(self, account: Account, request: RestRequest) -> RestResponse:
-        queue_name = request.resource.strip("/").split("/")[-1]
-        queue = self._queues.setdefault((account.name, queue_name), _Queue())
-        if request.method == "PUT":
-            if len(request.body) >= MAX_QUEUE_MESSAGE:
-                raise StorageError(f"queue message must be < {MAX_QUEUE_MESSAGE} bytes")
-            queue.messages.append(request.body)
-            return RestResponse(status=201)
-        if request.method == "GET":
-            if not queue.messages:
-                return RestResponse(status=204)
-            return RestResponse(status=200, body=queue.messages.pop(0))
-        raise StorageError(f"unsupported queue operation {request.method}")
-
-    # -- tables ----------------------------------------------------------------
-
-    def _handle_table(self, account: Account, request: RestRequest) -> RestResponse:
-        parts = request.resource.strip("/").split("/")
-        if len(parts) < 4:
-            raise StorageError(f"malformed table path {request.path!r}")
-        table_name, entity_key = parts[2], parts[3]
-        table = self._tables.setdefault((account.name, table_name), {})
-        if request.method == "PUT":
-            properties = dict(
-                pair.split("=", 1) for pair in request.body.decode().split("&") if "=" in pair
-            )
-            table[entity_key] = properties
-            return RestResponse(status=201)
-        if request.method == "GET":
-            if entity_key not in table:
-                raise NoSuchObjectError(f"entity {entity_key!r} not found")
-            body = "&".join(f"{k}={v}" for k, v in sorted(table[entity_key].items()))
-            return RestResponse(status=200, body=body.encode())
-        raise StorageError(f"unsupported table operation {request.method}")
 
 
 class AzureLikeClient:

@@ -180,10 +180,6 @@ class GaeLikeService:
         """SHA-256 hex of the currently stored bytes."""
         return self.blobs.content_digest(container, key)
 
-    def list_objects(self, container: str) -> list[ObjectStat]:
-        """Stats for every object in *container*, in key order."""
-        return [self.stat(container, k) for k in self.blobs.list_keys(container)]
-
     # -- the SDC request path ---------------------------------------------------
 
     def handle_request(self, request: SignedRequest) -> bytes:

@@ -172,10 +172,16 @@ class S3LikeService:
 
     def receive_device(self, job_id: str, device: StorageDevice) -> JobReport:
         """Validate the attached signature file, run the job, build the
-        report that is e-mailed back with the returned device."""
+        report that is e-mailed back with the returned device.
+
+        A job takes one device: once it has completed or failed, a
+        device that arrives for it again is refused.
+        """
         job = self._jobs.get(job_id)
         if job is None:
             raise NoSuchObjectError(f"unknown job {job_id!r}")
+        if job.state != "created":
+            raise StorageError(f"job {job_id} is {job.state}: it takes no further device")
         raw = device.attached_documents.get("signature-file")
         if raw is None:
             job.state = "failed"
@@ -191,10 +197,12 @@ class S3LikeService:
             job.state = "failed"
             raise AuthenticationError("device ID does not match manifest")
         job.state = "validated"
-        if job.manifest.operation == "import":
-            report = self._run_import(job, device)
-        else:
-            report = self._run_export(job, device)
+        run = self._run_import if job.manifest.operation == "import" else self._run_export
+        try:
+            report = run(job, device)
+        except StorageError:
+            job.state = "failed"
+            raise
         job.state = "completed"
         job.report = report
         return report
@@ -284,10 +292,6 @@ class S3LikeService:
     def content_digest(self, container: str, key: str) -> str:
         """SHA-256 hex of the currently stored bytes."""
         return self.blobs.content_digest(container, key)
-
-    def list_objects(self, container: str) -> list[ObjectStat]:
-        """Stats for every object in *container*, in key order."""
-        return [self.stat(container, k) for k in self.blobs.list_keys(container)]
 
 
 def _decode_signature_file(raw: bytes) -> SignatureFile:

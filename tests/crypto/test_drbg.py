@@ -224,14 +224,3 @@ class TestDraws:
         g.shuffle(shuffled)
         assert sorted(shuffled) == items
         assert shuffled != items  # astronomically unlikely to match
-
-    def test_expovariate_positive(self):
-        g = HmacDrbg(b"expo")
-        values = [g.expovariate(2.0) for _ in range(100)]
-        assert all(v >= 0 for v in values)
-        # mean should be near 1/rate = 0.5
-        assert 0.3 < sum(values) / len(values) < 0.8
-
-    def test_expovariate_bad_rate(self):
-        with pytest.raises(CryptoError):
-            HmacDrbg(b"x").expovariate(0.0)

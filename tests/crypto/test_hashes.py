@@ -1,4 +1,4 @@
-"""The pure-Python MD5/SHA-256 against hashlib and published vectors."""
+"""``digest`` against the published MD5/SHA-256 vectors and hashlib."""
 
 import hashlib
 
@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.hashes import MD5, SHA256, digest, hexdigest
+from repro.crypto.hashes import digest, hexdigest
 from repro.errors import CryptoError
 
 # RFC 1321 appendix A.5 test suite.
@@ -40,24 +40,23 @@ SHA256_VECTORS = [
 class TestMd5Vectors:
     @pytest.mark.parametrize("data,expected", MD5_VECTORS)
     def test_rfc1321(self, data, expected):
-        assert MD5(data).hexdigest() == expected
+        assert digest("md5", data).hex() == expected
 
 
 class TestSha256Vectors:
     @pytest.mark.parametrize("data,expected", SHA256_VECTORS)
     def test_fips(self, data, expected):
-        assert SHA256(data).hexdigest() == expected
+        assert digest("sha256", data).hex() == expected
 
     def test_million_a(self):
-        h = SHA256()
-        for _ in range(1000):
-            h.update(b"a" * 1000)
-        assert h.hexdigest() == (
+        assert digest("sha256", b"a" * 1_000_000).hex() == (
             "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
         )
 
 
 class TestAgainstHashlib:
+    """Each name maps to its own hashlib constructor."""
+
     @pytest.mark.parametrize("name", ["md5", "sha256"])
     @pytest.mark.parametrize(
         "data",
@@ -65,55 +64,24 @@ class TestAgainstHashlib:
     )
     def test_padding_boundaries(self, name, data):
         """Lengths around the 64-byte block/padding boundaries."""
-        assert digest(name, data, pure=True) == hashlib.new(name, data).digest()
+        assert digest(name, data) == hashlib.new(name, data).digest()
 
     @given(st.binary(max_size=2048))
     @settings(max_examples=50)
     def test_md5_random(self, data):
-        assert digest("md5", data, pure=True) == hashlib.md5(data).digest()
+        assert digest("md5", data) == hashlib.md5(data).digest()
 
     @given(st.binary(max_size=2048))
     @settings(max_examples=50)
     def test_sha256_random(self, data):
-        assert digest("sha256", data, pure=True) == hashlib.sha256(data).digest()
-
-
-class TestIncremental:
-    @pytest.mark.parametrize("cls,ref", [(MD5, hashlib.md5), (SHA256, hashlib.sha256)])
-    def test_update_chunks_equal_one_shot(self, cls, ref):
-        h = cls()
-        for chunk in (b"one", b"two", b"three" * 40, b""):
-            h.update(chunk)
-        assert h.digest() == ref(b"onetwo" + b"three" * 40).digest()
-
-    @pytest.mark.parametrize("cls", [MD5, SHA256])
-    def test_digest_does_not_consume_state(self, cls):
-        h = cls(b"partial")
-        first = h.digest()
-        assert h.digest() == first
-        h.update(b" more")
-        assert h.digest() != first
-
-    @pytest.mark.parametrize("cls", [MD5, SHA256])
-    def test_copy_is_independent(self, cls):
-        h = cls(b"base")
-        clone = h.copy()
-        clone.update(b"diverge")
-        assert h.digest() != clone.digest()
-        assert h.digest() == cls(b"base").digest()
+        assert digest("sha256", data) == hashlib.sha256(data).digest()
 
 
 class TestDispatch:
     def test_unknown_algorithm(self):
         for name in ("sha1", "SHA256", "", "sha-256"):
-            for pure in (False, True):
-                with pytest.raises(CryptoError):
-                    digest(name, b"data", pure=pure)
-
-    @given(st.sampled_from(["md5", "sha256"]), st.binary(max_size=300))
-    @settings(max_examples=80)
-    def test_pure_and_fast_agree(self, name, data):
-        assert digest(name, data, pure=True) == digest(name, data, pure=False)
+            with pytest.raises(CryptoError):
+                digest(name, b"data")
 
     def test_hexdigest(self):
         assert hexdigest("md5", b"abc") == "900150983cd24fb0d6963f7d28e17f72"

@@ -1,7 +1,7 @@
 """HMAC against the stdlib and RFC 4231 vectors.
 
 The package never calls the stdlib HMAC, so here it is an independent
-oracle for both the hashlib-backed and the pure-Python construction.
+oracle for the package's RFC 2104 construction.
 """
 
 import hmac as stdlib_hmac
@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.hmac_ import constant_time_equals, hmac_digest, hmac_hexdigest, verify_hmac
+from repro.crypto.hmac_ import constant_time_equals, hmac_digest, verify_hmac
 from repro.errors import CryptoError
 
 # RFC 4231 test cases 1-4 (HMAC-SHA256).
@@ -41,30 +41,22 @@ RFC4231 = [
 class TestRfc4231:
     @pytest.mark.parametrize("key,msg,expected", RFC4231)
     def test_vectors(self, key, msg, expected):
-        assert hmac_hexdigest(key, msg, "sha256") == expected
-
-    @pytest.mark.parametrize("key,msg,expected", RFC4231)
-    def test_vectors_pure(self, key, msg, expected):
-        assert hmac_digest(key, msg, "sha256", pure=True).hex() == expected
+        assert hmac_digest(key, msg, "sha256").hex() == expected
 
 
 class TestAgainstStdlib:
-    """Both the hashlib-backed path and the pure-Python ``pure`` mode."""
-
     @pytest.mark.parametrize("name", ["md5", "sha256"])
     @pytest.mark.parametrize("key_len", [0, 1, 63, 64, 65, 200])
     def test_key_length_boundaries(self, name, key_len):
         key, msg = b"k" * key_len, b"boundary message"
         expected = stdlib_hmac.new(key, msg, name).digest()
         assert hmac_digest(key, msg, name) == expected
-        assert hmac_digest(key, msg, name, pure=True) == expected
 
     @given(st.sampled_from(["md5", "sha256"]), st.binary(max_size=160), st.binary(max_size=512))
     @settings(max_examples=100, deadline=None)
     def test_random(self, name, key, msg):
         expected = stdlib_hmac.new(key, msg, name).digest()
         assert hmac_digest(key, msg, name) == expected
-        assert hmac_digest(key, msg, name, pure=True) == expected
 
 
 class TestVerify:

@@ -16,7 +16,6 @@ from repro.crypto.primes import (
     generate_safe_prime,
     is_prime,
     miller_rabin,
-    next_prime,
 )
 from repro.errors import CryptoError
 
@@ -59,6 +58,12 @@ class TestIsPrime:
     def test_agrees_with_trial_division(self, n):
         by_division = all(n % d for d in range(2, int(n**0.5) + 1)) and n >= 2
         assert is_prime(n) == by_division
+
+    def test_small_primes_table_consistent(self):
+        """SMALL_PRIMES is every prime up to its last entry, in order."""
+        by_trial_division = [n for n in range(2, SMALL_PRIMES[-1] + 1)
+                             if all(n % d for d in range(2, int(sqrt(n)) + 1))]
+        assert list(SMALL_PRIMES) == by_trial_division
 
 
 class TestMillerRabin:
@@ -107,16 +112,6 @@ class TestSafePrime:
     def test_too_small_rejected(self):
         with pytest.raises(CryptoError):
             generate_safe_prime(8, HmacDrbg(b"x"))
-
-
-class TestNextPrime:
-    @pytest.mark.parametrize("n,expected", [(0, 2), (2, 3), (3, 5), (10, 11), (7918, 7919)])
-    def test_known(self, n, expected):
-        assert next_prime(n) == expected
-
-    def test_small_primes_table_consistent(self):
-        for a, b in zip(SMALL_PRIMES, SMALL_PRIMES[1:]):
-            assert next_prime(a) == b
 
 
 # -- cheap tests first: the verdict holds and composites draw nothing ------

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.crypto import rsa
 from repro.crypto.drbg import HmacDrbg
-from repro.errors import CryptoError, DecryptionError, InvalidKeyError, SignatureError
+from repro.errors import CryptoError, DecryptionError, InvalidKeyError
 
 
 _HYP_KEY = rsa.generate_keypair(512, HmacDrbg(b"rsa-hyp-key"))
@@ -138,12 +138,6 @@ class TestSignatures:
     def test_unknown_hash(self, key):
         with pytest.raises(CryptoError):
             rsa.sign(key, b"m", hash_name="sha512")
-
-    def test_require_valid_signature(self, key):
-        sig = rsa.sign(key, b"ok")
-        rsa.require_valid_signature(key.public_key(), b"ok", sig)
-        with pytest.raises(SignatureError):
-            rsa.require_valid_signature(key.public_key(), b"not ok", sig)
 
     def test_deterministic_signature(self, key):
         assert rsa.sign(key, b"same") == rsa.sign(key, b"same")

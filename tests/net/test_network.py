@@ -89,17 +89,6 @@ class TestDelivery:
         sim.run()
         assert len(b.inbox) == 2
 
-    def test_per_link_override(self):
-        sim, net, a, b = make_net(ChannelSpec(base_latency=0.01))
-        net.connect("a", "b", ChannelSpec(base_latency=1.0), symmetric=False)
-        net.send("a", "b", "slow", b"x")
-        sim.run()
-        assert sim.now == pytest.approx(1.0)
-        # reverse direction still uses the default
-        net.send("b", "a", "fast", b"x")
-        sim.run()
-        assert sim.now == pytest.approx(1.01)
-
     def test_corruption_flag_set(self):
         sim, net, a, b = make_net(ChannelSpec(corrupt_prob=1.0))
         net.send("a", "b", "test", b"x")

@@ -164,63 +164,6 @@ class TestHumanRenderings:
         assert "no spans" in span_tree_text(Tracer(), "missing")
 
 
-class TestTraceJsonl:
-    """The wire-trace exporter: one sorted-key JSON object per event."""
-
-    def observed_upload(self, seed: bytes):
-        from repro.core.protocol import make_deployment, run_upload
-
-        dep = make_deployment(seed=seed, observe=True, durable=True)
-        run_upload(dep, b"trace export payload")
-        return dep
-
-    def test_one_valid_object_per_event_with_sorted_keys(self):
-        from repro.obs.exporters import trace_jsonl
-
-        dep = self.observed_upload(b"trace-jsonl")
-        lines = trace_jsonl(dep.network.trace).splitlines()
-        assert len(lines) == len(dep.network.trace.events)
-        for line in lines:
-            parsed = json.loads(line)
-            assert list(parsed) == sorted(parsed)
-            assert {"time", "action", "src", "dst", "kind",
-                    "size_bytes", "msg_id"} <= set(parsed)
-
-    def test_note_omitted_when_empty_and_kept_when_set(self):
-        from repro.net.faults import FaultAction, FaultInjector, FaultPlan, FaultRule
-        from repro.core.protocol import make_deployment, run_upload
-        from repro.obs.exporters import trace_jsonl
-
-        dep = make_deployment(seed=b"trace-note", observe=True)
-        plan = FaultPlan(
-            name="note-plan",
-            rules=(FaultRule(FaultAction.DROP, "tpnr.upload.receipt"),),
-        )
-        injector = FaultInjector(plan)
-        dep.network.install_adversary(injector)
-        injector.reset(epoch=dep.sim.now)
-        run_upload(dep, b"noted payload")
-        dep.network.remove_adversary()
-        parsed = [json.loads(l) for l in trace_jsonl(dep.network.trace).splitlines()]
-        noted = [p for p in parsed if "note" in p]
-        assert noted, "fault decisions must carry their note"
-        assert any("plan=note-plan" in p["note"] for p in noted)
-        assert all(p["note"] for p in noted)  # empty notes are omitted
-
-    def test_same_seed_exports_identical_bytes(self):
-        from repro.obs.exporters import trace_jsonl
-
-        first = trace_jsonl(self.observed_upload(b"trace-stable").network.trace)
-        second = trace_jsonl(self.observed_upload(b"trace-stable").network.trace)
-        assert first == second
-
-    def test_empty_trace_exports_empty(self):
-        from repro.net.trace import TraceRecorder
-        from repro.obs.exporters import trace_jsonl
-
-        assert trace_jsonl(TraceRecorder()) == ""
-
-
 class TestUnfinishedSpans:
     """A span with no end must export as status="unfinished"."""
 

@@ -11,7 +11,6 @@ from repro.obs.profiler import (
     NULL_PROFILER,
     NullRegionProfiler,
     RegionProfiler,
-    campaign_critical_paths,
     critical_path,
     flamegraph_text,
     profile_jsonl,
@@ -288,16 +287,6 @@ class TestCriticalPath:
 
     def test_missing_trace_is_none(self):
         assert critical_path(Tracer(), "nope") is None
-
-    def test_campaign_summary(self):
-        tracer = self.tree([
-            ("root", None, 0.0, 4.0),
-            ("work", 0, 1.0, 4.0),
-        ])
-        summary = campaign_critical_paths(tracer)
-        assert summary["transactions"] == 1
-        assert set(summary["stages"]) == {"root", "work"}
-        assert summary["dominant"] == {"work": 1}
 
     @given(st.lists(
         st.tuples(st.integers(min_value=0, max_value=5),

@@ -19,10 +19,8 @@ from repro.obs.slo import (
     SketchThresholdSLI,
     SLOManager,
     SLOSpec,
-    slo_jsonl,
     standard_campaign_slos,
     standard_engine_slos,
-    standard_replication_slos,
 )
 
 
@@ -224,7 +222,7 @@ class TestReport:
 
     def test_jsonl_is_sorted_keys_one_line_per_slo(self):
         report = self.storm_report()
-        lines = slo_jsonl(report).splitlines()
+        lines = report.jsonl().splitlines()
         assert len(lines) == 1
         parsed = json.loads(lines[0])
         assert list(parsed) == sorted(parsed)
@@ -258,9 +256,6 @@ class TestStandardSets:
         engine = standard_engine_slos(manager())
         assert [s.name for s in engine.specs] == [
             "session-success", "session-latency"]
-        replication = standard_replication_slos(manager())
-        assert [s.name for s in replication.specs] == [
-            "read-integrity", "fork-detection-latency"]
 
     def test_terminal_latency_reads_the_live_campaign_sketch(self):
         mgr = standard_campaign_slos(manager())
@@ -271,8 +266,7 @@ class TestStandardSets:
         assert (status.good, status.bad) == (2.0, 1.0)
 
     def test_bundles_poll_cleanly_on_an_empty_registry(self):
-        for build in (standard_campaign_slos, standard_engine_slos,
-                      standard_replication_slos):
+        for build in (standard_campaign_slos, standard_engine_slos):
             mgr = build(manager())
             assert mgr.poll() == []
             assert all(s.budget_remaining == 1.0 for s in mgr.statuses())

@@ -1,10 +1,11 @@
 """SLO wiring into the campaign runner, session pool, replicated store.
 
-The cross-layer half of ISSUE 8: each driver evaluates its standard
-SLO set on its own deterministic cadence, attaches the end-of-run
+The campaign runner and the session pool each evaluate their standard
+SLO set on their own deterministic cadence, attach the end-of-run
 SLOReport as telemetry (never part of any signature), and the fault
 storms of :func:`generate_storm_plans` burn budgets hard enough to
-page while clean runs stay silent.
+page while clean runs stay silent.  The observed replicated store
+feeds the instruments that read-integrity and fork-detection SLIs read.
 """
 
 import pytest
@@ -139,17 +140,25 @@ class TestReplicationWiring:
         assert sketch.count == 1
         assert sketch.max < 5.0  # inside the fork-detection objective
 
-    def test_standard_replication_slos_read_those_instruments(self):
+    def test_slis_read_those_instruments(self):
         from repro.core.protocol import run_download
-        from repro.obs.slo import SLOManager, standard_replication_slos
+        from repro.obs.slo import CounterRatioSLI, SketchThresholdSLI, SLOManager, SLOSpec
 
         dep, store, txn, primary = self.make_observed_store()
-        mgr = standard_replication_slos(
-            SLOManager(dep.obs.metrics, clock=lambda: dep.sim.now))
+        metrics = dep.obs.metrics
+        mgr = SLOManager(metrics, clock=lambda: dep.sim.now)
+        mgr.add(SLOSpec("read-integrity", objective=0.9, sli=CounterRatioSLI(
+            metrics, ("replication.reads", {"outcome": "clean"}),
+            ("replication.reads", {"outcome": "repaired"}))))
+        mgr.add(SLOSpec("fork-detection-latency", objective=0.9, sli=SketchThresholdSLI(
+            metrics, "replication.fork_detection_seconds", 5.0)))
         store.tamper_replica(primary, "tpnr-data", txn, b"diverged")
         run_download(dep, txn)
         mgr.poll()
-        fork = mgr.report().status("fork-detection-latency")
+        report = mgr.report()
+        reads = report.status("read-integrity")
+        assert reads.good == 0.0 and reads.bad == 1.0
+        fork = report.status("fork-detection-latency")
         assert fork.good == 1.0 and fork.bad == 0.0
 
     def test_unobserved_store_keeps_null_metrics(self):

@@ -7,11 +7,7 @@ import pytest
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.hashes import digest
 from repro.errors import IntegrityError, StorageError
-from repro.storage.azurelike import (
-    MAX_QUEUE_MESSAGE,
-    AzureLikeClient,
-    AzureLikeService,
-)
+from repro.storage.azurelike import AzureLikeClient, AzureLikeService
 from repro.storage.rest import RestRequest, authorization_header
 from repro.storage.tamper import TamperMode, apply_tamper
 
@@ -118,47 +114,6 @@ class TestBlobSemantics:
             request, "jerry", client.account.secret_key
         )
         assert service.handle(request).status == 400
-
-
-class TestQueuesAndTables:
-    def _signed(self, client, method, path, body=b""):
-        request = RestRequest(method=method, path=path, body=body)
-        request.headers["x-ms-date"] = "t0"
-        request.headers["Authorization"] = authorization_header(
-            request, client.account.name, client.account.secret_key
-        )
-        return request
-
-    def test_queue_fifo(self, service, client):
-        put1 = self._signed(client, "PUT", "/jerry/queue/q1", b"first")
-        put2 = self._signed(client, "PUT", "/jerry/queue/q1", b"second")
-        assert service.handle(put1).status == 201
-        assert service.handle(put2).status == 201
-        get = self._signed(client, "GET", "/jerry/queue/q1")
-        assert service.handle(get).body == b"first"
-        get2 = self._signed(client, "GET", "/jerry/queue/q1")
-        assert service.handle(get2).body == b"second"
-
-    def test_queue_empty(self, service, client):
-        get = self._signed(client, "GET", "/jerry/queue/empty")
-        assert service.handle(get).status == 204
-
-    def test_queue_message_size_limit(self, service, client):
-        """"Queues (<8k)" — at-limit messages are rejected."""
-        big = self._signed(client, "PUT", "/jerry/queue/q", b"x" * MAX_QUEUE_MESSAGE)
-        assert service.handle(big).status == 400
-        ok = self._signed(client, "PUT", "/jerry/queue/q", b"x" * (MAX_QUEUE_MESSAGE - 1))
-        assert service.handle(ok).status == 201
-
-    def test_table_roundtrip(self, service, client):
-        put = self._signed(client, "PUT", "/jerry/table/t1/entity1", b"name=alice&age=30")
-        assert service.handle(put).status == 201
-        get = self._signed(client, "GET", "/jerry/table/t1/entity1")
-        assert service.handle(get).body == b"age=30&name=alice"
-
-    def test_table_missing_entity(self, service, client):
-        get = self._signed(client, "GET", "/jerry/table/t1/ghost")
-        assert service.handle(get).status == 404
 
 
 class TestBlockProtocol:

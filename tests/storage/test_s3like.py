@@ -4,13 +4,14 @@ import pytest
 
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.hashes import digest
-from repro.errors import AuthenticationError, IntegrityError, NoSuchObjectError
+from repro.errors import AuthenticationError, IntegrityError, NoSuchObjectError, StorageError
 from repro.storage.s3like import (
     ManifestFile,
     S3LikeService,
     encode_signature_file,
 )
 from repro.storage.shipping import StorageDevice
+from repro.storage.tamper import TamperMode, apply_tamper
 
 
 @pytest.fixture
@@ -42,6 +43,17 @@ def loaded_device(service, account, manifest, job_id, files):
         S3LikeService.make_signature_file(job_id, manifest, account)
     )
     return device
+
+
+def export_device(service, account, capacity_bytes=10**9):
+    """An export job for ``backup`` and its empty, signed device."""
+    manifest = ManifestFile(account.access_key_id, "DEV-X", "backup", "export")
+    job_id = service.submit_manifest(manifest, S3LikeService.sign_manifest(manifest, account))
+    device = StorageDevice("DEV-X", capacity_bytes)
+    device.attached_documents["signature-file"] = encode_signature_file(
+        S3LikeService.make_signature_file(job_id, manifest, account)
+    )
+    return job_id, device
 
 
 class TestManifestSubmission:
@@ -99,6 +111,29 @@ class TestImport:
             service.receive_device(job_id, device)
         assert service.job_state(job_id) == "failed"
 
+    def test_device_for_a_completed_job_is_refused(self, service, account):
+        """A replayed signature file cannot run the job again."""
+        manifest, job_id = make_import_job(service, account)
+        service.receive_device(
+            job_id, loaded_device(service, account, manifest, job_id, {"f": b"A" * 100}))
+        replay = loaded_device(service, account, manifest, job_id, {"f": b"B" * 100})
+        with pytest.raises(StorageError, match="takes no further device"):
+            service.receive_device(job_id, replay)
+        assert service.blobs.get("backup", "f").data == b"A" * 100
+        assert service.job_state(job_id) == "completed"
+
+    def test_device_for_a_failed_job_is_refused(self, service, account):
+        manifest, job_id = make_import_job(service, account)
+        wrong = loaded_device(service, account, manifest, job_id, {"f": b"x"})
+        wrong.device_id = "DEV-OTHER"
+        with pytest.raises(AuthenticationError):
+            service.receive_device(job_id, wrong)
+        with pytest.raises(StorageError, match="takes no further device"):
+            service.receive_device(
+                job_id, loaded_device(service, account, manifest, job_id, {"f": b"x"}))
+        assert service.job_state(job_id) == "failed"
+        assert not service.blobs.exists("backup", "f")
+
     def test_wrong_job_signature(self, service, account):
         manifest1, job1 = make_import_job(service, account)
         manifest2, job2 = make_import_job(service, account, device_id="DEV-2")
@@ -133,37 +168,39 @@ class TestExport:
         original = {"doc": b"exported content " * 20}
         service.receive_device(job_id, loaded_device(service, account, manifest, job_id, original))
         # Now export onto a fresh device.
-        export_manifest = ManifestFile(account.access_key_id, "DEV-X", "backup", "export")
-        export_job = service.submit_manifest(
-            export_manifest, S3LikeService.sign_manifest(export_manifest, account)
-        )
-        device = StorageDevice("DEV-X", 10**9)
-        device.attached_documents["signature-file"] = encode_signature_file(
-            S3LikeService.make_signature_file(export_job, export_manifest, account)
-        )
+        export_job, device = export_device(service, account)
         report = service.receive_device(export_job, device)
         assert device.files["doc"] == original["doc"]
         assert report.md5_of_bytes["doc"] == digest("md5", original["doc"])
 
     def test_export_md5_is_recomputed(self, service, account):
-        """The §2.4 AWS behaviour: tampering is laundered at export."""
+        """The §2.4 AWS behaviour: tampering is laundered at export.
+
+        After REPLACE the export writes the tampered bytes to the device
+        and reports a recomputed MD5_2 of them, not the upload's MD5_1.
+        """
+        original = b"honest data " * 10
         manifest, job_id = make_import_job(service, account)
         service.receive_device(
-            job_id, loaded_device(service, account, manifest, job_id, {"doc": b"honest data"})
-        )
-        # Provider-side tampering.
-        service.blobs.overwrite_raw("backup", "doc", data=b"evil data!!")
-        export_manifest = ManifestFile(account.access_key_id, "DEV-X", "backup", "export")
-        export_job = service.submit_manifest(
-            export_manifest, S3LikeService.sign_manifest(export_manifest, account)
-        )
-        device = StorageDevice("DEV-X", 10**9)
-        device.attached_documents["signature-file"] = encode_signature_file(
-            S3LikeService.make_signature_file(export_job, export_manifest, account)
-        )
+            job_id, loaded_device(service, account, manifest, job_id, {"doc": original}))
+        tampered = apply_tamper(service.blobs, "backup", "doc", TamperMode.REPLACE,
+                                HmacDrbg(b"tamper")).data
+        export_job, device = export_device(service, account)
         report = service.receive_device(export_job, device)
-        # The report's MD5 matches the *tampered* bytes: no detection.
-        assert report.md5_of_bytes["doc"] == digest("md5", b"evil data!!")
+        assert device.files["doc"] == tampered != original
+        # The report's and the log's MD5 match the *tampered* bytes: no detection.
+        md5_2 = digest("md5", tampered)
+        assert report.md5_of_bytes["doc"] == md5_2
+        assert service.fetch_log(report.log_location).lookup_md5("doc") == md5_2
+
+    def test_run_that_raises_leaves_the_job_failed(self, service, account):
+        manifest, job_id = make_import_job(service, account)
+        service.receive_device(
+            job_id, loaded_device(service, account, manifest, job_id, {"doc": b"x" * 100}))
+        export_job, device = export_device(service, account, capacity_bytes=10)
+        with pytest.raises(StorageError, match="full"):
+            service.receive_device(export_job, device)
+        assert service.job_state(export_job) == "failed"
 
 
 class TestDirectApi:
