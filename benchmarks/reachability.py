@@ -1,0 +1,233 @@
+"""Reachability pass: every ``src/repro`` function is entered or kept for a reason.
+
+Runs the package's entry points under one trace hook that records every code
+object entered:
+
+1. every registered scenario, checked against its ``expect`` contract
+   and rendered the way the benchmarks stage renders it (the table and
+   ``canonical_result_json``);
+2. every ``python -m repro`` invocation in ``.github/workflows/ci.yml``,
+   in-process, with ``--dump-dir`` pointed at a temporary directory;
+3. every script in ``examples/``;
+4. each ``bench`` workload's small copy, untraced and then traced.
+
+It then walks the AST of ``src/repro`` for every ``def`` (nested ones
+included) and lists those never entered.  The exit code is 1 when an
+unentered function is missing from :data:`KEPT`, when a :data:`KEPT`
+entry was entered or is no longer defined, or when an entry point fails.
+
+Run:  python benchmarks/reachability.py   (about 2 minutes on 2 vCPU;
+writes ``bench/out/reachability.json`` and nothing else in the repo)
+"""
+
+from __future__ import annotations
+
+import ast
+import contextlib
+import io
+import json
+import re
+import runpy
+import shlex
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCE = ROOT / "src"
+PACKAGE = SOURCE / "repro"
+CI_WORKFLOW = ROOT / ".github" / "workflows" / "ci.yml"
+OUT = ROOT / "bench" / "out" / "reachability.json"
+
+#: ``module:qualname`` -> why the function stays although no entry point enters it.
+KEPT: dict[str, str] = {
+    # Abstract bases: every concrete subclass overrides these.
+    "repro.attacks.base:Attack.run": "abstract; each attack overrides it",
+    "repro.bridging.base:BridgingScheme.upload": "abstract; each bridging scheme overrides it",
+    "repro.bridging.base:BridgingScheme.download": "abstract; each bridging scheme overrides it",
+    "repro.bridging.base:BridgingScheme.dispute": "abstract; each bridging scheme overrides it",
+    "repro.net.node:Node.on_message": "abstract; every protocol role overrides it",
+    "repro.net.adversary:Adversary.on_intercept": "abstract; each adversary overrides it",
+    "repro.obs.anomaly:Detector.sample": "abstract; each detector overrides it",
+    "repro.replication.store:ReplicaAdapter.blobs": "abstract; each platform adapter overrides it",
+    "repro.replication.store:ReplicaAdapter.put": "abstract; each platform adapter overrides it",
+    "repro.replication.store:ReplicaAdapter.get": "abstract; each platform adapter overrides it",
+    "repro.core.party:TpnrParty._wipe_role_state":
+        "the crash hook's no-op default; every role overrides it",
+    # The telemetry-off stand-ins: call sites test `enabled` first, so
+    # they are the contract for whoever does not.
+    "repro.obs.metrics:NullMetricsRegistry.counter": "Null stand-in of an entered method",
+    "repro.obs.metrics:NullMetricsRegistry.gauge": "Null stand-in of an entered method",
+    "repro.obs.metrics:NullMetricsRegistry.histogram": "Null stand-in of an entered method",
+    "repro.obs.metrics:NullMetricsRegistry.sketch": "Null stand-in of an entered method",
+    "repro.obs.metrics:_NullCounter.inc": "Null stand-in of an entered method",
+    "repro.obs.metrics:_NullGauge.set": "Null stand-in of an entered method",
+    "repro.obs.metrics:_NullHistogram.observe": "Null stand-in of an entered method",
+    "repro.obs.metrics:_NullSketch.observe": "Null stand-in of an entered method",
+    "repro.obs.profiler:NullRegionProfiler.merge": "Null stand-in of an entered method",
+    "repro.obs.span:NullTracer.start": "Null stand-in of an entered method",
+    "repro.obs.span:NullTracer.finish": "Null stand-in of an entered method",
+    "repro.obs.span:_NullSpan.event": "Null stand-in of an entered method",
+    # Fault and timeout handlers: they run only when their fault fires.
+    "repro.core.client:TpnrClient._on_abort_timeout": "Abort timeout handler (TTP silent)",
+    "repro.core.ttp:TrustedThirdParty.reopen_resolve": "Resolve timeout handler (provider silent)",
+    "repro.replication.verify:ForkConsistencyVerifier.check_missing":
+        "ReplicatedStore calls it when a replica lacks an object",
+    "repro.crypto.pki:CertificateAuthority.revoke": "CertificateAuthority.validate checks revocation",
+    "repro.durability.wal:WriteAheadLog.sync": "the WAL's explicit fsync point",
+    # Paper mechanisms and oracles.
+    "repro.core.arbitrator:Arbitrator.rule_on_upload_content":
+        "the upload-content dispute; bench/tracing.py binds it by name",
+    "repro.core.confidential:open_payload": "the recipient side of the paper's section 2.4 sharing path",
+    "repro.net.securechannel:establish_session": "one-call SSL-like handshake of the channel baseline",
+    "repro.storage.s3like:S3LikeService._run_export": "paper section 2.4 AWS export (MD5_2 laundering)",
+    "repro.storage.blobstore:BlobStore.list_keys": "the export job lists the bucket",
+    "repro.storage.shipping:StorageDevice.wipe": "the export job wipes the device it fills",
+    "repro.crypto.chacha20:chacha20_xor":
+        "oracle of chacha20_np; bench/tracing.py binds it by name",
+    "repro.crypto.chacha20:chacha20_keystream": "part of the chacha20_np oracle",
+    "repro.crypto.chacha20:chacha20_block": "part of the chacha20_np oracle",
+    "repro.crypto.chacha20:_quarter_round": "part of the chacha20_np oracle",
+    "repro.crypto.primes:generate_safe_prime":
+        "oracle that re-derives the precomputed DH primes (tests/crypto/test_dh.py)",
+    "repro.scenarios.seeds:derive_seed": "the PT-002 derivation behind repetition_seed",
+    # Live API that no entry point happens to call with the data it serves.
+    "repro.obs.sketch:QuantileSketch.snapshot":
+        "MetricsRegistry.snapshot's row for a sketch; no entry point exports a registry holding one",
+    "repro.obs.sketch:QuantileSketch.from_snapshot":
+        "the exporters rebuild a sketch from that row to print its quantiles",
+    # The `repro scenario run --seed` root-seed override.
+    "repro.scenarios.registry:RegisteredScenario.reseeded": "`repro scenario run --seed`",
+    "repro.scenarios.spec:ScenarioSpec.with_overrides": "`repro scenario run --seed`",
+}
+
+
+def defined_functions() -> dict[str, tuple[str, int, int]]:
+    """``module:qualname`` -> (file, first line, last line) for every ``def``."""
+    found = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        module = ".".join(path.relative_to(SOURCE).with_suffix("").parts)
+        module = module.removesuffix(".__init__")
+
+        def walk(node, prefix: str) -> None:
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    qualname = prefix + child.name
+                    found[f"{module}:{qualname}"] = (str(path), child.lineno, child.end_lineno)
+                    walk(child, qualname + ".<locals>.")
+                elif isinstance(child, ast.ClassDef):
+                    walk(child, prefix + child.name + ".")
+                else:
+                    walk(child, prefix)
+
+        walk(ast.parse(path.read_text(encoding="utf-8")), "")
+    return found
+
+
+def run_scenarios() -> None:
+    from repro.analysis.report import render_table
+    from repro.scenarios import SCENARIOS, canonical_result_json
+
+    SCENARIOS.ids()  # the stage's test ids
+    for scenario in SCENARIOS:
+        result = scenario.run()
+        broken = scenario.check(result)
+        if broken:
+            raise AssertionError(f"scenario {scenario.scenario_id} breaks its expect contract: {broken}")
+        render_table(result.headers, result.rows, title=result.title)
+        canonical_result_json(result)
+
+
+def ci_invocations() -> list[list[str]]:
+    """The argument lists of every ``python -m repro`` line in the CI workflow."""
+    lines = CI_WORKFLOW.read_text(encoding="utf-8").splitlines()
+    return [shlex.split(m.group(1).split(">")[0])
+            for m in (re.search(r"python -m repro (.*)$", line) for line in lines) if m]
+
+
+def run_cli(scratch: Path) -> None:
+    from repro.cli import main
+
+    for index, argv in enumerate(ci_invocations()):
+        if "--dump-dir" in argv:
+            at = argv.index("--dump-dir") + 1
+            argv[at] = str(scratch / f"{index}-{argv[at]}")
+        with contextlib.redirect_stdout(io.StringIO()):
+            status = main(argv)
+        if status != 0:
+            raise AssertionError(f"repro {' '.join(argv)} exited {status}")
+
+
+def run_examples() -> None:
+    for path in sorted((ROOT / "examples").glob("*.py")):
+        with contextlib.redirect_stdout(io.StringIO()):
+            runpy.run_path(str(path), run_name="__main__")
+
+
+def run_bench() -> None:
+    from bench.tracing import Tracer
+    from bench.workloads import WORKLOADS
+
+    for workload in WORKLOADS.values():
+        small = workload.warmup()
+        state = small.setup(1)
+        inputs = small.inputs(1, 0)
+        for tracer in (None, Tracer()):
+            result = small.run_round(state, inputs, tracer=tracer)
+            if result.failures:
+                raise AssertionError(f"bench {workload.name}: {result.failures[:3]}")
+
+
+def entered_during(entry_points) -> set[str]:
+    """``module:qualname`` of every ``src/repro`` function the entry points enter."""
+    codes = set()
+
+    def hook(frame, event, arg):
+        codes.add(frame.f_code)
+
+    sys.settrace(hook)
+    try:
+        for run in entry_points:
+            run()
+    finally:
+        sys.settrace(None)
+    prefix = str(PACKAGE) + "/"
+    entered = set()
+    for code in codes:
+        if code.co_filename.startswith(prefix):
+            module = ".".join(Path(code.co_filename).relative_to(SOURCE).with_suffix("").parts)
+            entered.add(f"{module.removesuffix('.__init__')}:{code.co_qualname}")
+    return entered
+
+
+def main() -> int:
+    for path in (SOURCE, ROOT):
+        if str(path) not in sys.path:
+            sys.path.insert(0, str(path))
+    with tempfile.TemporaryDirectory() as scratch:
+        entered = entered_during([run_scenarios, lambda: run_cli(Path(scratch)),
+                                  run_examples, run_bench])
+    defined = defined_functions()
+    unentered = sorted(set(defined) - entered)
+    unexplained = [name for name in unentered if name not in KEPT]
+    stale = sorted(name for name in KEPT if name not in defined or name in entered)
+    body_lines = sum(end - first for name in unentered for _, first, end in [defined[name]])
+    OUT.parent.mkdir(parents=True, exist_ok=True)
+    OUT.write_text(json.dumps({
+        "functions": len(defined),
+        "unentered": unentered,
+        "unexplained": unexplained,
+        "stale_kept": stale,
+    }, indent=1) + "\n", encoding="utf-8")
+    print(f"{len(defined)} functions, {len(unentered)} never entered "
+          f"({body_lines} lines after their def lines), {len(KEPT)} kept")
+    for name in unexplained:
+        file, first, _ = defined[name]
+        print(f"UNEXPLAINED {name} ({Path(file).relative_to(ROOT)}:{first})")
+    for name in stale:
+        print(f"STALE KEPT {name}: " + ("entered" if name in entered else "not defined"))
+    return 1 if unexplained or stale else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -27,7 +27,7 @@ from .diagram import sequence_diagram
 from .metrics import ProtocolCost, compare, measure
 from .stats import format_rate, wilson_interval
 from .workload import WorkloadReport, WorkloadSpec, resilience_sweep, run_workload
-from .report import render_kv, render_table, section
+from .report import render_kv, render_table
 
 __all__ = [
     "diagram",
@@ -64,5 +64,4 @@ __all__ = [
     "measure",
     "render_kv",
     "render_table",
-    "section",
 ]

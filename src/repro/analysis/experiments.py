@@ -273,7 +273,11 @@ def experiment_fig2(
                                lambda d, j=job_id, out=reports: out.append(service.receive_device(j, d)))
         sim.run()
         report = reports[0]
-        md5_ok = report.md5_of_bytes[f"data-{size}.bin"] == digest("md5", data)
+        # §2.1: the e-mailed report, the import log left in the bucket
+        # and the bytes shipped must all carry the same MD5.
+        key = f"data-{size}.bin"
+        logged = service.fetch_log(report.log_location).lookup_md5(key)
+        md5_ok = report.md5_of_bytes[key] == logged == digest("md5", data)
         all_verified &= md5_ok
         rows.append([size, f"{transit / DAY_SECONDS:.2f}", report.status,
                      report.bytes_processed, md5_ok])
@@ -1862,7 +1866,7 @@ def experiment_migration(seed: bytes = b"exp/rp2") -> ExperimentResult:
     facts["clean/objects_migrated"] = record.object_count
     facts["clean/evidence_items_reverified"] = record.evidence_verified
     facts["clean/digests_preserved"] = all(
-        store.content_digest(c, k) == d for c, k, _v, d in record.objects)
+        store.verifier.latest(c, k).digest == d for c, k, _v, d in record.objects)
     facts["clean/replicas_after"] = list(store.replica_names)
     rows.append(["clean", f"{record.source}->{record.destination}",
                  record.object_count, record.evidence_verified,

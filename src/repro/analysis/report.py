@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Sequence
 
-__all__ = ["render_table", "render_kv", "section"]
+__all__ = ["render_table", "render_kv"]
 
 
 def _fmt(value: Any) -> str:
@@ -51,9 +51,3 @@ def render_kv(pairs: Iterable[tuple[str, Any]], title: str = "") -> str:
     lines = [title] if title else []
     lines.extend(f"  {k:<{width}} : {_fmt(v)}" for k, v in pairs)
     return "\n".join(lines)
-
-
-def section(name: str) -> str:
-    """A visual section divider."""
-    bar = "=" * max(8, len(name) + 8)
-    return f"\n{bar}\n    {name}\n{bar}"

@@ -8,7 +8,7 @@ stopping it.
 
 from . import base, harness, interleaving, mitm, naive, reflection, replay, timeliness
 from .base import Attack, AttackResult
-from .harness import gauntlet_matrix, run_gauntlet, tpnr_defense_holds
+from .harness import run_gauntlet, tpnr_defense_holds
 from .interleaving import InterleavingAttack, SpliceAdversary
 from .mitm import MitmAttack
 from .naive import NaiveChallengeResponse, NaiveReceiptService
@@ -27,7 +27,6 @@ __all__ = [
     "timeliness",
     "Attack",
     "AttackResult",
-    "gauntlet_matrix",
     "run_gauntlet",
     "tpnr_defense_holds",
     "InterleavingAttack",

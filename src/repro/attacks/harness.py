@@ -30,7 +30,7 @@ from .reflection import ReflectionAttack
 from .replay import ReplayAttack
 from .timeliness import TimelinessAttack
 
-__all__ = ["run_gauntlet", "gauntlet_matrix", "tpnr_defense_holds"]
+__all__ = ["run_gauntlet", "tpnr_defense_holds"]
 
 
 def run_gauntlet(seed: bytes = b"gauntlet") -> list[AttackResult]:
@@ -47,11 +47,6 @@ def run_gauntlet(seed: bytes = b"gauntlet") -> list[AttackResult]:
     results.append(TimelinessAttack().run(seed, weakened=False))
     results.append(TimelinessAttack().run(seed, weakened=True))
     return results
-
-
-def gauntlet_matrix(results: list[AttackResult]) -> dict[tuple[str, str], bool]:
-    """(attack, target) -> succeeded mapping."""
-    return {(r.attack, r.target): r.succeeded for r in results}
 
 
 def tpnr_defense_holds(results: list[AttackResult]) -> bool:

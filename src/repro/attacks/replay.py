@@ -26,20 +26,18 @@ __all__ = ["ReplayAttack", "RecordAndReplayAdversary"]
 
 
 class RecordAndReplayAdversary(Adversary):
-    """Forwards everything; re-injects copies of selected messages."""
+    """Forwards everything; re-injects one copy of each selected message."""
 
-    def __init__(self, kind_to_replay: str, replay_delay: float, copies: int = 1) -> None:
+    def __init__(self, kind_to_replay: str, replay_delay: float) -> None:
         super().__init__(name="replayer", positions=None)
         self.kind_to_replay = kind_to_replay
         self.replay_delay = replay_delay
-        self.copies = copies
 
     def on_intercept(self, envelope: Envelope) -> None:
         self.seen.append(envelope)
         self.forward(envelope)
         if envelope.kind == self.kind_to_replay:
-            for i in range(self.copies):
-                self.replay_later(envelope, self.replay_delay * (i + 1))
+            self.replay_later(envelope, self.replay_delay)
 
 
 class ReplayAttack(Attack):

@@ -50,13 +50,13 @@ class BridgingWorld:
     tac: TacService
 
 
-def make_world(seed: bytes | str = b"bridging", key_bits: int = 512) -> BridgingWorld:
-    """Deterministic participant setup."""
+def make_world(seed: bytes | str = b"bridging") -> BridgingWorld:
+    """Deterministic participant setup (``pki.DEFAULT_KEY_BITS`` keys)."""
     rng = HmacDrbg(seed)
-    ca = CertificateAuthority("bridging-ca", rng.fork("ca"), bits=key_bits)
+    ca = CertificateAuthority("bridging-ca", rng.fork("ca"))
     registry = KeyRegistry(ca)
-    user = Identity.generate("alice", rng, bits=key_bits)
-    provider = Identity.generate("eve", rng, bits=key_bits)
+    user = Identity.generate("alice", rng)
+    provider = Identity.generate("eve", rng)
     registry.enroll(user)
     registry.enroll(provider)
     return BridgingWorld(
@@ -201,7 +201,3 @@ class BridgingScheme(abc.ABC):
     def agreed_digest_provable(self, artifacts: UploadArtifacts) -> bool:
         """Can the honest party *prove* the agreed digest to a judge?"""
         return bool(artifacts.user_holds or artifacts.tac_holds)
-
-    @staticmethod
-    def judge_requires(condition: bool, verdict_if_true: str, verdict_if_false: str) -> str:
-        return verdict_if_true if condition else verdict_if_false

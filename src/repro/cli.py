@@ -139,14 +139,8 @@ def _cmd_replication(args: argparse.Namespace) -> int:
     """One replicated TPNR session with a tampered replica."""
     from .replication import ReplicatedStore, attach_replication
 
-    if args.profile and not args.profile_dir:
-        raise ReproError("--profile requires --profile-dir "
-                         "(nowhere to write flamegraph.txt / profile.jsonl)")
     seed = args.seed.encode()
     dep = make_deployment(seed=seed, observe=True)
-    if args.profile:
-        # Before attach: the store picks up the deployment's profiler.
-        dep.obs.enable_profiler()
     store = attach_replication(dep, ReplicatedStore(seed=seed + b"/store"))
     outcome = run_upload(dep, b"replicated session payload " * 8)
     txn = outcome.transaction_id
@@ -173,8 +167,6 @@ def _cmd_replication(args: argparse.Namespace) -> int:
         ],
         title=f"Replicated TPNR session (seed={args.seed!r})",
     ))
-    if args.profile:
-        _write_profile_artifacts(dep.obs.profiler, args.profile_dir)
     ok = result.verified and args.replica in culprits
     return 0 if ok else 1
 
@@ -406,11 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_r.add_argument("--replica", default="s3like",
                      choices=["s3like", "azurelike", "gaelike"],
                      help="replica to tamper in the demo")
-    p_r.add_argument("--profile", action="store_true",
-                     help="attach the region profiler to the demo session "
-                     "(requires --profile-dir)")
-    p_r.add_argument("--profile-dir", default="",
-                     help="directory for flamegraph.txt / profile.jsonl")
     p_r.set_defaults(func=_cmd_replication)
 
     p_sl = sub.add_parser("slo",

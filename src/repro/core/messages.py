@@ -16,7 +16,7 @@ evidence.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 from ..errors import ProtocolError
@@ -105,16 +105,8 @@ class Header:
             ]
         ).encode()
 
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state.pop("_signed_bytes", None)
-        return state
-
     def wire_size(self) -> int:
         return len(self._signed_bytes)
-
-    def with_flag(self, flag: Flag) -> "Header":
-        return replace(self, flag=flag)
 
 
 @dataclass(frozen=True)

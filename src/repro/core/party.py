@@ -305,10 +305,6 @@ class TpnrParty(Node):
     def _wipe_role_state(self) -> None:
         """Role-specific volatile state lost in an amnesia crash."""
 
-    def end_crash(self) -> None:
-        """The process is back up (recovery runs separately)."""
-        self.crashed = False
-
     # -- observability spans ------------------------------------------------
 
     def span_begin(self, key: Hashable, transaction_id: str, name: str, **attrs):
@@ -348,14 +344,6 @@ class TpnrParty(Node):
 
     def peer_state(self, peer: str) -> PeerState:
         return self._peers.setdefault(peer, PeerState())
-
-    def record(self, transaction_id: str) -> TransactionRecord:
-        try:
-            return self.transactions[transaction_id]
-        except KeyError as exc:
-            raise ProtocolError(
-                f"{self.name} has no transaction {transaction_id!r}"
-            ) from exc
 
     # -- outbound --------------------------------------------------------------
 

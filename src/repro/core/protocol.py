@@ -37,9 +37,6 @@ __all__ = [
     "SessionOutcome",
 ]
 
-DEFAULT_KEY_BITS = 512
-
-
 @dataclass
 class Deployment:
     """One wired-up TPNR world."""
@@ -81,32 +78,23 @@ class Deployment:
     # Imported lazily: repro.obs.forensics reaches back into core for
     # evidence verification, so module-level imports would cycle.
 
-    def timeline(self, transaction_id: str, exclusive_trace: bool = False):
+    def timeline(self, transaction_id: str):
         """Reconstruct the cross-surface timeline of one transaction."""
         from ..obs.forensics import TimelineReconstructor
 
-        return TimelineReconstructor.for_deployment(
-            self, exclusive_trace=exclusive_trace
-        ).reconstruct(transaction_id)
+        return TimelineReconstructor.for_deployment(self).reconstruct(transaction_id)
 
-    def forensic_audit(self, transaction_id: str, exclusive_trace: bool = False):
+    def forensic_audit(self, transaction_id: str):
         """Cross-source consistency findings for one transaction."""
         from ..obs.forensics import ConsistencyAuditor
 
-        return ConsistencyAuditor.for_deployment(
-            self, exclusive_trace=exclusive_trace
-        ).audit(transaction_id)
+        return ConsistencyAuditor.for_deployment(self).audit(transaction_id)
 
-    def dossier(self, transaction_id: str, claimant_name: str | None = None,
-                exclusive_trace: bool = False):
-        """Build a :class:`~repro.obs.forensics.DisputeDossier`."""
+    def dossier(self, transaction_id: str):
+        """Build the client's :class:`~repro.obs.forensics.DisputeDossier`."""
         from ..obs.forensics import DisputeDossier
 
-        return DisputeDossier.build(
-            self, transaction_id,
-            claimant_name=claimant_name,
-            exclusive_trace=exclusive_trace,
-        )
+        return DisputeDossier.build(self, transaction_id)
 
 
 @dataclass
@@ -167,28 +155,19 @@ def make_deployment(
     channel: ChannelSpec = PERFECT,
     policy: TpnrPolicy = DEFAULT_POLICY,
     behavior: ProviderBehavior = HONEST,
-    key_bits: int = DEFAULT_KEY_BITS,
-    client_name: str = "alice",
     provider_name: str = "bob",
-    ttp_name: str = "ttp",
     extra_client_names: tuple[str, ...] = (),
     durable: bool = False,
-    snapshot_interval: int = 48,
     observe: bool = False,
-    identities: "dict[str, Identity] | None" = None,
     batch_size: int | None = None,
 ) -> Deployment:
     """Build a client + provider + TTP + arbitrator world.
 
-    *extra_client_names* adds further user roles (for the cross-user
-    sharing scenarios).  All keys derive from *seed*; identical seeds
+    The client is ``alice`` and the TTP ``ttp``; *provider_name* names
+    the provider.  *extra_client_names* adds further user roles (for
+    the cross-user sharing scenarios).  Every key is a
+    ``pki.DEFAULT_KEY_BITS`` RSA key derived from *seed*; identical seeds
     give bit-identical runs.
-
-    *identities* supplies pre-generated :class:`Identity` objects by
-    name; any role found there skips key generation (the dominant cost
-    of building a world).  Skipping generation advances the deployment
-    RNG differently, so runs with and without a given identity are not
-    bit-comparable.
 
     With ``durable=True`` every party gets a
     :class:`~repro.durability.journal.PartyJournal` over a shared
@@ -214,17 +193,12 @@ def make_deployment(
     network = Network(sim, rng, default_channel=channel)
     if observe:
         network.obs = Observability(clock=lambda: sim.now)
-    ca = CertificateAuthority("repro-ca", rng.fork("ca"), bits=key_bits)
+    ca = CertificateAuthority("repro-ca", rng.fork("ca"))
     registry = KeyRegistry(ca)
-    def _identity(name: str) -> Identity:
-        if identities is not None and name in identities:
-            return identities[name]
-        return Identity.generate(name, rng, bits=key_bits)
-
-    client_id = _identity(client_name)
-    provider_id = _identity(provider_name)
-    ttp_id = _identity(ttp_name)
-    extra_ids = [_identity(name) for name in extra_client_names]
+    ttp_name = "ttp"
+    client_id, provider_id, ttp_id, *extra_ids = (
+        Identity.generate(name, rng)
+        for name in ("alice", provider_name, ttp_name, *extra_client_names))
     for identity in (client_id, provider_id, ttp_id, *extra_ids):
         registry.enroll(identity)
     client = TpnrClient(client_id, registry, rng, ttp_name=ttp_name, policy=policy)
@@ -259,13 +233,7 @@ def make_deployment(
         roles += [(extra, "client") for extra in extra_clients.values()]
         for party, role in roles:
             party.attach_journal(
-                PartyJournal(
-                    stable,
-                    f"{party.name}.wal",
-                    role,
-                    snapshot_interval=snapshot_interval,
-                )
-            )
+                PartyJournal(stable, f"{party.name}.wal", role))
     return Deployment(
         sim=sim,
         network=network,
@@ -326,21 +294,20 @@ def run_download(dep: Deployment, transaction_id: str) -> DownloadResult:
         return result
 
 
-def run_abort(dep: Deployment, data: bytes, abort_delay: float | None = None) -> SessionOutcome:
+def run_abort(dep: Deployment, data: bytes) -> SessionOutcome:
     """Upload, then invoke the Abort sub-protocol (§4.2).
 
-    The abort fires *abort_delay* seconds after the upload (default:
-    half the response time-out — i.e. Alice gives up before escalating
-    to the TTP).  Against an honest instant provider the transaction
-    completes first and the abort is acknowledged post-completion;
+    The abort fires half the response time-out after the upload — i.e.
+    Alice gives up before escalating to the TTP.  Against an honest
+    instant provider the transaction completes first and the abort is
+    acknowledged post-completion;
     against a provider withholding the receipt the transaction ends
     ABORTED — no TTP involved either way, as Fig. 6(b) requires.
     """
     with dep.obs.profiler.region("core/abort"):
         started = dep.sim.now
         dep.network.trace.clear()
-        if abort_delay is None:
-            abort_delay = dep.client.policy.response_timeout / 2
+        abort_delay = dep.client.policy.response_timeout / 2
         transaction_id = dep.client.upload(dep.provider.name, data, auto_resolve=False)
         dep.sim.schedule(abort_delay, lambda: dep.client.abort(transaction_id))
         dep.run()

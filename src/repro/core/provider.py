@@ -44,16 +44,6 @@ class ProviderBehavior:
     tamper_mode: TamperMode = TamperMode.NONE  # applied after upload completes
     resolve_action: ResolveAction = ResolveAction.CONTINUE
 
-    @property
-    def honest(self) -> bool:
-        return (
-            not self.silent_on_upload
-            and not self.silent_on_download
-            and not self.silent_to_ttp
-            and not self.reject_abort
-            and self.tamper_mode is TamperMode.NONE
-        )
-
 
 HONEST = ProviderBehavior()
 
@@ -80,11 +70,10 @@ class TpnrProvider(TpnrParty):
 
     def stats(self) -> dict[str, int]:
         """Deterministic service-side tallies for engine/experiment reports."""
+        stored = self.store.object_marks()
         return {
             "transactions": len(self.transactions),
-            "stored_blobs": sum(
-                1 for txn in self.transactions if self.store.exists(_CONTAINER, txn)
-            ),
+            "stored_blobs": sum(1 for txn in self.transactions if (_CONTAINER, txn) in stored),
             "duplicate_requests": self.duplicate_requests,
             "withheld_receipts": len(self.withheld_receipts),
             "rejected_messages": len(self.rejected_messages),

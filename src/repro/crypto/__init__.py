@@ -17,8 +17,8 @@ from . import aead, batch, cache, chacha20, chacha20_np, dh, drbg, hashes, hmac_
 from .batch import BatchLedger, BatchProof, EvidenceBatcher, SealedBatch, verify_batch_proof
 from .cache import CryptoCaches, LruCache, crypto_caches
 from .drbg import HmacDrbg
-from .hashes import digest, hexdigest
-from .hmac_ import constant_time_equals, hmac_digest, verify_hmac
+from .hashes import digest
+from .hmac_ import constant_time_equals, hmac_digest
 from .kem import hybrid_decrypt, hybrid_encrypt
 from .merkle import MerkleTree, verify_inclusion
 from .pki import Certificate, CertificateAuthority, Identity, KeyRegistry
@@ -54,10 +54,8 @@ __all__ = [
     "shamir",
     "HmacDrbg",
     "digest",
-    "hexdigest",
     "constant_time_equals",
     "hmac_digest",
-    "verify_hmac",
     "hybrid_decrypt",
     "hybrid_encrypt",
     "Certificate",

@@ -140,10 +140,6 @@ class EvidenceBatcher:
         self.leaves_added = 0
         self.batches_sealed = 0
 
-    @property
-    def pending(self) -> int:
-        return len(self._pending)
-
     def add(self, leaf: bytes) -> None:
         """Queue one leaf digest; seals automatically at ``batch_size``."""
         self._pending.append(bytes(leaf))

@@ -4,7 +4,7 @@ Like :mod:`repro.crypto.instrument`, this is a deliberately tiny leaf
 module (stdlib only, no repro imports) exposing one process-wide seat:
 ``caches`` is ``None`` — the default, costing the hot paths one
 attribute load and one ``is None`` test — or a :class:`CryptoCaches`
-installed by the throughput engine.
+installed by the throughput engine through :func:`crypto_caches`.
 
 What is safe to cache, and why:
 
@@ -37,7 +37,7 @@ from collections import OrderedDict
 from contextlib import contextmanager
 from typing import Any, Hashable
 
-__all__ = ["LruCache", "CryptoCaches", "caches", "install", "uninstall", "crypto_caches"]
+__all__ = ["LruCache", "CryptoCaches", "caches", "crypto_caches"]
 
 _MISSING = object()
 
@@ -53,9 +53,6 @@ class LruCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
     def get(self, key: Hashable) -> Any:
         """Return the cached value or ``None``; counts a hit or a miss."""
@@ -91,25 +88,23 @@ class LruCache:
         }
 
 
+#: Capacities sized for the 1000-tenant TP1 sweep: each tenant
+#: contributes a handful of distinct (digest, signature) pairs and one
+#: KEM peer relationship, so 4096 entries hold the whole working set
+#: without eviction churn.
+VERIFY_CAPACITY = 4096
+SIGN_CAPACITY = 2048
+KEM_CAPACITY = 4096
+
+
 class CryptoCaches:
-    """The cache bundle the hot paths consult when installed.
+    """The cache bundle the hot paths consult when installed."""
 
-    Default capacities are sized for the 1000-tenant TP1 sweep: each
-    tenant contributes a handful of distinct (digest, signature) pairs
-    and one KEM peer relationship, so 4096 entries hold the whole
-    working set without eviction churn.
-    """
-
-    def __init__(
-        self,
-        verify_capacity: int = 4096,
-        sign_capacity: int = 2048,
-        kem_capacity: int = 4096,
-    ) -> None:
-        self.verify = LruCache(verify_capacity)
-        self.sign = LruCache(sign_capacity)
-        self.kem_wrap = LruCache(kem_capacity)
-        self.kem_unwrap = LruCache(kem_capacity)
+    def __init__(self) -> None:
+        self.verify = LruCache(VERIFY_CAPACITY)
+        self.sign = LruCache(SIGN_CAPACITY)
+        self.kem_wrap = LruCache(KEM_CAPACITY)
+        self.kem_unwrap = LruCache(KEM_CAPACITY)
 
     def stats(self) -> dict[str, dict[str, float]]:
         return {
@@ -123,26 +118,15 @@ class CryptoCaches:
 caches: CryptoCaches | None = None
 
 
-def install(bundle: CryptoCaches) -> None:
-    """Install *bundle* as the process-wide crypto cache seat."""
-    global caches
-    caches = bundle
-
-
-def uninstall() -> None:
-    global caches
-    caches = None
-
-
 @contextmanager
-def crypto_caches(bundle: CryptoCaches | None = None):
-    """Scoped installation; restores whatever was installed before.
+def crypto_caches():
+    """Install a fresh :class:`CryptoCaches` for the scope; restores
+    whatever was installed before.
 
-    Yields the active bundle (a fresh :class:`CryptoCaches` when none
-    is passed) so callers can read ``bundle.stats()`` afterwards.
+    Yields the bundle so callers can read ``bundle.stats()`` afterwards.
     """
     global caches
-    active = bundle if bundle is not None else CryptoCaches()
+    active = CryptoCaches()
     previous = caches
     caches = active
     try:

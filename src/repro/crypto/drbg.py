@@ -99,12 +99,6 @@ class HmacDrbg:
             raise CryptoError("cannot choose from an empty sequence")
         return seq[self.randint(0, len(seq) - 1)]
 
-    def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randint(0, i)
-            items[i], items[j] = items[j], items[i]
-
     def fork(self, label: str | bytes) -> "HmacDrbg":
         """Derive an independent child generator.
 

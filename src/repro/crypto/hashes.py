@@ -15,7 +15,6 @@ from ..errors import CryptoError
 
 __all__ = [
     "digest",
-    "hexdigest",
     "DIGEST_SIZES",
     "HASH_NAMES",
 ]
@@ -34,8 +33,3 @@ def digest(name: str, data: bytes) -> bytes:
     if constructor is None:
         raise CryptoError(f"unknown hash algorithm: {name!r}")
     return constructor(data).digest()
-
-
-def hexdigest(name: str, data: bytes) -> str:
-    """Hex form of :func:`digest`."""
-    return digest(name, data).hex()

@@ -21,7 +21,7 @@ from hmac import compare_digest
 from ..errors import CryptoError
 from .hashes import _CONSTRUCTORS
 
-__all__ = ["rfc2104_hmac", "hmac_digest", "verify_hmac", "constant_time_equals"]
+__all__ = ["rfc2104_hmac", "hmac_digest", "constant_time_equals"]
 
 _BLOCK_SIZE = 64  # both MD5 and SHA-256 use 64-byte blocks
 #: ``key.translate(table)`` XORs every byte of a padded key with the
@@ -53,8 +53,3 @@ def constant_time_equals(a: bytes, b: bytes) -> bool:
     this anyway so the code models the correct practice.
     """
     return compare_digest(a, b)
-
-
-def verify_hmac(key: bytes, message: bytes, tag: bytes, name: str = "sha256") -> bool:
-    """Recompute and compare an HMAC tag in constant time."""
-    return constant_time_equals(hmac_digest(key, message, name), tag)

@@ -111,9 +111,6 @@ class CertificateAuthority:
         """Add a certificate serial to the revocation list."""
         self._revoked.add(serial)
 
-    def is_revoked(self, serial: int) -> bool:
-        return serial in self._revoked
-
     def validate(self, cert: Certificate, at_time: float = 0.0) -> None:
         """Raise :class:`CertificateError` unless *cert* is currently valid."""
         if cert.issuer != self.name:
@@ -157,12 +154,3 @@ class KeyRegistry:
             return self._certs[subject].public_key
         except KeyError as exc:
             raise CertificateError(f"no certificate registered for {subject!r}") from exc
-
-    def certificate(self, subject: str) -> Certificate:
-        try:
-            return self._certs[subject]
-        except KeyError as exc:
-            raise CertificateError(f"no certificate registered for {subject!r}") from exc
-
-    def known_subjects(self) -> list[str]:
-        return sorted(self._certs)

@@ -156,7 +156,11 @@ def generate_prime(bits: int, rng: "HmacDrbg") -> int:
             return candidate
 
 
-def generate_safe_prime(bits: int, rng: "HmacDrbg", max_tries: int = 100000) -> int:
+#: Candidate q values :func:`generate_safe_prime` draws before it gives up.
+SAFE_PRIME_TRIES = 100000
+
+
+def generate_safe_prime(bits: int, rng: "HmacDrbg") -> int:
     """Generate a safe prime ``p = 2q + 1`` with *bits* bits.
 
     Safe primes make every quadratic residue generate the order-q
@@ -164,9 +168,9 @@ def generate_safe_prime(bits: int, rng: "HmacDrbg", max_tries: int = 100000) -> 
     """
     if bits < 16:
         raise CryptoError(f"safe prime size too small: {bits} bits")
-    for _ in range(max_tries):
+    for _ in range(SAFE_PRIME_TRIES):
         q = generate_prime(bits - 1, rng)
         p = 2 * q + 1
         if is_prime(p, rng):
             return p
-    raise CryptoError(f"no safe prime found in {max_tries} tries")
+    raise CryptoError(f"no safe prime found in {SAFE_PRIME_TRIES} tries")

@@ -59,10 +59,6 @@ class RsaPublicKey:
     e: int
 
     @property
-    def bits(self) -> int:
-        return self.n.bit_length()
-
-    @property
     def size_bytes(self) -> int:
         return bit_length_bytes(self.n)
 
@@ -83,10 +79,6 @@ class RsaPrivateKey:
     q: int
 
     @property
-    def bits(self) -> int:
-        return self.n.bit_length()
-
-    @property
     def size_bytes(self) -> int:
         return bit_length_bytes(self.n)
 
@@ -99,11 +91,6 @@ class RsaPrivateKey:
         Cached outside the dataclass fields, so equality, repr and the
         pickled state never see it."""
         return self.d % (self.p - 1), self.d % (self.q - 1), modinv(self.q, self.p)
-
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state.pop("_crt", None)
-        return state
 
     def _private_op(self, c: int) -> int:
         """``c**d mod n`` via CRT (≈4x faster than the naive pow)."""

@@ -219,9 +219,6 @@ class PartyState:
             self._evidence_keys.add(key)
             self.evidence.append(ev_dict)
 
-    def evidence_keys(self) -> set[tuple[str, bytes]]:
-        return set(self._evidence_keys)
-
     # -- replay --------------------------------------------------------------
 
     def apply_record(self, record: dict) -> None:
@@ -364,12 +361,6 @@ class PartyState:
             "evidence": [dict(e) for e in self.evidence],
             "role_state": role_state,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PartyState":
-        state = cls(d["role"])
-        state.apply_snapshot(d)
-        return state
 
 
 def rebuild(records: list[dict], role: str) -> tuple[PartyState, int]:

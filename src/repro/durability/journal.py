@@ -9,7 +9,7 @@ through **before** acting on it — the WAL discipline.  It owns:
   (``<name>.wal.blobs``, a :class:`~repro.durability.wal.BlobSegment`):
   every payload field of a record or snapshot is written there once and
   the log carries its SHA-256 instead,
-* the snapshot cadence (every ``snapshot_interval`` records a
+* the snapshot cadence (every :data:`SNAPSHOT_INTERVAL` records a
   :class:`~repro.durability.checkpoint.PartyState` snapshot is written
   *before* the triggering record, bounding replay work).  A snapshot
   carries only what changed since the journal's previous one (its
@@ -33,7 +33,6 @@ from .checkpoint import (
     PartyState,
     capture_state,
     evidence_to_dict,
-    header_to_dict,
     rebuild,
     txn_to_dict,
 )
@@ -48,6 +47,9 @@ from .wal import (
 
 __all__ = ["PartyJournal"]
 
+#: Records between two snapshots.
+SNAPSHOT_INTERVAL = 48
+
 
 class PartyJournal:
     """Durable journal for one party, over one stable-store file."""
@@ -57,14 +59,13 @@ class PartyJournal:
         store: StableStore,
         filename: str,
         role: str,
-        snapshot_interval: int = 48,
         crash_policy: CrashFaultPolicy = HONEST_DISK,
         fault_rng: HmacDrbg | None = None,
     ) -> None:
         self.wal = WriteAheadLog(store, filename)
         self.blobs = BlobSegment(store, f"{filename}.blobs")
         self.role = role
-        self.snapshot_interval = max(1, snapshot_interval)
+        self.snapshot_interval = SNAPSHOT_INTERVAL
         self.crash_policy = crash_policy
         self.fault_rng = fault_rng
         self._party = None
@@ -81,9 +82,9 @@ class PartyJournal:
         # reports it; the cut itself leaves no trace in the file).
         self.tail_cut = False
         # Incremental record of every evidence key fsynced so far; with
-        # an honest disk this equals the scan-derived
-        # :meth:`durable_evidence_keys` (a lying disk makes them differ
-        # — which is exactly what the durability audit must notice).
+        # an honest disk this equals the evidence a scan of the durable
+        # prefix rebuilds (a lying disk makes them differ — which is
+        # exactly what the durability audit must notice).
         self.acked_evidence: set[tuple[str, bytes]] = set()
 
     def bind(self, party) -> None:
@@ -211,9 +212,3 @@ class PartyJournal:
         scan = self.durable_scan()
         state, snapshots = rebuild(scan.records, self.role)
         return state, scan, snapshots
-
-    def durable_evidence_keys(self) -> set[tuple[str, bytes]]:
-        """Identity keys of every durably-acknowledged piece of
-        evidence — the set the campaign audit checks is never lost."""
-        state, _, _ = self.durable_state()
-        return state.evidence_keys()

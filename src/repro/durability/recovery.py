@@ -57,23 +57,10 @@ class RecoveryReport:
     escalated: int = 0
     actions: list[str] = field(default_factory=list)
 
-    def describe(self) -> str:
-        return (
-            f"{self.party}/{self.role}: {self.records_replayed} records"
-            f" ({self.snapshots_seen} snapshots"
-            f"{', tail truncated' if self.tail_truncated else ''}),"
-            f" {self.transactions} txns, {self.evidence_restored} evidence,"
-            f" {self.resumed} resumed, {self.escalated} escalated"
-        )
 
-
-def recover(party: "TpnrParty", resume: bool = True) -> RecoveryReport:
-    """Rebuild *party* from its journal's durable prefix.
-
-    With ``resume=False`` only the state restore runs (useful for
-    inspecting what a recovery *would* see); with the default, in-flight
-    work is re-sent or escalated as documented above.
-    """
+def recover(party: "TpnrParty") -> RecoveryReport:
+    """Rebuild *party* from its journal's durable prefix, then re-send or
+    escalate its in-flight work as documented above."""
     journal = party.journal
     role = journal.role if journal is not None else "unknown"
     report = RecoveryReport(party=party.name, role=role)
@@ -112,12 +99,11 @@ def recover(party: "TpnrParty", resume: bool = True) -> RecoveryReport:
                     snapshots=report.snapshots_seen,
                     tail_truncated=report.tail_truncated,
                 )
-    if resume:
-        if role == "client":
-            _resume_client(party, report)
-        elif role == "ttp":
-            _resume_ttp(party, state, report)
-        # provider: reactive role; restored state is the whole job.
+    if role == "client":
+        _resume_client(party, report)
+    elif role == "ttp":
+        _resume_ttp(party, state, report)
+    # provider: reactive role; restored state is the whole job.
     if obs.enabled:
         for action in report.actions:
             # Actions read "<what>: <transaction id>"; annotate the span

@@ -192,9 +192,6 @@ class StableStore:
         f = self._file(filename)
         return bytes(f.durable) + bytes(f.pending)
 
-    def pending_bytes(self, filename: str) -> int:
-        return len(self._file(filename).pending)
-
     def truncate_durable(self, filename: str, size: int) -> None:
         """Cut *filename*'s durable region to *size* bytes (a restarted
         process trimming an unparseable tail before appending again)."""

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 from ..core.client import DownloadResult, TpnrClient
 from ..core.policy import DEFAULT_POLICY, TpnrPolicy
-from ..core.protocol import DEFAULT_KEY_BITS, settle_batches
+from ..core.protocol import settle_batches
 from ..core.provider import HONEST, ProviderBehavior, TpnrProvider
 from ..core.transaction import TransactionRecord, TxStatus
 from ..core.ttp import TrustedThirdParty
@@ -77,11 +77,11 @@ def attach_engine_detectors(
 ) -> AnomalyMonitor:
     """Subscribe the pool's retransmit rate-shift detector.
 
-    One poll window is one ``sample_interval`` slice of the driving
+    One poll window is one ``SAMPLE_INTERVAL`` slice of the driving
     loop, so a retransmission storm fires while the pool is still
     running — the live complement to the post-mortem forensics layer.
     Session success and latency are error-budget questions, answered by
-    :func:`~repro.obs.slo.standard_engine_slos` (``EngineConfig.slo``).
+    :func:`~repro.obs.slo.standard_engine_slos`.
     """
     monitor.add(RateShiftDetector(
         "retransmit-rate", retransmit_reader,
@@ -105,28 +105,35 @@ def latency_quantiles(sketches: list[QuantileSketch]) -> tuple[float, float]:
     return merged.quantile(0.50), merged.quantile(0.99)
 
 
+#: Upload payload sizes, drawn uniformly from [PAYLOAD_MIN, PAYLOAD_MAX].
+PAYLOAD_MIN, PAYLOAD_MAX = 64, 512
+#: Uploads start uniformly inside this window (sim s).
+ARRIVAL_WINDOW = 5.0
+#: The drive loop's slice: in-flight gauge samples, detector and SLO
+#: polls happen once per slice (sim s).
+SAMPLE_INTERVAL = 0.5
+
+
 def _seed_bytes(seed: bytes | str) -> bytes:
     return seed.encode("utf-8") if isinstance(seed, str) else bytes(seed)
 
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Knobs for one pool run."""
+    """Knobs for one pool run.
+
+    Every session uploads a payload and downloads it back.  Payload
+    sizes, arrival times and the drive loop's slice are the module
+    constants above; keys are ``pki.DEFAULT_KEY_BITS``.
+    """
 
     n_tenants: int = 10
     transactions_per_tenant: int = 1
-    payload_min: int = 64
-    payload_max: int = 512
-    arrival_window: float = 5.0  # uploads start uniformly inside this (sim s)
-    with_download: bool = True
-    key_bits: int = DEFAULT_KEY_BITS
     use_caches: bool = True
-    # Telemetry: metrics, the latency sketch, SLOs and detectors; never
-    # spans (a pool session's span tree has no reader).
+    # Telemetry: metrics, the latency sketch, the standard engine SLOs
+    # and the retransmit detector; never spans (a pool session's span
+    # tree has no reader).
     observe: bool = True
-    sample_interval: float = 0.5  # in-flight gauge sampling period (sim s)
-    anomaly: bool = True  # poll anomaly detectors per sample (observe only)
-    slo: bool = True  # evaluate the standard engine SLOs (observe only)
     # Merkle-batched evidence: one RSA signature per batch of this many
     # evidence leaves (None = classic per-message signatures).  Batch
     # layout never reaches the wire accounting (the blob is the fixed
@@ -142,8 +149,6 @@ class EngineConfig:
             raise ValueError("n_tenants must be >= 1")
         if self.transactions_per_tenant < 1:
             raise ValueError("transactions_per_tenant must be >= 1")
-        if not 0 < self.payload_min <= self.payload_max:
-            raise ValueError("need 0 < payload_min <= payload_max")
         if self.batch_size is not None and self.batch_size < 1:
             raise ValueError("batch_size must be >= 1 (or None for per-message)")
         if self.profile and not self.observe:
@@ -168,16 +173,10 @@ class TenantDirectory:
     regenerate).  Because streams are *named*, two shards asking for
     the same label get equal, independent streams — a label collision
     across shards yields the same keys, not corrupted ones.
-
-    ``len(directory)`` counts only **materialized** identities (the CA
-    is not an identity and never counts); a directory object itself is
-    always truthy — an empty-but-live directory must still be honored,
-    which is why consumers check ``is None``, never falsiness.
     """
 
-    def __init__(self, seed: bytes | str = b"tpnr-engine", key_bits: int = DEFAULT_KEY_BITS) -> None:
+    def __init__(self, seed: bytes | str = b"tpnr-engine") -> None:
         self._seed = _seed_bytes(seed)
-        self.key_bits = key_bits
         self._identities: dict[str, Identity] = {}
         self._ca: CertificateAuthority | None = None
         self._lock = threading.RLock()
@@ -195,9 +194,7 @@ class TenantDirectory:
         with self._lock:
             found = self._identities.get(name)
             if found is None:
-                found = Identity.generate(
-                    name, self.stream(f"engine/identity/{name}"), bits=self.key_bits
-                )
+                found = Identity.generate(name, self.stream(f"engine/identity/{name}"))
                 self._identities[name] = found
                 self.keygen_count += 1
             return found
@@ -205,23 +202,13 @@ class TenantDirectory:
     def certificate_authority(self) -> CertificateAuthority:
         with self._lock:
             if self._ca is None:
-                self._ca = CertificateAuthority(
-                    "repro-ca", self.stream("engine/ca"), bits=self.key_bits
-                )
+                self._ca = CertificateAuthority("repro-ca", self.stream("engine/ca"))
             return self._ca
 
     def warm(self, names: list[str]) -> None:
         """Pre-generate identities outside any timed region."""
         for name in names:
             self.identity(name)
-
-    def __len__(self) -> int:
-        """Materialized identities only (the CA does not count)."""
-        return len(self._identities)
-
-    def __bool__(self) -> bool:
-        """Always truthy: emptiness is not absence (see class docs)."""
-        return True
 
 
 @dataclass
@@ -291,7 +278,7 @@ class PoolResult:
     # Rate-shift alerts from the sampling loop; telemetry only, excluded
     # from signature() like the cache statistics.
     alerts: list = dataclass_field(default_factory=list)
-    # End-of-run SLOReport (config.slo); telemetry only, excluded from
+    # End-of-run SLOReport (observed pools); telemetry only, excluded from
     # signature() like alerts.
     slo: object | None = None
     # Batched-evidence telemetry ({"batches": n, "leaves": n,
@@ -314,10 +301,6 @@ class PoolResult:
     @property
     def verified(self) -> int:
         return sum(1 for s in self.sessions if s.download_verified)
-
-    @property
-    def failed(self) -> int:
-        return len(self.sessions) - self.completed
 
     @property
     def rsa_private_ops(self) -> int | None:
@@ -371,12 +354,8 @@ class SessionPool:
         # `is None`, not `or`: consumers must never rely on directory
         # truthiness (an empty directory memoizes as the pool builds).
         if directory is None:
-            directory = TenantDirectory(self._seed, key_bits=config.key_bits)
+            directory = TenantDirectory(self._seed)
         self.directory = directory
-        if self.directory.key_bits != config.key_bits:
-            raise ValueError(
-                f"directory key_bits {self.directory.key_bits} != config {config.key_bits}"
-            )
         self.channel = channel
         self.policy = policy
         self.behavior = behavior
@@ -475,12 +454,11 @@ class SessionPool:
                     EvidenceBatcher(party.identity, config.batch_size, self.ledger),
                 )
         self.monitor = None
-        if config.observe and config.anomaly:
+        self.slos = None
+        if config.observe:
             self.monitor = attach_engine_detectors(
                 self._obs.monitor, self._obs.metrics, self._total_retransmits
             )
-        self.slos = None
-        if config.observe and config.slo:
             sim = self.sim
             self.slos = standard_engine_slos(
                 SLOManager(self._obs.metrics, clock=lambda: sim.now))
@@ -513,9 +491,9 @@ class SessionPool:
             with self.profiler.region("engine/workload", invariant=True):
                 workload = self._stream(f"engine/workload/{name}")
                 for k in range(config.transactions_per_tenant):
-                    size = workload.randint(config.payload_min, config.payload_max)
+                    size = workload.randint(PAYLOAD_MIN, PAYLOAD_MAX)
                     payload = workload.generate(size)
-                    offset = workload.random() * config.arrival_window
+                    offset = workload.random() * ARRIVAL_WINDOW
                     transaction_id = f"TXN-E{index:04d}-{k:03d}"
                     self._sessions[transaction_id] = SessionRecord(
                         tenant=name,
@@ -543,11 +521,7 @@ class SessionPool:
         assert self.sim is not None
         session.upload_status = record.status.value
         session.upload_done_at = self.sim.now
-        chain_download = (
-            self.config.with_download
-            and record.status in (TxStatus.COMPLETED, TxStatus.RESOLVED)
-        )
-        if chain_download:
+        if record.status in (TxStatus.COMPLETED, TxStatus.RESOLVED):
             self.clients[session.tenant].download(record.transaction_id)
         else:
             self._finish_session(session)
@@ -584,7 +558,7 @@ class SessionPool:
         obs = self._obs
         monitor = self.monitor
         while sim.next_event_time() is not None:
-            sim.run(until=sim.now + self.config.sample_interval)
+            sim.run(until=sim.now + SAMPLE_INTERVAL)
             if obs.enabled:
                 obs.metrics.gauge("engine.inflight_sessions").set(self._inflight)
                 if monitor is not None:

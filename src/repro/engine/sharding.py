@@ -34,7 +34,7 @@ interact with each other, only with the provider/TTP, and
 * wire sizes are layout-invariant (RSA/KEM blobs are modulus-sized,
   batched-evidence blobs are the fixed 32-byte leaf), so per-shard
   ``bytes_on_wire`` sums to the global number;
-* the drive loop advances the clock on the ``sample_interval`` grid,
+* the drive loop advances the clock on the ``SAMPLE_INTERVAL`` grid,
   so a shard's ``sim_duration`` is a pure function of its last event
   time — the max over shards equals the global run's duration;
 * provider/TTP tallies are sums of per-event counters, so key-wise
@@ -60,7 +60,6 @@ from __future__ import annotations
 from dataclasses import replace
 
 from ..core.policy import DEFAULT_POLICY, TpnrPolicy
-from ..core.protocol import DEFAULT_KEY_BITS
 from ..core.provider import HONEST, ProviderBehavior
 from ..crypto.hmac_ import hmac_digest
 from ..net.channel import PERFECT, ChannelSpec
@@ -226,7 +225,7 @@ class ShardedSessionPool:
         # (its lock makes the sharing safe), and every shard sees the
         # same keys for the provider/TTP names it re-instantiates.
         if directory is None:
-            directory = TenantDirectory(seed, key_bits=config.key_bits)
+            directory = TenantDirectory(seed)
         self.directory = directory
         self.channel = channel
         self.policy = policy
@@ -266,7 +265,6 @@ def run_pool(
     observe: bool = True,
     shards: int = 1,
     batch_size: int | None = None,
-    key_bits: int = DEFAULT_KEY_BITS,
     profile: bool = False,
     channel: ChannelSpec = PERFECT,
 ) -> PoolResult:
@@ -285,7 +283,6 @@ def run_pool(
         use_caches=use_caches,
         observe=observe,
         batch_size=batch_size,
-        key_bits=key_bits,
         profile=profile,
     )
     if shards > 1:

@@ -100,6 +100,3 @@ class PassiveEavesdropper(Adversary):
     def on_intercept(self, envelope: "Envelope") -> None:
         self.seen.append(envelope)
         self.forward(envelope)
-
-    def observed_kinds(self) -> list[str]:
-        return [e.kind for e in self.seen]

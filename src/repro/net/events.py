@@ -60,10 +60,6 @@ class Simulator:
     #: and the clock stays the one place the time is stored.
     now = property(attrgetter("clock._now"), doc="Current simulated time in seconds.")
 
-    @property
-    def events_processed(self) -> int:
-        return self._processed
-
     def schedule(self, delay: float, callback: Callable[[], None]) -> ScheduledEvent:
         """Schedule *callback* to run *delay* seconds from now."""
         if not delay >= 0:  # also rejects NaN

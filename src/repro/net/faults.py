@@ -608,10 +608,9 @@ class CampaignOutcome:
 
 @dataclass
 class CampaignReport:
-    """All outcomes of one campaign, renderable and comparable."""
+    """All outcomes of one campaign, comparable by signature."""
 
     seed: str
-    scenario: str
     outcomes: list[CampaignOutcome] = field(default_factory=list)
     # Alerts emitted during the run: rate shifts (anomaly=True) and SLO
     # burn (slo=True); excluded from signature() like all
@@ -635,10 +634,6 @@ class CampaignReport:
     def violation_count(self) -> int:
         return sum(len(o.violations) for o in self.outcomes)
 
-    @property
-    def finding_count(self) -> int:
-        return sum(len(o.findings) for o in self.outcomes)
-
     def finding_categories(self) -> dict[str, int]:
         """Forensic finding counts by category, across all plans."""
         counts: dict[str, int] = {}
@@ -653,33 +648,17 @@ class CampaignReport:
             counts[o.status] = counts.get(o.status, 0) + 1
         return dict(sorted(counts.items()))
 
-    def render(self) -> str:
-        from ..analysis.report import render_kv, render_table  # lazy: net must not import analysis at import time
-        from ..obs.campaign import breakdown_table  # lazy, same reason
-
-        table = render_table(
-            self.HEADERS,
-            [o.row() for o in self.outcomes],
-            title=f"Fault campaign seed={self.seed!r} scenario={self.scenario}",
-        )
-        summary = render_kv(
-            [
-                ("plans", len(self.outcomes)),
-                ("status counts", self.status_counts()),
-                ("hung sessions", self.hung_sessions),
-                ("invariant violations", self.violation_count),
-            ],
-            title="summary",
-        )
-        breakdown = breakdown_table(self)
-        return f"{table}\n{summary}\n{breakdown}"
-
     def signature(self) -> str:
         """Stable digest of the outcome table — two campaigns with the
         same seed must produce the same signature (transaction IDs are
         process-global and deliberately excluded from rows)."""
         body = "\n".join(repr(o.row()) for o in self.outcomes)
         return hashlib.sha256(body.encode()).hexdigest()
+
+
+#: Each plan's session uploads a payload of a size drawn from this
+#: inclusive range (bytes).
+PAYLOAD_RANGE = (64, 512)
 
 
 class CampaignRunner:
@@ -696,7 +675,6 @@ class CampaignRunner:
         self,
         seed: bytes | str = b"fault-campaign",
         scenario: str = "session",
-        payload_range: tuple[int, int] = (64, 512),
         durable: bool = False,
         observe: bool = False,
         forensics: bool = False,
@@ -712,7 +690,6 @@ class CampaignRunner:
             raise ValueError("SLO evaluation requires observe=True")
         self.seed = seed if isinstance(seed, str) else seed.decode("latin-1")
         self.scenario = scenario
-        self.payload_range = payload_range
         self.durable = durable
         self.observe = observe
         self.forensics = forensics
@@ -761,8 +738,8 @@ class CampaignRunner:
             slos = standard_campaign_slos(
                 SLOManager(dep.obs.metrics, clock=lambda: dep.sim.now))
             self.slos = slos
-        report = CampaignReport(seed=self.seed, scenario=self.scenario)
-        lo, hi = self.payload_range
+        report = CampaignReport(seed=self.seed)
+        lo, hi = PAYLOAD_RANGE
         for index, plan in enumerate(plans):
             payload = self._rng.generate(self._rng.randint(lo, hi))
             injector = FaultInjector(plan)

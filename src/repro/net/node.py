@@ -67,6 +67,3 @@ class Node:
     def on_message(self, envelope: "Envelope") -> None:
         """Handle a delivered message.  Subclasses must override."""
         raise NotImplementedError(f"{type(self).__name__} does not handle messages")
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"{type(self).__name__}({self.name!r})"

@@ -51,9 +51,6 @@ class ClientHello:
     random: bytes
     dh_public: int
 
-    def wire_size(self) -> int:
-        return len(self.client_name) + _RANDOM_SIZE + (self.dh_public.bit_length() + 7) // 8
-
 
 @dataclass(frozen=True)
 class ServerHello:
@@ -63,23 +60,10 @@ class ServerHello:
     certificate: Certificate
     signature: bytes
 
-    def wire_size(self) -> int:
-        return (
-            len(self.server_name)
-            + _RANDOM_SIZE
-            + (self.dh_public.bit_length() + 7) // 8
-            + len(self.certificate.to_signed_bytes())
-            + len(self.certificate.signature)
-            + len(self.signature)
-        )
-
 
 @dataclass(frozen=True)
 class Finished:
     verify_data: bytes
-
-    def wire_size(self) -> int:
-        return len(self.verify_data)
 
 
 @dataclass(frozen=True)
@@ -88,9 +72,6 @@ class Record:
 
     seq: int
     sealed: bytes
-
-    def wire_size(self) -> int:
-        return 8 + len(self.sealed)
 
 
 def _transcript(hello_c: ClientHello, random_s: bytes, dh_s: int) -> bytes:

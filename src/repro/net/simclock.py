@@ -23,27 +23,8 @@ class SimClock:
             raise NetworkError("clock cannot start at NaN")
         self._now = start
 
-    @property
-    def now(self) -> float:
-        return self._now
-
     def advance_to(self, t: float) -> None:
         """Jump forward to absolute time *t* (never backwards)."""
         if not t >= self._now:  # also rejects NaN
             raise NetworkError(f"clock cannot move backwards or to NaN: {t} < {self._now}")
         self._now = t
-
-    def advance_by(self, dt: float) -> None:
-        """Advance by *dt* >= 0 seconds.
-
-        Delegates to :meth:`advance_to` so relative steps share the
-        absolute path's monotonicity check and rounding — mixing the
-        two must not accumulate float drift against the scheduler's
-        absolute ``advance_to`` timestamps.
-        """
-        if not dt >= 0:  # also rejects NaN
-            raise NetworkError(f"negative or NaN clock step: {dt}")
-        self.advance_to(self._now + dt)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"SimClock(t={self._now:.6f})"

@@ -54,12 +54,6 @@ class TraceRecorder:
         """All send events whose kind starts with *kind_prefix*."""
         return [e for e in self.events if e.action == "send" and e.kind.startswith(kind_prefix)]
 
-    def deliveries(self, kind_prefix: str = "") -> list[TraceEvent]:
-        return [e for e in self.events if e.action == "deliver" and e.kind.startswith(kind_prefix)]
-
-    def drops(self) -> list[TraceEvent]:
-        return [e for e in self.events if e.action == "drop"]
-
     def faults(self) -> list[TraceEvent]:
         """All fault-injection decisions (actions ``fault.*``)."""
         return [e for e in self.events if e.action.startswith("fault.")]
@@ -74,16 +68,6 @@ class TraceRecorder:
         """Number of protocol messages sent (the paper's "steps")."""
         return len(self.sends(kind_prefix))
 
-    def bytes_sent(self, kind_prefix: str = "") -> int:
-        return sum(e.size_bytes for e in self.sends(kind_prefix))
-
-    def participants(self) -> set[str]:
-        out: set[str] = set()
-        for e in self.events:
-            out.add(e.src)
-            out.add(e.dst)
-        return out
-
     def span(self) -> float:
         """Simulated time between the first and last event."""
         if not self.events:
@@ -95,16 +79,6 @@ class TraceRecorder:
         """Ordered (src, dst, kind) triples — compared against the
         figure-6 flows in tests and benchmarks."""
         return [(e.src, e.dst, e.kind) for e in self.events if e.action == action]
-
-    def fault_notes(self) -> list["FaultNote"]:
-        """Every ``fault.*`` decision's note, parsed into a
-        :class:`FaultNote` (unparseable notes are skipped)."""
-        out = []
-        for event in self.faults():
-            parsed = parse_fault_note(event.note)
-            if parsed is not None:
-                out.append(parsed)
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -128,8 +102,7 @@ class FaultNote:
 
     Rule decisions have ``rule``/``action`` set; crash-window marks
     have ``node``/``start``/``duration`` set with ``action`` holding
-    the window kind.  :meth:`render` reproduces the exact note string,
-    so ``parse_fault_note(note).render() == note`` round-trips.
+    the window kind.
     """
 
     plan: str
@@ -138,18 +111,6 @@ class FaultNote:
     node: str = ""
     start: float = 0.0
     duration: float = 0.0
-
-    @property
-    def is_crash_window(self) -> bool:
-        return bool(self.node)
-
-    def render(self) -> str:
-        if self.is_crash_window:
-            return (
-                f"plan={self.plan} {self.action}"
-                f"({self.node} @{self.start:g}s +{self.duration:g}s)"
-            )
-        return f"plan={self.plan} rule={self.rule} action={self.action}"
 
 
 def parse_fault_note(note: str) -> FaultNote | None:

@@ -45,7 +45,7 @@ and multi-window burn-rate alerting;
 view of a running campaign; :mod:`repro.obs.profiler` attributes call
 counts and sim time to hierarchical regions, extracts
 critical paths from span trees, and exports flamegraphs/profile
-JSONL (``obs.enable_profiler()`` seats it — the seat is
+JSONL (a pool seats its profiler in ``obs.profiler`` — the seat is
 :data:`~repro.obs.profiler.NULL_PROFILER` until then).
 """
 
@@ -73,7 +73,6 @@ from .anomaly import (
 )
 from .campaign import (
     attach_campaign_detectors,
-    breakdown_table,
     class_breakdown,
     fault_class,
     record_campaign_metrics,
@@ -201,7 +200,6 @@ __all__ = [
     "span_tree_text",
     "fault_class",
     "class_breakdown",
-    "breakdown_table",
     "record_campaign_metrics",
     "attach_campaign_detectors",
 ]
@@ -213,26 +211,15 @@ class Observability:
     enabled = True
 
     def __init__(self, clock=None) -> None:
-        self._clock = clock
         self.metrics = MetricsRegistry(clock)
         self.tracer = Tracer(clock)
         # The anomaly seat: detectors are attached by whoever drives
         # the deployment (pool, campaign runner); with none attached a
         # poll is a no-op, so the seat costs nothing until used.
         self.monitor = AnomalyMonitor(self.metrics, clock)
-        # The profiler seat: NULL until enable_profiler() swaps in a
-        # live RegionProfiler, so the cost model matches NULL_METRICS.
+        # The profiler seat: NULL until a pool seats its live
+        # RegionProfiler, so the cost model matches NULL_METRICS.
         self.profiler = NULL_PROFILER
-
-    def enable_profiler(self, alpha: float | None = None) -> RegionProfiler:
-        """Seat a live :class:`RegionProfiler` sharing this bundle's
-        sim clock (idempotent: an already-live profiler is kept)."""
-        if not self.profiler.enabled:
-            if alpha is None:
-                self.profiler = RegionProfiler(self._clock)
-            else:
-                self.profiler = RegionProfiler(self._clock, alpha=alpha)
-        return self.profiler
 
     def observe_crypto(self):
         """Scope crypto hot-path accounting to a ``with`` block; calls
@@ -261,15 +248,10 @@ class NullObservability(Observability):
     enabled = False
 
     def __init__(self) -> None:
-        self._clock = None
         self.metrics = NULL_METRICS
         self.tracer = NULL_TRACER
         self.monitor = AnomalyMonitor(NULL_METRICS)
         self.profiler = NULL_PROFILER
-
-    def enable_profiler(self, alpha: float | None = None) -> RegionProfiler:
-        """Disabled observability never profiles: the seat stays NULL."""
-        return self.profiler
 
 
 NULL_OBS = NullObservability()

@@ -73,7 +73,6 @@ class Detector:
         self.name = name
         self.subject = subject
         self.fired = 0
-        self._firing = False
 
     def sample(self, now: float) -> list[Alert]:  # pragma: no cover - abstract
         raise NotImplementedError
@@ -81,19 +80,6 @@ class Detector:
     def _alert(self, now: float, value: float, threshold: float, detail: str) -> Alert:
         self.fired += 1
         return Alert(now, self.name, self.subject, value, threshold, detail)
-
-    def _gate(self, violated: bool, edge: bool) -> bool:
-        """Edge-trigger a level condition: emit only on entry.
-
-        Windowed detectors hold their condition true for up to
-        ``window`` polls after one bad sample; paging on every poll of
-        that plateau is noise.  With ``edge`` set, the detector fires
-        once on the transition into violation and re-arms when a poll
-        comes back healthy.
-        """
-        emit = violated and not (edge and self._firing)
-        self._firing = violated
-        return emit
 
 
 class RateShiftDetector(Detector):
@@ -151,6 +137,11 @@ class BurnRateDetector(Detector):
     ``burn = windowed_failure_fraction / (1 - slo)``: burn 1.0 consumes
     the budget exactly at the sustainable pace; ``threshold`` of e.g.
     2.0 fires when errors arrive twice as fast as the SLO tolerates.
+
+    The detector is edge-triggered: the window holds the condition true
+    for up to ``window`` polls after one bad sample, and paging on every
+    poll of that plateau is noise.  It fires once on the transition into
+    violation and re-arms when a poll comes back healthy.
     """
 
     def __init__(
@@ -163,7 +154,6 @@ class BurnRateDetector(Detector):
         threshold: float = 2.0,
         window: int = 8,
         min_events: float = 4.0,
-        edge: bool = True,
     ) -> None:
         if not 0.0 < slo < 1.0:
             raise ValueError(f"slo must be in (0, 1), got {slo}")
@@ -174,7 +164,7 @@ class BurnRateDetector(Detector):
         self.budget = 1.0 - slo
         self.threshold = threshold
         self.min_events = min_events
-        self.edge = edge
+        self._firing = False
         self._snaps: deque[tuple[float, float]] = deque(maxlen=window)
 
     def burn(self, counts: tuple[float, float] | None = None
@@ -203,11 +193,12 @@ class BurnRateDetector(Detector):
         burn, delta_bad, total = self.burn(counts)
         violated = total >= self.min_events and burn >= self.threshold
         out: list[Alert] = []
-        if self._gate(violated, self.edge):
+        if violated and not self._firing:
             out.append(self._alert(
                 now, burn, self.threshold,
                 f"{delta_bad:g}/{total:g} failed vs slo {self.slo:g}",
             ))
+        self._firing = violated
         self._snaps.append(counts)
         return out
 
@@ -243,15 +234,6 @@ class AnomalyMonitor:
             fresh.extend(detector.sample(now))
         self.alerts.extend(fresh)
         return fresh
-
-    def alert_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for alert in self.alerts:
-            counts[alert.detector] = counts.get(alert.detector, 0) + 1
-        return dict(sorted(counts.items()))
-
-    def table(self, title: str = "Alerts") -> str:
-        return alerts_table(self.alerts, title=title)
 
 
 def alerts_table(alerts: list[Alert], title: str = "Alerts") -> str:

@@ -26,7 +26,6 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "fault_class",
     "class_breakdown",
-    "breakdown_table",
     "record_campaign_metrics",
     "attach_campaign_detectors",
 ]
@@ -93,27 +92,6 @@ def class_breakdown(report: "CampaignReport") -> list[dict]:
             "latency": latency,
         })
     return rows
-
-
-def breakdown_table(report: "CampaignReport") -> str:
-    """The per-fault-class breakdown as a human-readable table."""
-    from ..analysis.report import render_table  # lazy: obs must stay importable from net/core
-
-    rows = []
-    for r in class_breakdown(report):
-        status_mix = " ".join(f"{k}:{v}" for k, v in r["statuses"].items())
-        rows.append([
-            r["fault_class"], r["plans"], status_mix,
-            r["retries"], f"{r['retries_mean']:.2f}",
-            f"{r['escalation_rate']:.0%}", r["recoveries"],
-            r["wal_replayed"], f"{r['elapsed_mean']:.3f}s", r["violations"],
-        ])
-    return render_table(
-        ["class", "plans", "statuses", "retx", "retx/plan",
-         "escal", "recov", "wal-replay", "mean-latency", "viol"],
-        rows,
-        title=f"Per-fault-class breakdown seed={report.seed!r} scenario={report.scenario}",
-    )
 
 
 def attach_campaign_detectors(

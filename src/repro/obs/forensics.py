@@ -659,14 +659,9 @@ class DisputeDossier:
         cls,
         dep: "Deployment",
         transaction_id: str,
-        claimant_name: str | None = None,
-        exclusive_trace: bool = False,
     ) -> "DisputeDossier":
-        claimant = (dep.client if claimant_name is None
-                    else dep.any_client(claimant_name))
-        auditor = ConsistencyAuditor.for_deployment(
-            dep, exclusive_trace=exclusive_trace
-        )
+        """The dossier of *dep*'s client against its provider."""
+        auditor = ConsistencyAuditor.for_deployment(dep)
         timeline = auditor.reconstructor.reconstruct(transaction_id)
         return cls(
             transaction_id=transaction_id,
@@ -674,7 +669,7 @@ class DisputeDossier:
             ttp_name=dep.ttp.name,
             timeline=timeline,
             findings=auditor.audit(transaction_id, timeline),
-            claimant_evidence=claimant.evidence_store.for_transaction(transaction_id),
+            claimant_evidence=dep.client.evidence_store.for_transaction(transaction_id),
             respondent_evidence=dep.provider.evidence_store.for_transaction(transaction_id),
         )
 

@@ -73,12 +73,6 @@ class Gauge:
     def set(self, value: float) -> None:
         self.value = float(value)
 
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-
 
 @dataclass
 class Histogram:
@@ -121,10 +115,6 @@ class Histogram:
             self.min = value
         if self.max is None or value > self.max:
             self.max = value
-
-    @property
-    def mean(self) -> float:
-        return self.sum / self.count if self.count else 0.0
 
 
 class MetricsRegistry:
@@ -265,12 +255,6 @@ class _NullCounter(Counter):
 
 class _NullGauge(Gauge):
     def set(self, value: float) -> None:
-        pass
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def dec(self, amount: float = 1.0) -> None:
         pass
 
 

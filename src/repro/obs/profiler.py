@@ -81,14 +81,6 @@ class RegionStat:
     self_sim_total: float = 0.0
     sim_sketch: QuantileSketch = field(default=None)  # type: ignore[assignment]
 
-    @property
-    def name(self) -> str:
-        return self.path.rsplit(PATH_SEP, 1)[-1]
-
-    @property
-    def depth(self) -> int:
-        return self.path.count(PATH_SEP)
-
     def row(self) -> dict:
         """The exported fields: calls and sim-clock totals/quantiles."""
         return {
@@ -222,13 +214,6 @@ class RegionProfiler:
         """Every region stat, sorted by path (creation-order free)."""
         return [self._stats[path] for path in sorted(self._stats)]
 
-    def get(self, path: str) -> RegionStat | None:
-        return self._stats.get(path)
-
-    @property
-    def open_regions(self) -> int:
-        return len(self._stack)
-
     # -- merging -------------------------------------------------------------
 
     def merge(self, other: "RegionProfiler") -> "RegionProfiler":
@@ -340,14 +325,15 @@ class CriticalPath:
         """The stage with the most self time (ties: first on the path)."""
         return max(self.stages, key=lambda s: s.self_seconds)
 
-    def reconciles(self, tolerance: float = 1e-9) -> bool:
-        """Do the stage self-times account for the measured elapsed?
+    def reconciles(self) -> bool:
+        """Do the stage self-times account for the measured elapsed,
+        to a relative 1e-9?
 
         False means dead time: somewhere on the path a child started
         after its parent span had already ended, and that gap belongs
         to no stage — the tree under-explains the transaction.
         """
-        return abs(self.length - self.total) <= tolerance * max(1.0, abs(self.total))
+        return abs(self.length - self.total) <= 1e-9 * max(1.0, abs(self.total))
 
     def rows(self) -> list[list]:
         return [

@@ -91,10 +91,6 @@ class QuantileSketch:
 
     # -- reading -------------------------------------------------------------
 
-    @property
-    def mean(self) -> float:
-        return self.sum / self.count if self.count else 0.0
-
     def quantile(self, q: float) -> float:
         """The *q*-quantile, within ``alpha`` relative error.
 

@@ -25,7 +25,6 @@ Prometheus/JSONL exporters carry the SLO surface with no new hooks.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -85,9 +84,6 @@ class CounterRatioSLI:
     def bad(self) -> float:
         return self._read(self._bad)
 
-    def describe(self) -> str:
-        return f"counter-ratio {self._good[0]} vs {self._bad[0]}"
-
 
 class SketchThresholdSLI:
     """Good = sketch observations at or under *threshold* (within the
@@ -109,9 +105,6 @@ class SketchThresholdSLI:
     def bad(self) -> float:
         sketch = self._sketch()
         return float(sketch.count - sketch.count_le(self.threshold))
-
-    def describe(self) -> str:
-        return f"sketch {self.name} <= {self.threshold:g}"
 
 
 @dataclass(frozen=True)
@@ -149,20 +142,6 @@ class SLOStatus:
     def total(self) -> float:
         return self.good + self.bad
 
-    def as_dict(self) -> dict:
-        return {
-            "slo": self.name,
-            "objective": self.objective,
-            "description": self.description,
-            "good": self.good,
-            "bad": self.bad,
-            "sli": self.sli,
-            "budget_consumed": self.budget_consumed,
-            "budget_remaining": self.budget_remaining,
-            "burn_rates": dict(sorted(self.burn_rates.items())),
-            "alerts": self.alerts,
-        }
-
     def row(self) -> list:
         burns = " ".join(
             f"{label}={rate:.2f}" for label, rate in sorted(self.burn_rates.items()))
@@ -185,27 +164,6 @@ class SLOReport:
 
     def burn_alerts(self) -> list[Alert]:
         return [a for a in self.alerts if a.detector.startswith("slo-burn:")]
-
-    def alert_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for alert in self.alerts:
-            counts[alert.detector] = counts.get(alert.detector, 0) + 1
-        return dict(sorted(counts.items()))
-
-    def status(self, name: str) -> SLOStatus:
-        for status in self.statuses:
-            if status.name == name:
-                return status
-        raise KeyError(f"no SLO named {name!r}")
-
-    def jsonl(self) -> str:
-        """One sorted-keys JSON object per SLO, stable per seed."""
-        lines = []
-        for status in self.statuses:
-            row = status.as_dict()
-            row.update({"at": self.at, "meta": self.meta})
-            lines.append(json.dumps(row, sort_keys=True, separators=(",", ":")))
-        return "".join(line + "\n" for line in lines)
 
     def table(self, title: str = "SLO error budgets") -> str:
         from ..analysis.report import render_table  # lazy: obs stays leaf-importable
@@ -265,10 +223,6 @@ class SLOManager:
         self._trackers.append(_Tracker(spec, detectors))
         return spec
 
-    @property
-    def specs(self) -> list[SLOSpec]:
-        return [t.spec for t in self._trackers]
-
     def poll(self, now: float | None = None) -> list[Alert]:
         """Sample every burn detector once; mirrors ``slo.*`` series
         into the registry so existing exporters carry them."""
@@ -296,7 +250,7 @@ class SLOManager:
         return SLOStatus(
             name=spec.name,
             objective=spec.objective,
-            description=spec.description or spec.sli.describe(),
+            description=spec.description,
             good=good,
             bad=bad,
             sli=sli,

@@ -71,9 +71,6 @@ class Span:
         self.events.append(ev)
         return ev
 
-    def set(self, **attrs) -> None:
-        self.attrs.update(attrs)
-
     def to_dict(self) -> dict:
         return {
             "span_id": self.span_id,
@@ -106,7 +103,6 @@ class Tracer:
         self._clock = clock or (lambda: 0.0)
         self._next_id = 1
         self.spans: list[Span] = []
-        self._by_id: dict[int, Span] = {}
         self._roots: dict[str, Span] = {}
 
     @property
@@ -127,7 +123,6 @@ class Tracer:
         )
         self._next_id += 1
         self.spans.append(span)
-        self._by_id[span.span_id] = span
         if root is None:
             self._roots[trace_id] = span
         return span
@@ -138,25 +133,12 @@ class Tracer:
         span.end = self.now
         span.status = status
 
-    def get(self, span_id: int) -> Span | None:
-        return self._by_id.get(span_id)
-
     def root(self, trace_id: str) -> Span | None:
         return self._roots.get(trace_id)
 
     def trace(self, trace_id: str) -> list[Span]:
         """Every span of one trace, in start order."""
         return [s for s in self.spans if s.trace_id == trace_id]
-
-    def children(self, span: Span) -> list[Span]:
-        return [s for s in self.spans if s.parent_id == span.span_id]
-
-    def trace_ids(self) -> list[str]:
-        seen: list[str] = []
-        for s in self.spans:
-            if s.trace_id not in seen:
-                seen.append(s.trace_id)
-        return seen
 
     def tree_complete(self, trace_id: str) -> bool:
         """True iff the trace has a root, every span is finished, and
@@ -183,9 +165,6 @@ class Tracer:
 class _NullSpan(Span):
     def event(self, time: float, name: str, msg_id: int = 0, **attrs) -> SpanEvent:
         return SpanEvent(0.0, name)
-
-    def set(self, **attrs) -> None:
-        pass
 
 
 _SHARED_NULL_SPAN = _NullSpan(span_id=0, trace_id="", name="null", start=0.0)

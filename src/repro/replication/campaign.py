@@ -21,10 +21,10 @@ classified:
 Clean control plans must produce *zero* findings of any severity — the
 verifier's false-positive guarantee.
 
-Outcomes duck-type :func:`repro.obs.campaign.class_breakdown`, so the
-per-fault-class breakdown table renders ``replica-divergence`` /
-``split-brain`` / ``lagging-replica`` / ``byzantine-replica`` rows
-exactly like FC1 renders ``drop`` / ``crash``.
+Outcomes duck-type :func:`repro.obs.campaign.class_breakdown`, so it
+folds ``replica-divergence`` / ``split-brain`` / ``lagging-replica`` /
+``byzantine-replica`` rows exactly as it folds FC1's ``drop`` /
+``crash``.
 """
 
 from __future__ import annotations
@@ -44,6 +44,13 @@ __all__ = [
 
 #: Sim-seconds charged per workload op (keeps elapsed deterministic).
 _OP_COST = 0.01
+#: Each plan's fresh store: its write quorum (of the three platform
+#: replicas), the container it writes, the objects it pre-seeds and the
+#: random puts/gets it then runs.
+QUORUM = 2
+CONTAINER = "repl"
+OBJECT_COUNT = 3
+OPS_PER_PLAN = 8
 
 
 @dataclass
@@ -95,7 +102,6 @@ class ReplicationReport:
     """All outcomes of one replication campaign."""
 
     seed: str
-    scenario: str = "replication"
     outcomes: list[ReplicationOutcome] = field(default_factory=list)
 
     HEADERS = (
@@ -106,10 +112,6 @@ class ReplicationReport:
     @property
     def violation_count(self) -> int:
         return sum(len(o.violations) for o in self.outcomes)
-
-    @property
-    def finding_count(self) -> int:
-        return sum(len(o.findings) for o in self.outcomes)
 
     @property
     def injected_faults(self) -> int:
@@ -149,43 +151,15 @@ class ReplicationReport:
         body = "\n".join(repr(o.row()) for o in self.outcomes)
         return hashlib.sha256(body.encode()).hexdigest()
 
-    def render(self) -> str:
-        from ..analysis.report import render_table
-        from ..obs.campaign import breakdown_table
-
-        table = render_table(
-            self.HEADERS,
-            [o.row() for o in self.outcomes],
-            title=f"RP1 replication campaign — seed={self.seed} "
-            f"({len(self.outcomes)} plans, {self.injected_faults} faults: "
-            f"{self.masked_faults} masked, {self.detected_faults} detected, "
-            f"{self.silent_faults} silent)",
-        )
-        return table + "\n" + breakdown_table(self)
-
 
 class ReplicationCampaignRunner:
     """Sweep replica-fault plans over fresh replicated stores."""
 
-    def __init__(
-        self,
-        seed: bytes | str = b"replication-campaign",
-        scenario: str = "replication",
-        quorum: int = 2,
-        ops_per_plan: int = 8,
-        object_count: int = 3,
-        container: str = "repl",
-    ) -> None:
+    def __init__(self, seed: bytes | str = b"replication-campaign") -> None:
         self.seed = seed if isinstance(seed, bytes) else seed.encode()
-        self.scenario = scenario
-        self.quorum = quorum
-        self.ops_per_plan = ops_per_plan
-        self.object_count = object_count
-        self.container = container
 
     def run(self, plans: list[FaultPlan]) -> ReplicationReport:
-        report = ReplicationReport(
-            seed=self.seed.decode("latin-1"), scenario=self.scenario)
+        report = ReplicationReport(seed=self.seed.decode("latin-1"))
         for index, plan in enumerate(plans):
             report.outcomes.append(self._run_plan(index, plan))
         return report
@@ -196,8 +170,8 @@ class ReplicationCampaignRunner:
         rng = HmacDrbg(self.seed,
                        personalization=b"replication-run/" + plan.name.encode())
         store = ReplicatedStore(
-            seed=self.seed + b"/" + plan.name.encode(), quorum=self.quorum)
-        keys = [f"obj-{i}" for i in range(self.object_count)]
+            seed=self.seed + b"/" + plan.name.encode(), quorum=QUORUM)
+        keys = [f"obj-{i}" for i in range(OBJECT_COUNT)]
         expected: dict[str, bytes] = {}
         faults_at: dict[int, list[ReplicaFault]] = {}
         for fault in plan.replica_faults:
@@ -207,12 +181,12 @@ class ReplicationCampaignRunner:
         clock = 0.0
         for key in keys:
             data = rng.generate(32)
-            store.put(self.container, key, data, at_time=clock)
+            store.put(CONTAINER, key, data, at_time=clock)
             expected[key] = data
             clock += _OP_COST
 
         reads = writes = wrong_reads = rejected_writes = 0
-        for op in range(1, self.ops_per_plan + 1):
+        for op in range(1, OPS_PER_PLAN + 1):
             for fault in faults_at.get(op, ()):
                 self._inject(store, fault, rng, keys, clock)
             clock += _OP_COST
@@ -220,7 +194,7 @@ class ReplicationCampaignRunner:
             if rng.random() < 0.5:
                 data = rng.generate(32)
                 try:
-                    store.put(self.container, key, data, at_time=clock)
+                    store.put(CONTAINER, key, data, at_time=clock)
                 except ReplicationError:
                     rejected_writes += 1  # quorum lost: loud refusal
                 else:
@@ -228,7 +202,7 @@ class ReplicationCampaignRunner:
                 writes += 1
             else:
                 try:
-                    obj = store.get(self.container, key)
+                    obj = store.get(CONTAINER, key)
                 except ReplicationError:
                     wrong_reads += 1  # no verified copy at all
                 else:
@@ -294,16 +268,16 @@ class ReplicationCampaignRunner:
                 rng: HmacDrbg, keys: list[str], clock: float) -> None:
         key = rng.choice(keys)
         if fault.mode is ReplicaFaultMode.DIVERGENCE:
-            store.tamper_replica(fault.replica, self.container, key,
+            store.tamper_replica(fault.replica, CONTAINER, key,
                                  rng.generate(24))
         elif fault.mode is ReplicaFaultMode.SPLIT_BRAIN:
             store.fault_replica(fault.replica, "partitioned")
-            store.minority_write(fault.replica, self.container, key,
+            store.minority_write(fault.replica, CONTAINER, key,
                                  rng.generate(24), at_time=clock)
         elif fault.mode is ReplicaFaultMode.LAGGING:
             store.fault_replica(fault.replica, "lagging")
         elif fault.mode is ReplicaFaultMode.BYZANTINE:
-            store.tamper_replica(fault.replica, self.container, key,
+            store.tamper_replica(fault.replica, CONTAINER, key,
                                  rng.generate(24),
                                  forge_attestation=fault.forge_attestation)
         else:  # pragma: no cover - enum is closed

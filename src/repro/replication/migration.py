@@ -24,7 +24,6 @@ platforms, which is what "the NRO/NRR chain survives the move" means.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 
 from ..errors import ReproError
@@ -49,24 +48,6 @@ class MigrationRecord:
     @property
     def object_count(self) -> int:
         return len(self.objects)
-
-    def manifest(self) -> str:
-        """Canonical JSON form (sorted keys) for archival."""
-        return json.dumps(
-            {
-                "format": "repro-migration-record-v1",
-                "source": self.source,
-                "destination": self.destination,
-                "started_at": self.started_at,
-                "completed_at": self.completed_at,
-                "objects": [list(entry) for entry in self.objects],
-                "evidence_bundle_sha256": self.evidence_bundle_sha256,
-                "evidence_verified": self.evidence_verified,
-                "chain": self.chain,
-            },
-            sort_keys=True,
-            indent=2,
-        )
 
 
 def _chain_digest(objects: tuple[tuple[str, str, int, str], ...],

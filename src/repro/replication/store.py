@@ -1,9 +1,9 @@
 """A replicated store fanning out to the three platform models.
 
-:class:`ReplicatedStore` presents the same surface as
+:class:`ReplicatedStore` presents the data path of
 :class:`~repro.storage.blobstore.BlobStore` — ``put``/``get``/
-``exists``/``list_keys``/``overwrite_raw`` and friends — so it can
-stand in for a provider's backing store inside a TPNR deployment.
+``overwrite_raw``/``object_marks`` — so it can stand in for a
+provider's backing store inside a TPNR deployment.
 Underneath, every write fans out to the configured replicas (each a
 :class:`ReplicaAdapter` over one platform's *authenticated native
 path*: S3-style object API, Azure-style signed REST blocks, GAE-style
@@ -39,11 +39,9 @@ from ..crypto.hashes import digest
 from ..crypto.hmac_ import hmac_digest
 from ..errors import NoSuchObjectError, ReproError, StorageError
 from ..obs.metrics import NULL_METRICS
-from ..obs.profiler import NULL_PROFILER
 from ..storage.azurelike import AzureLikeClient, AzureLikeService
-from ..storage.blobstore import BlobStore, ObjectStat, StoredObject
+from ..storage.blobstore import BlobStore, StoredObject
 from ..storage.gaelike import GaeLikeService
-from ..storage.rest import RestRequest
 from ..storage.s3like import S3LikeService
 from .verify import ForkConsistencyVerifier, ReplicaAttestation, sign_attestation
 
@@ -108,18 +106,6 @@ class ReplicaAdapter:
     def get(self, container: str, key: str) -> bytes:  # pragma: no cover
         raise NotImplementedError
 
-    def delete(self, container: str, key: str) -> None:
-        self.blobs.delete(container, key)
-
-    def exists(self, container: str, key: str) -> bool:
-        return self.blobs.exists(container, key)
-
-    def list_keys(self, container: str) -> list[str]:
-        return self.blobs.list_keys(container)
-
-    def stat(self, container: str, key: str) -> ObjectStat:
-        return self.blobs.stat(container, key, backend=self.name)
-
 
 class S3ReplicaAdapter(ReplicaAdapter):
     """AWS-style replica: direct object API under an account."""
@@ -167,18 +153,6 @@ class AzureReplicaAdapter(ReplicaAdapter):
         # verify=False: the fork-consistency verifier (not the naive
         # returned-MD5 check §2.4 breaks) decides whether to trust this.
         return self.client.get_blob(container, key, verify=False)
-
-    def delete(self, container: str, key: str) -> None:
-        request = self.client._signed(RestRequest(
-            method="DELETE",
-            path=f"/{self.account.name}/{container}/{key}",
-        ))
-        response = self.service.handle(request)
-        if response.status == 404:
-            raise NoSuchObjectError(f"{container}/{key} does not exist")
-        if not response.ok:
-            raise StorageError(
-                f"DELETE failed ({response.status}): {response.body.decode()}")
 
 
 class GaeReplicaAdapter(ReplicaAdapter):
@@ -262,9 +236,6 @@ class ReplicatedStore:
         # A MetricsRegistry or the shared no-op; attach_replication
         # swaps in the deployment's live registry when observed.
         self.metrics = metrics if metrics is not None else NULL_METRICS
-        # Region-profiler seat, same contract: NULL until a deployment
-        # with an enabled profiler is attached.
-        self.profiler = NULL_PROFILER
         adapters = tuple(replicas) if replicas is not None else default_replicas(seed)
         if not adapters:
             raise ReplicationError("a replicated store needs at least one replica")
@@ -380,19 +351,6 @@ class ReplicatedStore:
         at_time: float = 0.0,
     ) -> StoredObject:
         """Fan the write out; commit on a quorum of acknowledgements."""
-        with self.profiler.region("replication/put"):
-            return self._put_inner(container, key, data, content_md5,
-                                   metadata, at_time)
-
-    def _put_inner(
-        self,
-        container: str,
-        key: str,
-        data: bytes,
-        content_md5: bytes | None,
-        metadata: dict[str, str] | None,
-        at_time: float,
-    ) -> StoredObject:
         if not container or not key:
             raise StorageError("container and key must be non-empty")
         data = bytes(data)
@@ -441,10 +399,6 @@ class ReplicatedStore:
         """Serve a *verified* copy: probe in rank order, hedge past any
         replica whose attestation the verifier rejects, then repair the
         stragglers with the quorum copy."""
-        with self.profiler.region("replication/get"):
-            return self._get_inner(container, key)
-
-    def _get_inner(self, container: str, key: str) -> StoredObject:
         latest = self.verifier.latest(container, key)
         if latest is None:
             raise NoSuchObjectError(f"{container}/{key} does not exist")
@@ -465,9 +419,8 @@ class ReplicatedStore:
                     self.verifier.check_missing(name, container, key))
                 repair.append(name)
                 continue
-            with self.profiler.region("replication/attest-verify"):
-                attestation = handle.attest(container, key, payload)
-                finding = self.verifier.check_read(attestation)
+            attestation = handle.attest(container, key, payload)
+            finding = self.verifier.check_read(attestation)
             if finding is None:
                 if attempts > 1:
                     self.hedged_reads += 1
@@ -510,31 +463,6 @@ class ReplicatedStore:
                 self.metrics.counter("replication.read_repairs").inc()
             self._emit(name, "read-repair", container, key, latest.version)
 
-    def delete(self, container: str, key: str) -> None:
-        if self.verifier.latest(container, key) is None:
-            raise NoSuchObjectError(f"{container}/{key} does not exist")
-        for handle in self._handles.values():
-            if handle.status != "up":
-                continue
-            try:
-                handle.adapter.delete(container, key)
-            except ReproError:
-                continue
-            handle.versions.pop((container, key), None)
-            handle.vectors.pop((container, key), None)
-            self._emit(handle.name, "delete", container, key)
-        self.verifier.delete(container, key)
-
-    def exists(self, container: str, key: str) -> bool:
-        return self.verifier.latest(container, key) is not None
-
-    def list_keys(self, container: str) -> list[str]:
-        return sorted(k for (c, k) in self.verifier.live_keys()
-                      if c == container)
-
-    def objects(self) -> list[StoredObject]:
-        return [self.get(c, k) for c, k in self.verifier.live_keys()]
-
     def object_marks(self) -> dict[tuple[str, str], tuple[int, str]]:
         """(container, key) -> the trusted log's (version, digest).  A
         committed write and :meth:`overwrite_raw` both change it, and
@@ -544,33 +472,6 @@ class ReplicatedStore:
             latest = self.verifier.latest(container, key)
             marks[(container, key)] = (latest.version, latest.digest)
         return marks
-
-    def total_bytes(self) -> int:
-        total = 0
-        for container, key in self.verifier.live_keys():
-            latest = self.verifier.latest(container, key)
-            total += latest.size if latest else 0
-        return total
-
-    def __len__(self) -> int:
-        return len(self.verifier.live_keys())
-
-    # -- parity surface ------------------------------------------------------
-
-    def stat(self, container: str, key: str,
-             backend: str | None = None) -> ObjectStat:
-        latest = self.verifier.latest(container, key)
-        if latest is None:
-            raise NoSuchObjectError(f"{container}/{key} does not exist")
-        return ObjectStat(
-            backend=backend if backend is not None else self.name,
-            container=container, key=key, size=latest.size,
-            version=latest.version, created_at=latest.created_at,
-            content_digest=latest.digest, stored_md5=latest.md5,
-        )
-
-    def content_digest(self, container: str, key: str) -> str:
-        return self.stat(container, key).content_digest
 
     # -- provider-side (malicious) path --------------------------------------
 
@@ -672,20 +573,6 @@ class ReplicatedStore:
                    detail=f"{len(self.verifier.findings) - before} findings")
         return self.verifier.findings[before:]
 
-    def stats(self) -> dict[str, int]:
-        return {
-            "replicas": len(self._handles),
-            "quorum": self.quorum,
-            "objects": len(self),
-            "puts": self.put_count,
-            "gets": self.get_count,
-            "hedged_reads": self.hedged_reads,
-            "read_repairs": self.read_repairs,
-            "rejected_writes": self.rejected_writes,
-            "events": len(self.events),
-            "findings": len(self.verifier.findings),
-        }
-
 
 def attach_replication(deployment, store: ReplicatedStore) -> ReplicatedStore:
     """Swap a deployment's provider onto *store* and expose it for
@@ -694,7 +581,6 @@ def attach_replication(deployment, store: ReplicatedStore) -> ReplicatedStore:
     store.clock = lambda: deployment.sim.now
     if getattr(deployment.obs, "enabled", False):
         store.metrics = deployment.obs.metrics
-        store.profiler = deployment.obs.profiler
     deployment.provider.store = store
     deployment.replication = store
     return store

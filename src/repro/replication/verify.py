@@ -60,11 +60,6 @@ class ReplicaAttestation:
     vector: tuple[tuple[str, int], ...]  # replica -> version, sorted
     mac: bytes
 
-    def describe(self) -> str:
-        vec = ",".join(f"{r}:{v}" for r, v in self.vector)
-        return (f"{self.replica} {self.container}/{self.key} "
-                f"v{self.version} {self.digest[:12]}... [{vec}]")
-
 
 def attestation_payload(replica: str, container: str, key: str,
                         version: int, digest_hex: str,
@@ -132,7 +127,6 @@ class _KeyLog:
     history: dict[int, str] = field(default_factory=dict)
     latest: TrustedVersion | None = None
     acked: dict[str, int] = field(default_factory=dict)
-    deleted: bool = False
 
 
 class ForkConsistencyVerifier:
@@ -157,7 +151,6 @@ class ForkConsistencyVerifier:
         log.latest = TrustedVersion(version, digest_hex, md5_hex, size, created_at)
         for replica in acked:
             log.acked[replica] = max(log.acked.get(replica, 0), version)
-        log.deleted = False
 
     def mark_acked(self, container: str, key: str, replica: str,
                    version: int) -> None:
@@ -185,22 +178,14 @@ class ForkConsistencyVerifier:
             log.latest.created_at,
         )
 
-    def delete(self, container: str, key: str) -> None:
-        log = self._log.get((container, key))
-        if log is not None:
-            log.deleted = True
-
     # -- queries ------------------------------------------------------------
 
     def latest(self, container: str, key: str) -> TrustedVersion | None:
         log = self._log.get((container, key))
-        if log is None or log.deleted:
-            return None
-        return log.latest
+        return None if log is None else log.latest
 
     def live_keys(self) -> list[tuple[str, str]]:
-        return sorted(k for k, log in self._log.items()
-                      if not log.deleted and log.latest is not None)
+        return sorted(self._log)
 
     def error_findings(self) -> list[VerifierFinding]:
         return [f for f in self.findings if f.is_error]

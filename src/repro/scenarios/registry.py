@@ -169,20 +169,11 @@ class ScenarioRegistry:
             f"unknown scenario {scenario_id!r} "
             f"(registered: {', '.join(self._scenarios) or 'none'})")
 
-    def run(self, scenario_id: str, repetition: int = 0):
-        return self.get(scenario_id).run(repetition)
-
     def ids(self) -> list[str]:
         return list(self._scenarios)
 
-    def __contains__(self, scenario_id: str) -> bool:
-        return scenario_id in self._scenarios
-
     def __iter__(self) -> Iterator[RegisteredScenario]:
         return iter(self._scenarios.values())
-
-    def __len__(self) -> int:
-        return len(self._scenarios)
 
 
 def canonical_result_json(result) -> str:

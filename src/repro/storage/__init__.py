@@ -16,7 +16,7 @@ surface-mail shipping, and the tampering behaviours of Fig. 5.
 from . import account, azurelike, blobstore, gaelike, rest, s3like, shipping, tamper
 from .account import Account, AccountDirectory
 from .azurelike import MAX_BLOB_SIZE, AzureLikeClient, AzureLikeService
-from .blobstore import BlobStore, ObjectStat, StoredObject
+from .blobstore import BlobStore, StoredObject
 from .gaelike import (
     GaeLikeService,
     ResourceRule,
@@ -67,7 +67,6 @@ __all__ = [
     "AzureLikeClient",
     "AzureLikeService",
     "BlobStore",
-    "ObjectStat",
     "StoredObject",
     "GaeLikeService",
     "ResourceRule",

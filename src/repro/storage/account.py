@@ -58,6 +58,3 @@ class AccountDirectory:
             return self._by_access_key[access_key_id]
         except KeyError as exc:
             raise AuthenticationError(f"unknown access key {access_key_id!r}") from exc
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._by_name

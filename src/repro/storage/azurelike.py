@@ -27,7 +27,7 @@ from ..crypto.hashes import digest
 from ..crypto.hmac_ import constant_time_equals
 from ..errors import AuthenticationError, IntegrityError, NoSuchObjectError, StorageError
 from .account import Account, AccountDirectory
-from .blobstore import BlobStore, ObjectStat
+from .blobstore import BlobStore
 from .rest import RestRequest, RestResponse, authorization_header, shared_key_signature
 
 __all__ = ["AzureLikeService", "AzureLikeClient", "MAX_BLOB_SIZE"]
@@ -162,9 +162,6 @@ class AzureLikeService:
                 },
                 body=obj.data,
             )
-        if request.method == "DELETE":
-            self.blobs.delete(container, key)
-            return RestResponse(status=202)
         raise StorageError(f"unsupported blob operation {request.method}")
 
     def _parse_blob_path(self, account: Account, request: RestRequest) -> tuple[str, str]:
@@ -172,16 +169,6 @@ class AzureLikeService:
         if len(parts) < 3 or parts[0] != account.name:
             raise StorageError(f"malformed blob path {request.path!r}")
         return parts[1], "/".join(parts[2:])
-
-    # -- parity surface (uniform across the three platform models) ----------
-
-    def stat(self, container: str, key: str) -> ObjectStat:
-        """Uniform object metadata; ``backend`` is the service name."""
-        return self.blobs.stat(container, key, backend=self.name)
-
-    def content_digest(self, container: str, key: str) -> str:
-        """SHA-256 hex of the currently stored bytes."""
-        return self.blobs.content_digest(container, key)
 
 
 class AzureLikeClient:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from ..crypto.hashes import digest
 from ..errors import NoSuchObjectError, StorageError
 
-__all__ = ["StoredObject", "ObjectStat", "BlobStore"]
+__all__ = ["StoredObject", "BlobStore"]
 
 
 @dataclass(frozen=True)
@@ -42,36 +42,6 @@ class StoredObject:
     def actual_md5(self) -> bytes:
         """MD5 of the bytes currently stored (recomputed, AWS model)."""
         return digest("md5", self.data)
-
-    def is_consistent(self) -> bool:
-        """True when stored metadata MD5 still matches the bytes."""
-        return self.content_md5 == self.actual_md5()
-
-
-@dataclass(frozen=True)
-class ObjectStat:
-    """Uniform per-object metadata across all three platform models.
-
-    ``content_digest`` is the SHA-256 of the bytes *currently* stored
-    (recomputed at stat time), while ``stored_md5`` is the platform's
-    persisted MD5 metadata.  The two drift exactly when someone has
-    been "playing with the data in hand", which is what the replication
-    verifier keys on.
-    """
-
-    backend: str
-    container: str
-    key: str
-    size: int
-    version: int
-    created_at: float
-    content_digest: str
-    stored_md5: str
-
-    def observable(self) -> tuple:
-        """The backend-independent projection (equivalence tests)."""
-        return (self.container, self.key, self.size, self.version,
-                self.created_at, self.content_digest, self.stored_md5)
 
 
 class BlobStore:
@@ -120,21 +90,8 @@ class BlobStore:
         self.get_count += 1
         return obj
 
-    def delete(self, container: str, key: str) -> None:
-        try:
-            del self._objects[(container, key)]
-        except KeyError as exc:
-            raise NoSuchObjectError(f"{container}/{key} does not exist") from exc
-
-    def exists(self, container: str, key: str) -> bool:
-        return (container, key) in self._objects
-
     def list_keys(self, container: str) -> list[str]:
         return sorted(k for (c, k) in self._objects if c == container)
-
-    def objects(self) -> list[StoredObject]:
-        """Every stored object, in (container, key) order."""
-        return [self._objects[k] for k in sorted(self._objects)]
 
     def object_marks(self) -> dict[tuple[str, str], StoredObject]:
         """(container, key) -> a mark that changes whenever the object's
@@ -147,29 +104,6 @@ class BlobStore:
 
     def __len__(self) -> int:
         return len(self._objects)
-
-    # -- parity surface ----------------------------------------------------
-
-    def stat(self, container: str, key: str, backend: str | None = None) -> ObjectStat:
-        """Uniform metadata view of one object (no get_count side effect)."""
-        try:
-            obj = self._objects[(container, key)]
-        except KeyError as exc:
-            raise NoSuchObjectError(f"{container}/{key} does not exist") from exc
-        return ObjectStat(
-            backend=backend if backend is not None else self.name,
-            container=container,
-            key=key,
-            size=obj.size,
-            version=obj.version,
-            created_at=obj.created_at,
-            content_digest=digest("sha256", obj.data).hex(),
-            stored_md5=obj.content_md5.hex(),
-        )
-
-    def content_digest(self, container: str, key: str) -> str:
-        """SHA-256 hex of the bytes currently stored."""
-        return self.stat(container, key).content_digest
 
     # -- provider-side (malicious) path ------------------------------------
 

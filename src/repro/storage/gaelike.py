@@ -25,7 +25,7 @@ from ..crypto import rsa
 from ..crypto.drbg import HmacDrbg
 from ..crypto.pki import Identity
 from ..errors import AuthenticationError, AuthorizationError, NoSuchObjectError
-from .blobstore import BlobStore, ObjectStat
+from .blobstore import BlobStore
 
 __all__ = [
     "SignedRequest",
@@ -67,9 +67,6 @@ class SignedRequest:
                 self.resource,
             ]
         ).encode()
-
-    def wire_size(self) -> int:
-        return len(self.to_signed_bytes()) + len(self.signature)
 
 
 def make_signed_request(identity: Identity, rng: HmacDrbg, **fields: str) -> SignedRequest:
@@ -169,16 +166,6 @@ class GaeLikeService:
 
     def datastore_get(self, kind: str, key: str) -> bytes:
         return self.blobs.get(kind, key).data
-
-    # -- parity surface (uniform across the three platform models) ----------
-
-    def stat(self, container: str, key: str) -> ObjectStat:
-        """Uniform object metadata; ``backend`` is the service name."""
-        return self.blobs.stat(container, key, backend=self.name)
-
-    def content_digest(self, container: str, key: str) -> str:
-        """SHA-256 hex of the currently stored bytes."""
-        return self.blobs.content_digest(container, key)
 
     # -- the SDC request path ---------------------------------------------------
 

@@ -54,12 +54,6 @@ class RestRequest:
                 return value
         return default
 
-    def wire_size(self) -> int:
-        head = len(self.method) + len(self.path) + sum(
-            len(k) + len(v) + 4 for k, v in self.headers.items()
-        )
-        return head + len(self.body)
-
 
 @dataclass
 class RestResponse:
@@ -79,10 +73,6 @@ class RestResponse:
             if key.lower() == lowered:
                 return value
         return default
-
-    def wire_size(self) -> int:
-        head = 12 + sum(len(k) + len(v) + 4 for k, v in self.headers.items())
-        return head + len(self.body)
 
 
 def string_to_sign(request: RestRequest, account_name: str) -> bytes:

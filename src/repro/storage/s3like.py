@@ -31,7 +31,7 @@ from ..crypto.hashes import digest
 from ..crypto.hmac_ import constant_time_equals, hmac_digest
 from ..errors import AuthenticationError, IntegrityError, NoSuchObjectError, StorageError
 from .account import Account, AccountDirectory
-from .blobstore import BlobStore, ObjectStat
+from .blobstore import BlobStore
 from .shipping import StorageDevice
 
 __all__ = [
@@ -67,9 +67,6 @@ class ManifestFile:
             ]
         ).encode()
 
-    def wire_size(self) -> int:
-        return len(self.to_bytes())
-
 
 @dataclass(frozen=True)
 class SignatureFile:
@@ -78,9 +75,6 @@ class SignatureFile:
     algorithm: str
     job_id: str
     signature: bytes  # MAC over job_id || manifest digest
-
-    def wire_size(self) -> int:
-        return len(self.algorithm) + len(self.job_id) + len(self.signature)
 
 
 @dataclass(frozen=True)
@@ -186,7 +180,11 @@ class S3LikeService:
         if raw is None:
             job.state = "failed"
             raise AuthenticationError("device arrived without a signature file")
-        sigfile = _decode_signature_file(raw)
+        try:
+            sigfile = _decode_signature_file(raw)
+        except AuthenticationError:
+            job.state = "failed"
+            raise
         expected = self.make_signature_file(job_id, job.manifest, job.account)
         if sigfile.algorithm != expected.algorithm or not constant_time_equals(
             sigfile.signature, expected.signature
@@ -259,12 +257,6 @@ class S3LikeService:
         except KeyError as exc:
             raise NoSuchObjectError(f"no log at {log_location!r}") from exc
 
-    def job_state(self, job_id: str) -> str:
-        job = self._jobs.get(job_id)
-        if job is None:
-            raise NoSuchObjectError(f"unknown job {job_id!r}")
-        return job.state
-
     # -- direct Internet object API (for <=50 GB transfers) -----------------------
 
     def put_object(self, account: Account, bucket: str, key: str, data: bytes,
@@ -282,16 +274,6 @@ class S3LikeService:
         self.accounts.by_name(account.name)
         obj = self.blobs.get(bucket, key)
         return obj.data, obj.actual_md5()
-
-    # -- parity surface (uniform across the three platform models) ----------
-
-    def stat(self, container: str, key: str) -> ObjectStat:
-        """Uniform object metadata; ``backend`` is the service name."""
-        return self.blobs.stat(container, key, backend=self.name)
-
-    def content_digest(self, container: str, key: str) -> str:
-        """SHA-256 hex of the currently stored bytes."""
-        return self.blobs.content_digest(container, key)
 
 
 def _decode_signature_file(raw: bytes) -> SignatureFile:

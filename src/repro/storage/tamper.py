@@ -39,15 +39,6 @@ class TamperMode(enum.Enum):
     TRUNCATE = "truncate"
     FIXUP_MD5 = "fixup-md5"
 
-    @property
-    def alters_data(self) -> bool:
-        return self is not TamperMode.NONE
-
-    @property
-    def covers_tracks(self) -> bool:
-        """True when the stored digest is fixed up to match."""
-        return self is TamperMode.FIXUP_MD5
-
 
 def _replacement(original: bytes, rng: HmacDrbg) -> bytes:
     """Random bytes as long as *original* that are never equal to it.

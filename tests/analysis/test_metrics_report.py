@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis.metrics import ProtocolCost, compare, measure
-from repro.analysis.report import render_kv, render_table, section
+from repro.analysis.report import render_kv, render_table
 from repro.net.trace import TraceEvent, TraceRecorder
 
 
@@ -85,8 +85,3 @@ class TestReport:
         lines = text.split("\n")
         assert lines[0] == "KV"
         assert lines[1].index(":") == lines[2].index(":")
-
-    def test_section(self):
-        text = section("Results")
-        assert "Results" in text
-        assert "=" in text

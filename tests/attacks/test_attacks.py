@@ -10,7 +10,6 @@ from repro.attacks import (
     ReflectionAttack,
     ReplayAttack,
     TimelinessAttack,
-    gauntlet_matrix,
     run_gauntlet,
     tpnr_defense_holds,
 )
@@ -108,11 +107,12 @@ class TestGauntlet:
         assert all(r.succeeded for r in weakened)
 
     def test_matrix_shape(self, results):
-        matrix = gauntlet_matrix(results)
+        matrix = {(r.attack, r.target): r.succeeded for r in results}
         assert matrix[("replay", "tpnr/full")] is False
         assert matrix[("replay", "tpnr/no-seq-no-nonce")] is True
         assert matrix[("man-in-the-middle", "securechannel/no-cert-check")] is True
 
     def test_deterministic(self, results):
         again = run_gauntlet(SEED)
-        assert gauntlet_matrix(again) == gauntlet_matrix(results)
+        assert [(r.attack, r.target, r.succeeded) for r in again] == [
+            (r.attack, r.target, r.succeeded) for r in results]

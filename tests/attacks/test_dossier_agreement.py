@@ -119,7 +119,7 @@ class TestTamperAgreement:
         outcome = run_upload(dep, b"custody payload " * 4)
         run_download(dep, outcome.transaction_id)
         dossier = assert_agreement(dep, outcome.transaction_id)
-        expected = (Verdict.PROVIDER_FAULT if mode.alters_data
+        expected = (Verdict.PROVIDER_FAULT if mode is not TamperMode.NONE
                     else Verdict.CLAIM_REJECTED)
         assert dossier.rule(dep.arbitrator, "tampering").verdict is expected
 

@@ -12,7 +12,7 @@ through a spot check:
 
 import pytest
 
-from repro.attacks.harness import gauntlet_matrix, run_gauntlet, tpnr_defense_holds
+from repro.attacks.harness import run_gauntlet, tpnr_defense_holds
 from repro.bridging import ALL_SCHEMES, make_world
 from repro.core import (
     ProviderBehavior,
@@ -49,6 +49,11 @@ EXPECTED_BRIDGING = {
     "tac": (True, True, False, "provider-at-fault", "claim-rejected"),
     "both": (True, True, False, "provider-at-fault", "claim-rejected"),
 }
+
+
+def gauntlet_matrix(results):
+    """(attack, target) -> succeeded."""
+    return {(r.attack, r.target): r.succeeded for r in results}
 
 
 class TestGauntletMatrix:

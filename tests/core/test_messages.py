@@ -53,11 +53,6 @@ class TestHeader:
         with pytest.raises(ProtocolError):
             header(nonce=b"")
 
-    def test_with_flag(self):
-        receipt = header().with_flag(Flag.UPLOAD_RECEIPT)
-        assert receipt.flag is Flag.UPLOAD_RECEIPT
-        assert receipt.transaction_id == "TXN-1"
-
     def test_wire_size_positive(self):
         assert header().wire_size() > 50
 

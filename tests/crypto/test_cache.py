@@ -10,7 +10,7 @@ import pytest
 
 from repro.crypto import cache as crypto_cache
 from repro.crypto import kem, rsa
-from repro.crypto.cache import CryptoCaches, LruCache, crypto_caches
+from repro.crypto.cache import LruCache, crypto_caches
 from repro.crypto.drbg import HmacDrbg
 from repro.net.faults import CampaignRunner, generate_plans
 
@@ -44,7 +44,7 @@ class TestLruCache:
         cache.put("a", 1)
         cache.put("b", 2)
         cache.put("a", 10)  # refresh, no eviction
-        assert len(cache) == 2 and cache.evictions == 0
+        assert cache.stats()["size"] == 2 and cache.evictions == 0
         cache.put("c", 3)  # now "b" is LRU
         assert cache.get("b") is None and cache.get("a") == 10
 
@@ -56,9 +56,8 @@ class TestLruCache:
 class TestScopedInstall:
     def test_context_manager_restores_previous_seat(self):
         previous = crypto_cache.caches
-        outer = CryptoCaches()
-        with crypto_caches(outer) as active:
-            assert active is outer and crypto_cache.caches is outer
+        with crypto_caches() as outer:
+            assert crypto_cache.caches is outer
             with crypto_caches() as inner:
                 assert inner is not outer
                 assert crypto_cache.caches is inner

@@ -217,10 +217,3 @@ class TestDraws:
         with pytest.raises(CryptoError):
             HmacDrbg(b"x").choice([])
 
-    def test_shuffle_is_permutation(self):
-        g = HmacDrbg(b"shuffle")
-        items = list(range(50))
-        shuffled = list(items)
-        g.shuffle(shuffled)
-        assert sorted(shuffled) == items
-        assert shuffled != items  # astronomically unlikely to match

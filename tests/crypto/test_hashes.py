@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.hashes import digest, hexdigest
+from repro.crypto.hashes import digest
 from repro.errors import CryptoError
 
 # RFC 1321 appendix A.5 test suite.
@@ -82,6 +82,3 @@ class TestDispatch:
         for name in ("sha1", "SHA256", "", "sha-256"):
             with pytest.raises(CryptoError):
                 digest(name, b"data")
-
-    def test_hexdigest(self):
-        assert hexdigest("md5", b"abc") == "900150983cd24fb0d6963f7d28e17f72"

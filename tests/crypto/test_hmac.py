@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.hmac_ import constant_time_equals, hmac_digest, verify_hmac
+from repro.crypto.hmac_ import constant_time_equals, hmac_digest
 from repro.errors import CryptoError
 
 # RFC 4231 test cases 1-4 (HMAC-SHA256).
@@ -62,19 +62,19 @@ class TestAgainstStdlib:
 class TestVerify:
     def test_roundtrip(self):
         tag = hmac_digest(b"key", b"msg")
-        assert verify_hmac(b"key", b"msg", tag)
+        assert constant_time_equals(hmac_digest(b"key", b"msg"), tag)
 
     def test_wrong_key(self):
         tag = hmac_digest(b"key", b"msg")
-        assert not verify_hmac(b"other", b"msg", tag)
+        assert not constant_time_equals(hmac_digest(b"other", b"msg"), tag)
 
     def test_wrong_message(self):
         tag = hmac_digest(b"key", b"msg")
-        assert not verify_hmac(b"key", b"other", tag)
+        assert not constant_time_equals(hmac_digest(b"key", b"other"), tag)
 
     def test_truncated_tag(self):
         tag = hmac_digest(b"key", b"msg")
-        assert not verify_hmac(b"key", b"msg", tag[:-1])
+        assert not constant_time_equals(hmac_digest(b"key", b"msg"), tag[:-1])
 
     def test_unknown_hash(self):
         with pytest.raises(CryptoError):

@@ -24,6 +24,13 @@ from repro.errors import SecretSharingError
 TRIALS = 25
 
 
+def shuffle(items: list, rng: HmacDrbg) -> None:
+    """In-place Fisher-Yates shuffle driven by *rng*."""
+    for i in range(len(items) - 1, 0, -1):
+        j = rng.randint(0, i)
+        items[i], items[j] = items[j], items[i]
+
+
 class TestShamirRoundTrip:
     def test_split_recover_identity_at_random_thresholds(self):
         rng = HmacDrbg(b"prop/shamir")
@@ -35,7 +42,7 @@ class TestShamirRoundTrip:
             assert len(shares) == n
             # Any k-subset reconstructs; use a shuffled prefix so the
             # subset (and its order) varies per trial.
-            rng.shuffle(shares)
+            shuffle(shares, rng)
             assert recover_secret(shares[:k], k) == secret, f"trial {trial}"
 
     def test_fewer_than_threshold_shares_do_not_reconstruct(self):
@@ -45,7 +52,7 @@ class TestShamirRoundTrip:
             k = rng.randint(2, n)
             secret = rng.randint(0, MERSENNE_521 - 1)
             shares = split_secret(secret, n, k, rng)
-            rng.shuffle(shares)
+            shuffle(shares, rng)
             subset = shares[: k - 1]
             # Interpolating an underdetermined system at the wrong
             # degree yields garbage, not the secret.
@@ -59,7 +66,7 @@ class TestShamirRoundTrip:
                 n = rng.randint(2, 8)
                 k = rng.randint(1, n)
                 shares = split_digest(digest, n, k, rng)
-                rng.shuffle(shares)
+                shuffle(shares, rng)
                 assert recover_digest(shares[:k], size, k) == digest
 
     def test_corrupted_share_changes_reconstruction(self):

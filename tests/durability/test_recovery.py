@@ -58,7 +58,7 @@ class TestCrashBeforeSendEffects:
         assert f"upload re-sent: {txn}" in report.actions
         dep.run()
         assert dep.client.transactions[txn].status is TxStatus.COMPLETED
-        assert dep.provider.store.objects()[0].data == b"never delivered yet"
+        assert dep.provider.store.get("tpnr-data", txn).data == b"never delivered yet"
 
     def test_recovered_pending_upload_never_hangs(self):
         """A recovered PENDING transaction always has a timer armed:
@@ -182,12 +182,12 @@ class TestDamagedWalTail:
         journal = PartyJournal(store, "liar.wal", "client")
         journal.log("padding", n=0)
         journal.log_evidence(evidence)
-        assert journal.acked_evidence == journal.durable_evidence_keys()
+        assert journal.acked_evidence == journal.durable_state()[0]._evidence_keys
         store.crash(
             CrashFaultPolicy(lose_durable_tail_prob=1.0),
             rng=HmacDrbg(b"chop"),
         )
-        lost = journal.acked_evidence - journal.durable_evidence_keys()
+        lost = journal.acked_evidence - journal.durable_state()[0]._evidence_keys
         assert lost  # acknowledged, then silently un-persisted: caught
 
 
@@ -269,7 +269,7 @@ class TestDamagedBlobFailsClosed:
         assert dep.client.transactions[txn].status is TxStatus.COMPLETED
         dep.provider.begin_crash(amnesia=True)
         recover(dep.provider)
-        assert not dep.provider.store.exists("tpnr-data", txn)
+        assert ("tpnr-data", txn) not in dep.provider.store.object_marks()
         assert dep.provider.journal.acked_evidence <= (
             dep.provider.evidence_store.seen_keys())
         result = run_download(dep, txn)

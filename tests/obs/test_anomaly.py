@@ -174,7 +174,7 @@ class TestAnomalyMonitor:
         assert len(fresh) == 1
         assert monitor.alerts == fresh
         assert monitor.polls == 6
-        assert monitor.alert_counts() == {"retx-rate": 1}
+        assert [a.detector for a in monitor.alerts] == ["retx-rate"]
 
     def test_clock_fallback_stamps_alerts(self):
         reg = MetricsRegistry()
@@ -193,7 +193,7 @@ class TestAnomalyMonitor:
     def test_empty_monitor_polls_are_noops(self):
         monitor = AnomalyMonitor(MetricsRegistry())
         assert monitor.poll(1.0) == []
-        assert monitor.alert_counts() == {}
+        assert monitor.alerts == []
 
     def test_alerts_table_renders(self):
         reg = MetricsRegistry()
@@ -206,7 +206,7 @@ class TestAnomalyMonitor:
         monitor.poll(1.0)  # one judged poll seeds the baseline history
         c.inc(9)
         monitor.poll(2.0)
-        text = monitor.table(title="Test alerts")
+        text = alerts_table(monitor.alerts, title="Test alerts")
         assert "Test alerts" in text
         assert "retx-rate" in text
         assert "engine.retx" in text

@@ -7,7 +7,6 @@ and RunStamp-stamped reports exported via JSONL / summary table /
 mirrored ``slo.*`` gauges.
 """
 
-import json
 
 import pytest
 
@@ -48,7 +47,6 @@ class TestSLIs:
         reg.counter("r", outcome="ok").inc(7)
         reg.counter("r", outcome="bad").inc(3)
         assert (sli.good(), sli.bad()) == (7.0, 3.0)
-        assert "counter-ratio" in sli.describe()
 
     def test_counter_ratio_accepts_bare_names(self):
         reg = MetricsRegistry()
@@ -214,20 +212,9 @@ class TestReport:
         assert report.meta["note"] == "unit"
         assert report.meta["polls"] == 6
         assert len(report.burn_alerts()) == 2
-        assert report.alert_counts() == {
-            "slo-burn:availability:fast": 1, "slo-burn:availability:slow": 1}
-        assert report.status("availability").alerts == 2
-        with pytest.raises(KeyError):
-            report.status("nope")
-
-    def test_jsonl_is_sorted_keys_one_line_per_slo(self):
-        report = self.storm_report()
-        lines = report.jsonl().splitlines()
-        assert len(lines) == 1
-        parsed = json.loads(lines[0])
-        assert list(parsed) == sorted(parsed)
-        assert parsed["slo"] == "availability"
-        assert parsed["budget_remaining"] == 0.0
+        assert sorted(a.detector for a in report.alerts) == [
+            "slo-burn:availability:fast", "slo-burn:availability:slow"]
+        assert [(s.name, s.alerts) for s in report.statuses] == [("availability", 2)]
 
     def test_tables_render(self):
         report = self.storm_report()
@@ -251,10 +238,10 @@ class TestReport:
 class TestStandardSets:
     def test_each_bundle_declares_its_slos(self):
         campaign = standard_campaign_slos(manager())
-        assert [s.name for s in campaign.specs] == [
+        assert [s.name for s in campaign.statuses()] == [
             "session-success", "terminal-latency", "evidence-verified"]
         engine = standard_engine_slos(manager())
-        assert [s.name for s in engine.specs] == [
+        assert [s.name for s in engine.statuses()] == [
             "session-success", "session-latency"]
 
     def test_terminal_latency_reads_the_live_campaign_sketch(self):

@@ -15,6 +15,11 @@ from repro.net.faults import CampaignRunner, FaultPlan, generate_storm_plans
 SEED = b"slo-wiring"
 
 
+def status(report, name: str):
+    """The status of the SLO named *name* in *report*."""
+    return next(s for s in report.statuses if s.name == name)
+
+
 def clean_plans(n: int) -> list[FaultPlan]:
     return [FaultPlan(name=f"s{i:03d}-clean") for i in range(n)]
 
@@ -60,7 +65,7 @@ class TestCampaignWiring:
         assert len(report.slo.burn_alerts()) >= 1
         # SLO alerts also land on the campaign report's alert log.
         assert report.alerts == report.slo.alerts
-        assert report.slo.status("session-success").budget_remaining == 0.0
+        assert status(report.slo, "session-success").budget_remaining == 0.0
         assert report.hung_sessions == 0
 
     def test_slo_toggle_does_not_move_the_signature(self):
@@ -92,7 +97,7 @@ class TestEngineWiring:
 
         result = run_pool(SEED, 3)
         assert result.slo is not None
-        assert result.slo.status("session-success").budget_remaining == 1.0
+        assert status(result.slo, "session-success").budget_remaining == 1.0
         assert result.slo.burn_alerts() == []
 
     def test_slo_toggle_does_not_move_the_signature(self):
@@ -100,7 +105,7 @@ class TestEngineWiring:
 
         lit = SessionPool(EngineConfig(n_tenants=2), seed=SEED).run()
         dark = SessionPool(
-            EngineConfig(n_tenants=2, slo=False), seed=SEED).run()
+            EngineConfig(n_tenants=2, observe=False), seed=SEED).run()
         assert lit.signature() == dark.signature()
         assert dark.slo is None
 
@@ -156,9 +161,9 @@ class TestReplicationWiring:
         run_download(dep, txn)
         mgr.poll()
         report = mgr.report()
-        reads = report.status("read-integrity")
+        reads = status(report, "read-integrity")
         assert reads.good == 0.0 and reads.bad == 1.0
-        fork = report.status("fork-detection-latency")
+        fork = status(report, "fork-detection-latency")
         assert fork.good == 1.0 and fork.bad == 0.0
 
     def test_unobserved_store_keeps_null_metrics(self):

@@ -86,12 +86,11 @@ class TestTreeCompleteness:
         t.finish(bad)
         assert t.tree_complete("txn") is False
 
-    def test_trace_ids_preserve_first_seen_order(self):
+    def test_trace_keeps_start_order_across_interleaved_traces(self):
         t = Tracer()
         t.start("b-txn", "x")
         t.start("a-txn", "y")
         t.start("b-txn", "z")
-        assert t.trace_ids() == ["b-txn", "a-txn"]
         assert [s.name for s in t.trace("b-txn")] == ["x", "z"]
 
 
@@ -101,10 +100,8 @@ class TestNullTracer:
         assert NullTracer().enabled is False
         span = NULL_TRACER.start("txn", "work")
         span.event(1.0, "noop", msg_id=3)
-        span.set(key="value")
         NULL_TRACER.finish(span)
         assert NULL_TRACER.spans == []
-        assert NULL_TRACER.trace_ids() == []
 
     def test_start_returns_shared_span(self):
         a = NULL_TRACER.start("x", "a")

@@ -27,7 +27,7 @@ class TestNormalMode:
         root = tracer.root(txn)
         assert root.name == "tpnr.transaction"
         assert root.parent_id == 0
-        child_names = {s.name for s in tracer.children(root)}
+        child_names = {s.name for s in tracer.trace(txn) if s.parent_id == root.span_id}
         assert "provider.upload" in child_names
 
     def test_span_events_correlate_with_wire_trace_msg_ids(self):

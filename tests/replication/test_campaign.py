@@ -69,8 +69,3 @@ class TestCampaignContract:
         assert "none" in classes  # the clean controls
         assert classes & {m.value for m in ReplicaFaultMode}
 
-    def test_render_includes_breakdown(self):
-        plans = generate_replica_plans(SEED, 8)
-        text = ReplicationCampaignRunner(seed=SEED).run(plans).render()
-        assert "RP1 replication campaign" in text
-        assert "Per-fault-class breakdown" in text

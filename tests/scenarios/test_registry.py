@@ -21,7 +21,7 @@ from repro.scenarios import (
 
 
 def test_every_spec_declares_an_expect_contract():
-    assert len(SCENARIOS) == 24
+    assert len(SCENARIOS.ids()) == 24
     assert [s.spec.scenario_id for s in SCENARIOS if not s.spec.expect] == []
 
 
@@ -123,8 +123,8 @@ def test_duplicate_registration_rejected():
 def test_unknown_scenario_is_an_error():
     with pytest.raises(ReproError):
         SCENARIOS.get("NOPE")
-    assert "NOPE" not in SCENARIOS
-    assert "TP1" in SCENARIOS
+    assert "NOPE" not in SCENARIOS.ids()
+    assert "TP1" in SCENARIOS.ids()
 
 
 # -- identity-stamped execution -----------------------------------------------

@@ -79,14 +79,15 @@ class TestBlobSemantics:
         assert response.status == 404
 
     def test_delete(self, service, client):
+        """DELETE is not a blob operation of the model: refused, blob kept."""
         client.put_blob("c", "k", b"x")
         request = client.build_get("c", "k")
         request.method = "DELETE"
         request.headers["Authorization"] = authorization_header(
             request, "jerry", client.account.secret_key
         )
-        assert service.handle(request).status == 202
-        assert service.handle(client.build_get("c", "k")).status == 404
+        assert service.handle(request).status == 400
+        assert client.get_blob("c", "k") == b"x"
 
     def test_naive_tamper_detected(self, service, client):
         client.put_blob("c", "k", b"victim data")

@@ -42,11 +42,6 @@ class TestRestRequest:
         assert request.header("CONTENT-LENGTH") == "10"
         assert request.header("missing", "default") == "default"
 
-    def test_wire_size_includes_body(self):
-        small = sample_request(b"")
-        big = sample_request(b"x" * 1000)
-        assert big.wire_size() - small.wire_size() >= 1000
-
 
 class TestRestResponse:
     def test_ok_range(self):

@@ -89,14 +89,14 @@ class TestTamper:
         diff = [i for i, (a, b) in enumerate(zip(original, tampered.data)) if a != b]
         assert len(diff) == 1
         assert bin(original[diff[0]] ^ tampered.data[diff[0]]).count("1") == 1
-        assert not tampered.is_consistent()
+        assert tampered.content_md5 != tampered.actual_md5()
 
     def test_replace_same_length(self):
         store = self._store()
         original_len = store.get("c", "k").size
         tampered = apply_tamper(store, "c", "k", TamperMode.REPLACE, HmacDrbg(b"t"))
         assert tampered.size == original_len
-        assert not tampered.is_consistent()
+        assert tampered.content_md5 != tampered.actual_md5()
 
     @pytest.mark.parametrize("mode", [TamperMode.REPLACE, TamperMode.FIXUP_MD5])
     def test_redraw_never_stores_the_original(self, mode):
@@ -117,7 +117,7 @@ class TestTamper:
     def test_fixup_md5_is_consistent(self):
         store = self._store()
         tampered = apply_tamper(store, "c", "k", TamperMode.FIXUP_MD5, HmacDrbg(b"t"))
-        assert tampered.is_consistent()  # metadata covers the tracks
+        assert tampered.content_md5 == tampered.actual_md5()  # metadata covers the tracks
         assert tampered.content_md5 == digest("md5", tampered.data)
 
     def test_empty_object_rejected(self):
@@ -128,10 +128,15 @@ class TestTamper:
             apply_tamper(store, "c", "k", TamperMode.BIT_FLIP, HmacDrbg(b"t"))
 
     def test_mode_properties(self):
-        assert not TamperMode.NONE.alters_data
-        assert TamperMode.REPLACE.alters_data
-        assert TamperMode.FIXUP_MD5.covers_tracks
-        assert not TamperMode.REPLACE.covers_tracks
+        """Every mode but NONE alters the bytes; only FIXUP_MD5 also
+        fixes the stored MD5 up to match them."""
+        for mode in TamperMode:
+            store = self._store()
+            original = store.get("c", "k").data
+            tampered = apply_tamper(store, "c", "k", mode, HmacDrbg(b"t"))
+            assert (tampered.data != original) == (mode is not TamperMode.NONE)
+            covered = tampered.content_md5 == tampered.actual_md5()
+            assert covered == (mode in (TamperMode.NONE, TamperMode.FIXUP_MD5))
 
 
 class TestAccounts:
@@ -140,7 +145,6 @@ class TestAccounts:
         account = directory.create("alice")
         assert directory.by_name("alice") is account
         assert directory.by_access_key(account.access_key_id) is account
-        assert "alice" in directory
 
     def test_unknown_lookups(self):
         directory = AccountDirectory(HmacDrbg(b"acct"))

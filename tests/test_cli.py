@@ -72,7 +72,7 @@ class TestCommands:
         """Every experiment id documented in DESIGN.md §4 is runnable."""
         for expected in ("T1", "F1", "F2", "F3", "F4", "F5", "F6",
                          "S3", "S4", "S5", "S6", "W1", "R1", "A1", "OB1"):
-            assert expected in SCENARIOS
+            assert expected in SCENARIOS.ids()
 
     def test_obs(self, capsys):
         assert main(["obs", "--seed", "cli-obs"]) == 0
@@ -155,6 +155,3 @@ class TestThroughputFlags:
         assert "2 shard(s)" in out
         assert "batch=4" in out
 
-    def test_replication_profile_needs_a_directory(self, capsys):
-        assert main(["replication", "--profile"]) == 2
-        assert "--profile requires --profile-dir" in capsys.readouterr().err
