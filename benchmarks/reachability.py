@@ -64,7 +64,6 @@ KEPT: dict[str, str] = {
     "repro.obs.metrics:_NullGauge.set": "Null stand-in of an entered method",
     "repro.obs.metrics:_NullHistogram.observe": "Null stand-in of an entered method",
     "repro.obs.metrics:_NullSketch.observe": "Null stand-in of an entered method",
-    "repro.obs.profiler:NullRegionProfiler.merge": "Null stand-in of an entered method",
     "repro.obs.span:NullTracer.start": "Null stand-in of an entered method",
     "repro.obs.span:NullTracer.finish": "Null stand-in of an entered method",
     "repro.obs.span:_NullSpan.event": "Null stand-in of an entered method",

@@ -1226,7 +1226,7 @@ def experiment_forensics(
 
     # Campaign sweep: forensics + rate-shift detectors + SLO burn alerts.
     plans = [FaultPlan(name="ob2-noop")] + generate_plans(seed, n_plans - 1)
-    runner = CampaignRunner(seed=seed, scenario="session", observe=True,
+    runner = CampaignRunner(seed=seed, observe=True,
                             forensics=True, anomaly=True, slo=True)
     report = runner.run(plans)
     unattributed = sum(
@@ -1248,7 +1248,7 @@ def experiment_forensics(
         facts["clean/findings"] == 0 and facts["campaign/noop_findings"] == 0
     )
     facts["verdicts_agree"] = facts["clean/agrees"] and facts["tamper/agrees"]
-    dark = CampaignRunner(seed=seed, scenario="session", observe=True)
+    dark = CampaignRunner(seed=seed, observe=True)
     dark_report = dark.run(plans[:12])
     facts["forensics_off_builds_no_auditor"] = dark.auditor is None and not any(
         o.findings for o in dark_report.outcomes)
@@ -1609,12 +1609,12 @@ def experiment_profiler(
     * **Artifact shard invariance** — with per-message evidence
       (``batch_size=None``) the deterministic profile artifacts — the
       collapsed-stack flamegraph and ``profile.jsonl`` — are
-      byte-identical at 1, 2, 4, and 8 shards (exact per-shard
-      :class:`~repro.obs.profiler.RegionProfiler` merge) and across
-      same-seed repeats, and the engine signature is bit-identical
-      with profiling on or off: observation never perturbs behavior.
-    * **Off means off** — the unprofiled run carries no profile and its
-      profiler seat records no region.
+      byte-identical at 1, 2, 4, and 8 shards (every ``{path: calls}``
+      row is session-driven, so the shard tables sum to the unsharded
+      one) and across same-seed repeats, and the engine signature is
+      bit-identical with profiling on or off: observation never
+      perturbs behavior.
+    * **Off means off** — the unprofiled run carries no profile.
     * **Critical path** — the dominant-stage chain extracted from a
       live transaction's span tree telescopes exactly: stage
       self-times sum to the root span's measured elapsed, and the
@@ -1656,7 +1656,7 @@ def experiment_profiler(
         rows.append([
             shards,
             result.completed,
-            len(prof.stats()),
+            len(prof),
             digest("sha256", flame.encode()).hex()[:12],
             digest("sha256", profile_dump.encode()).hex()[:12],
             signatures[shards][:16],
@@ -1676,7 +1676,7 @@ def experiment_profiler(
         and unprofiled.signature() == signatures[1]
     )
     facts["unprofiled_run_records_no_regions"] = (
-        unprofiled.profile is None and not unprofiled.obs.profiler.stats()
+        unprofiled.profile is None
     )
 
     # Critical path over a live observed transaction's span tree, on a
@@ -1701,14 +1701,15 @@ def experiment_profiler(
                  "profile sha256", "signature"],
         rows=rows,
         facts=facts,
-        notes="Each shard carries its own RegionProfiler on the shard's "
-        "simulated clock; the merge folds per-region counts, sim totals, and "
-        "QuantileSketches exactly, so the deterministic artifact surface "
-        "(flamegraph weighted by calls, profile.jsonl restricted to sim "
-        "fields) is byte-identical at every shard count with per-message "
-        "evidence.  The critical path telescopes: stage self-times are "
-        "child-max residuals, so their sum equals the root span's elapsed.  "
-        "An unprofiled run records no region at all.",
+        notes="A profile is a {path: calls} table: one workload region and "
+        "one workload stream per tenant, plus the drive phase's crypto calls "
+        "per op.  Every row is session-driven, so the merge sums the shard "
+        "tables to the unsharded one, and the artifacts (flamegraph weighted "
+        "by calls, profile.jsonl rows of path and calls) are byte-identical "
+        "at every shard count with per-message evidence.  The critical path "
+        "telescopes: stage self-times are child-max residuals, so their sum "
+        "equals the root span's elapsed.  An unprofiled run carries no "
+        "profile.",
         meta=run_meta(seed),
     )
 

@@ -346,7 +346,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         print(flamegraph_text(profile), end="")
     else:
         print(render_table(
-            ["region", "calls", "self sim (s)"],
+            ["region", "calls"],
             [list(row) for row in top_regions(profile, k=args.top)],
             title=f"Hot regions ({args.tenants} tenants, {args.shards} "
             f"shard(s), batch={args.batch_size if args.batch_size else 'off'})",
@@ -421,8 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="engine worker shards (>= 1)")
     p_p.add_argument("--batch-size", type=int, default=None,
                      help="Merkle-batch evidence leaves per signature "
-                     "(omit for per-message; artifacts are shard-invariant "
-                     "only with per-message evidence)")
+                     "(omit for per-message; a batched profile counts "
+                     "no crypto calls)")
     p_p.add_argument("--top", type=int, default=10,
                      help="hot regions to print in the default mode")
     p_p.add_argument("--flamegraph", action="store_true",

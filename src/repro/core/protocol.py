@@ -276,22 +276,19 @@ def _summarize(dep: Deployment, transaction_id: str, started_at: float) -> Sessi
 
 def run_upload(dep: Deployment, data: bytes, auto_resolve: bool = True) -> SessionOutcome:
     """Drive one upload to quiescence and summarize it."""
-    with dep.obs.profiler.region("core/upload"):
-        started = dep.sim.now
-        dep.network.trace.clear()
-        transaction_id = dep.client.upload(dep.provider.name, data,
-                                           auto_resolve=auto_resolve)
-        dep.run()
-        return _summarize(dep, transaction_id, started)
+    started = dep.sim.now
+    dep.network.trace.clear()
+    transaction_id = dep.client.upload(dep.provider.name, data,
+                                       auto_resolve=auto_resolve)
+    dep.run()
+    return _summarize(dep, transaction_id, started)
 
 
 def run_download(dep: Deployment, transaction_id: str) -> DownloadResult:
     """Drive one download of a previously uploaded transaction."""
-    with dep.obs.profiler.region("core/download"):
-        dep.client.download(transaction_id)
-        dep.run()
-        result = dep.client.downloads[transaction_id]
-        return result
+    dep.client.download(transaction_id)
+    dep.run()
+    return dep.client.downloads[transaction_id]
 
 
 def run_abort(dep: Deployment, data: bytes) -> SessionOutcome:
@@ -304,14 +301,13 @@ def run_abort(dep: Deployment, data: bytes) -> SessionOutcome:
     against a provider withholding the receipt the transaction ends
     ABORTED — no TTP involved either way, as Fig. 6(b) requires.
     """
-    with dep.obs.profiler.region("core/abort"):
-        started = dep.sim.now
-        dep.network.trace.clear()
-        abort_delay = dep.client.policy.response_timeout / 2
-        transaction_id = dep.client.upload(dep.provider.name, data, auto_resolve=False)
-        dep.sim.schedule(abort_delay, lambda: dep.client.abort(transaction_id))
-        dep.run()
-        return _summarize(dep, transaction_id, started)
+    started = dep.sim.now
+    dep.network.trace.clear()
+    abort_delay = dep.client.policy.response_timeout / 2
+    transaction_id = dep.client.upload(dep.provider.name, data, auto_resolve=False)
+    dep.sim.schedule(abort_delay, lambda: dep.client.abort(transaction_id))
+    dep.run()
+    return _summarize(dep, transaction_id, started)
 
 
 def run_session(dep: Deployment, data: bytes) -> SessionOutcome:

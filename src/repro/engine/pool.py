@@ -32,6 +32,7 @@ viewers and the OB1/OB2/OB4 experiments read.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import threading
 from dataclasses import dataclass, field as dataclass_field
@@ -39,7 +40,7 @@ from dataclasses import dataclass, field as dataclass_field
 from ..core.client import DownloadResult, TpnrClient
 from ..core.policy import DEFAULT_POLICY, TpnrPolicy
 from ..core.protocol import settle_batches
-from ..core.provider import HONEST, ProviderBehavior, TpnrProvider
+from ..core.provider import TpnrProvider
 from ..core.transaction import TransactionRecord, TxStatus
 from ..core.ttp import TrustedThirdParty
 from ..crypto import cache as crypto_cache
@@ -51,7 +52,6 @@ from ..net.channel import PERFECT, ChannelSpec
 from ..net.events import Simulator
 from ..net.network import Network
 from ..obs import NULL_OBS, Observability
-from ..obs.profiler import NULL_PROFILER, RegionProfiler
 from ..obs.anomaly import AnomalyMonitor, RateShiftDetector
 from ..obs.sketch import QuantileSketch
 from ..obs.slo import SLOManager, standard_engine_slos
@@ -105,6 +105,8 @@ def latency_quantiles(sketches: list[QuantileSketch]) -> tuple[float, float]:
     return merged.quantile(0.50), merged.quantile(0.99)
 
 
+#: The provider's and TTP's node names in every pool world.
+PROVIDER_NAME, TTP_NAME = "bob", "ttp"
 #: Upload payload sizes, drawn uniformly from [PAYLOAD_MIN, PAYLOAD_MAX].
 PAYLOAD_MIN, PAYLOAD_MAX = 64, 512
 #: Uploads start uniformly inside this window (sim s).
@@ -139,9 +141,9 @@ class EngineConfig:
     # layout never reaches the wire accounting (the blob is the fixed
     # 32-byte leaf), so signature() is invariant in batch_size.
     batch_size: int | None = None
-    # Region profiling: build/schedule/drive/settle regions + crypto
-    # leaves land in PoolResult.profile (telemetry only — the profile
-    # never reaches signature()).  Requires observe.
+    # Call-count profile: the {path: calls} table of
+    # repro.obs.profiler lands in PoolResult.profile (telemetry only —
+    # the profile never reaches signature()).  Requires observe.
     profile: bool = False
 
     def __post_init__(self) -> None:
@@ -289,10 +291,9 @@ class PoolResult:
     # run ([{"shard": i, "tenants": n, "sessions": n, ...}]); empty for
     # an unsharded run.  Telemetry only, excluded from signature().
     shard_summaries: list = dataclass_field(default_factory=list)
-    # The run's RegionProfiler (config.profile); telemetry only,
-    # excluded from signature() like obs/cache_stats — profiles carry
-    # shard-dependent harness regions.
-    profile: object | None = None
+    # The run's {path: calls} table (config.profile); telemetry only,
+    # excluded from signature() like obs/cache_stats.
+    profile: dict[str, int] | None = None
 
     @property
     def completed(self) -> int:
@@ -344,9 +345,6 @@ class SessionPool:
         directory: TenantDirectory | None = None,
         channel: ChannelSpec = PERFECT,
         policy: TpnrPolicy = DEFAULT_POLICY,
-        behavior: ProviderBehavior = HONEST,
-        provider_name: str = "bob",
-        ttp_name: str = "ttp",
         roster: "tuple[tuple[int, str], ...] | None" = None,
     ) -> None:
         self.config = config
@@ -358,9 +356,6 @@ class SessionPool:
         self.directory = directory
         self.channel = channel
         self.policy = policy
-        self.behavior = behavior
-        self.provider_name = provider_name
-        self.ttp_name = ttp_name
         # The roster maps each tenant to its GLOBAL index: transaction
         # IDs, workload streams, and party streams all key off it, so a
         # shard pool running tenants (3, 7, 11) of a 16-tenant world
@@ -387,15 +382,10 @@ class SessionPool:
         self.monitor: AnomalyMonitor | None = None
         self.slos: SLOManager | None = None
         self.ledger: BatchLedger | None = None
-        # Region profiler: NULL unless config.profile; _run_inner seats
-        # a live one before build() so enrollment crypto is attributed.
-        self.profiler: RegionProfiler = NULL_PROFILER
-        self._crypto_scope = None  # open observe_crypto() CM while profiling
 
     # -- world construction --------------------------------------------------
 
     def _stream(self, label: str) -> HmacDrbg:
-        self.profiler.record_leaf("engine/stream")
         return HmacDrbg(self._seed, personalization=label.encode("utf-8"))
 
     def build(self) -> None:
@@ -412,23 +402,15 @@ class SessionPool:
             obs.tracer = NULL_TRACER
             self.network.obs = obs
         self._obs = self.network.obs
-        if self._obs.enabled and self.profiler.enabled:
-            # Seat the pool's profiler on the bundle and install the
-            # crypto observer *now*, so the enrollment signatures below
-            # are already attributed; _run_inner restores the seat.
-            self._obs.profiler = self.profiler
-            self._crypto_scope = self._obs.observe_crypto()
-            self._crypto_scope.__enter__()
-        with self.profiler.region("engine/keygen", invariant=False):
-            registry = KeyRegistry(self.directory.certificate_authority())
-            provider_id = self.directory.identity(self.provider_name)
-            ttp_id = self.directory.identity(self.ttp_name)
-            tenant_ids = [self.directory.identity(name) for name in self.tenant_names]
+        registry = KeyRegistry(self.directory.certificate_authority())
+        provider_id = self.directory.identity(PROVIDER_NAME)
+        ttp_id = self.directory.identity(TTP_NAME)
+        tenant_ids = [self.directory.identity(name) for name in self.tenant_names]
         for identity in (provider_id, ttp_id, *tenant_ids):
             registry.enroll(identity)
         self.provider = TpnrProvider(
             provider_id, registry, self._stream("engine/party/provider"),
-            ttp_name=self.ttp_name, policy=self.policy, behavior=self.behavior,
+            ttp_name=TTP_NAME, policy=self.policy,
         )
         self.ttp = TrustedThirdParty(
             ttp_id, registry, self._stream("engine/party/ttp"), policy=self.policy
@@ -439,7 +421,7 @@ class SessionPool:
         for identity in tenant_ids:
             client = TpnrClient(
                 identity, registry, self._stream(f"engine/party/{identity.name}"),
-                ttp_name=self.ttp_name, policy=self.policy,
+                ttp_name=TTP_NAME, policy=self.policy,
             )
             client.on_txn_terminal = self._upload_terminal
             client.on_download_complete = self._download_complete
@@ -459,9 +441,7 @@ class SessionPool:
             self.monitor = attach_engine_detectors(
                 self._obs.monitor, self._obs.metrics, self._total_retransmits
             )
-            sim = self.sim
-            self.slos = standard_engine_slos(
-                SLOManager(self._obs.metrics, clock=lambda: sim.now))
+            self.slos = standard_engine_slos(SLOManager(self._obs.metrics))
 
     def _parties(self):
         assert self.provider is not None and self.ttp is not None
@@ -485,31 +465,27 @@ class SessionPool:
         config = self.config
         assert self.sim is not None
         for index, name in self.roster:
-            # Per-tenant work is shard-invariant by construction (named
-            # streams + global indices): tenant k's draws are identical
-            # whichever shard hosts it, so counts sum exactly.
-            with self.profiler.region("engine/workload", invariant=True):
-                workload = self._stream(f"engine/workload/{name}")
-                for k in range(config.transactions_per_tenant):
-                    size = workload.randint(PAYLOAD_MIN, PAYLOAD_MAX)
-                    payload = workload.generate(size)
-                    offset = workload.random() * ARRIVAL_WINDOW
-                    transaction_id = f"TXN-E{index:04d}-{k:03d}"
-                    self._sessions[transaction_id] = SessionRecord(
-                        tenant=name,
-                        transaction_id=transaction_id,
-                        payload_size=size,
-                        started_at=offset,
-                    )
-                    self.sim.schedule_at(
-                        offset,
-                        lambda n=name, d=payload, t=transaction_id: self._start_upload(n, d, t),
-                    )
+            workload = self._stream(f"engine/workload/{name}")
+            for k in range(config.transactions_per_tenant):
+                size = workload.randint(PAYLOAD_MIN, PAYLOAD_MAX)
+                payload = workload.generate(size)
+                offset = workload.random() * ARRIVAL_WINDOW
+                transaction_id = f"TXN-E{index:04d}-{k:03d}"
+                self._sessions[transaction_id] = SessionRecord(
+                    tenant=name,
+                    transaction_id=transaction_id,
+                    payload_size=size,
+                    started_at=offset,
+                )
+                self.sim.schedule_at(
+                    offset,
+                    lambda n=name, d=payload, t=transaction_id: self._start_upload(n, d, t),
+                )
 
     def _start_upload(self, tenant: str, data: bytes, transaction_id: str) -> None:
         self._inflight += 1
         self.clients[tenant].upload(
-            self.provider_name, data, transaction_id=transaction_id
+            PROVIDER_NAME, data, transaction_id=transaction_id
         )
 
     # -- session lifecycle hooks ---------------------------------------------
@@ -582,38 +558,30 @@ class SessionPool:
 
     def _run_inner(self, bundle) -> PoolResult:
         config = self.config
-        profiler: RegionProfiler = NULL_PROFILER
-        if config.observe and config.profile:
-            # The sim clock closure reads self.sim *lazily*: the
-            # Simulator only exists once build() runs inside the first
-            # region, and pre-build region time is sim-zero anyway.
-            profiler = RegionProfiler(
-                clock=lambda: self.sim.now if self.sim is not None else 0.0)
-        self.profiler = profiler
-        try:
-            # Harness regions are never shard-invariant (one entry per
-            # shard world).  build/settle poison their leaf scope too:
-            # enrollment signatures repeat per shard world and batch
-            # flushes depend on the shard layout.  drive's leaves stay
-            # invariant only while evidence is per-message — with
-            # batching on, auto-seals inside the drive make the inner
-            # merkle/rsa counts layout-dependent.
-            drive_scope = config.batch_size is None
-            with profiler.region("engine/build", invariant=False, scope=False):
-                self.build()
-            with profiler.region("engine/schedule", invariant=False, scope=True):
-                self._schedule_workload()
-            with profiler.region("engine/drive", invariant=False, scope=drive_scope):
-                self._drive()
-            with profiler.region("engine/settle", invariant=False, scope=False):
-                # Strict: a pool run must never report success while
-                # holding evidence that cannot be proven.
-                batch_stats = (None if self.ledger is None
-                               else settle_batches(self._parties(), self.ledger))
-        finally:
-            if self._crypto_scope is not None:
-                self._crypto_scope.__exit__(None, None, None)
-                self._crypto_scope = None
+        self.build()
+        self._schedule_workload()
+        # Crypto calls are counted over the drive only, and only with
+        # per-message evidence: enrollment repeats per shard world and
+        # batch seals depend on the shard layout, so neither would sum
+        # across shards.
+        count_crypto = config.profile and config.batch_size is None
+        with (self._obs.observe_crypto() if count_crypto
+              else contextlib.nullcontext()) as crypto:
+            self._drive()
+        # Strict: a pool run must never report success while holding
+        # evidence that cannot be proven.
+        batch_stats = (None if self.ledger is None
+                       else settle_batches(self._parties(), self.ledger))
+        profile = None
+        if config.profile:
+            tenants = len(self.roster)
+            profile = {
+                "engine/schedule;engine/workload": tenants,
+                "engine/schedule;engine/workload;engine/stream": tenants,
+            }
+            if crypto is not None:
+                for op, counter in crypto.series.items():
+                    profile[f"engine/drive;crypto/{op}"] = int(counter.value)
         assert self.sim is not None and self.network is not None
         assert self.provider is not None and self.ttp is not None
         sends = self.network.trace.sends("tpnr.")
@@ -635,5 +603,5 @@ class SessionPool:
             alerts=list(self.monitor.alerts) if self.monitor is not None else [],
             slo=self.slos.report(self.sim.now) if self.slos is not None else None,
             batch_stats=batch_stats,
-            profile=profiler if profiler.enabled else None,
+            profile=profile,
         )

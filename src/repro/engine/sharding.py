@@ -60,11 +60,9 @@ from __future__ import annotations
 from dataclasses import replace
 
 from ..core.policy import DEFAULT_POLICY, TpnrPolicy
-from ..core.provider import HONEST, ProviderBehavior
 from ..crypto.hmac_ import hmac_digest
 from ..net.channel import PERFECT, ChannelSpec
 from ..obs import NULL_OBS
-from ..obs.profiler import RegionProfiler
 from ..obs.sketch import QuantileSketch
 from .pool import (
     LATENCY_SKETCH,
@@ -128,7 +126,7 @@ def merge_pool_results(
     sketches: list[QuantileSketch] = []
     cache_totals: dict[str, dict[str, float]] | None = None
     batch_totals: dict[str, int] | None = None
-    profiles: list[RegionProfiler] = []
+    profile: dict[str, int] | None = None
     summaries = []
     for shard_index, result in shard_results:
         sessions.extend(result.sessions)
@@ -157,7 +155,10 @@ def merge_pool_results(
             for key in batch_totals:
                 batch_totals[key] += result.batch_stats.get(key, 0)
         if result.profile is not None:
-            profiles.append(result.profile)
+            if profile is None:
+                profile = {}
+            for path, calls in result.profile.items():
+                profile[path] = profile.get(path, 0) + calls
         summaries.append({
             "shard": shard_index,
             "tenants": result.config.n_tenants,
@@ -187,11 +188,9 @@ def merge_pool_results(
         slo=None,
         batch_stats=batch_totals,
         shard_summaries=summaries,
-        # The exact fold of the per-shard profilers: counts/totals sum,
-        # sketches merge bucket-wise, invariance ANDs — so the merged
-        # profile's invariant regions are byte-identical to the
-        # unsharded run's (tests/obs/test_profiler.py proves it).
-        profile=RegionProfiler.merged(profiles) if profiles else None,
+        # Every profile row is session-driven, so the summed shard
+        # tables equal the unsharded run's table.
+        profile=profile,
     )
 
 
@@ -212,9 +211,6 @@ class ShardedSessionPool:
         directory: TenantDirectory | None = None,
         channel: ChannelSpec = PERFECT,
         policy: TpnrPolicy = DEFAULT_POLICY,
-        behavior: ProviderBehavior = HONEST,
-        provider_name: str = "bob",
-        ttp_name: str = "ttp",
     ) -> None:
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
@@ -229,9 +225,6 @@ class ShardedSessionPool:
         self.directory = directory
         self.channel = channel
         self.policy = policy
-        self.behavior = behavior
-        self.provider_name = provider_name
-        self.ttp_name = ttp_name
         self.plan = shard_plan(seed, config.n_tenants, shards)
         self.shard_results: list[tuple[int, PoolResult]] = []
 
@@ -247,9 +240,6 @@ class ShardedSessionPool:
                 directory=self.directory,
                 channel=self.channel,
                 policy=self.policy,
-                behavior=self.behavior,
-                provider_name=self.provider_name,
-                ttp_name=self.ttp_name,
                 roster=roster,
             )
             self.shard_results.append((shard_index, pool.run()))
@@ -272,10 +262,9 @@ def run_pool(
 
     ``shards > 1`` routes through :class:`ShardedSessionPool` (merged
     result, signature-identical to ``shards=1``); *batch_size* switches
-    on Merkle-batched evidence; *profile* attaches a
-    :class:`~repro.obs.profiler.RegionProfiler` per shard and merges
-    them exactly into ``result.profile``; *channel* is every link's
-    :class:`~repro.net.channel.ChannelSpec`.
+    on Merkle-batched evidence; *profile* sets ``result.profile`` to the
+    run's ``{path: calls}`` table (per-shard tables summed); *channel*
+    is every link's :class:`~repro.net.channel.ChannelSpec`.
     """
     config = EngineConfig(
         n_tenants=n_tenants,

@@ -674,7 +674,6 @@ class CampaignRunner:
     def __init__(
         self,
         seed: bytes | str = b"fault-campaign",
-        scenario: str = "session",
         durable: bool = False,
         observe: bool = False,
         forensics: bool = False,
@@ -682,14 +681,11 @@ class CampaignRunner:
         slo: bool = False,
         on_plan=None,
     ) -> None:
-        if scenario not in ("session", "upload", "abort"):
-            raise ValueError(f"unknown scenario {scenario!r}")
         if anomaly and not observe:
             raise ValueError("anomaly detection requires observe=True")
         if slo and not observe:
             raise ValueError("SLO evaluation requires observe=True")
         self.seed = seed if isinstance(seed, str) else seed.decode("latin-1")
-        self.scenario = scenario
         self.durable = durable
         self.observe = observe
         self.forensics = forensics
@@ -707,9 +703,7 @@ class CampaignRunner:
     def run(self, plans: list[FaultPlan]) -> CampaignReport:
         from ..core.protocol import (  # lazy: avoid net <-> core import cycle
             make_deployment,
-            run_abort,
             run_session,
-            run_upload,
         )
 
         dep = make_deployment(
@@ -735,8 +729,7 @@ class CampaignRunner:
         if self.slo:
             from ..obs.slo import SLOManager, standard_campaign_slos  # lazy: see render()
 
-            slos = standard_campaign_slos(
-                SLOManager(dep.obs.metrics, clock=lambda: dep.sim.now))
+            slos = standard_campaign_slos(SLOManager(dep.obs.metrics))
             self.slos = slos
         report = CampaignReport(seed=self.seed)
         lo, hi = PAYLOAD_RANGE
@@ -747,12 +740,7 @@ class CampaignRunner:
             injector.reset(epoch=dep.sim.now)
             started_at = dep.sim.now
             before = self._counters(dep)
-            if self.scenario == "abort":
-                outcome = run_abort(dep, payload)
-            elif self.scenario == "upload":
-                outcome = run_upload(dep, payload)
-            else:
-                outcome = run_session(dep, payload)
+            outcome = run_session(dep, payload)
             dep.network.remove_adversary()
             after = self._counters(dep)
             txn = outcome.transaction_id

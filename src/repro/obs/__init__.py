@@ -42,11 +42,9 @@ per-fault-class retry/escalation/latency breakdowns;
 :mod:`repro.obs.slo` declares service objectives with error budgets
 and multi-window burn-rate alerting;
 :mod:`repro.obs.dashboard` renders the live ``repro slo --watch``
-view of a running campaign; :mod:`repro.obs.profiler` attributes call
-counts and sim time to hierarchical regions, extracts
-critical paths from span trees, and exports flamegraphs/profile
-JSONL (a pool seats its profiler in ``obs.profiler`` — the seat is
-:data:`~repro.obs.profiler.NULL_PROFILER` until then).
+view of a running campaign; :mod:`repro.obs.profiler` exports a
+profiled pool's ``{path: calls}`` table as a flamegraph or profile
+JSONL and extracts critical paths from span trees.
 """
 
 from __future__ import annotations
@@ -104,12 +102,8 @@ from .metrics import (
     NullMetricsRegistry,
 )
 from .profiler import (
-    NULL_PROFILER,
     CriticalPath,
     CriticalStage,
-    NullRegionProfiler,
-    RegionProfiler,
-    RegionStat,
     critical_path,
     flamegraph_text,
     profile_jsonl,
@@ -163,10 +157,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "QuantileSketch",
-    "RegionProfiler",
-    "RegionStat",
-    "NullRegionProfiler",
-    "NULL_PROFILER",
     "CriticalPath",
     "CriticalStage",
     "critical_path",
@@ -216,18 +206,11 @@ class Observability:
         # The anomaly seat: detectors are attached by whoever drives
         # the deployment (pool, campaign runner); with none attached a
         # poll is a no-op, so the seat costs nothing until used.
-        self.monitor = AnomalyMonitor(self.metrics, clock)
-        # The profiler seat: NULL until a pool seats its live
-        # RegionProfiler, so the cost model matches NULL_METRICS.
-        self.profiler = NULL_PROFILER
+        self.monitor = AnomalyMonitor()
 
     def observe_crypto(self):
-        """Scope crypto hot-path accounting to a ``with`` block; calls
-        feed the profiler as leaves whenever one is enabled."""
-        return observe_crypto(
-            self.metrics,
-            profiler=self.profiler if self.profiler.enabled else None,
-        )
+        """Scope crypto hot-path accounting to a ``with`` block."""
+        return observe_crypto(self.metrics)
 
     def spans_jsonl(self) -> str:
         return spans_jsonl(self.tracer)
@@ -250,8 +233,7 @@ class NullObservability(Observability):
     def __init__(self) -> None:
         self.metrics = NULL_METRICS
         self.tracer = NULL_TRACER
-        self.monitor = AnomalyMonitor(NULL_METRICS)
-        self.profiler = NULL_PROFILER
+        self.monitor = AnomalyMonitor()
 
 
 NULL_OBS = NullObservability()

@@ -33,8 +33,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
-from .metrics import MetricsRegistry
-
 __all__ = [
     "Alert",
     "RateShiftDetector",
@@ -213,9 +211,7 @@ class AnomalyMonitor:
     caller's determinism.
     """
 
-    def __init__(self, metrics: MetricsRegistry, clock: Callable[[], float] | None = None) -> None:
-        self.metrics = metrics
-        self._clock = clock or (lambda: 0.0)
+    def __init__(self) -> None:
         self.detectors: list[Detector] = []
         self.alerts: list[Alert] = []
         self.polls = 0
@@ -224,10 +220,9 @@ class AnomalyMonitor:
         self.detectors.append(detector)
         return detector
 
-    def poll(self, now: float | None = None) -> list[Alert]:
-        """Sample every detector once; returns (and logs) new alerts."""
-        if now is None:
-            now = self._clock()
+    def poll(self, now: float) -> list[Alert]:
+        """Sample every detector once at sim time *now*; returns (and
+        logs) new alerts."""
         self.polls += 1
         fresh: list[Alert] = []
         for detector in self.detectors:

@@ -59,9 +59,6 @@ class DashboardFrame:
     alerts: list[Alert] = field(default_factory=list)
     offenders: list[tuple[str, int]] = field(default_factory=list)
     recent_alerts: int = 5
-    # Hot profiler regions as (path, calls, self_sim_seconds) rows —
-    # what repro.obs.profiler.top_regions() returns.
-    hot_regions: list[tuple[str, int, float]] = field(default_factory=list)
 
 
 def render_frame(frame: DashboardFrame) -> str:
@@ -94,10 +91,4 @@ def render_frame(frame: DashboardFrame) -> str:
         lines.append("  top offending fault classes:")
         for label, count in frame.offenders:
             lines.append(f"    {label:<24} {count} bad session(s)")
-    if frame.hot_regions:
-        lines.append("")
-        lines.append("  hot regions (calls, self sim s):")
-        path_w = max(len(path) for path, _, _ in frame.hot_regions)
-        for path, calls, self_sim in frame.hot_regions:
-            lines.append(f"    {path:<{path_w}}  {calls:>8}  {self_sim:.6f}")
     return "\n".join(lines) + "\n"

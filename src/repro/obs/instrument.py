@@ -6,10 +6,8 @@ build/prove/verify, and batch-seal calls into one metrics series,
 the package measures no wall time — per-op CPU cost comes from the
 repository benchmark (``python3 -m bench --trace 1``).
 
-When a :class:`~repro.obs.profiler.RegionProfiler` is attached, each
-call is also recorded as a ``crypto/<op>`` leaf under whatever region
-is open — the one feed, so profiler regions and metric series never
-double-count a call.
+A profiled pool reads these counts over its drive phase into the
+``engine/drive;crypto/<op>`` rows of its ``{path: calls}`` table.
 
 The observer is installed into the process-wide seat
 :data:`repro.crypto.instrument.observer` (a leaf module the crypto code
@@ -22,9 +20,9 @@ from __future__ import annotations
 
 import contextlib
 
-from .metrics import MetricsRegistry
+from .metrics import Counter, MetricsRegistry
 
-__all__ = ["CryptoObserver", "observe_crypto", "CRYPTO_OPS", "COMPOSITE_OPS"]
+__all__ = ["CryptoObserver", "observe_crypto", "CRYPTO_OPS"]
 
 # The instrumented operations, as reported by the hot paths.
 CRYPTO_OPS = (
@@ -38,36 +36,31 @@ CRYPTO_OPS = (
     "batch.seal",
 )
 
-#: Ops that *contain* other instrumented ops (``batch.seal`` wraps
-#: ``merkle.build``/``merkle.prove``/``rsa.sign``).  They keep their
-#: metric series but are not forwarded as profiler leaves — the inner
-#: ops already are, and forwarding both would attribute the same work
-#: twice in the region tree.
-COMPOSITE_OPS = frozenset({"batch.seal"})
-
 
 class CryptoObserver:
     """Accumulates crypto call counts into a registry."""
 
-    def __init__(self, metrics: MetricsRegistry, profiler=None) -> None:
+    def __init__(self, metrics: MetricsRegistry) -> None:
         self.metrics = metrics
-        self.profiler = profiler
+        # op -> its crypto.calls series, for the ops seen so far.
+        self.series: dict[str, Counter] = {}
 
     def crypto_call(self, op: str) -> None:
-        self.metrics.counter("crypto.calls", op=op).inc()
-        if self.profiler is not None and op not in COMPOSITE_OPS:
-            self.profiler.record_leaf("crypto/" + op)
+        counter = self.series.get(op)
+        if counter is None:
+            counter = self.series[op] = self.metrics.counter("crypto.calls", op=op)
+        counter.inc()
 
     def calls(self, op: str) -> float:
         return self.metrics.counter("crypto.calls", op=op).value
 
 
 @contextlib.contextmanager
-def observe_crypto(metrics: MetricsRegistry, profiler=None):
+def observe_crypto(metrics: MetricsRegistry):
     """Install a :class:`CryptoObserver` for the duration of a block."""
     from ..crypto import instrument as seat  # lazy: keep obs a leaf at import time
 
-    observer = CryptoObserver(metrics, profiler=profiler)
+    observer = CryptoObserver(metrics)
     previous = seat.observer
     seat.set_observer(observer)
     try:

@@ -26,7 +26,6 @@ Prometheus/JSONL exporters carry the SLO surface with no new hooks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 from .anomaly import Alert, AnomalyMonitor, BurnRateDetector, alerts_table
 from .metrics import MetricsRegistry
@@ -198,11 +197,9 @@ class SLOManager:
     once at the end of the run.
     """
 
-    def __init__(self, metrics: MetricsRegistry,
-                 clock: Callable[[], float] | None = None) -> None:
+    def __init__(self, metrics: MetricsRegistry) -> None:
         self.metrics = metrics
-        self._clock = clock or (lambda: 0.0)
-        self.monitor = AnomalyMonitor(metrics, clock=self._clock)
+        self.monitor = AnomalyMonitor()
         self._trackers: list[_Tracker] = []
 
     def add(self, spec: SLOSpec) -> SLOSpec:
@@ -223,11 +220,10 @@ class SLOManager:
         self._trackers.append(_Tracker(spec, detectors))
         return spec
 
-    def poll(self, now: float | None = None) -> list[Alert]:
-        """Sample every burn detector once; mirrors ``slo.*`` series
-        into the registry so existing exporters carry them."""
-        if now is None:
-            now = self._clock()
+    def poll(self, now: float) -> list[Alert]:
+        """Sample every burn detector once at sim time *now*; mirrors
+        ``slo.*`` series into the registry so existing exporters carry
+        them."""
         fresh = self.monitor.poll(now)
         for tracker in self._trackers:
             tracker.alerts = sum(d.fired for d in tracker.detectors)
@@ -260,7 +256,7 @@ class SLOManager:
             alerts=tracker.alerts,
         )
 
-    def statuses(self, now: float | None = None) -> list[SLOStatus]:
+    def statuses(self) -> list[SLOStatus]:
         return [self._status(t) for t in self._trackers]
 
     def _mirror(self) -> None:
@@ -278,10 +274,9 @@ class SLOManager:
     def alerts(self) -> list[Alert]:
         return self.monitor.alerts
 
-    def report(self, now: float | None = None, **meta) -> SLOReport:
-        """The end-of-run report, stamped with the active RunStamp."""
-        if now is None:
-            now = self._clock()
+    def report(self, now: float, **meta) -> SLOReport:
+        """The end-of-run report at sim time *now*, stamped with the
+        active RunStamp."""
         from ..scenarios.context import current_stamp  # lazy: avoid import cycle
 
         stamp = current_stamp()
@@ -291,7 +286,7 @@ class SLOManager:
             full_meta.update(stamp.as_meta())
         return SLOReport(
             at=now,
-            statuses=self.statuses(now),
+            statuses=self.statuses(),
             alerts=list(self.monitor.alerts),
             meta=full_meta,
         )

@@ -18,7 +18,7 @@ _TERMINAL = {"completed", "resolved", "aborted", "failed"}
 @pytest.fixture(scope="module")
 def cr1_report():
     plans = generate_amnesia_plans(SEED, N_PLANS)
-    runner = CampaignRunner(seed=SEED, scenario="session", durable=True)
+    runner = CampaignRunner(seed=SEED, durable=True)
     return runner.run(plans)
 
 
@@ -53,7 +53,7 @@ class TestCr1Acceptance:
         assert recoveries == crashes
 
     def test_reproducible_byte_for_byte(self, cr1_report):
-        rerun = CampaignRunner(seed=SEED, scenario="session", durable=True).run(
+        rerun = CampaignRunner(seed=SEED, durable=True).run(
             generate_amnesia_plans(SEED, N_PLANS)
         )
         assert rerun.signature() == cr1_report.signature()
@@ -65,7 +65,7 @@ class TestNonDurableControl:
         must be caught by the audit, not silently shrugged off."""
         plans = generate_amnesia_plans(b"cr1-control", 10)
         report = CampaignRunner(
-            seed=b"cr1-control", scenario="session", durable=False
+            seed=b"cr1-control", durable=False
         ).run(plans)
         assert report.violation_count > 0
         assert any(

@@ -9,9 +9,11 @@ evidence — and the same seed reproduces the identical outcome table.
 
 import pytest
 
-from repro.core.protocol import make_deployment, run_session
+from repro.core.protocol import make_deployment, run_abort, run_session
 from repro.core.transaction import TxStatus
+from repro.crypto.drbg import HmacDrbg
 from repro.net.faults import (
+    PAYLOAD_RANGE,
     TPNR_KINDS,
     CampaignRunner,
     CrashWindow,
@@ -205,11 +207,23 @@ class TestCampaign:
         assert [o.row() for o in rerun.outcomes] == [o.row() for o in report.outcomes]
 
     def test_abort_scenario_settles(self):
-        plans = generate_plans(b"fc-abort", 10)
-        report = CampaignRunner(seed=b"fc-abort", scenario="abort").run(plans)
-        assert report.hung_sessions == 0
-        assert report.violation_count == 0
-
-    def test_unknown_scenario_rejected(self):
-        with pytest.raises(ValueError):
-            CampaignRunner(scenario="nonsense")
+        # Abort sessions under faults on one shared deployment, with the
+        # seeds and payloads the campaign runner would use: each passes
+        # the runner's full audit (terminal status, drained simulator, no
+        # conflicting evidence, every message with a recorded fate, no
+        # durably-acknowledged evidence lost).
+        runner = CampaignRunner(seed=b"fc-abort")
+        dep = make_deployment(seed=b"fc-abort/campaign")
+        drbg = HmacDrbg(b"fc-abort", personalization=b"fault-campaign")
+        lo, hi = PAYLOAD_RANGE
+        for plan in generate_plans(b"fc-abort", 10):
+            payload = drbg.generate(drbg.randint(lo, hi))
+            injector = FaultInjector(plan)
+            dep.network.install_adversary(injector)
+            injector.reset(epoch=dep.sim.now)
+            outcome = run_abort(dep, payload)
+            dep.network.remove_adversary()
+            assert outcome.upload_status in (
+                TxStatus.COMPLETED, TxStatus.ABORTED,
+                TxStatus.RESOLVED, TxStatus.FAILED), plan.name
+            assert runner._audit(dep, outcome.transaction_id, injector) == [], plan.name

@@ -162,7 +162,7 @@ class TestAnomalyMonitor:
     def test_poll_aggregates_and_logs(self):
         reg = MetricsRegistry()
         c = reg.counter("retx")
-        monitor = AnomalyMonitor(reg)
+        monitor = AnomalyMonitor()
         monitor.add(RateShiftDetector(
             "retx-rate", lambda: c.value, window=4, min_history=2,
             min_events=3.0))
@@ -176,29 +176,29 @@ class TestAnomalyMonitor:
         assert monitor.polls == 6
         assert [a.detector for a in monitor.alerts] == ["retx-rate"]
 
-    def test_clock_fallback_stamps_alerts(self):
+    def test_alerts_are_stamped_with_the_poll_time(self):
         reg = MetricsRegistry()
         c = reg.counter("retx")
-        monitor = AnomalyMonitor(reg, clock=lambda: 42.5)
+        monitor = AnomalyMonitor()
         monitor.add(RateShiftDetector(
             "retx-rate", lambda: c.value, window=4, min_history=1,
             min_events=1.0))
-        monitor.poll()
+        monitor.poll(40.5)
         c.inc(1)
-        monitor.poll()
+        monitor.poll(41.5)
         c.inc(50)
-        alerts = monitor.poll()
+        alerts = monitor.poll(42.5)
         assert alerts and alerts[0].time == 42.5
 
     def test_empty_monitor_polls_are_noops(self):
-        monitor = AnomalyMonitor(MetricsRegistry())
+        monitor = AnomalyMonitor()
         assert monitor.poll(1.0) == []
         assert monitor.alerts == []
 
     def test_alerts_table_renders(self):
         reg = MetricsRegistry()
         c = reg.counter("retx")
-        monitor = AnomalyMonitor(reg)
+        monitor = AnomalyMonitor()
         monitor.add(RateShiftDetector(
             "retx-rate", lambda: c.value, subject="engine.retx",
             window=4, min_history=1, min_events=1.0))
@@ -216,7 +216,7 @@ class TestAnomalyMonitor:
         def run():
             reg = MetricsRegistry()
             c = reg.counter("retx")
-            monitor = AnomalyMonitor(reg)
+            monitor = AnomalyMonitor()
             monitor.add(RateShiftDetector(
                 "retx-rate", lambda: c.value, window=4, min_history=2,
                 min_events=2.0))

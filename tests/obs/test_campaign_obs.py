@@ -156,7 +156,7 @@ class TestObservedCampaigns:
 class TestForensicCampaigns:
     def test_forensics_attributes_every_failed_outcome(self):
         plans = [FaultPlan(name="clean-noop")] + generate_plans(b"fr-attr", 8)
-        runner = CampaignRunner(seed=b"fr-attr", scenario="session",
+        runner = CampaignRunner(seed=b"fr-attr",
                                 observe=True, forensics=True)
         report = runner.run(plans)
         for o in report.outcomes:
@@ -204,7 +204,7 @@ class TestForensicCampaigns:
         plans = generate_plans(b"fr-alerts", 10)
 
         def run():
-            report = CampaignRunner(seed=b"fr-alerts", scenario="session",
+            report = CampaignRunner(seed=b"fr-alerts",
                                     observe=True, anomaly=True).run(plans)
             return [a.row() for a in report.alerts]
 

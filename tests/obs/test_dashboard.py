@@ -95,34 +95,3 @@ class TestRenderFrame:
 
     def test_same_frame_same_bytes(self):
         assert render_frame(self.frame()) == render_frame(self.frame())
-
-    def test_hot_regions_panel(self):
-        text = render_frame(self.frame(hot_regions=[
-            ("engine/drive;crypto/rsa.sign", 120, 0.0),
-            ("engine/drive", 8, 1.25),
-        ]))
-        assert "hot regions (calls, self sim s)" in text
-        assert "engine/drive;crypto/rsa.sign" in text
-        assert "1.250000" in text
-
-    def test_no_hot_regions_no_panel(self):
-        assert "hot regions" not in render_frame(self.frame())
-
-    def test_hot_regions_bytes_deterministic_across_creation_order(self):
-        # The panel rows come from top_regions(), which sorts by
-        # (-calls, path) — so two profilers fed the same observations in
-        # different orders render byte-identical frames.
-        from repro.obs.profiler import RegionProfiler, top_regions
-
-        ops = [("b", 0.5), ("a", 0.25), ("a", 0.75), ("c", 0.1)]
-        forward, backward = RegionProfiler(), RegionProfiler()
-        for name, sim in ops:
-            forward.record_leaf(name, sim_seconds=sim)
-        for name, sim in reversed(ops):
-            backward.record_leaf(name, sim_seconds=sim)
-        frames = [
-            render_frame(self.frame(hot_regions=top_regions(p)))
-            for p in (forward, backward)
-        ]
-        assert frames[0] == frames[1]
-        assert "a" in frames[0].split("hot regions")[1]

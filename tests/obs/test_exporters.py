@@ -125,12 +125,12 @@ class TestExportDeterminism:
 
         def run() -> MetricsRegistry:
             reg = MetricsRegistry(clock=lambda: 3.0)
-            mgr = SLOManager(reg, clock=lambda: 3.0)
+            mgr = SLOManager(reg)
             mgr.add(SLOSpec("avail", objective=0.9,
                             sli=CounterRatioSLI(reg, "good", "bad")))
             reg.counter("good").inc(9)
             reg.counter("bad").inc(1)
-            mgr.poll()
+            mgr.poll(3.0)
             return reg
 
         first, second = run(), run()

@@ -1,6 +1,7 @@
-"""The deterministic region profiler, critical-path extraction, and
-profile exporters (PR 10 / OB4)."""
+"""Pool call-count profiles, their exporters, critical-path
+extraction and shard utilization (OB4)."""
 
+import hashlib
 import json
 
 import pytest
@@ -8,9 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs.profiler import (
-    NULL_PROFILER,
-    NullRegionProfiler,
-    RegionProfiler,
     critical_path,
     flamegraph_text,
     profile_jsonl,
@@ -20,213 +18,40 @@ from repro.obs.profiler import (
 from repro.obs.span import Tracer
 
 
-def region(profiler, path: str):
-    """The stat of the region at *path*, or None."""
-    return next((s for s in profiler.stats() if s.path == path), None)
-
-
-class FakeClock:
-    def __init__(self) -> None:
-        self.t = 0.0
-
-    def __call__(self) -> float:
-        return self.t
-
-    def advance(self, dt: float) -> None:
-        self.t += dt
-
-
-class TestRegionAccounting:
-    def test_nested_sim_self_times(self):
-        clock = FakeClock()
-        p = RegionProfiler(clock)
-        with p.region("a"):
-            clock.advance(1.0)
-            with p.region("b"):
-                clock.advance(2.0)
-            clock.advance(3.0)
-        a, b = region(p, "a"), region(p, "a;b")
-        assert a.calls == 1 and b.calls == 1
-        assert a.sim_total == pytest.approx(6.0)
-        assert b.sim_total == pytest.approx(2.0)
-        assert a.self_sim_total == pytest.approx(4.0)  # 6 minus b's 2
-        assert b.self_sim_total == pytest.approx(2.0)
-        assert p._stack == []
-
-    def test_leaf_counts_as_child_time(self):
-        clock = FakeClock()
-        p = RegionProfiler(clock)
-        with p.region("drive"):
-            clock.advance(4.0)
-            p.record_leaf("crypto", sim_seconds=1.0)
-        drive = region(p, "drive")
-        leaf = region(p, "drive;crypto")
-        assert leaf.calls == 1 and leaf.sim_total == pytest.approx(1.0)
-        # The leaf's sim second is the parent's child time, not self.
-        assert drive.self_sim_total == pytest.approx(3.0)
-
-    def test_reentry_accumulates(self):
-        clock = FakeClock()
-        p = RegionProfiler(clock)
-        for _ in range(3):
-            with p.region("a"):
-                clock.advance(1.0)
-        assert region(p, "a").calls == 3
-        assert region(p, "a").sim_total == pytest.approx(3.0)
-
-    def test_stats_sorted_by_path(self):
-        p = RegionProfiler()
-        p.record_leaf("z")
-        p.record_leaf("a")
-        assert [s.path for s in p.stats()] == ["a", "z"]
-
-
-class TestInvarianceScope:
-    def test_root_defaults_invariant(self):
-        p = RegionProfiler()
-        with p.region("a"):
-            p.record_leaf("leaf")
-        assert region(p, "a").invariant is True
-        assert region(p, "a;leaf").invariant is True
-
-    def test_scope_false_poisons_descendants(self):
-        p = RegionProfiler()
-        with p.region("build", invariant=False):
-            p.record_leaf("keygen-crypto")
-            with p.region("inner"):
-                p.record_leaf("deep")
-        assert region(p, "build").invariant is False
-        assert region(p, "build;keygen-crypto").invariant is False
-        assert region(p, "build;inner").invariant is False
-        assert region(p, "build;inner;deep").invariant is False
-
-    def test_scope_true_rescues_leaves_in_noninvariant_frame(self):
-        # engine/schedule is per-shard (non-invariant) but the per-tenant
-        # work inside it is session-driven: scope=True restores the default.
-        p = RegionProfiler()
-        with p.region("schedule", invariant=False, scope=True):
-            with p.region("workload", invariant=True):
-                p.record_leaf("stream")
-        assert region(p, "schedule").invariant is False
-        assert region(p, "schedule;workload").invariant is True
-        assert region(p, "schedule;workload;stream").invariant is True
-
-    def test_leaf_invariant_override(self):
-        p = RegionProfiler()
-        p.record_leaf("merge", invariant=False)
-        assert region(p, "merge").invariant is False
-
-    def test_invariance_is_sticky_and_ands(self):
-        p = RegionProfiler()
-        p.record_leaf("op")
-        p.record_leaf("op", invariant=False)
-        assert region(p, "op").invariant is False
-
-
-class TestMerge:
-    def test_merge_is_exact(self):
-        values = [0.25 * i for i in range(24)]
-        whole = RegionProfiler()
-        parts = [RegionProfiler(), RegionProfiler()]
-        for i, v in enumerate(values):
-            whole.record_leaf("op", sim_seconds=v)
-            parts[i % 2].record_leaf("op", sim_seconds=v)
-        merged = RegionProfiler.merged(parts)
-        assert ([s.row() for s in merged.stats()]
-                == [s.row() for s in whole.stats()])
-        assert profile_jsonl(merged) == profile_jsonl(whole)
-        assert flamegraph_text(merged) == flamegraph_text(whole)
-
-    def test_merge_ands_invariance(self):
-        a, b = RegionProfiler(), RegionProfiler()
-        a.record_leaf("op")
-        b.record_leaf("op", invariant=False)
-        assert region(RegionProfiler.merged([a, b]), "op").invariant is False
-
-    def test_merge_disjoint_paths(self):
-        a, b = RegionProfiler(), RegionProfiler()
-        a.record_leaf("x")
-        b.record_leaf("y")
-        merged = RegionProfiler.merged([a, b])
-        assert [s.path for s in merged.stats()] == ["x", "y"]
-
-    @given(st.lists(st.floats(0, 5, allow_nan=False), min_size=1, max_size=40),
-           st.integers(min_value=2, max_value=4))
-    @settings(max_examples=40, deadline=None)
-    def test_merge_exactness_property(self, values, n_parts):
-        """Any partition of the observations merges back bit-for-bit."""
-        whole = RegionProfiler()
-        parts = [RegionProfiler() for _ in range(n_parts)]
-        for i, v in enumerate(values):
-            whole.record_leaf("op", sim_seconds=v)
-            parts[i % n_parts].record_leaf("op", sim_seconds=v)
-        merged = RegionProfiler.merged(parts)
-        assert profile_jsonl(merged) == profile_jsonl(whole)
-
-
-class TestNullProfiler:
-    def test_disabled_and_inert(self):
-        assert NULL_PROFILER.enabled is False
-        assert isinstance(NULL_PROFILER, NullRegionProfiler)
-        with NULL_PROFILER.region("a"):
-            NULL_PROFILER.record_leaf("leaf", sim_seconds=1.0)
-        assert NULL_PROFILER.stats() == []
-
-    def test_region_object_is_shared(self):
-        assert NULL_PROFILER.region("a") is NULL_PROFILER.region("b")
-
-    def test_merge_is_identity(self):
-        live = RegionProfiler()
-        live.record_leaf("op")
-        assert NULL_PROFILER.merge(live) is NULL_PROFILER
-        assert NULL_PROFILER.stats() == []
-
-
 class TestExporters:
-    def profiler(self) -> RegionProfiler:
-        clock = FakeClock()
-        p = RegionProfiler(clock)
-        with p.region("drive"):
-            clock.advance(2.0)
-            p.record_leaf("rsa")
-            p.record_leaf("rsa")
-        p.record_leaf("merge", invariant=False)
-        return p
+    PROFILE = {"drive;rsa": 2, "drive": 1}
 
     def test_flamegraph_weights_and_filter(self):
-        # Weighted by calls; the non-invariant merge leaf is filtered out.
-        assert flamegraph_text(self.profiler()) == "drive 1\ndrive;rsa 2\n"
+        # One line per path, weighted by calls and sorted by path,
+        # whatever the table's insertion order.
+        assert flamegraph_text(self.PROFILE) == "drive 1\ndrive;rsa 2\n"
+        assert flamegraph_text(dict(reversed(self.PROFILE.items()))) == (
+            flamegraph_text(self.PROFILE))
 
     def test_profile_jsonl_shape(self):
-        p = self.profiler()
-        lines = [json.loads(line) for line in profile_jsonl(p).splitlines()]
-        assert lines[0]["kind"] == "profile"
-        rows = lines[1:]
-        assert [r["path"] for r in rows] == ["drive", "drive;rsa"]
-        # Calls and sim-clock fields only: the profiler reads no other clock.
-        assert set(rows[0]) == {"path", "calls", "sim_total", "self_sim_total",
-                                "sim_p50", "sim_p99"}
-        assert rows[0]["sim_total"] == 2.0
+        lines = [json.loads(line)
+                 for line in profile_jsonl(self.PROFILE).splitlines()]
+        assert lines[0] == {"kind": "profile"}
+        assert lines[1:] == [{"calls": 1, "path": "drive"},
+                             {"calls": 2, "path": "drive;rsa"}]
 
     def test_profile_jsonl_carries_stamp_under_scenario(self):
         from repro.scenarios import SCENARIOS, stamped
 
         ob4 = SCENARIOS.get("OB4")
         with stamped(ob4.stamp()):
-            header = json.loads(profile_jsonl(self.profiler()).splitlines()[0])
+            header = json.loads(profile_jsonl(self.PROFILE).splitlines()[0])
+        assert header["kind"] == "profile"
         assert header["run_key"] == ob4.run_key()
 
     def test_top_regions_ranked_by_calls_then_path(self):
-        p = self.profiler()
-        rows = top_regions(p, k=2)
-        assert rows[0][0] == "drive;rsa" and rows[0][1] == 2
-        assert rows[1][0] == "drive"
+        profile = {"b": 3, "a": 3, "c": 7, "d": 1}
+        assert top_regions(profile, k=3) == [("c", 7), ("a", 3), ("b", 3)]
 
     def test_empty_profiler_exports(self):
-        p = RegionProfiler()
-        assert flamegraph_text(p) == ""
-        assert top_regions(p) == []
-        assert len(profile_jsonl(p).splitlines()) == 1  # header only
+        assert flamegraph_text({}) == ""
+        assert top_regions({}) == []
+        assert len(profile_jsonl({}).splitlines()) == 1  # header only
 
 
 class TestCriticalPath:
@@ -347,19 +172,28 @@ class TestEngineIntegration:
         from repro.engine import run_pool
 
         seed = b"test/profiler"
-        plain = run_pool(seed, 4, directory=directory)
-        profiled = {
-            shards: run_pool(seed, 4, directory=directory,
-                             shards=shards, profile=True)
-            for shards in (1, 2)
+        # SHA-256 of flamegraph_text at every shard count, per evidence
+        # mode; with batching the table holds only the workload rows.
+        pinned = {
+            None: "98e852da37da928b74409e713555d94f3f86a1bb8177ba06e1c3c36179f08e7e",
+            4: "e38947f978bc5e4491bb11e4aedbd9f2982f602f85ca7c779670ed44927e7b39",
         }
-        assert {r.signature() for r in profiled.values()} == {plain.signature()}
-        artifacts = {
-            shards: (flamegraph_text(r.profile), profile_jsonl(r.profile))
-            for shards, r in profiled.items()
-        }
-        assert artifacts[1] == artifacts[2]
-        assert "engine/drive;crypto/rsa.sign" in artifacts[1][0]
+        for batch_size, flame_sha in pinned.items():
+            plain = run_pool(seed, 4, directory=directory, batch_size=batch_size)
+            profiled = {
+                shards: run_pool(seed, 4, directory=directory, shards=shards,
+                                 batch_size=batch_size, profile=True)
+                for shards in (1, 2, 3)
+            }
+            assert {r.signature() for r in profiled.values()} == {plain.signature()}
+            artifacts = {
+                (flamegraph_text(r.profile), profile_jsonl(r.profile))
+                for r in profiled.values()
+            }
+            assert len(artifacts) == 1
+            (flame, _), = artifacts
+            assert hashlib.sha256(flame.encode()).hexdigest() == flame_sha
+            assert ("engine/drive;crypto/rsa.sign" in flame) == (batch_size is None)
 
     def test_profile_requires_observe(self):
         from repro.engine.pool import EngineConfig

@@ -26,9 +26,14 @@ from repro.obs.slo import (
 def manager(**kwargs) -> SLOManager:
     clock = {"t": 0.0}
     reg = MetricsRegistry(clock=lambda: clock["t"])
-    mgr = SLOManager(reg, clock=lambda: clock["t"])
+    mgr = SLOManager(reg)
     mgr._test_clock = clock  # test handle to advance sim time
     return mgr
+
+
+def now(mgr) -> float:
+    """The manager's test sim time, for poll() and report()."""
+    return mgr._test_clock["t"]
 
 
 def ratio_spec(mgr, name="availability", objective=0.9, **spec_kwargs) -> SLOSpec:
@@ -94,7 +99,7 @@ class TestBurnAlerting:
             mgr._test_clock["t"] += 1.0
             ok.inc(good_per_poll)
             bad.inc(bad_per_poll)
-            fresh.extend(mgr.poll())
+            fresh.extend(mgr.poll(now(mgr)))
         return fresh
 
     def test_clean_traffic_fires_nothing(self):
@@ -168,7 +173,7 @@ class TestStatusAccounting:
         ratio_spec(mgr)
         mgr.metrics.counter("requests", outcome="ok").inc(9)
         mgr.metrics.counter("requests", outcome="bad").inc(1)
-        mgr.poll()
+        mgr.poll(now(mgr))
         reg = mgr.metrics
         assert reg.gauge("slo.sli", slo="availability").value == pytest.approx(0.9)
         assert reg.gauge("slo.budget_remaining", slo="availability").value == 0.0
@@ -184,7 +189,7 @@ class TestStatusAccounting:
         for _ in range(3):
             ok.inc(4)
             bad.inc(1)
-            mgr.poll()
+            mgr.poll(now(mgr))
         # Oldest snapshot (4, 1) vs live (12, 3): 2 failed of 10 => 2x.
         for window in ("fast", "slow"):
             gauge = mgr.metrics.gauge("slo.burn_rate", slo="availability",
@@ -203,8 +208,8 @@ class TestReport:
         for _ in range(6):
             mgr._test_clock["t"] += 1.0
             bad.inc(5)
-            mgr.poll()
-        return mgr.report(note="unit")
+            mgr.poll(now(mgr))
+        return mgr.report(now(mgr), note="unit")
 
     def test_report_contents_and_alert_filter(self):
         report = self.storm_report()
@@ -230,7 +235,7 @@ class TestReport:
         stamp = RunStamp(run_key="k" * 64, scenario="OB3", stage="experiment",
                          repetition=0, seed="s", seed_scheme="x")
         with stamped(stamp):
-            report = mgr.report()
+            report = mgr.report(now(mgr))
         assert report.meta["run_key"] == "k" * 64
         assert report.meta["scenario"] == "OB3"
 
@@ -255,5 +260,5 @@ class TestStandardSets:
     def test_bundles_poll_cleanly_on_an_empty_registry(self):
         for build in (standard_campaign_slos, standard_engine_slos):
             mgr = build(manager())
-            assert mgr.poll() == []
+            assert mgr.poll(now(mgr)) == []
             assert all(s.budget_remaining == 1.0 for s in mgr.statuses())

@@ -151,7 +151,7 @@ class TestReplicationWiring:
 
         dep, store, txn, primary = self.make_observed_store()
         metrics = dep.obs.metrics
-        mgr = SLOManager(metrics, clock=lambda: dep.sim.now)
+        mgr = SLOManager(metrics)
         mgr.add(SLOSpec("read-integrity", objective=0.9, sli=CounterRatioSLI(
             metrics, ("replication.reads", {"outcome": "clean"}),
             ("replication.reads", {"outcome": "repaired"}))))
@@ -159,8 +159,8 @@ class TestReplicationWiring:
             metrics, "replication.fork_detection_seconds", 5.0)))
         store.tamper_replica(primary, "tpnr-data", txn, b"diverged")
         run_download(dep, txn)
-        mgr.poll()
-        report = mgr.report()
+        mgr.poll(dep.sim.now)
+        report = mgr.report(dep.sim.now)
         reads = status(report, "read-integrity")
         assert reads.good == 0.0 and reads.bad == 1.0
         fork = status(report, "fork-detection-latency")
