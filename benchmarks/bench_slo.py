@@ -23,7 +23,7 @@ def _clean_campaign_seconds(slo: bool) -> float:
     plans = [FaultPlan(name=f"s{i:03d}-clean") for i in range(CLEAN_PLANS)]
     best = float("inf")
     for _ in range(3):
-        runner = CampaignRunner(seed=SEED, observe=True, slo=slo)
+        runner = CampaignRunner(seed=SEED, slo=slo)
         started = time.perf_counter()
         runner.run(plans)
         best = min(best, time.perf_counter() - started)

@@ -842,7 +842,7 @@ def experiment_fault_campaign(
     from ..obs.campaign import class_breakdown
 
     plans = generate_plans(seed, n_plans)
-    runner = CampaignRunner(seed=seed, observe=True)
+    runner = CampaignRunner(seed=seed)
     report = runner.run(plans)
     status_counts = report.status_counts()
     rows = [
@@ -910,7 +910,7 @@ def experiment_crash_recovery(
     from ..obs.campaign import class_breakdown
 
     plans = generate_amnesia_plans(seed, n_plans)
-    runner = CampaignRunner(seed=seed, durable=True, observe=True)
+    runner = CampaignRunner(seed=seed, durable=True)
     report = runner.run(plans)
     status_counts = report.status_counts()
     rows = [
@@ -990,9 +990,10 @@ def experiment_observability(seed: bytes = b"exp/ob1") -> ExperimentResult:
     sees the RSA/AEAD traffic the session actually generated.  The
     disabled path does none of that work: an unobserved session keeps
     the network's bundle disabled, the crypto observer seat empty, and
-    the null registry and tracer without a series or a span.  An
-    observed session pool sits between the two: metric series and a
-    latency sketch holding every session, and no span.
+    the null registry and tracer without a series or a span.  A session
+    pool world takes the disabled path too: its network seats the null
+    bundle, no party holds a span, and the pool's own latency sketch
+    holds every session.
     """
     import json
 
@@ -1087,22 +1088,20 @@ def experiment_observability(seed: bytes = b"exp/ob1") -> ExperimentResult:
         and not seat.tracer.spans
     )
 
-    # An observed pool keeps counters and sketches, not span trees:
-    # nothing reads a pool session's spans, and they were most of the
-    # pool's telemetry cost.
-    from ..engine import run_pool
-    from ..engine.pool import LATENCY_SKETCH
+    # A pool world is not observed: it keeps only the latency sketch
+    # its p50/p99 come from, and no party opens a span.
+    from ..engine import EngineConfig, SessionPool
+    from ..obs import NULL_OBS
 
-    pool = run_pool(seed + b"/pool", 4, transactions_per_tenant=2)
-    pool_latencies = pool.obs.metrics.sketch(LATENCY_SKETCH).count
-    facts["pool/sessions"] = len(pool.sessions)
-    facts["pool/metrics"] = len(pool.obs.metrics)
-    facts["pool/spans"] = len(pool.obs.tracer.spans)
+    pool = SessionPool(EngineConfig(n_tenants=4, transactions_per_tenant=2),
+                       seed=seed + b"/pool")
+    pooled = pool.run()
+    facts["pool/sessions"] = len(pooled.sessions)
+    facts["pool/spans"] = sum(len(p._obs_spans) for p in pool._parties())
     facts["observed_pool_keeps_no_spans"] = (
-        pool.obs.enabled
-        and facts["pool/metrics"] > 0
-        and pool_latencies == len(pool.sessions) > 0
+        pool.network.obs is NULL_OBS
         and facts["pool/spans"] == 0
+        and pooled.latency_sketch.count == len(pooled.sessions) > 0
     )
     return ExperimentResult(
         experiment_id="OB1",
@@ -1115,7 +1114,7 @@ def experiment_observability(seed: bytes = b"exp/ob1") -> ExperimentResult:
         "events carry msg_id for wire-trace correlation), so trees survive "
         "amnesia crashes of party state; metrics are sim-clock-stamped and "
         "deterministic, and crypto hot paths are counted, never timed.  "
-        "A session pool keeps counters and sketches but no spans.",
+        "A session pool is not observed: it keeps only its latency sketch.",
         meta=run_meta(seed),
     )
 
@@ -1226,8 +1225,7 @@ def experiment_forensics(
 
     # Campaign sweep: forensics + rate-shift detectors + SLO burn alerts.
     plans = [FaultPlan(name="ob2-noop")] + generate_plans(seed, n_plans - 1)
-    runner = CampaignRunner(seed=seed, observe=True,
-                            forensics=True, anomaly=True, slo=True)
+    runner = CampaignRunner(seed=seed, forensics=True, anomaly=True, slo=True)
     report = runner.run(plans)
     unattributed = sum(
         1 for o in report.outcomes
@@ -1248,7 +1246,7 @@ def experiment_forensics(
         facts["clean/findings"] == 0 and facts["campaign/noop_findings"] == 0
     )
     facts["verdicts_agree"] = facts["clean/agrees"] and facts["tamper/agrees"]
-    dark = CampaignRunner(seed=seed, observe=True)
+    dark = CampaignRunner(seed=seed)
     dark_report = dark.run(plans[:12])
     facts["forensics_off_builds_no_auditor"] = dark.auditor is None and not any(
         o.findings for o in dark_report.outcomes)
@@ -1314,8 +1312,7 @@ def experiment_slo(
     facts: dict[str, Any] = {}
     latencies: list[float] = []
     for tag, plans in campaigns:
-        runner = CampaignRunner(
-            seed=seed + b"/" + tag.encode(), observe=True, slo=True)
+        runner = CampaignRunner(seed=seed + b"/" + tag.encode(), slo=True)
         report = runner.run(plans)
         slo_report = report.slo
         burn = slo_report.burn_alerts()

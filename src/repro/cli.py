@@ -206,7 +206,7 @@ def _cmd_slo(args: argparse.Namespace) -> int:
         )
         print(clear + render_frame(frame))
 
-    runner = CampaignRunner(seed=seed, observe=True, slo=True, on_plan=on_plan)
+    runner = CampaignRunner(seed=seed, slo=True, on_plan=on_plan)
     report = runner.run(plans)
     slo_report = report.slo
     burn = slo_report.burn_alerts()

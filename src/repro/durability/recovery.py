@@ -80,7 +80,7 @@ def recover(party: "TpnrParty") -> RecoveryReport:
     party.recoveries += 1
     obs = party.obs
     spans = {}
-    if obs.tracer.enabled:
+    if obs.enabled:
         # One recovery span per restored in-flight transaction, parented
         # under that transaction's root — the tracer lives on the
         # network, so the tree survived the amnesia wipe that just

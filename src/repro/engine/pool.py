@@ -21,13 +21,15 @@ Transaction IDs are likewise explicit (``TXN-E{tenant}-{k}``) instead
 of the process-global counter, so a pool's IDs do not depend on how
 many transactions ran earlier in the process.
 
-An observed pool keeps the telemetry someone reads: counters, gauges,
-the session-latency sketch, SLOs and anomaly detectors.  It keeps no
-span tree — its bundle's tracer is :data:`~repro.obs.span.NULL_TRACER`,
-so the parties skip every span and root-event call.  Span trees are
-for single deployments (``make_deployment(observe=True)``), which is
-what the ``repro obs``/``forensics``/``profile --critical-path``
-viewers and the OB1/OB2/OB4 experiments read.
+A pool world is not observed: its network keeps
+:data:`~repro.obs.NULL_OBS`, so its parties record no metric, span or
+root event.  The pool keeps only what it reports: the
+``engine.session_latency`` sketch its p50/p99 come from, observed once
+per finished session, and, when profiled, the drive phase's crypto
+call counts.  Full telemetry (metrics, span trees, SLOs, detectors)
+belongs to single deployments (``make_deployment(observe=True)``) and
+fault campaigns, which the ``repro obs``/``forensics``/``slo``/``profile
+--critical-path`` viewers and the OB1-OB4 experiments read.
 """
 
 from __future__ import annotations
@@ -51,11 +53,9 @@ from ..determinism import canon_float
 from ..net.channel import PERFECT, ChannelSpec
 from ..net.events import Simulator
 from ..net.network import Network
-from ..obs import NULL_OBS, Observability
-from ..obs.anomaly import AnomalyMonitor, RateShiftDetector
+from ..obs.instrument import observe_crypto
+from ..obs.metrics import MetricsRegistry
 from ..obs.sketch import QuantileSketch
-from ..obs.slo import SLOManager, standard_engine_slos
-from ..obs.span import NULL_TRACER
 
 __all__ = [
     "EngineConfig",
@@ -63,46 +63,23 @@ __all__ = [
     "SessionRecord",
     "PoolResult",
     "SessionPool",
-    "attach_engine_detectors",
     "latency_quantiles",
 ]
 
-#: The per-session latency series: the one distribution the pool
-#: reports p50/p99 from and the ``session-latency`` SLO reads.
+#: The per-session latency sketch's name: the one distribution the
+#: pool reports p50/p99 from.
 LATENCY_SKETCH = "engine.session_latency"
 
 
-def attach_engine_detectors(
-    monitor: AnomalyMonitor, metrics, retransmit_reader
-) -> AnomalyMonitor:
-    """Subscribe the pool's retransmit rate-shift detector.
-
-    One poll window is one ``SAMPLE_INTERVAL`` slice of the driving
-    loop, so a retransmission storm fires while the pool is still
-    running — the live complement to the post-mortem forensics layer.
-    Session success and latency are error-budget questions, answered by
-    :func:`~repro.obs.slo.standard_engine_slos`.
-    """
-    monitor.add(RateShiftDetector(
-        "retransmit-rate", retransmit_reader,
-        subject="engine.retransmits",
-        window=10, factor=4.0, min_events=4,
-    ))
-    return monitor
-
-
-def latency_quantiles(sketches: list[QuantileSketch]) -> tuple[float, float]:
-    """``(p50, p99)`` of the exact merge of per-world latency sketches.
+def latency_quantiles(sketch: QuantileSketch) -> tuple[float, float]:
+    """``(p50, p99)`` of a pool's latency sketch.
 
     The one quantile path for pool results: an unsharded pool passes
     its own sketch, :func:`~repro.engine.sharding.merge_pool_results`
-    passes one per shard, and the merge is exact, so both report the
-    same numbers.  ``(0.0, 0.0)`` when nothing was observed.
+    the exact merge of its shards' sketches, so both report the same
+    numbers.  ``(0.0, 0.0)`` when nothing was observed.
     """
-    if not sketches:
-        return 0.0, 0.0
-    merged = QuantileSketch.merged(LATENCY_SKETCH, sketches)
-    return merged.quantile(0.50), merged.quantile(0.99)
+    return sketch.quantile(0.50), sketch.quantile(0.99)
 
 
 #: The provider's and TTP's node names in every pool world.
@@ -111,8 +88,9 @@ PROVIDER_NAME, TTP_NAME = "bob", "ttp"
 PAYLOAD_MIN, PAYLOAD_MAX = 64, 512
 #: Uploads start uniformly inside this window (sim s).
 ARRIVAL_WINDOW = 5.0
-#: The drive loop's slice: in-flight gauge samples, detector and SLO
-#: polls happen once per slice (sim s).
+#: The drive loop's slice (sim s).  The loop polls nothing; the slice
+#: only puts ``sim_duration``, which ``signature()`` hashes, on this
+#: grid, so it must not change.
 SAMPLE_INTERVAL = 0.5
 
 
@@ -132,10 +110,6 @@ class EngineConfig:
     n_tenants: int = 10
     transactions_per_tenant: int = 1
     use_caches: bool = True
-    # Telemetry: metrics, the latency sketch, the standard engine SLOs
-    # and the retransmit detector; never spans (a pool session's span
-    # tree has no reader).
-    observe: bool = True
     # Merkle-batched evidence: one RSA signature per batch of this many
     # evidence leaves (None = classic per-message signatures).  Batch
     # layout never reaches the wire accounting (the blob is the fixed
@@ -143,7 +117,7 @@ class EngineConfig:
     batch_size: int | None = None
     # Call-count profile: the {path: calls} table of
     # repro.obs.profiler lands in PoolResult.profile (telemetry only —
-    # the profile never reaches signature()).  Requires observe.
+    # the profile never reaches signature()).
     profile: bool = False
 
     def __post_init__(self) -> None:
@@ -153,8 +127,6 @@ class EngineConfig:
             raise ValueError("transactions_per_tenant must be >= 1")
         if self.batch_size is not None and self.batch_size < 1:
             raise ValueError("batch_size must be >= 1 (or None for per-message)")
-        if self.profile and not self.observe:
-            raise ValueError("profile=True requires observe=True")
 
 
 class TenantDirectory:
@@ -275,14 +247,11 @@ class PoolResult:
     ttp_stats: dict[str, int]
     p50_latency: float
     p99_latency: float
+    # The engine.session_latency sketch p50/p99 come from (merged over
+    # shards); telemetry only, excluded from signature() like the cache
+    # statistics.
+    latency_sketch: QuantileSketch
     cache_stats: dict[str, dict[str, float]] | None = None
-    obs: Observability = NULL_OBS
-    # Rate-shift alerts from the sampling loop; telemetry only, excluded
-    # from signature() like the cache statistics.
-    alerts: list = dataclass_field(default_factory=list)
-    # End-of-run SLOReport (observed pools); telemetry only, excluded from
-    # signature() like alerts.
-    slo: object | None = None
     # Batched-evidence telemetry ({"batches": n, "leaves": n,
     # "resolved": n, "failed": n}); excluded from signature() — batch
     # layout is a crypto-amortization choice, not simulated behavior.
@@ -292,7 +261,7 @@ class PoolResult:
     # an unsharded run.  Telemetry only, excluded from signature().
     shard_summaries: list = dataclass_field(default_factory=list)
     # The run's {path: calls} table (config.profile); telemetry only,
-    # excluded from signature() like obs/cache_stats.
+    # excluded from signature() like cache_stats.
     profile: dict[str, int] | None = None
 
     @property
@@ -377,10 +346,7 @@ class SessionPool:
         self.ttp: TrustedThirdParty | None = None
         self.clients: dict[str, TpnrClient] = {}
         self._sessions: dict[str, SessionRecord] = {}
-        self._inflight = 0
-        self._obs: Observability = NULL_OBS
-        self.monitor: AnomalyMonitor | None = None
-        self.slos: SLOManager | None = None
+        self.latency_sketch = QuantileSketch(LATENCY_SKETCH)
         self.ledger: BatchLedger | None = None
 
     # -- world construction --------------------------------------------------
@@ -393,15 +359,7 @@ class SessionPool:
         config = self.config
         self.sim = Simulator()
         self.network = Network(self.sim, self._stream("engine/net"), default_channel=self.channel)
-        if config.observe:
-            sim = self.sim
-            obs = Observability(clock=lambda: sim.now)
-            # Counters, gauges, sketches, SLOs and detectors, but no
-            # span tree: nothing reads a pool session's spans, and
-            # keeping them was most of the telemetry cost.
-            obs.tracer = NULL_TRACER
-            self.network.obs = obs
-        self._obs = self.network.obs
+        self.latency_sketch = QuantileSketch(LATENCY_SKETCH)
         registry = KeyRegistry(self.directory.certificate_authority())
         provider_id = self.directory.identity(PROVIDER_NAME)
         ttp_id = self.directory.identity(TTP_NAME)
@@ -435,25 +393,10 @@ class SessionPool:
                     self.ledger,
                     EvidenceBatcher(party.identity, config.batch_size, self.ledger),
                 )
-        self.monitor = None
-        self.slos = None
-        if config.observe:
-            self.monitor = attach_engine_detectors(
-                self._obs.monitor, self._obs.metrics, self._total_retransmits
-            )
-            self.slos = standard_engine_slos(SLOManager(self._obs.metrics))
 
     def _parties(self):
         assert self.provider is not None and self.ttp is not None
         return (self.provider, self.ttp, *self.clients.values())
-
-    def _total_retransmits(self) -> int:
-        assert self.provider is not None and self.ttp is not None
-        return (
-            self.provider.retransmits_sent
-            + self.ttp.retransmits_sent
-            + sum(c.retransmits_sent for c in self.clients.values())
-        )
 
     def _schedule_workload(self) -> None:
         """Schedule every tenant's uploads inside the arrival window.
@@ -483,7 +426,6 @@ class SessionPool:
                 )
 
     def _start_upload(self, tenant: str, data: bytes, transaction_id: str) -> None:
-        self._inflight += 1
         self.clients[tenant].upload(
             PROVIDER_NAME, data, transaction_id=transaction_id
         )
@@ -514,33 +456,19 @@ class SessionPool:
 
     def _finish_session(self, session: SessionRecord) -> None:
         session.finished = True
-        self._inflight -= 1
-        obs = self._obs
-        if obs.enabled:
-            ok = session.upload_status in ("completed", "resolved")
-            obs.metrics.counter(
-                "engine.sessions_finished", outcome="ok" if ok else "failed"
-            ).inc()
-            latency = session.latency
-            if latency is not None:
-                obs.metrics.sketch(LATENCY_SKETCH).observe(latency)
+        latency = session.latency
+        if latency is not None:
+            self.latency_sketch.observe(latency)
 
     # -- driving -------------------------------------------------------------
 
     def _drive(self) -> None:
-        """Run to quiescence, sampling the in-flight gauge per slice."""
+        """Run to quiescence in ``SAMPLE_INTERVAL`` slices, so the
+        clock stops on that grid."""
         assert self.sim is not None
         sim = self.sim
-        obs = self._obs
-        monitor = self.monitor
         while sim.next_event_time() is not None:
             sim.run(until=sim.now + SAMPLE_INTERVAL)
-            if obs.enabled:
-                obs.metrics.gauge("engine.inflight_sessions").set(self._inflight)
-                if monitor is not None:
-                    monitor.poll(sim.now)
-                if self.slos is not None:
-                    self.slos.poll(sim.now)
 
     def run(self) -> PoolResult:
         """Build, schedule, drive, and summarize one pool run.
@@ -563,9 +491,9 @@ class SessionPool:
         # Crypto calls are counted over the drive only, and only with
         # per-message evidence: enrollment repeats per shard world and
         # batch seals depend on the shard layout, so neither would sum
-        # across shards.
+        # across shards.  The counts land in a throwaway registry.
         count_crypto = config.profile and config.batch_size is None
-        with (self._obs.observe_crypto() if count_crypto
+        with (observe_crypto(MetricsRegistry()) if count_crypto
               else contextlib.nullcontext()) as crypto:
             self._drive()
         # Strict: a pool run must never report success while holding
@@ -585,9 +513,7 @@ class SessionPool:
         assert self.sim is not None and self.network is not None
         assert self.provider is not None and self.ttp is not None
         sends = self.network.trace.sends("tpnr.")
-        obs = self._obs
-        p50, p99 = latency_quantiles(
-            [obs.metrics.sketch(LATENCY_SKETCH)] if obs.enabled else [])
+        p50, p99 = latency_quantiles(self.latency_sketch)
         return PoolResult(
             config=self.config,
             sessions=sorted(self._sessions.values(), key=lambda s: s.transaction_id),
@@ -598,10 +524,8 @@ class SessionPool:
             ttp_stats=self.ttp.stats(),
             p50_latency=p50,
             p99_latency=p99,
+            latency_sketch=self.latency_sketch,
             cache_stats=bundle.stats() if bundle is not None else None,
-            obs=obs,
-            alerts=list(self.monitor.alerts) if self.monitor is not None else [],
-            slo=self.slos.report(self.sim.now) if self.slos is not None else None,
             batch_stats=batch_stats,
             profile=profile,
         )

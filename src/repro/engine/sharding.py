@@ -45,7 +45,10 @@ Latency quantiles come from the exact integer merge of the per-shard
 identity on the sketch, see :mod:`repro.obs.sketch`) through
 :func:`~repro.engine.pool.latency_quantiles`, the same path the
 unsharded pool uses — so p50/p99 are bit-identical at every shard
-count too.  They are telemetry, excluded from ``signature()``.
+count too.  They are telemetry, excluded from ``signature()``.  A
+shard world, like an unsharded one, is not observed: its latency
+sketch and, when profiled, its ``{path: calls}`` table are all the
+telemetry it keeps, and both merge exactly.
 
 Shards run as sequential loop-based workers in one process.  Whether
 process fan-out would pay for its serialization on this GIL-bound,
@@ -62,7 +65,6 @@ from dataclasses import replace
 from ..core.policy import DEFAULT_POLICY, TpnrPolicy
 from ..crypto.hmac_ import hmac_digest
 from ..net.channel import PERFECT, ChannelSpec
-from ..obs import NULL_OBS
 from ..obs.sketch import QuantileSketch
 from .pool import (
     LATENCY_SKETCH,
@@ -122,7 +124,6 @@ def merge_pool_results(
     sim_duration = 0.0
     provider_stats: dict[str, int] = {}
     ttp_stats: dict[str, int] = {}
-    alerts: list = []
     sketches: list[QuantileSketch] = []
     cache_totals: dict[str, dict[str, float]] | None = None
     batch_totals: dict[str, int] | None = None
@@ -137,9 +138,7 @@ def merge_pool_results(
             provider_stats[key] = provider_stats.get(key, 0) + value
         for key, value in result.ttp_stats.items():
             ttp_stats[key] = ttp_stats.get(key, 0) + value
-        alerts.extend(result.alerts)
-        if result.obs.enabled:
-            sketches.append(result.obs.metrics.sketch(LATENCY_SKETCH))
+        sketches.append(result.latency_sketch)
         if result.cache_stats is not None:
             if cache_totals is None:
                 cache_totals = {}
@@ -171,7 +170,8 @@ def merge_pool_results(
         for bucket in cache_totals.values():
             asked = bucket["hits"] + bucket["misses"]
             bucket["hit_rate"] = round(bucket["hits"] / asked, 6) if asked else 0.0
-    p50, p99 = latency_quantiles(sketches)
+    latency_sketch = QuantileSketch.merged(LATENCY_SKETCH, sketches)
+    p50, p99 = latency_quantiles(latency_sketch)
     return PoolResult(
         config=config,
         sessions=sorted(sessions, key=lambda s: s.transaction_id),
@@ -182,10 +182,8 @@ def merge_pool_results(
         ttp_stats=ttp_stats,
         p50_latency=p50,
         p99_latency=p99,
+        latency_sketch=latency_sketch,
         cache_stats=cache_totals,
-        obs=NULL_OBS,
-        alerts=alerts,
-        slo=None,
         batch_stats=batch_totals,
         shard_summaries=summaries,
         # Every profile row is session-driven, so the summed shard
@@ -252,7 +250,6 @@ def run_pool(
     directory: TenantDirectory | None = None,
     use_caches: bool = True,
     transactions_per_tenant: int = 1,
-    observe: bool = True,
     shards: int = 1,
     batch_size: int | None = None,
     profile: bool = False,
@@ -260,8 +257,9 @@ def run_pool(
 ) -> PoolResult:
     """One engine run at one tenant count; the low-level entry point.
 
-    ``shards > 1`` routes through :class:`ShardedSessionPool` (merged
-    result, signature-identical to ``shards=1``); *batch_size* switches
+    ``shards != 1`` routes through :class:`ShardedSessionPool` (merged
+    result, signature-identical to ``shards=1``; it rejects
+    ``shards < 1``); *batch_size* switches
     on Merkle-batched evidence; *profile* sets ``result.profile`` to the
     run's ``{path: calls}`` table (per-shard tables summed); *channel*
     is every link's :class:`~repro.net.channel.ChannelSpec`.
@@ -270,11 +268,10 @@ def run_pool(
         n_tenants=n_tenants,
         transactions_per_tenant=transactions_per_tenant,
         use_caches=use_caches,
-        observe=observe,
         batch_size=batch_size,
         profile=profile,
     )
-    if shards > 1:
+    if shards != 1:
         return ShardedSessionPool(
             config, seed=seed, shards=shards, directory=directory, channel=channel
         ).run()

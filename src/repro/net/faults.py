@@ -668,26 +668,22 @@ class CampaignRunner:
     — key generation dominates setup cost, and sharing it is also the
     stronger test: residual state from a faulted session must not
     poison the next one.  Each plan gets a fresh transaction, a fresh
-    fault injector arming, and a full invariant audit afterwards.
+    fault injector arming, and a full invariant audit afterwards.  The
+    deployment is always observed, so anomaly detection and SLOs can
+    be switched on alone.
     """
 
     def __init__(
         self,
         seed: bytes | str = b"fault-campaign",
         durable: bool = False,
-        observe: bool = False,
         forensics: bool = False,
         anomaly: bool = False,
         slo: bool = False,
         on_plan=None,
     ) -> None:
-        if anomaly and not observe:
-            raise ValueError("anomaly detection requires observe=True")
-        if slo and not observe:
-            raise ValueError("SLO evaluation requires observe=True")
         self.seed = seed if isinstance(seed, str) else seed.decode("latin-1")
         self.durable = durable
-        self.observe = observe
         self.forensics = forensics
         self.anomaly = anomaly
         self.slo = slo
@@ -709,7 +705,7 @@ class CampaignRunner:
         dep = make_deployment(
             seed=self.seed.encode("latin-1") + b"/campaign",
             durable=self.durable,
-            observe=self.observe,
+            observe=True,
         )
         self.deployment = dep
         auditor = None
@@ -781,10 +777,9 @@ class CampaignRunner:
                 self.on_plan(index, report.outcomes[-1])
         if slos is not None:
             report.slo = slos.report(dep.sim.now)
-        if dep.obs.enabled:
-            from ..obs.campaign import record_campaign_metrics  # lazy: see render()
+        from ..obs.campaign import record_campaign_metrics  # lazy: see render()
 
-            record_campaign_metrics(report, dep.obs.metrics)
+        record_campaign_metrics(report, dep.obs.metrics)
         return report
 
     # -- bookkeeping ---------------------------------------------------------

@@ -91,9 +91,8 @@ class Network:
         self._msg_ids = itertools.count(1)
         # The observability seat: NULL_OBS (a shared no-op) unless a
         # deployment built with observe=True installs a live
-        # repro.obs.Observability (a SessionPool world installs one
-        # whose tracer is NULL_TRACER: metrics, no spans).  Nodes reach
-        # it via ``self.obs``.
+        # repro.obs.Observability (a SessionPool world never does).
+        # Nodes reach it via ``self.obs``.
         self.obs = NULL_OBS
 
     # -- topology ------------------------------------------------------------

@@ -30,9 +30,11 @@ tracer are shared no-ops — instrumented code guards with::
 
 so the disabled cost is one attribute load and one branch, and the
 disabled path records nothing (an OB1 ``expect`` fact).  Span work
-guards on ``obs.tracer.enabled`` instead: a session pool's bundle keeps
-metrics but seats :data:`~repro.obs.span.NULL_TRACER`, and its parties
-then build no span, root lookup or event name (also an OB1 fact).
+guards on the same flag: observability is all on or all off.  A
+session pool world is never observed — it keeps only its own
+``engine.session_latency`` sketch and, when profiled, the drive
+phase's crypto counts — so its parties build no metric, span, root
+lookup or event name (also an OB1 fact).
 
 Exporters (:mod:`repro.obs.exporters`) turn either surface into JSONL,
 Prometheus text, or human-readable tables;
@@ -120,7 +122,6 @@ from .slo import (
     SLOSpec,
     SLOStatus,
     standard_campaign_slos,
-    standard_engine_slos,
 )
 from .span import NULL_TRACER, NullTracer, Span, Tracer
 
@@ -172,7 +173,6 @@ __all__ = [
     "CounterRatioSLI",
     "SketchThresholdSLI",
     "standard_campaign_slos",
-    "standard_engine_slos",
     "DashboardFrame",
     "budget_bar",
     "render_frame",
@@ -204,7 +204,7 @@ class Observability:
         self.metrics = MetricsRegistry(clock)
         self.tracer = Tracer(clock)
         # The anomaly seat: detectors are attached by whoever drives
-        # the deployment (pool, campaign runner); with none attached a
+        # the deployment (the campaign runner); with none attached a
         # poll is a no-op, so the seat costs nothing until used.
         self.monitor = AnomalyMonitor()
 

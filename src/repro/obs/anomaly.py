@@ -7,8 +7,8 @@ detectors cover the shapes of trouble the fault campaigns inject:
 
 * :class:`RateShiftDetector` — a counter's per-poll delta jumps well
   above its recent baseline (retransmission storms, escalation bursts);
-  no error-budget SLO can express a rate shift, so the session pool
-  and campaign runner attach these directly;
+  no error-budget SLO can express a rate shift, so the campaign runner
+  attaches these directly;
 * :class:`BurnRateDetector` — the windowed failure fraction, expressed
   as a multiple of an SLO error budget, exceeds a burn-rate threshold
   (the Google-SRE alerting shape).  Nothing attaches these directly:
@@ -205,10 +205,9 @@ class AnomalyMonitor:
     """A polled bundle of detectors plus the alert log they feed.
 
     The monitor owns no thread and no timer: whatever drives the
-    simulation (the :class:`~repro.engine.pool.SessionPool` sampling
-    loop, the :class:`~repro.net.faults.CampaignRunner` per-plan hook)
-    calls :meth:`poll` at its own cadence, so alert streams inherit the
-    caller's determinism.
+    simulation (the :class:`~repro.net.faults.CampaignRunner` per-plan
+    hook) calls :meth:`poll` at its own cadence, so alert streams
+    inherit the caller's determinism.
     """
 
     def __init__(self) -> None:

@@ -243,10 +243,6 @@ class MetricsRegistry:
         rows.sort(key=lambda r: (r["kind"], r["name"], sorted(r["labels"].items())))
         return rows
 
-    def __len__(self) -> int:
-        return (len(self._counters) + len(self._gauges)
-                + len(self._histograms) + len(self._sketches))
-
 
 class _NullCounter(Counter):
     def inc(self, amount: float = 1.0) -> None:

@@ -97,8 +97,6 @@ class Tracer:
     parent is given.
     """
 
-    enabled = True
-
     def __init__(self, clock=None) -> None:
         self._clock = clock or (lambda: 0.0)
         self._next_id = 1
@@ -172,11 +170,6 @@ _SHARED_NULL_SPAN = _NullSpan(span_id=0, trace_id="", name="null", start=0.0)
 
 class NullTracer(Tracer):
     """The disabled tracer: start/finish are no-ops on a shared span."""
-
-    enabled = False
-
-    def __init__(self) -> None:
-        super().__init__()
 
     def start(self, trace_id: str, name: str, parent: Span | None = None, **attrs) -> Span:
         return _SHARED_NULL_SPAN

@@ -7,8 +7,6 @@ byte-identical, and toggling the crypto caches does not move the
 result signature.
 """
 
-from dataclasses import replace
-
 import pytest
 
 from repro.errors import ProtocolError
@@ -20,6 +18,7 @@ from repro.engine import (
     run_pool,
 )
 from repro.net.channel import LOSSY
+from repro.obs import NULL_OBS
 
 SEED = b"test/engine"
 
@@ -86,46 +85,83 @@ class TestDeterminism:
         assert uncached.cache_stats is None
         assert uncached.signature() == result.signature()
 
-    def test_observe_toggle_does_not_move_the_signature(self, directory, result):
-        dark = run_pool(SEED, 3, directory=directory, observe=False)
-        assert dark.p50_latency == 0.0  # no latency sketch without obs
-        assert dark.signature() == result.signature()
-
-
 class TestPoolTelemetry:
-    """An observed pool keeps counters and sketches but no span tree:
-    nothing reads a pool session's spans (deployments keep theirs)."""
+    """A pool world is not observed: its network seats NULL_OBS, no
+    party opens a span, and the pool keeps only the latency sketch its
+    p50/p99 come from (deployments keep full telemetry)."""
 
     @staticmethod
-    def finished(obs) -> float:
-        return sum(row["value"] for row in obs.metrics.snapshot()
-                   if row["name"] == "engine.sessions_finished")
+    def worlds(monkeypatch) -> list:
+        """Every pool world built while the test runs, shards included."""
+        built = []
+        build = SessionPool.build
 
-    def test_observed_pool_keeps_metrics_and_no_spans(self, directory):
-        config = EngineConfig(n_tenants=4, transactions_per_tenant=2, batch_size=4)
-        pool = SessionPool(config, seed=SEED, directory=directory, channel=LOSSY)
-        result = pool.run()
-        assert result.obs.enabled and not result.obs.tracer.enabled
-        assert result.obs.tracer.spans == []
+        def recording(pool):
+            built.append(pool)
+            build(pool)
+
+        monkeypatch.setattr(SessionPool, "build", recording)
+        return built
+
+    @staticmethod
+    def assert_unobserved(pool) -> None:
+        assert pool.network.obs is NULL_OBS
         assert all(not party._obs_spans for party in pool._parties())
-        assert self.finished(result.obs) == len(result.sessions) == 8
-        assert result.obs.metrics.sketch("engine.session_latency").count == 8
-        dark = SessionPool(replace(config, observe=False), seed=SEED,
-                           directory=directory, channel=LOSSY).run()
-        assert dark.signature() == result.signature()
 
-    def test_sharded_pool_shards_keep_no_spans(self, directory):
+    def test_pool_world_is_unobserved_and_sketches_every_session(
+            self, directory, monkeypatch):
+        worlds = self.worlds(monkeypatch)
+        config = EngineConfig(n_tenants=4, transactions_per_tenant=2, batch_size=4)
+        result = SessionPool(config, seed=SEED, directory=directory,
+                             channel=LOSSY).run()
+        assert len(worlds) == 1
+        self.assert_unobserved(worlds[0])
+        assert result.latency_sketch.count == len(result.sessions) == 8
+        assert (result.p50_latency, result.p99_latency) == (
+            result.latency_sketch.quantile(0.50),
+            result.latency_sketch.quantile(0.99))
+
+    def test_sharded_pool_shards_keep_no_spans(self, directory, monkeypatch):
+        worlds = self.worlds(monkeypatch)
         config = EngineConfig(n_tenants=4, transactions_per_tenant=2, batch_size=4)
         sharded = ShardedSessionPool(config, seed=SEED, shards=2,
                                      directory=directory, channel=LOSSY)
         result = sharded.run()
-        shard_obs = [shard.obs for _, shard in sharded.shard_results]
-        assert len(shard_obs) == 2
-        assert all(obs.enabled and obs.tracer.spans == [] for obs in shard_obs)
-        assert sum(self.finished(obs) for obs in shard_obs) == len(result.sessions) == 8
-        dark = ShardedSessionPool(replace(config, observe=False), seed=SEED, shards=2,
-                                  directory=directory, channel=LOSSY).run()
-        assert dark.signature() == result.signature()
+        assert len(worlds) == len(sharded.shard_results) == 2
+        for pool in worlds:
+            self.assert_unobserved(pool)
+        assert sum(shard.latency_sketch.count
+                   for _, shard in sharded.shard_results) == 8
+        assert result.latency_sketch.count == len(result.sessions) == 8
+
+
+class TestPinnedLossyPool:
+    """Signature and p50/p99 of a LOSSY 8-tenant x 2-transaction pool
+    at 1 and 4 shards, per-message and batched, pinned from the engine
+    whose pool worlds still carried metrics, SLOs and detectors:
+    dropping that telemetry moved none of them."""
+
+    CLASSIC = ("30fda6f2859ff3da66991c553657ffa2599cb1e64e0dd539330ab165803f2371",
+               "0.1998668923232057", "0.8105380416180062")
+    BATCHED = ("d97567fe03ff7b404ba4caabb49285c728b50dd982f540f2a5bdfa25afcd6b2c",
+               "0.1998668923232057", "0.8105380416180062")
+
+    @pytest.fixture(scope="class")
+    def pin_directory(self):
+        d = TenantDirectory(b"pin")
+        d.warm(["bob", "ttp", *[f"tenant-{i:04d}" for i in range(8)]])
+        return d
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    @pytest.mark.parametrize("batch_size", [None, 4])
+    def test_signature_and_quantiles_pinned(self, pin_directory, shards, batch_size):
+        result = run_pool(b"pin", 8, directory=pin_directory,
+                          transactions_per_tenant=2, shards=shards,
+                          batch_size=batch_size, channel=LOSSY)
+        assert len(result.sessions) == 16
+        assert (result.signature(), repr(result.p50_latency),
+                repr(result.p99_latency)) == (
+            self.CLASSIC if batch_size is None else self.BATCHED)
 
 
 class TestCaches:
@@ -250,7 +286,10 @@ class TestSignatureFloatCanon:
         from dataclasses import fields, replace as dc_replace
 
         assert not [f.name for f in fields(result) if f.name.endswith("seconds")]
-        moved = dc_replace(result, alerts=["alert"], batch_stats={"batches": 9},
+        from repro.obs.sketch import QuantileSketch
+
+        moved = dc_replace(result, latency_sketch=QuantileSketch("other"),
+                           batch_stats={"batches": 9},
                            shard_summaries=[{"shard": 0}])
         assert moved.signature() == result.signature()
 

@@ -137,7 +137,7 @@ class TestMergedAccounting:
         # sketch (the merged result from the exact merge of the shard
         # sketches), so the reported fields equal the global build's
         # own sketch quantiles.
-        sketch = global_batched.obs.metrics.sketch("engine.session_latency")
+        sketch = global_batched.latency_sketch
         assert merged.p50_latency == global_batched.p50_latency == sketch.quantile(0.50)
         assert merged.p99_latency == global_batched.p99_latency == sketch.quantile(0.99)
 
@@ -210,6 +210,13 @@ class TestConstruction:
     def test_shards_below_one_rejected(self):
         with pytest.raises(ValueError):
             ShardedSessionPool(EngineConfig(n_tenants=2), seed=SEED, shards=0)
+
+    @pytest.mark.parametrize("shards", [0, -3])
+    def test_run_pool_rejects_shards_below_one(self, shards):
+        # Every shards != 1 goes through ShardedSessionPool, so a bad
+        # count raises instead of silently running one unsharded pool.
+        with pytest.raises(ValueError, match="shards must be >= 1"):
+            run_pool(SEED, 2, shards=shards)
 
     def test_more_shards_than_tenants(self, directory, global_result):
         # Empty shards are skipped; the merge still reconstructs the

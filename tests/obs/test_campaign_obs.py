@@ -138,15 +138,24 @@ class TestClassBreakdown:
 
 
 class TestObservedCampaigns:
-    def test_observation_does_not_change_the_signature(self):
+    def test_observation_does_not_change_the_signature(self, monkeypatch):
+        # A campaign always observes its deployment; the same plans on a
+        # deployment built unobserved must reach the same outcomes.
+        import repro.core.protocol as protocol
+
         plans = generate_plans(b"obs-parity", 4)
-        plain = CampaignRunner(seed=b"obs-parity").run(plans)
-        observed = CampaignRunner(seed=b"obs-parity", observe=True).run(plans)
+        observed = CampaignRunner(seed=b"obs-parity").run(plans)
+        make_deployment = protocol.make_deployment
+        monkeypatch.setattr(protocol, "make_deployment",
+                            lambda **kw: make_deployment(**{**kw, "observe": False}))
+        runner = CampaignRunner(seed=b"obs-parity")
+        plain = runner.run(plans)
+        assert not runner.deployment.obs.enabled
         assert plain.signature() == observed.signature()
 
     def test_observed_run_populates_telemetry_fields_and_render(self):
         plans = generate_plans(b"obs-fields", 3)
-        runner = CampaignRunner(seed=b"obs-fields", observe=True)
+        runner = CampaignRunner(seed=b"obs-fields")
         report = runner.run(plans)
         assert runner.deployment is not None
         assert all(o.elapsed > 0 for o in report.outcomes)
@@ -156,8 +165,7 @@ class TestObservedCampaigns:
 class TestForensicCampaigns:
     def test_forensics_attributes_every_failed_outcome(self):
         plans = [FaultPlan(name="clean-noop")] + generate_plans(b"fr-attr", 8)
-        runner = CampaignRunner(seed=b"fr-attr",
-                                observe=True, forensics=True)
+        runner = CampaignRunner(seed=b"fr-attr", forensics=True)
         report = runner.run(plans)
         for o in report.outcomes:
             delivered = (o.status in ("completed", "resolved")
@@ -175,8 +183,8 @@ class TestForensicCampaigns:
 
     def test_forensics_and_alerts_do_not_change_the_signature(self):
         plans = generate_plans(b"fr-parity", 5)
-        plain = CampaignRunner(seed=b"fr-parity", observe=True).run(plans)
-        forensic = CampaignRunner(seed=b"fr-parity", observe=True,
+        plain = CampaignRunner(seed=b"fr-parity").run(plans)
+        forensic = CampaignRunner(seed=b"fr-parity",
                                   forensics=True, anomaly=True).run(plans)
         assert plain.signature() == forensic.signature()
 
@@ -186,26 +194,18 @@ class TestForensicCampaigns:
         plans = generate_plans(b"fr-off", 6)
         twins = {}
         for forensics in (False, True):
-            runner = CampaignRunner(seed=b"fr-off", observe=True,
-                                    forensics=forensics)
+            runner = CampaignRunner(seed=b"fr-off", forensics=forensics)
             report = runner.run(plans)
             twins[forensics] = (runner.auditor is None,
                                 sum(len(o.findings) for o in report.outcomes))
         assert twins[False] == (True, 0)
         assert twins[True][0] is False and twins[True][1] > 0
 
-    def test_anomaly_requires_observation(self):
-        import pytest
-
-        with pytest.raises(ValueError):
-            CampaignRunner(seed=b"x", anomaly=True)
-
     def test_anomaly_alerts_are_deterministic(self):
         plans = generate_plans(b"fr-alerts", 10)
 
         def run():
-            report = CampaignRunner(seed=b"fr-alerts",
-                                    observe=True, anomaly=True).run(plans)
+            report = CampaignRunner(seed=b"fr-alerts", anomaly=True).run(plans)
             return [a.row() for a in report.alerts]
 
         assert run() == run()

@@ -195,12 +195,6 @@ class TestEngineIntegration:
             assert hashlib.sha256(flame.encode()).hexdigest() == flame_sha
             assert ("engine/drive;crypto/rsa.sign" in flame) == (batch_size is None)
 
-    def test_profile_requires_observe(self):
-        from repro.engine.pool import EngineConfig
-
-        with pytest.raises(ValueError):
-            EngineConfig(n_tenants=1, observe=False, profile=True)
-
     def test_unprofiled_run_has_no_profile(self, directory):
         from repro.engine import run_pool
 

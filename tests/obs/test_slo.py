@@ -19,7 +19,6 @@ from repro.obs.slo import (
     SLOManager,
     SLOSpec,
     standard_campaign_slos,
-    standard_engine_slos,
 )
 
 
@@ -245,9 +244,6 @@ class TestStandardSets:
         campaign = standard_campaign_slos(manager())
         assert [s.name for s in campaign.statuses()] == [
             "session-success", "terminal-latency", "evidence-verified"]
-        engine = standard_engine_slos(manager())
-        assert [s.name for s in engine.statuses()] == [
-            "session-success", "session-latency"]
 
     def test_terminal_latency_reads_the_live_campaign_sketch(self):
         mgr = standard_campaign_slos(manager())
@@ -258,7 +254,6 @@ class TestStandardSets:
         assert (status.good, status.bad) == (2.0, 1.0)
 
     def test_bundles_poll_cleanly_on_an_empty_registry(self):
-        for build in (standard_campaign_slos, standard_engine_slos):
-            mgr = build(manager())
-            assert mgr.poll(now(mgr)) == []
-            assert all(s.budget_remaining == 1.0 for s in mgr.statuses())
+        mgr = standard_campaign_slos(manager())
+        assert mgr.poll(now(mgr)) == []
+        assert all(s.budget_remaining == 1.0 for s in mgr.statuses())

@@ -1,8 +1,8 @@
-"""SLO wiring into the campaign runner, session pool, replicated store.
+"""SLO wiring into the campaign runner and the replicated store.
 
-The campaign runner and the session pool each evaluate their standard
-SLO set on their own deterministic cadence, attach the end-of-run
-SLOReport as telemetry (never part of any signature), and the fault
+The campaign runner evaluates its standard SLO set after every plan,
+attaches the end-of-run SLOReport as telemetry (never part of any
+signature), and the fault
 storms of :func:`generate_storm_plans` burn budgets hard enough to
 page while clean runs stay silent.  The observed replicated store
 feeds the instruments that read-integrity and fork-detection SLIs read.
@@ -45,12 +45,8 @@ class TestStormPlans:
 
 
 class TestCampaignWiring:
-    def test_slo_requires_observe(self):
-        with pytest.raises(ValueError):
-            CampaignRunner(seed=SEED, slo=True)
-
     def test_clean_campaign_reports_full_budgets_and_no_alerts(self):
-        runner = CampaignRunner(seed=SEED, observe=True, slo=True)
+        runner = CampaignRunner(seed=SEED, slo=True)
         report = runner.run(clean_plans(6))
         assert report.slo is not None
         assert report.slo.burn_alerts() == []
@@ -60,7 +56,7 @@ class TestCampaignWiring:
             "session-success", "terminal-latency", "evidence-verified"}
 
     def test_storm_burns_budgets_and_pages(self):
-        runner = CampaignRunner(seed=SEED, observe=True, slo=True)
+        runner = CampaignRunner(seed=SEED, slo=True)
         report = runner.run(generate_storm_plans(SEED, 6, profile="blackout"))
         assert len(report.slo.burn_alerts()) >= 1
         # SLO alerts also land on the campaign report's alert log.
@@ -70,15 +66,15 @@ class TestCampaignWiring:
 
     def test_slo_toggle_does_not_move_the_signature(self):
         plans = generate_storm_plans(SEED, 4, profile="mixed")
-        dark = CampaignRunner(seed=SEED, observe=True).run(plans)
-        lit = CampaignRunner(seed=SEED, observe=True, slo=True).run(plans)
+        dark = CampaignRunner(seed=SEED).run(plans)
+        lit = CampaignRunner(seed=SEED, slo=True).run(plans)
         assert lit.signature() == dark.signature()
         assert dark.slo is None
 
     def test_on_plan_hook_sees_live_slo_state(self):
         seen = []
         runner = CampaignRunner(
-            seed=SEED, observe=True, slo=True,
+            seed=SEED, slo=True,
             on_plan=lambda i, o: seen.append(
                 (i, o.status, len(runner.slos.statuses()))))
         runner.run(clean_plans(3))
@@ -86,33 +82,9 @@ class TestCampaignWiring:
         assert all(n == 3 for _, _, n in seen)
 
     def test_report_is_stamped_with_poll_count(self):
-        runner = CampaignRunner(seed=SEED, observe=True, slo=True)
+        runner = CampaignRunner(seed=SEED, slo=True)
         report = runner.run(clean_plans(4))
         assert report.slo.meta["polls"] == 4
-
-
-class TestEngineWiring:
-    def test_pool_result_carries_slo_report(self):
-        from repro.engine import run_pool
-
-        result = run_pool(SEED, 3)
-        assert result.slo is not None
-        assert status(result.slo, "session-success").budget_remaining == 1.0
-        assert result.slo.burn_alerts() == []
-
-    def test_slo_toggle_does_not_move_the_signature(self):
-        from repro.engine import EngineConfig, SessionPool
-
-        lit = SessionPool(EngineConfig(n_tenants=2), seed=SEED).run()
-        dark = SessionPool(
-            EngineConfig(n_tenants=2, observe=False), seed=SEED).run()
-        assert lit.signature() == dark.signature()
-        assert dark.slo is None
-
-    def test_unobserved_pool_has_no_slo_surface(self):
-        from repro.engine import run_pool
-
-        assert run_pool(SEED, 2, observe=False).slo is None
 
 
 class TestReplicationWiring:

@@ -96,8 +96,7 @@ class TestTreeCompleteness:
 
 class TestNullTracer:
     def test_disabled_and_accumulates_nothing(self):
-        assert NULL_TRACER.enabled is False
-        assert NullTracer().enabled is False
+        assert isinstance(NULL_TRACER, NullTracer)
         span = NULL_TRACER.start("txn", "work")
         span.event(1.0, "noop", msg_id=3)
         NULL_TRACER.finish(span)
