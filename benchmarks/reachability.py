@@ -12,9 +12,16 @@ object entered:
 4. each ``bench`` workload's small copy, untraced and then traced.
 
 It then walks the AST of ``src/repro`` for every ``def`` (nested ones
-included) and lists those never entered.  The exit code is 1 when an
-unentered function is missing from :data:`KEPT`, when a :data:`KEPT`
-entry was entered or is no longer defined, or when an entry point fails.
+included) and lists those never entered.  A deleted name can outlive its
+definition in a branch no entry point takes, so it also checks names
+statically: every module-global name a ``src/repro`` scope reads must be
+bound at module level or be a builtin (stdlib :mod:`symtable`), and every
+name a function-local ``from … import …`` asks for must exist in its
+module.  Attribute lookups (``obj.deleted_method``) are not covered.
+
+The exit code is 1 when an unentered function is missing from
+:data:`KEPT`, when a :data:`KEPT` entry was entered or is no longer
+defined, when a name resolves nowhere, or when an entry point fails.
 
 Run:  python benchmarks/reachability.py   (about 2 minutes on 2 vCPU;
 writes ``bench/out/reachability.json`` and nothing else in the repo)
@@ -23,12 +30,16 @@ writes ``bench/out/reachability.json`` and nothing else in the repo)
 from __future__ import annotations
 
 import ast
+import builtins
 import contextlib
+import importlib
+import importlib.util
 import io
 import json
 import re
 import runpy
 import shlex
+import symtable
 import sys
 import tempfile
 from pathlib import Path
@@ -101,12 +112,22 @@ KEPT: dict[str, str] = {
 }
 
 
+#: Names every module namespace holds without binding them.
+MODULE_DUNDERS = frozenset({"__name__", "__file__", "__doc__", "__spec__", "__loader__",
+                            "__package__", "__path__", "__builtins__"})
+
+
+def _modules():
+    """``(module name, path, source)`` of every ``src/repro`` module."""
+    for path in sorted(PACKAGE.rglob("*.py")):
+        module = ".".join(path.relative_to(SOURCE).with_suffix("").parts)
+        yield module.removesuffix(".__init__"), path, path.read_text(encoding="utf-8")
+
+
 def defined_functions() -> dict[str, tuple[str, int, int]]:
     """``module:qualname`` -> (file, first line, last line) for every ``def``."""
     found = {}
-    for path in sorted(PACKAGE.rglob("*.py")):
-        module = ".".join(path.relative_to(SOURCE).with_suffix("").parts)
-        module = module.removesuffix(".__init__")
+    for module, path, source in _modules():
 
         def walk(node, prefix: str) -> None:
             for child in ast.iter_child_nodes(node):
@@ -119,7 +140,62 @@ def defined_functions() -> dict[str, tuple[str, int, int]]:
                 else:
                     walk(child, prefix)
 
-        walk(ast.parse(path.read_text(encoding="utf-8")), "")
+        walk(ast.parse(source), "")
+    return found
+
+
+def _scopes(table: symtable.SymbolTable):
+    yield table
+    for child in table.get_children():
+        yield from _scopes(child)
+
+
+def module_globals(path: Path, source: str) -> tuple[set[str], set[str]]:
+    """``(bound, read)``: the names *source* binds at module level (a
+    ``global`` assignment in a function included), and the module-global
+    names any of its scopes reads."""
+    scopes = list(_scopes(symtable.symtable(source, str(path), "exec")))
+    bound = {sym.get_name() for sym in scopes[0].get_symbols()
+             if sym.is_assigned() or sym.is_imported() or sym.is_namespace()}
+    bound.update(sym.get_name() for scope in scopes[1:] for sym in scope.get_symbols()
+                 if sym.is_declared_global() and sym.is_assigned())
+    read = {sym.get_name() for scope in scopes for sym in scope.get_symbols()
+            if sym.is_global() and sym.is_referenced()}
+    return bound, read
+
+
+def lazy_imports(source: str) -> set[ast.ImportFrom]:
+    """Every ``from … import …`` inside a function of *source*."""
+    return {node for func in ast.walk(ast.parse(source))
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(func) if isinstance(node, ast.ImportFrom)}
+
+
+def unresolved_names() -> list[str]:
+    """``path: name`` for every name under ``src/repro`` that resolves nowhere.
+
+    Static, so it imports no ``repro`` module and can run before the
+    entry points: a ``repro`` import target's names are its module-level
+    bindings and submodules; a stdlib target is imported and probed.
+    """
+    sources = {module: (path, source) for module, path, source in _modules()}
+    scanned = {module: module_globals(path, source) for module, (path, source) in sources.items()}
+    known = MODULE_DUNDERS | set(dir(builtins))
+    found = []
+    for module, (path, source) in sources.items():
+        where = path.relative_to(ROOT)
+        bound, read = scanned[module]
+        found.extend(f"{where}: global {name}" for name in sorted(read - bound - known))
+        package = module if path.name == "__init__.py" else module.rpartition(".")[0]
+        for node in sorted(lazy_imports(source), key=lambda node: node.lineno):
+            target = importlib.util.resolve_name("." * node.level + (node.module or ""), package)
+            for alias in node.names:
+                if target in scanned:
+                    ok = alias.name in scanned[target][0] or f"{target}.{alias.name}" in sources
+                else:
+                    ok = hasattr(importlib.import_module(target), alias.name)
+                if not ok:
+                    found.append(f"{where}:{node.lineno}: lazy import {target}.{alias.name}")
     return found
 
 
@@ -203,6 +279,10 @@ def main() -> int:
     for path in (SOURCE, ROOT):
         if str(path) not in sys.path:
             sys.path.insert(0, str(path))
+    # Before the entry points, so a name that breaks one is still named.
+    unresolved = unresolved_names()
+    for name in unresolved:
+        print(f"UNRESOLVED {name}")
     with tempfile.TemporaryDirectory() as scratch:
         entered = entered_during([run_scenarios, lambda: run_cli(Path(scratch)),
                                   run_examples, run_bench])
@@ -217,6 +297,7 @@ def main() -> int:
         "unentered": unentered,
         "unexplained": unexplained,
         "stale_kept": stale,
+        "unresolved_names": unresolved,
     }, indent=1) + "\n", encoding="utf-8")
     print(f"{len(defined)} functions, {len(unentered)} never entered "
           f"({body_lines} lines after their def lines), {len(KEPT)} kept")
@@ -225,7 +306,7 @@ def main() -> int:
         print(f"UNEXPLAINED {name} ({Path(file).relative_to(ROOT)}:{first})")
     for name in stale:
         print(f"STALE KEPT {name}: " + ("entered" if name in entered else "not defined"))
-    return 1 if unexplained or stale else 0
+    return 1 if unexplained or stale or unresolved else 0
 
 
 if __name__ == "__main__":

@@ -300,8 +300,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
                         ("--top", args.top)):
         if value < 1:
             raise ReproError(f"{flag} must be >= 1 (got {value})")
-    if args.batch_size is not None and args.batch_size < 1:
-        raise ReproError(f"--batch-size must be >= 1 (got {args.batch_size})")
     seed = args.seed.encode()
 
     if args.critical_path:
@@ -339,8 +337,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     directory.warm(["bob", "ttp",
                     *[f"tenant-{i:04d}" for i in range(args.tenants)]])
     result = run_pool(seed, args.tenants, directory=directory,
-                      shards=args.shards, batch_size=args.batch_size,
-                      profile=True)
+                      shards=args.shards, profile=True)
     profile = result.profile
     if args.flamegraph:
         print(flamegraph_text(profile), end="")
@@ -348,8 +345,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         print(render_table(
             ["region", "calls"],
             [list(row) for row in top_regions(profile, k=args.top)],
-            title=f"Hot regions ({args.tenants} tenants, {args.shards} "
-            f"shard(s), batch={args.batch_size if args.batch_size else 'off'})",
+            title=f"Hot regions ({args.tenants} tenants, {args.shards} shard(s))",
         ))
         if result.shard_summaries:
             util = shard_utilization(result.shard_summaries)
@@ -419,10 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="engine tenants for the profiled run")
     p_p.add_argument("--shards", type=int, default=4,
                      help="engine worker shards (>= 1)")
-    p_p.add_argument("--batch-size", type=int, default=None,
-                     help="Merkle-batch evidence leaves per signature "
-                     "(omit for per-message; a batched profile counts "
-                     "no crypto calls)")
     p_p.add_argument("--top", type=int, default=10,
                      help="hot regions to print in the default mode")
     p_p.add_argument("--flamegraph", action="store_true",

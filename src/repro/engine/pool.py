@@ -34,7 +34,6 @@ fault campaigns, which the ``repro obs``/``forensics``/``slo``/``profile
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import threading
 from dataclasses import dataclass, field as dataclass_field
@@ -63,23 +62,11 @@ __all__ = [
     "SessionRecord",
     "PoolResult",
     "SessionPool",
-    "latency_quantiles",
 ]
 
 #: The per-session latency sketch's name: the one distribution the
 #: pool reports p50/p99 from.
 LATENCY_SKETCH = "engine.session_latency"
-
-
-def latency_quantiles(sketch: QuantileSketch) -> tuple[float, float]:
-    """``(p50, p99)`` of a pool's latency sketch.
-
-    The one quantile path for pool results: an unsharded pool passes
-    its own sketch, :func:`~repro.engine.sharding.merge_pool_results`
-    the exact merge of its shards' sketches, so both report the same
-    numbers.  ``(0.0, 0.0)`` when nothing was observed.
-    """
-    return sketch.quantile(0.50), sketch.quantile(0.99)
 
 
 #: The provider's and TTP's node names in every pool world.
@@ -115,9 +102,12 @@ class EngineConfig:
     # layout never reaches the wire accounting (the blob is the fixed
     # 32-byte leaf), so signature() is invariant in batch_size.
     batch_size: int | None = None
-    # Call-count profile: the {path: calls} table of
-    # repro.obs.profiler lands in PoolResult.profile (telemetry only —
-    # the profile never reaches signature()).
+    # Call-count profile: the drive phase's crypto calls per op, as the
+    # {path: calls} table of repro.obs.profiler, land in
+    # PoolResult.profile (telemetry only — the profile never reaches
+    # signature()).  Per-message evidence only: with batching, where
+    # seals happen depends on the shard layout, so no count would sum
+    # across shards.
     profile: bool = False
 
     def __post_init__(self) -> None:
@@ -127,6 +117,9 @@ class EngineConfig:
             raise ValueError("transactions_per_tenant must be >= 1")
         if self.batch_size is not None and self.batch_size < 1:
             raise ValueError("batch_size must be >= 1 (or None for per-message)")
+        if self.profile and self.batch_size is not None:
+            raise ValueError("profile counts per-message evidence only; "
+                             "it cannot be set with batch_size")
 
 
 class TenantDirectory:
@@ -245,8 +238,6 @@ class PoolResult:
     bytes_on_wire: int
     provider_stats: dict[str, int]
     ttp_stats: dict[str, int]
-    p50_latency: float
-    p99_latency: float
     # The engine.session_latency sketch p50/p99 come from (merged over
     # shards); telemetry only, excluded from signature() like the cache
     # statistics.
@@ -263,6 +254,18 @@ class PoolResult:
     # The run's {path: calls} table (config.profile); telemetry only,
     # excluded from signature() like cache_stats.
     profile: dict[str, int] | None = None
+
+    @property
+    def p50_latency(self) -> float:
+        """Median session latency (sim s), read off :attr:`latency_sketch`
+        (0.0 when no session finished)."""
+        return self.latency_sketch.quantile(0.50)
+
+    @property
+    def p99_latency(self) -> float:
+        """99th-percentile session latency (sim s), read off
+        :attr:`latency_sketch`."""
+        return self.latency_sketch.quantile(0.99)
 
     @property
     def completed(self) -> int:
@@ -488,32 +491,24 @@ class SessionPool:
         config = self.config
         self.build()
         self._schedule_workload()
-        # Crypto calls are counted over the drive only, and only with
-        # per-message evidence: enrollment repeats per shard world and
-        # batch seals depend on the shard layout, so neither would sum
-        # across shards.  The counts land in a throwaway registry.
-        count_crypto = config.profile and config.batch_size is None
-        with (observe_crypto(MetricsRegistry()) if count_crypto
-              else contextlib.nullcontext()) as crypto:
+        profile = None
+        if config.profile:
+            # Crypto calls are counted over the drive only: enrollment
+            # repeats per shard world, so its calls would not sum across
+            # shards.  The counts land in a throwaway registry.
+            with observe_crypto(MetricsRegistry()) as crypto:
+                self._drive()
+            profile = {f"engine/drive;crypto/{op}": int(counter.value)
+                       for op, counter in crypto.series.items()}
+        else:
             self._drive()
         # Strict: a pool run must never report success while holding
         # evidence that cannot be proven.
         batch_stats = (None if self.ledger is None
                        else settle_batches(self._parties(), self.ledger))
-        profile = None
-        if config.profile:
-            tenants = len(self.roster)
-            profile = {
-                "engine/schedule;engine/workload": tenants,
-                "engine/schedule;engine/workload;engine/stream": tenants,
-            }
-            if crypto is not None:
-                for op, counter in crypto.series.items():
-                    profile[f"engine/drive;crypto/{op}"] = int(counter.value)
         assert self.sim is not None and self.network is not None
         assert self.provider is not None and self.ttp is not None
         sends = self.network.trace.sends("tpnr.")
-        p50, p99 = latency_quantiles(self.latency_sketch)
         return PoolResult(
             config=self.config,
             sessions=sorted(self._sessions.values(), key=lambda s: s.transaction_id),
@@ -522,8 +517,6 @@ class SessionPool:
             bytes_on_wire=sum(e.size_bytes for e in sends),
             provider_stats=self.provider.stats(),
             ttp_stats=self.ttp.stats(),
-            p50_latency=p50,
-            p99_latency=p99,
             latency_sketch=self.latency_sketch,
             cache_stats=bundle.stats() if bundle is not None else None,
             batch_stats=batch_stats,

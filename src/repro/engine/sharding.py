@@ -42,11 +42,11 @@ interact with each other, only with the provider/TTP, and
 
 Latency quantiles come from the exact integer merge of the per-shard
 ``engine.session_latency`` sketches (shard-merge == global-build is an
-identity on the sketch, see :mod:`repro.obs.sketch`) through
-:func:`~repro.engine.pool.latency_quantiles`, the same path the
-unsharded pool uses — so p50/p99 are bit-identical at every shard
-count too.  They are telemetry, excluded from ``signature()``.  A
-shard world, like an unsharded one, is not observed: its latency
+identity on the sketch, see :mod:`repro.obs.sketch`):
+:attr:`~repro.engine.pool.PoolResult.p50_latency` and ``p99_latency``
+read the result's sketch, merged or not, so p50/p99 are bit-identical
+at every shard count too.  They are telemetry, excluded from
+``signature()``.  A shard world, like an unsharded one, is not observed: its latency
 sketch and, when profiled, its ``{path: calls}`` table are all the
 telemetry it keeps, and both merge exactly.
 
@@ -73,7 +73,6 @@ from .pool import (
     SessionPool,
     TenantDirectory,
     _seed_bytes,
-    latency_quantiles,
 )
 
 __all__ = [
@@ -170,8 +169,6 @@ def merge_pool_results(
         for bucket in cache_totals.values():
             asked = bucket["hits"] + bucket["misses"]
             bucket["hit_rate"] = round(bucket["hits"] / asked, 6) if asked else 0.0
-    latency_sketch = QuantileSketch.merged(LATENCY_SKETCH, sketches)
-    p50, p99 = latency_quantiles(latency_sketch)
     return PoolResult(
         config=config,
         sessions=sorted(sessions, key=lambda s: s.transaction_id),
@@ -180,14 +177,12 @@ def merge_pool_results(
         bytes_on_wire=bytes_on_wire,
         provider_stats=provider_stats,
         ttp_stats=ttp_stats,
-        p50_latency=p50,
-        p99_latency=p99,
-        latency_sketch=latency_sketch,
+        latency_sketch=QuantileSketch.merged(LATENCY_SKETCH, sketches),
         cache_stats=cache_totals,
         batch_stats=batch_totals,
         shard_summaries=summaries,
-        # Every profile row is session-driven, so the summed shard
-        # tables equal the unsharded run's table.
+        # Every profile row counts a session's drive-phase crypto
+        # calls, so the summed shard tables equal the unsharded table.
         profile=profile,
     )
 
@@ -261,8 +256,10 @@ def run_pool(
     result, signature-identical to ``shards=1``; it rejects
     ``shards < 1``); *batch_size* switches
     on Merkle-batched evidence; *profile* sets ``result.profile`` to the
-    run's ``{path: calls}`` table (per-shard tables summed); *channel*
-    is every link's :class:`~repro.net.channel.ChannelSpec`.
+    drive phase's crypto calls as a ``{path: calls}`` table (per-shard
+    tables summed; per-message evidence only, so ``EngineConfig``
+    rejects it with *batch_size*); *channel* is every link's
+    :class:`~repro.net.channel.ChannelSpec`.
     """
     config = EngineConfig(
         n_tenants=n_tenants,

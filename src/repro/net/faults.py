@@ -720,7 +720,7 @@ class CampaignRunner:
         if self.anomaly:
             from ..obs.campaign import attach_campaign_detectors  # lazy: see render()
 
-            monitor = attach_campaign_detectors(dep.obs.monitor, dep.obs.metrics)
+            monitor = attach_campaign_detectors(dep.obs.metrics)
         slos = None
         if self.slo:
             from ..obs.slo import SLOManager, standard_campaign_slos  # lazy: see render()

@@ -203,10 +203,6 @@ class Observability:
     def __init__(self, clock=None) -> None:
         self.metrics = MetricsRegistry(clock)
         self.tracer = Tracer(clock)
-        # The anomaly seat: detectors are attached by whoever drives
-        # the deployment (the campaign runner); with none attached a
-        # poll is a no-op, so the seat costs nothing until used.
-        self.monitor = AnomalyMonitor()
 
     def observe_crypto(self):
         """Scope crypto hot-path accounting to a ``with`` block."""
@@ -233,7 +229,6 @@ class NullObservability(Observability):
     def __init__(self) -> None:
         self.metrics = NULL_METRICS
         self.tracer = NULL_TRACER
-        self.monitor = AnomalyMonitor()
 
 
 NULL_OBS = NullObservability()

@@ -94,10 +94,9 @@ def class_breakdown(report: "CampaignReport") -> list[dict]:
     return rows
 
 
-def attach_campaign_detectors(
-    monitor: AnomalyMonitor, metrics: MetricsRegistry
-) -> AnomalyMonitor:
-    """Subscribe the campaign rate-shift detectors to the live counters.
+def attach_campaign_detectors(metrics: MetricsRegistry) -> AnomalyMonitor:
+    """A campaign's own monitor, its rate-shift detectors subscribed to
+    the live counters.
 
     The :class:`~repro.net.faults.CampaignRunner` mirrors each plan's
     outcome into ``campaign.live.*`` counters and polls the monitor
@@ -109,6 +108,7 @@ def attach_campaign_detectors(
     """
     retransmits = metrics.counter("campaign.live.retransmits")
     escalations = metrics.counter("campaign.live.escalations")
+    monitor = AnomalyMonitor()
     monitor.add(RateShiftDetector(
         "retransmit-rate", lambda: retransmits.value,
         subject="campaign.live.retransmits",

@@ -6,8 +6,9 @@ build/prove/verify, and batch-seal calls into one metrics series,
 the package measures no wall time — per-op CPU cost comes from the
 repository benchmark (``python3 -m bench --trace 1``).
 
-A profiled pool reads these counts over its drive phase into the
-``engine/drive;crypto/<op>`` rows of its ``{path: calls}`` table.
+A profiled pool reads these counts over its drive phase into its
+``{path: calls}`` table, one ``engine/drive;crypto/<op>`` row per op
+the drive called.
 
 The observer is installed into the process-wide seat
 :data:`repro.crypto.instrument.observer` (a leaf module the crypto code
@@ -52,7 +53,10 @@ class CryptoObserver:
         counter.inc()
 
     def calls(self, op: str) -> float:
-        return self.metrics.counter("crypto.calls", op=op).value
+        """Calls of *op* so far; reading an op never called adds no
+        series."""
+        counter = self.series.get(op)
+        return 0.0 if counter is None else counter.value
 
 
 @contextlib.contextmanager

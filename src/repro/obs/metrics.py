@@ -5,11 +5,11 @@ Zero-dependency and deterministic: instruments are identified by
 ``(name, sorted labels)``, values are plain Python numbers, and every
 snapshot is stamped with the **simulated** clock (the registry is given
 a ``clock`` callable, normally ``lambda: sim.now``), so two runs with
-the same seed produce byte-identical snapshots.  A lookup first probes
-a call-site memo keyed by the labels *as passed*, so a hot call site
-sorts and stringifies its labels once, not per call.  No series holds
-wall time: the package never reads a real clock (the repository
-benchmark, ``python3 -m bench``, is where CPU cost is measured).
+the same seed produce byte-identical snapshots.  A lookup sorts and
+stringifies its labels, so every label order and spelling of one
+series reaches one object.  No series holds wall time: the package
+never reads a real clock (the repository benchmark, ``python3 -m
+bench``, is where CPU cost is measured).
 
 Off-by-default-cheap: code that *might* be observed holds a registry
 reference that is either a live :class:`MetricsRegistry` or the shared
@@ -134,9 +134,6 @@ class MetricsRegistry:
         # one call site and a gauge in another would export two
         # conflicting series under one identifier.
         self._kind_of: dict[str, str] = {}
-        # The call-site memo: (kind, name, *label items as passed) ->
-        # instrument, so a hot call site resolves its series once.
-        self._bound: dict[tuple, object] = {}
 
     @property
     def now(self) -> float:
@@ -144,49 +141,27 @@ class MetricsRegistry:
 
     # -- instruments ---------------------------------------------------------
 
-    def _claim_kind(self, name: str, kind: str) -> None:
-        claimed = self._kind_of.setdefault(name, kind)
-        if claimed != kind:
-            raise TypeError(f"metric {name!r} is a {claimed}, not a {kind}")
+    def _get(self, kind: str, table: dict, name: str, labels: dict, make, *args):
+        """Find or create the series ``(name, sorted str labels)``.
 
-    def _bind(self, key: tuple, table: dict, labels: dict, make):
-        """The canonical lookup behind a call-site memo miss.
-
-        *key* is ``(kind, name, *label items as passed)``.  The
-        instrument itself is found (or created, claiming the name's
-        kind) under its canonical ``(name, sorted str labels)`` key, so
-        every label order and spelling of one series reaches one
-        object.  Only all-``str`` label sets are memoized: ``1``,
-        ``1.0`` and ``True`` compare equal but stringify differently,
-        so a non-str value must take the canonical path every time.
+        Creating one (``make(name, *args, labels=...)``) claims *name*
+        for *kind*; a later lookup returns the series as created, so it
+        keeps its first call's buckets or alpha.
         """
-        kind, name = key[0], key[1]
-        canon = (name, _label_key(labels))
-        found = table.get(canon)
+        key = (name, _label_key(labels))
+        found = table.get(key)
         if found is None:
-            self._claim_kind(name, kind)
-            found = table[canon] = make(name, canon[1])
-        if all(type(v) is str for v in labels.values()):
-            self._bound[key] = found
+            claimed = self._kind_of.setdefault(name, kind)
+            if claimed != kind:
+                raise TypeError(f"metric {name!r} is a {claimed}, not a {kind}")
+            found = table[key] = make(name, *args, labels=key[1])
         return found
 
-    # A hit costs one tuple and one dict probe; a miss (first call from
-    # a label order, a non-str label value, an unhashable one) falls
-    # through to _bind.
-
     def counter(self, name: str, **labels: str) -> Counter:
-        key = ("counter", name, *labels.items())
-        try:
-            return self._bound[key]
-        except (KeyError, TypeError):
-            return self._bind(key, self._counters, labels, Counter)
+        return self._get("counter", self._counters, name, labels, Counter)
 
     def gauge(self, name: str, **labels: str) -> Gauge:
-        key = ("gauge", name, *labels.items())
-        try:
-            return self._bound[key]
-        except (KeyError, TypeError):
-            return self._bind(key, self._gauges, labels, Gauge)
+        return self._get("gauge", self._gauges, name, labels, Gauge)
 
     def histogram(
         self,
@@ -194,24 +169,12 @@ class MetricsRegistry:
         buckets: tuple[float, ...] = DEFAULT_LATENCY_BUCKETS,
         **labels: str,
     ) -> Histogram:
-        # Like the canonical table, the memo ignores *buckets* after the
-        # first call: a series keeps the buckets it was created with.
-        key = ("histogram", name, *labels.items())
-        try:
-            return self._bound[key]
-        except (KeyError, TypeError):
-            return self._bind(key, self._histograms, labels,
-                              lambda n, lk: Histogram(n, buckets, lk))
+        return self._get("histogram", self._histograms, name, labels, Histogram, buckets)
 
     def sketch(self, name: str, alpha: float = DEFAULT_ALPHA,
                **labels: str) -> QuantileSketch:
         """A mergeable quantile sketch (see :mod:`repro.obs.sketch`)."""
-        key = ("sketch", name, *labels.items())
-        try:
-            return self._bound[key]
-        except (KeyError, TypeError):
-            return self._bind(key, self._sketches, labels,
-                              lambda n, lk: QuantileSketch(n, alpha=alpha, labels=lk))
+        return self._get("sketch", self._sketches, name, labels, QuantileSketch, alpha)
 
     # -- reading back --------------------------------------------------------
 

@@ -2,16 +2,14 @@
 
 A pool profile (``PoolResult.profile``, set when
 ``EngineConfig.profile`` is) is a ``{path: calls}`` table keyed by
-collapsed-stack path, the flamegraph convention:
+collapsed-stack path, the flamegraph convention: one
+``engine/drive;crypto/<op>`` row per crypto op the drive phase called,
+holding its ``crypto.calls`` count, and nothing else.  Only
+per-message evidence is profiled (``EngineConfig`` rejects ``profile``
+with ``batch_size``: with batching, where seals happen depends on the
+shard layout).
 
-* ``engine/schedule;engine/workload`` and
-  ``engine/schedule;engine/workload;engine/stream`` — one call per
-  tenant (its workload region and its named DRBG stream);
-* ``engine/drive;crypto/<op>`` — the drive phase's ``crypto.calls`` per
-  op, recorded with per-message evidence only (with batching on, where
-  seals happen depends on the shard layout).
-
-Every row is session-driven, so the per-shard tables sum exactly to
+Every row counts sessions' calls, so the per-shard tables sum exactly to
 the unsharded one (:func:`~repro.engine.sharding.merge_pool_results`)
 and the exporters (:func:`flamegraph_text`, :func:`profile_jsonl`,
 :func:`top_regions`) are byte-identical across shard counts and

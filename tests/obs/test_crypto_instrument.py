@@ -89,3 +89,13 @@ class TestAccounting:
         obs.crypto_call("rsa.sign")
         obs.crypto_call("rsa.sign")
         assert obs.calls("rsa.sign") == 2
+
+    def test_reading_an_unseen_op_adds_no_series(self):
+        reg = MetricsRegistry()
+        obs = CryptoObserver(reg)
+        obs.crypto_call("rsa.sign")
+        before = reg.snapshot()
+        assert [obs.calls(op) for op in CRYPTO_OPS] == [
+            1.0 if op == "rsa.sign" else 0.0 for op in CRYPTO_OPS]
+        assert reg.snapshot() == before
+        assert [row["labels"] for row in before] == [{"op": "rsa.sign"}]

@@ -182,9 +182,10 @@ class TestSketchInstrument:
         assert MetricsRegistry.snapshot(NULL_METRICS) == []  # nothing allocated
 
 
-class TestCallSiteMemo:
-    """A lookup probes a memo keyed by the labels as passed; the memo
-    must never change which series a call reaches or what it exports."""
+class TestSeriesIdentity:
+    """A lookup reaches the series ``(name, sorted str labels)``: no
+    label order, spelling or lookup history changes which series a call
+    reaches or what the registry exports."""
 
     def test_reordered_labels_reach_one_instrument(self):
         reg = MetricsRegistry()
@@ -197,17 +198,20 @@ class TestCallSiteMemo:
             first = getattr(reg, kind)(kind, x="1", y="2")
             assert getattr(reg, kind)(kind, y="2", x="1") is first
 
-    def test_kind_conflict_still_raises_once_memoized(self):
+    def test_kind_conflict_raises_on_every_lookup(self):
         reg = MetricsRegistry()
         c = reg.counter("x", k="a")
-        assert reg.counter("x", k="a") is c  # now served by the memo
+        assert reg.counter("x", k="a") is c
         with pytest.raises(TypeError):
             reg.gauge("x", k="a")
         with pytest.raises(TypeError):
-            reg.gauge("x", k="a")  # a failed claim is not memoized
+            reg.gauge("x", k="a")  # a failed claim creates nothing
+        with pytest.raises(TypeError):
+            reg.gauge("x", k="b")  # the name is claimed, whatever its labels
         assert reg.counter("x", k="a") is c
+        assert len(reg.snapshot()) == 1
 
-    def test_non_str_values_stringify_as_before(self):
+    def test_non_str_values_are_stringified(self):
         reg = MetricsRegistry()
         one = reg.counter("n", v=1)
         # 1 == 1.0 == True, but their label strings differ.
@@ -217,7 +221,7 @@ class TestCallSiteMemo:
         assert reg.counter("n", v=1) is one
         assert sorted(r["labels"]["v"] for r in reg.snapshot()) == ["1", "1.0", "True"]
 
-    def test_unhashable_label_value_still_works(self):
+    def test_unhashable_label_value_works(self):
         reg = MetricsRegistry()
         c = reg.counter("u", tags=["a", "b"])
         c.inc()

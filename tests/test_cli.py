@@ -120,7 +120,7 @@ class TestScenarioRun:
 
 
 class TestThroughputFlags:
-    """The engine's `--tenants/--shards/--batch-size/--top` flags (on
+    """The engine's `--tenants/--shards/--top` flags (on
     `repro profile`) and `repro slo --plans`: invalid values exit 2 with
     one stderr line, never a traceback."""
 
@@ -144,14 +144,10 @@ class TestThroughputFlags:
         assert main(["profile", "--shards", "-3"]) == 2
         assert "--shards must be >= 1" in capsys.readouterr().err
 
-    def test_batch_size_below_one_exits_2(self, capsys):
-        assert main(["profile", "--batch-size", "0"]) == 2
-        assert "--batch-size must be >= 1" in capsys.readouterr().err
-
-    def test_sharded_batched_sweep_runs(self, capsys):
+    def test_sharded_sweep_runs(self, capsys):
         assert main(["profile", "--tenants", "2", "--shards", "2",
-                     "--batch-size", "4", "--seed", "cli-test"]) == 0
+                     "--seed", "cli-test"]) == 0
         out = capsys.readouterr().out
         assert "2 shard(s)" in out
-        assert "batch=4" in out
+        assert "engine/drive;crypto/rsa.sign" in out
 
