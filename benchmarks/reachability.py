@@ -81,8 +81,6 @@ KEPT: dict[str, str] = {
     # Fault and timeout handlers: they run only when their fault fires.
     "repro.core.client:TpnrClient._on_abort_timeout": "Abort timeout handler (TTP silent)",
     "repro.core.ttp:TrustedThirdParty.reopen_resolve": "Resolve timeout handler (provider silent)",
-    "repro.replication.verify:ForkConsistencyVerifier.check_missing":
-        "ReplicatedStore calls it when a replica lacks an object",
     "repro.crypto.pki:CertificateAuthority.revoke": "CertificateAuthority.validate checks revocation",
     "repro.durability.wal:WriteAheadLog.sync": "the WAL's explicit fsync point",
     # Paper mechanisms and oracles.

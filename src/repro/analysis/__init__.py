@@ -2,9 +2,12 @@
 
 ``experiments`` holds one deterministic runner per table/figure of
 DESIGN.md §4; the ``benchmarks/`` directory times and prints them.
+The multi-tenant runners (W1, R1, TP1, TP2, OB4) drive
+:func:`repro.engine.run_pool` and read only its ``PoolResult``: this
+layer has no workload driver of its own.
 """
 
-from . import diagram, experiments, metrics, report, stats, workload
+from . import diagram, experiments, metrics, report, stats
 from .experiments import (
     ExperimentResult,
     experiment_attacks,
@@ -26,7 +29,6 @@ from .experiments import (
 from .diagram import sequence_diagram
 from .metrics import ProtocolCost, compare, measure
 from .stats import format_rate, wilson_interval
-from .workload import WorkloadReport, WorkloadSpec, resilience_sweep, run_workload
 from .report import render_kv, render_table
 
 __all__ = [
@@ -38,11 +40,6 @@ __all__ = [
     "experiments",
     "metrics",
     "report",
-    "workload",
-    "WorkloadReport",
-    "WorkloadSpec",
-    "resilience_sweep",
-    "run_workload",
     "experiment_evidence_ablation",
     "experiment_fault_campaign",
     "experiment_resilience",

@@ -49,7 +49,6 @@ from ..storage.tamper import TamperMode
 from .diagram import sequence_diagram
 from .metrics import measure
 from .stats import format_rate
-from .workload import WorkloadSpec, resilience_sweep, run_workload
 
 __all__ = [
     "ExperimentResult",
@@ -677,42 +676,59 @@ def experiment_shipping(
 # W1 — extension: multi-client scalability
 # ---------------------------------------------------------------------------
 
+def all_terminated(result) -> bool:
+    """True when every session of a pool run finished with a terminal
+    upload status, none left pending or resolving: the §5.5 finiteness
+    property (every wait is bounded, every time-out has a way out)."""
+    return all(s.finished and s.upload_status not in ("pending", "resolving")
+               for s in result.sessions)
+
+
 def experiment_scalability(
     seed: bytes = b"exp/w1",
     client_counts: tuple[int, ...] = (1, 2, 4, 8),
     transactions_per_client: int = 4,
 ) -> ExperimentResult:
-    """TPNR under concurrent load: N clients x M transactions.
+    """TPNR under concurrent load: N tenants x M sessions on the
+    :mod:`repro.engine` pool.
 
-    The deferred evaluation the paper's cloud framing implies: protocol
-    cost grows linearly in transactions (2 messages each), evidence
-    accumulates on both sides, and everything terminates.
+    The deferred evaluation the paper's cloud framing implies: each
+    session uploads and downloads back, protocol cost grows linearly in
+    sessions (the same messages per session at every client count),
+    evidence accumulates at the provider, and everything terminates.
     """
+    from ..engine import run_pool
+
     rows = []
     facts: dict[str, Any] = {}
+    per_session = set()
     for n in client_counts:
-        spec = WorkloadSpec(n_clients=n, transactions_per_client=transactions_per_client)
-        _, report = run_workload(seed + f"/n={n}".encode(), spec)
+        result = run_pool(seed + f"/n={n}".encode(), n,
+                          transactions_per_tenant=transactions_per_client,
+                          channel=ChannelSpec(base_latency=0.02))
+        sessions = len(result.sessions)
+        success_rate = result.completed / sessions
+        per_session.add(result.messages_sent / sessions)
         rows.append([
-            n, spec.total_transactions, f"{report.success_rate:.2f}",
-            report.total_messages, report.total_bytes,
-            report.provider_objects, report.evidence_items,
+            n, sessions, f"{success_rate:.2f}", result.verified,
+            result.messages_sent, result.bytes_on_wire,
+            result.provider_stats["stored_blobs"],
+            result.provider_stats["evidence_held"],
         ])
-        facts[f"{n}/success_rate"] = report.success_rate
-        facts[f"{n}/messages"] = report.total_messages
-        facts[f"{n}/terminated"] = report.all_terminated
-    facts["linear_messages"] = all(
-        facts[f"{n}/messages"] == 2 * n * transactions_per_client for n in client_counts
-    )
+        facts[f"{n}/success_rate"] = success_rate
+        facts[f"{n}/messages"] = result.messages_sent
+        facts[f"{n}/terminated"] = all_terminated(result)
+    facts["linear_messages"] = len(per_session) == 1
     return ExperimentResult(
         experiment_id="W1",
         title="Extension — multi-client scalability (N clients, honest provider)",
-        headers=["clients", "transactions", "success rate", "messages",
-                 "bytes", "stored objects", "evidence items"],
+        headers=["clients", "sessions", "success rate", "verified downloads",
+                 "messages", "bytes", "stored objects", "provider evidence"],
         rows=rows,
         facts=facts,
-        notes="2 messages per transaction regardless of concurrency: the "
-        "off-line-TTP design has no shared bottleneck on the happy path.",
+        notes="The same messages per session (upload, receipt, download "
+        "request, response, ack) at every concurrency: the off-line-TTP "
+        "design has no shared bottleneck on the happy path.",
         meta=run_meta(seed),
     )
 
@@ -725,37 +741,46 @@ def experiment_resilience(
     seed: bytes = b"exp/r1",
     drop_probs: tuple[float, ...] = (0.0, 0.05, 0.1, 0.2, 0.4),
 ) -> ExperimentResult:
-    """Outcome distribution vs channel loss.
+    """Outcome distribution vs channel loss: 3 tenants x 4 sessions on
+    the :mod:`repro.engine` pool at each drop probability.
 
     The §5.5 finiteness property under stress: success degrades
-    gracefully (Resolve and restart recover most losses) and no
-    transaction is ever left in limbo.
+    gracefully (retransmission and Resolve recover most losses) and no
+    session is ever left in limbo.
     """
+    from ..engine import run_pool
+
     rows = []
     facts: dict[str, Any] = {}
-    sweep = resilience_sweep(seed, drop_probs=drop_probs)
-    for drop, report in sweep:
+    for drop in drop_probs:
+        result = run_pool(seed + f"/drop={drop}".encode(), 3,
+                          transactions_per_tenant=4,
+                          channel=ChannelSpec(base_latency=0.02, drop_prob=drop))
+        statuses = [s.upload_status for s in result.sessions]
+        success_rate = result.completed / len(result.sessions)
+        terminated = all_terminated(result)
         rows.append([
-            f"{drop:.2f}", f"{report.success_rate:.2f}",
-            report.status_counts.get("completed", 0),
-            report.status_counts.get("resolved", 0),
-            report.status_counts.get("failed", 0),
-            report.all_terminated,
+            f"{drop:.2f}", f"{success_rate:.2f}",
+            statuses.count("completed"), statuses.count("resolved"),
+            statuses.count("failed"), result.verified,
+            result.ttp_stats["resolves_handled"], terminated,
         ])
-        facts[f"{drop}/success_rate"] = report.success_rate
-        facts[f"{drop}/terminated"] = report.all_terminated
-    facts["all_terminated"] = all(report.all_terminated for _, report in sweep)
-    facts["lossless_perfect"] = sweep[0][1].success_rate == 1.0
-    facts["monotone_pressure"] = sweep[-1][1].success_rate <= sweep[0][1].success_rate
+        facts[f"{drop}/success_rate"] = success_rate
+        facts[f"{drop}/terminated"] = terminated
+    first, last = (facts[f"{d}/success_rate"] for d in (drop_probs[0], drop_probs[-1]))
+    facts["all_terminated"] = all(facts[f"{d}/terminated"] for d in drop_probs)
+    facts["lossless_perfect"] = first == 1.0
+    facts["monotone_pressure"] = last <= first
     return ExperimentResult(
         experiment_id="R1",
         title="Extension — resilience: outcomes vs channel drop probability",
         headers=["drop prob", "success rate", "completed", "resolved (TTP)",
-                 "failed", "all terminated"],
+                 "failed", "verified downloads", "TTP resolves",
+                 "all terminated"],
         rows=rows,
         facts=facts,
-        notes="'resolved' = receipts recovered through the in-line TTP; "
-        "'failed' transactions still end with evidence (time-outs, TTP "
+        notes="'resolved' = upload receipts recovered through the in-line "
+        "TTP; 'failed' sessions still end with evidence (time-outs, TTP "
         "statements) rather than limbo.",
         meta=run_meta(seed),
     )

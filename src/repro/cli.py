@@ -13,7 +13,7 @@ import sys
 
 from .analysis.diagram import sequence_diagram
 from .analysis.report import render_kv, render_table
-from .analysis.workload import WorkloadSpec, run_workload
+from .analysis.experiments import all_terminated
 from .core import (
     ProviderBehavior,
     Verdict,
@@ -23,6 +23,7 @@ from .core import (
     run_session,
     run_upload,
 )
+from .engine import run_pool
 from .errors import ReproError
 from .net.channel import ChannelSpec
 from .scenarios import SCENARIOS
@@ -56,23 +57,33 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 
 
 def _cmd_workload(args: argparse.Namespace) -> int:
-    spec = WorkloadSpec(n_clients=args.clients, transactions_per_client=args.transactions)
+    """N tenants x M sessions on the engine pool over a lossy channel;
+    exit non-zero unless every session terminated."""
+    for flag, value in (("--clients", args.clients),
+                        ("--transactions", args.transactions)):
+        if value < 1:
+            raise ReproError(f"{flag} must be >= 1 (got {value})")
     channel = ChannelSpec(base_latency=0.02, drop_prob=args.drop)
-    _, report = run_workload(args.seed.encode(), spec, channel)
+    result = run_pool(args.seed.encode(), args.clients,
+                      transactions_per_tenant=args.transactions, channel=channel)
+    statuses = [s.upload_status for s in result.sessions]
+    terminated = all_terminated(result)
     print(render_kv(
         [
-            ("clients", spec.n_clients),
-            ("transactions", spec.total_transactions),
+            ("clients", args.clients),
+            ("sessions", len(result.sessions)),
             ("drop probability", args.drop),
-            ("success rate", f"{report.success_rate:.2f}"),
-            ("outcomes", str(report.status_counts)),
-            ("messages", report.total_messages),
-            ("bytes on wire", report.total_bytes),
-            ("all terminated", report.all_terminated),
+            ("success rate", f"{result.completed / len(result.sessions):.2f}"),
+            ("outcomes", str({s: statuses.count(s) for s in sorted(set(statuses))})),
+            ("verified downloads", result.verified),
+            ("messages", result.messages_sent),
+            ("bytes on wire", result.bytes_on_wire),
+            ("all terminated", terminated),
+            ("signature", result.signature()),
         ],
         title="Workload summary",
     ))
-    return 0 if report.all_terminated else 1
+    return 0 if terminated else 1
 
 
 def _cmd_obs(args: argparse.Namespace) -> int:
@@ -124,6 +135,8 @@ def _cmd_obs(args: argparse.Namespace) -> int:
 def _cmd_forensics(args: argparse.Namespace) -> int:
     """Reconstruct one observed session's cross-surface timeline and
     print its dispute dossier, cross-checked against the Arbitrator."""
+    if args.max_rows < 0:
+        raise ReproError(f"--max-rows must be >= 0 (got {args.max_rows})")
     behavior = ProviderBehavior(
         tamper_mode=TamperMode.FIXUP_MD5 if args.tamper else TamperMode.NONE)
     dep = make_deployment(seed=args.seed.encode(), observe=True, durable=True,
@@ -331,13 +344,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         ))
         return 0 if path.reconciles() else 1
 
-    from .engine import TenantDirectory, run_pool
-
-    directory = TenantDirectory(seed)
-    directory.warm(["bob", "ttp",
-                    *[f"tenant-{i:04d}" for i in range(args.tenants)]])
-    result = run_pool(seed, args.tenants, directory=directory,
-                      shards=args.shards, profile=True)
+    result = run_pool(seed, args.tenants, shards=args.shards, profile=True)
     profile = result.profile
     if args.flamegraph:
         print(flamegraph_text(profile), end="")
@@ -366,10 +373,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_d.add_argument("--seed", default="cli", help="determinism seed")
     p_d.set_defaults(func=_cmd_demo)
 
-    p_w = sub.add_parser("workload", help="run a multi-client workload")
-    p_w.add_argument("--clients", type=int, default=4)
-    p_w.add_argument("--transactions", type=int, default=5)
-    p_w.add_argument("--drop", type=float, default=0.0)
+    p_w = sub.add_parser("workload",
+                         help="N tenants x M upload+download sessions on the "
+                         "engine pool over a lossy channel")
+    p_w.add_argument("--clients", type=int, default=4,
+                     help="tenants, one client each (>= 1)")
+    p_w.add_argument("--transactions", type=int, default=5,
+                     help="sessions per tenant (>= 1)")
+    p_w.add_argument("--drop", type=float, default=0.0,
+                     help="per-message drop probability, in [0, 1]")
     p_w.add_argument("--seed", default="cli", help="determinism seed")
     p_w.set_defaults(func=_cmd_workload)
 
@@ -385,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_f.add_argument("--tamper", action="store_true",
                      help="use a covertly tampering provider")
     p_f.add_argument("--max-rows", type=int, default=40,
-                     help="timeline rows to print in the dossier")
+                     help="timeline rows to print in the dossier (>= 0)")
     p_f.set_defaults(func=_cmd_forensics)
 
     p_r = sub.add_parser("replication",

@@ -102,9 +102,6 @@ class BlobStore:
     def total_bytes(self) -> int:
         return sum(o.size for o in self._objects.values())
 
-    def __len__(self) -> int:
-        return len(self._objects)
-
     # -- provider-side (malicious) path ------------------------------------
 
     def overwrite_raw(

@@ -310,3 +310,48 @@ class TestSessionUnderLoss:
         assert outcome.upload_status is TxStatus.COMPLETED
         assert outcome.download is not None and outcome.download.verified
         assert dep.sim.pending() == 0
+
+
+class TestRestartRecovery:
+    def test_lost_upload_recovered_by_restart(self):
+        """A dropped UPLOAD is recovered via resolve -> RESTART -> resend."""
+        from repro.core import TxStatus, make_deployment, run_upload
+        from repro.net.adversary import Adversary
+
+        class FirstUploadEater(Adversary):
+            def __init__(self):
+                super().__init__()
+                self.eaten = 0
+
+            def on_intercept(self, envelope):
+                self.seen.append(envelope)
+                if envelope.kind == "tpnr.upload" and self.eaten == 0:
+                    self.eaten += 1
+                    self.drop(envelope)
+                else:
+                    self.forward(envelope)
+
+        dep = make_deployment(seed=b"wl-restart")
+        dep.network.install_adversary(FirstUploadEater())
+        outcome = run_upload(dep, b"recover me " * 8)
+        assert outcome.upload_status is TxStatus.COMPLETED
+
+    def test_unreachable_ttp_terminates_finitely(self):
+        from repro.core import ProviderBehavior, TxStatus, make_deployment, run_upload
+        from repro.net.adversary import Adversary
+
+        class TtpBlackhole(Adversary):
+            def on_intercept(self, envelope):
+                self.seen.append(envelope)
+                if "ttp" in (envelope.src, envelope.dst):
+                    self.drop(envelope)
+                else:
+                    self.forward(envelope)
+
+        dep = make_deployment(seed=b"wl-ttp-dead",
+                              behavior=ProviderBehavior(silent_on_upload=True))
+        dep.network.install_adversary(TtpBlackhole())
+        outcome = run_upload(dep, b"x")
+        assert outcome.upload_status is TxStatus.FAILED
+        assert "timed out" in outcome.upload_detail
+        assert dep.sim.pending() == 0

@@ -71,7 +71,7 @@ class TestDeleteList:
     def test_len_and_total_bytes(self, store):
         store.put("c", "k1", b"xx")
         store.put("c", "k2", b"yyy")
-        assert len(store) == 2
+        assert len(store.object_marks()) == 2
         assert store.total_bytes() == 5
 
 

@@ -59,6 +59,7 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "success rate" in out
         assert "all terminated" in out and ": yes" in out
+        assert "sessions           : 4" in out and "signature" in out
 
     def test_gauntlet(self, capsys):
         """The §5 attack matrix runs as scenario S5; its contract is the
@@ -121,14 +122,20 @@ class TestScenarioRun:
 
 class TestThroughputFlags:
     """The engine's `--tenants/--shards/--top` flags (on
-    `repro profile`) and `repro slo --plans`: invalid values exit 2 with
-    one stderr line, never a traceback."""
+    `repro profile`), `repro workload`'s counts and drop probability,
+    `repro forensics --max-rows` and `repro slo --plans`: invalid values
+    exit 2 with one stderr line, never a traceback."""
 
     @pytest.mark.parametrize("argv,message", [
         (["profile", "--tenants", "0"], "--tenants must be >= 1"),
         (["profile", "--top", "0"], "--top must be >= 1"),
         (["profile", "--top", "-1"], "--top must be >= 1"),
         (["slo", "--plans", "0"], "--plans must be >= 1"),
+        (["workload", "--clients", "0"], "--clients must be >= 1 (got 0)"),
+        (["workload", "--transactions", "0"], "--transactions must be >= 1 (got 0)"),
+        (["workload", "--drop", "1.5"], "drop_prob must be a probability"),
+        (["workload", "--drop", "nan"], "drop_prob must be a probability"),
+        (["forensics", "--max-rows", "-1"], "--max-rows must be >= 0 (got -1)"),
     ])
     def test_counts_below_one_exit_2(self, capsys, argv, message):
         assert main(argv) == 2

@@ -28,7 +28,6 @@ MODULES = [
     "repro.analysis.metrics",
     "repro.analysis.report",
     "repro.analysis.stats",
-    "repro.analysis.workload",
     "repro.attacks.harness",
     "repro.attacks.naive",
     "repro.baselines.ssl_only",
@@ -45,6 +44,7 @@ MODULES = [
     "repro.crypto.drbg",
     "repro.crypto.rsa",
     "repro.crypto.shamir",
+    "repro.engine.sharding",
     "repro.net.securechannel",
     "repro.storage.azurelike",
     "repro.storage.gaelike",
@@ -111,7 +111,7 @@ class TestPublicDocstrings:
             "repro.crypto.shamir.split_secret",
             "repro.net.network.Network",
             "repro.storage.azurelike.AzureLikeService",
-            "repro.analysis.workload.run_workload",
+            "repro.engine.sharding.run_pool",
         ],
     )
     def test_key_api_documented(self, obj_path):
