@@ -110,3 +110,60 @@ def test_bench_chacha20_lanes(benchmark, blob):
     from repro.crypto import chacha20_np
 
     benchmark(chacha20_np.chacha20_xor, b"k" * 32, b"n" * 12, blob)
+
+
+@pytest.fixture(scope="module")
+def durable_round_records():
+    """Every record the parties of one durable, 3-way replicated round
+    journal: 40 uploads of 1-64 KiB, each read back, one in ten
+    rewritten by the provider first (so the snapshots carry forged
+    payloads too)."""
+    import random
+
+    from repro.core.protocol import make_deployment
+    from repro.durability.wal import WriteAheadLog
+    from repro.net.channel import WAN
+    from repro.replication.store import ReplicatedStore, attach_replication
+
+    records = []
+    append = WriteAheadLog.append
+
+    def recording(wal, record, blobs=None):
+        records.append(record)
+        return append(wal, record, blobs=blobs)
+
+    WriteAheadLog.append = recording
+    try:
+        dep = make_deployment(seed=b"wal-encode-bench", channel=WAN, durable=True,
+                              batch_size=16)
+        store = attach_replication(dep, ReplicatedStore(seed=b"wal-encode-bench"))
+        rng = random.Random("wal-encode-bench")
+        for i in range(40):
+            txn = f"TXN-W{i:04d}"
+            dep.client.upload(dep.provider.name, rng.randbytes(rng.randint(1024, 65536)),
+                              transaction_id=txn)
+            dep.run()
+            if i % 10 == 3:
+                store.overwrite_raw("tpnr-data", txn, data=rng.randbytes(2048))
+            dep.client.download(txn)
+            dep.run()
+        dep.settle_batches()
+    finally:
+        WriteAheadLog.append = append
+    return records
+
+
+def test_bench_wal_encode_durable_round(benchmark, durable_round_records):
+    """Encode every record of one durable round with payload fields
+    swapped for blob references, as the journal does (the segment
+    already holds every payload, so each reference is a lookup)."""
+    from repro.durability.wal import BlobSegment, StableStore, encode_record
+
+    segment = BlobSegment(StableStore(), "bench.blobs")
+
+    def encode_all():
+        for record in durable_round_records:
+            encode_record(record, segment.ref)
+
+    encode_all()
+    benchmark(encode_all)

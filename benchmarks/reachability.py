@@ -82,7 +82,8 @@ KEPT: dict[str, str] = {
     "repro.core.client:TpnrClient._on_abort_timeout": "Abort timeout handler (TTP silent)",
     "repro.core.ttp:TrustedThirdParty.reopen_resolve": "Resolve timeout handler (provider silent)",
     "repro.crypto.pki:CertificateAuthority.revoke": "CertificateAuthority.validate checks revocation",
-    "repro.durability.wal:WriteAheadLog.sync": "the WAL's explicit fsync point",
+    "repro.replication.verify:ForkConsistencyVerifier.check_missing":
+        "a read probing a replica that lacks the object; no workload's key ranks one first",
     # Paper mechanisms and oracles.
     "repro.core.arbitrator:Arbitrator.rule_on_upload_content":
         "the upload-content dispute; bench/tracing.py binds it by name",

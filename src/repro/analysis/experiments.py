@@ -8,6 +8,8 @@ benchmark executes and times.
 
 from __future__ import annotations
 
+import contextlib
+import sys
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -1818,6 +1820,51 @@ def experiment_replication(
 # RP2 — live backend migration with evidence continuity
 # ---------------------------------------------------------------------------
 
+#: Which party runs each hashing call site of a replicated deployment,
+#: by ``module:qualname`` prefix (first match wins).  The provider runs
+#: the replicated store's coordinator, the REST client it writes Azure
+#: through, and its own tampering; the replicas are the platform
+#: services and the attestations they sign.
+_HASH_SITES = (
+    ("repro.core.client:", "client"),
+    ("repro.replication.store:ReplicaHandle.", "replicas"),
+    ("repro.core.provider:", "provider"),
+    ("repro.replication.", "provider"),
+    ("repro.storage.azurelike:AzureLikeClient.", "provider"),
+    ("repro.storage.tamper:", "provider"),
+    ("repro.storage.", "replicas"),
+)
+
+
+class _HashLedger:
+    """The bytes each party hashes, summed over :func:`digest` calls by
+    the call site's party (:data:`_HASH_SITES`); other sites (keys,
+    evidence) are not counted."""
+
+    def __init__(self) -> None:
+        self.by_party = dict.fromkeys(("client", "provider", "replicas"), 0)
+
+    def hashed(self, nbytes: int) -> None:
+        caller = sys._getframe(2)  # this frame <- digest <- the call site
+        site = f"{caller.f_globals['__name__']}:{caller.f_code.co_qualname}"
+        for prefix, party in _HASH_SITES:
+            if site.startswith(prefix):
+                self.by_party[party] += nbytes
+                return
+
+    @contextlib.contextmanager
+    def seated(self):
+        """Count every digest made inside the block."""
+        from ..crypto import instrument as seat
+
+        previous = seat.hash_observer
+        seat.hash_observer = self
+        try:
+            yield self
+        finally:
+            seat.hash_observer = previous
+
+
 def experiment_migration(seed: bytes = b"exp/rp2") -> ExperimentResult:
     """Live s3like→azurelike migration under a TPNR deployment, with
     the NRO/NRR evidence chain surviving the move.
@@ -1862,6 +1909,7 @@ def experiment_migration(seed: bytes = b"exp/rp2") -> ExperimentResult:
         )
         attach_replication(dep, store)
         payload = rng.fork("payload").generate(192)
+        uploaded.append(len(payload))
         outcome = run_upload(dep, payload, auto_resolve=True)
         txn = outcome.transaction_id
         bundle = export_store(dep.client.evidence_store, txn)
@@ -1873,47 +1921,52 @@ def experiment_migration(seed: bytes = b"exp/rp2") -> ExperimentResult:
 
     rows = []
     facts: dict[str, Any] = {}
+    uploaded: list[int] = []
+    ledger = _HashLedger()
 
-    # Clean variant: the move itself must not manufacture a dispute.
-    dep, store, txn, record = build(b"/clean")
-    download = run_download(dep, txn)
-    ruling = dispute_tampering(dep, txn)
-    from ..obs.forensics import DisputeDossier  # lazy: obs imports stay local
+    with ledger.seated():
+        # Clean variant: the move itself must not manufacture a dispute.
+        dep, store, txn, record = build(b"/clean")
+        download = run_download(dep, txn)
+        ruling = dispute_tampering(dep, txn)
+        from ..obs.forensics import DisputeDossier  # lazy: obs imports stay local
 
-    dossier = DisputeDossier.build(dep, txn)
-    facts["clean/download_verified"] = download.verified
-    facts["clean/verdict"] = ruling.verdict.value
-    facts["clean/claim_rejected"] = ruling.verdict is Verdict.CLAIM_REJECTED
-    facts["clean/dossier_agrees"] = dossier.agrees(dep.arbitrator)
-    facts["clean/chain_verified"] = verify_migration_chain(record)
-    facts["clean/objects_migrated"] = record.object_count
-    facts["clean/evidence_items_reverified"] = record.evidence_verified
-    facts["clean/digests_preserved"] = all(
-        store.verifier.latest(c, k).digest == d for c, k, _v, d in record.objects)
-    facts["clean/replicas_after"] = list(store.replica_names)
-    rows.append(["clean", f"{record.source}->{record.destination}",
-                 record.object_count, record.evidence_verified,
-                 "verified" if download.verified else "TAMPERED",
-                 ruling.verdict.value,
-                 "yes" if facts["clean/dossier_agrees"] else "NO"])
+        dossier = DisputeDossier.build(dep, txn)
+        facts["clean/download_verified"] = download.verified
+        facts["clean/verdict"] = ruling.verdict.value
+        facts["clean/claim_rejected"] = ruling.verdict is Verdict.CLAIM_REJECTED
+        facts["clean/dossier_agrees"] = dossier.agrees(dep.arbitrator)
+        facts["clean/chain_verified"] = verify_migration_chain(record)
+        facts["clean/objects_migrated"] = record.object_count
+        facts["clean/evidence_items_reverified"] = record.evidence_verified
+        facts["clean/digests_preserved"] = all(
+            store.verifier.latest(c, k).digest == d for c, k, _v, d in record.objects)
+        facts["clean/replicas_after"] = list(store.replica_names)
+        rows.append(["clean", f"{record.source}->{record.destination}",
+                     record.object_count, record.evidence_verified,
+                     "verified" if download.verified else "TAMPERED",
+                     ruling.verdict.value,
+                     "yes" if facts["clean/dossier_agrees"] else "NO"])
 
-    # Tampered variant: post-migration cover-up on the new backend.
-    dep, store, txn, record = build(b"/tampered")
-    tampered = HmacDrbg(seed, personalization=b"tampered-bytes").generate(192)
-    store.overwrite_raw("tpnr-data", txn, data=tampered)
-    download = run_download(dep, txn)
-    ruling = dispute_tampering(dep, txn)
-    dossier = DisputeDossier.build(dep, txn)
-    facts["tampered/download_flagged"] = download.tampering_detected
-    facts["tampered/verdict"] = ruling.verdict.value
-    facts["tampered/provider_at_fault"] = ruling.verdict is Verdict.PROVIDER_FAULT
-    facts["tampered/dossier_agrees"] = dossier.agrees(dep.arbitrator)
-    facts["tampered/chain_verified"] = verify_migration_chain(record)
-    rows.append(["tampered", f"{record.source}->{record.destination}",
-                 record.object_count, record.evidence_verified,
-                 "TAMPERING DETECTED" if download.tampering_detected else "missed",
-                 ruling.verdict.value,
-                 "yes" if facts["tampered/dossier_agrees"] else "NO"])
+        # Tampered variant: post-migration cover-up on the new backend.
+        dep, store, txn, record = build(b"/tampered")
+        tampered = HmacDrbg(seed, personalization=b"tampered-bytes").generate(192)
+        store.overwrite_raw("tpnr-data", txn, data=tampered)
+        download = run_download(dep, txn)
+        ruling = dispute_tampering(dep, txn)
+        dossier = DisputeDossier.build(dep, txn)
+        facts["tampered/download_flagged"] = download.tampering_detected
+        facts["tampered/verdict"] = ruling.verdict.value
+        facts["tampered/provider_at_fault"] = ruling.verdict is Verdict.PROVIDER_FAULT
+        facts["tampered/dossier_agrees"] = dossier.agrees(dep.arbitrator)
+        facts["tampered/chain_verified"] = verify_migration_chain(record)
+        rows.append(["tampered", f"{record.source}->{record.destination}",
+                     record.object_count, record.evidence_verified,
+                     "TAMPERING DETECTED" if download.tampering_detected else "missed",
+                     ruling.verdict.value,
+                     "yes" if facts["tampered/dossier_agrees"] else "NO"])
+    for party, hashed in ledger.by_party.items():
+        facts[f"hashed_bytes_per_user_byte/{party}"] = round(hashed / sum(uploaded), 3)
 
     facts["evidence_chain_survives_migration"] = (
         facts["clean/download_verified"]

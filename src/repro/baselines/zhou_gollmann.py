@@ -146,7 +146,7 @@ class ZgClient(Node):
 
     def exchange(self, provider: str, data: bytes) -> str:
         """Step 1: commit the encrypted message with the NRO."""
-        label = ZgLabel(self.name, provider, new_transaction_id("ZG"))
+        label = ZgLabel(self.name, provider, new_transaction_id(self.network.transaction_ids, "ZG"))
         key = self.rng.generate(32)
         nonce = self.rng.generate(12)
         ciphertext = aead.seal(key, nonce, data, aad=label.to_bytes())

@@ -31,7 +31,7 @@ from ..net.events import ScheduledEvent
 from ..net.network import Envelope
 from .evidence import OpenedEvidence, open_evidence
 from .messages import Flag, ResolveAction, TpnrMessage
-from .party import TpnrParty
+from .party import TpnrParty, commit_point
 from .policy import DEFAULT_POLICY, TpnrPolicy
 from .transaction import TransactionRecord, TxStatus, new_transaction_id
 
@@ -100,6 +100,7 @@ class TpnrClient(TpnrParty):
     # Upload (Normal mode, message 1 of 2)
     # ------------------------------------------------------------------
 
+    @commit_point
     def upload(
         self,
         provider: str,
@@ -110,13 +111,12 @@ class TpnrClient(TpnrParty):
         """Start an upload transaction; returns the transaction ID.
 
         Sends ``{header, data, NRO}`` and arms the response time-out.
-        An explicit *transaction_id* lets deterministic harnesses (the
-        throughput engine) avoid the process-global ID counter, whose
-        value depends on how many transactions ran earlier in the
-        process.
+        Without *transaction_id* the id comes from the network's
+        counter, shared by every client of this world; the throughput
+        engine names its sessions itself.
         """
         if transaction_id is None:
-            transaction_id = new_transaction_id()
+            transaction_id = new_transaction_id(self.network.transaction_ids)
         elif transaction_id in self.transactions:
             raise ProtocolError(f"transaction {transaction_id!r} already exists")
         data_hash = digest("sha256", data)
@@ -231,6 +231,7 @@ class TpnrClient(TpnrParty):
     # Download (Normal mode)
     # ------------------------------------------------------------------
 
+    @commit_point
     def download(self, transaction_id: str) -> None:
         """Request the data of a completed upload back from Bob."""
         handle = self.uploads.get(transaction_id)
@@ -283,6 +284,7 @@ class TpnrClient(TpnrParty):
     # the data from the cloud")
     # ------------------------------------------------------------------
 
+    @commit_point
     def grant(self, transaction_id: str, grantee: str) -> None:
         """Authorize another user to download this transaction.
 
@@ -297,6 +299,7 @@ class TpnrClient(TpnrParty):
         message = self.make_message(header, annotations=(("grantee", grantee),))
         self.send(handle.provider, "tpnr.grant", message)
 
+    @commit_point
     def import_transaction(
         self,
         transaction_id: str,
@@ -351,6 +354,7 @@ class TpnrClient(TpnrParty):
     # Abort (§4.2)
     # ------------------------------------------------------------------
 
+    @commit_point
     def abort(self, transaction_id: str) -> None:
         """Request cancellation: transaction ID + abort-NRO to Bob."""
         handle = self.uploads.get(transaction_id)
@@ -451,6 +455,7 @@ class TpnrClient(TpnrParty):
     # Inbound dispatch
     # ------------------------------------------------------------------
 
+    @commit_point
     def on_message(self, envelope: Envelope) -> None:
         if self.corrupted_inbound(envelope):
             return

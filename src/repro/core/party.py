@@ -15,13 +15,18 @@ exponential backoff until the role-level acknowledgement arrives or the
 retry budget runs out, at which point the role's own timeout escalates
 to Abort/Resolve instead of hanging.
 
-Durability (PR 2): a party may carry a
+Durability: a party may carry a
 :class:`~repro.durability.journal.PartyJournal`.  When it does, every
 evidence-bearing transition is logged **before** it is acted on —
 outbound headers before the send (:meth:`send`), inbound anti-replay
 consumption on acceptance (:meth:`validate_and_open`), evidence before
 archiving (:meth:`archive_evidence`), status changes at the moment they
-happen (:meth:`finish_txn`).  :meth:`begin_crash` with ``amnesia=True``
+happen (:meth:`finish_txn`).  Every entry into the party is a
+:func:`commit_point` — a delivery (each role's ``on_message``), a
+timer (:meth:`set_timeout`), and the top-level calls (upload,
+download, abort, grants, settlement, recovery) — and its records become
+durable in one commit when it returns, before the simulator runs any
+other event.  :meth:`begin_crash` with ``amnesia=True``
 models a real process death: every timer dies with the process, the
 journal's write buffer is lost, and volatile protocol state is wiped;
 :func:`repro.durability.recovery.recover` rebuilds it at restart.
@@ -30,6 +35,7 @@ journal's write buffer is lost, and volatile protocol state is wiped;
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial, wraps
 from typing import Callable, Hashable
 
 from ..crypto.drbg import HmacDrbg
@@ -50,9 +56,23 @@ from .messages import Flag, Header, TpnrMessage
 from .policy import DEFAULT_POLICY, TpnrPolicy
 from .transaction import EvidenceStore, PeerState, TransactionRecord
 
-__all__ = ["TpnrParty"]
+__all__ = ["TpnrParty", "commit_point"]
 
 _NONCE_SIZE = 16
+
+
+def commit_point(method):
+    """Make *method* (of a party) a commit point: what it logs becomes
+    durable in one journal commit when it returns."""
+
+    @wraps(method)
+    def call(party, *args, **kwargs):
+        journal = party.journal
+        if journal is None:
+            return method(party, *args, **kwargs)
+        return journal.committed(method, party, *args, **kwargs)
+
+    return call
 
 
 @dataclass
@@ -142,6 +162,7 @@ class TpnrParty(Node):
             return "verified"
         return "invalid"
 
+    @commit_point
     def settle_batched_evidence(self) -> tuple[int, int]:
         """Resolve every pending batched item (end-of-run, after all
         signers sealed).  Returns ``(resolved, failed)``; failures —
@@ -170,7 +191,11 @@ class TpnrParty(Node):
 
     def set_timeout(self, delay: float, callback) -> ScheduledEvent:
         """Track every timer so an amnesia crash can kill them all —
-        a timer is process state; it cannot survive a process death."""
+        a timer is process state; it cannot survive a process death.
+        A journaled party's timer firing is a commit point."""
+        journal = self.journal
+        if journal is not None:
+            callback = partial(journal.committed, callback)
         event = super().set_timeout(delay, callback)
         self._live_timers.append(event)
         if len(self._live_timers) > 64:

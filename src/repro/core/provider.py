@@ -24,7 +24,7 @@ from ..net.network import Envelope
 from ..storage.blobstore import BlobStore
 from ..storage.tamper import TamperMode, apply_tamper
 from .messages import Flag, ResolveAction, TpnrMessage
-from .party import TpnrParty
+from .party import TpnrParty, commit_point
 from .policy import DEFAULT_POLICY, TpnrPolicy
 from .transaction import TransactionRecord, TxStatus
 
@@ -91,6 +91,7 @@ class TpnrProvider(TpnrParty):
     # Inbound dispatch
     # ------------------------------------------------------------------
 
+    @commit_point
     def on_message(self, envelope: Envelope) -> None:
         if self.corrupted_inbound(envelope):
             return
@@ -167,7 +168,10 @@ class TpnrProvider(TpnrParty):
             self._send_upload_receipt(transaction_id)
             return
         self.archive_evidence(opened)  # Alice's NRO
-        self.store.put(_CONTAINER, transaction_id, data, at_time=self.now)
+        # H(data) was just verified over these bytes: the store's
+        # trusted log takes it instead of hashing them again.
+        stored = self.store.put(_CONTAINER, transaction_id, data, at_time=self.now,
+                                sha256=header.data_hash)
         record = TransactionRecord(
             transaction_id=transaction_id,
             role="provider",
@@ -178,19 +182,21 @@ class TpnrProvider(TpnrParty):
         )
         self.transactions[transaction_id] = record
         if self.behavior.tamper_mode is not TamperMode.NONE:
-            apply_tamper(self.store, _CONTAINER, transaction_id,
-                         self.behavior.tamper_mode, self.rng)
+            stored = apply_tamper(self.store, _CONTAINER, transaction_id,
+                                  self.behavior.tamper_mode, self.rng)
         # Journal what the disk actually holds (post-tamper: the WAL
         # witnesses the storage layer, it does not launder it honest)
-        # before the receipt can be issued.
+        # before the receipt can be issued: the object the write or
+        # the tamper returned, so nothing is read back.
         self.journal_txn(record)
         if self.journal is not None:
+            self.journal.blobs.note_digest(data, header.data_hash)
             self.journal.log(
                 "provider.blob",
                 txn=transaction_id,
                 container=_CONTAINER,
                 key=transaction_id,
-                data=self.store.get(_CONTAINER, transaction_id).data,
+                data=stored.data,
             )
         if self.behavior.silent_on_upload:
             # Bob pockets the NRO and never answers — the unfair move

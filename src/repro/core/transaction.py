@@ -9,8 +9,8 @@ one") and the set of seen nonces.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from ..errors import ProtocolError, ReplayError
 from .evidence import OpenedEvidence
@@ -23,12 +23,12 @@ __all__ = [
     "new_transaction_id",
 ]
 
-_txn_counter = itertools.count(1)
-
-
-def new_transaction_id(prefix: str = "TXN") -> str:
-    """Process-unique transaction identifier."""
-    return f"{prefix}-{next(_txn_counter):08d}"
+def new_transaction_id(counter: Iterator[int], prefix: str = "TXN") -> str:
+    """The next transaction identifier from *counter*, the
+    ``itertools.count(1)`` of the world the party runs in
+    (``Network.transaction_ids``): ids are unique among the world's
+    clients and never depend on what else ran in the process."""
+    return f"{prefix}-{next(counter):08d}"
 
 
 class TxStatus(enum.Enum):

@@ -28,7 +28,7 @@ from ..net.events import ScheduledEvent
 from ..net.network import Envelope
 from ..errors import ReplayError
 from .messages import Flag, TpnrMessage
-from .party import TpnrParty
+from .party import TpnrParty, commit_point
 from .policy import DEFAULT_POLICY, TpnrPolicy
 
 __all__ = ["TrustedThirdParty"]
@@ -84,6 +84,7 @@ class TrustedThirdParty(TpnrParty):
     # Inbound dispatch
     # ------------------------------------------------------------------
 
+    @commit_point
     def on_message(self, envelope: Envelope) -> None:
         if self.corrupted_inbound(envelope):
             return

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 
 from ..errors import CryptoError
+from . import instrument as _instrument
 
 __all__ = [
     "digest",
@@ -32,4 +33,7 @@ def digest(name: str, data: bytes) -> bytes:
     constructor = _CONSTRUCTORS.get(name)
     if constructor is None:
         raise CryptoError(f"unknown hash algorithm: {name!r}")
+    observer = _instrument.hash_observer
+    if observer is not None:
+        observer.hashed(len(data))
     return constructor(data).digest()

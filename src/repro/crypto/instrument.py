@@ -13,6 +13,11 @@ from __future__ import annotations
 
 observer = None
 
+#: The hashing seat: :func:`repro.crypto.hashes.digest` calls its
+#: ``hashed(nbytes)`` with each input's size when it is not ``None``
+#: (RP2 counts the bytes each party hashes through it).
+hash_observer = None
+
 
 def set_observer(obs) -> None:
     """Install (or, with ``None``, remove) the process-wide observer."""

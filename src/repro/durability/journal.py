@@ -9,14 +9,27 @@ through **before** acting on it — the WAL discipline.  It owns:
   (``<name>.wal.blobs``, a :class:`~repro.durability.wal.BlobSegment`):
   every payload field of a record or snapshot is written there once and
   the log carries its SHA-256 instead,
+* the commit points: :meth:`log` only appends.  The records a
+  handled event (a delivery, a timer, a crash or recovery window) or a
+  top-level call logs become durable in one :meth:`commit` when it
+  returns — the blob segment is fsynced first, then the WAL.  A crash
+  window opens only between two events, so no crash can find a
+  handler's records half-committed; the frames on disk are those a
+  record-at-a-time journal writes.  A write made outside every commit
+  point (a direct call on the journal) commits at once,
 * the snapshot cadence (every :data:`SNAPSHOT_INTERVAL` records a
   :class:`~repro.durability.checkpoint.PartyState` snapshot is written
-  *before* the triggering record, bounding replay work).  A snapshot
-  carries only what changed since the journal's previous one (its
-  *base*): evidence after the archive position the base reached, and
-  no stored object whose store mark is unchanged.  With no base — the
-  first snapshot, and the first after every :meth:`crash` — it is
-  full, the delta against the empty state,
+  *before* the triggering record).  A snapshot carries only what
+  changed since the journal's previous one (its *base*): evidence
+  after the archive position the base reached, and no stored object
+  whose store mark is unchanged.  With no base — the first snapshot,
+  and the first after every :meth:`crash` — it is full, the delta
+  against the empty state.  Snapshots do not bound replay work:
+  recovery reads and folds every record since the WAL began
+  (:func:`~repro.durability.checkpoint.rebuild` restarts its state at
+  each full snapshot but still reads the records before it).  What a
+  snapshot chain gives is a state that rebuilds from the snapshots
+  alone, every delta carrying all that changed,
 * the crash fault policy applied to both files when the process dies
   (:meth:`crash`).
 
@@ -76,15 +89,20 @@ class PartyJournal:
         self._base = None
         self._base_archive = None
         self.records_logged = 0
+        # Commit points open on this journal (nested calls count once);
+        # records logged while one is open wait for it to return.
+        self._open = 0
+        self._uncommitted = False
         self.snapshots_written = 0
         self.crashes = 0
         # Whether the last crash cut a damaged WAL tail (recovery
         # reports it; the cut itself leaves no trace in the file).
         self.tail_cut = False
-        # Incremental record of every evidence key fsynced so far; with
-        # an honest disk this equals the evidence a scan of the durable
-        # prefix rebuilds (a lying disk makes them differ — which is
-        # exactly what the durability audit must notice).
+        # Incremental record of every evidence key logged so far, each
+        # durable once its commit point returned; with an honest disk
+        # this equals the evidence a scan of the durable prefix
+        # rebuilds (a lying disk makes them differ — which is exactly
+        # what the durability audit must notice).
         self.acked_evidence: set[tuple[str, bytes]] = set()
 
     def bind(self, party) -> None:
@@ -103,8 +121,30 @@ class PartyJournal:
 
     # -- writing ------------------------------------------------------------
 
+    def committed(self, call, *args, **kwargs):
+        """Run *call* as a commit point: the records it logs become
+        durable in one :meth:`commit` when it returns — or, when it
+        runs inside another commit point, when that one returns."""
+        self._open += 1
+        try:
+            return call(*args, **kwargs)
+        finally:
+            self._open -= 1
+            if not self._open:
+                self.commit()
+
+    def commit(self) -> None:
+        """Make every record appended since the last commit durable:
+        the blob segment first, so a durable record never refers to a
+        frame that is not."""
+        if self._uncommitted:
+            self.blobs.sync()
+            self.wal.store.fsync(self.wal.filename)
+            self._uncommitted = False
+
     def log(self, record_type: str, **fields) -> None:
-        """Durably append one record (snapshotting first if due).
+        """Append one record (snapshotting first if due); it is durable
+        when the enclosing commit point returns.
 
         The snapshot goes *before* the triggering record: a snapshot
         reflects completed effects of everything already logged, and
@@ -122,6 +162,7 @@ class PartyJournal:
         if at is not None and "at" not in fields:
             fields["at"] = at
         self.wal.append({"type": record_type, **fields}, blobs=self.blobs.ref)
+        self._uncommitted = True
         self.records_logged += 1
         self._since_snapshot += 1
         party = self._party
@@ -131,6 +172,8 @@ class PartyJournal:
                 obs.metrics.counter(
                     "wal.records", party=party.name, type=record_type
                 ).inc()
+        if not self._open:
+            self.commit()
 
     def write_snapshot(self) -> None:
         party = self._party
@@ -142,12 +185,15 @@ class PartyJournal:
         if base is not None:
             record["delta"] = True
         self.wal.append(record, blobs=self.blobs.ref)
+        self._uncommitted = True
         self._base, self._base_archive = state, party.evidence_store
         self.snapshots_written += 1
         self._since_snapshot = 0
         obs = party.obs
         if obs.enabled:
             obs.metrics.counter("wal.snapshots", party=party.name).inc()
+        if not self._open:
+            self.commit()
 
     # -- the record vocabulary ----------------------------------------------
 
@@ -191,6 +237,7 @@ class PartyJournal:
             filenames=[wal.filename, self.blobs.filename],
         )
         self.blobs.restart()
+        self._uncommitted = False
         self._base = self._base_archive = None
         scan = wal.durable_scan()
         wal.store.truncate_durable(wal.filename, scan.valid_bytes)

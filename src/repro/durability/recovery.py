@@ -33,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from ..core.party import commit_point
 from ..core.transaction import TxStatus
 from .checkpoint import PartyState, apply_state
 
@@ -58,9 +59,11 @@ class RecoveryReport:
     actions: list[str] = field(default_factory=list)
 
 
+@commit_point
 def recover(party: "TpnrParty") -> RecoveryReport:
     """Rebuild *party* from its journal's durable prefix, then re-send or
-    escalate its in-flight work as documented above."""
+    escalate its in-flight work as documented above.  A commit point:
+    what recovery logs is durable when it returns."""
     journal = party.journal
     role = journal.role if journal is not None else "unknown"
     report = RecoveryReport(party=party.name, role=role)

@@ -29,14 +29,15 @@ no intact blob behind it resolves to ``None``, never to other bytes.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import struct
 import zlib
 from dataclasses import dataclass, field
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any, Callable, Iterator
 
 from ..crypto.drbg import HmacDrbg
+from ..crypto.hashes import digest
 from ..errors import StorageError
 
 __all__ = [
@@ -67,21 +68,53 @@ _DIGEST_SIZE = 32
 # ---------------------------------------------------------------------------
 
 
-def _to_jsonable(value: Any, blobs: Callable[[bytes], str] | None = None) -> Any:
-    if isinstance(value, (bytes, bytearray)):
-        return {_BYTES_TAG: bytes(value).hex()}
+_CONTAINERS = (dict, list, tuple)
+
+
+def _swap_payloads(value: Any, ref: Callable[[bytes], str]) -> Any:
+    """*value* with every bytes payload field replaced by a reference
+    to its blob, *ref* writing the blob.  Only the dicts and lists on
+    the way to a payload are copied; every other part of *value* is
+    shared, never changed."""
     if isinstance(value, dict):
-        return {
-            str(k): {BLOB_TAG: blobs(v)}
-            if k == _PAYLOAD_FIELD and blobs is not None and isinstance(v, bytes)
-            else _to_jsonable(v, blobs)
-            for k, v in value.items()
-        }
+        swapped = None
+        for k, v in value.items():
+            if isinstance(v, _CONTAINERS):
+                new = _swap_payloads(v, ref)
+                if new is v:
+                    continue
+            elif k == _PAYLOAD_FIELD and isinstance(v, bytes):
+                new = {BLOB_TAG: ref(v)}
+            else:
+                continue
+            if swapped is None:
+                swapped = dict(value)
+            swapped[k] = new
+        return value if swapped is None else swapped
     if isinstance(value, (list, tuple)):
-        return [_to_jsonable(v, blobs) for v in value]
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
+        items = [_swap_payloads(v, ref) for v in value]
+        if all(new is old for new, old in zip(items, value)):
+            return value
+        return items
+    return value
+
+
+def _tag_bytes(value: Any) -> dict:
+    """The encoder's hook for what JSON has no type for: a byte string
+    becomes ``{"__bytes__": <hex>}``; anything else cannot be journaled."""
+    if isinstance(value, (bytes, bytearray)):
+        return {_BYTES_TAG: value.hex()}
     raise StorageError(f"cannot journal a {type(value).__name__}")
+
+
+#: The C encoder of ``json.JSONEncoder(sort_keys=True,
+#: separators=(",", ":"), default=_tag_bytes)``, made once: the
+#: encoder's own ``encode`` rebuilds it for every call.  No circular
+#: check (a record is a tree), ASCII output, NaN allowed, as
+#: ``json.dumps`` writes them.
+_encode_chunks = c_make_encoder(
+    None, _tag_bytes, encode_basestring_ascii, None, ":", ",", True, False, True
+)
 
 
 def _from_jsonable(value: Any, blobs: dict[str, bytes] | None = None) -> Any:
@@ -102,12 +135,12 @@ def encode_record(record: dict, blobs: Callable[[bytes], str] | None = None) -> 
     """Canonical (sorted-key, compact) encoding of one WAL record.
 
     With *blobs* (a :meth:`BlobSegment.ref`), every bytes payload field
-    is written to the segment and encoded as a reference to it, in the
-    same pass that hex-tags the remaining byte strings.
+    is written to the segment first and encoded as a reference to it;
+    one C encoder pass then hex-tags the remaining byte strings.
     """
-    return json.dumps(
-        _to_jsonable(record, blobs), sort_keys=True, separators=(",", ":")
-    ).encode()
+    if blobs is not None:
+        record = _swap_payloads(record, blobs)
+    return "".join(_encode_chunks(record, 0)).encode()
 
 
 def decode_record(payload: bytes, blobs: dict[str, bytes] | None = None) -> dict:
@@ -170,7 +203,10 @@ class StableStore:
         self.fsyncs = 0
 
     def _file(self, filename: str) -> _StableFile:
-        return self._files.setdefault(filename, _StableFile())
+        f = self._files.get(filename)
+        if f is None:
+            f = self._files[filename] = _StableFile()
+        return f
 
     def append(self, filename: str, data: bytes) -> None:
         """Buffer *data* at the end of *filename* (volatile until fsync)."""
@@ -267,25 +303,18 @@ class WriteAheadLog:
         self.appends = 0
 
     def append(
-        self,
-        record: dict,
-        sync: bool = True,
-        blobs: Callable[[bytes], str] | None = None,
+        self, record: dict, blobs: Callable[[bytes], str] | None = None
     ) -> None:
-        """Frame and append one record; fsync by default (the WAL
-        discipline: the record must be durable before its effect is
-        acted on).  *blobs* is passed to :func:`encode_record`."""
+        """Frame and append one record to the write buffer; it is
+        durable only after an fsync of the file (a journal's
+        :meth:`~repro.durability.journal.PartyJournal.commit`).  *blobs*
+        is passed to :func:`encode_record`."""
         payload = encode_record(record, blobs)
         if len(payload) > _MAX_RECORD:
             raise StorageError(f"WAL record too large ({len(payload)} bytes)")
         frame = _FRAME_HEADER.pack(len(payload), zlib.crc32(payload)) + payload
         self.store.append(self.filename, frame)
-        if sync:
-            self.store.fsync(self.filename)
         self.appends += 1
-
-    def sync(self) -> None:
-        self.store.fsync(self.filename)
 
     @staticmethod
     def scan(image: bytes, blobs: dict[str, bytes] | None = None) -> WalScan:
@@ -334,9 +363,10 @@ class WriteAheadLog:
 class BlobSegment:
     """Write-once, content-addressed payload frames beside a WAL.
 
-    Each frame is ``>I length, 32-byte SHA-256, raw bytes``.  The frame
-    is fsynced before :meth:`ref` returns, so it is durable before the
-    log record that refers to it.  A payload already written is not
+    Each frame is ``>I length, 32-byte SHA-256, raw bytes``.
+    :meth:`ref` appends it to the write buffer; the journal's commit
+    fsyncs the segment before the log, so a frame is durable before
+    any record that refers to it.  A payload already written is not
     written again: a verified download of an uploaded payload, or a
     snapshot re-listing stored blobs, costs a reference only.
     """
@@ -351,26 +381,35 @@ class BlobSegment:
         # re-hashed by every snapshot that lists it again.  It keeps
         # each payload alive until the next crash, as the segment does.
         self._digests: dict[bytes, str] = {}
+        # Whether frames were appended since the last fsync.
+        self.unsynced = False
 
-    def note_digest(self, data: bytes, digest: bytes) -> None:
-        """Record that *digest* is the SHA-256 of *data* (a hash the
+    def note_digest(self, data: bytes, sha256: bytes) -> None:
+        """Record that *sha256* is the SHA-256 of *data* (a hash the
         caller just computed over exactly these bytes)."""
-        self._digests[data] = digest.hex()
+        self._digests[data] = sha256.hex()
 
     def ref(self, data: bytes) -> str:
-        """The hex SHA-256 naming *data*, its frame made durable first."""
-        digest = self._digests.get(data)
-        if digest is None:
-            digest = hashlib.sha256(data).hexdigest()
-            self._digests[data] = digest
-        if digest not in self._written:
+        """The hex SHA-256 naming *data*, its frame appended unless the
+        segment already holds it."""
+        name = self._digests.get(data)
+        if name is None:
+            name = digest("sha256", data).hex()
+            self._digests[data] = name
+        if name not in self._written:
             self.store.append(
                 self.filename,
-                _BLOB_HEADER.pack(len(data)) + bytes.fromhex(digest) + data,
+                _BLOB_HEADER.pack(len(data)) + bytes.fromhex(name) + data,
             )
+            self.unsynced = True
+            self._written.add(name)
+        return name
+
+    def sync(self) -> None:
+        """Make the appended frames durable (no fsync when none are new)."""
+        if self.unsynced:
             self.store.fsync(self.filename)
-            self._written.add(digest)
-        return digest
+            self.unsynced = False
 
     @staticmethod
     def scan(image: bytes) -> tuple[dict[str, bytes], int]:
@@ -389,10 +428,10 @@ class BlobSegment:
             end = start + length
             if end > len(image):
                 break
-            digest = image[offset + _BLOB_HEADER.size : start].hex()
+            name = image[offset + _BLOB_HEADER.size : start].hex()
             data = image[start:end]
-            if hashlib.sha256(data).hexdigest() == digest:
-                blobs.setdefault(digest, data)
+            if digest("sha256", data).hex() == name:
+                blobs.setdefault(name, data)
             offset = end
         return blobs, offset
 
@@ -408,3 +447,4 @@ class BlobSegment:
         self.store.truncate_durable(self.filename, end)
         self._written = set(blobs)
         self._digests = {}
+        self.unsynced = False

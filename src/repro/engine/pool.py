@@ -17,9 +17,9 @@ tenants run beside it, and two same-seed runs are byte-identical
 (:meth:`PoolResult.signature` is the proof handle; ``tests/engine``
 asserts it).
 
-Transaction IDs are likewise explicit (``TXN-E{tenant}-{k}``) instead
-of the process-global counter, so a pool's IDs do not depend on how
-many transactions ran earlier in the process.
+Transaction IDs are likewise explicit (``TXN-E{tenant}-{k}``): a
+pool names each session by its tenant's global index, so the ids of a
+tenant's sessions do not depend on the shard layout.
 
 A pool world is not observed: its network keeps
 :data:`~repro.obs.NULL_OBS`, so its parties record no metric, span or
@@ -440,7 +440,6 @@ class SessionPool:
         if session is None or session.finished:
             return
         assert self.sim is not None
-        session.upload_status = record.status.value
         session.upload_done_at = self.sim.now
         if record.status in (TxStatus.COMPLETED, TxStatus.RESOLVED):
             self.clients[session.tenant].download(record.transaction_id)
@@ -506,6 +505,13 @@ class SessionPool:
         # evidence that cannot be proven.
         batch_stats = (None if self.ledger is None
                        else settle_batches(self._parties(), self.ledger))
+        # A row reports the client's final status: an upload that
+        # completed can still end FAILED, when its download times out
+        # and the Resolve that follows times out too.
+        for session in self._sessions.values():
+            record = self.clients[session.tenant].transactions.get(session.transaction_id)
+            if record is not None:
+                session.upload_status = record.status.value
         assert self.sim is not None and self.network is not None
         assert self.provider is not None and self.ttp is not None
         sends = self.network.trace.sends("tpnr.")

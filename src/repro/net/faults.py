@@ -651,7 +651,7 @@ class CampaignReport:
     def signature(self) -> str:
         """Stable digest of the outcome table — two campaigns with the
         same seed must produce the same signature (transaction IDs are
-        process-global and deliberately excluded from rows)."""
+        excluded from rows)."""
         body = "\n".join(repr(o.row()) for o in self.outcomes)
         return hashlib.sha256(body.encode()).hexdigest()
 
@@ -886,8 +886,9 @@ class CampaignRunner:
         """No durably-acknowledged evidence record may ever be missing
         from the live store — not after any number of crashes and
         recoveries.  ``acked_evidence`` is everything the journal has
-        fsynced; on an honest disk it is exactly what recovery can (and
-        therefore must) restore.  A party hit by an amnesia crash with
+        committed (the audit runs between events, when every commit
+        point has returned); on an honest disk it is exactly what
+        recovery can (and therefore must) restore.  A party hit by an amnesia crash with
         no journal at all lost its state irrecoverably — also flagged."""
         out = []
         for party in (dep.client, dep.provider, dep.ttp):

@@ -89,6 +89,10 @@ class Network:
         self.trace = TraceRecorder()
         self.adversary: "Adversary | None" = None
         self._msg_ids = itertools.count(1)
+        # The world's transaction numbers: ids its clients allocate
+        # are unique among them (they may share a provider) and do not
+        # depend on what else ran in the process.
+        self.transaction_ids = itertools.count(1)
         # The observability seat: NULL_OBS (a shared no-op) unless a
         # deployment built with observe=True installs a live
         # repro.obs.Observability (a SessionPool world never does).

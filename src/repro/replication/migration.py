@@ -26,6 +26,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
+from ..crypto.hashes import digest
 from ..errors import ReproError
 from .store import ReplicaAdapter, ReplicatedStore, ReplicationError
 
@@ -86,7 +87,7 @@ def migrate_backend(
     for container, key in store.verifier.live_keys():
         obj = store.get(container, key)  # live, verified, hedged
         trusted = store.verifier.latest(container, key)
-        copy_digest = hashlib.sha256(obj.data).hexdigest()
+        copy_digest = digest("sha256", obj.data).hex()
         if trusted is None or copy_digest != trusted.digest:
             raise ReplicationError(
                 f"migration copy of {container}/{key} diverges from the "

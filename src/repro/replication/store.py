@@ -99,8 +99,11 @@ class ReplicaAdapter:
     def blobs(self) -> BlobStore:  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def put(self, container: str, key: str, data: bytes,
-            at_time: float = 0.0) -> None:  # pragma: no cover - abstract
+    def put(self, container: str, key: str, data: bytes, at_time: float = 0.0,
+            content_md5: bytes | None = None) -> None:  # pragma: no cover - abstract
+        """Write through the front door; *content_md5*, when given, is
+        the writer's MD5 of *data*, sent as the platform's Content-MD5
+        for the replica to check."""
         raise NotImplementedError
 
     def get(self, container: str, key: str) -> bytes:  # pragma: no cover
@@ -121,10 +124,10 @@ class S3ReplicaAdapter(ReplicaAdapter):
     def blobs(self) -> BlobStore:
         return self.service.blobs
 
-    def put(self, container: str, key: str, data: bytes,
-            at_time: float = 0.0) -> None:
+    def put(self, container: str, key: str, data: bytes, at_time: float = 0.0,
+            content_md5: bytes | None = None) -> None:
         self.service.put_object(self.account, container, key, data,
-                                at_time=at_time)
+                                content_md5=content_md5, at_time=at_time)
 
     def get(self, container: str, key: str) -> bytes:
         return self.service.get_object(self.account, container, key)[0]
@@ -145,9 +148,10 @@ class AzureReplicaAdapter(ReplicaAdapter):
     def blobs(self) -> BlobStore:
         return self.service.blobs
 
-    def put(self, container: str, key: str, data: bytes,
-            at_time: float = 0.0) -> None:
-        self.client.put_blob(container, key, data, at_time=at_time)
+    def put(self, container: str, key: str, data: bytes, at_time: float = 0.0,
+            content_md5: bytes | None = None) -> None:
+        self.client.put_blob(container, key, data, at_time=at_time,
+                             content_md5=content_md5)
 
     def get(self, container: str, key: str) -> bytes:
         # verify=False: the fork-consistency verifier (not the naive
@@ -168,8 +172,10 @@ class GaeReplicaAdapter(ReplicaAdapter):
     def blobs(self) -> BlobStore:
         return self.service.blobs
 
-    def put(self, container: str, key: str, data: bytes,
-            at_time: float = 0.0) -> None:
+    def put(self, container: str, key: str, data: bytes, at_time: float = 0.0,
+            content_md5: bytes | None = None) -> None:
+        # The datastore API carries no Content-MD5: the service makes
+        # its own.
         self.service.datastore_put(container, key, data, at_time=at_time)
 
     def get(self, container: str, key: str) -> bytes:
@@ -201,19 +207,29 @@ class ReplicaHandle:
         self.versions: dict[tuple[str, str], int] = {}
         self.vectors: dict[tuple[str, str], dict[str, int]] = {}
         self.forged: set[tuple[str, str]] = set()
+        # (container, key) -> (the bytes object served, its SHA-256),
+        # so a replica hashes what it holds once, not on every read.
+        self._digests: dict[tuple[str, str], tuple[bytes, bytes]] = {}
 
     def attest(self, container: str, key: str, data: bytes) -> ReplicaAttestation:
         """The attestation this replica returns for *data* it served.
 
-        A byzantine replica marked ``forged`` for this object signs
-        with a corrupted key — the verifier's MAC check catches it.
+        The SHA-256 is reused only for the very (immutable) bytes object
+        it was computed over; a write of other bytes, a tamper or an
+        overwrite included, stores another object, so the next
+        attestation re-hashes.  A
+        byzantine replica marked ``forged`` for this object signs with
+        a corrupted key — the verifier's MAC check catches it.
         """
         mac_key = self.mac_key
         if (container, key) in self.forged:
             mac_key = hmac_digest(b"forged-replica-key", self.mac_key)
         vector = tuple(sorted(self.vectors.get((container, key), {}).items()))
+        held = self._digests.get((container, key))
+        if held is None or held[0] is not data:
+            held = self._digests[(container, key)] = (data, digest("sha256", data))
         return sign_attestation(
-            mac_key, self.name, container, key, data,
+            mac_key, self.name, container, key, held[1],
             self.versions.get((container, key), 0), vector,
         )
 
@@ -349,8 +365,15 @@ class ReplicatedStore:
         content_md5: bytes | None = None,
         metadata: dict[str, str] | None = None,
         at_time: float = 0.0,
+        sha256: bytes | None = None,
     ) -> StoredObject:
-        """Fan the write out; commit on a quorum of acknowledgements."""
+        """Fan the write out; commit on a quorum of acknowledgements.
+
+        The coordinator's MD5 (*content_md5*, or its own) travels to
+        each replica as the platform's Content-MD5, for the replica to
+        check.  *sha256* is the caller's SHA-256 of *data*, for the
+        trusted log; without it the coordinator hashes *data* itself.
+        """
         if not container or not key:
             raise StorageError("container and key must be non-empty")
         data = bytes(data)
@@ -375,7 +398,8 @@ class ReplicatedStore:
                 self._emit(handle.name, "write-skipped", container, key,
                            version, detail=handle.status)
                 continue
-            handle.adapter.put(container, key, data, at_time=at_time)
+            handle.adapter.put(container, key, data, at_time=at_time,
+                               content_md5=md5)
             handle.versions[(container, key)] = version
             handle.forged.discard((container, key))
             acked.append(handle.name)
@@ -384,8 +408,9 @@ class ReplicatedStore:
             vector = self._handles[name].vectors.setdefault((container, key), {})
             for other in acked:
                 vector[other] = version
-        self.verifier.commit(container, key, version,
-                             digest("sha256", data).hex(), md5.hex(),
+        if sha256 is None:
+            sha256 = digest("sha256", data)
+        self.verifier.commit(container, key, version, sha256.hex(), md5.hex(),
                              len(data), at_time, acked)
         self.put_count += 1
         if self.metrics.enabled:

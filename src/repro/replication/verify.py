@@ -35,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from ..crypto.hashes import digest
 from ..crypto.hmac_ import constant_time_equals, hmac_digest
 
 __all__ = [
@@ -72,10 +71,11 @@ def attestation_payload(replica: str, container: str, key: str,
 
 
 def sign_attestation(mac_key: bytes, replica: str, container: str, key: str,
-                     data: bytes, version: int,
+                     sha256: bytes, version: int,
                      vector: tuple[tuple[str, int], ...]) -> ReplicaAttestation:
-    """Build the attestation a replica returns alongside *data*."""
-    digest_hex = digest("sha256", data).hex()
+    """Build the attestation a replica returns alongside the bytes it
+    served, whose SHA-256 (*sha256*) the replica computed itself."""
+    digest_hex = sha256.hex()
     payload = attestation_payload(replica, container, key, version,
                                   digest_hex, vector)
     return ReplicaAttestation(

@@ -359,9 +359,14 @@ def _default_specs() -> list[ScenarioSpec]:
                              "violations": 0, "clean_plan_findings": 0}),
         ScenarioSpec("RP2", "extension — migration evidence continuity",
                      "experiment_migration", "exp/rp2",
-                     expect=_all_true("evidence_chain_survives_migration",
-                                      "clean/chain_verified",
-                                      "tampered/provider_at_fault")),
+                     # Bytes hashed per uploaded byte, by party: a new
+                     # re-hash of a payload shows here as a broken fact.
+                     expect={**_all_true("evidence_chain_survives_migration",
+                                         "clean/chain_verified",
+                                         "tampered/provider_at_fault"),
+                             "hashed_bytes_per_user_byte/client": 2.0,
+                             "hashed_bytes_per_user_byte/provider": 5.542,
+                             "hashed_bytes_per_user_byte/replicas": 5.542}),
     ]
 
 

@@ -42,8 +42,9 @@ class AzureLikeService:
         self.name = name
         self.accounts = AccountDirectory(rng)
         self.blobs = BlobStore(f"{name}/blobs")
-        # (account, container, key) -> blockid -> staged bytes
-        self._staged_blocks: dict[tuple[str, str, str], dict[str, bytes]] = {}
+        # (account, container, key) -> blockid -> (staged bytes, the
+        # MD5 the server checked them against)
+        self._staged_blocks: dict[tuple[str, str, str], dict[str, tuple[bytes, bytes]]] = {}
         self.request_log: list[tuple[str, str, int]] = []  # (method, path, status)
 
     # -- portal ------------------------------------------------------------
@@ -126,7 +127,7 @@ class AzureLikeService:
                 if not block_id:
                     raise StorageError("comp=block requires a blockid")
                 staging = self._staged_blocks.setdefault((account.name, container, key), {})
-                staging[block_id] = request.body
+                staging[block_id] = (request.body, content_md5)
                 return RestResponse(
                     status=201,
                     headers={"Content-MD5": base64.b64encode(content_md5).decode()},
@@ -138,8 +139,13 @@ class AzureLikeService:
                 missing = [b for b in block_ids if b not in staging]
                 if missing:
                     raise StorageError(f"unstaged block ids in block list: {missing}")
-                assembled = b"".join(staging[b] for b in block_ids)
-                blob_md5 = digest("md5", assembled)
+                if len(block_ids) == 1:
+                    # One block is the whole blob: its MD5 was checked
+                    # (or made) when it was staged.
+                    assembled, blob_md5 = staging[block_ids[0]]
+                else:
+                    assembled = b"".join(staging[b][0] for b in block_ids)
+                    blob_md5 = digest("md5", assembled)
                 self.blobs.put(container, key, assembled, blob_md5, at_time=at_time)
                 self._staged_blocks.pop((account.name, container, key), None)
                 return RestResponse(
@@ -193,8 +199,12 @@ class AzureLikeClient:
         return request
 
     def build_put(self, container: str, key: str, data: bytes,
-                  block_id: str = "blockid1") -> RestRequest:
-        """The Table-1 PUT: stage one block, Content-MD5 + SharedKey."""
+                  block_id: str = "blockid1",
+                  content_md5: bytes | None = None) -> RestRequest:
+        """The Table-1 PUT: stage one block, Content-MD5 + SharedKey.
+        *content_md5* is the caller's MD5 of *data*, if it holds one."""
+        if content_md5 is None:
+            content_md5 = digest("md5", data)
         request = RestRequest(
             method="PUT",
             path=(
@@ -203,7 +213,7 @@ class AzureLikeClient:
             ),
             headers={
                 "Content-Length": str(len(data)),
-                "Content-MD5": base64.b64encode(digest("md5", data)).decode(),
+                "Content-MD5": base64.b64encode(content_md5).decode(),
             },
             body=data,
         )
@@ -231,22 +241,26 @@ class AzureLikeClient:
         return self._signed(request)
 
     def put_blob(self, container: str, key: str, data: bytes, at_time: float = 0.0,
-                 block_size: int | None = None) -> RestResponse:
+                 block_size: int | None = None,
+                 content_md5: bytes | None = None) -> RestResponse:
         """Upload via the block protocol: stage block(s), then commit.
 
         *block_size* splits large payloads into multiple staged blocks
-        (default: one block).  Returns the commit response, whose
-        Content-MD5 is the digest the server persisted.
+        (default: one block).  *content_md5*, the caller's MD5 of
+        *data*, is sent as a single block's Content-MD5.  Returns the
+        commit response, whose Content-MD5 is the digest the server
+        persisted.
         """
         if block_size is None or block_size >= len(data) or len(data) == 0:
             chunks = [data]
         else:
             chunks = [data[i : i + block_size] for i in range(0, len(data), block_size)]
+            content_md5 = None
         block_ids = []
         for index, chunk in enumerate(chunks, start=1):
             block_id = f"blockid{index}"
             response = self.service.handle(
-                self.build_put(container, key, chunk, block_id), at_time
+                self.build_put(container, key, chunk, block_id, content_md5), at_time
             )
             if not response.ok:
                 raise StorageError(

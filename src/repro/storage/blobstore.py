@@ -63,8 +63,12 @@ class BlobStore:
         content_md5: bytes | None = None,
         metadata: dict[str, str] | None = None,
         at_time: float = 0.0,
+        sha256: bytes | None = None,
     ) -> StoredObject:
-        """Store a blob.  ``content_md5`` defaults to the true digest."""
+        """Store a blob.  ``content_md5`` defaults to the true digest.
+        *sha256* (the caller's SHA-256 of *data*) is what a
+        :class:`~repro.replication.store.ReplicatedStore` records in its
+        trusted log; a plain store keeps no SHA-256 and ignores it."""
         if not container or not key:
             raise StorageError("container and key must be non-empty")
         previous = self._objects.get((container, key))

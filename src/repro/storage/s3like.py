@@ -261,11 +261,12 @@ class S3LikeService:
 
     def put_object(self, account: Account, bucket: str, key: str, data: bytes,
                    content_md5: bytes | None = None, at_time: float = 0.0) -> bytes:
-        """Direct upload; verifies the optional client MD5, returns ETag."""
+        """Direct upload; verifies the optional client MD5 (and stores
+        the MD5 it just checked), returns ETag."""
         self.accounts.by_name(account.name)  # existence check
         if content_md5 is not None and content_md5 != digest("md5", data):
             raise IntegrityError("Content-MD5 mismatch")
-        obj = self.blobs.put(bucket, key, data, at_time=at_time)
+        obj = self.blobs.put(bucket, key, data, content_md5, at_time=at_time)
         return obj.content_md5
 
     def get_object(self, account: Account, bucket: str, key: str) -> tuple[bytes, bytes]:

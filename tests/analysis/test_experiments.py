@@ -121,3 +121,37 @@ class TestAttacks:
 class TestShipping:
     def test_protocol_is_trivial(self, claim):
         claim("S6", "protocol_")
+
+
+class TestScenarioIndependence:
+    def test_rp2_reads_the_same_replicas_after_other_runs(self, monkeypatch):
+        """Transaction ids come from each world's own counter, so what
+        RP2 reads (here: how often a probed replica lacks the object)
+        does not depend on what ran before it in the process."""
+        from repro.analysis.experiments import (
+            experiment_migration,
+            experiment_resilience,
+            experiment_scalability,
+        )
+        from repro.core.protocol import make_deployment, run_session
+        from repro.replication.verify import ForkConsistencyVerifier
+
+        calls = []
+        check_missing = ForkConsistencyVerifier.check_missing
+
+        def counted(verifier, *args):
+            calls.append(args)
+            return check_missing(verifier, *args)
+
+        monkeypatch.setattr(ForkConsistencyVerifier, "check_missing", counted)
+        alone = experiment_migration()
+        missing_alone = len(calls)
+        experiment_scalability()
+        experiment_resilience()
+        dep = make_deployment(seed=b"independence")
+        for n in range(5):
+            run_session(dep, bytes([n]) * 64)
+        calls.clear()
+        after = experiment_migration()
+        assert len(calls) == missing_alone
+        assert after.rows == alone.rows and after.facts == alone.facts

@@ -1,5 +1,7 @@
 """Transaction records, peer anti-replay state, evidence store."""
 
+import itertools
+
 import pytest
 
 from repro.core.evidence import OpenedEvidence
@@ -16,11 +18,26 @@ from repro.errors import ProtocolError, ReplayError
 
 class TestTransactionIds:
     def test_unique(self):
-        ids = {new_transaction_id() for _ in range(100)}
+        counter = itertools.count(1)
+        ids = {new_transaction_id(counter) for _ in range(100)}
         assert len(ids) == 100
+        # Each counter starts afresh: ids depend only on the owner's history.
+        assert new_transaction_id(itertools.count(1)) == "TXN-00000001"
+
+    def test_clients_of_one_world_get_distinct_ids(self):
+        """Two clients uploading to one provider never reuse an id."""
+        from repro.core.protocol import make_deployment, run_upload
+
+        dep = make_deployment(seed=b"two-uploaders", extra_client_names=("carol",))
+        alice = run_upload(dep, b"alice payload")
+        carol = dep.extra_clients["carol"]
+        txn = carol.upload(dep.provider.name, b"carol payload")
+        dep.run()
+        assert txn != alice.transaction_id
+        assert carol.transactions[txn].status is TxStatus.COMPLETED
 
     def test_prefix(self):
-        assert new_transaction_id("ZG").startswith("ZG-")
+        assert new_transaction_id(itertools.count(1), "ZG").startswith("ZG-")
 
 
 class TestTransactionRecord:

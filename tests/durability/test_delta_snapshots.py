@@ -14,7 +14,7 @@ from repro.core.protocol import (
 )
 from repro.core.transaction import TxStatus
 from repro.durability.checkpoint import PartyState, capture_state, rebuild
-from repro.durability.wal import decode_record, encode_record
+from repro.durability.wal import BlobSegment, WriteAheadLog, decode_record, encode_record
 from repro.durability.recovery import recover
 from repro.net.faults import FaultAction, FaultInjector, FaultPlan, FaultRule
 from repro.replication.store import ReplicatedStore, attach_replication
@@ -96,7 +96,12 @@ def check_every_snapshot(dep, monkeypatch):
 
         def checked(party=party, journal=journal, write=write):
             write()
-            rebuilt, scan, _ = journal.durable_state()
+            # Read back as the process sees it: a snapshot written inside
+            # a handler is durable only once the handler returns.
+            stable = journal.wal.store
+            blobs, _ = BlobSegment.scan(stable.volatile_view(journal.blobs.filename))
+            scan = WriteAheadLog.scan(stable.volatile_view(journal.wal.filename), blobs)
+            rebuilt, _ = rebuild(scan.records, journal.role)
             chain, _ = rebuild(
                 [r for r in scan.records if r["type"] == "snapshot"], journal.role
             )

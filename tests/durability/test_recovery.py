@@ -88,7 +88,7 @@ class TestCrashMidSnapshot:
         journal = dep.client.journal
         evidence_before = dep.client.evidence_store.seen_keys()
         state = capture_state(dep.client, "client")
-        journal.wal.append({"type": "snapshot", "state": state.to_dict()}, sync=False)
+        journal.wal.append({"type": "snapshot", "state": state.to_dict()})
         dep.client.begin_crash(amnesia=True)
         report = recover(dep.client)
         assert report.snapshots_seen == 0  # the half-written one is gone
@@ -165,7 +165,7 @@ class TestDamagedWalTail:
             fault_rng=HmacDrbg(b"torn"),
         )
         journal.log("note", n=1)
-        journal.wal.append({"type": "note", "n": 2}, sync=False)
+        journal.wal.append({"type": "note", "n": 2})
         journal.crash()  # this seed keeps a non-empty prefix of record 2
         journal.log("note", n=3)
         journal.crash()

@@ -1,12 +1,16 @@
 """Stable storage, crash fault policies, and the framed WAL reader."""
 
 import hashlib
+import json
 import struct
 import zlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.crypto.drbg import HmacDrbg
+from repro.durability.journal import PartyJournal
 from repro.durability.wal import (
     BLOB_TAG,
     BlobSegment,
@@ -33,6 +37,97 @@ class TestRecordCodec:
     def test_unencodable_rejected(self):
         with pytest.raises(StorageError):
             encode_record({"x": object()})
+
+
+def walker_encode(record, blobs=None):
+    """The record encoder as it was before the C encoder pass: a Python
+    walk builds a JSON-able copy (payload fields swapped for blob
+    references, byte strings hex-tagged), then ``json.dumps`` encodes
+    it.  Kept here as the oracle for :func:`encode_record`."""
+
+    def to_jsonable(value):
+        if isinstance(value, (bytes, bytearray)):
+            return {"__bytes__": bytes(value).hex()}
+        if isinstance(value, dict):
+            return {
+                str(k): {BLOB_TAG: blobs(v)}
+                if k == "data" and blobs is not None and isinstance(v, bytes)
+                else to_jsonable(v)
+                for k, v in value.items()
+            }
+        if isinstance(value, (list, tuple)):
+            return [to_jsonable(v) for v in value]
+        if isinstance(value, (str, int, float, bool)) or value is None:
+            return value
+        raise StorageError(f"cannot journal a {type(value).__name__}")
+
+    return json.dumps(to_jsonable(record), sort_keys=True, separators=(",", ":")).encode()
+
+
+_KEYS = st.one_of(st.sampled_from(["data", "type", "state", "blobs", "txn"]), st.text())
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(),
+    st.binary(max_size=64), st.binary(max_size=64).map(bytearray),
+)
+_VALUES = st.recursive(
+    _LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_KEYS, children, max_size=4),
+    ),
+    max_leaves=24,
+)
+#: Snapshot-shaped records: payloads nested in per-key entries.
+_SNAPSHOTS = st.fixed_dictionaries({
+    "type": st.just("snapshot"),
+    "state": st.fixed_dictionaries({"role_state": st.fixed_dictionaries({
+        "blobs": st.dictionaries(st.text(max_size=8), st.fixed_dictionaries(
+            {"data": st.one_of(st.binary(max_size=64), st.none()), "key": st.text()}),
+            max_size=4),
+        "downloads": st.dictionaries(st.text(max_size=8), st.fixed_dictionaries(
+            {"data": st.binary(max_size=64), "flags": st.lists(st.text(), max_size=3)}),
+            max_size=3),
+    })}),
+})
+_RECORDS = st.one_of(st.dictionaries(_KEYS, _VALUES, max_size=6), _SNAPSHOTS)
+
+
+class TestEncoderMatchesTheWalker:
+    @staticmethod
+    def recording_ref(calls):
+        def ref(data):
+            calls.append(data)
+            return hashlib.sha256(data).hexdigest()
+        return ref
+
+    @given(_RECORDS, st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_same_bytes_and_same_blobs(self, record, with_blobs):
+        old_calls, new_calls = [], []
+        old_ref = self.recording_ref(old_calls) if with_blobs else None
+        new_ref = self.recording_ref(new_calls) if with_blobs else None
+        assert encode_record(record, new_ref) == walker_encode(record, old_ref)
+        assert new_calls == old_calls
+
+    def test_record_is_not_changed(self):
+        record = {"type": "snapshot", "state": {"blobs": {"k": {"data": b"payload"}}},
+                  "sig": b"", "pair": (1, 2.5, "\u00e9")}
+        before = repr(record)
+        encode_record(record, self.recording_ref([]))
+        assert repr(record) == before
+
+    @pytest.mark.parametrize("bad", [object(), {1, 2}, 1j, [b"ok", {"x": frozenset()}]])
+    @pytest.mark.parametrize("with_blobs", [False, True])
+    def test_unjournalable_value_rejected_like_the_walker(self, bad, with_blobs):
+        record = {"type": "r", "data": b"payload", "nested": {"v": bad}}
+        ref = self.recording_ref([]) if with_blobs else None
+        with pytest.raises(StorageError) as old:
+            walker_encode(record, ref)
+        with pytest.raises(StorageError) as new:
+            encode_record(record, ref)
+        assert str(new.value) == str(old.value)
+        assert str(new.value).startswith("cannot journal a ")
 
 
 class TestStableStore:
@@ -125,7 +220,9 @@ class TestWalScan:
         store = StableStore()
         wal = WriteAheadLog(store, "w")
         for record in records:
-            wal.append(record, sync=sync)
+            wal.append(record)
+            if sync:
+                store.fsync("w")
         return store, wal
 
     def test_empty_image(self):
@@ -201,10 +298,17 @@ class TestBlobSegment:
         store = StableStore()
         return store, WriteAheadLog(store, "w"), BlobSegment(store, "w.blobs")
 
+    @staticmethod
+    def commit(store, segment):
+        """What the journal's commit does: the segment, then the log."""
+        segment.sync()
+        store.fsync("w")
+
     def test_payload_field_becomes_a_reference(self):
         store, wal, segment = self.make()
         wal.append({"type": "client.upload", "data": self.PAYLOAD, "sig": b"\x01"},
                    blobs=segment.ref)
+        self.commit(store, segment)
         digest = hashlib.sha256(self.PAYLOAD).hexdigest()
         [record] = wal.records()
         assert record == {"type": "client.upload", "data": {BLOB_TAG: digest},
@@ -219,18 +323,29 @@ class TestBlobSegment:
             wal.append({"type": "r", "data": self.PAYLOAD}, blobs=segment.ref)
         wal.append({"type": "snapshot", "state": {"blobs": {"k": {"data": self.PAYLOAD}}}},
                    blobs=segment.ref)
+        self.commit(store, segment)
         assert len(store.durable_bytes("w.blobs")) == 4 + 32 + len(self.PAYLOAD)
 
-    def test_frame_durable_before_the_record(self):
-        store, wal, segment = self.make()
-        wal.append({"type": "r", "data": self.PAYLOAD}, sync=False, blobs=segment.ref)
-        assert store.volatile_view("w.blobs") == store.durable_bytes("w.blobs")
-        assert segment.durable_blobs() == {
+    def test_frame_durable_before_the_record(self, monkeypatch):
+        """Appending makes nothing durable; the journal's commit fsyncs
+        the segment before the log, so a durable record never refers to
+        a frame that is not."""
+        store = StableStore()
+        journal = PartyJournal(store, "w", "client")
+        synced = []
+        fsync = store.fsync
+        monkeypatch.setattr(store, "fsync", lambda f: (synced.append(f), fsync(f)))
+        journal.wal.append({"type": "r", "data": self.PAYLOAD}, blobs=journal.blobs.ref)
+        assert store.durable_bytes("w") == store.durable_bytes("w.blobs") == b""
+        journal.committed(journal.log, "r", data=self.PAYLOAD)
+        assert synced == ["w.blobs", "w"]
+        assert journal.blobs.durable_blobs() == {
             hashlib.sha256(self.PAYLOAD).hexdigest(): self.PAYLOAD}
 
     def test_missing_or_damaged_blob_resolves_to_none(self):
         store, wal, segment = self.make()
         wal.append({"type": "r", "data": self.PAYLOAD}, blobs=segment.ref)
+        self.commit(store, segment)
         image = bytearray(store.durable_bytes("w.blobs"))
         image[-1] ^= 0xFF
         blobs, end = BlobSegment.scan(bytes(image))
@@ -243,6 +358,7 @@ class TestBlobSegment:
         first, second = b"first payload", b"second payload"
         segment.ref(first)
         segment.ref(second)
+        segment.sync()
         image = bytearray(store.durable_bytes("w.blobs"))
         image[4 + 32] ^= 0xFF  # first byte of the first payload
         blobs, _ = BlobSegment.scan(bytes(image))
@@ -251,9 +367,11 @@ class TestBlobSegment:
     def test_restart_trims_torn_tail_and_rewrites_lost_blob(self):
         store, _, segment = self.make()
         segment.ref(self.PAYLOAD)
+        segment.sync()
         store.crash(CrashFaultPolicy(lose_durable_tail_prob=1.0), rng=HmacDrbg(b"chop"))
         segment.restart()
         assert store.durable_bytes("w.blobs") == b""  # the torn frame is cut
         segment.ref(self.PAYLOAD)  # no longer known written: appended again
+        segment.sync()
         assert segment.durable_blobs() == {
             hashlib.sha256(self.PAYLOAD).hexdigest(): self.PAYLOAD}

@@ -348,3 +348,28 @@ class TestRsaPrivateOps:
     def test_no_cache_bundle_no_count(self, directory):
         assert run_pool(SEED, 2, directory=directory,
                         use_caches=False).rsa_private_ops is None
+
+
+class TestRowTakesFinalStatus:
+    def test_completed_upload_that_ends_failed_counts_as_failed(self):
+        """R1 at drop 0.2: TXN-E0001-001's upload completes, its
+        download times out, and the Resolve that follows times out too,
+        so the client's record ends FAILED; the pool row and
+        ``completed`` must say so."""
+        from repro.net.channel import ChannelSpec
+
+        pool = SessionPool(
+            EngineConfig(n_tenants=3, transactions_per_tenant=4),
+            seed=b"exp/r1/drop=0.2",
+            channel=ChannelSpec(base_latency=0.02, drop_prob=0.2),
+        )
+        result = pool.run()
+        rows = {s.transaction_id: s for s in result.sessions}
+        assert rows["TXN-E0001-001"].upload_status == "failed"
+        assert not rows["TXN-E0001-001"].download_verified
+        for session in result.sessions:
+            record = pool.clients[session.tenant].transactions[session.transaction_id]
+            assert session.upload_status == record.status.value
+        assert result.completed == sum(
+            1 for s in result.sessions if s.upload_status in ("completed", "resolved"))
+        assert result.completed == 11

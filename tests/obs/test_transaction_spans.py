@@ -103,11 +103,10 @@ class TestDisabledByDefault:
 
 class TestDeterminism:
     def test_same_seed_same_spans_and_metrics(self):
-        # Transaction ids are process-global (TXN-0000000N), so they are
-        # normalized out; everything else must be byte-identical.
+        # Transaction ids come from each deployment's own counter, so
+        # two same-seed deployments are byte-identical, ids included.
         dep_a, out_a = observed_session(b"obs-e2e/det")
         dep_b, out_b = observed_session(b"obs-e2e/det")
-        spans_a = dep_a.obs.spans_jsonl().replace(out_a.transaction_id, "TXN")
-        spans_b = dep_b.obs.spans_jsonl().replace(out_b.transaction_id, "TXN")
-        assert spans_a == spans_b
+        assert out_a.transaction_id == out_b.transaction_id
+        assert dep_a.obs.spans_jsonl() == dep_b.obs.spans_jsonl()
         assert dep_a.obs.metrics_jsonl() == dep_b.obs.metrics_jsonl()

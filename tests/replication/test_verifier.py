@@ -21,8 +21,8 @@ def verifier():
 
 
 def attest(replica, key, data, version, vector=()):
-    return sign_attestation(key, replica, "c", "k", data, version,
-                            tuple(sorted(vector)))
+    return sign_attestation(key, replica, "c", "k", digest("sha256", data),
+                            version, tuple(sorted(vector)))
 
 
 class TestCleanReads:
@@ -61,7 +61,7 @@ class TestForks:
         assert verifier.check_read(att).category == "replica-fork"
 
     def test_object_the_quorum_never_wrote_is_fork(self, verifier):
-        att = sign_attestation(KEY_A, "alpha", "c", "ghost", b"x", 1, ())
+        att = sign_attestation(KEY_A, "alpha", "c", "ghost", digest("sha256", b"x"), 1, ())
         assert verifier.check_read(att).category == "replica-fork"
 
 
