@@ -15,9 +15,13 @@ It then walks the AST of ``src/repro`` for every ``def`` (nested ones
 included) and lists those never entered.  A deleted name can outlive its
 definition in a branch no entry point takes, so it also checks names
 statically: every module-global name a ``src/repro`` scope reads must be
-bound at module level or be a builtin (stdlib :mod:`symtable`), and every
+bound at module level or be a builtin (stdlib :mod:`symtable`), every
 name a function-local ``from … import …`` asks for must exist in its
-module.  Attribute lookups (``obj.deleted_method``) are not covered.
+module, and every attribute read off a module alias (``alias.name``,
+where *alias* is bound in the scope that resolves it, by :mod:`symtable`,
+to a ``repro`` module) must be a module-level binding or a submodule of
+that module.  Only ``obj.method`` lookups on other objects are still
+uncovered.
 
 The exit code is 1 when an unentered function is missing from
 :data:`KEPT`, when a :data:`KEPT` entry was entered or is no longer
@@ -65,19 +69,6 @@ KEPT: dict[str, str] = {
     "repro.replication.store:ReplicaAdapter.get": "abstract; each platform adapter overrides it",
     "repro.core.party:TpnrParty._wipe_role_state":
         "the crash hook's no-op default; every role overrides it",
-    # The telemetry-off stand-ins: call sites test `enabled` first, so
-    # they are the contract for whoever does not.
-    "repro.obs.metrics:NullMetricsRegistry.counter": "Null stand-in of an entered method",
-    "repro.obs.metrics:NullMetricsRegistry.gauge": "Null stand-in of an entered method",
-    "repro.obs.metrics:NullMetricsRegistry.histogram": "Null stand-in of an entered method",
-    "repro.obs.metrics:NullMetricsRegistry.sketch": "Null stand-in of an entered method",
-    "repro.obs.metrics:_NullCounter.inc": "Null stand-in of an entered method",
-    "repro.obs.metrics:_NullGauge.set": "Null stand-in of an entered method",
-    "repro.obs.metrics:_NullHistogram.observe": "Null stand-in of an entered method",
-    "repro.obs.metrics:_NullSketch.observe": "Null stand-in of an entered method",
-    "repro.obs.span:NullTracer.start": "Null stand-in of an entered method",
-    "repro.obs.span:NullTracer.finish": "Null stand-in of an entered method",
-    "repro.obs.span:_NullSpan.event": "Null stand-in of an entered method",
     # Fault and timeout handlers: they run only when their fault fires.
     "repro.core.client:TpnrClient._on_abort_timeout": "Abort timeout handler (TTP silent)",
     "repro.core.ttp:TrustedThirdParty.reopen_resolve": "Resolve timeout handler (provider silent)",
@@ -170,6 +161,91 @@ def lazy_imports(source: str) -> set[ast.ImportFrom]:
             for node in ast.walk(func) if isinstance(node, ast.ImportFrom)}
 
 
+#: The scope-opening expressions :mod:`symtable` names by kind.
+_EXPRESSION_SCOPES = {ast.Lambda: "lambda", ast.GeneratorExp: "genexpr", ast.ListComp: "listcomp",
+                      ast.SetComp: "setcomp", ast.DictComp: "dictcomp"}
+
+
+def alias_reads(path: Path, source: str):
+    """``(top, imports, reads)`` of one module, scope by scope (stdlib :mod:`symtable`).
+
+    *top* is the module scope's table id.  *imports* maps a scope's
+    table id to ``{bound name: [(kind, module, name)]}`` for every
+    ``import``/``from … import`` in that scope, with relative targets
+    left unresolved (``level`` dots kept).  *reads* is
+    ``(binding table, name, attr, line)`` for every ``name.attr`` load,
+    where the binding table is the scope the name resolves to: the
+    reading scope itself, the module, or the enclosing function that
+    binds a free name.
+    """
+    top = symtable.symtable(source, str(path), "exec")
+    imports: dict[int, dict[str, list[tuple]]] = {}
+    reads = []
+    used: set[int] = set()
+
+    def inner(table, node):
+        name = _EXPRESSION_SCOPES.get(type(node)) or node.name
+        for child in table.get_children():
+            if (child.get_name(), child.get_lineno()) == (name, node.lineno) and child.get_id() not in used:
+                used.add(child.get_id())
+                return child
+        raise AssertionError(f"{path}:{node.lineno}: no symbol table for {name}")
+
+    def binding(table, chain, name):
+        try:
+            symbol = table.lookup(name)
+        except KeyError:  # an annotation left unevaluated
+            return None
+        if symbol.is_global():  # a builtin when the module binds nothing
+            return top if name in top.get_identifiers() else None
+        if symbol.is_local():
+            return table
+        for outer in reversed(chain):
+            if outer.get_type() == "function" and name in outer.get_identifiers() \
+                    and outer.lookup(name).is_local():
+                return outer
+        return None
+
+    def visit(node, table, chain) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            outside = [*getattr(node, "decorator_list", ()), *node.args.defaults,
+                       *(d for d in node.args.kw_defaults if d is not None)]
+            body = node.body if isinstance(node.body, list) else [node.body]
+        elif isinstance(node, ast.ClassDef):
+            outside = [*node.decorator_list, *node.bases, *node.keywords]
+            body = node.body
+        elif isinstance(node, tuple(_EXPRESSION_SCOPES)):
+            first, *rest = node.generators
+            outside = [first.iter]
+            body = [first.target, *first.ifs, *rest,
+                    *(getattr(node, f) for f in ("elt", "key", "value") if hasattr(node, f))]
+        else:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound = imports.setdefault(table.get_id(), {})
+                for alias in node.names:
+                    if isinstance(node, ast.Import):
+                        entry = ("import", alias.name if alias.asname else alias.name.split(".")[0], "")
+                    else:
+                        entry = ("from", "." * node.level + (node.module or ""), alias.name)
+                    bound.setdefault(alias.asname or alias.name.split(".")[0], []).append(entry)
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and isinstance(node.ctx, ast.Load)):
+                where = binding(table, chain, node.value.id)
+                if where is not None:
+                    reads.append((where, node.value.id, node.attr, node.lineno))
+            for child in ast.iter_child_nodes(node):
+                visit(child, table, chain)
+            return
+        for child in outside:
+            visit(child, table, chain)
+        scope = inner(table, node)
+        for child in body:
+            visit(child, scope, [*chain, table])
+
+    visit(ast.parse(source), top, [])
+    return top.get_id(), imports, reads
+
+
 def unresolved_names() -> list[str]:
     """``path: name`` for every name under ``src/repro`` that resolves nowhere.
 
@@ -179,13 +255,47 @@ def unresolved_names() -> list[str]:
     """
     sources = {module: (path, source) for module, path, source in _modules()}
     scanned = {module: module_globals(path, source) for module, (path, source) in sources.items()}
+    aliases = {module: alias_reads(path, source) for module, (path, source) in sources.items()}
+    packages = {module: module if path.name == "__init__.py" else module.rpartition(".")[0]
+                for module, (path, _) in sources.items()}
     known = MODULE_DUNDERS | set(dir(builtins))
+
+    def bound_module(module: str, entry: tuple) -> str | None:
+        """The ``repro`` module an import entry of *module* binds, if any."""
+        kind, name, member = entry
+        if kind == "import":
+            return name if name in sources else None
+        origin = importlib.util.resolve_name(name, packages[module])
+        submodule = f"{origin}.{member}"
+        if submodule not in sources:
+            return None
+        if origin == module:  # ``from . import member`` in the package itself
+            return submodule
+        # The package's own binding of that name, if it has one, must be
+        # the submodule too.
+        top, imports, _ = aliases[origin]
+        own = imports.get(top, {}).get(member)
+        if own is None:
+            return None if member in scanned[origin][0] else submodule
+        return submodule if all(bound_module(origin, e) == submodule for e in own) else None
+
     found = []
     for module, (path, source) in sources.items():
         where = path.relative_to(ROOT)
         bound, read = scanned[module]
         found.extend(f"{where}: global {name}" for name in sorted(read - bound - known))
-        package = module if path.name == "__init__.py" else module.rpartition(".")[0]
+        _, imports, reads = aliases[module]
+        for table, name, attr, line in reads:
+            symbol = table.lookup(name)
+            if not symbol.is_imported() or symbol.is_assigned() or symbol.is_parameter():
+                continue
+            targets = {bound_module(module, e) for e in imports.get(table.get_id(), {}).get(name, ())}
+            if len(targets) != 1 or None in targets:
+                continue
+            (alias_of,) = targets
+            if attr not in scanned[alias_of][0] | MODULE_DUNDERS and f"{alias_of}.{attr}" not in sources:
+                found.append(f"{where}:{line}: attribute {name}.{attr} ({alias_of})")
+        package = packages[module]
         for node in sorted(lazy_imports(source), key=lambda node: node.lineno):
             target = importlib.util.resolve_name("." * node.level + (node.module or ""), package)
             for alias in node.names:

@@ -1015,20 +1015,21 @@ def experiment_observability(seed: bytes = b"exp/ob1") -> ExperimentResult:
     the metrics snapshot is non-empty and deterministic, the exporters
     produce valid JSONL/Prometheus text, and crypto instrumentation
     sees the RSA/AEAD traffic the session actually generated.  The
-    disabled path does none of that work: an unobserved session keeps
-    the network's bundle disabled, the crypto observer seat empty, and
-    the null registry and tracer without a series or a span.  A session
-    pool world takes the disabled path too: its network seats the null
-    bundle, no party holds a span, and the pool's own latency sketch
-    holds every session.
+    disabled path does none of that work: an unobserved session's
+    network seats :data:`~repro.obs.NULL_OBS`, which holds no registry
+    or tracer to record into, the crypto observer seat stays empty, and
+    no party holds a span.  A session pool world takes the disabled
+    path too: its network seats ``NULL_OBS``, no party holds a span,
+    and the pool's own latency sketch holds every session.
     """
     import json
 
     from ..core.protocol import run_session
     from ..crypto import instrument as crypto_seat
     from ..net.faults import CrashWindow, FaultInjector, FaultPlan
-    from ..obs.exporters import spans_jsonl
-    from ..obs.instrument import CRYPTO_OPS
+    from ..obs import NULL_OBS
+    from ..obs.exporters import prometheus_text, spans_jsonl
+    from ..obs.instrument import CRYPTO_OPS, observe_crypto
 
     rows = []
     facts: dict[str, Any] = {}
@@ -1053,7 +1054,7 @@ def experiment_observability(seed: bytes = b"exp/ob1") -> ExperimentResult:
 
     # Normal mode (upload + verified download).
     dep = make_deployment(seed=seed + b"/normal", observe=True)
-    with dep.obs.observe_crypto() as crypto:
+    with observe_crypto(dep.obs.metrics) as crypto:
         outcome = run_session(dep, b"observed payload " * 16)
     calls = {op: int(crypto.calls(op)) for op in CRYPTO_OPS}
     crypto_calls_total += sum(calls.values())
@@ -1102,23 +1103,21 @@ def experiment_observability(seed: bytes = b"exp/ob1") -> ExperimentResult:
         for m in ("normal", "abort", "resolve", "crash-resume")
     )
     facts["crypto_observed"] = crypto_calls_total > 0
-    facts["prometheus_nonempty"] = bool(dep.obs.prometheus_text().strip())
+    facts["prometheus_nonempty"] = bool(prometheus_text(dep.obs.metrics).strip())
 
     # The disabled path: the same session on an unobserved deployment.
     dark = make_deployment(seed=seed + b"/dark", observe=False)
     run_session(dark, b"unobserved payload " * 16)
     seat = dark.network.obs  # what every node reaches through self.obs
     facts["disabled_path_records_nothing"] = (
-        not seat.enabled
+        seat is NULL_OBS
         and crypto_seat.observer is None
-        and not seat.metrics.snapshot()
-        and not seat.tracer.spans
+        and not any(p._obs_spans for p in dark.parties())
     )
 
     # A pool world is not observed: it keeps only the latency sketch
     # its p50/p99 come from, and no party opens a span.
     from ..engine import EngineConfig, SessionPool
-    from ..obs import NULL_OBS
 
     pool = SessionPool(EngineConfig(n_tenants=4, transactions_per_tenant=2),
                        seed=seed + b"/pool")

@@ -24,11 +24,6 @@ from ..net.trace import TraceRecorder
 
 __all__ = ["ProtocolCost", "infer_ttp_names", "measure", "compare"]
 
-# Fallback for bare traces measured without their network: the role
-# names the built-in deployments use.  Deployments with renamed TTPs
-# must pass ``network=`` so the roles are derived, not guessed.
-LEGACY_TTP_NAMES = ("ttp", "zg-ttp")
-
 
 @dataclass(frozen=True)
 class ProtocolCost:
@@ -60,19 +55,14 @@ def measure(
     trace: TraceRecorder,
     label: str,
     kind_prefix: str = "",
-    ttp_names: tuple[str, ...] | None = None,
-    network=None,
+    *,
+    network,
 ) -> ProtocolCost:
     """Summarize a trace into a :class:`ProtocolCost`.
 
-    TTP roles come from (highest priority first): an explicit
-    *ttp_names* tuple, the *network*'s ``is_ttp`` nodes, or the legacy
-    built-in role names for bare traces.
+    TTP roles are the *network*'s ``is_ttp`` nodes.
     """
-    if ttp_names is None:
-        ttp_names = (
-            infer_ttp_names(network) if network is not None else LEGACY_TTP_NAMES
-        )
+    ttp_names = infer_ttp_names(network)
     sends = trace.sends(kind_prefix)
     ttp_messages = sum(1 for e in sends if e.src in ttp_names or e.dst in ttp_names)
     return ProtocolCost(

@@ -92,15 +92,22 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     import json
     import pathlib
 
-    from .obs.exporters import span_tree_text
+    from .obs.exporters import (
+        metrics_jsonl,
+        prometheus_text,
+        span_tree_text,
+        spans_jsonl,
+        summary_table,
+    )
+    from .obs.instrument import observe_crypto
 
     dep = make_deployment(seed=args.seed.encode(), observe=True)
-    with dep.obs.observe_crypto():
+    with observe_crypto(dep.obs.metrics):
         outcome = run_session(dep, b"observed session payload " * 16)
     txn = outcome.transaction_id
-    spans_text = dep.obs.spans_jsonl()
-    metrics_text = dep.obs.metrics_jsonl()
-    prom_text = dep.obs.prometheus_text()
+    spans_text = spans_jsonl(dep.obs.tracer)
+    metrics_text = metrics_jsonl(dep.obs.metrics)
+    prom_text = prometheus_text(dep.obs.metrics)
     snapshot = dep.obs.metrics.snapshot()
     span_lines = [json.loads(line) for line in spans_text.splitlines()]
     ok = (
@@ -110,7 +117,7 @@ def _cmd_obs(args: argparse.Namespace) -> int:
         and dep.obs.tracer.tree_complete(txn)
     )
     print(span_tree_text(dep.obs.tracer, txn))
-    print(dep.obs.summary_table(title=f"Metrics (seed={args.seed!r})"))
+    print(summary_table(dep.obs.metrics, title=f"Metrics (seed={args.seed!r})"))
     print(render_kv(
         [
             ("transaction", txn),

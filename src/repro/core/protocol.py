@@ -178,7 +178,8 @@ def make_deployment(
     metrics registry + span tracer, both on the simulation clock — is
     seated on the network; every node reports through it, and it is
     exposed as ``Deployment.obs``.  Off by default: the seat then holds
-    the shared no-op and instrumented code costs one branch.
+    :data:`repro.obs.NULL_OBS` (the switch, off, with no registry or
+    tracer) and instrumented code costs one branch.
 
     *batch_size* switches evidence to the Merkle-batched form: every
     party commits evidence leaves into per-signer batches of that size

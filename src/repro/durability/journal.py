@@ -109,15 +109,11 @@ class PartyJournal:
         self._party = party
 
     def _now(self) -> float | None:
-        """The bound party's sim time, or None when unbindable (a
-        standalone journal in tests has no network clock)."""
+        """The bound party's sim time, or None for an unbound journal."""
         party = self._party
         if party is None:
             return None
-        try:
-            return party.now
-        except AttributeError:
-            return None
+        return party.now
 
     # -- writing ------------------------------------------------------------
 

@@ -58,6 +58,7 @@ __all__ = [
     "generate_storm_plans",
     "REPLICA_NAMES",
     "CampaignOutcome",
+    "OutcomeTable",
     "CampaignReport",
     "CampaignRunner",
     "TPNR_KINDS",
@@ -606,8 +607,39 @@ class CampaignOutcome:
         )
 
 
+class OutcomeTable:
+    """The tallies and signature a campaign report takes over its
+    ``outcomes`` (each with ``violations``, ``findings``, ``status`` and
+    ``row()``); the fault and replication campaigns share them."""
+
+    @property
+    def violation_count(self) -> int:
+        return sum(len(o.violations) for o in self.outcomes)
+
+    def finding_categories(self) -> dict[str, int]:
+        """Forensic finding counts by category, across all plans."""
+        counts: dict[str, int] = {}
+        for o in self.outcomes:
+            for f in o.findings:
+                counts[f.category] = counts.get(f.category, 0) + 1
+        return dict(sorted(counts.items()))
+
+    def status_counts(self) -> dict[str, int]:
+        counts: dict[str, int] = {}
+        for o in self.outcomes:
+            counts[o.status] = counts.get(o.status, 0) + 1
+        return dict(sorted(counts.items()))
+
+    def signature(self) -> str:
+        """SHA-256 over every outcome row: two campaigns with the same
+        seed must produce the same signature (transaction IDs are
+        excluded from rows)."""
+        body = "\n".join(repr(o.row()) for o in self.outcomes)
+        return hashlib.sha256(body.encode()).hexdigest()
+
+
 @dataclass
-class CampaignReport:
+class CampaignReport(OutcomeTable):
     """All outcomes of one campaign, comparable by signature."""
 
     seed: str
@@ -629,31 +661,6 @@ class CampaignReport:
     @property
     def hung_sessions(self) -> int:
         return sum(1 for o in self.outcomes if o.hung)
-
-    @property
-    def violation_count(self) -> int:
-        return sum(len(o.violations) for o in self.outcomes)
-
-    def finding_categories(self) -> dict[str, int]:
-        """Forensic finding counts by category, across all plans."""
-        counts: dict[str, int] = {}
-        for o in self.outcomes:
-            for f in o.findings:
-                counts[f.category] = counts.get(f.category, 0) + 1
-        return dict(sorted(counts.items()))
-
-    def status_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for o in self.outcomes:
-            counts[o.status] = counts.get(o.status, 0) + 1
-        return dict(sorted(counts.items()))
-
-    def signature(self) -> str:
-        """Stable digest of the outcome table — two campaigns with the
-        same seed must produce the same signature (transaction IDs are
-        excluded from rows)."""
-        body = "\n".join(repr(o.row()) for o in self.outcomes)
-        return hashlib.sha256(body.encode()).hexdigest()
 
 
 #: Each plan's session uploads a payload of a size drawn from this

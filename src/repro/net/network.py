@@ -93,7 +93,7 @@ class Network:
         # are unique among them (they may share a provider) and do not
         # depend on what else ran in the process.
         self.transaction_ids = itertools.count(1)
-        # The observability seat: NULL_OBS (a shared no-op) unless a
+        # The observability seat: NULL_OBS (the switch, off) unless a
         # deployment built with observe=True installs a live
         # repro.obs.Observability (a SessionPool world never does).
         # Nodes reach it via ``self.obs``.

@@ -45,14 +45,9 @@ class Node:
 
     @property
     def obs(self):
-        """The network's observability seat (a shared no-op when the
-        node is unattached or observation is off)."""
-        network = self._network
-        if network is None:
-            from ..obs import NULL_OBS  # lazy: nodes exist before attachment
-
-            return NULL_OBS
-        return network.obs
+        """The network's observability seat (:data:`repro.obs.NULL_OBS`
+        when observation is off)."""
+        return self.network.obs
 
     # -- I/O --------------------------------------------------------------------
 

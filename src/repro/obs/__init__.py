@@ -1,7 +1,7 @@
 """repro.obs — the cross-cutting observability layer.
 
-One :class:`Observability` object per observed deployment bundles the
-three telemetry surfaces:
+One :class:`Observability` object per observed deployment is the
+switch, on, plus two telemetry surfaces:
 
 * ``obs.metrics`` — a :class:`~repro.obs.metrics.MetricsRegistry`
   (counters, gauges, quantile sketches, export-only bucket
@@ -9,9 +9,10 @@ three telemetry surfaces:
 * ``obs.tracer`` — a :class:`~repro.obs.span.Tracer` recording
   parent-linked span trees per TPNR transaction (trace id = txn id,
   span events carry envelope ``msg_id`` for correlation with the
-  wire-level :class:`~repro.net.trace.TraceRecorder`);
-* crypto hooks — :func:`~repro.obs.instrument.observe_crypto` scopes
-  RSA/AEAD/Merkle call counting to a block.
+  wire-level :class:`~repro.net.trace.TraceRecorder`).
+
+Crypto hooks (:func:`~repro.obs.instrument.observe_crypto`) scope
+RSA/AEAD/Merkle call counting into a registry for one block.
 
 Every number these surfaces report is a pure function of the seed: the
 clock is the simulation's, and the package never reads a real one.
@@ -21,20 +22,22 @@ Wall-clock cost is measured only by the repository benchmark
 Everything hangs off the network: ``make_deployment(observe=True)``
 seats a live Observability on ``Network.obs`` and every node reaches it
 through ``self.obs``.  When observation is off, that seat holds
-:data:`NULL_OBS`, whose ``enabled`` is ``False`` and whose registry and
-tracer are shared no-ops — instrumented code guards with::
+:data:`NULL_OBS`, which carries ``enabled = False`` and nothing else —
+no registry, no tracer.  Instrumented code guards with::
 
     obs = self.obs
     if obs.enabled:
         obs.metrics.counter("...").inc()
 
-so the disabled cost is one attribute load and one branch, and the
-disabled path records nothing (an OB1 ``expect`` fact).  Span work
-guards on the same flag: observability is all on or all off.  A
-session pool world is never observed — it keeps only its own
-``engine.session_latency`` sketch and, when profiled, the drive
-phase's crypto counts — so its parties build no metric, span, root
-lookup or event name (also an OB1 fact).
+so the disabled cost is one attribute load and one branch, the
+disabled path records nothing (an OB1 ``expect`` fact), and an
+unguarded call on an unobserved world raises ``AttributeError``
+instead of recording into a stand-in.  Span work guards on the same
+flag: observability is all on or all off.  A session pool world is
+never observed — it keeps only its own ``engine.session_latency``
+sketch and, when profiled, the drive phase's crypto counts — so its
+parties build no metric, span, root lookup or event name (also an OB1
+fact).
 
 Exporters (:mod:`repro.obs.exporters`) turn either surface into JSONL,
 Prometheus text, or human-readable tables;
@@ -95,14 +98,7 @@ from .forensics import (
 )
 from .dashboard import DashboardFrame, budget_bar, render_frame, top_fault_classes
 from .instrument import CryptoObserver, observe_crypto
-from .metrics import (
-    NULL_METRICS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NullMetricsRegistry,
-)
+from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .profiler import (
     CriticalPath,
     CriticalStage,
@@ -123,7 +119,7 @@ from .slo import (
     SLOStatus,
     standard_campaign_slos,
 )
-from .span import NULL_TRACER, NullTracer, Span, Tracer
+from .span import Span, Tracer
 
 __all__ = [
     "Observability",
@@ -152,8 +148,6 @@ __all__ = [
     "TimelineEntry",
     "TimelineReconstructor",
     "MetricsRegistry",
-    "NullMetricsRegistry",
-    "NULL_METRICS",
     "Counter",
     "Gauge",
     "Histogram",
@@ -179,8 +173,6 @@ __all__ = [
     "top_fault_classes",
     "Span",
     "Tracer",
-    "NullTracer",
-    "NULL_TRACER",
     "CryptoObserver",
     "observe_crypto",
     "spans_jsonl",
@@ -204,31 +196,12 @@ class Observability:
         self.metrics = MetricsRegistry(clock)
         self.tracer = Tracer(clock)
 
-    def observe_crypto(self):
-        """Scope crypto hot-path accounting to a ``with`` block."""
-        return observe_crypto(self.metrics)
 
-    def spans_jsonl(self) -> str:
-        return spans_jsonl(self.tracer)
+class _Unobserved:
+    """The seat of an unobserved world: the switch, off, and nothing else."""
 
-    def metrics_jsonl(self) -> str:
-        return metrics_jsonl(self.metrics)
-
-    def prometheus_text(self) -> str:
-        return prometheus_text(self.metrics)
-
-    def summary_table(self, title: str = "Metrics summary") -> str:
-        return summary_table(self.metrics, title)
-
-
-class NullObservability(Observability):
-    """The disabled bundle: shared no-op registry and tracer."""
-
+    __slots__ = ()
     enabled = False
 
-    def __init__(self) -> None:
-        self.metrics = NULL_METRICS
-        self.tracer = NULL_TRACER
 
-
-NULL_OBS = NullObservability()
+NULL_OBS = _Unobserved()

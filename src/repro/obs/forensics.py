@@ -34,6 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from ..errors import ReproError
+
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.protocol import Deployment
     from ..net.trace import TraceEvent
@@ -162,6 +164,12 @@ class TimelineReconstructor:
 
     @classmethod
     def for_deployment(cls, dep: "Deployment", exclusive_trace: bool = False) -> "TimelineReconstructor":
+        if not dep.obs.enabled:
+            # An unobserved world has no spans to join: reconstructing
+            # would read "no record" as "nothing happened".
+            raise ReproError(
+                "forensics needs an observed deployment: build it with "
+                "make_deployment(observe=True)")
         parties = [dep.client, dep.provider, dep.ttp, *dep.extra_clients.values()]
         return cls(
             dep.network.trace,

@@ -11,12 +11,12 @@ series reaches one object.  No series holds wall time: the package
 never reads a real clock (the repository benchmark, ``python3 -m
 bench``, is where CPU cost is measured).
 
-Off-by-default-cheap: code that *might* be observed holds a registry
-reference that is either a live :class:`MetricsRegistry` or the shared
-:data:`NULL_METRICS`.  The null registry's ``enabled`` is ``False`` and
-all its instruments are shared no-ops, so the disabled hot path costs
-one attribute load and one branch and holds no series (the OB1
-experiment checks it).
+A registry exists only in an observed world.  Code that *might* be
+observed tests its world's one switch, ``obs.enabled``
+(:data:`repro.obs.NULL_OBS` when off), before it reaches for
+``obs.metrics``, so the disabled hot path costs one attribute load and
+one branch; an unobserved world has no registry to write to, and an
+unguarded write raises instead of vanishing.
 """
 
 from __future__ import annotations
@@ -31,8 +31,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NullMetricsRegistry",
-    "NULL_METRICS",
     "DEFAULT_LATENCY_BUCKETS",
 ]
 
@@ -120,8 +118,6 @@ class Histogram:
 class MetricsRegistry:
     """Get-or-create home for every instrument of one observed world."""
 
-    enabled = True
-
     def __init__(self, clock=None) -> None:
         # clock: () -> float, normally the simulation clock.  Snapshots
         # are stamped with it so they are deterministic per seed.
@@ -206,57 +202,3 @@ class MetricsRegistry:
         rows.sort(key=lambda r: (r["kind"], r["name"], sorted(r["labels"].items())))
         return rows
 
-
-class _NullCounter(Counter):
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-
-class _NullGauge(Gauge):
-    def set(self, value: float) -> None:
-        pass
-
-
-class _NullHistogram(Histogram):
-    def observe(self, value: float) -> None:
-        pass
-
-
-class _NullSketch(QuantileSketch):
-    def observe(self, value: float) -> None:
-        pass
-
-
-class NullMetricsRegistry(MetricsRegistry):
-    """The disabled registry: every lookup returns a shared no-op.
-
-    Guarded call sites never reach these (``enabled`` is False), but an
-    unguarded one still cannot corrupt anything or allocate per call.
-    """
-
-    enabled = False
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._null_counter = _NullCounter("null")
-        self._null_gauge = _NullGauge("null")
-        self._null_histogram = _NullHistogram("null", buckets=(1.0,))
-        self._null_sketch = _NullSketch("null")
-
-    def counter(self, name: str, **labels: str) -> Counter:
-        return self._null_counter
-
-    def gauge(self, name: str, **labels: str) -> Gauge:
-        return self._null_gauge
-
-    def histogram(self, name: str, buckets=DEFAULT_LATENCY_BUCKETS, **labels: str) -> Histogram:
-        return self._null_histogram
-
-    def sketch(self, name: str, alpha: float = DEFAULT_ALPHA, **labels: str) -> QuantileSketch:
-        return self._null_sketch
-
-    def snapshot(self) -> list[dict]:
-        return []
-
-
-NULL_METRICS = NullMetricsRegistry()

@@ -17,13 +17,17 @@ envelope ``msg_id``, so a span event and a trace event with the same
 
 Timestamps come from the tracer's clock callable (the sim clock), so
 span dumps are deterministic per seed.
+
+Only an observed deployment has a tracer.  An unobserved one's seat,
+:data:`repro.obs.NULL_OBS`, holds none, so reading spans there raises
+instead of reading as an empty trace.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = ["SpanEvent", "Span", "Tracer", "NullTracer", "NULL_TRACER"]
+__all__ = ["SpanEvent", "Span", "Tracer"]
 
 
 @dataclass
@@ -159,23 +163,3 @@ class Tracer:
     def to_dicts(self) -> list[dict]:
         return [s.to_dict() for s in self.spans]
 
-
-class _NullSpan(Span):
-    def event(self, time: float, name: str, msg_id: int = 0, **attrs) -> SpanEvent:
-        return SpanEvent(0.0, name)
-
-
-_SHARED_NULL_SPAN = _NullSpan(span_id=0, trace_id="", name="null", start=0.0)
-
-
-class NullTracer(Tracer):
-    """The disabled tracer: start/finish are no-ops on a shared span."""
-
-    def start(self, trace_id: str, name: str, parent: Span | None = None, **attrs) -> Span:
-        return _SHARED_NULL_SPAN
-
-    def finish(self, span: Span, status: str = "ok") -> None:
-        pass
-
-
-NULL_TRACER = NullTracer()

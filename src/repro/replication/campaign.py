@@ -29,11 +29,10 @@ folds ``replica-divergence`` / ``split-brain`` / ``lagging-replica`` /
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 from ..crypto.drbg import HmacDrbg
-from ..net.faults import FaultPlan, ReplicaFault, ReplicaFaultMode
+from ..net.faults import FaultPlan, OutcomeTable, ReplicaFault, ReplicaFaultMode
 from .store import ReplicatedStore, ReplicationError
 
 __all__ = [
@@ -98,7 +97,7 @@ class ReplicationOutcome:
 
 
 @dataclass
-class ReplicationReport:
+class ReplicationReport(OutcomeTable):
     """All outcomes of one replication campaign."""
 
     seed: str
@@ -108,10 +107,6 @@ class ReplicationReport:
         "#", "plan", "faults", "status", "detail", "inj", "masked",
         "det", "reads", "writes", "hedged", "repairs", "violations",
     )
-
-    @property
-    def violation_count(self) -> int:
-        return sum(len(o.violations) for o in self.outcomes)
 
     @property
     def injected_faults(self) -> int:
@@ -129,27 +124,9 @@ class ReplicationReport:
     def silent_faults(self) -> int:
         return self.injected_faults - self.masked_faults - self.detected_faults
 
-    def finding_categories(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for o in self.outcomes:
-            for f in o.findings:
-                counts[f.category] = counts.get(f.category, 0) + 1
-        return dict(sorted(counts.items()))
-
-    def status_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for o in self.outcomes:
-            counts[o.status] = counts.get(o.status, 0) + 1
-        return dict(sorted(counts.items()))
-
     def clean_plan_findings(self) -> int:
         """Findings (any severity) on plans that injected nothing."""
         return sum(len(o.findings) for o in self.outcomes if o.injected == 0)
-
-    def signature(self) -> str:
-        """SHA-256 over every outcome row — byte-stable per seed."""
-        body = "\n".join(repr(o.row()) for o in self.outcomes)
-        return hashlib.sha256(body.encode()).hexdigest()
 
 
 class ReplicationCampaignRunner:

@@ -38,7 +38,7 @@ from ..crypto.drbg import HmacDrbg
 from ..crypto.hashes import digest
 from ..crypto.hmac_ import hmac_digest
 from ..errors import NoSuchObjectError, ReproError, StorageError
-from ..obs.metrics import NULL_METRICS
+from ..obs import NULL_OBS
 from ..storage.azurelike import AzureLikeClient, AzureLikeService
 from ..storage.blobstore import BlobStore, StoredObject
 from ..storage.gaelike import GaeLikeService
@@ -130,7 +130,10 @@ class S3ReplicaAdapter(ReplicaAdapter):
                                 content_md5=content_md5, at_time=at_time)
 
     def get(self, container: str, key: str) -> bytes:
-        return self.service.get_object(self.account, container, key)[0]
+        # The stored bytes as they are: the verifier, not a recomputed
+        # MD5 (get_object's AWS behaviour), decides whether to trust them.
+        self.service.accounts.by_name(self.account.name)
+        return self.service.blobs.get(container, key).data
 
 
 class AzureReplicaAdapter(ReplicaAdapter):
@@ -243,15 +246,13 @@ class ReplicatedStore:
         replicas: tuple[ReplicaAdapter, ...] | None = None,
         quorum: int | None = None,
         name: str = "replicated",
-        clock=None,
-        metrics=None,
     ) -> None:
         self.seed = seed if isinstance(seed, bytes) else seed.encode()
         self.name = name
-        self.clock = clock  # callable -> sim time, set by attach_replication
-        # A MetricsRegistry or the shared no-op; attach_replication
-        # swaps in the deployment's live registry when observed.
-        self.metrics = metrics if metrics is not None else NULL_METRICS
+        # The world's seats, filled by attach_replication: its clock
+        # (callable -> sim time) and its observability switch.
+        self.clock = None
+        self.obs = NULL_OBS
         adapters = tuple(replicas) if replicas is not None else default_replicas(seed)
         if not adapters:
             raise ReplicationError("a replicated store needs at least one replica")
@@ -331,18 +332,19 @@ class ReplicatedStore:
             self._now(), replica, action, container, key, version, detail))
 
     def _observe_finding(self, finding) -> None:
-        """Mirror one verifier finding into the metrics seat, and close
+        """Mirror one verifier finding into the world's metrics, and close
         out its fork-detection-latency measurement if this finding is
         the first to expose an injected fault."""
         if finding is None:
             return
         mark = self._fault_marks.pop(
             (finding.replica, finding.container, finding.key), None)
-        if self.metrics.enabled:
-            self.metrics.counter(
+        obs = self.obs
+        if obs.enabled:
+            obs.metrics.counter(
                 "replication.findings", category=finding.category).inc()
             if mark is not None:
-                self.metrics.sketch(
+                obs.metrics.sketch(
                     "replication.fork_detection_seconds"
                 ).observe(max(0.0, self._now() - mark))
 
@@ -385,8 +387,8 @@ class ReplicatedStore:
             # Reject before dirtying any replica: an under-quorum write
             # must never leave a minority holding uncommitted versions.
             self.rejected_writes += 1
-            if self.metrics.enabled:
-                self.metrics.counter("replication.rejected_writes").inc()
+            if self.obs.enabled:
+                self.obs.metrics.counter("replication.rejected_writes").inc()
             self._emit("-", "write-rejected", container, key, version,
                        detail=f"{len(up)}/{self.quorum} reachable")
             raise ReplicationError(
@@ -413,8 +415,8 @@ class ReplicatedStore:
         self.verifier.commit(container, key, version, sha256.hex(), md5.hex(),
                              len(data), at_time, acked)
         self.put_count += 1
-        if self.metrics.enabled:
-            self.metrics.counter("replication.writes").inc()
+        if self.obs.enabled:
+            self.obs.metrics.counter("replication.writes").inc()
         return StoredObject(
             container=container, key=key, data=data, content_md5=md5,
             metadata=dict(metadata or {}), created_at=at_time, version=version,
@@ -449,13 +451,13 @@ class ReplicatedStore:
             if finding is None:
                 if attempts > 1:
                     self.hedged_reads += 1
-                    if self.metrics.enabled:
-                        self.metrics.counter("replication.hedged_reads").inc()
+                    if self.obs.enabled:
+                        self.obs.metrics.counter("replication.hedged_reads").inc()
                 self._emit(name, "read", container, key, attestation.version)
                 self._read_repair(container, key, payload, latest, repair)
                 self.get_count += 1
-                if self.metrics.enabled:
-                    self.metrics.counter(
+                if self.obs.enabled:
+                    self.obs.metrics.counter(
                         "replication.reads",
                         outcome="repaired" if repair else "clean",
                     ).inc()
@@ -484,8 +486,8 @@ class ReplicatedStore:
             handle.forged.discard((container, key))
             self.verifier.mark_acked(container, key, name, latest.version)
             self.read_repairs += 1
-            if self.metrics.enabled:
-                self.metrics.counter("replication.read_repairs").inc()
+            if self.obs.enabled:
+                self.obs.metrics.counter("replication.read_repairs").inc()
             self._emit(name, "read-repair", container, key, latest.version)
 
     def object_marks(self) -> dict[tuple[str, str], tuple[int, str]]:
@@ -604,8 +606,7 @@ def attach_replication(deployment, store: ReplicatedStore) -> ReplicatedStore:
     forensics (the ``replica`` timeline source and the auditor's
     replication check read ``deployment.replication``)."""
     store.clock = lambda: deployment.sim.now
-    if getattr(deployment.obs, "enabled", False):
-        store.metrics = deployment.obs.metrics
+    store.obs = deployment.obs
     deployment.provider.store = store
     deployment.replication = store
     return store

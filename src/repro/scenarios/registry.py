@@ -366,7 +366,7 @@ def _default_specs() -> list[ScenarioSpec]:
                                          "tampered/provider_at_fault"),
                              "hashed_bytes_per_user_byte/client": 2.0,
                              "hashed_bytes_per_user_byte/provider": 5.542,
-                             "hashed_bytes_per_user_byte/replicas": 5.542}),
+                             "hashed_bytes_per_user_byte/replicas": 5.042}),
     ]
 
 

@@ -4,7 +4,23 @@ import pytest
 
 from repro.analysis.metrics import ProtocolCost, compare, measure
 from repro.analysis.report import render_kv, render_table
+from repro.crypto.drbg import HmacDrbg
+from repro.net.events import Simulator
+from repro.net.network import Network
+from repro.net.node import Node
 from repro.net.trace import TraceEvent, TraceRecorder
+
+
+class Ttp(Node):
+    is_ttp = True
+
+
+def network_of(*names):
+    """A network whose node named ``ttp`` declares the TTP role."""
+    network = Network(Simulator(), HmacDrbg(b"metrics-network"))
+    for name in names:
+        network.add_node(Ttp(name) if name == "ttp" else Node(name))
+    return network
 
 
 def trace_with(events):
@@ -25,7 +41,7 @@ class TestMeasure:
             send(0.1, "bob", "alice", "tpnr.upload.receipt", 200),
             TraceEvent(0.2, "deliver", "bob", "alice", "tpnr.upload.receipt", 200, 2),
         ])
-        cost = measure(trace, "tpnr", "tpnr.")
+        cost = measure(trace, "tpnr", "tpnr.", network=network_of("alice", "bob"))
         assert cost.steps == 2
         assert cost.bytes_on_wire == 700
         assert cost.latency == pytest.approx(0.2)
@@ -34,16 +50,17 @@ class TestMeasure:
 
     def test_ttp_detection(self):
         trace = trace_with([send(0.0, "alice", "ttp", "tpnr.resolve.request")])
-        assert measure(trace, "x", "tpnr.").uses_ttp
+        assert measure(trace, "x", "tpnr.", network=network_of("alice", "ttp")).uses_ttp
 
     def test_prefix_filters(self):
         trace = trace_with([
             send(0.0, "a", "b", "tpnr.upload"),
             send(0.1, "a", "b", "zg.commit"),
         ])
-        assert measure(trace, "x", "tpnr.").steps == 1
-        assert measure(trace, "x", "zg.").steps == 1
-        assert measure(trace, "x", "").steps == 2
+        network = network_of("a", "b")
+        assert measure(trace, "x", "tpnr.", network=network).steps == 1
+        assert measure(trace, "x", "zg.", network=network).steps == 1
+        assert measure(trace, "x", "", network=network).steps == 2
 
 
 class TestCompare:

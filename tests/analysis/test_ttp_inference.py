@@ -1,14 +1,29 @@
-"""TTP role derivation for trace metrics (ISSUE 3 satellite).
+"""TTP role derivation for trace metrics.
 
-``measure`` must attribute TTP traffic from the deployment — any node
-whose class declares ``is_ttp = True`` — instead of hardcoded names,
-with explicit ``ttp_names`` taking priority and the legacy name list
-only covering bare traces.
+``measure`` attributes TTP traffic from the network it ran on — any
+node whose class declares ``is_ttp = True`` — never from role names.
 """
 
-from repro.analysis.metrics import LEGACY_TTP_NAMES, infer_ttp_names, measure
+import pytest
+
+from repro.analysis.metrics import infer_ttp_names, measure
 from repro.core.protocol import make_deployment, run_session
+from repro.crypto.drbg import HmacDrbg
+from repro.net.events import Simulator
+from repro.net.network import Network
+from repro.net.node import Node
 from repro.net.trace import TraceEvent, TraceRecorder
+
+
+class DeclaredTtp(Node):
+    is_ttp = True
+
+
+def network_of(*nodes):
+    network = Network(Simulator(), HmacDrbg(b"ttp-network"))
+    for node in nodes:
+        network.add_node(node)
+    return network
 
 
 def trace_to(dst):
@@ -45,14 +60,16 @@ class TestMeasureAttribution:
         assert not cost.uses_ttp
 
     def test_explicit_names_take_priority_over_network(self):
-        dep = make_deployment(seed=b"ttp-priority")
+        # The network's explicit is_ttp declaration decides, under any name.
         trace = trace_to("arbiter")
-        assert measure(trace, "x", ttp_names=("arbiter",),
-                       network=dep.network).uses_ttp
-        assert not measure(trace, "x", network=dep.network).uses_ttp
+        declared = network_of(Node("alice"), DeclaredTtp("arbiter"))
+        undeclared = network_of(Node("alice"), Node("arbiter"))
+        assert measure(trace, "x", network=declared).uses_ttp
+        assert not measure(trace, "x", network=undeclared).uses_ttp
 
-    def test_bare_traces_fall_back_to_legacy_names(self):
-        assert LEGACY_TTP_NAMES == ("ttp", "zg-ttp")
-        assert measure(trace_to("ttp"), "x").uses_ttp
-        assert measure(trace_to("zg-ttp"), "x").uses_ttp
-        assert not measure(trace_to("carol"), "x").uses_ttp
+    def test_roles_are_never_guessed_from_names(self):
+        plain = network_of(Node("alice"), Node("ttp"), Node("zg-ttp"))
+        assert not measure(trace_to("ttp"), "x", network=plain).uses_ttp
+        assert not measure(trace_to("zg-ttp"), "x", network=plain).uses_ttp
+        with pytest.raises(TypeError):
+            measure(trace_to("ttp"), "x")  # no network, no roles

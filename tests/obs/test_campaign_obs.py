@@ -5,16 +5,20 @@ The breakdown must aggregate correctly on synthetic reports, render in
 observing a campaign must not change its outcome signature.
 """
 
+from repro.core.protocol import make_deployment, run_session
 from repro.net.faults import (
+    PAYLOAD_RANGE,
     CampaignOutcome,
     CampaignReport,
     CampaignRunner,
     CrashWindow,
     FaultAction,
+    FaultInjector,
     FaultPlan,
     FaultRule,
     generate_plans,
 )
+from repro.obs import NULL_OBS
 from repro.obs.campaign import (
     class_breakdown,
     fault_class,
@@ -138,20 +142,38 @@ class TestClassBreakdown:
 
 
 class TestObservedCampaigns:
-    def test_observation_does_not_change_the_signature(self, monkeypatch):
-        # A campaign always observes its deployment; the same plans on a
-        # deployment built unobserved must reach the same outcomes.
-        import repro.core.protocol as protocol
-
+    def test_observation_does_not_change_the_signature(self):
+        # A campaign always observes its deployment; the same plans run
+        # one session each under a FaultInjector on an unobserved
+        # deployment, with the runner's payloads and audit, must reach
+        # the same rows.
         plans = generate_plans(b"obs-parity", 4)
         observed = CampaignRunner(seed=b"obs-parity").run(plans)
-        make_deployment = protocol.make_deployment
-        monkeypatch.setattr(protocol, "make_deployment",
-                            lambda **kw: make_deployment(**{**kw, "observe": False}))
         runner = CampaignRunner(seed=b"obs-parity")
-        plain = runner.run(plans)
-        assert not runner.deployment.obs.enabled
-        assert plain.signature() == observed.signature()
+        dep = make_deployment(seed=b"obs-parity/campaign")
+        assert dep.obs is NULL_OBS
+        lo, hi = PAYLOAD_RANGE
+        rows = []
+        for index, plan in enumerate(plans):
+            payload = runner._rng.generate(runner._rng.randint(lo, hi))
+            injector = FaultInjector(plan)
+            dep.network.install_adversary(injector)
+            injector.reset(epoch=dep.sim.now)
+            before = runner._counters(dep)
+            outcome = run_session(dep, payload)
+            dep.network.remove_adversary()
+            after = runner._counters(dep)
+            rows.append(CampaignOutcome(
+                index=index, plan=plan, status=outcome.upload_status.value,
+                detail=outcome.upload_detail, ttp_involved=outcome.ttp_involved,
+                steps=outcome.steps, faults_fired=len(dep.network.trace.faults()),
+                retransmits=after[0] - before[0],
+                duplicates_suppressed=after[1] - before[1],
+                download_ok=bool(outcome.download and outcome.download.verified),
+                crashes=injector.crash_begins, recoveries=injector.recoveries,
+                violations=tuple(runner._audit(dep, outcome.transaction_id, injector)),
+            ).row())
+        assert rows == [o.row() for o in observed.outcomes]
 
     def test_observed_run_populates_telemetry_fields_and_render(self):
         plans = generate_plans(b"obs-fields", 3)

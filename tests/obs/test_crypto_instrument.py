@@ -37,16 +37,18 @@ class TestSeat:
         # OB1's disabled-path fact, and the mutation it must catch: a
         # live registry and tracer handed to an observe=False deployment.
         from repro.core.protocol import make_deployment, run_session
-        from repro.obs import Observability
+        from repro.obs import NULL_OBS, Observability
 
         dep = make_deployment(seed=b"obs-dark", observe=False)
         if handed_a_live_bundle:
             dep.network.obs = Observability(clock=lambda: dep.sim.now)
         run_session(dep, b"unobserved payload")
         bundle = dep.network.obs
-        silent = (seat.observer is None and not bundle.metrics.snapshot()
-                  and not bundle.tracer.spans)
+        silent = (bundle is NULL_OBS and seat.observer is None
+                  and not any(p._obs_spans for p in dep.parties()))
         assert silent is not handed_a_live_bundle
+        if handed_a_live_bundle:
+            assert bundle.metrics.snapshot() and bundle.tracer.spans
 
 
 class TestAccounting:

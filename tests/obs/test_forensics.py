@@ -5,6 +5,7 @@ import pytest
 from repro.core.arbitrator import Verdict
 from repro.core.protocol import make_deployment, run_download, run_session, run_upload
 from repro.core.provider import ProviderBehavior
+from repro.errors import ReproError
 from repro.net.faults import (
     CrashWindow,
     FaultAction,
@@ -39,6 +40,17 @@ def faulted_upload(seed: bytes, plan: FaultPlan, **kwargs):
 
 def categories(findings) -> set:
     return {f.category for f in findings}
+
+
+class TestUnobservedDeployment:
+    def test_every_forensic_read_rejects_an_unobserved_deployment(self):
+        # No tracer, no spans to join: a timeline would read the missing
+        # record as "nothing happened", so every entry point refuses.
+        dep = make_deployment(seed=b"forensics-dark", durable=True)
+        txn = run_session(dep, b"unobserved payload").transaction_id
+        for read in (dep.timeline, dep.forensic_audit, dep.dossier):
+            with pytest.raises(ReproError, match=r"make_deployment\(observe=True\)"):
+                read(txn)
 
 
 class TestTimelineReconstruction:

@@ -1,19 +1,12 @@
 """The metrics registry: counters, gauges, histograms, snapshots.
 
 Acceptance bar (ISSUE 3 tentpole): deterministic, dependency-free
-instruments stamped with the simulation clock, and a null registry
-whose instruments are shared no-ops.
+instruments stamped with the simulation clock.
 """
 
 import pytest
 
-from repro.obs.metrics import (
-    DEFAULT_LATENCY_BUCKETS,
-    NULL_METRICS,
-    Histogram,
-    MetricsRegistry,
-    NullMetricsRegistry,
-)
+from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS, Histogram, MetricsRegistry
 from repro.obs.exporters import prometheus_text
 from repro.obs.sketch import QuantileSketch
 
@@ -104,23 +97,6 @@ class TestRegistrySnapshots:
             reg.gauge("x")
 
 
-class TestNullRegistry:
-    def test_disabled_and_empty(self):
-        assert NULL_METRICS.enabled is False
-        assert NullMetricsRegistry().snapshot() == []
-        assert MetricsRegistry.snapshot(NULL_METRICS) == []  # nothing allocated
-
-    def test_instruments_are_shared_noops(self):
-        a = NULL_METRICS.counter("x", k="1")
-        b = NULL_METRICS.counter("y")
-        assert a is b
-        a.inc(100)
-        assert NULL_METRICS.snapshot() == []
-        NULL_METRICS.gauge("g").set(5)
-        NULL_METRICS.histogram("h").observe(1.0)
-        assert MetricsRegistry.snapshot(NULL_METRICS) == []  # nothing allocated
-
-
 class TestHistogramMinMax:
     def test_none_until_first_observation(self):
         h = Histogram("h", buckets=(1.0,))
@@ -172,14 +148,6 @@ class TestSketchInstrument:
         assert row["at"] == 4.5
         assert row["count"] == 1
         assert len(reg.snapshot()) == 1
-
-    def test_null_registry_sketch_is_shared_noop(self):
-        a = NULL_METRICS.sketch("x")
-        b = NULL_METRICS.sketch("y", shard="2")
-        assert a is b
-        a.observe(123.0)
-        assert a.count == 0
-        assert MetricsRegistry.snapshot(NULL_METRICS) == []  # nothing allocated
 
 
 class TestSeriesIdentity:

@@ -139,10 +139,13 @@ class TestReplicationWiring:
         assert fork.good == 1.0 and fork.bad == 0.0
 
     def test_unobserved_store_keeps_null_metrics(self):
-        from repro.obs.metrics import NULL_METRICS
-        from repro.replication import ReplicatedStore
+        from repro.core.protocol import make_deployment
+        from repro.obs import NULL_OBS
+        from repro.replication import ReplicatedStore, attach_replication
 
         store = ReplicatedStore(seed=SEED)
-        assert store.metrics is NULL_METRICS
-        store.put("c", "k", b"data")  # must not blow up on null metrics
+        assert store.obs is NULL_OBS  # off until a world seats its own
+        store.put("c", "k", b"data")  # the guards keep it off the seat
         assert store.get("c", "k").data == b"data"
+        dep = make_deployment(seed=SEED + b"/dark")
+        assert attach_replication(dep, store).obs is dep.obs is NULL_OBS

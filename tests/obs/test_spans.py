@@ -1,6 +1,6 @@
 """The tracer: span trees, auto-parenting, completeness checks."""
 
-from repro.obs.span import NULL_TRACER, NullTracer, Tracer
+from repro.obs.span import Tracer
 
 
 def make_tracer(times=None):
@@ -92,19 +92,3 @@ class TestTreeCompleteness:
         t.start("a-txn", "y")
         t.start("b-txn", "z")
         assert [s.name for s in t.trace("b-txn")] == ["x", "z"]
-
-
-class TestNullTracer:
-    def test_disabled_and_accumulates_nothing(self):
-        assert isinstance(NULL_TRACER, NullTracer)
-        span = NULL_TRACER.start("txn", "work")
-        span.event(1.0, "noop", msg_id=3)
-        NULL_TRACER.finish(span)
-        assert NULL_TRACER.spans == []
-
-    def test_start_returns_shared_span(self):
-        a = NULL_TRACER.start("x", "a")
-        b = NULL_TRACER.start("y", "b")
-        assert a is b
-        assert a.events == []
-        assert a.attrs == {}

@@ -3,13 +3,17 @@
 Every transaction in Normal, Abort, Resolve, and crash-recovery-resume
 mode must produce a complete parent-linked span tree plus a non-empty
 metrics snapshot; span events must correlate with the wire trace by
-``msg_id``; and unobserved deployments must carry the null bundle.
+``msg_id``; and an unobserved deployment's seat holds nothing to
+record into.
 """
+
+import pytest
 
 from repro.core.provider import ProviderBehavior
 from repro.core.protocol import make_deployment, run_abort, run_session, run_upload
 from repro.net.faults import CrashWindow, FaultInjector, FaultPlan
 from repro.obs import NULL_OBS
+from repro.obs.exporters import metrics_jsonl, spans_jsonl
 
 
 def observed_session(seed: bytes = b"obs-e2e/normal"):
@@ -97,8 +101,13 @@ class TestDisabledByDefault:
         assert dep.obs is NULL_OBS
         assert dep.obs.enabled is False
         run_session(dep, b"dark payload")
-        assert dep.obs.tracer.spans == []
-        assert dep.obs.metrics.snapshot() == []
+        assert not any(p._obs_spans for p in dep.parties())
+        # The seat holds nothing to record into, so a read that forgot
+        # the switch raises instead of reading as "no spans".
+        with pytest.raises(AttributeError):
+            dep.obs.tracer
+        with pytest.raises(AttributeError):
+            dep.obs.metrics
 
 
 class TestDeterminism:
@@ -108,5 +117,5 @@ class TestDeterminism:
         dep_a, out_a = observed_session(b"obs-e2e/det")
         dep_b, out_b = observed_session(b"obs-e2e/det")
         assert out_a.transaction_id == out_b.transaction_id
-        assert dep_a.obs.spans_jsonl() == dep_b.obs.spans_jsonl()
-        assert dep_a.obs.metrics_jsonl() == dep_b.obs.metrics_jsonl()
+        assert spans_jsonl(dep_a.obs.tracer) == spans_jsonl(dep_b.obs.tracer)
+        assert metrics_jsonl(dep_a.obs.metrics) == metrics_jsonl(dep_b.obs.metrics)
