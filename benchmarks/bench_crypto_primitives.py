@@ -115,7 +115,8 @@ def test_bench_chacha20_lanes(benchmark, blob):
 @pytest.fixture(scope="module")
 def durable_round_records():
     """Every record the parties of one durable, 3-way replicated round
-    journal: 40 uploads of 1-64 KiB, each read back, one in ten
+    hand their logs, payload fields already swapped for blob references
+    by the journals: 40 uploads of 1-64 KiB, each read back, one in ten
     rewritten by the provider first (so the snapshots carry forged
     payloads too)."""
     import random
@@ -128,9 +129,9 @@ def durable_round_records():
     records = []
     append = WriteAheadLog.append
 
-    def recording(wal, record, blobs=None):
+    def recording(wal, record):
         records.append(record)
-        return append(wal, record, blobs=blobs)
+        return append(wal, record)
 
     WriteAheadLog.append = recording
     try:
@@ -154,16 +155,13 @@ def durable_round_records():
 
 
 def test_bench_wal_encode_durable_round(benchmark, durable_round_records):
-    """Encode every record of one durable round with payload fields
-    swapped for blob references, as the journal does (the segment
-    already holds every payload, so each reference is a lookup)."""
-    from repro.durability.wal import BlobSegment, StableStore, encode_record
-
-    segment = BlobSegment(StableStore(), "bench.blobs")
+    """Encode every record of one durable round, as the log does once
+    the journal has swapped its payload fields for blob references."""
+    from repro.durability.wal import encode_record
 
     def encode_all():
         for record in durable_round_records:
-            encode_record(record, segment.ref)
+            encode_record(record)
 
     encode_all()
     benchmark(encode_all)

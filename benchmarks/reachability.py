@@ -20,8 +20,8 @@ name a function-local ``from … import …`` asks for must exist in its
 module, and every attribute read off a module alias (``alias.name``,
 where *alias* is bound in the scope that resolves it, by :mod:`symtable`,
 to a ``repro`` module) must be a module-level binding or a submodule of
-that module.  Only ``obj.method`` lookups on other objects are still
-uncovered.
+that module, as must every name a module lists in its ``__all__``.  Only
+``obj.method`` lookups on other objects are still uncovered.
 
 The exit code is 1 when an unentered function is missing from
 :data:`KEPT`, when a :data:`KEPT` entry was entered or is no longer
@@ -154,6 +154,23 @@ def module_globals(path: Path, source: str) -> tuple[set[str], set[str]]:
     return bound, read
 
 
+def exported_names(source: str) -> list[tuple[int, str]]:
+    """``(line, name)`` for every string a module-level ``__all__``
+    assignment (``=``, ``+=`` or annotated) lists."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)) and node.value is not None:
+            targets = [node.target]
+        else:
+            continue
+        if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+            found.extend((item.lineno, item.value) for item in ast.walk(node.value)
+                         if isinstance(item, ast.Constant) and isinstance(item.value, str))
+    return found
+
+
 def lazy_imports(source: str) -> set[ast.ImportFrom]:
     """Every ``from … import …`` inside a function of *source*."""
     return {node for func in ast.walk(ast.parse(source))
@@ -284,6 +301,8 @@ def unresolved_names() -> list[str]:
         where = path.relative_to(ROOT)
         bound, read = scanned[module]
         found.extend(f"{where}: global {name}" for name in sorted(read - bound - known))
+        found.extend(f"{where}:{line}: __all__ {name}" for line, name in exported_names(source)
+                     if name not in bound and f"{module}.{name}" not in sources)
         _, imports, reads = aliases[module]
         for table, name, attr, line in reads:
             symbol = table.lookup(name)

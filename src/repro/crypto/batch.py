@@ -16,7 +16,9 @@ header) is defined by :func:`repro.core.evidence.evidence_leaf`.
 * :class:`EvidenceBatcher` — per-signer accumulator; seals a batch
   whenever ``batch_size`` leaves are pending (and on explicit
   :meth:`~EvidenceBatcher.seal`, the end-of-run flush).
-* :class:`SealedBatch` — a published root + its one RSA signature.
+* :class:`SealedBatch` — a published root + its one RSA signature,
+  verified once per verifying key: every item of the batch shares the
+  verdict (:func:`verify_batch_root`).
 * :class:`BatchProof` — one item's membership: leaf, index, inclusion
   path, and the sealed batch it lives in.
 * :class:`BatchLedger` — the shared publication surface (modelling the
@@ -27,6 +29,7 @@ header) is defined by :func:`repro.core.evidence.evidence_leaf`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import instrument as _instrument
 from . import rsa
@@ -58,6 +61,13 @@ class SealedBatch:
     signature: bytes
     size: int
 
+    @cached_property
+    def _verdicts(self) -> dict[rsa.RsaPublicKey, bool]:
+        """Public key -> whether it validates this batch's signature,
+        filled by :func:`verify_batch_root`.  Cached outside the
+        dataclass fields, so equality and repr never see it."""
+        return {}
+
 
 @dataclass(frozen=True)
 class BatchProof:
@@ -76,15 +86,29 @@ def sign_batch_root(private_key: rsa.RsaPrivateKey, root: bytes) -> bytes:
 
 
 def verify_batch_root(public_key: rsa.RsaPublicKey, batch: SealedBatch) -> bool:
-    """Does the claimed signer's key validate the batch root signature?"""
-    return rsa.verify(public_key, BATCH_ROOT_DOMAIN + batch.root, batch.signature)
+    """Does the claimed signer's key validate the batch root signature?
+
+    The verdict, True or False, is a pure function of the key and the
+    batch's own root and signature, so it is computed once per key and
+    kept on the batch: the K items of a batch cost one ``rsa.verify``
+    per verifying key, not K.  Another :class:`SealedBatch` object —
+    say the same root under a forged signature — keeps its own verdicts.
+    """
+    verdicts = batch._verdicts
+    verdict = verdicts.get(public_key)
+    if verdict is None:
+        verdict = verdicts[public_key] = rsa.verify(
+            public_key, BATCH_ROOT_DOMAIN + batch.root, batch.signature
+        )
+    return verdict
 
 
 def verify_batch_proof(public_key: rsa.RsaPublicKey, proof: BatchProof) -> bool:
     """Full item check: inclusion proof against the root, then the one
     root signature.  Note the order matters for the attack surface: a
     valid batch signature says nothing about an item whose inclusion
-    proof fails — such an item must be rejected."""
+    proof fails — such an item must be rejected, so every item's path
+    is checked, even when its root's verdict is already known."""
     if not verify_inclusion(proof.batch.root, proof.leaf, proof.path):
         return False
     return verify_batch_root(public_key, proof.batch)

@@ -213,8 +213,8 @@ class PartyState:
     def _peer(self, name: str) -> dict:
         return self.peers.setdefault(name, {"send": 0, "recv": -1, "nonces": set()})
 
-    def _add_evidence(self, ev_dict: dict) -> None:
-        key = _evidence_key(ev_dict)
+    def _add_evidence(self, ev_dict: dict, key: tuple[str, bytes]) -> None:
+        """Hold *ev_dict* unless evidence with identity *key* is held."""
         if key not in self._evidence_keys:
             self._evidence_keys.add(key)
             self.evidence.append(ev_dict)
@@ -233,9 +233,8 @@ class PartyState:
             peer["recv"] = max(peer["recv"], record["seq"])
             peer["nonces"].add(record["nonce"])
         elif rtype == "evidence":
-            self._add_evidence(
-                {k: record[k] for k in _EVIDENCE_FIELDS if k in record}
-            )
+            ev_dict = {k: record[k] for k in _EVIDENCE_FIELDS if k in record}
+            self._add_evidence(ev_dict, _evidence_key(ev_dict))
         elif rtype == "txn":
             fields = dict(record)
             fields.pop("type")
@@ -311,7 +310,7 @@ class PartyState:
             peer["nonces"].update(p["nonces"])
             peer["nonces"].difference_update(p.get("dropped", ()))
         for ev in snap["evidence"]:
-            self._add_evidence(dict(ev))
+            self._add_evidence(dict(ev), _evidence_key(ev))
         role_state = snap["role_state"]
         for name, value in role_state.items():
             if name == _ACKED:
@@ -397,6 +396,10 @@ def capture_state(
     (the journal's previous snapshot).  The new capture then holds only
     the evidence archived since *base*, and takes each stored object
     whose store mark is unchanged from *base* instead of reading it.
+    Evidence is deduplicated on the key the live
+    :class:`~repro.core.transaction.EvidenceStore` uses, read off the
+    live object (its header's memoised signed bytes); only replay, which
+    holds dicts, rebuilds it (:func:`_evidence_key`).
     """
     state = PartyState(role)
     for txn, record in party.transactions.items():
@@ -409,7 +412,10 @@ def capture_state(
         }
     archive = party.evidence_store
     for evidence in archive.archived_since(base.evidence_cursor if base else 0):
-        state._add_evidence(evidence_to_dict(evidence))
+        state._add_evidence(
+            evidence_to_dict(evidence),
+            (evidence.signer, evidence.header.to_signed_bytes()),
+        )
     state.evidence_cursor = len(archive)
     if role == "client":
         uploads = {}

@@ -8,7 +8,11 @@ through **before** acting on it — the WAL discipline.  It owns:
   (``<name>.wal``) and its payload segment beside it
   (``<name>.wal.blobs``, a :class:`~repro.durability.wal.BlobSegment`):
   every payload field of a record or snapshot is written there once and
-  the log carries its SHA-256 instead,
+  the log carries its SHA-256 instead.  Payload fields are found by
+  record shape, not by a walk: a record's own top-level bytes ``data``
+  (``client.upload``, ``client.download.result``, ``provider.blob``),
+  and the ``data`` of each ``uploads``/``downloads``/``blobs`` entry of
+  a snapshot,
 * the commit points: :meth:`log` only appends.  The records a
   handled event (a delivery, a timer, a crash or recovery window) or a
   top-level call logs become durable in one :meth:`commit` when it
@@ -50,6 +54,7 @@ from .checkpoint import (
     txn_to_dict,
 )
 from .wal import (
+    BLOB_TAG,
     HONEST_DISK,
     BlobSegment,
     CrashFaultPolicy,
@@ -62,6 +67,8 @@ __all__ = ["PartyJournal"]
 
 #: Records between two snapshots.
 SNAPSHOT_INTERVAL = 48
+#: The snapshot maps whose entries carry a payload ``data`` field.
+_PAYLOAD_MAPS = frozenset({"uploads", "downloads", "blobs"})
 
 
 class PartyJournal:
@@ -157,7 +164,10 @@ class PartyJournal:
         at = self._now()
         if at is not None and "at" not in fields:
             fields["at"] = at
-        self.wal.append({"type": record_type, **fields}, blobs=self.blobs.ref)
+        data = fields.get("data")
+        if isinstance(data, bytes):
+            fields["data"] = {BLOB_TAG: self.blobs.ref(data)}
+        self.wal.append({"type": record_type, **fields})
         self._uncommitted = True
         self.records_logged += 1
         self._since_snapshot += 1
@@ -177,10 +187,20 @@ class PartyJournal:
         if self._base_archive is not party.evidence_store:
             base = None  # a restored archive: start a new chain
         state = capture_state(party, self.role, base)
-        record = {"type": "snapshot", "state": state.to_dict(base)}
+        snapshot = state.to_dict(base)
+        ref = self.blobs.ref
+        for name, entries in snapshot["role_state"].items():
+            if name not in _PAYLOAD_MAPS:
+                continue
+            # The delta map is the snapshot's own; its entries are the
+            # state's, which the next snapshot takes as its base.
+            for key, entry in entries.items():
+                if entry is not None and isinstance(entry["data"], bytes):
+                    entries[key] = {**entry, "data": {BLOB_TAG: ref(entry["data"])}}
+        record = {"type": "snapshot", "state": snapshot}
         if base is not None:
             record["delta"] = True
-        self.wal.append(record, blobs=self.blobs.ref)
+        self.wal.append(record)
         self._uncommitted = True
         self._base, self._base_archive = state, party.evidence_store
         self.snapshots_written += 1

@@ -22,7 +22,9 @@ Stored payloads do not go through the log.  A :class:`BlobSegment`
 beside it holds each payload once, named by its SHA-256 — the H(data)
 every TPNR NRO/NRR signs — and the log records refer to it as
 ``{"__blob__": <hex digest>}`` (Venus, arXiv:1502.04496, likewise keeps
-objects named by hash apart from their integrity metadata).  A
+objects named by hash apart from their integrity metadata).  The
+journal swaps each payload field for its reference by record shape,
+before the log sees the record; the log encodes what it is given.  A
 reference resolves only to a blob whose bytes re-hash to it; one with
 no intact blob behind it resolves to ``None``, never to other bytes.
 """
@@ -34,7 +36,7 @@ import struct
 import zlib
 from dataclasses import dataclass, field
 from json.encoder import c_make_encoder, encode_basestring_ascii
-from typing import Any, Callable, Iterator
+from typing import Any, Iterator
 
 from ..crypto.drbg import HmacDrbg
 from ..crypto.hashes import digest
@@ -55,10 +57,6 @@ _FRAME_HEADER = struct.Struct(">II")  # (payload length, crc32(payload))
 _MAX_RECORD = 16 * 1024 * 1024
 _BYTES_TAG = "__bytes__"
 BLOB_TAG = "__blob__"
-#: The field that carries a payload wherever it appears in a record
-#: (``client.upload``, ``client.download.result``, ``provider.blob`` and
-#: the same entries inside snapshots); no other field is named so.
-_PAYLOAD_FIELD = "data"
 _BLOB_HEADER = struct.Struct(">I")  # payload length; the SHA-256 follows
 _DIGEST_SIZE = 32
 
@@ -66,37 +64,6 @@ _DIGEST_SIZE = 32
 # ---------------------------------------------------------------------------
 # Record codec: canonical JSON with tagged byte strings
 # ---------------------------------------------------------------------------
-
-
-_CONTAINERS = (dict, list, tuple)
-
-
-def _swap_payloads(value: Any, ref: Callable[[bytes], str]) -> Any:
-    """*value* with every bytes payload field replaced by a reference
-    to its blob, *ref* writing the blob.  Only the dicts and lists on
-    the way to a payload are copied; every other part of *value* is
-    shared, never changed."""
-    if isinstance(value, dict):
-        swapped = None
-        for k, v in value.items():
-            if isinstance(v, _CONTAINERS):
-                new = _swap_payloads(v, ref)
-                if new is v:
-                    continue
-            elif k == _PAYLOAD_FIELD and isinstance(v, bytes):
-                new = {BLOB_TAG: ref(v)}
-            else:
-                continue
-            if swapped is None:
-                swapped = dict(value)
-            swapped[k] = new
-        return value if swapped is None else swapped
-    if isinstance(value, (list, tuple)):
-        items = [_swap_payloads(v, ref) for v in value]
-        if all(new is old for new, old in zip(items, value)):
-            return value
-        return items
-    return value
 
 
 def _tag_bytes(value: Any) -> dict:
@@ -131,15 +98,11 @@ def _from_jsonable(value: Any, blobs: dict[str, bytes] | None = None) -> Any:
     return value
 
 
-def encode_record(record: dict, blobs: Callable[[bytes], str] | None = None) -> bytes:
-    """Canonical (sorted-key, compact) encoding of one WAL record.
-
-    With *blobs* (a :meth:`BlobSegment.ref`), every bytes payload field
-    is written to the segment first and encoded as a reference to it;
-    one C encoder pass then hex-tags the remaining byte strings.
-    """
-    if blobs is not None:
-        record = _swap_payloads(record, blobs)
+def encode_record(record: dict) -> bytes:
+    """Canonical (sorted-key, compact) encoding of one WAL record: one
+    C encoder pass that hex-tags every byte string.  A payload reaches
+    it already swapped for its blob reference (the journal swaps the
+    payload fields it writes, :class:`~repro.durability.journal.PartyJournal`)."""
     return "".join(_encode_chunks(record, 0)).encode()
 
 
@@ -302,14 +265,11 @@ class WriteAheadLog:
         self.filename = filename
         self.appends = 0
 
-    def append(
-        self, record: dict, blobs: Callable[[bytes], str] | None = None
-    ) -> None:
+    def append(self, record: dict) -> None:
         """Frame and append one record to the write buffer; it is
         durable only after an fsync of the file (a journal's
-        :meth:`~repro.durability.journal.PartyJournal.commit`).  *blobs*
-        is passed to :func:`encode_record`."""
-        payload = encode_record(record, blobs)
+        :meth:`~repro.durability.journal.PartyJournal.commit`)."""
+        payload = encode_record(record)
         if len(payload) > _MAX_RECORD:
             raise StorageError(f"WAL record too large ({len(payload)} bytes)")
         frame = _FRAME_HEADER.pack(len(payload), zlib.crc32(payload)) + payload

@@ -47,7 +47,7 @@ from ..core.ttp import TrustedThirdParty
 from ..crypto import cache as crypto_cache
 from ..crypto.batch import BatchLedger, EvidenceBatcher
 from ..crypto.drbg import HmacDrbg
-from ..crypto.pki import CertificateAuthority, Identity, KeyRegistry
+from ..crypto.pki import Certificate, CertificateAuthority, Identity, KeyRegistry
 from ..determinism import canon_float
 from ..net.channel import PERFECT, ChannelSpec
 from ..net.events import Simulator
@@ -123,12 +123,14 @@ class EngineConfig:
 
 
 class TenantDirectory:
-    """Memoised identities for pool worlds.
+    """Memoised identities and certificates for pool worlds.
 
     Key generation dominates world-building cost, so the directory
     caches every :class:`Identity` (tenants, provider, TTP, CA) and a
     sweep reuses them across points — the 100-tenant point pays keygen
     only for the 90 tenants the 10-tenant point did not create.  Each
+    identity's certificate is issued once too, so a run signs no
+    certificate and a serial does not depend on the runs before.  Each
     identity derives from its own named DRBG stream, so the keys a name
     gets are independent of creation order and of which other names
     exist.
@@ -145,6 +147,7 @@ class TenantDirectory:
     def __init__(self, seed: bytes | str = b"tpnr-engine") -> None:
         self._seed = _seed_bytes(seed)
         self._identities: dict[str, Identity] = {}
+        self._certificates: dict[str, Certificate] = {}
         self._ca: CertificateAuthority | None = None
         self._lock = threading.RLock()
         self.keygen_count = 0
@@ -172,10 +175,24 @@ class TenantDirectory:
                 self._ca = CertificateAuthority("repro-ca", self.stream("engine/ca"))
             return self._ca
 
+    def certificate(self, name: str) -> Certificate:
+        """The certificate the directory's CA issued for *name*'s
+        identity, issued once: certificates are provisioning, like
+        keys, so a world built over the directory registers (and
+        validates) them without signing new ones."""
+        with self._lock:
+            found = self._certificates.get(name)
+            if found is None:
+                identity = self.identity(name)
+                found = self.certificate_authority().issue(name, identity.public_key)
+                self._certificates[name] = found
+            return found
+
     def warm(self, names: list[str]) -> None:
-        """Pre-generate identities outside any timed region."""
+        """Pre-generate identities and their certificates outside any
+        timed region."""
         for name in names:
-            self.identity(name)
+            self.certificate(name)
 
 
 @dataclass
@@ -368,7 +385,7 @@ class SessionPool:
         ttp_id = self.directory.identity(TTP_NAME)
         tenant_ids = [self.directory.identity(name) for name in self.tenant_names]
         for identity in (provider_id, ttp_id, *tenant_ids):
-            registry.enroll(identity)
+            registry.register(self.directory.certificate(identity.name))
         self.provider = TpnrProvider(
             provider_id, registry, self._stream("engine/party/provider"),
             ttp_name=TTP_NAME, policy=self.policy,
@@ -477,9 +494,9 @@ class SessionPool:
 
         With ``config.use_caches`` a fresh scoped
         :class:`~repro.crypto.cache.CryptoCaches` bundle covers the
-        whole run (build included — enrollment signatures hit the sign
-        cache too) and its statistics land in the result; the previous
-        process-wide cache seat is restored afterwards either way.
+        whole run (build included) and its statistics land in the
+        result; the previous process-wide cache seat is restored
+        afterwards either way.
         """
         if self.config.use_caches:
             with crypto_cache.crypto_caches() as bundle:
@@ -492,7 +509,7 @@ class SessionPool:
         self._schedule_workload()
         profile = None
         if config.profile:
-            # Crypto calls are counted over the drive only: enrollment
+            # Crypto calls are counted over the drive only: registration
             # repeats per shard world, so its calls would not sum across
             # shards.  The counts land in a throwaway registry.
             with observe_crypto(MetricsRegistry()) as crypto:

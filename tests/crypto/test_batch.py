@@ -6,18 +6,25 @@ signature says nothing about an item whose inclusion proof fails** —
 ``verify_batch_root`` passes.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.crypto.batch import (
     BatchLedger,
     BatchProof,
     EvidenceBatcher,
+    SealedBatch,
+    sign_batch_root,
     verify_batch_proof,
     verify_batch_root,
 )
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.merkle import MerkleTree
 from repro.crypto.pki import Identity
+from repro.crypto.rsa import RsaPublicKey
+from repro.obs.instrument import observe_crypto
+from repro.obs.metrics import MetricsRegistry
 
 
 @pytest.fixture(scope="module")
@@ -143,3 +150,92 @@ class TestTamperSurface:
         doctored = BatchProof(signer="alice", leaf=real.leaf,
                               index=real.index, path=real.path, batch=fake)
         assert not verify_batch_proof(alice.public_key, doctored)
+
+
+class TestRootVerifiedOnce:
+    """``verify_batch_root`` keeps each verdict on the batch, per key:
+    the memo saves RSA work and must never change a verdict."""
+
+    def sealed(self, identity, n=6):
+        ledger = TestTamperSurface().seal_one(identity, n)
+        return ledger, [ledger.proof_for(identity.name, leaf) for leaf in leaves(n)]
+
+    @staticmethod
+    def rsa_verifies(crypto):
+        counter = crypto.series.get("rsa.verify")
+        return 0 if counter is None else int(counter.value)
+
+    def test_failing_root_rejected_for_every_item(self, alice):
+        _, proofs = self.sealed(alice)
+        bad = SealedBatch(signer="alice", root=proofs[0].batch.root,
+                          signature=b"\x00" * 64, size=6)
+        with observe_crypto(MetricsRegistry()) as crypto:
+            verdicts = [verify_batch_proof(alice.public_key, replace(p, batch=bad))
+                        for p in proofs]
+        assert verdicts == [False] * 6
+        assert self.rsa_verifies(crypto) == 1
+
+    def test_forged_twin_rejected_after_the_genuine_verified(self, alice, mallory):
+        _, proofs = self.sealed(alice)
+        genuine = proofs[0].batch
+        assert all(verify_batch_proof(alice.public_key, p) for p in proofs)
+        for signature in (sign_batch_root(mallory.private_key, genuine.root),
+                          bytes([genuine.signature[0] ^ 1]) + genuine.signature[1:]):
+            twin = replace(genuine, signature=signature)
+            assert not any(verify_batch_proof(alice.public_key, replace(p, batch=twin))
+                           for p in proofs)
+            assert verify_batch_root(alice.public_key, genuine)
+
+    def test_one_keys_verdict_never_serves_another(self, alice, mallory):
+        _, first = self.sealed(alice)
+        assert verify_batch_proof(alice.public_key, first[0])
+        assert not verify_batch_proof(mallory.public_key, first[1])
+        _, second = self.sealed(alice)
+        assert not verify_batch_proof(mallory.public_key, second[0])
+        assert verify_batch_proof(alice.public_key, second[1])
+        # Same modulus, other exponent: another key.
+        other = RsaPublicKey(alice.public_key.n, 3)
+        assert not verify_batch_root(other, second[0].batch)
+        assert verify_batch_root(alice.public_key, second[0].batch)
+
+    def test_failing_path_rejected_under_a_memoised_root(self, alice):
+        _, proofs = self.sealed(alice)
+        assert verify_batch_proof(alice.public_key, proofs[2])
+        assert verify_batch_root(alice.public_key, proofs[2].batch)
+        (side, sibling), *rest = proofs[2].path
+        doctored = ((side, bytes(b ^ 0xFF for b in sibling)), *rest)
+        assert not verify_batch_proof(alice.public_key, replace(proofs[2], leaf=b"forged"))
+        assert not verify_batch_proof(alice.public_key, replace(proofs[2], path=doctored))
+        assert not verify_batch_proof(alice.public_key, replace(proofs[2], index=3,
+                                                                path=proofs[3].path))
+
+    def test_durable_round_verifies_each_root_once_per_key(self, monkeypatch):
+        from repro.core.protocol import make_deployment
+        from repro.crypto import batch
+        from repro.replication.store import ReplicatedStore, attach_replication
+
+        verify_root = batch.verify_batch_root
+        calls = {}
+
+        def counted(public_key, sealed):
+            before = self.rsa_verifies(crypto)
+            verdict = verify_root(public_key, sealed)
+            key = (id(sealed), public_key)
+            made, seen = calls.get(key, (0, 0))
+            calls[key] = (made + self.rsa_verifies(crypto) - before, seen + 1)
+            return verdict
+
+        monkeypatch.setattr(batch, "verify_batch_root", counted)
+        with observe_crypto(MetricsRegistry()) as crypto:
+            dep = make_deployment(seed=b"root-once", durable=True, batch_size=4)
+            attach_replication(dep, ReplicatedStore(seed=b"root-once"))
+            for i in range(6):
+                txn = f"ONCE-{i}"
+                dep.client.upload(dep.provider.name, b"payload %d " % i * 40,
+                                  transaction_id=txn)
+                dep.run()
+                dep.client.download(txn)
+                dep.run()
+            dep.settle_batches()
+        assert all(made == 1 for made, _ in calls.values())
+        assert sum(seen for _, seen in calls.values()) > len(calls) > 0

@@ -10,6 +10,14 @@ import pytest
 from repro.core.arbitrator import Verdict
 from repro.core.protocol import dispute_tampering, make_deployment
 from repro.core.transaction import TxStatus
+from repro.durability import journal as journal_module
+from repro.durability.checkpoint import (
+    PartyState,
+    _evidence_key,
+    capture_state,
+    evidence_from_dict,
+    evidence_to_dict,
+)
 from repro.durability.recovery import recover
 from repro.durability.wal import StableStore
 from repro.net.events import Simulator
@@ -117,13 +125,54 @@ PINNED_FILES = {
 }
 
 
+def delta_run():
+    """A longer fixed durable, replicated, batched run, without crashes,
+    so each journal writes delta snapshots: 24 uploads, each read back,
+    every fifth rewritten by the coordinator first."""
+    dep = make_deployment(seed=b"stable-pin/deltas", durable=True, batch_size=4)
+    store = attach_replication(dep, ReplicatedStore(seed=b"stable-pin/deltas/replicas"))
+    rng = random.Random("stable-pin/deltas")
+    for i in range(24):
+        txn = f"DELTA-{i}"
+        dep.client.upload(dep.provider.name, rng.randbytes(200 + 40 * i), transaction_id=txn)
+        dep.run()
+        if i % 5 == 2:
+            store.overwrite_raw(CONTAINER, txn, data=b"forged " * 9)
+        dep.client.download(txn)
+        dep.run()
+    dep.settle_batches()
+    return dep
+
+
+#: SHA-256 of every stable-store file after :func:`delta_run`, computed
+#: with the journal that found payload fields by walking every record.
+PINNED_DELTA_FILES = {
+    "alice.wal": "deea04d0e42cfa678adcdcf2bcb0aad917256bca314235626aa2b0b100bd7c2f",
+    "alice.wal.blobs": "3c6dfa6bd7ce331265845712844fc501be174c86021f83f75930f7912b8a9d51",
+    "bob.wal": "59e1d7c8920aa1742ca33edb0e8535857aeee6c8572d0f2e595dd957f84a2f01",
+    "bob.wal.blobs": "852b1843877f137d802cf7b57157cd291a6282e0cd6649a669c29ef503f50512",
+}
+
+
+def file_digests(dep) -> dict[str, str]:
+    return {name: hashlib.sha256(dep.stable.durable_bytes(name)).hexdigest()
+            for name in dep.stable.filenames()}
+
+
 class TestStableBytesUnchanged:
     def test_every_file_matches_the_pinned_digest(self):
         dep = pinned_run()
         assert unsynced(dep) == {}
-        digests = {name: hashlib.sha256(dep.stable.durable_bytes(name)).hexdigest()
-                   for name in dep.stable.filenames()}
-        assert digests == PINNED_FILES
+        assert file_digests(dep) == PINNED_FILES
+
+    def test_delta_snapshots_match_the_pinned_digest(self):
+        """A snapshot's payload entries are the captured state's, and
+        the next snapshot diffs against that state: swapping them in
+        place would re-emit unchanged entries in every later delta."""
+        dep = delta_run()
+        assert (dep.client.journal.snapshots_written,
+                dep.provider.journal.snapshots_written) == (5, 5)
+        assert file_digests(dep) == PINNED_DELTA_FILES
 
 
 @pytest.fixture
@@ -199,3 +248,49 @@ class TestOneFsyncPerHandledEvent:
         monkeypatch.setattr(StableStore, "fsync", recorded)
         dep = pinned_run(after_call)
         assert synced and len(synced) == len(set(synced)) == dep.stable.fsyncs
+
+
+def dict_keyed(state, party, base):
+    """*state* with its evidence captured as before captures keyed on
+    the live objects: each piece deduplicated on the key rebuilt from
+    its dict (:func:`_evidence_key`, what replay still uses)."""
+    oracle = PartyState(state.role)
+    oracle.transactions, oracle.peers = state.transactions, state.peers
+    oracle.role_state = state.role_state
+    for evidence in party.evidence_store.archived_since(base.evidence_cursor if base else 0):
+        ev_dict = evidence_to_dict(evidence)
+        key = _evidence_key(ev_dict)
+        if key not in oracle._evidence_keys:
+            oracle._evidence_keys.add(key)
+            oracle.evidence.append(ev_dict)
+    return oracle
+
+
+class TestEvidenceDedupOnLiveKeys:
+    def test_every_snapshot_of_the_pinned_run(self, monkeypatch):
+        compared = []
+
+        def checked(party, role, base=None):
+            state = capture_state(party, role, base)
+            assert state.to_dict(base) == dict_keyed(state, party, base).to_dict(base)
+            compared.append(len(state.evidence))
+            return state
+
+        monkeypatch.setattr(journal_module, "capture_state", checked)
+        pinned_run()
+        assert len(compared) == 4 and sum(compared) > 0
+
+    def test_evidence_archived_twice(self):
+        from repro.core.protocol import run_session
+
+        dep = make_deployment(seed=b"dedup-oracle")
+        run_session(dep, b"archived twice " * 8)
+        client = dep.client
+        archive = client.evidence_store
+        first = next(archive.all_entries())
+        assert not archive.add(first)  # the store refuses the piece again
+        # An archive listing a copy of it anyway must still yield it once.
+        archive._archive.append(evidence_from_dict(evidence_to_dict(first)))
+        state = capture_state(client, "client")
+        assert len(state.evidence) == len(archive) - 1
+        assert state.to_dict() == dict_keyed(state, client, None).to_dict()

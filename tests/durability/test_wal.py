@@ -4,6 +4,8 @@ import hashlib
 import json
 import struct
 import zlib
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -43,7 +45,8 @@ def walker_encode(record, blobs=None):
     """The record encoder as it was before the C encoder pass: a Python
     walk builds a JSON-able copy (payload fields swapped for blob
     references, byte strings hex-tagged), then ``json.dumps`` encodes
-    it.  Kept here as the oracle for :func:`encode_record`."""
+    it.  Kept here as the oracle for :func:`encode_record` and, with
+    *blobs*, for the payload fields the journal swaps by record shape."""
 
     def to_jsonable(value):
         if isinstance(value, (bytes, bytearray)):
@@ -78,22 +81,76 @@ _VALUES = st.recursive(
     ),
     max_leaves=24,
 )
-#: Snapshot-shaped records: payloads nested in per-key entries.
-_SNAPSHOTS = st.fixed_dictionaries({
-    "type": st.just("snapshot"),
-    "state": st.fixed_dictionaries({"role_state": st.fixed_dictionaries({
-        "blobs": st.dictionaries(st.text(max_size=8), st.fixed_dictionaries(
-            {"data": st.one_of(st.binary(max_size=64), st.none()), "key": st.text()}),
-            max_size=4),
-        "downloads": st.dictionaries(st.text(max_size=8), st.fixed_dictionaries(
-            {"data": st.binary(max_size=64), "flags": st.lists(st.text(), max_size=3)}),
-            max_size=3),
-    })}),
+_PAYLOADS = st.one_of(st.binary(max_size=64), st.none(), st.binary(max_size=64).map(bytearray))
+_NAMES = st.text(max_size=8)
+_FLAT = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=8),
+                  st.binary(max_size=16))
+_HEADERS = st.fixed_dictionaries({
+    k: _FLAT for k in ("flag", "sender", "recipient", "txn", "seq", "nonce", "data_hash")})
+#: The record shapes the roles log: flat fields, an evidence ``header``
+#: dict, ``flags`` lists, and a top-level ``data`` payload.
+_LOGGED = st.fixed_dictionaries({}, optional={
+    "txn": _NAMES, "peer": _NAMES, "seq": st.integers(), "nonce": st.binary(max_size=16),
+    "sig_data": st.binary(max_size=16), "verified": st.booleans(), "at": st.floats(),
+    "header": _HEADERS, "flags": st.lists(st.text(max_size=4), max_size=3),
+    "data": _PAYLOADS,
 })
-_RECORDS = st.one_of(st.dictionaries(_KEYS, _VALUES, max_size=6), _SNAPSHOTS)
+#: Snapshot-shaped states: payloads in the entries of the payload maps,
+#: removed keys as ``None``, other maps without payloads.
+_ENTRY = st.fixed_dictionaries({"data": _PAYLOADS, "key": _NAMES, "flags": st.lists(_NAMES, max_size=2)})
+_PAYLOAD_MAP = st.dictionaries(_NAMES, st.one_of(st.none(), _ENTRY), max_size=4)
+_SNAPSHOTS = st.fixed_dictionaries({
+    "role": _NAMES,
+    "transactions": st.dictionaries(_NAMES, st.one_of(st.none(), st.fixed_dictionaries(
+        {"data_hash": st.binary(max_size=16), "data_size": st.integers()})), max_size=3),
+    "peers": st.dictionaries(_NAMES, st.fixed_dictionaries(
+        {"send": st.integers(), "nonces": st.lists(st.binary(max_size=8), max_size=2)}), max_size=2),
+    "evidence": st.lists(st.fixed_dictionaries(
+        {"signer": _NAMES, "header": _HEADERS, "sig_data": st.binary(max_size=16)}), max_size=3),
+    "role_state": st.fixed_dictionaries({}, optional={
+        "uploads": _PAYLOAD_MAP, "downloads": _PAYLOAD_MAP, "blobs": _PAYLOAD_MAP,
+        "grants": st.dictionaries(_NAMES, st.lists(_NAMES, max_size=2), max_size=2),
+        "pending": st.dictionaries(_NAMES, st.fixed_dictionaries(
+            {"report": st.text(max_size=8), "data_hash": st.binary(max_size=16)}), max_size=2),
+        "acked": st.lists(st.lists(_NAMES, min_size=2, max_size=2), max_size=2),
+    }),
+})
+_RECORDS = st.one_of(
+    st.dictionaries(_KEYS, _VALUES, max_size=6),
+    _SNAPSHOTS.map(lambda state: {"type": "snapshot", "state": state}),
+)
+
+
+class _StubState:
+    """What :func:`~repro.durability.checkpoint.capture_state` returns,
+    reduced to the snapshot it serializes: each call hands out fresh
+    maps over the same entries, as ``PartyState.to_dict`` does."""
+
+    def __init__(self, snapshot):
+        self.snapshot = snapshot
+
+    def to_dict(self, base=None):
+        snap = self.snapshot
+        return {**snap, "role_state": {
+            name: entries.copy() for name, entries in snap["role_state"].items()}}
+
+
+def snapshot_through(journal, snapshot):
+    """Have *journal* write *snapshot* as its (full) snapshot record."""
+    party = SimpleNamespace(evidence_store=None, obs=SimpleNamespace(enabled=False))
+    journal.bind(party)
+    journal._base_archive = party.evidence_store
+    with mock.patch("repro.durability.journal.capture_state",
+                    lambda *args: _StubState(snapshot)):
+        journal.write_snapshot()
 
 
 class TestEncoderMatchesTheWalker:
+    """:func:`encode_record` writes the bytes the old per-value walk plus
+    ``json.dumps`` wrote, and the journal, swapping payloads by record
+    shape, writes the bytes and blob frames of the walk that swapped
+    every ``data`` field it met."""
+
     @staticmethod
     def recording_ref(calls):
         def ref(data):
@@ -101,31 +158,83 @@ class TestEncoderMatchesTheWalker:
             return hashlib.sha256(data).hexdigest()
         return ref
 
-    @given(_RECORDS, st.booleans())
-    @settings(max_examples=300, deadline=None)
-    def test_same_bytes_and_same_blobs(self, record, with_blobs):
-        old_calls, new_calls = [], []
-        old_ref = self.recording_ref(old_calls) if with_blobs else None
-        new_ref = self.recording_ref(new_calls) if with_blobs else None
-        assert encode_record(record, new_ref) == walker_encode(record, old_ref)
+    @staticmethod
+    def journal_with_recorded_refs(calls):
+        store = StableStore()
+        journal = PartyJournal(store, "w", "client")
+        ref = journal.blobs.ref
+
+        def recorded(data):
+            calls.append(data)
+            return ref(data)
+
+        journal.blobs.ref = recorded
+        return store, journal
+
+    def assert_journal_wrote_the_walkers_bytes(self, store, record, new_calls):
+        old_calls = []
+        payload = walker_encode(record, self.recording_ref(old_calls))
+        frame = struct.pack(">II", len(payload), zlib.crc32(payload)) + payload
+        assert store.volatile_view("w") == frame
         assert new_calls == old_calls
+        walker_segment = BlobSegment(StableStore(), "oracle.blobs")
+        for data in old_calls:
+            walker_segment.ref(data)
+        assert store.volatile_view("w.blobs") == \
+            walker_segment.store.volatile_view("oracle.blobs")
+
+    @given(_RECORDS)
+    @settings(max_examples=300, deadline=None)
+    def test_same_bytes_and_same_blobs(self, record):
+        """The encoder half; the journal's blob frames are checked below."""
+        assert encode_record(record) == walker_encode(record)
+
+    @given(st.sampled_from(["client.upload", "client.download.result", "provider.blob",
+                            "evidence", "recv", "txn"]), _LOGGED)
+    @settings(max_examples=300, deadline=None)
+    def test_logged_records_same_bytes_and_same_blobs(self, record_type, fields):
+        calls = []
+        store, journal = self.journal_with_recorded_refs(calls)
+        journal.log(record_type, **fields)
+        self.assert_journal_wrote_the_walkers_bytes(
+            store, {"type": record_type, **fields}, calls)
+
+    @given(_SNAPSHOTS)
+    @settings(max_examples=300, deadline=None)
+    def test_snapshots_same_bytes_and_same_blobs(self, snapshot):
+        calls = []
+        store, journal = self.journal_with_recorded_refs(calls)
+        snapshot_through(journal, snapshot)
+        self.assert_journal_wrote_the_walkers_bytes(
+            store, {"type": "snapshot", "state": snapshot}, calls)
 
     def test_record_is_not_changed(self):
         record = {"type": "snapshot", "state": {"blobs": {"k": {"data": b"payload"}}},
                   "sig": b"", "pair": (1, 2.5, "\u00e9")}
         before = repr(record)
-        encode_record(record, self.recording_ref([]))
+        encode_record(record)
         assert repr(record) == before
+        # The snapshot's entries are the captured state's, which the
+        # next snapshot takes as its base: the journal swaps copies.
+        snapshot = {"role": "client", "role_state": {
+            "uploads": {"t": {"data": b"payload", "provider": "bob"}},
+            "downloads": {"t": {"data": b"read back", "flags": ["NRR"]}, "u": None}}}
+        before = repr(snapshot)
+        snapshot_through(PartyJournal(StableStore(), "w", "client"), snapshot)
+        assert repr(snapshot) == before
 
     @pytest.mark.parametrize("bad", [object(), {1, 2}, 1j, [b"ok", {"x": frozenset()}]])
     @pytest.mark.parametrize("with_blobs", [False, True])
     def test_unjournalable_value_rejected_like_the_walker(self, bad, with_blobs):
-        record = {"type": "r", "data": b"payload", "nested": {"v": bad}}
+        fields = {"data": b"payload", "nested": {"v": bad}}
         ref = self.recording_ref([]) if with_blobs else None
         with pytest.raises(StorageError) as old:
-            walker_encode(record, ref)
+            walker_encode({"type": "r", **fields}, ref)
         with pytest.raises(StorageError) as new:
-            encode_record(record, ref)
+            if with_blobs:
+                PartyJournal(StableStore(), "w", "client").log("r", **fields)
+            else:
+                encode_record({"type": "r", **fields})
         assert str(new.value) == str(old.value)
         assert str(new.value).startswith("cannot journal a ")
 
@@ -305,26 +414,26 @@ class TestBlobSegment:
         store.fsync("w")
 
     def test_payload_field_becomes_a_reference(self):
-        store, wal, segment = self.make()
-        wal.append({"type": "client.upload", "data": self.PAYLOAD, "sig": b"\x01"},
-                   blobs=segment.ref)
-        self.commit(store, segment)
+        store = StableStore()
+        journal = PartyJournal(store, "w", "client")
+        journal.log("client.upload", data=self.PAYLOAD, sig=b"\x01")
         digest = hashlib.sha256(self.PAYLOAD).hexdigest()
-        [record] = wal.records()
+        [record] = journal.wal.records()
         assert record == {"type": "client.upload", "data": {BLOB_TAG: digest},
                           "sig": b"\x01"}
         assert self.PAYLOAD not in store.durable_bytes("w")
-        [resolved] = wal.durable_scan(segment.durable_blobs()).records
+        [resolved] = journal.durable_scan().records
         assert resolved["data"] == self.PAYLOAD
 
     def test_each_payload_written_once(self):
-        store, wal, segment = self.make()
+        store = StableStore()
+        journal = PartyJournal(store, "w", "provider")
         for _ in range(3):
-            wal.append({"type": "r", "data": self.PAYLOAD}, blobs=segment.ref)
-        wal.append({"type": "snapshot", "state": {"blobs": {"k": {"data": self.PAYLOAD}}}},
-                   blobs=segment.ref)
-        self.commit(store, segment)
+            journal.log("r", data=self.PAYLOAD)
+        snapshot_through(journal, {"role": "provider", "role_state": {
+            "blobs": {"k": {"data": self.PAYLOAD, "key": "k"}}}})
         assert len(store.durable_bytes("w.blobs")) == 4 + 32 + len(self.PAYLOAD)
+        assert [r["data"] for r in journal.durable_scan().records[:3]] == [self.PAYLOAD] * 3
 
     def test_frame_durable_before_the_record(self, monkeypatch):
         """Appending makes nothing durable; the journal's commit fsyncs
@@ -335,7 +444,7 @@ class TestBlobSegment:
         synced = []
         fsync = store.fsync
         monkeypatch.setattr(store, "fsync", lambda f: (synced.append(f), fsync(f)))
-        journal.wal.append({"type": "r", "data": self.PAYLOAD}, blobs=journal.blobs.ref)
+        journal.wal.append({"type": "r", "data": {BLOB_TAG: journal.blobs.ref(self.PAYLOAD)}})
         assert store.durable_bytes("w") == store.durable_bytes("w.blobs") == b""
         journal.committed(journal.log, "r", data=self.PAYLOAD)
         assert synced == ["w.blobs", "w"]
@@ -344,7 +453,7 @@ class TestBlobSegment:
 
     def test_missing_or_damaged_blob_resolves_to_none(self):
         store, wal, segment = self.make()
-        wal.append({"type": "r", "data": self.PAYLOAD}, blobs=segment.ref)
+        wal.append({"type": "r", "data": {BLOB_TAG: segment.ref(self.PAYLOAD)}})
         self.commit(store, segment)
         image = bytearray(store.durable_bytes("w.blobs"))
         image[-1] ^= 0xFF

@@ -216,6 +216,26 @@ class TestTenantDirectory:
         assert cold.keygen_count == 3  # provider + ttp + one tenant
 
 
+    def test_certificates_issued_once_and_still_validated(self):
+        from repro.obs.instrument import observe_crypto
+        from repro.obs.metrics import MetricsRegistry
+
+        d = TenantDirectory(b"dir-certs")
+        d.warm(["bob", "ttp", "tenant-0000"])
+        cert = d.certificate("tenant-0000")
+        assert d.certificate("tenant-0000") is cert
+        assert cert.public_key == d.identity("tenant-0000").public_key
+        serials = {name: d.certificate(name).serial for name in ("bob", "ttp", "tenant-0000")}
+        for _ in range(2):
+            pool = SessionPool(EngineConfig(n_tenants=1), seed=SEED, directory=d)
+            with observe_crypto(MetricsRegistry()) as crypto:
+                pool.build()
+            calls = {op: int(c.value) for op, c in crypto.series.items()}
+            assert calls.get("rsa.sign", 0) == 0
+            assert calls["rsa.verify"] == 3  # each registration validates
+        assert {name: d.certificate(name).serial for name in serials} == serials
+
+
 class TestDirectoryShardSafety:
     """ISSUE 9 satellite regressions: memoization under concurrent /
     shard use, double-warm, and label collisions across shards."""

@@ -302,8 +302,8 @@ def _forensics_always_on(monkeypatch):
 
 
 @pytest.mark.parametrize("scenario_id,mutate,broken", [
-    # Batching off: every shard count pays the classic 162.
-    ("TP2", _unbatched, "1/rsa_private_ops: got 162, expected 36"),
+    # Batching off: every shard count pays the classic 144.
+    ("TP2", _unbatched, "1/rsa_private_ops: got 144, expected 18"),
     ("TP1", _forgetful_directory, "warm_run_keygens: got 10, expected 0"),
     ("OB1", _live_bundle_when_unobserved,
      "disabled_path_records_nothing: got False, expected True"),
