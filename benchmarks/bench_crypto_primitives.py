@@ -64,13 +64,14 @@ def test_bench_rsa_keygen_512(benchmark):
     )
 
 
-#: An odd 256-bit composite with no prime factor up to ``SIEVE_BOUND``:
-#: keygen's usual candidate, rejected by one base-2 ``pow`` and no draw.
-SIEVED_COMPOSITE_256 = 0xE9DCB1BD244C20249E8770BF4626AC6EF11003E2A27406628B300188EC893BB9
+#: An odd 171-bit composite with its top two bits set and no prime factor
+#: up to ``SIEVE_BOUND``: the usual candidate of a 512-bit key's primes,
+#: rejected by one base-2 ``pow`` and no draw.
+SIEVED_COMPOSITE_171 = 0x7DE4C1337F61A88A3D8739E05078D91525CD29B9B5B
 
 
 def test_bench_is_prime_sieved_composite(benchmark):
-    assert benchmark(primes.is_prime, SIEVED_COMPOSITE_256, RNG) is False
+    assert benchmark(primes.is_prime, SIEVED_COMPOSITE_171, RNG) is False
 
 
 def test_bench_hybrid_encrypt(benchmark):

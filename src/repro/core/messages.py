@@ -87,9 +87,10 @@ class Header:
 
     @cached_property
     def _signed_bytes(self) -> bytes:
-        """The encoding, built once per (frozen) header.  Cached outside
-        the dataclass fields, so equality, repr and the pickled state
-        never see it."""
+        """The encoding, built once per (frozen) header.  Cached in the
+        instance ``__dict__``, outside the dataclass fields, so equality
+        and repr never see it; default pickling copies that dict, so a
+        pickled header carries the encoding with it."""
         return "|".join(
             [
                 "tpnr-header-v1",

@@ -13,7 +13,6 @@ from ..errors import CryptoError
 __all__ = [
     "egcd",
     "modinv",
-    "crt_pair",
     "int_to_bytes",
     "bytes_to_int",
     "bit_length_bytes",
@@ -45,17 +44,6 @@ def modinv(a: int, m: int) -> int:
     if g != 1:
         raise CryptoError(f"{a} has no inverse modulo {m} (gcd={g})")
     return x % m
-
-
-def crt_pair(r_p: int, p: int, r_q: int, q: int, q_inv: int) -> int:
-    """Chinese Remainder Theorem for two coprime moduli.
-
-    Returns the unique ``x`` in ``[0, p*q)`` with ``x % p == r_p`` and
-    ``x % q == r_q``, given ``q_inv = q^-1 mod p`` (the RSA-CRT private
-    operation passes its precomputed one).
-    """
-    h = (q_inv * (r_p - r_q)) % p
-    return (r_q + h * q) % (p * q)
 
 
 def int_to_bytes(n: int, length: int | None = None) -> bytes:

@@ -46,10 +46,13 @@ SMALL_PRIMES: tuple[int, ...] = (
 )
 
 #: Candidates that pass trial division are sieved by the primes in
-#: ``(293, SIEVE_BOUND]`` before Miller-Rabin.  For the 256-bit primes of
-#: a 512-bit key, one gcd against their 11,235-bit product costs about a
-#: tenth of a Miller-Rabin ``pow`` and spares about 13 of them per key;
-#: 2**12 spares fewer and 2**14 doubles the gcd for 1.5 more.
+#: ``(293, SIEVE_BOUND]`` before Miller-Rabin.  For the 171-bit primes of
+#: a three-prime 512-bit key, one gcd against their 11,235-bit product
+#: costs about a fifth of a Miller-Rabin ``pow`` (8.7 vs 48 us) and
+#: spares about 12 of the 35 base-2 ``pow``s per key; 2**12 halves the
+#: gcd but spares 1.7 fewer, and 2**14 doubles it for 1.6 more.  Keygen
+#: took 6.73 ms at 2**12, 6.74 at 2**13 and 6.98 at 2**14 (medians of 7
+#: interleaved runs of 60 keys, 2-vCPU container), so the bound stays.
 SIEVE_BOUND = 1 << 13
 
 
@@ -110,7 +113,7 @@ def miller_rabin(n: int, witnesses: list[int]) -> bool:
 _DETERMINISTIC_WITNESSES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41]
 
 
-def is_prime(n: int, rng: "HmacDrbg | None" = None, rounds: int = 12) -> bool:
+def is_prime(n: int, rng: "HmacDrbg | None" = None, rounds: int = 19) -> bool:
     """Primality test.
 
     Trial division by :data:`SMALL_PRIMES`, the :data:`SIEVE_BOUND`
@@ -120,10 +123,13 @@ def is_prime(n: int, rng: "HmacDrbg | None" = None, rounds: int = 12) -> bool:
     No witness is drawn before base 2 passes, so a rejected composite
     leaves *rng* untouched.
 
-    The default of 12 rounds bounds the chance that a random 256-bit
-    candidate (the primes of a 512-bit key) is accepted as prime but
-    composite below 2**-80, by the Damgard-Landrock-Pomerance bound
-    (DESIGN.md §5 item 5).
+    The default of 19 rounds bounds the chance that a random 171- or
+    170-bit candidate (the primes of a three-prime 512-bit key) is
+    accepted as prime but composite at 2**-82.0 and 2**-87.8, by the
+    Damgard-Landrock-Pomerance bounds (HAC Fact 4.48).  Keygen forces
+    the top two bits, which can at most double either, so both stay
+    below 2**-80 (DESIGN.md §5 item 5).  18 rounds give 2**-79.9 at
+    k = 171.
     """
     if n < 2:
         return False
@@ -145,7 +151,8 @@ def generate_prime(bits: int, rng: "HmacDrbg") -> int:
     """Generate a random prime with exactly *bits* bits.
 
     The top two bits are forced to 1 so that the product of two such
-    primes has exactly ``2 * bits`` bits (needed by RSA key sizing).
+    primes has exactly ``2 * bits`` bits, and that of three misses the
+    summed size only rarely (RSA keygen redraws then).
     """
     if bits < 8:
         raise CryptoError(f"prime size too small: {bits} bits")

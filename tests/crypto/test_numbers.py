@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from repro.crypto.numbers import (
     bit_length_bytes,
     bytes_to_int,
-    crt_pair,
     egcd,
     int_to_bytes,
     modinv,
@@ -63,18 +62,6 @@ class TestModinv:
         p = 2_147_483_647  # Mersenne prime
         a = a % p or 1
         assert (a * modinv(a, p)) % p == 1
-
-
-class TestCrt:
-    def test_basic(self):
-        # x = 2 mod 3, x = 3 mod 5 -> x = 8
-        assert crt_pair(2, 3, 3, 5, modinv(5, 3)) == 8
-
-    @given(st.integers(min_value=0, max_value=10**15))
-    def test_roundtrip(self, x):
-        p, q = 1_000_003, 999_983
-        x = x % (p * q)
-        assert crt_pair(x % p, p, x % q, q, modinv(q, p)) == x
 
 
 class TestByteCodec:

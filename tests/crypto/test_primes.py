@@ -182,15 +182,40 @@ def dlp_bound_log2(k, t):
     return 1.5 * log2(k) + t - 0.5 * log2(t) + 2 * (2 - sqrt(t * k))
 
 
+def dlp_bound_many_rounds_log2(k, t):
+    """log2 of the same bound's form for more rounds, ``(7/20) k 2**-5t
+    + (1/7) k**(15/4) 2**(-k/2 - 2t) + 12 k 2**(-k/4 - 3t)``, valid for
+    k >= 21 and k / 9 <= t <= k / 4 (HAC Fact 4.48)."""
+    assert k >= 21 and k / 9 <= t <= k / 4, (k, t)
+    return log2(7 / 20 * k * 2 ** (-5 * t)
+                + k ** 3.75 / 7 * 2 ** (-k / 2 - 2 * t)
+                + 12 * k * 2 ** (-k / 4 - 3 * t))
+
+
 class TestRounds:
+    """The candidates of keygen have their top two bits set, so they are
+    half the k-bit range, which can at most double the chance: each
+    bound must hold with one bit to spare."""
+
     def test_bound_formula(self):
         assert dlp_bound_log2(256, 12) == pytest.approx(-84.64, abs=0.01)
         assert dlp_bound_log2(512, 12) == pytest.approx(-129.06, abs=0.01)
+        assert dlp_bound_log2(171, 19) == pytest.approx(-82.00, abs=0.01)
+        assert dlp_bound_many_rounds_log2(170, 19) == pytest.approx(-87.77, abs=0.01)
+
+    def test_default_rounds_meet_2_to_minus_80_at_171_bits(self):
+        """The two larger primes of a three-prime 512-bit key."""
+        assert dlp_bound_log2(171, DEFAULT_ROUNDS) + 1 <= -80
+
+    def test_default_rounds_meet_2_to_minus_80_at_170_bits(self):
+        """The smallest prime of a three-prime 512-bit key, where 19
+        rounds exceed k / 9 and the many-rounds form applies."""
+        assert DEFAULT_ROUNDS > 170 / 9
+        assert dlp_bound_many_rounds_log2(170, DEFAULT_ROUNDS) + 1 <= -80
 
     def test_default_rounds_meet_2_to_minus_80_at_256_bits(self):
-        """The primes of a 512-bit key.  Their top two bits are set, so
-        they are half the k-bit range, which can at most double the
-        chance: the bound must hold with one bit to spare."""
+        """Primes of a two-prime 512-bit key, and of a three-prime
+        768-bit one."""
         assert dlp_bound_log2(256, DEFAULT_ROUNDS) + 1 <= -80
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import pickle
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 
 from repro.crypto import rsa
 from repro.crypto.drbg import HmacDrbg
+from repro.crypto.numbers import modinv
+from repro.crypto.primes import generate_prime
 from repro.errors import CryptoError, DecryptionError, InvalidKeyError
 
 
@@ -25,6 +28,16 @@ def other_key():
     return rsa.generate_keypair(512, HmacDrbg(b"rsa-tests-other"))
 
 
+def two_prime_key(bits, rng, e=65537):
+    """A two-prime key built by hand from two *bits*/2-bit primes, as
+    keygen built them before keys had three."""
+    while True:
+        p, q = generate_prime(bits // 2, rng), generate_prime(bits // 2, rng)
+        phi = (p - 1) * (q - 1)
+        if p != q and gcd(e, phi) == 1:
+            return rsa.RsaPrivateKey(n=p * q, e=e, d=modinv(e, phi), primes=(p, q))
+
+
 class _NoDraws:
     """A DRBG stand-in that fails the test on any draw."""
 
@@ -36,13 +49,26 @@ class TestKeygen:
     def test_modulus_bits_exact(self, key):
         assert key.n.bit_length() == 512
 
-    def test_factors(self, key):
-        assert key.p * key.q == key.n
-        assert key.p != key.q
-
-    def test_private_exponent(self, key):
-        phi = (key.p - 1) * (key.q - 1)
-        assert (key.d * key.e) % phi == 1
+    @pytest.mark.parametrize("count", [2, 3], ids=["2-primes", "3-primes"])
+    @pytest.mark.parametrize("bits", [256, 512, 768, 1024])
+    @given(seed=st.binary(min_size=1, max_size=8), data=st.data())
+    @settings(max_examples=4, deadline=None)
+    def test_key_maths(self, count, bits, seed, data):
+        """The CRT private operation is ``pow(c, d, n)`` at any prime
+        count, keys sign and decrypt what their public halves verify and
+        encrypt, and generated keys have exactly *bits* bits."""
+        rng = HmacDrbg(b"key-maths", seed)
+        key = two_prime_key(bits, rng) if count == 2 else rsa.generate_keypair(bits, rng)
+        assert len(key.primes) == len(set(key.primes)) == count
+        assert prod(key.primes) == key.n and key.n.bit_length() == bits
+        assert all(key.e * key.d % (r - 1) == 1 for r in key.primes)
+        for c in data.draw(st.lists(st.integers(0, key.n - 1), min_size=1, max_size=4)):
+            assert key._private_op(c) == pow(c, key.d, key.n)
+        message = data.draw(st.binary(max_size=key.size_bytes - 11))
+        public = key.public_key()
+        assert rsa.decrypt(key, rsa.encrypt(public, message, rng)) == message
+        if bits >= 512:  # a 256-bit modulus holds no signature block
+            assert rsa.verify(public, message, rsa.sign(key, message))
 
     def test_deterministic(self):
         k1 = rsa.generate_keypair(256, HmacDrbg(b"det"))
@@ -50,16 +76,18 @@ class TestKeygen:
         assert k1 == k2
 
     def test_keys_are_pinned(self):
-        """Keys from fixed seeds, hashed when ``is_prime`` came to draw
-        its 12 witnesses only after base 2: any change to what keygen
-        draws or accepts fails here."""
+        """Keys from fixed seeds, hashed when keys came to have three
+        primes (RFC 8017 §3.2) and ``is_prime`` 19 witnesses, which
+        moved every key once; before that, when its 12 witnesses came to
+        wait for base 2.  Any change to what keygen draws or accepts
+        fails here."""
         keys = [
             rsa.generate_keypair(bits, HmacDrbg(f"keygen-pin-{bits}-{i}"))
             for bits, count in ((256, 2), (512, 2), (1024, 1))
             for i in range(count)
         ]
         assert hashlib.sha256("".join(map(repr, keys)).encode()).hexdigest() == (
-            "e0c09775e04152b9934053d28c005e4ae4b3be6fd298fcd6466c166c8d62b8f6"
+            "94d4e3303e11caecc347d2cddf23959ca2be42dd2f2c0807df70eb408a5c0ca2"
         )
 
     @pytest.mark.parametrize("e", [2, 1, -3], ids=["even", "one", "negative"])
@@ -88,7 +116,7 @@ class TestKeygen:
 
     def test_crt_constants_stay_out_of_the_key(self):
         """The cached CRT constants change no signature, equality and
-        repr see only (n, e, d, p, q), and a pickled key signs alike."""
+        repr see only (n, e, d, primes), and a pickled key signs alike."""
         used = rsa.generate_keypair(512, HmacDrbg(b"crt"))
         fresh = rsa.generate_keypair(512, HmacDrbg(b"crt"))
         signature = rsa.sign(used, b"crt")
