@@ -49,6 +49,14 @@ class TestKeygen:
     def test_modulus_bits_exact(self, key):
         assert key.n.bit_length() == 512
 
+    def test_factors(self, key):
+        assert prod(key.primes) == key.n
+        assert len(set(key.primes)) == len(key.primes) == 3
+
+    def test_private_exponent(self, key):
+        phi = prod(r - 1 for r in key.primes)
+        assert (key.d * key.e) % phi == 1
+
     @pytest.mark.parametrize("count", [2, 3], ids=["2-primes", "3-primes"])
     @pytest.mark.parametrize("bits", [256, 512, 768, 1024])
     @given(seed=st.binary(min_size=1, max_size=8), data=st.data())
