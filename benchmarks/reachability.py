@@ -90,6 +90,8 @@ KEPT: dict[str, str] = {
     "repro.crypto.chacha20:_quarter_round": "part of the chacha20_np oracle",
     "repro.crypto.primes:generate_safe_prime":
         "oracle that re-derives the precomputed DH primes (tests/crypto/test_dh.py)",
+    "repro.crypto.primes:generate_prime":
+        "the random search of generate_safe_prime and of the tests' hand-built two-prime keys",
     "repro.scenarios.seeds:derive_seed": "the PT-002 derivation behind repetition_seed",
     # Live API that no entry point happens to call with the data it serves.
     "repro.obs.sketch:QuantileSketch.snapshot":

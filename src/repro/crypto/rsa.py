@@ -33,7 +33,7 @@ from . import instrument as _instrument
 from .drbg import HmacDrbg
 from .hashes import DIGEST_SIZES, digest
 from .numbers import bit_length_bytes, bytes_to_int, int_to_bytes, modinv
-from .primes import generate_prime
+from .primes import generate_proven_prime
 
 __all__ = [
     "RsaPublicKey",
@@ -129,7 +129,9 @@ def generate_keypair(bits: int, rng: HmacDrbg, e: int = 65537) -> RsaPrivateKey:
     """Generate an RSA keypair with an exactly *bits*-bit modulus.
 
     The modulus is the product of :data:`PRIME_COUNT` distinct primes
-    whose sizes add up to *bits* (171, 171 and 170 at 512), drawn again
+    whose sizes add up to *bits* (171, 171 and 170 at 512), each proven
+    prime by a Pocklington certificate
+    (:func:`repro.crypto.primes.generate_proven_prime`), and drawn again
     together whenever their product falls one bit short.  *e* must be an
     odd integer >= 3: an even one is never coprime with ``phi``, and
     ``e = 1`` makes every signature the padded message.
@@ -142,7 +144,7 @@ def generate_keypair(bits: int, rng: HmacDrbg, e: int = 65537) -> RsaPrivateKey:
         raise InvalidKeyError("modulus bit size must be even")
     sizes = [bits // PRIME_COUNT + (i < bits % PRIME_COUNT) for i in range(PRIME_COUNT)]
     while True:
-        primes = tuple(generate_prime(size, rng) for size in sizes)
+        primes = tuple(generate_proven_prime(size, rng) for size in sizes)
         if len(set(primes)) != PRIME_COUNT:
             continue
         n = prod(primes)

@@ -7,15 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.crypto import primes
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.primes import (
     MERSENNE_521,
+    PROOF_BASE_BITS,
     SIEVE_BOUND,
     SMALL_PRIMES,
     generate_prime,
+    generate_proven_prime,
     generate_safe_prime,
     is_prime,
     miller_rabin,
+    pocklington,
 )
 from repro.errors import CryptoError
 
@@ -100,6 +104,116 @@ class TestGeneratePrime:
             p = generate_prime(64, rng)
             q = generate_prime(64, rng)
             assert (p * q).bit_length() == 128
+
+
+class CountingDrbg(HmacDrbg):
+    """An HmacDrbg that counts its ``generate`` calls: every draw."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.calls = 0
+
+    def generate(self, n_bytes):
+        self.calls += 1
+        return super().generate(n_bytes)
+
+
+def certificate_levels(bits):
+    """Sizes of the primes :func:`generate_proven_prime` makes for one
+    *bits*-bit prime, from the base case up."""
+    sizes = [bits]
+    while sizes[-1] > PROOF_BASE_BITS:
+        sizes.append(sizes[-1] // 2 + 2)
+    return sizes[::-1]
+
+
+#: A proven prime q for the Pocklington unit tests: every c = 2tq + 1
+#: with t < q / 2 has q * q > c.
+_Q = generate_proven_prime(48, HmacDrbg(b"pocklington-q"))
+
+
+class TestPocklington:
+    def test_fixed_q_is_prime(self):
+        assert _Q.bit_length() == 48 and oracle_is_prime(_Q, HmacDrbg(b"q"), rounds=40)
+
+    def test_accepts_only_primes_over_a_t_range(self):
+        """Every accepted ``c`` is prime by the oracle at 40 random
+        rounds, every composite in the range is rejected, and a prime
+        ``c`` is rejected only when the order of 2 divides ``2t``."""
+        start = 1 << 40
+        accepted = composites = 0
+        for t in range(start, start + 3000):
+            c = 2 * t * _Q + 1
+            assert _Q * _Q > c
+            prime = oracle_is_prime(c, HmacDrbg(b"pocklington", c.to_bytes(12, "big")), rounds=40)
+            if pocklington(_Q, t):
+                assert prime, t
+                accepted += 1
+            elif prime:
+                assert pow(2, 2 * t, c) == 1, t
+            else:
+                composites += 1
+        assert accepted > 20 and composites > 2000
+
+    @pytest.mark.parametrize("c, q, t", [(11305, 157, 36), (42799, 1019, 21), (55245, 1973, 14)])
+    def test_gcd_rejects_base_2_pseudoprimes(self, c, q, t):
+        """Composites with ``2**(c-1) = 1 (mod c)`` and ``q * q > c``:
+        only ``gcd(z - 1, c) = 1`` rejects them."""
+        assert c == 2 * t * q + 1 and q * q > c and is_prime(q)
+        assert pow(2, c - 1, c) == 1 and not oracle_is_prime(c)
+        assert not pocklington(q, t)
+
+    def test_small_q_is_no_proof(self):
+        """Below the q-size rule the test accepts composites: 2**(c-1) =
+        1 for the base-2 pseudoprime 341 = 11 * 31, where c - 1 = 2 * 5
+        * 34 and 5 * 5 < 341."""
+        assert pocklington(5, 34) and not is_prime(341)
+
+    @pytest.mark.parametrize("bits", [171, 170, 256, 341, 342, 512])
+    def test_every_level_meets_the_q_size_rule(self, bits, monkeypatch):
+        """Each step of the chain is a Pocklington test with ``q * q >
+        c``, its ``q`` is the previous level's prime, and the chain
+        starts at a base case of at most :data:`PROOF_BASE_BITS` bits."""
+        calls = []
+
+        def recorded(q, t):
+            c = 2 * t * q + 1
+            assert q * q > c, (q, t)
+            accepted = pocklington(q, t)
+            calls.append((q, c, accepted))
+            return accepted
+
+        monkeypatch.setattr(primes, "pocklington", recorded)
+        p = generate_proven_prime(bits, HmacDrbg(b"chain", bits.to_bytes(2, "big")))
+        chain = [(q, c) for q, c, accepted in calls if accepted]
+        base = chain[0][0]
+        assert base.bit_length() <= PROOF_BASE_BITS and is_prime(base)
+        assert [q for q, _ in chain[1:]] == [c for _, c in chain[:-1]]
+        assert chain[-1][1] == p
+        assert [base.bit_length()] + [c.bit_length() for _, c in chain] == certificate_levels(bits)
+
+
+class TestGenerateProvenPrime:
+    @pytest.mark.parametrize("bits", [8, 16, 45, 64, 65, 87, 171, 256])
+    def test_size_top_bits_and_primality(self, bits):
+        p = generate_proven_prime(bits, HmacDrbg(b"proven", bits.to_bytes(2, "big")))
+        assert p.bit_length() == bits and p >> (bits - 2) == 3
+        assert oracle_is_prime(p, HmacDrbg(b"proven-oracle"), rounds=40)
+
+    def test_deterministic_from_seed(self):
+        assert generate_proven_prime(171, HmacDrbg(b"same")) == generate_proven_prime(171, HmacDrbg(b"same"))
+
+    def test_too_small_rejected(self):
+        with pytest.raises(CryptoError):
+            generate_proven_prime(7, HmacDrbg(b"x"))
+
+    @pytest.mark.parametrize("bits", [64, 65, 170, 171, 512])
+    def test_one_draw_per_level(self, bits):
+        """Rejected candidates draw nothing: one draw per certificate
+        level, however many candidates each level tried."""
+        rng = CountingDrbg(b"draws" + bits.to_bytes(2, "big"))
+        generate_proven_prime(bits, rng)
+        assert rng.calls == len(certificate_levels(bits))
 
 
 class TestSafePrime:
@@ -193,9 +307,11 @@ def dlp_bound_many_rounds_log2(k, t):
 
 
 class TestRounds:
-    """The candidates of keygen have their top two bits set, so they are
-    half the k-bit range, which can at most double the chance: each
-    bound must hold with one bit to spare."""
+    """The candidates of :func:`generate_prime` have their top two bits
+    set, so they are half the k-bit range, which can at most double the
+    chance: each bound must hold with one bit to spare.  The sizes are
+    those of a three-prime 512-bit key's primes, were they searched for
+    by random draws; keygen proves its primes instead."""
 
     def test_bound_formula(self):
         assert dlp_bound_log2(256, 12) == pytest.approx(-84.64, abs=0.01)

@@ -14,6 +14,8 @@ from repro.crypto.numbers import modinv
 from repro.crypto.primes import generate_prime
 from repro.errors import CryptoError, DecryptionError, InvalidKeyError
 
+from .prime_oracle import oracle_is_prime
+
 
 _HYP_KEY = rsa.generate_keypair(512, HmacDrbg(b"rsa-hyp-key"))
 
@@ -78,24 +80,55 @@ class TestKeygen:
         if bits >= 512:  # a 256-bit modulus holds no signature block
             assert rsa.verify(public, message, rsa.sign(key, message))
 
+    @pytest.mark.parametrize("bits", [256, 512, 768, 1024])
+    @given(seed=st.binary(min_size=1, max_size=8))
+    @settings(max_examples=4, deadline=None)
+    def test_primes_are_prime_with_exact_sizes(self, bits, seed):
+        """Each prime is prime by the oracle at 40 random rounds, has its
+        share of *bits* exactly, and has its top two bits set."""
+        key = rsa.generate_keypair(bits, HmacDrbg(b"key-primes", seed))
+        sizes = [bits // 3 + (i < bits % 3) for i in range(3)]
+        assert [r.bit_length() for r in key.primes] == sizes
+        for r, size in zip(key.primes, sizes):
+            assert r >> (size - 2) == 3
+            assert oracle_is_prime(r, HmacDrbg(b"key-primes-oracle", seed), rounds=40)
+
+    def test_draws_per_key_are_pinned(self):
+        """One 512-bit key draws once per level of each prime's
+        certificate (171 -> 87 -> 45 bits, 170 -> 87 -> 45): 9
+        ``generate`` calls at this seed, where the random search drew
+        171 (witnesses and candidates)."""
+
+        class Counting(HmacDrbg):
+            calls = 0
+
+            def generate(self, n_bytes):
+                self.calls += 1
+                return super().generate(n_bytes)
+
+        rng = Counting(b"draw-count")
+        rsa.generate_keypair(512, rng)
+        assert rng.calls == 9
+
     def test_deterministic(self):
         k1 = rsa.generate_keypair(256, HmacDrbg(b"det"))
         k2 = rsa.generate_keypair(256, HmacDrbg(b"det"))
         assert k1 == k2
 
     def test_keys_are_pinned(self):
-        """Keys from fixed seeds, hashed when keys came to have three
-        primes (RFC 8017 §3.2) and ``is_prime`` 19 witnesses, which
-        moved every key once; before that, when its 12 witnesses came to
-        wait for base 2.  Any change to what keygen draws or accepts
-        fails here."""
+        """Keys from fixed seeds, hashed when keygen came to prove its
+        primes with Pocklington certificates (``generate_proven_prime``),
+        which moved every key once; before that, when keys came to have
+        three primes (RFC 8017 §3.2) and ``is_prime`` 19 witnesses, and
+        when its 12 witnesses came to wait for base 2.  Any change to
+        what keygen draws or accepts fails here."""
         keys = [
             rsa.generate_keypair(bits, HmacDrbg(f"keygen-pin-{bits}-{i}"))
             for bits, count in ((256, 2), (512, 2), (1024, 1))
             for i in range(count)
         ]
         assert hashlib.sha256("".join(map(repr, keys)).encode()).hexdigest() == (
-            "94d4e3303e11caecc347d2cddf23959ca2be42dd2f2c0807df70eb408a5c0ca2"
+            "1a853c52236756f342015f5f0786149a53069f9a5f60e0a66473b80615a87375"
         )
 
     @pytest.mark.parametrize("e", [2, 1, -3], ids=["even", "one", "negative"])

@@ -116,16 +116,17 @@ def pinned_run(after_call=lambda dep: None, watched=None):
 #: SHA-256 of every stable-store file after :func:`pinned_run`, first
 #: computed with the record-at-a-time journal (one encode and one fsync
 #: per record) that group commit replaced.  The three logs were re-pinned
-#: once when RSA keys came to have three primes: their evidence records
-#: carry RSA signatures, which moved with every key byte.  The blob
+#: when RSA keys came to have three primes, and again when keygen came
+#: to prove its primes with Pocklington certificates: their evidence
+#: records carry RSA signatures, which moved with every key byte.  The blob
 #: segments hold payloads only, and :func:`delta_run`'s batched evidence
 #: carries no signature, so neither moved.
 PINNED_FILES = {
-    "alice.wal": "ed1ca6fc8f361532ae1d2c436993497080a93fd30141d1702d1b4bdc78a9f794",
+    "alice.wal": "f9a90f7558c9387383a63a274859fe1a30015df2e17a200cb00cb010135c549f",
     "alice.wal.blobs": "1eff7d670eb5cc1e4c9a207df2bfde0bb9b759a65914b30d5684c5b1f920cff7",
-    "bob.wal": "67f13699e408288e6559b413701106f76a2ca24c1354d631f34fcff42ebaf34c",
+    "bob.wal": "025b96381c90fe385c5adbbb5f5341283476d8820462a81801af42b941c163e2",
     "bob.wal.blobs": "1eff7d670eb5cc1e4c9a207df2bfde0bb9b759a65914b30d5684c5b1f920cff7",
-    "ttp.wal": "c45f2edbd86cd06b78120382abca73509e40132d8c3976c344b18da3d08a09e4",
+    "ttp.wal": "31dd485d98efb334743557b2ff8679063c544bdfcca8cd74a7783a26e699f6ac",
 }
 
 
